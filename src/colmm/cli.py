@@ -37,7 +37,7 @@ from .pricers import (
     equity_forward,
     fx_forward,
     fx_option_black,
-    fx_option_mc,
+    fx_option_payoff,
 )
 
 Z_LIMIT = 4.0
@@ -56,20 +56,25 @@ def _job_id(parts: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write: {exc}", path)
+
+
 def _write_report(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sim_config(args) -> SimulationConfig:
@@ -119,7 +124,7 @@ def cmd_price(args) -> int:
     model = Model(ts, curves, vols, base)
 
     results = {}
-    mc_options = []
+    mc_payoffs = {}
     for inst in instruments:
         entry = {"kind": inst.kind}
         if inst.kind == "zcb":
@@ -144,7 +149,7 @@ def cmd_price(args) -> int:
             if args.method in ("black", "both"):
                 entry["price"] = fx_option_black(curves, vols, ts, s)
             if args.method in ("mc", "both"):
-                mc_options.append((inst.label, s))
+                mc_payoffs[inst.label] = fx_option_payoff(s)
         else:
             s = inst.spec
             _check_node(ts, s["maturity"], inst.label)
@@ -153,10 +158,12 @@ def cmd_price(args) -> int:
                                               s["maturity"]))
         results[inst.label] = entry
 
-    for label, spec in mc_options:
-        est = fx_option_mc(model, cfg, spec)
-        results[label].update(mc_mean=est.mean, mc_std_error=est.std_error,
-                              mc_paths=est.n_paths, seed=cfg.seed)
+    # One path set for every MC option: normals are keyed by (seed, path,
+    # step), so each estimate equals its own single-option run.
+    if mc_payoffs:
+        for label, est in simulate_many(model, cfg, mc_payoffs).items():
+            results[label].update(mc_mean=est.mean, mc_std_error=est.std_error,
+                                  mc_paths=est.n_paths, seed=cfg.seed)
 
     inputs = {
         "curve_set": _file_digest(args.curveset),

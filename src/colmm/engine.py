@@ -4,10 +4,12 @@ Reproducibility contract
 ------------------------
 The Brownian increment of factor f at global step s on path p is a pure
 function of (seed, p, s, f): path p owns the counter-based stream keyed by
-(seed, p) and step s consumes words [s*d, (s+1)*d) of it.  Workers never
-share generator state, and paths are partitioned in contiguous blocks whose
-results are merged in block order, so the estimate is bit-identical for any
-worker count.
+(seed, p) and step s consumes words [s*d, (s+1)*d) of it.  The stream is
+that of numpy's Philox4x64-10 under key (seed, p); the engine computes it
+with uint64 ufuncs over (path, counter) arrays, which release the GIL, so
+worker threads generate in parallel.  Workers never share generator state,
+and paths are partitioned in contiguous blocks whose results are merged in
+block order, so the estimate is bit-identical for any worker count.
 
 Antithetic sampling pairs path p with a mirror path driven by the negated
 increments of the same stream.  The estimator then averages pair means and
@@ -42,6 +44,18 @@ WORKERS_ENV_VAR = "COLMM_WORKERS"
 _EXACT_RTOL = 1e-12
 
 _MAX_SEED = 2 ** 64
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and the Weyl
+# increments that bump the key between rounds.
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+# Paths are generated in chunks of about this many 4-word blocks: the round
+# buffers then stay in cache and memory does not grow with the path count.
+_CHUNK_BLOCKS = 1 << 14
 
 
 @dataclass
@@ -150,9 +164,14 @@ class GridPayoff:
     collateral: str
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    # Top 53 bits, centered in the bin: strictly inside (0, 1).
-    return ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
+def _uniforms(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word, centered in the bin: strictly inside (0, 1).
+
+    Shifts `raw` in place and writes the uniforms to `out`.
+    """
+    np.right_shift(raw, np.uint64(11), out=raw)
+    np.add(raw, 0.5, out=out)
+    return np.multiply(out, 2.0 ** -53, out=out)
 
 
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
@@ -169,32 +188,97 @@ def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.n
         raise ValueError(f"need at least one factor, got {n_factors}")
     bg = Philox(key=np.array([seed, path], dtype=np.uint64))
     raw = bg.random_raw((step + 1) * n_factors)[step * n_factors:]
-    return ndtri(_uniforms(raw))
+    return ndtri(_uniforms(raw, np.empty(n_factors)))
+
+
+def _mulhi(m: int, x: np.ndarray, out: np.ndarray, t: np.ndarray,
+           s: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products m * x into `out`; x is kept.
+
+    Hacker's Delight `mulhu` over the 32-bit halves of m and x; t and s are
+    scratch of x's shape.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    np.bitwise_and(x, _LO32, out=out)
+    np.multiply(out, m_hi, out=t)
+    np.multiply(out, m_lo, out=out)
+    np.right_shift(out, _SHIFT32, out=out)
+    np.add(t, out, out=t)                   # m_hi*x_lo + (m_lo*x_lo >> 32)
+    np.bitwise_and(t, _LO32, out=s)
+    np.right_shift(t, _SHIFT32, out=t)
+    np.right_shift(x, _SHIFT32, out=out)
+    np.multiply(out, m_lo, out=out)
+    np.add(s, out, out=s)                   # middle word with its carry
+    np.right_shift(s, _SHIFT32, out=s)
+    np.right_shift(x, _SHIFT32, out=out)
+    np.multiply(out, m_hi, out=out)
+    np.add(out, t, out=out)
+    return np.add(out, s, out=out)
 
 
 def _block_normals(seed: int, path_lo: int, path_hi: int,
                    n_steps: int, n_factors: int) -> np.ndarray:
     """Normals for a contiguous path block, shape (paths, steps, factors).
 
-    Rebuilding a Philox per path dominates runtime at large path counts, so
-    one generator is re-keyed in place; output is bit-identical to fresh
-    construction per path.
+    Row p holds the first steps * factors words of
+    numpy.random.Philox(key=[seed, p]), bit for bit.  numpy bumps the
+    counter before its first block, so block b of the row is Philox4x64-10
+    of counter (b + 1, 0, 0, 0) under key (seed, p).  The rounds run as
+    in-place uint64 ufuncs over (rows, blocks) arrays, a chunk of about
+    _CHUNK_BLOCKS blocks at a time.
     """
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
     out = np.empty((n_paths, words))
     if words == 0:
         return out.reshape(n_paths, n_steps, n_factors)
-    bg = Philox(key=np.array([seed, 0], dtype=np.uint64))
-    for row, path in enumerate(range(path_lo, path_hi)):
-        state = bg.state
-        state["state"]["key"][:] = (seed, path)
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bg.state = state
-        out[row] = ndtri(_uniforms(bg.random_raw(words)))
+    blocks = -(-words // 4)
+    rows = max(1, min(n_paths, _CHUNK_BLOCKS // blocks))
+    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
+    key0 = [np.uint64((seed + r * _PHILOX_W0) % _MAX_SEED)
+            for r in range(_PHILOX_ROUNDS)]
+    bump1 = [np.uint64(r * _PHILOX_W1 % _MAX_SEED)
+             for r in range(_PHILOX_ROUNDS)]
+    # Counter words 1-3 are zero and key word 0 is the seed, so rounds 1
+    # and 2 reduce to per-block constants xored with the path's key word.
+    counters = range(1, blocks + 1)
+    hi_ctr = np.array([_PHILOX_M0 * c >> 64 for c in counters], dtype=np.uint64)
+    mix = np.array([(_PHILOX_M0 * seed >> 64) ^ (_PHILOX_M0 * c % _MAX_SEED)
+                    for c in counters], dtype=np.uint64)
+    lo_seed = np.uint64(_PHILOX_M0 * seed % _MAX_SEED)
+
+    bufs = [np.empty((rows, blocks), dtype=np.uint64) for _ in range(7)]
+    key1_buf = np.empty((rows, 1), dtype=np.uint64)
+    raw_buf = np.empty((rows, blocks, 4), dtype=np.uint64)
+    for lo in range(path_lo, path_hi, rows):
+        hi = min(lo + rows, path_hi)
+        n = hi - lo
+        a, b, c, d, spare, t, s = (buf[:n] for buf in bufs)
+        path = np.arange(lo, hi, dtype=np.uint64)[:, None]
+        key1 = key1_buf[:n]
+        np.add(path, bump1[1], out=key1)
+        np.bitwise_xor(hi_ctr, path, out=c)           # round 1: word 2
+        _mulhi(_PHILOX_M1, c, a, t, s)                # round 2
+        a ^= key0[1]
+        np.multiply(c, m1, out=b)
+        np.bitwise_xor(mix, key1, out=c)
+        d.fill(lo_seed)
+        for r in range(2, _PHILOX_ROUNDS):
+            np.add(path, bump1[r], out=key1)
+            _mulhi(_PHILOX_M1, c, spare, t, s)
+            spare ^= b
+            spare ^= key0[r]
+            np.multiply(c, m1, out=b)
+            _mulhi(_PHILOX_M0, a, c, t, s)
+            c ^= d
+            c ^= key1
+            np.multiply(a, m0, out=d)
+            a, spare = spare, a
+        raw = raw_buf[:n]
+        for k, word in enumerate((a, b, c, d)):
+            raw[:, :, k] = word
+        dest = out[lo - path_lo:hi - path_lo]
+        ndtri(_uniforms(raw.reshape(n, 4 * blocks)[:, :words], dest), out=dest)
     return out.reshape(n_paths, n_steps, n_factors)
 
 

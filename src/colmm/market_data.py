@@ -322,6 +322,15 @@ def _split_pair(key: str, path: str, what: str) -> tuple:
     return parts[0], parts[1]
 
 
+def _section(doc: dict, name: str, path: str) -> dict:
+    """The JSON object under `name`, or {} when the section is absent."""
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise InputError(f"section {name!r} must be a JSON object, "
+                         f"got {type(value).__name__}", path)
+    return value
+
+
 def curve_set_document(ts: TenorStructure, base: str, curves: CurveSet) -> dict:
     """JSON-ready dict capturing the grid, base currency, and all pillars."""
     doc = {
@@ -347,10 +356,13 @@ def curve_set_document(ts: TenorStructure, base: str, curves: CurveSet) -> dict:
 
 def save_curve_set(path: str, ts: TenorStructure, base: str,
                    curves: CurveSet) -> None:
-    with open(path, "w") as fh:
-        json.dump(curve_set_document(ts, base, curves), fh, sort_keys=True,
-                  indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(curve_set_document(ts, base, curves), fh, sort_keys=True,
+                      indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write: {exc}", path)
 
 
 def load_curve_set(path: str):
@@ -367,27 +379,29 @@ def load_curve_set(path: str):
         base = doc["base"]
         discounts = {
             ccy: DiscountCurve(ccy, np.array(rec["times"]), np.array(rec["values"]))
-            for ccy, rec in doc.get("discounts", {}).items()
+            for ccy, rec in _section(doc, "discounts", path).items()
         }
         spreads = {}
-        for key, rec in doc.get("spreads", {}).items():
+        for key, rec in _section(doc, "spreads", path).items():
             pay, coll = _split_pair(key, path, "spreads")
             spreads[(pay, coll)] = SpreadCurve(
                 pay, coll, np.array(rec["times"]), np.array(rec["values"])
             )
         fixings = {
             ccy: SpreadFixings(ccy, np.array(values))
-            for ccy, values in doc.get("fixings", {}).items()
+            for ccy, values in _section(doc, "fixings", path).items()
         }
         spot_fx = {
             _split_pair(key, path, "spot_fx"): float(v)
-            for key, v in doc.get("spot_fx", {}).items()
+            for key, v in _section(doc, "spot_fx", path).items()
         }
         equities = {
             ccy: EquityForwardCurve(ccy, np.array(rec["times"]),
                                     np.array(rec["values"]))
-            for ccy, rec in doc.get("equities", {}).items()
+            for ccy, rec in _section(doc, "equities", path).items()
         }
+    except InputError:
+        raise
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r}", path)
     except (TypeError, ValueError) as exc:
@@ -423,14 +437,14 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
         if key not in known:
             raise InputError(f"unknown volatility section {key!r}", path)
     by_ccy = {
-        name: dict(doc.get(name, {}))
+        name: dict(_section(doc, name, path))
         for name in ("collateral", "libor_ois", "equity")
     }
     by_pair = {}
     for name in ("funding", "fx"):
         by_pair[name] = {
             _split_pair(key, path, name): value
-            for key, value in doc.get(name, {}).items()
+            for key, value in _section(doc, name, path).items()
         }
     try:
         return VolatilitySpec(

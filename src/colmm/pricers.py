@@ -141,9 +141,8 @@ def fx_option_black(curves: CurveSet, vols: VolatilitySpec, ts: TenorStructure,
     return annuity * _black(forward, spec.strike, stdev, spec.is_call)
 
 
-def fx_option_mc(model: Model, cfg: SimulationConfig,
-                 spec: FxOptionSpec) -> PriceEstimate:
-    """Monte Carlo value of the option, in the pay currency with its SE."""
+def fx_option_payoff(spec: FxOptionSpec) -> GridPayoff:
+    """The option's exercise value at maturity, as an engine payoff."""
     pay, receive, strike = spec.pay, spec.receive, spec.strike
     sign = 1.0 if spec.is_call else -1.0
 
@@ -151,8 +150,13 @@ def fx_option_mc(model: Model, cfg: SimulationConfig,
         fx = state.fx_rate(pay, receive)
         return np.maximum(sign * (fx - strike), 0.0)
 
-    return simulate(model, cfg, GridPayoff(payoff, spec.maturity, pay,
-                                           spec.collateral))
+    return GridPayoff(payoff, spec.maturity, pay, spec.collateral)
+
+
+def fx_option_mc(model: Model, cfg: SimulationConfig,
+                 spec: FxOptionSpec) -> PriceEstimate:
+    """Monte Carlo value of the option, in the pay currency with its SE."""
+    return simulate(model, cfg, fx_option_payoff(spec))
 
 
 def equity_forward(source, currency: str, maturity: float):

@@ -173,6 +173,45 @@ class TestPrice:
         assert abs(opt["mc_mean"] - opt["price"]) < 3.0 * opt["mc_std_error"]
         assert opt["mc_paths"] == 4000
 
+    def test_shared_paths_match_single_option_runs(self, workdir, tmp_path,
+                                                   capsys):
+        # All MC options ride one path set; each must equal its own run.
+        options = [
+            {"type": "fx_option", "pay": "USD", "receive": "EUR",
+             "collateral": "USD", "maturity": 1.0, "strike": 1.09,
+             "style": "call", "label": "c1"},
+            {"type": "fx_option", "pay": "USD", "receive": "EUR",
+             "collateral": "EUR", "maturity": 3.0, "strike": 1.12,
+             "style": "put", "label": "p3"},
+            {"type": "fx_option", "pay": "EUR", "receive": "USD",
+             "collateral": "USD", "maturity": 2.0, "strike": 0.91,
+             "style": "call", "label": "c2"},
+        ]
+        (tmp_path / "opts.json").write_text(json.dumps(options))
+        out = tmp_path / "report.json"
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(tmp_path / "opts.json"),
+                   "--method", "both", "--paths", "2000", "--seed", "5",
+                   "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        res = json.loads(out.read_text())["results"]
+        from colmm import (FxOptionSpec, Model, SimulationConfig,
+                           fx_option_mc, load_vol_config)
+        ts, base, curves = load_curve_set(str(workdir / "curves.json"))
+        model = Model(ts, curves,
+                      load_vol_config(str(workdir / "vols.json"), ts.n_buckets),
+                      base)
+        cfg = SimulationConfig(n_paths=2000, seed=5)
+        for opt in options:
+            spec = FxOptionSpec(opt["pay"], opt["receive"], opt["collateral"],
+                                opt["maturity"], opt["strike"],
+                                opt["style"] == "call")
+            est = fx_option_mc(model, cfg, spec)
+            assert res[opt["label"]]["mc_mean"] == est.mean
+            assert res[opt["label"]]["mc_std_error"] == est.std_error
+
     def test_reports_are_bytewise_reproducible(self, workdir, tmp_path,
                                                monkeypatch, capsys):
         outs = []
@@ -258,6 +297,44 @@ class TestExitCodes:
                    "--vols", str(tmp_path / "v.json"), "--paths", "4"])
         assert rc == 2
         assert "n_factors" in capsys.readouterr().err
+
+    def test_wrong_vol_section_type_is_2(self, workdir, tmp_path, capsys):
+        bad = dict(VOLS, collateral=[1, 2])
+        (tmp_path / "v.json").write_text(json.dumps(bad))
+        rc = main(["diagnose", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"), "--paths", "4"])
+        assert rc == 2
+        assert "'collateral' must be a JSON object" in capsys.readouterr().err
+
+    def test_wrong_curve_set_section_type_is_2(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spreads"] = "x"
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        rc = main(["diagnose", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"), "--paths", "4"])
+        assert rc == 2
+        assert "'spreads' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bootstrap", "price", "diagnose"])
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_2(self, workdir, tmp_path, capsys, command,
+                                    flag):
+        model = [str(workdir / "curves.json"),
+                 "--vols", str(workdir / "zero_vols.json"), "--paths", "4"]
+        inputs = {
+            "bootstrap": [str(workdir / "market.csv")],
+            "price": model + ["--instruments",
+                              str(workdir / "instruments.json")],
+            "diagnose": model,
+        }
+        # Of two --out flags the later wins, so one argv serves both flags.
+        argv = [command, *inputs[command], "--out", str(tmp_path / "r.json"),
+                flag, str(tmp_path / "missing" / "x")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and "cannot write" in err
+        assert err.count("\n") == 1
 
     def test_unsolvable_quote_is_3(self, tmp_path, capsys):
         text = "grid,0,1.0\nbase,USD\nois,USD,1.0,-3.0\n"

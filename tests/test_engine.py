@@ -31,12 +31,26 @@ class TestGaussianIncrements:
         assert not np.array_equal(a, gaussian_increments(43, 3, 5, 4))
 
     def test_block_matches_pure_function(self):
-        block = _block_normals(7, 10, 20, 6, 3)
-        assert block.shape == (10, 6, 3)
-        for row, path in enumerate(range(10, 20)):
-            for step in range(6):
-                np.testing.assert_array_equal(
-                    block[row, step], gaussian_increments(7, path, step, 3))
+        # The vectorised kernel against fresh numpy Philox streams, bit for
+        # bit.  Cases: (seed, path_lo, path_hi, steps, factors).
+        cases = [
+            (7, 10, 20, 6, 3),
+            (5, 0, 3, 1, 1),        # words % 4 == 1
+            (5, 0, 3, 1, 2),        # words % 4 == 2
+            (5, 0, 3, 1, 3),        # words % 4 == 3
+            (5, 2, 6, 0, 3),        # no words at all
+            (2 ** 64 - 1, 2 ** 32 - 2, 2 ** 32 + 3, 3, 3),  # key words at their limits
+            # 480 words: a long stream; 140 paths cross the first chunk boundary
+            (11, 3, 143, 160, 3),
+        ]
+        for seed, lo, hi, n_steps, n_factors in cases:
+            block = _block_normals(seed, lo, hi, n_steps, n_factors)
+            assert block.shape == (hi - lo, n_steps, n_factors)
+            for row, path in enumerate(range(lo, hi)):
+                for step in range(n_steps):
+                    expect = gaussian_increments(seed, path, step, n_factors)
+                    assert block[row, step].tobytes() == expect.tobytes(), \
+                        (seed, path, step, n_factors)
 
     def test_moments(self):
         z = _block_normals(123, 0, 4000, 16, 4).ravel()  # 256k draws
