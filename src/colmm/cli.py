@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -117,6 +118,9 @@ def _check_node(ts, maturity: float, where: str) -> None:
                          "<instruments>")
 
 
+# Overflow shows up as a non-finite result, which cmd_price rejects in one
+# line; numpy's warnings about it would only add lines of noise.
+@np.errstate(all="ignore")
 def cmd_price(args) -> int:
     ts, base, curves, vols = _load_model_inputs(args)
     instruments = parse_instruments(args.instruments)
@@ -164,6 +168,13 @@ def cmd_price(args) -> int:
         for label, est in simulate_many(model, cfg, mc_payoffs).items():
             results[label].update(mc_mean=est.mean, mc_std_error=est.std_error,
                                   mc_paths=est.n_paths, seed=cfg.seed)
+
+    # JSON has no NaN or infinity: a result that overflowed is an input
+    # problem (loadings or curves out of any sensible range), not a report.
+    for label, entry in results.items():
+        for key in ("price", "mc_mean", "mc_std_error"):
+            if key in entry and not math.isfinite(entry[key]):
+                raise InputError(f"{label}: {key} is {entry[key]}, not finite")
 
     inputs = {
         "curve_set": _file_digest(args.curveset),

@@ -63,20 +63,24 @@ def _as_pillars(times, values, what: str):
     return t, v
 
 
-def _log_linear(times, values, log_values, T, what: str) -> float:
-    """Interpolate log-linearly; exact (bit-for-bit) at pillars."""
-    if T < 0.0:
-        raise ValueError(f"{what}: time {T} is negative")
+def _log_linear(times, values, log_values, T, what: str,
+                log: bool = False) -> float:
+    """Interpolate log-linearly between pillars; exact (bit-for-bit) at them.
+
+    Returns the value, or its log when `log` is set.  No extrapolation: a
+    T outside [times[0], times[-1]] asks for a value the curve does not hold.
+    """
     idx = int(np.searchsorted(times, T, side="left"))
     if idx < times.size and times[idx] == T:
-        return float(values[idx])
-    if T > times[-1]:
-        raise ValueError(
-            f"{what}: time {T} beyond last pillar {times[-1]} (no extrapolation)"
+        return float(log_values[idx] if log else values[idx])
+    if idx == 0 or idx == times.size:   # outside the pillars, or T is NaN
+        raise ConfigurationError(
+            f"{what}: time {T} outside pillar range [{times[0]}, {times[-1]}]"
+            " (no extrapolation)"
         )
-    lo, hi = idx - 1, idx
-    w = (T - times[lo]) / (times[hi] - times[lo])
-    return float(math.exp((1.0 - w) * log_values[lo] + w * log_values[hi]))
+    w = (T - times[idx - 1]) / (times[idx] - times[idx - 1])
+    x = (1.0 - w) * log_values[idx - 1] + w * log_values[idx]
+    return float(x) if log else math.exp(x)
 
 
 @dataclass
@@ -88,29 +92,19 @@ class DiscountCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        self.times, self.values = _as_pillars(
-            self.times, self.values, f"discount curve {self.currency}"
-        )
+        self._what = f"discount curve {self.currency}"
+        self.times, self.values = _as_pillars(self.times, self.values,
+                                              self._what)
         self._log_values = np.log(self.values)
 
     def discount(self, T: float) -> float:
         """D(0,T); exact at pillars, log-linear between them."""
-        return _log_linear(
-            self.times, self.values, self._log_values, T,
-            f"discount curve {self.currency}",
-        )
+        return _log_linear(self.times, self.values, self._log_values, T,
+                           self._what)
 
     def log_discount(self, T: float) -> float:
-        if T < 0.0 or T > self.times[-1]:
-            raise ValueError(
-                f"discount curve {self.currency}: time {T} outside pillar range"
-            )
-        idx = int(np.searchsorted(self.times, T, side="left"))
-        if idx < self.times.size and self.times[idx] == T:
-            return float(self._log_values[idx])
-        lo, hi = idx - 1, idx
-        w = (T - self.times[lo]) / (self.times[hi] - self.times[lo])
-        return float((1.0 - w) * self._log_values[lo] + w * self._log_values[hi])
+        return _log_linear(self.times, self.values, self._log_values, T,
+                           self._what, log=True)
 
     @property
     def last_pillar(self) -> float:
@@ -127,7 +121,7 @@ class SpreadCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        what = f"spread curve ({self.currency},{self.collateral})"
+        what = self._what = f"spread curve ({self.currency},{self.collateral})"
         if self.currency == self.collateral:
             # Same-currency spread is identically one regardless of input.
             self.times = np.array([0.0])
@@ -161,25 +155,14 @@ class SpreadCurve:
             if T < 0.0:
                 raise ValueError(f"time {T} is negative")
             return 1.0
-        return _log_linear(
-            self.times, self.values, self._log_values, T,
-            f"spread curve ({self.currency},{self.collateral})",
-        )
+        return _log_linear(self.times, self.values, self._log_values, T,
+                           self._what)
 
     def log_value(self, T: float) -> float:
         if self.is_identity:
             return 0.0
-        idx = int(np.searchsorted(self.times, T, side="left"))
-        if T < 0.0 or T > self.times[-1]:
-            raise ValueError(
-                f"spread curve ({self.currency},{self.collateral}): "
-                f"time {T} outside pillar range"
-            )
-        if idx < self.times.size and self.times[idx] == T:
-            return float(self._log_values[idx])
-        lo, hi = idx - 1, idx
-        w = (T - self.times[lo]) / (self.times[hi] - self.times[lo])
-        return float((1.0 - w) * self._log_values[lo] + w * self._log_values[hi])
+        return _log_linear(self.times, self.values, self._log_values, T,
+                           self._what, log=True)
 
     @property
     def last_pillar(self) -> float:
@@ -230,18 +213,11 @@ class EquityForwardCurve:
             raise ValueError("equity forward pillars must be positive and finite")
         self.times, self.values = t, v
         self._log_values = np.log(v)
+        self._what = f"equity curve {self.currency}"
 
     def value(self, T: float) -> float:
-        if T < self.times[0] or T > self.times[-1]:
-            raise ValueError(
-                f"equity curve {self.currency}: no pillar coverage at T={T}"
-            )
-        idx = int(np.searchsorted(self.times, T, side="left"))
-        if idx < self.times.size and self.times[idx] == T:
-            return float(self.values[idx])
-        lo, hi = idx - 1, idx
-        w = (T - self.times[lo]) / (self.times[hi] - self.times[lo])
-        return float(math.exp((1.0 - w) * self._log_values[lo] + w * self._log_values[hi]))
+        return _log_linear(self.times, self.values, self._log_values, T,
+                           self._what)
 
     def grid_values(self, ts: TenorStructure):
         """Forwards per bucket column m (maturity T_{m+1}) plus a validity mask."""
@@ -270,12 +246,6 @@ def forward_funding_spread(curve: SpreadCurve, ts: TenorStructure, m: int) -> fl
         raise ValueError(f"bucket index {m} outside [0, {ts.n_buckets})")
     t0, t1 = float(ts.nodes[m]), float(ts.nodes[m + 1])
     return (curve.log_value(t0) - curve.log_value(t1)) / ts.accrual(m)
-
-
-def forward_rate_vector(curve, ts: TenorStructure, kind: str = "discount") -> np.ndarray:
-    """All bucket rates c_m(0) (or y_m(0)) as one vector."""
-    fn = forward_collateral_rate if kind == "discount" else forward_funding_spread
-    return np.array([fn(curve, ts, m) for m in range(ts.n_buckets)])
 
 
 def _fixed_leg_schedule(T: float):

@@ -22,9 +22,18 @@ at its own maturity T_{m+1}.  Inside the interval (T_{k-1}, T_k] the live
 buckets are exactly m >= k for c/y/B and m >= k-1 for S.
 
 Volatility loadings are deterministic vectors, constant per bucket, so all
-drifts below are deterministic within an interval and the one-step Euler
-update over a whole interval reproduces the exact node distribution of the
-Gaussian components; lognormal quantities use the exact exponential scheme.
+drifts below are deterministic within an interval and the update over a
+whole interval reproduces the exact node distribution of the Gaussian
+components; lognormal quantities use the exact exponential scheme.
+
+State: summing those updates, bucket m at node T_k is
+x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
+A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
+Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
+same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
+only W (at every node passed), the log accounts and spot FX, and reads
+buckets from tables A built once by PathState.initial.  evolve_step moves
+one whole interval in O(paths * (d + currencies + pairs)).
 
 The spot-FX drift uses the currently accruing bucket rates c_{k-1}(T_{k-1})
 (and the pair's y_{k-1}) as the short rates inside the interval; these are
@@ -51,12 +60,6 @@ import numpy as np
 from .curves import CurveSet, forward_collateral_rate, forward_funding_spread
 from .errors import ConfigurationError
 from .tenor import TenorStructure
-
-# Relative slack when deciding that a step has landed on a grid node; the
-# engine builds step sizes by dividing accruals, so accumulated time can sit
-# a few ulps off the node value.
-_NODE_SNAP = 1e-12
-
 
 @dataclass
 class VolatilitySpec:
@@ -298,32 +301,72 @@ def drift_y(n: int, t: float, vols: VolatilitySpec, ts: TenorStructure,
                                       measure_currency)[n])
 
 
-class PathState:
-    """Batched market state: every stored array has a leading path axis.
+@dataclass(frozen=True)
+class _BucketTables:
+    """Deterministic tables of one simulated bucket curve.
 
-    One instance represents a block of scenarios; the scalar case is a
-    block of size one.  Arrays are owned by the block's worker and mutated
-    in place by evolve_step.
+    Bucket m fixes at node m + lag and, at node k, reads the row
+    r = min(k, m + lag): x0[m] + drift[r, m] + sig[m] . W(T_r), or
+    x0[m] * exp(drift[r, m] + sig[m] . W(T_r)) for a lognormal curve.
+    drift[k, m] is the cumulative drift sum_{j<=k} delta_{j-1} alpha_m(j),
+    with the -1/2 |sig_m|^2 term included for lognormal curves.
     """
 
-    def __init__(self, ts, base, n_paths, c, y, b, s, s_mask, fx,
-                 log_account, log_pair_account, time=0.0):
+    x0: np.ndarray      # (N,)
+    drift: np.ndarray   # (N + 1, N)
+    sig: np.ndarray     # (N, d)
+    lag: int
+    lognormal: bool
+
+
+def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, interval_drift,
+                   lag: int = 0, lognormal: bool = False) -> _BucketTables:
+    """Tables of one curve from its drift vector on each (T_{j-1}, T_j]."""
+    n = ts.n_buckets
+    per_interval = np.array([interval_drift(j) for j in range(1, n + 1)])
+    if lognormal:
+        per_interval -= 0.5 * np.einsum("nd,nd->n", sig, sig)
+    drift = np.zeros((n + 1, n))
+    drift[1:] = np.cumsum(ts.deltas[:, None] * per_interval, axis=0)
+    return _BucketTables(np.asarray(x0, dtype=float), drift, sig, lag, lognormal)
+
+
+_NOT_SIMULATED = {
+    "c": "currency {!r} is not simulated",
+    "y": "funding pair ({0[0]},{0[1]}) is not simulated",
+    "b": "no LIBOR-OIS spreads simulated for {!r}",
+    "s": "no equity forwards simulated for {!r}",
+}
+
+
+class PathState:
+    """Batched market state at a grid node: every path array leads with paths.
+
+    One instance represents a block of scenarios; the scalar case is a
+    block of size one.  What moves through time is the Brownian factor W
+    (kept at every node passed, so fixed buckets can be rebuilt), the log
+    collateral and pair accounts, and spot FX; evolve_step mutates them in
+    place.  Bucket values are read from per-curve deterministic tables.
+    """
+
+    def __init__(self, ts, base, n_paths, tables, s_mask, fx, fx_sig,
+                 log_account, log_pair_account, w):
         self.ts = ts
         self.base = base
         self.n_paths = n_paths
-        self.time = time
-        self.c = c                      # ccy -> (P, N)
-        self.y = y                      # (ccy, collateral) -> (P, N)
-        self.b = b                      # ccy -> (P, N), period start bucket
-        self.s = s                      # ccy -> (P, N), maturity T_{m+1}
+        self.node = 0
+        self.tables = tables            # (family, key) -> _BucketTables
         self.s_mask = s_mask            # ccy -> (N,) bool
         self.fx = fx                    # (base, ccy) -> (P,)
+        self.fx_sig = fx_sig            # (base, ccy) -> (d,)
         self.log_account = log_account  # ccy -> (P,)
         self.log_pair_account = log_pair_account  # (ccy, collateral) -> (P,)
+        self.w = w                      # (N + 1, P, d): W(T_k), rows <= node
 
     @classmethod
     def initial(cls, ts: TenorStructure, curves: CurveSet, vols: VolatilitySpec,
-                base: str, n_paths: int) -> "PathState":
+                base: str, n_paths: int,
+                half_variance_sign: float = 1.0) -> "PathState":
         if n_paths < 1:
             raise ValueError("need at least one path")
         if vols.n_buckets != ts.n_buckets:
@@ -335,25 +378,25 @@ class PathState:
             raise ConfigurationError(f"base currency {base!r} has no discount curve")
         horizon = ts.horizon
         n = ts.n_buckets
+        tables = {}
 
-        def full(vec):
-            return np.tile(np.asarray(vec, dtype=float), (n_paths, 1))
-
-        c = {}
         for ccy, curve in curves.discounts.items():
             if curve.last_pillar < horizon:
                 raise ConfigurationError(
                     f"discount curve {ccy} ends at {curve.last_pillar}, "
                     f"grid needs {horizon}"
                 )
-            c[ccy] = full([forward_collateral_rate(curve, ts, m) for m in range(n)])
+            tables["c", ccy] = _bucket_tables(
+                [forward_collateral_rate(curve, ts, m) for m in range(n)],
+                vols.collateral_loadings(ccy), ts,
+                lambda j: collateral_drift_vector(j, vols, ts, ccy, base,
+                                                  half_variance_sign))
 
         # Simulated pairs: anything with an initial spread curve or funding
         # loadings, plus (base, ccy) for every non-base currency so the FX
         # drift and the pair accounts are always available.
         pair_keys = set(curves.spreads) | set(vols.funding)
         pair_keys |= {(base, ccy) for ccy in curves.discounts if ccy != base}
-        y = {}
         for pair in sorted(pair_keys):
             pay, col = pair
             if pay not in curves.discounts:
@@ -366,11 +409,11 @@ class PathState:
                     f"spread curve {pair} ends at {spread.last_pillar}, "
                     f"grid needs {horizon}"
                 )
-            y[pair] = full(
-                [forward_funding_spread(spread, ts, m) for m in range(n)]
-            )
+            tables["y", pair] = _bucket_tables(
+                [forward_funding_spread(spread, ts, m) for m in range(n)],
+                vols.funding_loadings(pay, col), ts,
+                lambda j: funding_drift_vector(j, vols, ts, pay, col, base))
 
-        b = {}
         for ccy in curves.discounts:
             fix = curves.fixings.get(ccy)
             has_vol = ccy in vols.libor_ois
@@ -382,9 +425,11 @@ class PathState:
                     f"LIBOR-OIS fixings for {ccy} have {values.size} periods, "
                     f"grid has {n}"
                 )
-            b[ccy] = full(values)
+            tables["b", ccy] = _bucket_tables(
+                values, vols.libor_ois_loadings(ccy), ts,
+                lambda j: libor_ois_drift_vector(j, vols, ts, ccy, base),
+                lognormal=True)
 
-        s = {}
         s_mask = {}
         for ccy, eq in curves.equities.items():
             if ccy not in curves.discounts:
@@ -392,59 +437,70 @@ class PathState:
                     f"equity curve {ccy!r} has no matching discount curve"
                 )
             vals, mask = eq.grid_values(ts)
-            s[ccy] = full(np.where(mask, vals, 1.0))
+            # Buckets without pillar coverage stay at 1 and never move.
+            tables["s", ccy] = _bucket_tables(
+                np.where(mask, vals, 1.0),
+                vols.equity_loadings(ccy) * mask[:, None], ts,
+                lambda j: equity_drift_vector(j, vols, ts, ccy, base) * mask,
+                lag=1, lognormal=True)
             s_mask[ccy] = mask
 
         fx = {}
+        fx_sig = {}
         for ccy in curves.discounts:
             if ccy == base:
                 continue
             fx[(base, ccy)] = np.full(n_paths, curves.fx_rate(base, ccy))
+            fx_sig[(base, ccy)] = vols.fx_loadings(base, ccy)
 
         log_account = {ccy: np.zeros(n_paths) for ccy in curves.discounts}
-        log_pair_account = {pair: np.zeros(n_paths) for pair in y}
-        return cls(ts, base, n_paths, c, y, b, s, s_mask, fx,
-                   log_account, log_pair_account)
+        log_pair_account = {pair: np.zeros(n_paths)
+                            for pair in sorted(pair_keys)}
+        w = np.zeros((n + 1, n_paths, vols.n_factors))
+        return cls(ts, base, n_paths, tables, s_mask, fx, fx_sig,
+                   log_account, log_pair_account, w)
 
     # -- accessors used by payoffs and diagnostics --------------------------
 
-    def node_index_now(self) -> int:
-        return self.ts.node_index(self.time)
+    @property
+    def time(self) -> float:
+        return float(self.ts.nodes[self.node])
 
-    def _require_currency(self, currency: str) -> np.ndarray:
+    def buckets(self, family: str, key, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+        """Buckets lo..hi-1 of one simulated curve at the current node.
+
+        family "c" (collateral rates), "b" (LIBOR-OIS spreads by period
+        start) and "s" (equity forwards by maturity T_{m+1}) take a currency
+        key, "y" (funding spreads) a (currency, collateral) pair.  A bucket
+        that has fixed keeps its value from its fixing node.  Returns shape
+        (paths, hi - lo).
+        """
         try:
-            return self.c[currency]
+            tab = self.tables[family, key]
         except KeyError:
-            raise ConfigurationError(f"currency {currency!r} is not simulated")
+            raise ConfigurationError(_NOT_SIMULATED[family].format(key))
+        cols = np.arange(lo, self.ts.n_buckets if hi is None else hi)
+        rows = np.minimum(self.node, cols + tab.lag)
+        x = tab.drift[rows, cols] + np.einsum("mpd,md->pm", self.w[rows],
+                                              tab.sig[cols])
+        return tab.x0[cols] * np.exp(x) if tab.lognormal else tab.x0[cols] + x
 
     def zcb(self, currency: str, maturity: float) -> np.ndarray:
-        """D(t, T) reconstructed from live bucket rates; t must be a node."""
-        k = self.node_index_now()
-        n = self.ts.node_index(maturity)
-        if n < k:
-            raise ValueError(f"maturity {maturity} before current time {self.time}")
-        rates = self._require_currency(currency)
-        acc = rates[:, k:n] @ self.ts.deltas[k:n]
-        return np.exp(-acc)
+        """D(t, T) reconstructed from live bucket rates at the current node."""
+        return self.spread_zcb(currency, currency, maturity)
 
     def spread_zcb(self, currency: str, collateral: str,
                    maturity: float) -> np.ndarray:
         """D(t,T) * Y(t,T) of (currency, collateral) from live bucket rates."""
-        if currency == collateral:
-            return self.zcb(currency, maturity)
-        k = self.node_index_now()
+        k = self.node
         n = self.ts.node_index(maturity)
         if n < k:
             raise ValueError(f"maturity {maturity} before current time {self.time}")
-        rates = self._require_currency(currency)
-        try:
-            spreads = self.y[(currency, collateral)]
-        except KeyError:
-            raise ConfigurationError(
-                f"funding pair ({currency},{collateral}) is not simulated"
-            )
-        acc = (rates[:, k:n] + spreads[:, k:n]) @ self.ts.deltas[k:n]
-        return np.exp(-acc)
+        rates = self.buckets("c", currency, k, n)
+        if currency != collateral:
+            rates = rates + self.buckets("y", (currency, collateral), k, n)
+        return np.exp(-(rates @ self.ts.deltas[k:n]))
 
     def account(self, currency: str) -> np.ndarray:
         """Discrete collateral account C(t) at the current node."""
@@ -484,119 +540,56 @@ class PathState:
 
     def libor_ois(self, currency: str, end_node: int) -> np.ndarray:
         """LIBOR-OIS spread for the period ending at node end_node."""
-        try:
-            arr = self.b[currency]
-        except KeyError:
-            raise ConfigurationError(
-                f"no LIBOR-OIS spreads simulated for {currency!r}"
-            )
         if not 1 <= end_node <= self.ts.n_buckets:
             raise ValueError(f"period end node {end_node} outside the grid")
-        return arr[:, end_node - 1]
+        return self.buckets("b", currency, end_node - 1, end_node)[:, 0]
 
     def equity_forward(self, currency: str, maturity: float) -> np.ndarray:
         """Equity forward S(t, maturity)."""
         n = self.ts.node_index(maturity)
         if n < 1:
             raise ValueError("equity forwards start at the first node")
-        try:
-            arr = self.s[currency]
-            mask = self.s_mask[currency]
-        except KeyError:
-            raise ConfigurationError(f"no equity forwards simulated for {currency!r}")
-        if not mask[n - 1]:
+        mask = self.s_mask.get(currency)
+        if mask is not None and not mask[n - 1]:
             raise ConfigurationError(
                 f"equity curve {currency} has no pillar coverage at T={maturity}"
             )
-        return arr[:, n - 1]
+        return self.buckets("s", currency, n - 1, n)[:, 0]
 
 
-def evolve_step(state: PathState, dt: float, dW: np.ndarray,
-                vols: VolatilitySpec, ts: TenorStructure,
-                half_variance_sign: float = 1.0) -> PathState:
-    """Advance the whole state by one Euler step inside a single interval.
+def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
+    """Advance the state by one whole interval, to the next grid node.
 
-    dW must be the Brownian increment over dt, shape (n_paths, d); steps
-    must not cross grid nodes (the scheduler splits at every node).  When
-    the step lands on a node the discrete accounts compound and frozen
-    buckets stop receiving updates from the next step on.
+    dW is the Brownian increment over the interval, shape (n_paths, d).  W
+    moves by dW, the accounts compound with the rates c_k (+ y_k) fixed at
+    the interval start T_k, and spot FX moves with the carry those rates
+    give.  The work is O(paths * (d + currencies + pairs)); no bucket is
+    touched, since the tables give every bucket at any node.
     """
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
+    k = state.node
+    if k >= state.ts.n_buckets:
+        raise ValueError(f"state is at the last node T_{k}; no interval left")
     dW = np.asarray(dW, dtype=float)
-    if dW.shape != (state.n_paths, vols.n_factors):
+    if dW.shape != state.w.shape[1:]:
         raise ValueError(
-            f"dW must have shape ({state.n_paths},{vols.n_factors}), "
-            f"got {dW.shape}"
+            f"dW must have shape {state.w.shape[1:]}, got {dW.shape}"
         )
-    t0 = state.time
-    t1 = t0 + dt
-    nodes = ts.nodes
-    # Accumulated substep times can land an ulp past a node; snap before
-    # classifying the interval so roundoff cannot look like a node crossing.
-    j = int(np.searchsorted(nodes, t1))
-    for cand in (j - 1, j):
-        if 0 < cand < nodes.size and (
-                abs(t1 - nodes[cand]) <= _NODE_SNAP * max(1.0, abs(nodes[cand]))):
-            t1 = float(nodes[cand])
-            break
-    if t1 > nodes[-1]:
-        raise ValueError(f"step to t={t1} leaves the grid")
-    k = ts.q_index(t1)
-    if k < 1:
-        raise ValueError(f"step to t={t1} does not move forward")
-    if t0 < nodes[k - 1] - _NODE_SNAP * max(1.0, nodes[k - 1]):
-        raise ValueError(
-            f"step from {t0} to {t1} crosses the node at {nodes[k - 1]}"
-        )
-    base = state.base
-    deltas = ts.deltas
-
-    for ccy, rates in state.c.items():
-        alpha = collateral_drift_vector(k, vols, ts, ccy, base,
-                                        half_variance_sign)
-        sig = vols.collateral_loadings(ccy)
-        rates[:, k:] += alpha[k:] * dt + dW @ sig[k:].T
-
-    for (pay, col), spreads in state.y.items():
-        alpha = funding_drift_vector(k, vols, ts, pay, col, base)
-        sig = vols.funding_loadings(pay, col)
-        spreads[:, k:] += alpha[k:] * dt + dW @ sig[k:].T
-
-    for ccy, arr in state.b.items():
-        g = libor_ois_drift_vector(k, vols, ts, ccy, base)
-        sig = vols.libor_ois_loadings(ccy)
-        var = np.einsum("nd,nd->n", sig, sig)
-        arr[:, k:] *= np.exp((g[k:] - 0.5 * var[k:]) * dt + dW @ sig[k:].T)
-
-    for ccy, arr in state.s.items():
-        g = equity_drift_vector(k, vols, ts, ccy, base)
-        sig = vols.equity_loadings(ccy)
-        var = np.einsum("nd,nd->n", sig, sig)
-        live = np.flatnonzero(state.s_mask[ccy])
-        live = live[live >= k - 1]
-        if live.size:
-            arr[:, live] *= np.exp(
-                (g[live] - 0.5 * var[live]) * dt + dW @ sig[live].T
-            )
+    delta = state.ts.deltas[k]
+    rate = {ccy: state.buckets("c", ccy, k, k + 1)[:, 0]
+            for ccy in state.log_account}
+    spread = {pair: state.buckets("y", pair, k, k + 1)[:, 0]
+              for pair in state.log_pair_account}
 
     for (pay, ccy), spot in state.fx.items():
-        sig = vols.fx_loadings(pay, ccy)
-        carry = (state.c[pay][:, k - 1] - state.c[ccy][:, k - 1]
-                 + state.y[(pay, ccy)][:, k - 1])
-        spot *= np.exp((carry - 0.5 * float(sig @ sig)) * dt + dW @ sig)
-
-    if t1 == nodes[k]:
-        state.time = float(nodes[k])
-        d_prev = deltas[k - 1]
-        for ccy, rates in state.c.items():
-            state.log_account[ccy] += d_prev * rates[:, k - 1]
-        for (pay, col), spreads in state.y.items():
-            state.log_pair_account[(pay, col)] += d_prev * (
-                state.c[pay][:, k - 1] + spreads[:, k - 1]
-            )
-    else:
-        state.time = t1
+        sig = state.fx_sig[(pay, ccy)]
+        carry = rate[pay] - rate[ccy] + spread[(pay, ccy)]
+        spot *= np.exp((carry - 0.5 * float(sig @ sig)) * delta + dW @ sig)
+    for ccy, log_acc in state.log_account.items():
+        log_acc += delta * rate[ccy]
+    for (pay, col), log_acc in state.log_pair_account.items():
+        log_acc += delta * (rate[pay] + spread[(pay, col)])
+    np.add(state.w[k], dW, out=state.w[k + 1])
+    state.node = k + 1
     return state
 
 
@@ -609,24 +602,16 @@ def rollover_fx_forward(state: PathState, pair: tuple, collateral: str) -> np.nd
     rolling FX forward collateralized in `collateral`.
     """
     pay, foreign = pair
-    n = state.node_index_now()
+    n = state.node
     if n >= state.ts.n_buckets:
         raise ValueError("no next period at the final node")
     d_n = state.ts.deltas[n]
     spot = state.fx_rate(pay, foreign)
-    c_pay = state._require_currency(pay)[:, n]
-    c_for = state._require_currency(foreign)[:, n]
 
-    def pair_spread(ccy):
+    def accrual(ccy):
+        rate = state.buckets("c", ccy, n, n + 1)[:, 0]
         if ccy == collateral:
-            return 0.0
-        try:
-            return state.y[(ccy, collateral)][:, n]
-        except KeyError:
-            raise ConfigurationError(
-                f"funding pair ({ccy},{collateral}) is not simulated"
-            )
+            return rate
+        return rate + state.buckets("y", (ccy, collateral), n, n + 1)[:, 0]
 
-    accr_pay = c_pay + pair_spread(pay)
-    accr_for = c_for + pair_spread(foreign)
-    return spot * np.exp(-d_n * (accr_for - accr_pay))
+    return spot * np.exp(-d_n * (accrual(foreign) - accrual(pay)))

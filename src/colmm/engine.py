@@ -302,9 +302,11 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
     ts, vols, base = model.ts, model.vols, model.base
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units if cfg.antithetic else n_units
-    n_steps = n_last * cfg.substeps
-    normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_steps, vols.n_factors)
-    state = PathState.initial(ts, model.curves, vols, base, n_phys)
+    subs = cfg.substeps
+    normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last * subs,
+                             vols.n_factors)
+    state = PathState.initial(ts, model.curves, vols, base, n_phys,
+                              half_variance_sign)
 
     out: dict[str, np.ndarray] = {}
 
@@ -327,14 +329,12 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
     for name in by_node.get(0, []):
         settle(name)
     for node in range(1, n_last + 1):
-        dt = ts.deltas[node - 1] / cfg.substeps
-        root_dt = np.sqrt(dt)
-        for sub in range(cfg.substeps):
-            step = (node - 1) * cfg.substeps + sub
-            dw = root_dt * normals[:, step, :]
-            if cfg.antithetic:
-                dw = np.concatenate([dw, -dw], axis=0)
-            evolve_step(state, dt, dw, vols, ts, half_variance_sign)
+        # One increment per interval: the sum of its substeps' normals.
+        dw = np.sqrt(ts.deltas[node - 1] / subs) * normals[
+            :, (node - 1) * subs:node * subs].sum(axis=1)
+        if cfg.antithetic:
+            dw = np.concatenate([dw, -dw], axis=0)
+        evolve_step(state, dw)
         for name in by_node.get(node, []):
             settle(name)
     return out

@@ -46,6 +46,10 @@ from .errors import ConfigurationError, InputError
 from .pricers import FxForwardSpec, FxOptionSpec, fx_forward
 from .tenor import TenorStructure
 
+# Every path draws n_factors normals per step, so the count sizes the
+# simulation's arrays; it is bounded before anything is allocated from it.
+MAX_FACTORS = 64
+
 _RECORD_FIELDS = {
     "grid": None,  # variable length
     "base": 1,
@@ -229,18 +233,23 @@ def parse_market_csv(path: str) -> MarketDataFile:
     return md
 
 
+def _pillar_curve(cls, ccy: str, pillars: list, path: str):
+    """A DiscountCurve or EquityForwardCurve from (T, value) records."""
+    pillars = sorted(pillars)
+    try:
+        return cls(ccy, np.array([t for t, _ in pillars]),
+                   np.array([v for _, v in pillars]))
+    except ValueError as exc:
+        raise InputError(str(exc), path)
+
+
 def build_curve_set(md: MarketDataFile) -> CurveSet:
     """Bootstrap every curve the file describes into one CurveSet."""
     discounts = {}
     for ccy, quotes in sorted(md.ois.items()):
         discounts[ccy] = bootstrap_discount_curve(ccy, sorted(quotes))
     for ccy, pillars in sorted(md.discounts.items()):
-        pillars = sorted(pillars)
-        discounts[ccy] = DiscountCurve(
-            ccy,
-            np.array([t for t, _ in pillars]),
-            np.array([v for _, v in pillars]),
-        )
+        discounts[ccy] = _pillar_curve(DiscountCurve, ccy, pillars, md.path)
 
     fixings = {}
     for ccy, recs in md.fixings.items():
@@ -278,12 +287,8 @@ def build_curve_set(md: MarketDataFile) -> CurveSet:
         )
 
     for ccy, pillars in sorted(md.equities.items()):
-        pillars = sorted(pillars)
-        curves.equities[ccy] = EquityForwardCurve(
-            ccy,
-            np.array([t for t, _ in pillars]),
-            np.array([v for _, v in pillars]),
-        )
+        curves.equities[ccy] = _pillar_curve(EquityForwardCurve, ccy, pillars,
+                                             md.path)
     return curves
 
 
@@ -377,6 +382,8 @@ def load_curve_set(path: str):
     try:
         ts = TenorStructure(np.array(doc["grid"], dtype=float))
         base = doc["base"]
+        if not isinstance(base, str):
+            raise InputError(f"base must be a currency code, got {base!r}", path)
         discounts = {
             ccy: DiscountCurve(ccy, np.array(rec["times"]), np.array(rec["values"]))
             for ccy, rec in _section(doc, "discounts", path).items()
@@ -391,6 +398,10 @@ def load_curve_set(path: str):
             ccy: SpreadFixings(ccy, np.array(values))
             for ccy, values in _section(doc, "fixings", path).items()
         }
+        for ccy, fix in fixings.items():
+            if fix.values.size != ts.n_buckets:
+                raise InputError(f"fixings {ccy}: {fix.values.size} periods, "
+                                 f"grid has {ts.n_buckets}", path)
         spot_fx = {
             _split_pair(key, path, "spot_fx"): float(v)
             for key, v in _section(doc, "spot_fx", path).items()
@@ -400,6 +411,8 @@ def load_curve_set(path: str):
                                     np.array(rec["values"]))
             for ccy, rec in _section(doc, "equities", path).items()
         }
+        curves = CurveSet(discounts=discounts, spreads=spreads, fixings=fixings,
+                          spot_fx=spot_fx, equities=equities)
     except InputError:
         raise
     except KeyError as exc:
@@ -408,8 +421,6 @@ def load_curve_set(path: str):
         raise InputError(f"bad curve data: {exc}", path)
     if base not in discounts:
         raise InputError(f"base currency {base!r} has no discount curve", path)
-    curves = CurveSet(discounts=discounts, spreads=spreads, fixings=fixings,
-                      spot_fx=spot_fx, equities=equities)
     return ts, base, curves
 
 
@@ -429,9 +440,12 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
         n_factors = int(doc["n_factors"])
     except KeyError:
         raise InputError("missing field 'n_factors'", path)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"n_factors must be an integer, got {doc['n_factors']!r}",
                          path)
+    if not 1 <= n_factors <= MAX_FACTORS:
+        raise InputError(f"n_factors must be in [1, {MAX_FACTORS}], "
+                         f"got {n_factors}", path)
     known = {"n_factors", "collateral", "libor_ois", "equity", "funding", "fx"}
     for key in doc:
         if key not in known:
@@ -456,7 +470,7 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
             funding=by_pair["funding"],
             fx=by_pair["fx"],
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc), path)
 
 
@@ -507,7 +521,7 @@ def parse_instruments(path: str) -> list:
         if not isinstance(rec, dict):
             raise InputError(f"{where}: expected an object", path)
         kind = rec.get("type")
-        if kind not in _INSTRUMENT_FIELDS:
+        if not isinstance(kind, str) or kind not in _INSTRUMENT_FIELDS:
             raise InputError(
                 f"{where}: unknown type {kind!r}, expected one of "
                 f"{sorted(_INSTRUMENT_FIELDS)}", path,
@@ -520,6 +534,9 @@ def parse_instruments(path: str) -> list:
         if extra:
             raise InputError(f"{where}: unexpected fields {sorted(extra)}", path)
         label = rec.get("label", f"{i:03d}_{kind}")
+        if not isinstance(label, str):
+            raise InputError(f"{where}: label must be a string, got {label!r}",
+                             path)
         if label in seen:
             raise InputError(f"{where}: duplicate label {label!r}", path)
         seen.add(label)

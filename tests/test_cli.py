@@ -315,6 +315,43 @@ class TestExitCodes:
         assert rc == 2
         assert "'spreads' must be a JSON object" in capsys.readouterr().err
 
+    def test_object_loading_is_2(self, workdir, tmp_path, capsys):
+        bad = dict(VOLS, collateral={"USD": {"a": 1}})
+        (tmp_path / "v.json").write_text(json.dumps(bad))
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+    def test_non_string_base_is_2(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["base"] = ["USD"]
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and "base" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["black", "mc", "both"])
+    def test_non_finite_result_is_2(self, workdir, tmp_path, capsys, method):
+        bad = dict(VOLS, collateral={"USD": [1e308, 1e308, 0.0]})
+        (tmp_path / "v.json").write_text(json.dumps(bad))
+        out = tmp_path / "r.json"
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(workdir / "instruments.json"),
+                   "--method", method, "--paths", "8", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error: opt: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["bootstrap", "price", "diagnose"])
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_2(self, workdir, tmp_path, capsys, command,

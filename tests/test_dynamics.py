@@ -248,7 +248,7 @@ class TestPathState:
         usd = eq_curves.discount_curve("USD")
         for m in range(4):
             want = forward_collateral_rate(usd, ts4, m)
-            assert st.c["USD"][0, m] == want
+            assert st.buckets("c", "USD")[0, m] == want
         assert st.time == 0.0
         np.testing.assert_array_equal(st.account("USD"), 1.0)
         np.testing.assert_array_equal(st.pair_account("USD", "EUR"), 1.0)
@@ -257,7 +257,8 @@ class TestPathState:
     def test_reversed_pair_spread_seeded_from_reciprocal(self, ts4, eq_curves,
                                                          full_vols):
         st = make_state(ts4, eq_curves, full_vols)
-        np.testing.assert_allclose(st.y[("USD", "EUR")], -st.y[("EUR", "USD")],
+        np.testing.assert_allclose(st.buckets("y", ("USD", "EUR")),
+                                   -st.buckets("y", ("EUR", "USD")),
                                    rtol=0, atol=1e-15)
 
     def test_zcb_reconstruction(self, ts4, eq_curves, full_vols):
@@ -287,45 +288,33 @@ class TestPathState:
 
 
 class TestEvolveStep:
-    def test_account_rolls_only_at_nodes(self, ts4, eq_curves, full_vols):
-        st = make_state(ts4, eq_curves, full_vols, n_paths=2)
-        c0 = st.c["USD"][0, 0]
-        dw = np.zeros((2, 3))
-        evolve_step(st, 0.25, dw, full_vols, ts4)
-        np.testing.assert_array_equal(st.account("USD"), 1.0)  # mid-interval
-        evolve_step(st, 0.25, dw, full_vols, ts4)
-        assert st.time == 0.5
-        np.testing.assert_allclose(st.account("USD"), np.exp(0.5 * c0),
-                                   rtol=1e-15)
-
     def test_pair_account_accrues_spread(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
-        c0 = st.c["EUR"][0, 0]
-        y0 = st.y[("EUR", "USD")][0, 0]
-        evolve_step(st, 0.5, np.zeros((1, 3)), full_vols, ts4)
+        c0 = st.buckets("c", "EUR")[0, 0]
+        y0 = st.buckets("y", ("EUR", "USD"))[0, 0]
+        evolve_step(st, np.zeros((1, 3)))
+        assert st.time == 0.5
         np.testing.assert_allclose(st.pair_account("EUR", "USD"),
                                    np.exp(0.5 * (c0 + y0)), rtol=1e-15)
 
     def test_freeze_after_fixing(self, ts4, eq_curves, full_vols):
         rng = np.random.default_rng(0)
         st = make_state(ts4, eq_curves, full_vols, n_paths=4)
-        evolve_step(st, 0.5, rng.normal(size=(4, 3)) * np.sqrt(0.5),
-                    full_vols, ts4)
-        frozen_c = st.c["USD"][:, 0].copy()
-        frozen_b = st.b["USD"][:, 0].copy()
-        evolve_step(st, 0.5, rng.normal(size=(4, 3)) * np.sqrt(0.5),
-                    full_vols, ts4)
-        np.testing.assert_array_equal(st.c["USD"][:, 0], frozen_c)
-        np.testing.assert_array_equal(st.b["USD"][:, 0], frozen_b)
+        evolve_step(st, rng.normal(size=(4, 3)) * np.sqrt(0.5))
+        frozen_c = st.buckets("c", "USD")[:, 0].copy()
+        frozen_b = st.buckets("b", "USD")[:, 0].copy()
+        evolve_step(st, rng.normal(size=(4, 3)) * np.sqrt(0.5))
+        np.testing.assert_array_equal(st.buckets("c", "USD")[:, 0], frozen_c)
+        np.testing.assert_array_equal(st.buckets("b", "USD")[:, 0], frozen_b)
 
     def test_deterministic_fx_growth(self, ts4, eq_curves, full_vols):
         # zero vols: spot fx accrues the frozen one-period carry
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
         st = PathState.initial(ts4, eq_curves, v0, "USD", 1)
-        carry = (st.c["USD"][0, 0] - st.c["EUR"][0, 0]
-                 + st.y[("USD", "EUR")][0, 0])
+        carry = (st.buckets("c", "USD")[0, 0] - st.buckets("c", "EUR")[0, 0]
+                 + st.buckets("y", ("USD", "EUR"))[0, 0])
         f0 = st.fx_rate("USD", "EUR")[0]
-        evolve_step(st, 0.5, np.zeros((1, 1)), v0, ts4)
+        evolve_step(st, np.zeros((1, 1)))
         assert st.fx_rate("USD", "EUR")[0] == pytest.approx(
             f0 * np.exp(carry * 0.5), rel=1e-15)
 
@@ -333,42 +322,145 @@ class TestEvolveStep:
         rng = np.random.default_rng(5)
         st = make_state(ts4, eq_curves, full_vols, n_paths=64)
         for _ in range(4):
-            evolve_step(st, 0.5, 3.0 * rng.normal(size=(64, 3)),
-                        full_vols, ts4)  # oversized shocks on purpose
-        assert (st.b["USD"] > 0).all()
-        assert (st.fx[("USD", "EUR")] > 0).all()
-        assert (st.s["USD"][:, st.s_mask["USD"]] > 0).all()
-
-    def test_node_crossing_rejected(self, ts4, eq_curves, full_vols):
-        st = make_state(ts4, eq_curves, full_vols, n_paths=1)
-        with pytest.raises(ValueError):
-            evolve_step(st, 0.75, np.zeros((1, 3)), full_vols, ts4)
+            evolve_step(st, 3.0 * rng.normal(size=(64, 3)))  # oversized shocks
+        assert (st.buckets("b", "USD") > 0).all()
+        assert (st.fx_rate("USD", "EUR") > 0).all()
+        assert (st.buckets("s", "USD")[:, st.s_mask["USD"]] > 0).all()
 
     def test_bad_steps_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
         with pytest.raises(ValueError):
-            evolve_step(st, 0.0, np.zeros((1, 3)), full_vols, ts4)
-        with pytest.raises(ValueError):
-            evolve_step(st, 0.5, np.zeros((2, 3)), full_vols, ts4)
+            evolve_step(st, np.zeros((2, 3)))
 
-    def test_roundoff_step_sums_hit_nodes(self, eq_curves):
-        # accruals divided into thirds do not sum exactly to the node time;
-        # the snap must still land and roll the account
-        ts = TenorStructure(np.array([0.0, 0.3, 0.7]))
-        nodes = ts.nodes
-        cs = CurveSet(discounts={"USD": flat_curve("USD", 0.02, nodes)})
-        v = VolatilitySpec(n_factors=1, n_buckets=2, collateral={"USD": 0.01})
-        st = PathState.initial(ts, cs, v, "USD", 2)
-        for _ in range(3):
-            evolve_step(st, 0.3 / 3, np.zeros((2, 1)), v, ts)
-        assert st.time == 0.3
-        assert (st.account("USD") != 1.0).all()
+    def test_step_past_last_node_rejected(self, ts4, eq_curves, full_vols):
+        st = make_state(ts4, eq_curves, full_vols, n_paths=1)
+        for _ in range(4):
+            evolve_step(st, np.zeros((1, 3)))
+        assert st.time == 2.0
+        with pytest.raises(ValueError):
+            evolve_step(st, np.zeros((1, 3)))
+        assert st.time == 2.0
+
+
+def _drift_and_loadings(family, key, j, vols, ts, base):
+    """Drift vector on interval j and the loadings of one curve."""
+    if family == "y":
+        return (funding_drift_vector(j, vols, ts, *key, base),
+                vols.funding_loadings(*key))
+    drift = {"c": collateral_drift_vector, "b": libor_ois_drift_vector,
+             "s": equity_drift_vector}[family]
+    sig = {"c": vols.collateral_loadings, "b": vols.libor_ois_loadings,
+           "s": vols.equity_loadings}[family](key)
+    return drift(j, vols, ts, key, base), sig
+
+
+def euler_oracle(st, vols, ts, z, substeps):
+    """Per-substep Euler update of full (paths, N) bucket arrays.
+
+    Yields (buckets, fx, log accounts) at every node; z holds the normals,
+    shape (paths, N * substeps, d).
+    """
+    n, base = ts.n_buckets, st.base
+    x = {key: st.buckets(*key) for key in st.tables}
+    fx = {pair: spot.copy() for pair, spot in st.fx.items()}
+    acc = {key: np.zeros(st.n_paths)
+           for key in [*st.log_account, *st.log_pair_account]}
+    yield x, fx, acc
+    for j in range(1, n + 1):
+        dt = ts.deltas[j - 1] / substeps
+        for sub in range(substeps):
+            dw = np.sqrt(dt) * z[:, (j - 1) * substeps + sub]
+            for (family, key), arr in x.items():
+                g, sig = _drift_and_loadings(family, key, j, vols, ts, base)
+                live = np.arange(n) >= (j - 1 if family == "s" else j)
+                if family == "s":
+                    live &= st.s_mask[key]
+                move = g[live] * dt + dw @ sig[live].T
+                if family in ("c", "y"):
+                    arr[:, live] += move
+                else:
+                    var = np.einsum("nd,nd->n", sig, sig)[live]
+                    arr[:, live] *= np.exp(move - 0.5 * var * dt)
+            for (pay, ccy), spot in fx.items():
+                sig = vols.fx_loadings(pay, ccy)
+                carry = (x["c", pay][:, j - 1] - x["c", ccy][:, j - 1]
+                         + x["y", (pay, ccy)][:, j - 1])
+                spot *= np.exp((carry - 0.5 * sig @ sig) * dt + dw @ sig)
+        for key in acc:
+            pay = key[0] if isinstance(key, tuple) else key
+            rate = x["c", pay][:, j - 1]
+            if isinstance(key, tuple):
+                rate = rate + x["y", key][:, j - 1]
+            acc[key] += ts.deltas[j - 1] * rate
+        yield x, fx, acc
+
+
+class TestAgainstEulerOracle:
+    """Table-read buckets, FX and accounts against the per-substep update."""
+
+    def _model(self, seed):
+        rng = np.random.default_rng(seed)
+        ts = TenorStructure(np.array([0.0, 0.25, 0.75, 1.0, 1.6, 2.0, 3.0]))
+        n, nodes = ts.n_buckets, ts.nodes
+        curves = CurveSet(
+            discounts={"USD": flat_curve("USD", 0.02, nodes),
+                       "EUR": flat_curve("EUR", 0.01, nodes),
+                       "GBP": flat_curve("GBP", 0.03, nodes)},
+            spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
+            spot_fx={("USD", "EUR"): 1.1, ("USD", "GBP"): 1.3},
+            fixings={"USD": SpreadFixings("USD", np.full(n, 0.003)),
+                     "EUR": SpreadFixings("EUR", np.full(n, 0.002))},
+            # pillars from 1.0 to 2.0: buckets 0, 1 and 5 are masked
+            equities={"USD": EquityForwardCurve(
+                          "USD", nodes[3:6], 100.0 * np.exp(0.03 * nodes[3:6])),
+                      "EUR": EquityForwardCurve(
+                          "EUR", nodes[1:], 50.0 * np.exp(0.02 * nodes[1:]))},
+        )
+        vols = VolatilitySpec(
+            n_factors=3, n_buckets=n,
+            collateral={c: rng.normal(0, 0.01, (n, 3))
+                        for c in ("USD", "EUR", "GBP")},
+            libor_ois={c: rng.normal(0, 0.2, (n, 3)) for c in ("USD", "EUR")},
+            equity={c: rng.normal(0, 0.2, (n, 3)) for c in ("USD", "EUR")},
+            funding={("EUR", "USD"): rng.normal(0, 0.003, (n, 3)),
+                     ("GBP", "EUR"): rng.normal(0, 0.003, (n, 3))},
+            fx={("USD", "EUR"): rng.normal(0, 0.1, 3),
+                ("GBP", "USD"): rng.normal(0, 0.1, 3)},
+        )
+        return ts, curves, vols, rng
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_node_matches(self, seed):
+        substeps, n_paths = 3, 16
+        ts, curves, vols, rng = self._model(seed)
+        st = PathState.initial(ts, curves, vols, "USD", n_paths)
+        z = rng.standard_normal((n_paths, ts.n_buckets * substeps, 3))
+        oracle = euler_oracle(PathState.initial(ts, curves, vols, "USD",
+                                                n_paths),
+                              vols, ts, z, substeps)
+        for node, (x, fx, acc) in enumerate(oracle):
+            if node:
+                dt = ts.deltas[node - 1] / substeps
+                evolve_step(st, np.sqrt(dt) * z[
+                    :, (node - 1) * substeps:node * substeps].sum(axis=1))
+            assert st.time == ts.nodes[node]
+            for key, want in x.items():
+                # normal buckets can cross zero: relative to the curve's scale
+                np.testing.assert_allclose(st.buckets(*key), want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max())
+            for (pay, ccy), want in fx.items():
+                np.testing.assert_allclose(st.fx_rate(pay, ccy), want,
+                                           rtol=1e-13)
+            for key, want in acc.items():
+                got = (st.pair_account(*key) if isinstance(key, tuple)
+                       else st.account(key))
+                np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
 
 
 class TestRollover:
     def _node_state(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
-        evolve_step(st, 0.5, np.zeros((1, 3)), full_vols, ts4)
+        evolve_step(st, np.zeros((1, 3)))
         return st
 
     def test_parity_limit(self, ts4, eq_curves):
@@ -379,19 +471,20 @@ class TestRollover:
                                  "EUR": flat_curve("EUR", 0.01, nodes)},
                       spot_fx={("USD", "EUR"): 100.0})
         st = PathState.initial(ts4, cs, v0, "USD", 1)
-        evolve_step(st, 0.5, np.zeros((1, 1)), v0, ts4)
+        evolve_step(st, np.zeros((1, 1)))
         fwd = rollover_fx_forward(st, ("USD", "EUR"), "EUR")
         spot = st.fx_rate("USD", "EUR")[0]
-        c_i = st.c["USD"][0, 1]
-        c_j = st.c["EUR"][0, 1]
+        c_i = st.buckets("c", "USD")[0, 1]
+        c_j = st.buckets("c", "EUR")[0, 1]
         assert fwd[0] == pytest.approx(spot * np.exp(-0.5 * (c_j - c_i)),
                                        rel=1e-14)
 
-    def test_hand_value(self, ts4, eq_curves, full_vols):
-        st = self._node_state(ts4, eq_curves, full_vols)
-        st.c["USD"][:, 1] = 0.02
-        st.c["EUR"][:, 1] = 0.01
-        st.y[("EUR", "USD")][:, 1] = 0.002
+    def test_hand_value(self, ts4, eq_curves):
+        # zero vols keep the flat-curve rates: c_USD = 2%, c_EUR = 1% and
+        # y_EUR/USD = 0.2% in bucket 1
+        v0 = VolatilitySpec(n_factors=1, n_buckets=4)
+        st = PathState.initial(ts4, eq_curves, v0, "USD", 1)
+        evolve_step(st, np.zeros((1, 1)))
         fwd = rollover_fx_forward(st, ("USD", "EUR"), "USD")
         spot = st.fx_rate("USD", "EUR")[0]
         assert fwd[0] == pytest.approx(spot * np.exp(0.004), rel=1e-14)
@@ -400,9 +493,3 @@ class TestRollover:
         st = self._node_state(ts4, eq_curves, full_vols)
         fwd = rollover_fx_forward(st, ("USD", "USD"), "EUR")
         assert fwd[0] == 1.0
-
-    def test_off_node_rejected(self, ts4, eq_curves, full_vols):
-        st = make_state(ts4, eq_curves, full_vols, n_paths=1)
-        evolve_step(st, 0.25, np.zeros((1, 3)), full_vols, ts4)
-        with pytest.raises(ValueError):
-            rollover_fx_forward(st, ("USD", "EUR"), "USD")

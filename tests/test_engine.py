@@ -216,7 +216,7 @@ class TestSimulate:
         seen = []
 
         def grab(st):
-            seen.append(st.c["USD"].copy())
+            seen.append(st.buckets("c", "USD"))
             return np.ones(st.n_paths)
 
         payoff = GridPayoff(fn=grab, maturity=0.5, currency="USD",

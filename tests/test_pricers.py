@@ -253,7 +253,7 @@ class TestEquityForward:
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
         st = PathState.initial(ts4, curves, v0, "USD", 2)
         before = equity_forward(st, "USD", 2.0)
-        evolve_step(st, 0.5, np.zeros((2, 1)), v0, ts4)
+        evolve_step(st, np.zeros((2, 1)))
         after = equity_forward(st, "USD", 2.0)
         np.testing.assert_allclose(after, before, rtol=1e-15)
         np.testing.assert_allclose(before, eq.value(2.0), rtol=1e-15)
