@@ -21,9 +21,6 @@ from .curves import (
 from .dynamics import (
     PathState,
     VolatilitySpec,
-    drift_B,
-    drift_c,
-    drift_y,
     evolve_step,
     quanto_adjustment,
     rollover_fx_forward,
@@ -89,9 +86,6 @@ __all__ = [
     "build_curve_set",
     "build_volatility",
     "collateralized_zcb",
-    "drift_B",
-    "drift_c",
-    "drift_y",
     "equity_forward",
     "evolve_step",
     "forward_collateral_rate",

@@ -7,9 +7,12 @@ price       curve set + vol config + instrument list -> JSON price report
 diagnose    martingale test table over every simulated deflated asset
 
 Reports are deterministic functions of the input files and flags: the job
-id is a digest of inputs, never a timestamp, and the worker count (which
-cannot change any number) is excluded.  Exit codes: 0 ok, 2 input problem,
-3 calibration failure, 4 diagnostic failure.
+id is a digest of inputs, never a timestamp, and covers only what can change
+a number, so the worker count is left out.  `--substeps` is still accepted
+for old command lines but read by nothing: the engine draws one exact
+increment per grid interval.  Exit codes: 0 ok, 2 input problem (including
+a path count whose arrays cannot be allocated), 3 calibration failure,
+4 diagnostic failure.
 """
 
 from __future__ import annotations
@@ -80,8 +83,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 def _sim_config(args) -> SimulationConfig:
     try:
-        return SimulationConfig(n_paths=args.paths, substeps=args.substeps,
-                                seed=args.seed)
+        return SimulationConfig(n_paths=args.paths, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc), "<flags>")
 
@@ -182,7 +184,6 @@ def cmd_price(args) -> int:
         "instruments": _file_digest(args.instruments),
     }
     config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed,
-              "substeps": cfg.substeps, "antithetic": cfg.antithetic,
               "method": args.method}
     doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
            "inputs": inputs, "config": config, "results": results}
@@ -276,6 +277,9 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig,
     return rows
 
 
+# A martingale row that overflows scores a non-finite z and fails the run;
+# numpy's warnings about it would only add lines of noise.
+@np.errstate(all="ignore")
 def cmd_diagnose(args) -> int:
     ts, base, curves, vols = _load_model_inputs(args)
     cfg = _sim_config(args)
@@ -288,7 +292,6 @@ def cmd_diagnose(args) -> int:
     inputs = {"curve_set": _file_digest(args.curveset),
               "vols": _file_digest(args.vols)}
     config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed,
-              "substeps": cfg.substeps, "antithetic": cfg.antithetic,
               "corrupt_drift_c": bool(args.corrupt_drift_c)}
     doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
            "inputs": inputs, "config": config, "rows": rows,
@@ -321,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vols", required=True, help="volatility config JSON")
         p.add_argument("--paths", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--substeps", type=int, default=1)
+        # Accepted so that old command lines still run; changes no number.
+        p.add_argument("--substeps", type=int, help=argparse.SUPPRESS)
         p.add_argument("--base-ccy", default=None,
                        help="measure currency (default: the curve set's base)")
         p.add_argument("--out", default=None,
@@ -358,6 +362,11 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"calibration error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        what = f"--paths {args.paths}" if "paths" in args else "these inputs"
+        print(f"input error: out of memory: cannot allocate the arrays for "
+              f"{what}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,17 +2,20 @@
 
 Reproducibility contract
 ------------------------
-The Brownian increment of factor f at global step s on path p is a pure
-function of (seed, p, s, f): path p owns the counter-based stream keyed by
-(seed, p) and step s consumes words [s*d, (s+1)*d) of it.  The stream is
+Each grid interval takes one normal per factor: the Brownian increment of
+path p over interval k (from T_k to T_{k+1}) is
+sqrt(delta_k) * gaussian_increments(seed, p, k, d), a pure function of
+(seed, p, k).  Path p owns the counter-based stream keyed by (seed, p) and
+interval k consumes words [k*d, (k+1)*d) of it.  The stream is
 that of numpy's Philox4x64-10 under key (seed, p); the engine computes it
 with uint64 ufuncs over (path, counter) arrays, which release the GIL, so
 worker threads generate in parallel.  Workers never share generator state,
 and paths are partitioned in contiguous blocks whose results are merged in
 block order, so the estimate is bit-identical for any worker count.
 
-Antithetic sampling pairs path p with a mirror path driven by the negated
-increments of the same stream.  The estimator then averages pair means and
+Sampling is always antithetic: with pairs = n_paths / 2 (so the path
+count must be even), path p < pairs has a mirror path p + pairs driven by
+the negated increments of p's stream.  The estimator averages pair means and
 its standard error is the sample stdev of the pair means over sqrt(pairs);
 the reported path count stays at the physical 2 * pairs.
 
@@ -86,20 +89,16 @@ class Model:
 @dataclass
 class SimulationConfig:
     n_paths: int = 100_000
-    substeps: int = 1
     seed: int = 42
-    antithetic: bool = True
     workers: int | None = None
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.n_paths}")
-        if self.antithetic and self.n_paths % 2:
+        if self.n_paths % 2:
             raise ValueError(
                 f"antithetic sampling needs an even path count, got {self.n_paths}"
             )
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must fit in a uint64, got {self.seed}")
         if self.workers is not None and self.workers < 1:
@@ -295,16 +294,14 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
                     half_variance_sign: float) -> dict[str, np.ndarray]:
     """Evolve one block of paths; return per-unit estimator values by payoff.
 
-    Under antithetic sampling a unit is a (path, mirror) pair and the
-    returned values are pair means, so concatenating block results in unit
-    order is independent of the partition.
+    A unit is a (path, mirror) pair and the returned values are pair
+    means, so concatenating block results in unit order is independent of
+    the partition.
     """
     ts, vols, base = model.ts, model.vols, model.base
     n_units = unit_hi - unit_lo
-    n_phys = 2 * n_units if cfg.antithetic else n_units
-    subs = cfg.substeps
-    normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last * subs,
-                             vols.n_factors)
+    n_phys = 2 * n_units
+    normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
     state = PathState.initial(ts, model.curves, vols, base, n_phys,
                               half_variance_sign)
 
@@ -322,19 +319,13 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
         deflated = amounts * state.fx_rate(base, p.currency) / numeraire
         if p.currency != base:
             deflated /= model.curves.fx_rate(base, p.currency)
-        if cfg.antithetic:
-            deflated = 0.5 * (deflated[:n_units] + deflated[n_units:])
-        out[name] = deflated
+        out[name] = 0.5 * (deflated[:n_units] + deflated[n_units:])
 
     for name in by_node.get(0, []):
         settle(name)
     for node in range(1, n_last + 1):
-        # One increment per interval: the sum of its substeps' normals.
-        dw = np.sqrt(ts.deltas[node - 1] / subs) * normals[
-            :, (node - 1) * subs:node * subs].sum(axis=1)
-        if cfg.antithetic:
-            dw = np.concatenate([dw, -dw], axis=0)
-        evolve_step(state, dw)
+        dw = np.sqrt(ts.deltas[node - 1]) * normals[:, node - 1]
+        evolve_step(state, np.concatenate([dw, -dw], axis=0))
         for name in by_node.get(node, []):
             settle(name)
     return out
@@ -362,7 +353,7 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         node = model.ts.node_index(p.maturity)
         by_node.setdefault(node, []).append(name)
     n_last = max(by_node)
-    n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    n_units = cfg.n_paths // 2
     blocks = _partition(n_units, cfg.resolved_workers())
 
     def run(block):

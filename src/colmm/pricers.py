@@ -159,17 +159,12 @@ def fx_option_mc(model: Model, cfg: SimulationConfig,
     return simulate(model, cfg, fx_option_payoff(spec))
 
 
-def equity_forward(source, currency: str, maturity: float):
-    """Equity forward price for delivery at `maturity`.
+def equity_forward(curves: CurveSet, currency: str, maturity: float) -> float:
+    """Time-0 equity forward price for delivery at `maturity`.
 
-    From a CurveSet this is the time-0 pillar interpolation; from a
-    PathState it is the per-path simulated forward at the state's time.
+    The per-path simulated forward is `PathState.equity_forward`.
     """
-    if isinstance(source, PathState):
-        return source.equity_forward(currency, maturity)
-    if isinstance(source, CurveSet):
-        curve = source.equity_curve(currency)
-        if curve is None:
-            raise ConfigurationError(f"no equity curve for {currency!r}")
-        return curve.value(maturity)
-    raise TypeError(f"expected CurveSet or PathState, got {type(source).__name__}")
+    curve = curves.equity_curve(currency)
+    if curve is None:
+        raise ConfigurationError(f"no equity curve for {currency!r}")
+    return curve.value(maturity)

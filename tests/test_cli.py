@@ -229,6 +229,22 @@ class TestPrice:
         capsys.readouterr()
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_substeps_flag_changes_nothing(self, workdir, tmp_path, capsys,
+                                           command):
+        # The flag is still accepted, but the engine draws one exact
+        # increment per interval whatever it says.
+        argv = [command, str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "400"]
+        if command == "price":
+            argv += ["--instruments", str(workdir / "instruments.json"),
+                     "--method", "both"]
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        rc = main(argv + ["--out", str(plain)])
+        assert main(argv + ["--substeps", "4", "--out", str(flagged)]) == rc
+        capsys.readouterr()
+        assert plain.read_bytes() == flagged.read_bytes()
+
     def test_off_grid_maturity_is_input_error(self, workdir, tmp_path, capsys):
         bad = [{"type": "zcb", "currency": "USD", "collateral": "USD",
                 "maturity": 0.25}]
@@ -282,6 +298,21 @@ class TestDiagnose:
         assert doc["passed"] is False
         assert doc["max_abs_z"] > 4.0
         assert doc["config"]["corrupt_drift_c"] is True
+
+
+    def test_overflow_fails_without_warnings(self, workdir, tmp_path, capsys,
+                                             recwarn):
+        big = {key: ({name: [1e3 * x for x in load]
+                      for name, load in value.items()}
+                     if isinstance(value, dict) else value)
+               for key, value in VOLS.items()}
+        (tmp_path / "v.json").write_text(json.dumps(big))
+        rc = main(["diagnose", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"), "--paths", "8",
+                   "--out", str(tmp_path / "diag.json")])
+        assert rc == 4
+        assert capsys.readouterr().err == ""
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestExitCodes:
@@ -380,6 +411,23 @@ class TestExitCodes:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 3
         assert "calibration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_out_of_memory_is_2(self, workdir, capsys, monkeypatch, command):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("colmm.engine._block_normals", exhausted)
+        argv = [command, str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "200000000"]
+        if command == "price":
+            argv += ["--instruments", str(workdir / "instruments.json"),
+                     "--method", "mc"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and "--paths 200000000" in err
+        assert err.count("\n") == 1
 
     def test_bad_paths_value_is_2(self, workdir, capsys):
         rc = main(["diagnose", str(workdir / "curves.json"),

@@ -12,15 +12,15 @@ from colmm import (
     SpreadFixings,
     TenorStructure,
     VolatilitySpec,
-    drift_B,
-    drift_c,
-    drift_y,
     evolve_step,
     quanto_adjustment,
     rollover_fx_forward,
 )
 from colmm.dynamics import (
     collateral_drift_vector,
+    drift_B,
+    drift_c,
+    drift_y,
     equity_drift_vector,
     funding_drift_vector,
     libor_ois_drift_vector,

@@ -91,10 +91,7 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=1)
         with pytest.raises(ValueError):
-            SimulationConfig(n_paths=11)  # odd with antithetic on
-        SimulationConfig(n_paths=11, antithetic=False)
-        with pytest.raises(ValueError):
-            SimulationConfig(substeps=0)
+            SimulationConfig(n_paths=11)  # odd: no mirror for the last path
         with pytest.raises(ValueError):
             SimulationConfig(seed=-1)
         with pytest.raises(ValueError):
@@ -227,6 +224,42 @@ class TestSimulate:
         center = live[:4] + live[4:]  # x + (2a - x) for each mirrored pair
         assert np.allclose(center, center[0], rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_increments_are_one_keyed_normal_per_interval(self, workers):
+        # Uneven intervals, so a delta read one interval off shows.
+        ts = TenorStructure(np.array([0.0, 0.25, 1.0, 1.5, 3.0]))
+        from colmm import CurveSet
+        curves = CurveSet(discounts={"USD": flat_curve("USD", 0.02, ts.nodes)})
+        vols = VolatilitySpec(n_factors=3, n_buckets=4,
+                              collateral={"USD": [0.01, 0.005, 0.002]})
+        model = Model(ts, curves, vols, "USD")
+        seed, pairs = 17, 5
+        seen = []
+
+        def grab(st):
+            seen.append(st.w.copy())
+            return np.ones(st.n_paths)
+
+        payoff = GridPayoff(fn=grab, maturity=3.0, currency="USD",
+                            collateral="USD")
+        simulate(model, SimulationConfig(n_paths=2 * pairs, seed=seed,
+                                         workers=workers), payoff)
+        expect = np.array([[np.sqrt(ts.deltas[k])
+                            * gaussian_increments(seed, p, k, 3)
+                            for k in range(ts.n_buckets)]
+                           for p in range(pairs)])
+        # A block of u pairs holds u paths, then their u mirrors; the
+        # partition gives blocks of distinct sizes, which identify them.
+        blocks = {hi - lo: lo for lo, hi in _partition(pairs, workers)}
+        assert len(blocks) == workers == len(seen)
+        for w in seen:
+            units = w.shape[1] // 2
+            lo = blocks.pop(units)
+            dw = np.diff(w, axis=0).transpose(1, 0, 2)  # (paths, intervals, d)
+            want = expect[lo:lo + units]
+            np.testing.assert_allclose(dw[:units], want, rtol=1e-14, atol=1e-16)
+            np.testing.assert_allclose(dw[units:], -want, rtol=1e-14, atol=1e-16)
+
     def test_se_shrinks_like_sqrt_n(self, one_ccy_model):
         pay = unit_zcb(4.0)
         lo = simulate(one_ccy_model, SimulationConfig(n_paths=10_000), pay)
@@ -251,18 +284,6 @@ class TestSimulate:
                                                pays["short"]).mean
         assert joint["long"].mean == simulate(one_ccy_model, cfg,
                                               pays["long"]).mean
-
-    def test_substeps_keep_zero_vol_exact(self, ts8):
-        from colmm import CurveSet
-        curves = CurveSet(discounts={"USD": flat_curve("USD", 0.02, ts8.nodes)})
-        vols = VolatilitySpec(n_factors=1, n_buckets=8)
-        model = Model(ts8, curves, vols, "USD")
-        one = simulate(model, SimulationConfig(n_paths=4, substeps=1),
-                       unit_zcb(2.0))
-        many = simulate(model, SimulationConfig(n_paths=4, substeps=7),
-                        unit_zcb(2.0))
-        assert many.std_error == 0.0
-        assert many.mean == pytest.approx(one.mean, rel=1e-13)
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)

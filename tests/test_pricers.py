@@ -252,9 +252,9 @@ class TestEquityForward:
             equities={"USD": eq})
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
         st = PathState.initial(ts4, curves, v0, "USD", 2)
-        before = equity_forward(st, "USD", 2.0)
+        before = st.equity_forward("USD", 2.0)
         evolve_step(st, np.zeros((2, 1)))
-        after = equity_forward(st, "USD", 2.0)
+        after = st.equity_forward("USD", 2.0)
         np.testing.assert_allclose(after, before, rtol=1e-15)
         np.testing.assert_allclose(before, eq.value(2.0), rtol=1e-15)
 
@@ -270,15 +270,11 @@ class TestEquityForward:
                               equity={"USD": [0.05, 0.18]})
         model = Model(ts4, curves, vols, "USD")
         from colmm import GridPayoff, simulate
-        pay = GridPayoff(fn=lambda st: equity_forward(st, "USD", 2.0),
+        pay = GridPayoff(fn=lambda st: st.equity_forward("USD", 2.0),
                          maturity=2.0, currency="USD", collateral="USD")
         est = simulate(model, SimulationConfig(n_paths=20_000, seed=29), pay)
         target = eq.value(2.0) * curves.discount_curve("USD").discount(2.0)
         assert abs(est.z_score(target)) < 4.0
-
-    def test_wrong_source_type(self):
-        with pytest.raises(TypeError):
-            equity_forward(3.14, "USD", 1.0)
 
     def test_missing_equity_curve(self, ts4):
         curves = CurveSet(discounts={"USD": flat_curve("USD", 0.02, ts4.nodes)})
