@@ -95,8 +95,11 @@ def cmd_bootstrap(args) -> int:
     save_curve_set(args.out, md.ts, md.base, curves)
     for label, resid in residuals:
         print(f"{label}: residual {resid:.3e}")
-    worst = max((r for _, r in residuals), default=0.0)
+    worst_label, worst = max(residuals, key=lambda lr: lr[1],
+                             default=(None, 0.0))
     print(f"max |residual| = {worst:.3e}")
+    if worst_label is not None:
+        print(f"worst quote: {worst_label}")
     print(f"wrote curve set to {args.out}")
     if args.csv:
         _write_csv(args.csv, ["quote", "residual"],

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CalibrationError, ConfigurationError
 from .tenor import TenorStructure
@@ -37,6 +36,71 @@ from .tenor import TenorStructure
 # Quotes whose implied pillar would need a continuously-compounded rate
 # outside +-RATE_BOUND per year are treated as calibration failures.
 RATE_BOUND = 5.0
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy's `brentq.c`: the same float operations
+    in the same order, so it returns the same root bit for bit.  Raises
+    CalibrationError if f(a) and f(b) share a sign, if f returns NaN, or
+    if `maxiter` iterations do not converge.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise CalibrationError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CalibrationError(
+            f"root search: f({a!r}) and f({b!r}) share a sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)      # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)              # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                            # short step
+            else:
+                spre = scur = sbis                                 # bisect
+        else:
+            spre = scur = sbis                                     # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise CalibrationError(
+        f"root search did not converge in {maxiter} iterations (at {xcur!r})"
+    )
 
 
 def _as_pillars(times, values, what: str):
@@ -332,7 +396,7 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
                 raise CalibrationError(
                     f"{currency}: OIS quote at T={T} admits no pillar root"
                 )
-            x = brentq(par_residual, lo, hi, xtol=1e-16, rtol=8.9e-16)
+            x = _brentq(par_residual, lo, hi, xtol=1e-16, rtol=8.9e-16)
         if not (x > 0.0 and math.isfinite(x)):
             raise CalibrationError(
                 f"{currency}: OIS quote at T={T} implies non-positive discount {x}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import exp, log, sqrt
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .curves import CurveSet
 from .dynamics import PathState, VolatilitySpec
@@ -92,8 +92,8 @@ def _black(forward: float, strike: float, stdev: float, is_call: bool) -> float:
     d1 = log(forward / strike) / stdev + 0.5 * stdev
     d2 = d1 - stdev
     if is_call:
-        return forward * norm.cdf(d1) - strike * norm.cdf(d2)
-    return strike * norm.cdf(-d2) - forward * norm.cdf(-d1)
+        return forward * ndtr(d1) - strike * ndtr(d2)
+    return strike * ndtr(-d2) - forward * ndtr(-d1)
 
 
 def forward_fx_total_stdev(vols: VolatilitySpec, ts: TenorStructure,

@@ -1,6 +1,10 @@
 """End-to-end command line runs: bootstrap, price, diagnose, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,19 @@ class TestBootstrap:
         worst = float(captured.split("max |residual| =")[1].split()[0])
         assert worst < 1e-12
         assert (tmp_path / "resid.csv").read_text().count("\n") > 16
+
+    def test_names_the_worst_quote(self, tmp_path, capsys):
+        # Discount pillars reprice exactly (residual 0), so the EUR OIS
+        # quote's roundoff residual (1.3e-16) is the worst one.
+        text = ("grid,0,1.0,2.0\nbase,USD\ndiscount,USD,1.0,0.98\n"
+                "discount,USD,2.0,0.96\nois,EUR,1.0,0.015\n")
+        (tmp_path / "m.csv").write_text(text)
+        rc = main(["bootstrap", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "c.json")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        at = lines.index("max |residual| = 1.318e-16")
+        assert lines[at + 1] == "worst quote: ois EUR T=1"
 
     def test_zero_rates_give_unit_discounts(self, tmp_path, capsys):
         text = "grid,0,1.0,2.0\nbase,USD\nois,USD,1.0,0.0\nois,USD,2.0,0.0\n"
@@ -434,3 +451,13 @@ class TestExitCodes:
                    "--vols", str(workdir / "vols.json"), "--paths", "1"])
         assert rc == 2
         capsys.readouterr()
+
+
+def test_import_loads_no_scipy_optimize_or_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, colmm, colmm.cli; print(' '.join(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == []

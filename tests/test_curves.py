@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from colmm import (
     CalibrationError,
@@ -20,6 +21,7 @@ from colmm import (
     forward_funding_spread,
     ois_par_rate,
 )
+from colmm.curves import _brentq
 
 
 class TestDiscountCurve:
@@ -120,6 +122,101 @@ class TestSpreadCurveReciprocal:
             a = forward_funding_spread(curve, ts, m)
             b = forward_funding_spread(rec, ts, m)
             assert a == pytest.approx(-b, rel=1e-14)
+
+
+def _random_bracketed(rng):
+    """A random smooth function and a bracket [a, b] with a sign change."""
+    while True:
+        kind = int(rng.integers(5))
+        c = rng.normal(size=6)
+        r = float(rng.uniform(-2.0, 2.0))
+        if kind == 0:
+            coef = c[: int(rng.integers(2, 7))]
+            f = lambda x, coef=coef: float(np.polyval(coef, x))
+        elif kind == 1:
+            f = lambda x, c=c: math.exp(c[0] * x) - abs(c[1]) - c[2] * x
+        elif kind == 2:
+            k = 10.0 ** rng.uniform(0.0, 3.0)
+            f = lambda x, k=k, r=r, c=c: (math.tanh(k * (x - r))
+                                          + 0.01 * c[0] * (x - r))
+        elif kind == 3:
+            f = lambda x, r=r: (x - r) ** 3 * (1.0 + x * x)
+        else:
+            rate = float(rng.uniform(-0.02, 0.08))
+            ts = np.sort(rng.uniform(0.1, 1.0, size=3))
+            f = lambda x, rate=rate, ts=ts: (
+                rate * sum(math.exp(t * math.log(x)) for t in ts) - (1.0 - x))
+            a, b = float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.0, 3.0))
+        if kind != 4:
+            a, b = (float(v) for v in rng.uniform(-3.0, 3.0, size=2))
+        fa, fb = f(a), f(b)
+        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
+            return f, a, b
+
+
+class TestBrentq:
+    """`curves._brentq` against scipy.optimize.brentq (a test-only oracle)."""
+
+    @pytest.mark.parametrize("xtol,rtol", [(1e-16, 8.9e-16), (1e-6, 1e-9)])
+    def test_matches_scipy_bit_for_bit(self, xtol, rtol):
+        rng = np.random.default_rng(20151)
+        converged = 0
+        for _ in range(1200):
+            f, a, b = _random_bracketed(rng)
+            seen_port, seen_scipy = [], []
+            try:
+                want = brentq(lambda x: seen_scipy.append(x) or f(x), a, b,
+                              xtol=xtol, rtol=rtol)
+            except RuntimeError:
+                # A triple root can exhaust maxiter at the tight tolerances;
+                # the port must then fail after the same evaluations.
+                with pytest.raises(CalibrationError, match="did not converge"):
+                    _brentq(lambda x: seen_port.append(x) or f(x), a, b,
+                            xtol=xtol, rtol=rtol)
+            else:
+                got = _brentq(lambda x: seen_port.append(x) or f(x), a, b,
+                              xtol=xtol, rtol=rtol)
+                assert got == want, (a, b)
+                converged += 1
+            assert seen_port == seen_scipy, (a, b)
+        assert converged >= 1000
+
+    @pytest.mark.parametrize("xtol,rtol", [(0.05, 0.05), (2**-4, 2**-6)])
+    def test_matches_scipy_on_dyadic_polynomials(self, xtol, rtol):
+        # Roots and brackets on a dyadic lattice make the trial step land
+        # exactly on the acceptance bound, where the `- delta` term decides.
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 2000:
+            r, s = rng.integers(-16, 17, size=2) / 8
+            f = [lambda x: x - r, lambda x: (x - r) * (x - s),
+                 lambda x: (x - r) * (x - s) * (x + 1.0)][rng.integers(3)]
+            a, b = (float(v) for v in rng.integers(-12, 13, size=2) / 4)
+            if not f(a) * f(b) < 0.0:
+                continue
+            seen_port, seen_scipy = [], []
+            got = _brentq(lambda x: seen_port.append(x) or f(x), a, b,
+                          xtol=xtol, rtol=rtol)
+            want = brentq(lambda x: seen_scipy.append(x) or f(x), a, b,
+                          xtol=xtol, rtol=rtol)
+            assert (got, seen_port) == (want, seen_scipy), (a, b)
+            checked += 1
+
+    def test_root_at_an_endpoint(self):
+        assert _brentq(lambda x: x - 0.25, 0.25, 1.0, 1e-16, 8.9e-16) == 0.25
+        assert _brentq(lambda x: x - 1.0, 0.25, 1.0, 1e-16, 8.9e-16) == 1.0
+
+    def test_failures_are_calibration_errors(self):
+        f = lambda x: math.exp(x) - 2.0
+        with pytest.raises(RuntimeError):
+            brentq(f, -5.0, 5.0, xtol=1e-16, rtol=8.9e-16, maxiter=2)
+        with pytest.raises(CalibrationError, match="did not converge"):
+            _brentq(f, -5.0, 5.0, 1e-16, 8.9e-16, maxiter=2)
+        with pytest.raises(CalibrationError, match="share a sign"):
+            _brentq(f, 1.0, 5.0, 1e-16, 8.9e-16)
+        with pytest.raises(CalibrationError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0,
+                    1e-16, 8.9e-16)
 
 
 class TestOisBootstrap:

@@ -27,6 +27,7 @@ from colmm import (
     forward_fx_total_stdev,
 )
 from colmm.dynamics import evolve_step
+from colmm.pricers import _black
 
 from conftest import flat_curve, flat_spread
 
@@ -203,6 +204,21 @@ class TestFxOptionBlack:
         diffs = np.diff(prices)
         assert (diffs < 0).all()            # calls fall in strike
         assert (np.diff(diffs) > -1e-12).all()  # and are convex
+
+    def test_black_matches_norm_cdf_formula(self):
+        # _black calls scipy.special.ndtr; scipy.stats.norm.cdf at loc 0,
+        # scale 1 is the oracle, and the prices must agree bit for bit.
+        rng = np.random.default_rng(1512)
+        for _ in range(2000):
+            forward = float(np.exp(rng.uniform(-5.0, 5.0)))
+            strike = forward * float(np.exp(rng.normal(0.0, 1.0)))
+            stdev = float(10.0 ** rng.uniform(-4.0, 1.0))
+            d1 = math.log(forward / strike) / stdev + 0.5 * stdev
+            d2 = d1 - stdev
+            call = forward * norm.cdf(d1) - strike * norm.cdf(d2)
+            put = strike * norm.cdf(-d2) - forward * norm.cdf(-d1)
+            assert _black(forward, strike, stdev, True) == call
+            assert _black(forward, strike, stdev, False) == put
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
