@@ -31,14 +31,19 @@ x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
 A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
 Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
-only W (at every node passed), the log accounts and spot FX, and reads
-buckets from tables A built once by PathState.initial.  evolve_step moves
-one whole interval in O(paths * (d + currencies + pairs)).
+only W (at every node passed) and one (paths, K) array of log accounts,
+K = currencies + simulated pairs, and reads buckets from tables A built
+once by PathState.initial.  An account accrues over (T_k, T_{k+1}] the
+rate fixed at T_k, x0 + A(k) + sigma . W(T_k) of bucket k (c for a
+currency, c + y for a pair), so evolve_step is one (paths, d) @ (d, K)
+product plus elementwise updates.
 
-The spot-FX drift uses the currently accruing bucket rates c_{k-1}(T_{k-1})
-(and the pair's y_{k-1}) as the short rates inside the interval; these are
-known at the interval start, which keeps the FX accrual consistent with the
-discrete accounts.
+Spot FX carries, inside an interval, the bucket rates fixed at its start:
+c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
+accrues minus what the account of ccy accrues.  So spot FX is a read of
+the accounts and W, with no state of its own:
+X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy) + sigma_X . W(T_n)
+- 1/2 |sigma_X|^2 T_n), with L the log accounts.
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
 formula with the leading bracketed sum shifted by -sigma_X(base, currency);
@@ -267,40 +272,6 @@ def equity_drift_vector(k: int, vols: VolatilitySpec, ts: TenorStructure,
     )
 
 
-def drift_c(n: int, t: float, vols: VolatilitySpec, ts: TenorStructure,
-            currency: str, measure_currency: str | None = None,
-            half_variance_sign: float = 1.0) -> float:
-    """Drift of the collateral-rate bucket n at time t (bucket still live)."""
-    k = ts.q_index(t)
-    if not k <= n < ts.n_buckets:
-        raise ValueError(f"bucket {n} is frozen or absent at t={t} (q={k})")
-    return float(collateral_drift_vector(
-        k, vols, ts, currency, measure_currency, half_variance_sign)[n])
-
-
-def drift_B(n: int, t: float, vols: VolatilitySpec, ts: TenorStructure,
-            currency: str, measure_currency: str | None = None) -> float:
-    """Lognormal drift of the LIBOR-OIS spread for the period ending at node n."""
-    k = ts.q_index(t)
-    if not (1 <= n <= ts.n_buckets and n - 1 >= k):
-        raise ValueError(
-            f"period ending at node {n} is frozen or absent at t={t} (q={k})"
-        )
-    return float(libor_ois_drift_vector(k, vols, ts, currency,
-                                        measure_currency)[n - 1])
-
-
-def drift_y(n: int, t: float, vols: VolatilitySpec, ts: TenorStructure,
-            currency: str, collateral: str,
-            measure_currency: str | None = None) -> float:
-    """Drift of the funding-spread bucket n of (currency, collateral) at t."""
-    k = ts.q_index(t)
-    if not k <= n < ts.n_buckets:
-        raise ValueError(f"bucket {n} is frozen or absent at t={t} (q={k})")
-    return float(funding_drift_vector(k, vols, ts, currency, collateral,
-                                      measure_currency)[n])
-
-
 @dataclass(frozen=True)
 class _BucketTables:
     """Deterministic tables of one simulated bucket curve.
@@ -344,24 +315,27 @@ class PathState:
 
     One instance represents a block of scenarios; the scalar case is a
     block of size one.  What moves through time is the Brownian factor W
-    (kept at every node passed, so fixed buckets can be rebuilt), the log
-    collateral and pair accounts, and spot FX; evolve_step mutates them in
-    place.  Bucket values are read from per-curve deterministic tables.
+    (kept at every node passed, so fixed buckets can be rebuilt) and the
+    log accounts, one column per currency and per simulated pair;
+    evolve_step mutates them in place.  Bucket values and spot FX are read
+    from them through deterministic tables.
     """
 
-    def __init__(self, ts, base, n_paths, tables, s_mask, fx, fx_sig,
-                 log_account, log_pair_account, w):
+    def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
+                 rate_sig, fx_legs):
         self.ts = ts
         self.base = base
         self.n_paths = n_paths
         self.node = 0
         self.tables = tables            # (family, key) -> _BucketTables
         self.s_mask = s_mask            # ccy -> (N,) bool
-        self.fx = fx                    # (base, ccy) -> (P,)
-        self.fx_sig = fx_sig            # (base, ccy) -> (d,)
-        self.log_account = log_account  # ccy -> (P,)
-        self.log_pair_account = log_pair_account  # (ccy, collateral) -> (P,)
-        self.w = w                      # (N + 1, P, d): W(T_k), rows <= node
+        self.columns = columns          # ccy or (ccy, collateral) -> column
+        self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
+        self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
+        self.fx_legs = fx_legs          # ccy -> (X(base, ccy)(0), sigma_X)
+        self.log_acc = np.zeros((n_paths, len(columns)))
+        # (N + 1, P, d): W(T_k), rows <= node
+        self.w = np.zeros((ts.n_buckets + 1, n_paths, rate_sig.shape[1]))
 
     @classmethod
     def initial(cls, ts: TenorStructure, curves: CurveSet, vols: VolatilitySpec,
@@ -393,11 +367,12 @@ class PathState:
                                                   half_variance_sign))
 
         # Simulated pairs: anything with an initial spread curve or funding
-        # loadings, plus (base, ccy) for every non-base currency so the FX
-        # drift and the pair accounts are always available.
-        pair_keys = set(curves.spreads) | set(vols.funding)
-        pair_keys |= {(base, ccy) for ccy in curves.discounts if ccy != base}
-        for pair in sorted(pair_keys):
+        # loadings, plus (base, ccy) for every non-base currency, whose
+        # account spot FX is read from.
+        pairs = set(curves.spreads) | set(vols.funding)
+        pairs = sorted(pairs | {(base, ccy) for ccy in curves.discounts
+                                if ccy != base})
+        for pair in pairs:
             pay, col = pair
             if pay not in curves.discounts:
                 raise ConfigurationError(
@@ -445,20 +420,23 @@ class PathState:
                 lag=1, lognormal=True)
             s_mask[ccy] = mask
 
-        fx = {}
-        fx_sig = {}
-        for ccy in curves.discounts:
-            if ccy == base:
-                continue
-            fx[(base, ccy)] = np.full(n_paths, curves.fx_rate(base, ccy))
-            fx_sig[(base, ccy)] = vols.fx_loadings(base, ccy)
+        # Accounts: bucket k at node k of c (currency) or c + y (pair).
+        columns = {key: col for col, key in
+                   enumerate([*curves.discounts, *pairs])}
+        rate0 = np.zeros((n, len(columns)))
+        rate_sig = np.zeros((n, vols.n_factors, len(columns)))
+        for key, col in columns.items():
+            parts = ([("c", key[0]), ("y", key)] if isinstance(key, tuple)
+                     else [("c", key)])
+            for part in parts:
+                tab = tables[part]
+                rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
+                rate_sig[:, :, col] += tab.sig
 
-        log_account = {ccy: np.zeros(n_paths) for ccy in curves.discounts}
-        log_pair_account = {pair: np.zeros(n_paths)
-                            for pair in sorted(pair_keys)}
-        w = np.zeros((n + 1, n_paths, vols.n_factors))
-        return cls(ts, base, n_paths, tables, s_mask, fx, fx_sig,
-                   log_account, log_pair_account, w)
+        fx_legs = {ccy: (curves.fx_rate(base, ccy), vols.fx_loadings(base, ccy))
+                   for ccy in curves.discounts if ccy != base}
+        return cls(ts, base, n_paths, tables, s_mask, columns, rate0,
+                   rate_sig, fx_legs)
 
     # -- accessors used by payoffs and diagnostics --------------------------
 
@@ -505,7 +483,7 @@ class PathState:
     def account(self, currency: str) -> np.ndarray:
         """Discrete collateral account C(t) at the current node."""
         try:
-            return np.exp(self.log_account[currency])
+            return np.exp(self.log_acc[:, self.columns[currency]])
         except KeyError:
             raise ConfigurationError(f"currency {currency!r} is not simulated")
 
@@ -514,29 +492,32 @@ class PathState:
         if currency == collateral:
             return self.account(currency)
         try:
-            return np.exp(self.log_pair_account[(currency, collateral)])
+            return np.exp(self.log_acc[:, self.columns[currency, collateral]])
         except KeyError:
             raise ConfigurationError(
                 f"pair account ({currency},{collateral}) is not simulated"
             )
 
+    def _fx_leg(self, currency: str):
+        """X(base, currency) at the current node, read from the accounts."""
+        if currency == self.base:
+            return 1.0
+        x0, sig = self.fx_legs[currency]
+        log_acc, col = self.log_acc, self.columns
+        carry = log_acc[:, col[self.base, currency]] - log_acc[:, col[currency]]
+        return x0 * np.exp(carry + self.w[self.node] @ sig
+                           - 0.5 * float(sig @ sig) * self.time)
+
     def fx_rate(self, currency: str, other: str) -> np.ndarray:
         """Spot FX path values: price of one unit of `other` in `currency`."""
         if currency == other:
             return np.ones(self.n_paths)
-        if (currency, other) in self.fx:
-            return self.fx[(currency, other)]
-        if (other, currency) in self.fx:
-            return 1.0 / self.fx[(other, currency)]
-        # Both legs quoted against the base currency.
         try:
-            num = self.fx[(self.base, other)]
-            den = self.fx[(self.base, currency)]
+            return self._fx_leg(other) / self._fx_leg(currency)
         except KeyError:
             raise ConfigurationError(
                 f"no simulated FX linking {currency} and {other}"
             )
-        return num / den
 
     def libor_ois(self, currency: str, end_node: int) -> np.ndarray:
         """LIBOR-OIS spread for the period ending at node end_node."""
@@ -561,10 +542,10 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     """Advance the state by one whole interval, to the next grid node.
 
     dW is the Brownian increment over the interval, shape (n_paths, d).  W
-    moves by dW, the accounts compound with the rates c_k (+ y_k) fixed at
-    the interval start T_k, and spot FX moves with the carry those rates
-    give.  The work is O(paths * (d + currencies + pairs)); no bucket is
-    touched, since the tables give every bucket at any node.
+    moves by dW and every log account adds delta_k times the rate fixed at
+    the interval start T_k, rate0[k] + W(T_k) @ rate_sig[k]: one
+    (paths, d) @ (d, K) product.  No bucket is touched, since the tables
+    give every bucket at any node, and spot FX follows from the accounts.
     """
     k = state.node
     if k >= state.ts.n_buckets:
@@ -574,20 +555,8 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
         raise ValueError(
             f"dW must have shape {state.w.shape[1:]}, got {dW.shape}"
         )
-    delta = state.ts.deltas[k]
-    rate = {ccy: state.buckets("c", ccy, k, k + 1)[:, 0]
-            for ccy in state.log_account}
-    spread = {pair: state.buckets("y", pair, k, k + 1)[:, 0]
-              for pair in state.log_pair_account}
-
-    for (pay, ccy), spot in state.fx.items():
-        sig = state.fx_sig[(pay, ccy)]
-        carry = rate[pay] - rate[ccy] + spread[(pay, ccy)]
-        spot *= np.exp((carry - 0.5 * float(sig @ sig)) * delta + dW @ sig)
-    for ccy, log_acc in state.log_account.items():
-        log_acc += delta * rate[ccy]
-    for (pay, col), log_acc in state.log_pair_account.items():
-        log_acc += delta * (rate[pay] + spread[(pay, col)])
+    state.log_acc += state.ts.deltas[k] * (state.rate0[k]
+                                           + state.w[k] @ state.rate_sig[k])
     np.add(state.w[k], dW, out=state.w[k + 1])
     state.node = k + 1
     return state

@@ -370,15 +370,20 @@ def save_curve_set(path: str, ts: TenorStructure, base: str,
         raise InputError(f"cannot write: {exc}", path)
 
 
-def load_curve_set(path: str):
-    """Read a curve-set file back; returns (ts, base, curves)."""
+def _read_json(path: str):
+    """Parsed JSON document of a file; unreadable or malformed -> InputError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read file: {exc}", path)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}", path)
+
+
+def load_curve_set(path: str):
+    """Read a curve-set file back; returns (ts, base, curves)."""
+    doc = _read_json(path)
     try:
         ts = TenorStructure(np.array(doc["grid"], dtype=float))
         base = doc["base"]
@@ -475,14 +480,7 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
 
 
 def load_vol_config(path: str, n_buckets: int) -> VolatilitySpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read file: {exc}", path)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}", path)
-    return build_volatility(doc, n_buckets, path)
+    return build_volatility(_read_json(path), n_buckets, path)
 
 
 # -- instrument lists --------------------------------------------------------
@@ -505,13 +503,7 @@ class Instrument:
 
 
 def parse_instruments(path: str) -> list:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read file: {exc}", path)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"not valid JSON: {exc}", path)
+    doc = _read_json(path)
     if not isinstance(doc, list) or not doc:
         raise InputError("instrument file must be a non-empty JSON array", path)
     out = []

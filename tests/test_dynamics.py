@@ -18,9 +18,6 @@ from colmm import (
 )
 from colmm.dynamics import (
     collateral_drift_vector,
-    drift_B,
-    drift_c,
-    drift_y,
     equity_drift_vector,
     funding_drift_vector,
     libor_ois_drift_vector,
@@ -77,7 +74,10 @@ class TestVolatilitySpec:
 
 
 class TestDriftOracles:
-    """Hand-evaluated drift values on an 8-bucket semiannual grid."""
+    """Hand-evaluated drift values on an 8-bucket semiannual grid.
+
+    Evaluated at t = 0.3, so the sums start at bucket k = q(0.3) = 1.
+    """
 
     @pytest.fixture
     def vols(self):
@@ -88,54 +88,50 @@ class TestDriftOracles:
 
     def test_drift_c_empty_sum(self, ts8, vols):
         # n = q(t): only the convexity term survives
-        assert drift_c(1, 0.3, vols, ts8, "X") == pytest.approx(2.5e-5, rel=1e-12)
+        assert (collateral_drift_vector(1, vols, ts8, "X")[1]
+                == pytest.approx(2.5e-5, rel=1e-12))
 
     def test_drift_c_one_term(self, ts8, vols):
-        assert drift_c(2, 0.3, vols, ts8, "X") == pytest.approx(7.5e-5, rel=1e-12)
+        assert (collateral_drift_vector(1, vols, ts8, "X")[2]
+                == pytest.approx(7.5e-5, rel=1e-12))
 
     def test_drift_c_zero_vol(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8)
-        assert drift_c(2, 0.3, v, ts8, "X") == 0.0
+        assert collateral_drift_vector(1, v, ts8, "X")[2] == 0.0
 
     def test_drift_B_hand_value(self, ts8, vols):
         # period ending at node 2, one collateral bucket in the sum
-        assert drift_B(2, 0.3, vols, ts8, "X") == pytest.approx(1e-3, rel=1e-12)
+        assert (libor_ois_drift_vector(1, vols, ts8, "X")[1]
+                == pytest.approx(1e-3, rel=1e-12))
 
     def test_drift_B_zero_cases(self, ts8, vols):
         no_b = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"X": 0.01})
-        assert drift_B(2, 0.3, no_b, ts8, "X") == 0.0
+        assert libor_ois_drift_vector(1, no_b, ts8, "X")[1] == 0.0
         no_c = VolatilitySpec(n_factors=1, n_buckets=8, libor_ois={"X": 0.2})
-        assert drift_B(5, 0.3, no_c, ts8, "X") == 0.0
+        assert libor_ois_drift_vector(1, no_c, ts8, "X")[4] == 0.0
 
     def test_drift_y_empty_sum(self, ts8, vols):
         want = 0.5 * 0.5 * 0.005 ** 2 + 0.5 * 0.005 * 0.01  # 3.125e-5
-        assert drift_y(1, 0.3, vols, ts8, "X", "K") == pytest.approx(want, rel=1e-12)
+        assert (funding_drift_vector(1, vols, ts8, "X", "K")[1]
+                == pytest.approx(want, rel=1e-12))
 
     def test_drift_y_zero_vol(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"X": 0.01})
-        assert drift_y(3, 0.3, v, ts8, "X", "K") == 0.0
-
-    def test_frozen_bucket_rejected(self, ts8, vols):
-        with pytest.raises(ValueError):
-            drift_c(0, 0.7, vols, ts8, "X")     # bucket 0 fixed at T_0
-        with pytest.raises(ValueError):
-            drift_B(1, 0.7, vols, ts8, "X")     # period start already passed
-        with pytest.raises(ValueError):
-            drift_y(0, 0.7, vols, ts8, "X", "K")
+        assert funding_drift_vector(1, v, ts8, "X", "K")[3] == 0.0
 
 
 class TestQuanto:
     def test_zero_fx_vol_is_identity(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01})
         assert quanto_adjustment(v, "I", "J").tolist() == [0.0]
-        assert (drift_c(1, 0.3, v, ts8, "J", measure_currency="I")
-                == drift_c(1, 0.3, v, ts8, "J"))
+        assert (collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[1]
+                == collateral_drift_vector(1, v, ts8, "J")[1])
 
     def test_hand_value(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01},
                            fx={("I", "J"): 0.1})
         want = 0.01 * (-0.1) + 0.5 * 0.5 * 1e-4  # -9.75e-4
-        got = drift_c(1, 0.3, v, ts8, "J", measure_currency="I")
+        got = collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[1]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_same_currency_is_zero(self, ts8):
@@ -146,31 +142,12 @@ class TestQuanto:
         # positive FX/rate covariance pushes the foreign drift down
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01},
                            fx={("I", "J"): 0.1})
-        dom = drift_c(3, 0.3, v, ts8, "J")
-        frn = drift_c(3, 0.3, v, ts8, "J", measure_currency="I")
+        dom = collateral_drift_vector(1, v, ts8, "J")[3]
+        frn = collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[3]
         assert frn < dom
 
 
 class TestDriftIdentities:
-    def test_vector_rows_equal_scalar_ops(self, ts8):
-        rng = np.random.default_rng(3)
-        v = VolatilitySpec(
-            n_factors=2, n_buckets=8,
-            collateral={"X": rng.normal(0, 0.01, (8, 2))},
-            libor_ois={"X": rng.normal(0, 0.2, (8, 2))},
-            funding={("X", "K"): rng.normal(0, 0.005, (8, 2))},
-        )
-        t = 1.2  # q = 3
-        k = ts8.q_index(t)
-        cv = collateral_drift_vector(k, v, ts8, "X")
-        bv = libor_ois_drift_vector(k, v, ts8, "X")
-        yv = funding_drift_vector(k, v, ts8, "X", "K")
-        for n in range(k, 8):
-            assert drift_c(n, t, v, ts8, "X") == cv[n]
-            assert drift_y(n, t, v, ts8, "X", "K") == yv[n]
-        for n in range(k + 1, 9):
-            assert drift_B(n, t, v, ts8, "X") == bv[n - 1]
-
     def test_combined_loading_consistency(self, ts8):
         # drift of c + y must equal the collateral drift formula applied to
         # the combined loading sigma_c + sigma_y
@@ -183,11 +160,11 @@ class TestDriftIdentities:
                                  collateral={"Z": sc + sy})
         for t in (0.0, 0.3, 1.0, 2.4):
             k = ts8.q_index(t)
+            lhs = (collateral_drift_vector(k, v, ts8, "X")
+                   + funding_drift_vector(k, v, ts8, "X", "K"))
+            rhs = collateral_drift_vector(k, v_tilde, ts8, "Z")
             for n in range(k, 8):
-                lhs = (drift_c(n, t, v, ts8, "X")
-                       + drift_y(n, t, v, ts8, "X", "K"))
-                rhs = drift_c(n, t, v_tilde, ts8, "Z")
-                assert lhs == pytest.approx(rhs, abs=1e-15)
+                assert lhs[n] == pytest.approx(rhs[n], abs=1e-15)
 
     def test_telescoping(self, ts8):
         rng = np.random.default_rng(11)
@@ -362,9 +339,9 @@ def euler_oracle(st, vols, ts, z, substeps):
     """
     n, base = ts.n_buckets, st.base
     x = {key: st.buckets(*key) for key in st.tables}
-    fx = {pair: spot.copy() for pair, spot in st.fx.items()}
-    acc = {key: np.zeros(st.n_paths)
-           for key in [*st.log_account, *st.log_pair_account]}
+    fx = {(base, ccy): np.full(st.n_paths, x0)
+          for ccy, (x0, _) in st.fx_legs.items()}
+    acc = {key: np.zeros(st.n_paths) for key in st.columns}
     yield x, fx, acc
     for j in range(1, n + 1):
         dt = ts.deltas[j - 1] / substeps
@@ -455,6 +432,27 @@ class TestAgainstEulerOracle:
                 got = (st.pair_account(*key) if isinstance(key, tuple)
                        else st.account(key))
                 np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
+
+    def test_fx_rate_orientations(self):
+        # stored legs are (base, ccy); reversed and cross pairs derive from them
+        n_paths = 16
+        ts, curves, vols, rng = self._model(1)
+        st = PathState.initial(ts, curves, vols, "USD", n_paths)
+        for node in range(ts.n_buckets + 1):
+            if node:
+                evolve_step(st, np.sqrt(ts.deltas[node - 1])
+                            * rng.standard_normal((n_paths, 3)))
+            stored = {ccy: st.fx_rate("USD", ccy) for ccy in ("EUR", "GBP")}
+            for ccy, spot in stored.items():
+                np.testing.assert_allclose(st.fx_rate(ccy, "USD"), 1.0 / spot,
+                                           rtol=1e-15)
+            np.testing.assert_allclose(st.fx_rate("EUR", "GBP"),
+                                       stored["GBP"] / stored["EUR"],
+                                       rtol=1e-15)
+        with pytest.raises(ConfigurationError):
+            st.fx_rate("USD", "JPY")
+        with pytest.raises(ConfigurationError):
+            st.fx_rate("JPY", "EUR")
 
 
 class TestRollover:
