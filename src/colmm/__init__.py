@@ -14,8 +14,7 @@ from .curves import (
     SpreadFixings,
     bootstrap_discount_curve,
     bootstrap_spread_curve,
-    forward_collateral_rate,
-    forward_funding_spread,
+    forward_rates,
     ois_par_rate,
 )
 from .dynamics import (
@@ -88,9 +87,8 @@ __all__ = [
     "collateralized_zcb",
     "equity_forward",
     "evolve_step",
-    "forward_collateral_rate",
-    "forward_funding_spread",
     "forward_fx_total_stdev",
+    "forward_rates",
     "fx_forward",
     "fx_option_black",
     "fx_option_mc",

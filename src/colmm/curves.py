@@ -296,20 +296,13 @@ class EquityForwardCurve:
         return vals, mask
 
 
-def forward_collateral_rate(curve: DiscountCurve, ts: TenorStructure, m: int) -> float:
-    """One-period collateral rate c_m(0) = -ln(D(0,T_{m+1})/D(0,T_m))/delta_m."""
-    if not 0 <= m < ts.n_buckets:
-        raise ValueError(f"bucket index {m} outside [0, {ts.n_buckets})")
-    t0, t1 = float(ts.nodes[m]), float(ts.nodes[m + 1])
-    return (curve.log_discount(t0) - curve.log_discount(t1)) / ts.accrual(m)
+def forward_rates(log_value, ts: TenorStructure) -> np.ndarray:
+    """One-period rates (log_value(T_m) - log_value(T_{m+1})) / delta_m.
 
-
-def forward_funding_spread(curve: SpreadCurve, ts: TenorStructure, m: int) -> float:
-    """One-period funding spread y_m(0) = -ln(Y(0,T_{m+1})/Y(0,T_m))/delta_m."""
-    if not 0 <= m < ts.n_buckets:
-        raise ValueError(f"bucket index {m} outside [0, {ts.n_buckets})")
-    t0, t1 = float(ts.nodes[m]), float(ts.nodes[m + 1])
-    return (curve.log_value(t0) - curve.log_value(t1)) / ts.accrual(m)
+    c_m(0) from DiscountCurve.log_discount, y_m(0) from SpreadCurve.log_value.
+    """
+    logs = np.array([log_value(float(t)) for t in ts.nodes])
+    return (logs[:-1] - logs[1:]) / ts.deltas
 
 
 def _fixed_leg_schedule(T: float):

@@ -33,10 +33,11 @@ Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
 only W (at every node passed) and one (paths, K) array of log accounts,
 K = currencies + simulated pairs, and reads buckets from tables A built
-once by PathState.initial.  An account accrues over (T_k, T_{k+1}] the
-rate fixed at T_k, x0 + A(k) + sigma . W(T_k) of bucket k (c for a
-currency, c + y for a pair), so evolve_step is one (paths, d) @ (d, K)
-product plus elementwise updates.
+once by PathState.initial; each drift function returns an (N + 1, N)
+array whose row j is alpha(j), so each A is one cumsum.  An account
+accrues over (T_k, T_{k+1}] the rate fixed at T_k, x0 + A(k) +
+sigma . W(T_k) of bucket k (c for a currency, c + y for a pair), so
+evolve_step is one (paths, d) @ (d, K) product plus elementwise updates.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
 c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurveSet, forward_collateral_rate, forward_funding_spread
+from .curves import CurveSet, forward_rates
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -186,89 +187,84 @@ def quanto_adjustment(vols: VolatilitySpec, base: str, currency: str) -> np.ndar
     return vols.fx_loadings(base, currency)
 
 
-def _cum_from(weighted: np.ndarray, k: int) -> np.ndarray:
-    """Partial sums over buckets: out[n] = sum_{m=k}^{n-1} weighted[m].
-
-    Returns shape (n_buckets + 1, d); rows at or below k are zero.
-    """
-    out = np.zeros((weighted.shape[0] + 1, weighted.shape[1]))
-    if k < weighted.shape[0]:
-        out[k + 1:] = np.cumsum(weighted[k:], axis=0)
-    return out
+def _brackets(deltas: np.ndarray, sig: np.ndarray, shift: np.ndarray,
+              inclusive: bool = False) -> np.ndarray:
+    """[k, n] = sum_{m=k}^{n-1 (or n if inclusive)} delta_m sig_m - shift."""
+    prefix = np.zeros((deltas.size + 1, sig.shape[1]))
+    np.cumsum(deltas[:, None] * sig, axis=0, out=prefix[1:])
+    end = prefix[1:] if inclusive else prefix[:-1]
+    return end[None] - prefix[:, None] - shift
 
 
-def collateral_drift_vector(k: int, vols: VolatilitySpec, ts: TenorStructure,
+def _collateral_formula(sig: np.ndarray, deltas: np.ndarray, shift: np.ndarray,
+                        half_variance_sign: float) -> np.ndarray:
+    return (np.einsum("nd,knd->kn", sig, _brackets(deltas, sig, shift))
+            + 0.5 * half_variance_sign * deltas * np.einsum("nd,nd->n", sig, sig))
+
+
+def collateral_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                             currency: str, measure_currency: str | None = None,
                             half_variance_sign: float = 1.0) -> np.ndarray:
-    """Drifts of all collateral-rate buckets for sums starting at bucket k.
+    """Drifts of all collateral-rate buckets, one row per start bucket k.
 
-    Entry n (valid for n >= k) is
+    Returns shape (N + 1, N); entry [k, n] (valid for n >= k) is
     sigma_n . (sum_{m=k}^{n-1} delta_m sigma_m - shift)
     + half_variance_sign * 1/2 delta_n |sigma_n|^2.
     """
-    sig = vols.collateral_loadings(currency)
-    deltas = ts.deltas
-    cum = _cum_from(deltas[:, None] * sig, k)[:-1]
-    shift = quanto_adjustment(vols, measure_currency, currency)
-    lin = np.einsum("nd,nd->n", sig, cum) - sig @ shift
-    conv = 0.5 * half_variance_sign * deltas * np.einsum("nd,nd->n", sig, sig)
-    return lin + conv
+    return _collateral_formula(
+        vols.collateral_loadings(currency), ts.deltas,
+        quanto_adjustment(vols, measure_currency, currency), half_variance_sign)
 
 
-def funding_drift_vector(k: int, vols: VolatilitySpec, ts: TenorStructure,
+def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                          currency: str, collateral: str,
                          measure_currency: str | None = None) -> np.ndarray:
     """Drifts of all funding-spread buckets of (currency, collateral).
 
-    Entry n (valid for n >= k) is
+    Returns shape (N + 1, N); entry [k, n] (valid for n >= k) is
     sigma_y,n . (sum_{m=k}^{n-1} delta_m (sigma_y,m + sigma_m) - shift)
     + sigma_n . (sum_{m=k}^{n-1} delta_m sigma_y,m)
     + 1/2 delta_n |sigma_y,n|^2 + delta_n sigma_y,n . sigma_n,
-    with the quanto shift in the first bracket only.
+    with the quanto shift in the first bracket only: the collateral formula
+    on sigma + sigma_y minus the one on sigma (their shifts on sigma cancel).
     """
     sy = vols.funding_loadings(currency, collateral)
     sc = vols.collateral_loadings(currency)
-    deltas = ts.deltas
-    cum_both = _cum_from(deltas[:, None] * (sy + sc), k)[:-1]
-    cum_y = _cum_from(deltas[:, None] * sy, k)[:-1]
     shift = quanto_adjustment(vols, measure_currency, currency)
-    out = np.einsum("nd,nd->n", sy, cum_both) - sy @ shift
-    out += np.einsum("nd,nd->n", sc, cum_y)
-    out += 0.5 * deltas * np.einsum("nd,nd->n", sy, sy)
-    out += deltas * np.einsum("nd,nd->n", sy, sc)
-    return out
+    return (_collateral_formula(sc + sy, ts.deltas, shift, 1.0)
+            - _collateral_formula(sc, ts.deltas, shift, 1.0))
 
 
-def _terminal_drift_vector(k: int, own: np.ndarray, vols: VolatilitySpec,
+def _terminal_drift_vector(own: np.ndarray, vols: VolatilitySpec,
                            ts: TenorStructure, currency: str,
                            measure_currency: str | None) -> np.ndarray:
     """Lognormal drifts sigma . (sum_{m=k}^{idx} delta_m sigma_m - shift).
 
-    Shared by LIBOR-OIS spreads and equity forwards: entry idx covers the
-    collateral-rate buckets k..idx inclusive, i.e. the discount-bond
+    Shared by LIBOR-OIS spreads and equity forwards: entry [k, idx] covers
+    the collateral-rate buckets k..idx inclusive, i.e. the discount-bond
     exposure out to node idx+1.  Valid from idx = k-1 (empty sum) upward.
     """
-    sc = vols.collateral_loadings(currency)
-    cum_incl = _cum_from(ts.deltas[:, None] * sc, k)[1:]
     shift = quanto_adjustment(vols, measure_currency, currency)
-    return np.einsum("nd,nd->n", own, cum_incl) - own @ shift
+    return np.einsum("nd,knd->kn", own,
+                     _brackets(ts.deltas, vols.collateral_loadings(currency),
+                               shift, inclusive=True))
 
 
-def libor_ois_drift_vector(k: int, vols: VolatilitySpec, ts: TenorStructure,
+def libor_ois_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                            currency: str,
                            measure_currency: str | None = None) -> np.ndarray:
     """Lognormal drifts of the LIBOR-OIS spreads, indexed by start bucket."""
     return _terminal_drift_vector(
-        k, vols.libor_ois_loadings(currency), vols, ts, currency, measure_currency
+        vols.libor_ois_loadings(currency), vols, ts, currency, measure_currency
     )
 
 
-def equity_drift_vector(k: int, vols: VolatilitySpec, ts: TenorStructure,
+def equity_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                         currency: str,
                         measure_currency: str | None = None) -> np.ndarray:
     """Lognormal drifts of the equity forwards, indexed by maturity bucket."""
     return _terminal_drift_vector(
-        k, vols.equity_loadings(currency), vols, ts, currency, measure_currency
+        vols.equity_loadings(currency), vols, ts, currency, measure_currency
     )
 
 
@@ -290,16 +286,15 @@ class _BucketTables:
     lognormal: bool
 
 
-def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, interval_drift,
+def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, drift: np.ndarray,
                    lag: int = 0, lognormal: bool = False) -> _BucketTables:
-    """Tables of one curve from its drift vector on each (T_{j-1}, T_j]."""
-    n = ts.n_buckets
-    per_interval = np.array([interval_drift(j) for j in range(1, n + 1)])
+    """Tables of one curve; row j of `drift` applies on (T_{j-1}, T_j]."""
+    per_interval = drift[1:]
     if lognormal:
-        per_interval -= 0.5 * np.einsum("nd,nd->n", sig, sig)
-    drift = np.zeros((n + 1, n))
-    drift[1:] = np.cumsum(ts.deltas[:, None] * per_interval, axis=0)
-    return _BucketTables(np.asarray(x0, dtype=float), drift, sig, lag, lognormal)
+        per_interval = per_interval - 0.5 * np.einsum("nd,nd->n", sig, sig)
+    table = np.zeros_like(drift)
+    np.cumsum(ts.deltas[:, None] * per_interval, axis=0, out=table[1:])
+    return _BucketTables(np.asarray(x0, dtype=float), table, sig, lag, lognormal)
 
 
 _NOT_SIMULATED = {
@@ -361,10 +356,10 @@ class PathState:
                     f"grid needs {horizon}"
                 )
             tables["c", ccy] = _bucket_tables(
-                [forward_collateral_rate(curve, ts, m) for m in range(n)],
+                forward_rates(curve.log_discount, ts),
                 vols.collateral_loadings(ccy), ts,
-                lambda j: collateral_drift_vector(j, vols, ts, ccy, base,
-                                                  half_variance_sign))
+                collateral_drift_vector(vols, ts, ccy, base,
+                                        half_variance_sign))
 
         # Simulated pairs: anything with an initial spread curve or funding
         # loadings, plus (base, ccy) for every non-base currency, whose
@@ -385,9 +380,9 @@ class PathState:
                     f"grid needs {horizon}"
                 )
             tables["y", pair] = _bucket_tables(
-                [forward_funding_spread(spread, ts, m) for m in range(n)],
+                forward_rates(spread.log_value, ts),
                 vols.funding_loadings(pay, col), ts,
-                lambda j: funding_drift_vector(j, vols, ts, pay, col, base))
+                funding_drift_vector(vols, ts, pay, col, base))
 
         for ccy in curves.discounts:
             fix = curves.fixings.get(ccy)
@@ -402,7 +397,7 @@ class PathState:
                 )
             tables["b", ccy] = _bucket_tables(
                 values, vols.libor_ois_loadings(ccy), ts,
-                lambda j: libor_ois_drift_vector(j, vols, ts, ccy, base),
+                libor_ois_drift_vector(vols, ts, ccy, base),
                 lognormal=True)
 
         s_mask = {}
@@ -416,7 +411,7 @@ class PathState:
             tables["s", ccy] = _bucket_tables(
                 np.where(mask, vals, 1.0),
                 vols.equity_loadings(ccy) * mask[:, None], ts,
-                lambda j: equity_drift_vector(j, vols, ts, ccy, base) * mask,
+                equity_drift_vector(vols, ts, ccy, base) * mask,
                 lag=1, lognormal=True)
             s_mask[ccy] = mask
 

@@ -152,9 +152,10 @@ class GridPayoff:
     """Payoff amount fixed at a grid node, in `currency`, margined in `collateral`.
 
     fn maps the PathState at the maturity node to per-path amounts.  The
-    engine converts through spot FX when the payment currency is not the
-    model's base, deflates by the base pair account accruing c + y of
-    (base, collateral), and reports the estimate in `currency`.
+    engine divides them by the numeraire in `currency`: the base pair
+    account accruing c + y of (base, collateral), converted at simulated
+    spot FX and times today's spot, so the estimate is in `currency`.
+    Payoffs sharing (node, currency, collateral) share one numeraire.
     """
 
     fn: Callable[[PathState], np.ndarray]
@@ -305,7 +306,9 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
     state = PathState.initial(ts, model.curves, vols, base, n_phys,
                               half_variance_sign)
 
-    out: dict[str, np.ndarray] = {}
+    # Pair means, one row per payoff in one allocation (less heap churn).
+    out = dict(zip(payoffs, np.empty((len(payoffs), n_units))))
+    numeraires: dict[tuple[str, str], np.ndarray] = {}
 
     def settle(name: str) -> None:
         p = payoffs[name]
@@ -315,17 +318,21 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
                 f"payoff {name!r} returned shape {amounts.shape}, "
                 f"expected ({n_phys},)"
             )
-        numeraire = state.pair_account(base, p.collateral)
-        deflated = amounts * state.fx_rate(base, p.currency) / numeraire
-        if p.currency != base:
-            deflated /= model.curves.fx_rate(base, p.currency)
-        out[name] = 0.5 * (deflated[:n_units] + deflated[n_units:])
+        key = p.currency, p.collateral
+        if key not in numeraires:
+            numeraires[key] = (state.pair_account(base, p.collateral)
+                               * model.curves.fx_rate(base, p.currency)
+                               / state.fx_rate(base, p.currency))
+        deflated = amounts / numeraires[key]
+        np.add(deflated[:n_units], deflated[n_units:], out=out[name])
+        out[name] *= 0.5
 
     for name in by_node.get(0, []):
         settle(name)
     for node in range(1, n_last + 1):
         dw = np.sqrt(ts.deltas[node - 1]) * normals[:, node - 1]
         evolve_step(state, np.concatenate([dw, -dw], axis=0))
+        numeraires.clear()
         for name in by_node.get(node, []):
             settle(name)
     return out

@@ -76,9 +76,6 @@ class MarketDataFile:
     fx_forwards: dict = field(default_factory=dict)  # (pay, recv, coll) -> [(T, f)]
     equities: dict = field(default_factory=dict)   # ccy -> [(T, fwd)]
 
-    def currencies(self) -> list:
-        return sorted(set(self.ois) | set(self.discounts))
-
 
 def _parse_float(token: str, path: str, line: int, what: str) -> float:
     try:
@@ -97,13 +94,19 @@ def parse_market_csv(path: str) -> MarketDataFile:
             raw_lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read market data: {exc}", path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not text: {exc}", path,
+                         exc.object[:exc.start].count(b"\n") + 1)
 
     records = []
     for lineno, raw in enumerate(raw_lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = next(csv.reader([raw]))
+        try:
+            row = next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise InputError(f"bad CSV line: {exc}", path, lineno)
         fields = [f.strip() for f in row]
         kind = fields[0].lower()
         if kind not in _RECORD_FIELDS:
@@ -377,7 +380,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read file: {exc}", path)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, undecodable bytes, too deep, or past the int-digit limit
         raise InputError(f"not valid JSON: {exc}", path)
 
 

@@ -153,7 +153,7 @@ def test_criterion_1_drift_telescoping():
     deltas = TS8.deltas
     # one warm-up call keeps first-touch numpy costs out of the timing
     warm = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"X": 0.01})
-    collateral_drift_vector(0, warm, TS8, "X")
+    collateral_drift_vector(warm, TS8, "X")[0]
     np.einsum("nd,nd->n", np.ones((2, 1)), np.ones((2, 1)))
     start = time.perf_counter()
     worst = 0.0
@@ -164,7 +164,7 @@ def test_criterion_1_drift_telescoping():
                               collateral={"X": sig})
         for t in TS8.nodes:
             k = TS8.q_index(float(t))
-            drifts = collateral_drift_vector(k, vols, TS8, "X")
+            drifts = collateral_drift_vector(vols, TS8, "X")[k]
             lhs = np.concatenate([[0.0], np.cumsum(deltas[k:] * drifts[k:8])])
             w = np.vstack([np.zeros(d),
                            np.cumsum(deltas[k:, None] * sig[k:], axis=0)])

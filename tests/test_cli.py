@@ -421,6 +421,28 @@ class TestExitCodes:
         assert err.startswith("input error:") and "cannot write" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, content", [
+        ("market.csv", MARKET.encode().replace(b"base,USD", b"base,US\xff")),
+        ("market.csv", MARKET.encode() + b"equity,USD,2.5," + b"1" * 131_073),
+        ("vols.json", json.dumps(VOLS).encode().replace(b"USD", b"US\xff", 1)),
+        ("vols.json", b"[" * 100_000 + b"]" * 100_000),
+        ("vols.json", b'{"n_factors": ' + b"1" * 5_000 + b"}"),
+    ], ids=["csv-byte", "csv-long-field", "json-byte", "json-deep",
+            "json-digits"])
+    def test_malformed_bytes_are_2(self, workdir, tmp_path, capsys, name,
+                                   content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        if name == "market.csv":
+            argv = ["bootstrap", str(path), "--out", str(tmp_path / "c.json")]
+        else:
+            argv = ["diagnose", str(workdir / "curves.json"),
+                    "--vols", str(path), "--paths", "4"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+
     def test_unsolvable_quote_is_3(self, tmp_path, capsys):
         text = "grid,0,1.0\nbase,USD\nois,USD,1.0,-3.0\n"
         (tmp_path / "m.csv").write_text(text)

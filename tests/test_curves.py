@@ -17,8 +17,7 @@ from colmm import (
     TenorStructure,
     bootstrap_discount_curve,
     bootstrap_spread_curve,
-    forward_collateral_rate,
-    forward_funding_spread,
+    forward_rates,
     ois_par_rate,
 )
 from colmm.curves import _brentq
@@ -55,42 +54,42 @@ class TestForwardRates:
         ts = TenorStructure(np.array([0.0, 1.0, 2.0]))
         curve = DiscountCurve("X", np.array([0.0, 1.0, 2.0]),
                               np.array([1.0, 0.99, 0.99]))
-        assert forward_collateral_rate(curve, ts, 1) == 0.0
+        assert forward_rates(curve.log_discount, ts)[1] == 0.0
 
     def test_hand_values(self):
         ts = TenorStructure(np.array([0.0, 1.0, 2.0]))
         curve = DiscountCurve("X", np.array([0.0, 1.0, 2.0]),
                               np.array([1.0, 0.99, 0.97]))
         want = math.log(0.99 / 0.97)  # ~0.0204096
-        assert forward_collateral_rate(curve, ts, 1) == pytest.approx(want, rel=1e-14)
+        assert forward_rates(curve.log_discount, ts)[1] == pytest.approx(want, rel=1e-14)
 
     def test_negative_rate_admitted(self):
         ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
         curve = DiscountCurve("X", np.array([0.0, 0.5, 1.0]),
                               np.array([1.0, 1.0, 1.005]))
         want = -2.0 * math.log(1.005)  # ~-0.0099751
-        assert forward_collateral_rate(curve, ts, 1) == pytest.approx(want, rel=1e-14)
+        assert forward_rates(curve.log_discount, ts)[1] == pytest.approx(want, rel=1e-14)
 
     def test_spread_hand_values(self):
         ts = TenorStructure(np.array([0.0, 1.0, 2.0]))
         curve = SpreadCurve("A", "B", np.array([0.0, 1.0, 2.0]),
                             np.array([1.0, 0.999, 0.997]))
         want = math.log(0.999 / 0.997)  # ~0.0020040
-        assert forward_funding_spread(curve, ts, 1) == pytest.approx(want, rel=1e-14)
+        assert forward_rates(curve.log_value, ts)[1] == pytest.approx(want, rel=1e-14)
 
     def test_negative_spread(self):
         ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
         curve = SpreadCurve("A", "B", np.array([0.0, 0.5, 1.0]),
                             np.array([1.0, 1.001, 1.003]))
         want = -2.0 * math.log(1.003 / 1.001)  # ~-0.0039940
-        assert forward_funding_spread(curve, ts, 1) == pytest.approx(want, rel=1e-14)
+        assert forward_rates(curve.log_value, ts)[1] == pytest.approx(want, rel=1e-14)
 
     def test_identity_spread_is_zero(self):
         ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
         same = SpreadCurve("A", "A", np.array([0.0, 1.0]), np.array([1.0, 0.9]))
         assert same.value(0.7) == 1.0  # same-currency pair collapses
         for m in range(2):
-            assert forward_funding_spread(same, ts, m) == 0.0
+            assert forward_rates(same.log_value, ts)[m] == 0.0
 
     def test_consistency_with_discounts(self):
         # exp(-sum delta_m c_m) telescopes back to the pillar discount
@@ -99,7 +98,7 @@ class TestForwardRates:
         curve = DiscountCurve("X", nodes,
                               np.array([1.0, 0.99, 0.975, 0.962, 0.95]))
         for n in range(1, 5):
-            acc = sum(ts.accrual(m) * forward_collateral_rate(curve, ts, m)
+            acc = sum(ts.accrual(m) * forward_rates(curve.log_discount, ts)[m]
                       for m in range(n))
             assert math.exp(-acc) == pytest.approx(curve.discount(nodes[n]),
                                                    rel=1e-14)
@@ -119,8 +118,8 @@ class TestSpreadCurveReciprocal:
                             np.array([1.0, 0.995, 0.99]))
         rec = curve.reciprocal()
         for m in range(2):
-            a = forward_funding_spread(curve, ts, m)
-            b = forward_funding_spread(rec, ts, m)
+            a = forward_rates(curve.log_value, ts)[m]
+            b = forward_rates(rec.log_value, ts)[m]
             assert a == pytest.approx(-b, rel=1e-14)
 
 

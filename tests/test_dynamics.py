@@ -88,50 +88,50 @@ class TestDriftOracles:
 
     def test_drift_c_empty_sum(self, ts8, vols):
         # n = q(t): only the convexity term survives
-        assert (collateral_drift_vector(1, vols, ts8, "X")[1]
+        assert (collateral_drift_vector(vols, ts8, "X")[1, 1]
                 == pytest.approx(2.5e-5, rel=1e-12))
 
     def test_drift_c_one_term(self, ts8, vols):
-        assert (collateral_drift_vector(1, vols, ts8, "X")[2]
+        assert (collateral_drift_vector(vols, ts8, "X")[1, 2]
                 == pytest.approx(7.5e-5, rel=1e-12))
 
     def test_drift_c_zero_vol(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8)
-        assert collateral_drift_vector(1, v, ts8, "X")[2] == 0.0
+        assert collateral_drift_vector(v, ts8, "X")[1, 2] == 0.0
 
     def test_drift_B_hand_value(self, ts8, vols):
         # period ending at node 2, one collateral bucket in the sum
-        assert (libor_ois_drift_vector(1, vols, ts8, "X")[1]
+        assert (libor_ois_drift_vector(vols, ts8, "X")[1, 1]
                 == pytest.approx(1e-3, rel=1e-12))
 
     def test_drift_B_zero_cases(self, ts8, vols):
         no_b = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"X": 0.01})
-        assert libor_ois_drift_vector(1, no_b, ts8, "X")[1] == 0.0
+        assert libor_ois_drift_vector(no_b, ts8, "X")[1, 1] == 0.0
         no_c = VolatilitySpec(n_factors=1, n_buckets=8, libor_ois={"X": 0.2})
-        assert libor_ois_drift_vector(1, no_c, ts8, "X")[4] == 0.0
+        assert libor_ois_drift_vector(no_c, ts8, "X")[1, 4] == 0.0
 
     def test_drift_y_empty_sum(self, ts8, vols):
         want = 0.5 * 0.5 * 0.005 ** 2 + 0.5 * 0.005 * 0.01  # 3.125e-5
-        assert (funding_drift_vector(1, vols, ts8, "X", "K")[1]
+        assert (funding_drift_vector(vols, ts8, "X", "K")[1, 1]
                 == pytest.approx(want, rel=1e-12))
 
     def test_drift_y_zero_vol(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"X": 0.01})
-        assert funding_drift_vector(1, v, ts8, "X", "K")[3] == 0.0
+        assert funding_drift_vector(v, ts8, "X", "K")[1, 3] == 0.0
 
 
 class TestQuanto:
     def test_zero_fx_vol_is_identity(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01})
         assert quanto_adjustment(v, "I", "J").tolist() == [0.0]
-        assert (collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[1]
-                == collateral_drift_vector(1, v, ts8, "J")[1])
+        assert (collateral_drift_vector(v, ts8, "J", measure_currency="I")[1, 1]
+                == collateral_drift_vector(v, ts8, "J")[1, 1])
 
     def test_hand_value(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01},
                            fx={("I", "J"): 0.1})
         want = 0.01 * (-0.1) + 0.5 * 0.5 * 1e-4  # -9.75e-4
-        got = collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[1]
+        got = collateral_drift_vector(v, ts8, "J", measure_currency="I")[1, 1]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_same_currency_is_zero(self, ts8):
@@ -142,8 +142,8 @@ class TestQuanto:
         # positive FX/rate covariance pushes the foreign drift down
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01},
                            fx={("I", "J"): 0.1})
-        dom = collateral_drift_vector(1, v, ts8, "J")[3]
-        frn = collateral_drift_vector(1, v, ts8, "J", measure_currency="I")[3]
+        dom = collateral_drift_vector(v, ts8, "J")[1, 3]
+        frn = collateral_drift_vector(v, ts8, "J", measure_currency="I")[1, 3]
         assert frn < dom
 
 
@@ -160,9 +160,9 @@ class TestDriftIdentities:
                                  collateral={"Z": sc + sy})
         for t in (0.0, 0.3, 1.0, 2.4):
             k = ts8.q_index(t)
-            lhs = (collateral_drift_vector(k, v, ts8, "X")
-                   + funding_drift_vector(k, v, ts8, "X", "K"))
-            rhs = collateral_drift_vector(k, v_tilde, ts8, "Z")
+            lhs = (collateral_drift_vector(v, ts8, "X")[k]
+                   + funding_drift_vector(v, ts8, "X", "K")[k])
+            rhs = collateral_drift_vector(v_tilde, ts8, "Z")[k]
             for n in range(k, 8):
                 assert lhs[n] == pytest.approx(rhs[n], abs=1e-15)
 
@@ -173,7 +173,7 @@ class TestDriftIdentities:
             v = VolatilitySpec(n_factors=d, n_buckets=8, collateral={"X": sig})
             for t in (0.0, 0.5, 1.7, 3.0):
                 k = ts8.q_index(t)
-                drifts = collateral_drift_vector(k, v, ts8, "X")
+                drifts = collateral_drift_vector(v, ts8, "X")[k]
                 for n in range(k, 9):
                     lhs = sum(ts8.accrual(m) * drifts[m] for m in range(k, n))
                     w = (ts8.deltas[k:n, None] * sig[k:n]).sum(axis=0)
@@ -184,7 +184,61 @@ class TestDriftIdentities:
         v = VolatilitySpec(n_factors=2, n_buckets=8,
                            collateral={"X": [0.01, 0.0]},
                            equity={"X": [0.0, 0.2]})
-        assert not equity_drift_vector(0, v, ts8, "X").any()
+        assert not equity_drift_vector(v, ts8, "X")[0].any()
+
+
+def _written_out_drifts(sc, sy, sb, ss, shift, deltas, half_variance_sign):
+    """The four drift formulas as their docstrings state them, entry by entry.
+
+    Returns {family: {(k, n): value}} over the valid entries only: n >= k
+    for c and y, n >= k - 1 for b and s.
+    """
+    n_b = deltas.size
+    out = {"c": {}, "y": {}, "b": {}, "s": {}}
+    for k in range(n_b + 1):
+        for n in range(n_b):
+            if n >= k:
+                s_c = sum((deltas[m] * sc[m] for m in range(k, n)),
+                          np.zeros(3))
+                s_y = sum((deltas[m] * sy[m] for m in range(k, n)),
+                          np.zeros(3))
+                out["c"][k, n] = (sc[n] @ (s_c - shift) + half_variance_sign
+                                  * 0.5 * deltas[n] * (sc[n] @ sc[n]))
+                out["y"][k, n] = (sy[n] @ (s_y + s_c - shift) + sc[n] @ s_y
+                                  + 0.5 * deltas[n] * (sy[n] @ sy[n])
+                                  + deltas[n] * (sy[n] @ sc[n]))
+            if n >= k - 1:
+                s_incl = sum((deltas[m] * sc[m] for m in range(k, n + 1)),
+                             np.zeros(3))
+                out["b"][k, n] = sb[n] @ (s_incl - shift)
+                out["s"][k, n] = ss[n] @ (s_incl - shift)
+    return out
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_drift_tables_match_written_out_formulas(seed):
+    # foreign measure (quanto shift) and a flipped convexity sign for c
+    rng = np.random.default_rng(seed)
+    ts = TenorStructure(np.array([0.0, 0.25, 0.75, 1.0, 1.6, 2.0, 3.0]))
+    n = ts.n_buckets
+    sc, sy, sb, ss = (rng.normal(0.0, s, (n, 3))
+                      for s in (0.01, 0.004, 0.2, 0.2))
+    vols = VolatilitySpec(n_factors=3, n_buckets=n, collateral={"J": sc},
+                          funding={("J", "K"): sy}, libor_ois={"J": sb},
+                          equity={"J": ss}, fx={("I", "J"): rng.normal(0, 0.1, 3)})
+    shift = quanto_adjustment(vols, "I", "J")
+    assert shift.any()
+    tables = {
+        "c": collateral_drift_vector(vols, ts, "J", "I", half_variance_sign=-1.0),
+        "y": funding_drift_vector(vols, ts, "J", "K", "I"),
+        "b": libor_ois_drift_vector(vols, ts, "J", "I"),
+        "s": equity_drift_vector(vols, ts, "J", "I"),
+    }
+    want = _written_out_drifts(sc, sy, sb, ss, shift, ts.deltas, -1.0)
+    for family, table in tables.items():
+        assert table.shape == (n + 1, n)
+        for (k, m), value in want[family].items():
+            assert table[k, m] == pytest.approx(value, rel=1e-13), (family, k, m)
 
 
 def make_state(ts, curves, vols, base="USD", n_paths=3):
@@ -220,12 +274,12 @@ def full_vols():
 
 class TestPathState:
     def test_initial_matches_forwards(self, ts4, eq_curves, full_vols):
-        from colmm import forward_collateral_rate
+        from colmm import forward_rates
         st = make_state(ts4, eq_curves, full_vols)
         usd = eq_curves.discount_curve("USD")
+        want = forward_rates(usd.log_discount, ts4)
         for m in range(4):
-            want = forward_collateral_rate(usd, ts4, m)
-            assert st.buckets("c", "USD")[0, m] == want
+            assert st.buckets("c", "USD")[0, m] == want[m]
         assert st.time == 0.0
         np.testing.assert_array_equal(st.account("USD"), 1.0)
         np.testing.assert_array_equal(st.pair_account("USD", "EUR"), 1.0)
@@ -322,13 +376,13 @@ class TestEvolveStep:
 def _drift_and_loadings(family, key, j, vols, ts, base):
     """Drift vector on interval j and the loadings of one curve."""
     if family == "y":
-        return (funding_drift_vector(j, vols, ts, *key, base),
+        return (funding_drift_vector(vols, ts, *key, base)[j],
                 vols.funding_loadings(*key))
     drift = {"c": collateral_drift_vector, "b": libor_ois_drift_vector,
              "s": equity_drift_vector}[family]
     sig = {"c": vols.collateral_loadings, "b": vols.libor_ois_loadings,
            "s": vols.equity_loadings}[family](key)
-    return drift(j, vols, ts, key, base), sig
+    return drift(vols, ts, key, base)[j], sig
 
 
 def euler_oracle(st, vols, ts, z, substeps):

@@ -276,7 +276,8 @@ class TestSimulate:
             assert est.mean == base.mean
             assert est.std_error == base.std_error
 
-    def test_joint_run_matches_single_runs(self, one_ccy_model):
+    def test_joint_run_matches_single_runs(self, one_ccy_model, ts4,
+                                           two_ccy_curves):
         cfg = SimulationConfig(n_paths=2_000)
         pays = {"short": unit_zcb(1.0), "long": unit_zcb(4.0)}
         joint = simulate_many(one_ccy_model, cfg, pays)
@@ -284,6 +285,29 @@ class TestSimulate:
                                                pays["short"]).mean
         assert joint["long"].mean == simulate(one_ccy_model, cfg,
                                               pays["long"]).mean
+        # Two currencies: payoffs sharing (node, currency, collateral) share
+        # one conversion, which a later node of the same key must not reuse.
+        vols = VolatilitySpec(
+            n_factors=2, n_buckets=4,
+            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+            funding={("EUR", "USD"): [0.001, 0.002]},
+            fx={("USD", "EUR"): [0.05, -0.05]},
+        )
+        model = Model(ts4, two_ccy_curves, vols, "USD")
+        pays = {
+            "eur 1": unit_zcb(1.0, "EUR", "USD"),
+            "eur spot 1": GridPayoff(lambda st: st.fx_rate("EUR", "USD"),
+                                     1.0, "EUR", "USD"),
+            "eur 2": unit_zcb(2.0, "EUR", "USD"),
+            "usd 1": unit_zcb(1.0),
+            "usd eur-coll 1": unit_zcb(1.0, "USD", "EUR"),
+            "eur eur-coll 1.5": unit_zcb(1.5, "EUR", "EUR"),
+        }
+        joint = simulate_many(model, cfg, pays)
+        for name, payoff in pays.items():
+            single = simulate(model, cfg, payoff)
+            assert joint[name].mean == single.mean, name
+            assert joint[name].std_error == single.std_error, name
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
