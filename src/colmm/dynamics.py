@@ -433,6 +433,11 @@ class PathState:
         return cls(ts, base, n_paths, tables, s_mask, columns, rate0,
                    rate_sig, fx_legs)
 
+    def fresh(self, n_paths: int) -> "PathState":
+        """A state at T_0 over n_paths paths, sharing this one's tables."""
+        return PathState(self.ts, self.base, n_paths, self.tables, self.s_mask,
+                         self.columns, self.rate0, self.rate_sig, self.fx_legs)
+
     # -- accessors used by payoffs and diagnostics --------------------------
 
     @property

@@ -9,9 +9,15 @@ sqrt(delta_k) * gaussian_increments(seed, p, k, d), a pure function of
 interval k consumes words [k*d, (k+1)*d) of it.  The stream is
 that of numpy's Philox4x64-10 under key (seed, p); the engine computes it
 with uint64 ufuncs over (path, counter) arrays, which release the GIL, so
-worker threads generate in parallel.  Workers never share generator state,
-and paths are partitioned in contiguous blocks whose results are merged in
-block order, so the estimate is bit-identical for any worker count.
+worker threads generate in parallel.  Each word w becomes the uniform
+((w >> 11) + 0.5) * 2^-53 and then a normal through `_ndtri`, a numpy port
+of cephes ndtri: bit for bit scipy.special.ndtri on the central 73 % of
+draws and within a few ulp of it in the tails, where numpy's log stands in
+for libm's.  The engine needs numpy alone.
+
+Workers never share generator state, and paths are partitioned in
+contiguous blocks whose results are merged in block order, so the estimate
+is bit-identical for any worker count.
 
 Sampling is always antithetic: with pairs = n_paths / 2 (so the path
 count must be even), path p < pairs has a mirror path p + pairs driven by
@@ -32,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
 
 from .curves import CurveSet
 from .dynamics import PathState, VolatilitySpec, evolve_step
@@ -55,10 +59,41 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
 
 # Paths are generated in chunks of about this many 4-word blocks: the round
 # buffers then stay in cache and memory does not grow with the path count.
 _CHUNK_BLOCKS = 1 << 14
+
+# Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
+# approximations, highest power first.
+_NDTRI_S2PI = 2.50662827463100050242E0
+_NDTRI_EXP_M2 = 0.13533528323661269189
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
 @dataclass
@@ -164,16 +199,6 @@ class GridPayoff:
     collateral: str
 
 
-def _uniforms(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each word, centered in the bin: strictly inside (0, 1).
-
-    Shifts `raw` in place and writes the uniforms to `out`.
-    """
-    np.right_shift(raw, np.uint64(11), out=raw)
-    np.add(raw, 0.5, out=out)
-    return np.multiply(out, 2.0 ** -53, out=out)
-
-
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
     """Standard normal increments of one (path, step), as the engine draws them.
 
@@ -186,19 +211,102 @@ def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.n
         raise ValueError(f"path and step indices must be >= 0, got ({path},{step})")
     if n_factors < 1:
         raise ValueError(f"need at least one factor, got {n_factors}")
-    bg = Philox(key=np.array([seed, path], dtype=np.uint64))
-    raw = bg.random_raw((step + 1) * n_factors)[step * n_factors:]
-    return ndtri(_uniforms(raw, np.empty(n_factors)))
+    return _block_normals(seed, path, path + 1, step + 1, n_factors)[0, step]
 
 
-def _mulhi(m: int, x: np.ndarray, out: np.ndarray, t: np.ndarray,
-           s: np.ndarray) -> np.ndarray:
+def _ratio(w: np.ndarray, num: tuple, den: tuple, p: np.ndarray,
+           q: np.ndarray) -> np.ndarray:
+    """w * polevl(w, num) / p1evl(w, den) into p, in cephes's order.
+
+    Horner from the highest power down; den's leading 1 is implicit.  q is
+    scratch of w's shape.
+    """
+    np.multiply(w, num[0], out=p)
+    for coef in num[1:-1]:
+        p += coef
+        p *= w
+    p += num[-1]
+    np.add(w, den[0], out=q)
+    for coef in den[1:]:
+        q *= w
+        q += coef
+    p *= w
+    p /= q
+    return p
+
+
+def _ndtri_tail(t: np.ndarray, x: np.ndarray, x0: np.ndarray,
+                z: np.ndarray) -> np.ndarray:
+    """Cephes's tail branch of ndtri on t (<= e^-2 or > 1 - e^-2), into x0.
+
+    With y the distance of t to its end, x = sqrt(-2 log y) and z = 1 / x,
+    the result is x - log(x) / x - z P(z) / Q(z), signed as t - 0.5.  P1/Q1
+    cover 2 <= x < 8, P2/Q2 (t within e^-32 of an end) x >= 8.  x, x0 and
+    z are scratch of t's size, and t is clobbered.  Both terms take the
+    sign before the difference, which rounds the same.
+    """
+    np.subtract(1.0, t, out=x)
+    np.minimum(t, x, out=x)
+    np.log(x, out=x)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    far = np.flatnonzero(x >= 8.0) if x.max() >= 8.0 else None
+    np.log(x, out=x0)
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    np.divide(1.0, x, out=z)
+    t -= 0.5
+    np.copysign(x0, t, out=x0)
+    if far is not None:
+        z_far = z[far]
+        x1_far = _ratio(z_far, _NDTRI_P2, _NDTRI_Q2, np.empty_like(z_far),
+                        np.empty_like(z_far))
+    x1 = _ratio(z, _NDTRI_P1, _NDTRI_Q1, x, t)
+    if far is not None:
+        x1[far] = x1_far
+    np.copysign(x1, x0, out=x1)
+    x0 -= x1
+    return x0
+
+
+def _ndtri(u: np.ndarray, scratch=None) -> np.ndarray:
+    """Inverse standard normal CDF of a 1-D u strictly inside (0, 1), in place.
+
+    A port of cephes `ndtri` (Moshier, 1989), the function behind
+    scipy.special.ndtri, with cephes's operations in cephes's order.  The
+    central branch (e^-2 < u <= 1 - e^-2, about 73 % of uniforms) is
+    evaluated over all of u and is bit for bit cephes; the tails are
+    gathered, evaluated with numpy's log, which may differ from libm's by
+    an ulp, and scattered back.  scratch is three float64 arrays of at
+    least u.size elements, allocated when not given.
+    """
+    m = u.size
+    y2, p, q = (a[:m] for a in (np.empty((3, m)) if scratch is None else scratch))
+    tail, above = y2.view(np.bool_)[:2 * m].reshape(2, m)
+    np.less_equal(u, _NDTRI_EXP_M2, out=tail)
+    np.greater(u, 1.0 - _NDTRI_EXP_M2, out=above)
+    tail |= above
+    idx = np.flatnonzero(tail)
+    t = u[idx]
+    u -= 0.5
+    np.multiply(u, u, out=y2)
+    _ratio(y2, _NDTRI_P0, _NDTRI_Q0, p, q)
+    p *= u
+    u += p
+    u *= _NDTRI_S2PI
+    if t.size:
+        u[idx] = _ndtri_tail(t, *(a[:t.size] for a in (y2, p, q)))
+    return u
+
+
+def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, t: np.ndarray,
+           s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """High words of the 128-bit products m * x into `out`; x is kept.
 
-    Hacker's Delight `mulhu` over the 32-bit halves of m and x; t and s are
-    scratch of x's shape.
+    Hacker's Delight `mulhu` over the 32-bit halves of m (uint64 arrays
+    that broadcast against x) and of x; t, s and h are scratch of x's shape.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    np.right_shift(x, _SHIFT32, out=h)
     np.bitwise_and(x, _LO32, out=out)
     np.multiply(out, m_hi, out=t)
     np.multiply(out, m_lo, out=out)
@@ -206,12 +314,10 @@ def _mulhi(m: int, x: np.ndarray, out: np.ndarray, t: np.ndarray,
     np.add(t, out, out=t)                   # m_hi*x_lo + (m_lo*x_lo >> 32)
     np.bitwise_and(t, _LO32, out=s)
     np.right_shift(t, _SHIFT32, out=t)
-    np.right_shift(x, _SHIFT32, out=out)
-    np.multiply(out, m_lo, out=out)
+    np.multiply(h, m_lo, out=out)
     np.add(s, out, out=s)                   # middle word with its carry
     np.right_shift(s, _SHIFT32, out=s)
-    np.right_shift(x, _SHIFT32, out=out)
-    np.multiply(out, m_hi, out=out)
+    np.multiply(h, m_hi, out=out)
     np.add(out, t, out=out)
     return np.add(out, s, out=out)
 
@@ -220,12 +326,17 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
                    n_steps: int, n_factors: int) -> np.ndarray:
     """Normals for a contiguous path block, shape (paths, steps, factors).
 
-    Row p holds the first steps * factors words of
-    numpy.random.Philox(key=[seed, p]), bit for bit.  numpy bumps the
+    Row p takes the first steps * factors words w of
+    numpy.random.Philox(key=[seed, p]), bit for bit, to the uniforms
+    ((w >> 11) + 0.5) * 2^-53 and those through `_ndtri`.  numpy bumps the
     counter before its first block, so block b of the row is Philox4x64-10
     of counter (b + 1, 0, 0, 0) under key (seed, p).  The rounds run as
     in-place uint64 ufuncs over (rows, blocks) arrays, a chunk of about
-    _CHUNK_BLOCKS blocks at a time.
+    _CHUNK_BLOCKS blocks at a time.  Both multiplications of a round are
+    one ufunc call over the stacked words [x0, x2], with the products' low
+    words stacked as [x3, x1], which halves the calls.  The key word is a
+    full array, because numpy broadcasts a (rows, 1) column over a short
+    row slowly.
     """
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
@@ -234,11 +345,11 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
         return out.reshape(n_paths, n_steps, n_factors)
     blocks = -(-words // 4)
     rows = max(1, min(n_paths, _CHUNK_BLOCKS // blocks))
-    m0, m1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
+    mult = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
+    mult_lo, mult_hi = mult & _LO32, mult >> _SHIFT32
     key0 = [np.uint64((seed + r * _PHILOX_W0) % _MAX_SEED)
             for r in range(_PHILOX_ROUNDS)]
-    bump1 = [np.uint64(r * _PHILOX_W1 % _MAX_SEED)
-             for r in range(_PHILOX_ROUNDS)]
+    w1 = np.uint64(_PHILOX_W1)
     # Counter words 1-3 are zero and key word 0 is the seed, so rounds 1
     # and 2 reduce to per-block constants xored with the path's key word.
     counters = range(1, blocks + 1)
@@ -246,39 +357,51 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
     mix = np.array([(_PHILOX_M0 * seed >> 64) ^ (_PHILOX_M0 * c % _MAX_SEED)
                     for c in counters], dtype=np.uint64)
     lo_seed = np.uint64(_PHILOX_M0 * seed % _MAX_SEED)
+    # The key word runs on from chunk to chunk; rounds 2-10 each add W1.
+    next_chunk = np.uint64((rows - (_PHILOX_ROUNDS - 1) * _PHILOX_W1)
+                           % _MAX_SEED)
 
-    bufs = [np.empty((rows, blocks), dtype=np.uint64) for _ in range(7)]
-    key1_buf = np.empty((rows, 1), dtype=np.uint64)
-    raw_buf = np.empty((rows, blocks, 4), dtype=np.uint64)
+    # Six stacked round buffers in three arrays, which are float scratch
+    # for _ndtri once the chunk's uniforms are out, and the key word.
+    bufs = [np.empty((4, rows, blocks), dtype=np.uint64) for _ in range(3)]
+    scratch = [buf.reshape(-1).view(np.float64) for buf in bufs]
+    key1_buf = np.empty((rows, blocks), dtype=np.uint64)
+    key1_buf[...] = np.arange(path_lo, path_lo + rows, dtype=np.uint64)[:, None]
+    full = words // 4
     for lo in range(path_lo, path_hi, rows):
         hi = min(lo + rows, path_hi)
         n = hi - lo
-        a, b, c, d, spare, t, s = (buf[:n] for buf in bufs)
-        path = np.arange(lo, hi, dtype=np.uint64)[:, None]
-        key1 = key1_buf[:n]
-        np.add(path, bump1[1], out=key1)
-        np.bitwise_xor(hi_ctr, path, out=c)           # round 1: word 2
-        _mulhi(_PHILOX_M1, c, a, t, s)                # round 2
-        a ^= key0[1]
-        np.multiply(c, m1, out=b)
-        np.bitwise_xor(mix, key1, out=c)
-        d.fill(lo_seed)
+        x, y, low, t, s, h = (buf[i:i + 2, :n] for buf in bufs for i in (0, 2))
+        key1 = key1_buf[:n]                            # the path's key word
+        c = y[0]
+        np.bitwise_xor(key1, hi_ctr, out=c)           # round 1: word 2
+        _mulhi(mult_lo[1], mult_hi[1], c, x[1], t[0], s[0], h[0])  # round 2
+        x[1] ^= key0[1]
+        np.multiply(c, mult[1], out=low[1])
+        key1 += w1
+        np.bitwise_xor(key1, mix, out=x[0])
+        low[0].fill(lo_seed)
+        # x = [word 2, word 0] and low = [word 3, word 1] from here on.
         for r in range(2, _PHILOX_ROUNDS):
-            np.add(path, bump1[r], out=key1)
-            _mulhi(_PHILOX_M1, c, spare, t, s)
-            spare ^= b
-            spare ^= key0[r]
-            np.multiply(c, m1, out=b)
-            _mulhi(_PHILOX_M0, a, c, t, s)
-            c ^= d
-            c ^= key1
-            np.multiply(a, m0, out=d)
-            a, spare = spare, a
-        raw = raw_buf[:n]
-        for k, word in enumerate((a, b, c, d)):
-            raw[:, :, k] = word
+            key1 += w1
+            _mulhi(mult_lo, mult_hi, x[::-1], y, t, s, h)
+            y ^= low
+            np.multiply(x[::-1], mult, out=low)
+            y[0] ^= key1
+            y[1] ^= key0[r]
+            x, y = y, x
+        key1_buf += next_chunk
+        # Uniforms: word k of block b is column 4 b + k of the row.
         dest = out[lo - path_lo:hi - path_lo]
-        ndtri(_uniforms(raw.reshape(n, 4 * blocks)[:, :words], dest), out=dest)
+        by_block = dest[:, :4 * full].reshape(n, full, 4)
+        for k, word in enumerate((x[1], low[1], x[0], low[0])):
+            word >>= _SHIFT11
+            by_block[:, :, k] = word[:, :full]
+            if 4 * full + k < words:
+                dest[:, 4 * full + k] = word[:, full]
+        dest += 0.5
+        dest *= 2.0 ** -53
+        _ndtri(dest.reshape(-1), scratch)
     return out.reshape(n_paths, n_steps, n_factors)
 
 
@@ -292,19 +415,19 @@ def _partition(n_units: int, n_workers: int) -> list[tuple[int, int]]:
 def _simulate_block(model: Model, cfg: SimulationConfig,
                     payoffs: dict[str, GridPayoff], by_node: dict[int, list[str]],
                     n_last: int, unit_lo: int, unit_hi: int,
-                    half_variance_sign: float) -> dict[str, np.ndarray]:
+                    tables: PathState) -> dict[str, np.ndarray]:
     """Evolve one block of paths; return per-unit estimator values by payoff.
 
     A unit is a (path, mirror) pair and the returned values are pair
     means, so concatenating block results in unit order is independent of
-    the partition.
+    the partition.  The block's state shares the deterministic tables of
+    `tables`, and owns its W and accounts.
     """
     ts, vols, base = model.ts, model.vols, model.base
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
     normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
-    state = PathState.initial(ts, model.curves, vols, base, n_phys,
-                              half_variance_sign)
+    state = tables.fresh(n_phys)
 
     # Pair means, one row per payoff in one allocation (less heap churn).
     out = dict(zip(payoffs, np.empty((len(payoffs), n_units))))
@@ -362,11 +485,16 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     n_last = max(by_node)
     n_units = cfg.n_paths // 2
     blocks = _partition(n_units, cfg.resolved_workers())
+    # The deterministic tables are built once, on a one-path state, and
+    # shared read-only; each block allocates its own state after its
+    # normals, since building every block's state here raised the peak RSS.
+    tables = PathState.initial(model.ts, model.curves, model.vols, model.base,
+                               1, half_variance_sign)
 
     def run(block):
         lo, hi = block
         return _simulate_block(model, cfg, payoffs, by_node, n_last, lo, hi,
-                               half_variance_sign)
+                               tables)
 
     if len(blocks) == 1:
         results = [run(blocks[0])]

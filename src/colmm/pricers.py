@@ -12,10 +12,9 @@ and Ytilde_ik = D_i * Y_ik the spread-adjusted discount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, log, nan, sqrt
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import CurveSet
 from .dynamics import PathState, VolatilitySpec
@@ -82,6 +81,71 @@ def fx_forward(curves: CurveSet, spec: FxForwardSpec) -> float:
     return spot * leg_receive / leg_pay
 
 
+# Cephes erfc (P/Q below 8, R/S above) and erf (T/U) rational
+# approximations, highest power first; the denominators' leading 1 is
+# implicit.
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coefs: tuple, monic: bool = False) -> float:
+    """Horner's rule from the highest power; `monic` adds a leading 1."""
+    ans = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| <= 1."""
+    w = x * x
+    return x * _polevl(w, _ERF_T) / _polevl(w, _ERF_U, monic=True)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, bit for bit scipy.special.ndtr.
+
+    A port of cephes `ndtr` (Moshier, 1989) with the branches of its erf
+    and erfc that it reaches, in cephes's order, and libm's exp.
+    """
+    if a != a:
+        return nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    # 0.5 * erfc(z) for z >= 1/sqrt(2)
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        y = 0.5 * (exp(-z * z) * _polevl(z, p) / _polevl(z, q, monic=True))
+    return 1.0 - y if x > 0.0 else y
+
+
 def _black(forward: float, strike: float, stdev: float, is_call: bool) -> float:
     """Undiscounted Black price with total standard deviation `stdev`."""
     if forward <= 0.0:
@@ -92,8 +156,8 @@ def _black(forward: float, strike: float, stdev: float, is_call: bool) -> float:
     d1 = log(forward / strike) / stdev + 0.5 * stdev
     d2 = d1 - stdev
     if is_call:
-        return forward * ndtr(d1) - strike * ndtr(d2)
-    return strike * ndtr(-d2) - forward * ndtr(-d1)
+        return forward * _ndtr(d1) - strike * _ndtr(d2)
+    return strike * _ndtr(-d2) - forward * _ndtr(-d1)
 
 
 def forward_fx_total_stdev(vols: VolatilitySpec, ts: TenorStructure,

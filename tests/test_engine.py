@@ -1,12 +1,17 @@
 """Path generation, estimator mechanics, and martingale checks for the engine."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from colmm import (
     ConfigurationError,
     GridPayoff,
     Model,
+    PathState,
     PriceEstimate,
     SimulationConfig,
     TenorStructure,
@@ -15,7 +20,7 @@ from colmm import (
     simulate,
     simulate_many,
 )
-from colmm.engine import WORKERS_ENV_VAR, _block_normals, _partition
+from colmm.engine import WORKERS_ENV_VAR, _block_normals, _ndtri, _partition
 
 from conftest import flat_curve
 
@@ -31,8 +36,10 @@ class TestGaussianIncrements:
         assert not np.array_equal(a, gaussian_increments(43, 3, 5, 4))
 
     def test_block_matches_pure_function(self):
-        # The vectorised kernel against fresh numpy Philox streams, bit for
-        # bit.  Cases: (seed, path_lo, path_hi, steps, factors).
+        # The vectorised kernel against fresh numpy Philox streams mapped by
+        # _uniforms and _ndtri, bit for bit, and against the pure function
+        # at each path's first and last step.  Cases: (seed, path_lo,
+        # path_hi, steps, factors).
         cases = [
             (7, 10, 20, 6, 3),
             (5, 0, 3, 1, 1),        # words % 4 == 1
@@ -46,10 +53,14 @@ class TestGaussianIncrements:
         for seed, lo, hi, n_steps, n_factors in cases:
             block = _block_normals(seed, lo, hi, n_steps, n_factors)
             assert block.shape == (hi - lo, n_steps, n_factors)
+            words = n_steps * n_factors
             for row, path in enumerate(range(lo, hi)):
-                for step in range(n_steps):
-                    expect = gaussian_increments(seed, path, step, n_factors)
-                    assert block[row, step].tobytes() == expect.tobytes(), \
+                bg = Philox(key=np.array([seed, path], dtype=np.uint64))
+                expect = _ndtri(_uniforms(bg.random_raw(words)))
+                assert block[row].tobytes() == expect.tobytes(), (seed, path)
+                for step in ({0, n_steps - 1} if n_steps else ()):
+                    one = gaussian_increments(seed, path, step, n_factors)
+                    assert block[row, step].tobytes() == one.tobytes(), \
                         (seed, path, step, n_factors)
 
     def test_moments(self):
@@ -73,6 +84,75 @@ class TestGaussianIncrements:
             gaussian_increments(0, -1, 0, 1)
         with pytest.raises(ValueError):
             gaussian_increments(0, 0, 0, 0)
+
+
+EXP_M2 = 0.13533528323661269189    # cephes's branch point e^-2
+
+
+def _uniforms(raw):
+    """The engine's map of raw words to uniforms: top 53 bits, bin centre."""
+    return ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
+
+
+def _ulps(a, b):
+    """Units in the last place between same-signed float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def _assert_matches_scipy(u):
+    """_ndtri(u) against scipy.special.ndtri, a test-only oracle.
+
+    The central branch must be bit for bit.  The tail branch takes two
+    logs, log(y) with y = min(u, 1 - u) and log(x) with
+    x = sqrt(-2 log(y)); numpy's vectorised log may differ from libm's by
+    an ulp, and cephes calls libm.  Where numpy and libm agree on both,
+    the tail must be bit for bit too.  Elsewhere one ulp of log moves x by
+    up to an ulp of x, which is up to twice the result's ulp (|result| < x)
+    before the remaining roundings: 6 ulp is the most seen on 6.3M tail
+    draws, and 8 is the bound.
+    """
+    got, want = _ndtri(u.copy()), ndtri(u)
+    central = (u > EXP_M2) & (u <= 1.0 - EXP_M2)
+    assert got[central].tobytes() == want[central].tobytes()
+    t = u[~central]
+    y = np.minimum(t, 1.0 - t)
+    libm_y = np.array([math.log(v) for v in y])
+    x = np.sqrt(-2.0 * libm_y)
+    agree = (np.log(y) == libm_y) & (np.log(x) == [math.log(v) for v in x])
+    got, want = got[~central], want[~central]
+    assert got[agree].tobytes() == want[agree].tobytes()
+    assert np.all(np.sign(got) == np.sign(want))
+    assert np.all(_ulps(got, want) <= 8)
+    return agree
+
+
+class TestNdtri:
+    def test_matches_scipy_on_a_million_uniforms(self):
+        raw = Philox(key=np.array([3, 1], dtype=np.uint64)).random_raw(1 << 20)
+        agree = _assert_matches_scipy(_uniforms(raw))
+        assert agree.size > 250_000            # about 27 % of draws are tails
+        assert agree.mean() > 0.99             # so the exact check bites
+
+    def test_edge_inputs(self):
+        below, above = np.nextafter(EXP_M2, 0.0), np.nextafter(EXP_M2, 1.0)
+        hi = 1.0 - EXP_M2
+        u = np.array([
+            2.0 ** -54, 1.0 - 2.0 ** -53, 0.5,     # the extreme uniforms, the centre
+            below, EXP_M2, above,                  # both sides of e^-2
+            np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0),   # and of 1 - e^-2
+            1.3e-14, 1.2e-14, 1e-15, 1.0 - 2.0 ** -50,  # either side of x = 8
+        ])
+        _assert_matches_scipy(u)
+        x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+        assert (x[-4] < 8.0 <= x[-3]) and (x[-2:] >= 8.0).all()
+        # Sweeps across x = 8 on both ends: to the smallest uniform the
+        # engine draws, and below it, where the x >= 8 fit does all the work.
+        sweep = np.geomspace(2.0 ** -54, 1e-12, 2000)
+        _assert_matches_scipy(np.concatenate([sweep, 1.0 - sweep[1:]]))
+        _assert_matches_scipy(np.geomspace(1e-300, 2.0 ** -54, 2000))
+        assert _ndtri(np.array([0.5]))[0] == 0.0
+        # Tails only: more tail elements than the default scratch holds.
+        _assert_matches_scipy(u[[0, 1, 3, 4, 10, 11, 12]])
 
 
 class TestPartition:
@@ -275,6 +355,26 @@ class TestSimulate:
                            SimulationConfig(n_paths=4_000, workers=w), pay)
             assert est.mean == base.mean
             assert est.std_error == base.std_error
+
+    def test_tables_are_built_once_and_shared(self, one_ccy_model, monkeypatch):
+        # One PathState.initial per call, whatever the worker count; every
+        # block's state shares its tables and owns its W and accounts.
+        made, states = [], []
+        initial, fresh = PathState.initial.__func__, PathState.fresh
+        monkeypatch.setattr(PathState, "initial", classmethod(
+            lambda cls, *a: made.append(initial(cls, *a)) or made[-1]))
+        monkeypatch.setattr(PathState, "fresh", lambda self, n: states.append(
+            fresh(self, n)) or states[-1])
+        simulate(one_ccy_model, SimulationConfig(n_paths=4_000, workers=3),
+                 unit_zcb(3.5))
+        assert len(made) == 1 and len(states) == 3
+        assert sorted(st.n_paths for st in states) == [1332, 1334, 1334]
+        for st in states:
+            assert st.tables is made[0].tables and st.rate0 is made[0].rate0
+            assert st.n_paths == st.log_acc.shape[0] == st.w.shape[1]
+        assert not any(np.shares_memory(a.w, b.w) or
+                       np.shares_memory(a.log_acc, b.log_acc)
+                       for a in states for b in states if a is not b)
 
     def test_joint_run_matches_single_runs(self, one_ccy_model, ts4,
                                            two_ccy_curves):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from colmm import (
@@ -27,7 +28,7 @@ from colmm import (
     forward_fx_total_stdev,
 )
 from colmm.dynamics import evolve_step
-from colmm.pricers import _black
+from colmm.pricers import _black, _ndtr
 
 from conftest import flat_curve, flat_spread
 
@@ -206,8 +207,8 @@ class TestFxOptionBlack:
         assert (np.diff(diffs) > -1e-12).all()  # and are convex
 
     def test_black_matches_norm_cdf_formula(self):
-        # _black calls scipy.special.ndtr; scipy.stats.norm.cdf at loc 0,
-        # scale 1 is the oracle, and the prices must agree bit for bit.
+        # _black calls the in-repo cephes ndtr; scipy.stats.norm.cdf at
+        # loc 0, scale 1 is the oracle, and the prices must agree bit for bit.
         rng = np.random.default_rng(1512)
         for _ in range(2000):
             forward = float(np.exp(rng.uniform(-5.0, 5.0)))
@@ -219,6 +220,23 @@ class TestFxOptionBlack:
             put = strike * norm.cdf(-d2) - forward * norm.cdf(-d1)
             assert _black(forward, strike, stdev, True) == call
             assert _black(forward, strike, stdev, False) == put
+
+    def test_ndtr_matches_scipy_bit_for_bit(self):
+        # scipy.special.ndtr (cephes) is a test-only oracle.  The special
+        # values, both sides of every branch point (|a| = 1, sqrt(2), 8 * sqrt(2)
+        # and the underflow at a * a / 2 = MAXLOG), then wide random inputs.
+        r2 = math.sqrt(2.0)
+        points = [0.0, -0.0, 1.0, -1.0, r2, -r2, 8.0 * r2, -8.0 * r2,
+                  math.inf, -math.inf, math.nan, 37.67, -37.67, 37.68, -37.68]
+        points += [math.nextafter(p, q) for p in points[2:8] for q in (0.0, 40.0)]
+        rng = np.random.default_rng(8)
+        points += [float(v) for v in np.concatenate([
+            rng.normal(0.0, 1.0, 20_000), rng.normal(0.0, 6.0, 20_000),
+            rng.uniform(-40.0, 40.0, 20_000),
+            np.ldexp(rng.uniform(-1.0, 1.0, 5_000), rng.integers(-1070, 0, 5_000))])]
+        for a in points:
+            got, want = _ndtr(a), float(ndtr(a))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), a
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
