@@ -21,11 +21,22 @@ Conventions
 
 Quote maturities must lie on tenor nodes; off-node quotes are rejected
 rather than silently interpolated.
+
+Pillar storage
+--------------
+Every curve keeps its pillars twice: as the public numpy arrays `times` and
+`values`, which dynamics and the curve-set writer read, and as private float
+lists `_t`, `_v` and `_logv` (the logs from one np.log over the pillar
+array), built once at construction.  Scalar lookups bisect the lists with
+plain float arithmetic, which gives the same bits as numpy's element-wise
+operations without numpy's per-call dispatch.  The lists do not follow a
+later reassignment of `times` or `values`; curves are not edited in place.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,17 +138,23 @@ def _as_pillars(times, values, what: str):
     return t, v
 
 
-def _log_linear(times, values, log_values, T, what: str,
+def _pillar_lists(times: np.ndarray, values: np.ndarray):
+    """Float lists of the pillar times, values and their logs."""
+    return times.tolist(), values.tolist(), np.log(values).tolist()
+
+
+def _log_linear(times: list, values: list, log_values: list, T, what: str,
                 log: bool = False) -> float:
     """Interpolate log-linearly between pillars; exact (bit-for-bit) at them.
 
     Returns the value, or its log when `log` is set.  No extrapolation: a
     T outside [times[0], times[-1]] asks for a value the curve does not hold.
+    The pillars are float lists, so the lookup stays in plain Python.
     """
-    idx = int(np.searchsorted(times, T, side="left"))
-    if idx < times.size and times[idx] == T:
-        return float(log_values[idx] if log else values[idx])
-    if idx == 0 or idx == times.size:   # outside the pillars, or T is NaN
+    idx = bisect_left(times, T)
+    if idx < len(times) and times[idx] == T:
+        return log_values[idx] if log else values[idx]
+    if idx == 0 or idx == len(times):   # outside the pillars, or T is NaN
         raise ConfigurationError(
             f"{what}: time {T} outside pillar range [{times[0]}, {times[-1]}]"
             " (no extrapolation)"
@@ -159,20 +176,19 @@ class DiscountCurve:
         self._what = f"discount curve {self.currency}"
         self.times, self.values = _as_pillars(self.times, self.values,
                                               self._what)
-        self._log_values = np.log(self.values)
+        self._t, self._v, self._logv = _pillar_lists(self.times, self.values)
 
     def discount(self, T: float) -> float:
         """D(0,T); exact at pillars, log-linear between them."""
-        return _log_linear(self.times, self.values, self._log_values, T,
-                           self._what)
+        return _log_linear(self._t, self._v, self._logv, T, self._what)
 
     def log_discount(self, T: float) -> float:
-        return _log_linear(self.times, self.values, self._log_values, T,
-                           self._what, log=True)
+        return _log_linear(self._t, self._v, self._logv, T, self._what,
+                           log=True)
 
     @property
     def last_pillar(self) -> float:
-        return float(self.times[-1])
+        return self._t[-1]
 
 
 @dataclass
@@ -192,7 +208,8 @@ class SpreadCurve:
             self.values = np.array([1.0])
         else:
             self.times, self.values = _as_pillars(self.times, self.values, what)
-        self._log_values = np.log(self.values)
+        self._t, self._v, self._logv = _pillar_lists(self.times, self.values)
+        self._reciprocal = None
 
     @classmethod
     def identity(cls, currency: str, collateral: str | None = None) -> "SpreadCurve":
@@ -202,16 +219,20 @@ class SpreadCurve:
 
     @property
     def is_identity(self) -> bool:
-        return self.times.size == 1 and self.values[0] == 1.0
+        return len(self._t) == 1 and self._v[0] == 1.0
 
     def reciprocal(self) -> "SpreadCurve":
         """The reversed pair's curve: Y of (j,i) is 1/Y of (i,j) pillar-wise.
 
         Forward spreads built from the reciprocal are the exact negatives of
         the original pair's, matching how reversed-pair vol loadings flip.
+        Built on the first call and kept: two threads racing here build
+        equal curves, so either may be kept.
         """
-        return SpreadCurve(self.collateral, self.currency, self.times.copy(),
-                           1.0 / self.values)
+        if self._reciprocal is None:
+            self._reciprocal = SpreadCurve(self.collateral, self.currency,
+                                           self.times.copy(), 1.0 / self.values)
+        return self._reciprocal
 
     def value(self, T: float) -> float:
         """Y(0,T); the single-anchor identity curve is 1 for every T."""
@@ -219,18 +240,17 @@ class SpreadCurve:
             if T < 0.0:
                 raise ValueError(f"time {T} is negative")
             return 1.0
-        return _log_linear(self.times, self.values, self._log_values, T,
-                           self._what)
+        return _log_linear(self._t, self._v, self._logv, T, self._what)
 
     def log_value(self, T: float) -> float:
         if self.is_identity:
             return 0.0
-        return _log_linear(self.times, self.values, self._log_values, T,
-                           self._what, log=True)
+        return _log_linear(self._t, self._v, self._logv, T, self._what,
+                           log=True)
 
     @property
     def last_pillar(self) -> float:
-        return float(self.times[-1])
+        return self._t[-1]
 
 
 @dataclass
@@ -276,12 +296,11 @@ class EquityForwardCurve:
         if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
             raise ValueError("equity forward pillars must be positive and finite")
         self.times, self.values = t, v
-        self._log_values = np.log(v)
+        self._t, self._v, self._logv = _pillar_lists(t, v)
         self._what = f"equity curve {self.currency}"
 
     def value(self, T: float) -> float:
-        return _log_linear(self.times, self.values, self._log_values, T,
-                           self._what)
+        return _log_linear(self._t, self._v, self._logv, T, self._what)
 
     def grid_values(self, ts: TenorStructure):
         """Forwards per bucket column m (maturity T_{m+1}) plus a validity mask."""
@@ -290,7 +309,7 @@ class EquityForwardCurve:
         mask = np.zeros(n, dtype=bool)
         for m in range(n):
             T = float(ts.nodes[m + 1])
-            if self.times[0] <= T <= self.times[-1]:
+            if self._t[0] <= T <= self._t[-1]:
                 vals[m] = self.value(T)
                 mask[m] = True
         return vals, mask
@@ -343,14 +362,13 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
 
     pillar_t = [0.0]
     pillar_v = [1.0]
+    pillar_log = [0.0]
 
     def known_df(t: float, candidate_T: float, candidate_x: float) -> float:
         """Discount at t off known pillars, or between the last one and the
         candidate pillar (candidate_T, candidate_x)."""
         if t <= pillar_t[-1]:
-            arr_t = np.array(pillar_t)
-            arr_v = np.array(pillar_v)
-            return _log_linear(arr_t, arr_v, np.log(arr_v), t, "bootstrap")
+            return _log_linear(pillar_t, pillar_v, pillar_log, t, "bootstrap")
         w = (t - pillar_t[-1]) / (candidate_T - pillar_t[-1])
         return math.exp(
             (1.0 - w) * math.log(pillar_v[-1]) + w * math.log(candidate_x)
@@ -396,6 +414,8 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
             )
         pillar_t.append(T)
         pillar_v.append(x)
+        # The log np.log gives over the pillar array, as the curve takes it.
+        pillar_log.append(float(np.log(pillar_v)[-1]))
 
     return DiscountCurve(currency, np.array(pillar_t), np.array(pillar_v))
 
@@ -442,6 +462,8 @@ class CurveSet:
     equities: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # Identity curves handed out for same-currency and missing pairs.
+        self._identities = {}
         for pair in self.spreads:
             if pair[0] == pair[1]:
                 raise ValueError(f"same-currency spread pair {pair} is implicit")
@@ -463,17 +485,19 @@ class CurveSet:
 
     def spread_curve(self, currency: str, collateral: str,
                      missing_ok: bool = False) -> SpreadCurve:
-        if currency == collateral:
-            return SpreadCurve.identity(currency)
-        if (currency, collateral) in self.spreads:
-            return self.spreads[(currency, collateral)]
-        if (collateral, currency) in self.spreads:
-            return self.spreads[(collateral, currency)].reciprocal()
-        if missing_ok:
-            return SpreadCurve.identity(currency, collateral)
-        raise ConfigurationError(
-            f"no funding-spread curve for pair ({currency},{collateral})"
-        )
+        pair = (currency, collateral)
+        if currency != collateral:
+            if pair in self.spreads:
+                return self.spreads[pair]
+            if (collateral, currency) in self.spreads:
+                return self.spreads[(collateral, currency)].reciprocal()
+            if not missing_ok:
+                raise ConfigurationError(
+                    f"no funding-spread curve for pair ({currency},{collateral})"
+                )
+        if pair not in self._identities:
+            self._identities[pair] = SpreadCurve.identity(currency, collateral)
+        return self._identities[pair]
 
     def fixings_for(self, currency: str, n_periods: int) -> SpreadFixings:
         fx = self.fixings.get(currency)

@@ -69,6 +69,7 @@ _CHUNK_BLOCKS = 1 << 14
 # approximations, highest power first.
 _NDTRI_S2PI = 2.50662827463100050242E0
 _NDTRI_EXP_M2 = 0.13533528323661269189
+_NDTRI_MIN_DIST = 2.0 ** -54
 _NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
              -5.66762857469070293439E1, 1.39312609387279679503E1,
              -1.23916583867381258016E0)
@@ -243,9 +244,14 @@ def _ndtri_tail(t: np.ndarray, x: np.ndarray, x0: np.ndarray,
     the result is x - log(x) / x - z P(z) / Q(z), signed as t - 0.5.  P1/Q1
     cover 2 <= x < 8, P2/Q2 (t within e^-32 of an end) x >= 8.  x, x0 and
     z are scratch of t's size, and t is clobbered.  Both terms take the
-    sign before the difference, which rounds the same.
+    sign before the difference, which rounds the same.  The distance to 1
+    is floored at 2^-54: the engine's uniform map rounds its top 2^11 words
+    to t = 1.0, which then takes the normal at distance 2^-54 from 1, the
+    mirror of the smallest uniform 2^-54.  Every t below 1 is at least
+    2^-53 from 1, so the floor changes no other result.
     """
     np.subtract(1.0, t, out=x)
+    np.maximum(x, _NDTRI_MIN_DIST, out=x)
     np.minimum(t, x, out=x)
     np.log(x, out=x)
     x *= -2.0

@@ -6,7 +6,8 @@ delta_m = T_{m+1} - T_m; a grid with N+1 nodes has N buckets.  The index
 function q(t) = min{n : T_n >= t} locates the first node not before t, so
 q(T_n) = n exactly and q maps the half-open interval (T_{n-1}, T_n] to n.
 No tolerance snapping is applied: callers are expected to pass node times
-taken from the grid itself, not re-derived by accumulation.
+taken from the grid itself, not re-derived by accumulation.  Node lookups
+bisect a float list of the nodes, kept beside the public `nodes` array.
 
 Calendar conventions (day counts, business-day rolls) are out of scope;
 they belong at the ingestion boundary.
@@ -14,6 +15,7 @@ they belong at the ingestion boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,7 @@ class TenorStructure:
             raise ValueError("tenor nodes must be strictly increasing")
         self.nodes = nodes
         self.deltas = np.diff(nodes)
+        self._nodes = nodes.tolist()
 
     @property
     def n_buckets(self) -> int:
@@ -49,11 +52,12 @@ class TenorStructure:
     def q_index(self, t: float) -> int:
         """Smallest n with T_n >= t.
 
-        q(0) = 0, q(T_n) = n, and q(t) = n for t in (T_{n-1}, T_n].
+        q(0) = 0, q(T_n) = n, and q(t) = n for t in (T_{n-1}, T_n].  NaN
+        lies outside the grid.
         """
-        if t < 0.0 or t > self.nodes[-1]:
-            raise ValueError(f"time {t} outside the grid [0, {self.nodes[-1]}]")
-        return int(np.searchsorted(self.nodes, t, side="left"))
+        if not 0.0 <= t <= self._nodes[-1]:
+            raise ValueError(f"time {t} outside the grid [0, {self._nodes[-1]}]")
+        return bisect_left(self._nodes, t)
 
     def accrual(self, m: int) -> float:
         """Year fraction delta_m = T_{m+1} - T_m of bucket m."""
@@ -63,11 +67,11 @@ class TenorStructure:
 
     def node_index(self, t: float) -> int:
         """Index of the node exactly equal to t; error if t is off-grid."""
-        idx = np.searchsorted(self.nodes, t, side="left")
-        if idx == self.nodes.size or self.nodes[idx] != t:
+        idx = bisect_left(self._nodes, t)
+        if idx == len(self._nodes) or self._nodes[idx] != t:
             raise ValueError(f"time {t} is not a tenor node")
-        return int(idx)
+        return idx
 
     def is_node(self, t: float) -> bool:
-        idx = np.searchsorted(self.nodes, t, side="left")
-        return idx < self.nodes.size and self.nodes[idx] == t
+        idx = bisect_left(self._nodes, t)
+        return idx < len(self._nodes) and self._nodes[idx] == t

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import colmm.curves
 from colmm import (
     CalibrationError,
     ConfigurationError,
@@ -20,7 +23,7 @@ from colmm import (
     forward_rates,
     ois_par_rate,
 )
-from colmm.curves import _brentq
+from colmm.curves import RATE_BOUND, _brentq, _fixed_leg_schedule
 
 
 class TestDiscountCurve:
@@ -121,6 +124,189 @@ class TestSpreadCurveReciprocal:
             a = forward_rates(curve.log_value, ts)[m]
             b = forward_rates(rec.log_value, ts)[m]
             assert a == pytest.approx(-b, rel=1e-14)
+
+    def test_reversed_pair_lookup_is_memoized(self, two_ccy_curves):
+        registered = two_ccy_curves.spreads[("EUR", "USD")]
+        rec = two_ccy_curves.spread_curve("USD", "EUR")
+        assert two_ccy_curves.spread_curve("USD", "EUR") is rec
+        assert rec.currency == "USD" and rec.collateral == "EUR"
+        assert rec.times.tobytes() == registered.times.tobytes()
+        assert rec.values.tobytes() == (1.0 / registered.values).tobytes()
+
+    def test_identity_lookups(self, two_ccy_curves):
+        same = two_ccy_curves.spread_curve("USD", "USD")
+        assert two_ccy_curves.spread_curve("USD", "USD") is same
+        assert (same.currency, same.collateral) == ("USD", "USD")
+        assert same.is_identity and same.value(7.0) == 1.0
+        missing = two_ccy_curves.spread_curve("USD", "JPY", missing_ok=True)
+        assert (missing.currency, missing.collateral) == ("USD", "JPY")
+        assert missing.is_identity and missing.log_value(3.0) == 0.0
+        assert two_ccy_curves.spread_curve("EUR", "EUR") is not same
+
+
+def _numpy_log_linear(times, values, T, what, log=False):
+    """The array formula: np.log over the pillar array, np.searchsorted."""
+    times, values = np.array(times), np.array(values)
+    log_values = np.log(values)
+    idx = int(np.searchsorted(times, T, side="left"))
+    if idx < times.size and times[idx] == T:
+        return float(log_values[idx] if log else values[idx])
+    if idx == 0 or idx == times.size:
+        raise ConfigurationError(
+            f"{what}: time {T} outside pillar range [{times[0]}, {times[-1]}]"
+            " (no extrapolation)"
+        )
+    w = (T - times[idx - 1]) / (times[idx] - times[idx - 1])
+    x = (1.0 - w) * log_values[idx - 1] + w * log_values[idx]
+    return float(x) if log else math.exp(x)
+
+
+def _assert_same_lookup(got_fn, want_fn, T):
+    """Same float bits and exact type float, or the same error message."""
+    try:
+        want = want_fn(T)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as info:
+            got_fn(T)
+        assert str(info.value) == str(exc)
+        return
+    got = got_fn(T)
+    assert type(got) is float, (T, type(got))
+    assert got.hex() == want.hex(), T
+
+
+def _query_times(times):
+    """Pillar hits, interior points, both ends and their outsides, NaN."""
+    out = [-math.inf, math.inf, math.nan]
+    for a, b in zip(times, times[1:]):
+        out += [a, 0.5 * (a + b), a + 0.3 * (b - a), np.nextafter(a, b),
+                np.nextafter(b, a)]
+    out += [times[-1], np.nextafter(times[0], -1.0),
+            np.nextafter(times[-1], math.inf), times[-1] + 1.0]
+    return [float(t) for t in out] + [np.float64(t) for t in out]
+
+
+_PILLARS = st.lists(
+    st.tuples(st.floats(1e-3, 30.0), st.floats(0.05, 3.0)),
+    min_size=1, max_size=12, unique_by=lambda p: p[0],
+).map(sorted)
+
+
+class TestLookupsMatchNumpyFormula:
+    """Scalar lookups against the array formula, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_PILLARS)
+    def test_curves(self, pillars):
+        times = [t for t, _ in pillars]
+        values = [v for _, v in pillars]
+        disc = DiscountCurve("USD", np.array(times), np.array(values))
+        spread = SpreadCurve("EUR", "USD", np.array(times), np.array(values))
+        equity = EquityForwardCurve("SPX", np.array(times),
+                                    100.0 * np.array(values))
+        cases = [
+            (disc.discount, disc, "discount curve USD", False),
+            (disc.log_discount, disc, "discount curve USD", True),
+            (spread.value, spread, "spread curve (EUR,USD)", False),
+            (spread.log_value, spread, "spread curve (EUR,USD)", True),
+            (equity.value, equity, "equity curve SPX", False),
+        ]
+        for fn, curve, what, log in cases:
+            def want(T, curve=curve, what=what, log=log):
+                return _numpy_log_linear(curve.times, curve.values, T, what,
+                                         log)
+            for T in _query_times(curve.times.tolist()):
+                _assert_same_lookup(fn, want, T)
+        for curve in (disc, spread):
+            assert type(curve.last_pillar) is float
+            assert curve.last_pillar == curve.times[-1]
+
+
+def _numpy_bootstrap(quotes) -> np.ndarray:
+    """Pillar values of bootstrap_discount_curve by the array formula.
+
+    Discounts off known pillars take np.array over the pillars and
+    _numpy_log_linear on every call; the rest of the sequence is the
+    bootstrap's own.
+    """
+    pillar_t, pillar_v = [0.0], [1.0]
+
+    def known_df(t, candidate_T, candidate_x):
+        if t <= pillar_t[-1]:
+            return _numpy_log_linear(pillar_t, pillar_v, t, "bootstrap")
+        w = (t - pillar_t[-1]) / (candidate_T - pillar_t[-1])
+        return math.exp(
+            (1.0 - w) * math.log(pillar_v[-1]) + w * math.log(candidate_x))
+
+    for T, rate in quotes:
+        times, accruals = _fixed_leg_schedule(T)
+        if not any(t > pillar_t[-1] for t in times[:-1]):
+            known = sum(a * known_df(t, T, 1.0)
+                        for t, a in zip(times[:-1], accruals[:-1]))
+            x = (1.0 - rate * known) / (1.0 + rate * accruals[-1])
+        else:
+            def par_residual(x):
+                fixed = sum(a * known_df(t, T, x)
+                            for t, a in zip(times, accruals))
+                return rate * fixed - (1.0 - x)
+
+            gap = T - pillar_t[-1]
+            x = _brentq(par_residual, pillar_v[-1] * math.exp(-RATE_BOUND * gap),
+                        pillar_v[-1] * math.exp(RATE_BOUND * gap),
+                        xtol=1e-16, rtol=8.9e-16)
+        if not x > 0.0:
+            raise CalibrationError(f"non-positive discount {x}")
+        pillar_t.append(T)
+        pillar_v.append(x)
+    return np.array(pillar_v)
+
+
+def _has_gap(maturities) -> bool:
+    """Some annual payment date falls strictly between two quotes."""
+    return any(math.floor(a) + 1 < b
+               for a, b in zip([0.0] + maturities, maturities))
+
+
+@st.composite
+def _gapped_ois_quotes(draw):
+    maturities = sorted(draw(st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 12.0,
+                         15.0, 20.0]),
+        min_size=2, max_size=8, unique=True).filter(_has_gap)))
+    rates = draw(st.lists(st.floats(-0.01, 0.08), min_size=len(maturities),
+                          max_size=len(maturities)))
+    return list(zip(maturities, rates))
+
+
+class TestGappedBootstrapBitForBit:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_gapped_ois_quotes())
+    @example([(1.0, 0.02), (3.0, 0.025), (4.0, 0.027), (7.0, 0.03),
+              (10.0, 0.031)])
+    def test_matches_array_formula(self, quotes):
+        try:
+            want = _numpy_bootstrap(quotes)
+        except CalibrationError:
+            # A steep quote set admits no pillar; both must refuse it.
+            with pytest.raises(CalibrationError):
+                bootstrap_discount_curve("USD", quotes)
+            return
+        curve = bootstrap_discount_curve("USD", quotes)
+        assert curve.values.tolist() == want.tolist()
+
+    def test_reaches_the_root_search(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return _brentq(*args, **kwargs)
+
+        monkeypatch.setattr(colmm.curves, "_brentq", counted)
+        quotes = [(1.0, 0.02), (3.0, 0.025), (4.0, 0.027), (7.0, 0.03),
+                  (10.0, 0.031)]
+        curve = bootstrap_discount_curve("USD", quotes)
+        assert len(calls) == 3                    # the 3y, 7y and 10y pillars
+        assert curve.values.tolist() == _numpy_bootstrap(quotes).tolist()
 
 
 def _random_bracketed(rng):

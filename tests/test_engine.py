@@ -1,6 +1,7 @@
 """Path generation, estimator mechanics, and martingale checks for the engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ class TestNdtri:
         assert _ndtri(np.array([0.5]))[0] == 0.0
         # Tails only: more tail elements than the default scratch holds.
         _assert_matches_scipy(u[[0, 1, 3, 4, 10, 11, 12]])
+
+
+    def test_extreme_words_give_finite_normals(self):
+        # Words through the engine's map (test_block_matches_pure_function
+        # pins _uniforms to it) and _ndtri.  The top 2^11 words round to
+        # the uniform 1.0, because 2^53 - 1/2 rounds to 2^53; they take the
+        # mirror of the smallest uniform's normal.
+        words = np.array([0, 2 ** 11 - 1, 2 ** 64 - 2 ** 11 - 1,
+                          2 ** 64 - 2 ** 11, 2 ** 64 - 1], dtype=np.uint64)
+        u = _uniforms(words)
+        assert u.tolist() == [2.0 ** -54, 2.0 ** -54, 1.0 - 2.0 ** -52,
+                              1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = _ndtri(u.copy())
+        assert np.all(np.isfinite(z))
+        assert z[0] == z[1] < 0.0 < z[2] < z[3] == z[4] == -z[0]
+        _assert_matches_scipy(u[:3])
 
 
 class TestPartition:

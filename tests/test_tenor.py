@@ -1,8 +1,10 @@
 """Grid mechanics: node bookkeeping and the q(t) interval index."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colmm import TenorStructure
 
@@ -75,3 +77,67 @@ class TestNodeIndex:
         assert not ts.is_node(0.25)
         with pytest.raises(ValueError):
             ts.node_index(0.25)
+
+
+def _numpy_q_index(nodes, t):
+    if t < 0.0 or t > nodes[-1]:
+        raise ValueError(f"time {t} outside the grid [0, {nodes[-1]}]")
+    return int(np.searchsorted(nodes, t, side="left"))
+
+
+def _numpy_node_index(nodes, t):
+    idx = np.searchsorted(nodes, t, side="left")
+    if idx == nodes.size or nodes[idx] != t:
+        raise ValueError(f"time {t} is not a tenor node")
+    return int(idx)
+
+
+def _numpy_is_node(nodes, t):
+    idx = np.searchsorted(nodes, t, side="left")
+    return bool(idx < nodes.size and nodes[idx] == t)
+
+
+def _same_result(got_fn, want_fn, t, kinds):
+    """Equal results of a type in `kinds`, or the same ValueError message."""
+    try:
+        want = want_fn(t)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            got_fn(t)
+        assert str(info.value) == str(exc)
+        return
+    got = got_fn(t)
+    assert type(got) in kinds and got == want, (t, got, want)
+
+
+class TestLookupsMatchNumpyFormula:
+    """Node lookups against np.searchsorted over the node array."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(1e-4, 3.0), min_size=1, max_size=40))
+    def test_node_lookups(self, deltas):
+        ts = TenorStructure(np.concatenate([[0.0], np.cumsum(deltas)]))
+        nodes = ts.nodes
+        times = [-math.inf, math.inf, -1e-300, np.nextafter(nodes[-1], 99.0),
+                 nodes[-1] + 1.0]
+        for a, b in zip(nodes, nodes[1:]):
+            times += [a, 0.5 * (a + b), np.nextafter(a, b), np.nextafter(b, a)]
+        times.append(nodes[-1])
+        for t in [float(t) for t in times] + [np.float64(t) for t in times]:
+            _same_result(ts.node_index, lambda t: _numpy_node_index(nodes, t),
+                         t, (int,))
+            _same_result(ts.is_node, lambda t: _numpy_is_node(nodes, t),
+                         t, (bool, np.bool_))
+            _same_result(ts.q_index, lambda t: _numpy_q_index(nodes, t),
+                         t, (int,))
+
+    def test_nan(self):
+        ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
+        assert not ts.is_node(math.nan)
+        with pytest.raises(ValueError, match="time nan is not a tenor node"):
+            ts.node_index(math.nan)
+        # NaN lies outside the grid, where np.searchsorted put it one past
+        # the last node.
+        with pytest.raises(ValueError,
+                           match=r"time nan outside the grid \[0, 1.0\]"):
+            ts.q_index(math.nan)
