@@ -68,15 +68,7 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write: {exc}", path)
 
 
-def _write_report(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(out_path, text)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -86,6 +78,29 @@ def _sim_config(args) -> SimulationConfig:
         return SimulationConfig(n_paths=args.paths, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc), "<flags>")
+
+
+def _write_job(args, base: str, cfg: SimulationConfig, body: dict,
+               csv_header: list, csv_rows, **config) -> None:
+    """Write a price or diagnose report (to stdout without --out) and CSV.
+
+    The report holds `body` under a job id that digests the input files and
+    the config, which is all that can change a number.
+    """
+    paths = {"curve_set": args.curveset, "vols": args.vols}
+    if "instruments" in args:
+        paths["instruments"] = args.instruments
+    inputs = {name: _file_digest(path) for name, path in paths.items()}
+    config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed, **config}
+    doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
+           "inputs": inputs, "config": config, **body}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _write_text(args.out, text)
+    if args.csv:
+        _write_csv(args.csv, csv_header, csv_rows)
 
 
 def cmd_bootstrap(args) -> int:
@@ -115,14 +130,6 @@ def _load_model_inputs(args):
     return ts, base, curves, vols
 
 
-def _check_node(ts, maturity: float, where: str) -> None:
-    try:
-        ts.node_index(maturity)
-    except ValueError:
-        raise InputError(f"{where}: maturity {maturity} is not a grid node",
-                         "<instruments>")
-
-
 # Overflow shows up as a non-finite result, which cmd_price rejects in one
 # line; numpy's warnings about it would only add lines of noise.
 @np.errstate(all="ignore")
@@ -135,37 +142,25 @@ def cmd_price(args) -> int:
     results = {}
     mc_payoffs = {}
     for inst in instruments:
-        entry = {"kind": inst.kind}
+        f = inst.fields
+        if not ts.is_node(f["maturity"]):
+            raise InputError(f"{inst.label}: maturity {f['maturity']} is not "
+                             f"a grid node", "<instruments>")
+        entry = results[inst.label] = {"kind": inst.kind, **f}
         if inst.kind == "zcb":
-            s = inst.spec
-            _check_node(ts, s["maturity"], inst.label)
-            entry.update(currency=s["currency"], collateral=s["collateral"],
-                         maturity=s["maturity"],
-                         price=collateralized_zcb(curves, s["currency"],
-                                                  s["collateral"], s["maturity"]))
+            entry["price"] = collateralized_zcb(curves, f["currency"],
+                                                f["collateral"], f["maturity"])
         elif inst.kind == "fx_forward":
-            s = inst.spec
-            _check_node(ts, s.maturity, inst.label)
-            entry.update(pay=s.pay, receive=s.receive, collateral=s.collateral,
-                         maturity=s.maturity, price=fx_forward(curves, s))
+            entry["price"] = fx_forward(curves, inst.spec)
         elif inst.kind == "fx_option":
-            s = inst.spec
-            _check_node(ts, s.maturity, inst.label)
-            entry.update(pay=s.pay, receive=s.receive, collateral=s.collateral,
-                         maturity=s.maturity, strike=s.strike,
-                         style="call" if s.is_call else "put",
-                         method=args.method)
+            entry["method"] = args.method
             if args.method in ("black", "both"):
-                entry["price"] = fx_option_black(curves, vols, ts, s)
+                entry["price"] = fx_option_black(curves, vols, ts, inst.spec)
             if args.method in ("mc", "both"):
-                mc_payoffs[inst.label] = fx_option_payoff(s)
+                mc_payoffs[inst.label] = fx_option_payoff(inst.spec)
         else:
-            s = inst.spec
-            _check_node(ts, s["maturity"], inst.label)
-            entry.update(currency=s["currency"], maturity=s["maturity"],
-                         price=equity_forward(curves, s["currency"],
-                                              s["maturity"]))
-        results[inst.label] = entry
+            entry["price"] = equity_forward(curves, f["currency"],
+                                            f["maturity"])
 
     # One path set for every MC option: normals are keyed by (seed, path,
     # step), so each estimate equals its own single-option run.
@@ -181,20 +176,12 @@ def cmd_price(args) -> int:
             if key in entry and not math.isfinite(entry[key]):
                 raise InputError(f"{label}: {key} is {entry[key]}, not finite")
 
-    inputs = {
-        "curve_set": _file_digest(args.curveset),
-        "vols": _file_digest(args.vols),
-        "instruments": _file_digest(args.instruments),
-    }
-    config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed,
-              "method": args.method}
-    doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
-           "inputs": inputs, "config": config, "results": results}
-    _write_report(doc, args.out)
-    if args.csv:
-        rows = [(label, r["kind"], r.get("price", ""), r.get("mc_mean", ""),
-                 r.get("mc_std_error", "")) for label, r in sorted(results.items())]
-        _write_csv(args.csv, ["label", "kind", "price", "mc_mean", "mc_se"], rows)
+    _write_job(args, base, cfg, {"results": results},
+               ["label", "kind", "price", "mc_mean", "mc_se"],
+               ((label, r["kind"], r.get("price", ""), r.get("mc_mean", ""),
+                 r.get("mc_std_error", ""))
+                for label, r in sorted(results.items())),
+               method=args.method)
     return 0
 
 
@@ -210,73 +197,57 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig,
     - equity: simulated forward at its maturity vs S(0) * D.
     """
     ts, curves, base = model.ts, model.curves, model.base
-    payoffs = {}
-    targets = {}
-    rows_meta = []
+    horizons = [float(T) for T in ts.nodes[1:]]
+    specs = {}  # row name -> (family, tag, T, payoff, target), in row order
 
-    def add(name, payoff, target):
-        payoffs[name] = payoff
-        targets[name] = target
+    def add(family, tag, T, payoff, target):
+        specs[f"{family} {tag} T={T:g}"] = (family, tag, T, payoff, target)
 
-    for ccy in curves.currencies:
-        disc = curves.discount_curve(ccy)
-        for n in range(1, ts.n_buckets + 1):
-            T = float(ts.nodes[n])
-            name = f"zcb {ccy} T={T:g}"
-            add(name, GridPayoff(lambda st: np.ones(st.n_paths), T, ccy, ccy),
-                disc.discount(T))
-            rows_meta.append((name, "zcb", ccy, T))
-
-    for ccy in curves.currencies:
-        if ccy == base:
-            continue
-        spread = curves.spread_curve(base, ccy, missing_ok=True)
-        disc = curves.discount_curve(base)
-        for n in range(1, ts.n_buckets + 1):
-            T = float(ts.nodes[n])
-            name = f"spread_zcb {base}/{ccy} T={T:g}"
-            add(name, GridPayoff(lambda st: np.ones(st.n_paths), T, base, ccy),
+    # A unit of `pay` margined in `collateral` vs D * Y; zcb rows have
+    # pay == collateral, so Y is the identity curve and D * 1.0 == D.
+    def unit_rows(family, tag, pay, collateral):
+        disc = curves.discount_curve(pay)
+        spread = curves.spread_curve(pay, collateral, missing_ok=True)
+        for T in horizons:
+            add(family, tag, T,
+                GridPayoff(lambda st: np.ones(st.n_paths), T, pay, collateral),
                 disc.discount(T) * spread.value(T))
-            rows_meta.append((name, "spread_zcb", f"{base}/{ccy}", T))
 
     for ccy in curves.currencies:
-        has_b = ccy in curves.fixings or ccy in model.vols.libor_ois
-        if not has_b:
+        unit_rows("zcb", ccy, ccy, ccy)
+    for ccy in curves.currencies:
+        if ccy != base:
+            unit_rows("spread_zcb", f"{base}/{ccy}", base, ccy)
+
+    for ccy in curves.currencies:
+        if ccy not in curves.fixings and ccy not in model.vols.libor_ois:
             continue
         disc = curves.discount_curve(ccy)
         fix = curves.fixings_for(ccy, ts.n_buckets)
-        for n in range(1, ts.n_buckets + 1):
-            T = float(ts.nodes[n])
-            name = f"libor_ois {ccy} T={T:g}"
-            add(name,
+        for n, T in enumerate(horizons, start=1):
+            add("libor_ois", ccy, T,
                 GridPayoff(lambda st, c=ccy, k=n: st.libor_ois(c, k), T, ccy, ccy),
                 fix.value(n - 1) * disc.discount(T))
-            rows_meta.append((name, "libor_ois", ccy, T))
 
     for ccy, eq in sorted(curves.equities.items()):
         disc = curves.discount_curve(ccy)
         _, mask = eq.grid_values(ts)
-        for n in range(1, ts.n_buckets + 1):
-            if not mask[n - 1]:
-                continue
-            T = float(ts.nodes[n])
-            name = f"equity {ccy} T={T:g}"
-            add(name,
-                GridPayoff(lambda st, c=ccy, t=T: st.equity_forward(c, t),
-                           T, ccy, ccy),
-                eq.value(T) * disc.discount(T))
-            rows_meta.append((name, "equity", ccy, T))
+        for T, covered in zip(horizons, mask):
+            if covered:
+                add("equity", ccy, T,
+                    GridPayoff(lambda st, c=ccy, t=T: st.equity_forward(c, t),
+                               T, ccy, ccy),
+                    eq.value(T) * disc.discount(T))
 
+    payoffs = {name: payoff for name, (*_, payoff, _) in specs.items()}
     estimates = simulate_many(model, cfg, payoffs,
                               half_variance_sign=half_variance_sign)
     rows = []
-    for name, family, tag, T in rows_meta:
+    for name, (family, tag, T, _, target) in specs.items():
         est = estimates[name]
-        target = targets[name]
-        z = est.z_score(target)
         rows.append({"asset": family, "tag": tag, "horizon": T,
                      "mean": est.mean, "target": target,
-                     "std_error": est.std_error, "z": z})
+                     "std_error": est.std_error, "z": est.z_score(target)})
     return rows
 
 
@@ -292,20 +263,14 @@ def cmd_diagnose(args) -> int:
 
     worst = max((abs(r["z"]) for r in rows), default=0.0)
     passed = bool(worst <= Z_LIMIT)
-    inputs = {"curve_set": _file_digest(args.curveset),
-              "vols": _file_digest(args.vols)}
-    config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed,
-              "corrupt_drift_c": bool(args.corrupt_drift_c)}
-    doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
-           "inputs": inputs, "config": config, "rows": rows,
-           "max_abs_z": worst, "passed": passed, "z_limit": Z_LIMIT}
-    _write_report(doc, args.out)
-    if args.csv:
-        _write_csv(args.csv,
-                   ["asset", "tag", "horizon", "mean", "target", "se", "z"],
-                   [(r["asset"], r["tag"], r["horizon"], repr(r["mean"]),
-                     repr(r["target"]), repr(r["std_error"]), repr(r["z"]))
-                    for r in rows])
+    _write_job(args, base, cfg,
+               {"rows": rows, "max_abs_z": worst, "passed": passed,
+                "z_limit": Z_LIMIT},
+               ["asset", "tag", "horizon", "mean", "target", "se", "z"],
+               ((r["asset"], r["tag"], r["horizon"], repr(r["mean"]),
+                 repr(r["target"]), repr(r["std_error"]), repr(r["z"]))
+                for r in rows),
+               corrupt_drift_c=bool(args.corrupt_drift_c))
     return 0 if passed else 4
 
 

@@ -71,9 +71,9 @@ from .tenor import TenorStructure
 class VolatilitySpec:
     """Deterministic factor loadings per currency, pair, and bucket.
 
-    Bucket-indexed entries accept shape (n_buckets, d) or a single (d,)
-    vector applied to every bucket; with d = 1 a scalar is also accepted.
-    Spot FX loadings are one (d,) vector per ordered pair.
+    Each of SECTIONS maps a currency, or in PAIR_SECTIONS an ordered pair,
+    to loadings of shape (n_buckets, d) or, for spot FX, (d,); a single (d,)
+    vector applies to every bucket and with d = 1 a scalar is also accepted.
 
     Missing entries mean zero loadings.  Reversed pairs default to the
     negated loading of the stored orientation: the spread of (j,i) is the
@@ -81,6 +81,9 @@ class VolatilitySpec:
     (i,j), so a single stored orientation keeps both directions coherent.
     Same-currency keys are rejected; those loadings are identically zero.
     """
+
+    SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
+    PAIR_SECTIONS = ("funding", "fx")
 
     n_factors: int
     n_buckets: int
@@ -95,48 +98,39 @@ class VolatilitySpec:
             raise ValueError("need at least one factor")
         if self.n_buckets < 1:
             raise ValueError("need at least one bucket")
-        for name in ("collateral", "libor_ois", "equity"):
-            d = getattr(self, name)
-            setattr(self, name, {k: self._bucket_matrix(v, f"{name}[{k}]")
-                                 for k, v in d.items()})
-        for pair in list(self.funding) + list(self.fx):
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                raise ValueError(f"pair keys must be (ccy, ccy) tuples, got {pair!r}")
-            if pair[0] == pair[1]:
-                raise ValueError(f"same-currency pair {pair} must be omitted (zero)")
-        self.funding = {k: self._bucket_matrix(v, f"funding[{k}]")
-                        for k, v in self.funding.items()}
-        self.fx = {k: self._vector(v, f"fx[{k}]") for k, v in self.fx.items()}
+        for name in self.SECTIONS:
+            table = getattr(self, name)
+            for key in table if name in self.PAIR_SECTIONS else ():
+                if not (isinstance(key, tuple) and len(key) == 2):
+                    raise ValueError(
+                        f"pair keys must be (ccy, ccy) tuples, got {key!r}")
+                if key[0] == key[1]:
+                    raise ValueError(
+                        f"same-currency pair {key} must be omitted (zero)")
+            setattr(self, name, {
+                k: self._loadings(v, f"{name}[{k}]", per_bucket=name != "fx")
+                for k, v in table.items()})
 
-    def _bucket_matrix(self, value, what: str) -> np.ndarray:
+    def _loadings(self, value, what: str, per_bucket: bool) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
         if arr.ndim == 0:
             if self.n_factors != 1:
                 raise ValueError(f"{what}: scalar loading needs n_factors=1")
             arr = arr.reshape(1)
-        if arr.ndim == 1:
-            if arr.size != self.n_factors:
+        if per_bucket:
+            if arr.ndim == 1:
+                if arr.size != self.n_factors:
+                    raise ValueError(
+                        f"{what}: expected {self.n_factors} factor loadings, "
+                        f"got {arr.size}"
+                    )
+                arr = np.tile(arr, (self.n_buckets, 1))
+            if arr.shape != (self.n_buckets, self.n_factors):
                 raise ValueError(
-                    f"{what}: expected {self.n_factors} factor loadings, "
-                    f"got {arr.size}"
+                    f"{what}: expected shape ({self.n_buckets},{self.n_factors}), "
+                    f"got {arr.shape}"
                 )
-            arr = np.tile(arr, (self.n_buckets, 1))
-        if arr.shape != (self.n_buckets, self.n_factors):
-            raise ValueError(
-                f"{what}: expected shape ({self.n_buckets},{self.n_factors}), "
-                f"got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{what}: loadings must be finite")
-        return arr.copy()
-
-    def _vector(self, value, what: str) -> np.ndarray:
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            if self.n_factors != 1:
-                raise ValueError(f"{what}: scalar loading needs n_factors=1")
-            arr = arr.reshape(1)
-        if arr.shape != (self.n_factors,):
+        elif arr.shape != (self.n_factors,):
             raise ValueError(
                 f"{what}: expected one vector of length {self.n_factors}, "
                 f"got shape {arr.shape}"
@@ -148,6 +142,15 @@ class VolatilitySpec:
     def _zero_matrix(self) -> np.ndarray:
         return np.zeros((self.n_buckets, self.n_factors))
 
+    @staticmethod
+    def _pair(section: dict, key: tuple, zero: np.ndarray) -> np.ndarray:
+        """The loading of `key`, minus that of the reversed key, or zero."""
+        if key in section:
+            return section[key]
+        if key[::-1] in section:
+            return -section[key[::-1]]
+        return zero
+
     def collateral_loadings(self, currency: str) -> np.ndarray:
         return self.collateral.get(currency, self._zero_matrix())
 
@@ -158,22 +161,11 @@ class VolatilitySpec:
         return self.equity.get(currency, self._zero_matrix())
 
     def funding_loadings(self, currency: str, collateral: str) -> np.ndarray:
-        if currency == collateral:
-            return self._zero_matrix()
-        if (currency, collateral) in self.funding:
-            return self.funding[(currency, collateral)]
-        if (collateral, currency) in self.funding:
-            return -self.funding[(collateral, currency)]
-        return self._zero_matrix()
+        return self._pair(self.funding, (currency, collateral),
+                          self._zero_matrix())
 
     def fx_loadings(self, currency: str, other: str) -> np.ndarray:
-        if currency == other:
-            return np.zeros(self.n_factors)
-        if (currency, other) in self.fx:
-            return self.fx[(currency, other)]
-        if (other, currency) in self.fx:
-            return -self.fx[(other, currency)]
-        return np.zeros(self.n_factors)
+        return self._pair(self.fx, (currency, other), np.zeros(self.n_factors))
 
 
 def quanto_adjustment(vols: VolatilitySpec, base: str, currency: str) -> np.ndarray:

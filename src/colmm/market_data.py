@@ -13,14 +13,19 @@ names the record type.  Lines that are blank or start with '#' are skipped.
   equity,USD,1.0,105.2              equity forward pillar
 
 All times are year fractions and every quoted maturity must sit on the
-declared grid.  A currency may be described by OIS quotes or by direct
-discount pillars, not both.  FX forwards must be collateralized in one of
-their own two currencies; a quote collateralized in the receive currency is
-folded into the reciprocal pair before bootstrapping, which is exact
-because common-collateral forwards of mirrored pairs are reciprocals.
+declared grid.  A file quotes each spot pair once, and each maturity once
+per currency (ois, discount, fixing, equity) or per pay, receive and
+collateral (fxforward); a repeat is rejected at its line.  A currency may
+be described by OIS quotes or by direct discount pillars, not both.  FX
+forwards must be collateralized in one of their own two currencies; a
+quote collateralized in the receive currency is folded into the reciprocal
+pair before bootstrapping, which is exact because common-collateral
+forwards of mirrored pairs are reciprocals.
 
 Curve sets, volatility configs, and instrument lists are JSON documents;
 ordered pair keys are written "PAY/COLLATERAL" (or "PAY/RECEIVE" for FX).
+A vol config's sections are VolatilitySpec.SECTIONS; an instrument list's
+kinds, with each kind's fields and their types, are _INSTRUMENT_FIELDS.
 """
 
 from __future__ import annotations
@@ -142,6 +147,16 @@ def parse_market_csv(path: str) -> MarketDataFile:
             raise InputError(f"{what}: {t} is not a grid node", path, lineno)
         return t
 
+    first_line = {}
+
+    def once(lineno: int, kind: str, *key) -> None:
+        """Reject a quote whose (currencies..., maturity) key is repeated."""
+        first = first_line.setdefault((kind, *key), lineno)
+        if first != lineno:
+            raise InputError(f"duplicate {kind} quote for {'/'.join(key[:-1])} "
+                             f"at T={key[-1]:g} (first on line {first})",
+                             path, lineno)
+
     md = MarketDataFile(path=path, ts=ts, base=base)
     for lineno, kind, f in records:
         if kind in ("grid", "base"):
@@ -156,6 +171,7 @@ def parse_market_csv(path: str) -> MarketDataFile:
             if T <= 0.0:
                 raise InputError("ois maturity must be positive", path, lineno)
             rate = _parse_float(f[2], path, lineno, "ois rate")
+            once(lineno, kind, ccy, T)
             md.ois.setdefault(ccy, []).append((T, rate))
         elif kind == "discount":
             ccy = f[0]
@@ -168,6 +184,7 @@ def parse_market_csv(path: str) -> MarketDataFile:
             if df <= 0.0:
                 raise InputError(f"discount factor must be positive, got {df}",
                                  path, lineno)
+            once(lineno, kind, ccy, T)
             md.discounts.setdefault(ccy, []).append((T, df))
         elif kind == "fixing":
             ccy = f[0]
@@ -177,6 +194,7 @@ def parse_market_csv(path: str) -> MarketDataFile:
                     f"fixing period starting at {T} has no end node", path, lineno
                 )
             value = _parse_float(f[2], path, lineno, "fixing value")
+            once(lineno, kind, ccy, T)
             md.fixings.setdefault(ccy, []).append((T, value))
         elif kind == "spot":
             pay, recv = f[0], f[1]
@@ -206,6 +224,7 @@ def parse_market_csv(path: str) -> MarketDataFile:
             if fwd <= 0.0:
                 raise InputError(f"forward rate must be positive, got {fwd}",
                                  path, lineno)
+            once(lineno, kind, pay, recv, coll, T)
             md.fx_forwards.setdefault((pay, recv, coll), []).append((T, fwd))
         elif kind == "equity":
             ccy = f[0]
@@ -214,6 +233,7 @@ def parse_market_csv(path: str) -> MarketDataFile:
             if fwd <= 0.0:
                 raise InputError(f"equity forward must be positive, got {fwd}",
                                  path, lineno)
+            once(lineno, kind, ccy, T)
             md.equities.setdefault(ccy, []).append((T, fwd))
 
     known = set(md.ois) | set(md.discounts)
@@ -438,10 +458,10 @@ def load_curve_set(path: str):
 def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> VolatilitySpec:
     """Assemble a VolatilitySpec from a JSON document.
 
-    Loadings may be a scalar (single factor only), one vector of length
-    n_factors applied to every bucket, or a full n_buckets x n_factors
-    matrix.  Currency-keyed sections: collateral, libor_ois, equity; pair
-    sections funding and fx use 'AAA/BBB' keys.
+    Besides `n_factors`, the document holds the sections that
+    VolatilitySpec.SECTIONS names, each a JSON object and each optional.
+    Keys are currencies, or 'AAA/BBB' pairs in VolatilitySpec.PAIR_SECTIONS
+    (funding, fx); the loadings' shapes are VolatilitySpec's.
     """
     if not isinstance(doc, dict):
         raise InputError("volatility config must be a JSON object", path)
@@ -455,30 +475,19 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
     if not 1 <= n_factors <= MAX_FACTORS:
         raise InputError(f"n_factors must be in [1, {MAX_FACTORS}], "
                          f"got {n_factors}", path)
-    known = {"n_factors", "collateral", "libor_ois", "equity", "funding", "fx"}
     for key in doc:
-        if key not in known:
+        if key != "n_factors" and key not in VolatilitySpec.SECTIONS:
             raise InputError(f"unknown volatility section {key!r}", path)
-    by_ccy = {
-        name: dict(_section(doc, name, path))
-        for name in ("collateral", "libor_ois", "equity")
-    }
-    by_pair = {}
-    for name in ("funding", "fx"):
-        by_pair[name] = {
-            _split_pair(key, path, name): value
-            for key, value in _section(doc, name, path).items()
-        }
+    sections = {}
+    for name in VolatilitySpec.SECTIONS:
+        section = _section(doc, name, path)
+        if name in VolatilitySpec.PAIR_SECTIONS:
+            section = {_split_pair(key, path, name): value
+                       for key, value in section.items()}
+        sections[name] = section
     try:
-        return VolatilitySpec(
-            n_factors=n_factors,
-            n_buckets=n_buckets,
-            collateral=by_ccy["collateral"],
-            libor_ois=by_ccy["libor_ois"],
-            equity=by_ccy["equity"],
-            funding=by_pair["funding"],
-            fx=by_pair["fx"],
-        )
+        return VolatilitySpec(n_factors=n_factors, n_buckets=n_buckets,
+                              **sections)
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc), path)
 
@@ -489,24 +498,40 @@ def load_vol_config(path: str, n_buckets: int) -> VolatilitySpec:
 
 # -- instrument lists --------------------------------------------------------
 
+def _style(value) -> str:
+    style = str(value).lower()
+    if style not in ("call", "put"):
+        raise ValueError(f"style must be call or put, got {style!r}")
+    return style
+
+
+# Each kind's fields and the type each is read as; the price report lists
+# them as read.  An option's style comes first, so that a bad style is
+# reported before a bad number.
 _INSTRUMENT_FIELDS = {
-    "zcb": ("currency", "collateral", "maturity"),
-    "fx_forward": ("pay", "receive", "collateral", "maturity"),
-    "fx_option": ("pay", "receive", "collateral", "maturity", "strike", "style"),
-    "equity_forward": ("currency", "maturity"),
+    "zcb": {"currency": str, "collateral": str, "maturity": float},
+    "fx_forward": {"pay": str, "receive": str, "collateral": str,
+                   "maturity": float},
+    "fx_option": {"style": _style, "pay": str, "receive": str,
+                  "collateral": str, "maturity": float, "strike": float},
+    "equity_forward": {"currency": str, "maturity": float},
 }
 
 
 @dataclass(frozen=True)
 class Instrument:
-    """One priced line item: a label, a kind tag, and the typed spec."""
+    """One priced line item: a label, a kind tag, its fields and typed spec."""
 
     label: str
     kind: str
-    spec: object
+    fields: dict   # the kind's fields as read
+    spec: object   # FxForwardSpec, FxOptionSpec, or `fields` for the others
 
 
 def parse_instruments(path: str) -> list:
+    """One Instrument per entry: a "type" from _INSTRUMENT_FIELDS, exactly
+    that kind's fields, and an optional unique "label" ("<index>_<type>").
+    """
     doc = _read_json(path)
     if not isinstance(doc, list) or not doc:
         raise InputError("instrument file must be a non-empty JSON array", path)
@@ -522,11 +547,11 @@ def parse_instruments(path: str) -> list:
                 f"{where}: unknown type {kind!r}, expected one of "
                 f"{sorted(_INSTRUMENT_FIELDS)}", path,
             )
-        required = _INSTRUMENT_FIELDS[kind]
-        for name in required:
+        readers = _INSTRUMENT_FIELDS[kind]
+        for name in readers:
             if name not in rec:
                 raise InputError(f"{where}: missing field {name!r}", path)
-        extra = set(rec) - set(required) - {"type", "label"}
+        extra = set(rec) - set(readers) - {"type", "label"}
         if extra:
             raise InputError(f"{where}: unexpected fields {sorted(extra)}", path)
         label = rec.get("label", f"{i:03d}_{kind}")
@@ -537,27 +562,15 @@ def parse_instruments(path: str) -> list:
             raise InputError(f"{where}: duplicate label {label!r}", path)
         seen.add(label)
         try:
-            if kind == "zcb":
-                spec = {"currency": str(rec["currency"]),
-                        "collateral": str(rec["collateral"]),
-                        "maturity": float(rec["maturity"])}
-            elif kind == "fx_forward":
-                spec = FxForwardSpec(str(rec["pay"]), str(rec["receive"]),
-                                     str(rec["collateral"]),
-                                     float(rec["maturity"]))
+            fields = spec = {name: read(rec[name])
+                             for name, read in readers.items()}
+            if kind == "fx_forward":
+                spec = FxForwardSpec(**fields)
             elif kind == "fx_option":
-                style = str(rec["style"]).lower()
-                if style not in ("call", "put"):
-                    raise ValueError(f"style must be call or put, got {style!r}")
-                spec = FxOptionSpec(str(rec["pay"]), str(rec["receive"]),
-                                    str(rec["collateral"]),
-                                    float(rec["maturity"]),
-                                    float(rec["strike"]),
-                                    is_call=style == "call")
-            else:
-                spec = {"currency": str(rec["currency"]),
-                        "maturity": float(rec["maturity"])}
+                spec = FxOptionSpec(fields["pay"], fields["receive"],
+                                    fields["collateral"], fields["maturity"],
+                                    fields["strike"], fields["style"] == "call")
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: {exc}", path)
-        out.append(Instrument(label=label, kind=kind, spec=spec))
+        out.append(Instrument(label=label, kind=kind, fields=fields, spec=spec))
     return out

@@ -1,5 +1,6 @@
 """End-to-end command line runs: bootstrap, price, diagnose, exit codes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -273,6 +274,65 @@ class TestPrice:
         assert "not a grid node" in capsys.readouterr().err
 
 
+    def test_base_ccy_changes_the_measure_not_the_prices(self, workdir,
+                                                           tmp_path, capsys):
+        # Black prices do not depend on the measure; MC means under EUR
+        # must still agree with them.
+        options = [
+            {"type": "fx_option", "pay": "USD", "receive": "EUR",
+             "collateral": "USD", "maturity": 2.0, "strike": 1.10,
+             "style": "call", "label": "c2"},
+            {"type": "fx_option", "pay": "USD", "receive": "EUR",
+             "collateral": "EUR", "maturity": 3.0, "strike": 1.12,
+             "style": "put", "label": "p3"},
+        ]
+        (tmp_path / "opts.json").write_text(json.dumps(options))
+        docs = {}
+        for base in ("USD", "EUR"):
+            out = tmp_path / f"{base}.json"
+            rc = main(["price", str(workdir / "curves.json"),
+                       "--vols", str(workdir / "vols.json"),
+                       "--instruments", str(tmp_path / "opts.json"),
+                       "--method", "both", "--paths", "8000",
+                       "--base-ccy", base, "--out", str(out)])
+            assert rc == 0
+            docs[base] = json.loads(out.read_text())
+        capsys.readouterr()
+        assert docs["EUR"]["config"]["base"] == "EUR"
+        for label, eur in docs["EUR"]["results"].items():
+            usd = docs["USD"]["results"][label]
+            assert eur["price"] == usd["price"]
+            assert eur["mc_mean"] != usd["mc_mean"]
+            assert abs(eur["mc_mean"] - eur["price"]) < 4.0 * eur["mc_std_error"]
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_unknown_base_ccy_is_2(self, workdir, capsys, command):
+        argv = [command, str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "4",
+                "--base-ccy", "JPY"]
+        if command == "price":
+            argv += ["--instruments", str(workdir / "instruments.json")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "'JPY'" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_report_on_stdout_is_the_out_file(self, workdir, tmp_path, capsys,
+                                              command):
+        argv = [command, str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "4000"]
+        if command == "price":
+            argv += ["--instruments", str(workdir / "instruments.json"),
+                     "--method", "both"]
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--out", str(out)])
+        assert capsys.readouterr().out == ""
+        assert main(argv) == rc == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 class TestDiagnose:
     def test_zero_vols_reproduce_curves_exactly(self, workdir, tmp_path,
                                                 capsys):
@@ -473,6 +533,23 @@ class TestExitCodes:
                    "--vols", str(workdir / "vols.json"), "--paths", "1"])
         assert rc == 2
         capsys.readouterr()
+
+
+def test_every_traced_layer_still_resolves(monkeypatch):
+    # The benchmark's tracer patches colmm by name; a renamed function would
+    # silently drop its layer from the traced metrics.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert set(tracer.absent) <= {"colmm.cli.fx_option_mc"}
 
 
 def test_import_loads_no_scipy_or_numpy_random():

@@ -80,6 +80,20 @@ class TestParseMarketCsv:
             parse_market_csv(path)
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize("line", [
+        "ois,USD,1,0.03",
+        "discount,EUR,1.0,0.95",
+        "fixing,USD,0.5,0.0099",
+        "fxforward,USD,EUR,USD,1.0,1.2",
+        "equity,USD,1.0,99.0",
+    ])
+    def test_rejects_a_repeated_quote_at_its_line(self, tmp_path, line):
+        path = write(tmp_path, GOOD + line + "\n")
+        with pytest.raises(InputError) as err:
+            parse_market_csv(path)
+        n_lines = GOOD.count("\n") + 1
+        assert f"{path}:{n_lines}: duplicate" in str(err.value)
+
     def test_error_carries_location(self, tmp_path):
         path = write(tmp_path, GOOD + "ois,USD,0.5,abc\n")
         with pytest.raises(InputError) as err:
