@@ -51,6 +51,8 @@ WORKERS_ENV_VAR = "COLMM_WORKERS"
 _EXACT_RTOL = 1e-12
 
 _MAX_SEED = 2 ** 64
+# The largest array numpy can size or index, in bytes.
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and the Weyl
 # increments that bump the key between rounds.
@@ -489,13 +491,20 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         node = model.ts.node_index(p.maturity)
         by_node.setdefault(node, []).append(name)
     n_last = max(by_node)
-    n_units = cfg.n_paths // 2
-    blocks = _partition(n_units, cfg.resolved_workers())
+    n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
     # shared read-only; each block allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model.ts, model.curves, model.vols, model.base,
                                1, half_variance_sign)
+    # No path array holds more float64 per path than the one-path state's
+    # W and accounts plus one per payoff; a count whose arrays numpy cannot
+    # size is out of memory before anything is allocated.
+    width = tables.w.size + tables.log_acc.size + len(payoffs)
+    if cfg.n_paths * width * 8 > _MAX_BYTES:
+        raise MemoryError(f"{cfg.n_paths} paths need more than "
+                          f"{_MAX_BYTES} bytes")
+    blocks = _partition(cfg.n_paths // 2, n_workers)
 
     def run(block):
         lo, hi = block

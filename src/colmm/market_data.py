@@ -13,10 +13,12 @@ names the record type.  Lines that are blank or start with '#' are skipped.
   equity,USD,1.0,105.2              equity forward pillar
 
 All times are year fractions and every quoted maturity must sit on the
-declared grid.  A file quotes each spot pair once, and each maturity once
-per currency (ois, discount, fixing, equity) or per pay, receive and
-collateral (fxforward); a repeat is rejected at its line.  A currency may
-be described by OIS quotes or by direct discount pillars, not both.  FX
+declared grid.  Maturities must be positive for ois and fxforward, and
+values for discount, spot, fxforward and equity (see _QUOTES).  A file
+quotes each spot pair once, and each maturity once per currency (ois,
+discount, fixing, equity) or per pay, receive and collateral
+(fxforward); a repeat is rejected at its line.  A currency may be
+described by OIS quotes or by direct discount pillars, not both.  FX
 forwards must be collateralized in one of their own two currencies; a
 quote collateralized in the receive currency is folded into the reciprocal
 pair before bootstrapping, which is exact because common-collateral
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,15 +59,41 @@ from .tenor import TenorStructure
 # simulation's arrays; it is bounded before anything is allocated from it.
 MAX_FACTORS = 64
 
+
+class _Quote(NamedTuple):
+    """A quote record kind: n_ccy currencies, a grid time unless `time` is
+    None, then a value; `time` and `value` name them in messages."""
+
+    table: str                  # the MarketDataFile table it fills
+    n_ccy: int                  # currencies that key a quote
+    time: str | None
+    value: str
+    positive_time: bool = False
+    positive_value: bool = False
+    unknown: str | None = None  # message for a currency with no curve
+
+
+# In the order the unknown-currency checks run.
+_QUOTES = {
+    "ois": _Quote("ois", 1, "ois maturity", "ois rate", positive_time=True),
+    "discount": _Quote("discounts", 1, "discount maturity", "discount factor",
+                       positive_value=True),
+    "fixing": _Quote("fixings", 1, "fixing period start", "fixing value",
+                     unknown="fixing for unknown currency"),
+    "spot": _Quote("spots", 2, None, "spot rate", positive_value=True,
+                   unknown="spot quote uses unknown currency"),
+    "fxforward": _Quote("fx_forwards", 3, "fxforward maturity", "forward rate",
+                        positive_time=True, positive_value=True,
+                        unknown="fxforward uses unknown currency"),
+    "equity": _Quote("equities", 1, "equity pillar maturity", "equity forward",
+                     positive_value=True,
+                     unknown="equity pillars for unknown currency"),
+}
+
 _RECORD_FIELDS = {
     "grid": None,  # variable length
     "base": 1,
-    "ois": 3,
-    "discount": 3,
-    "fixing": 3,
-    "spot": 3,
-    "fxforward": 5,
-    "equity": 3,
+    **{kind: q.n_ccy + (q.time is not None) + 1 for kind, q in _QUOTES.items()},
 }
 
 
@@ -87,7 +117,7 @@ def _parse_float(token: str, path: str, line: int, what: str) -> float:
         value = float(token)
     except ValueError:
         raise InputError(f"{what}: not a number: {token!r}", path, line)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputError(f"{what}: not finite: {token!r}", path, line)
     return value
 
@@ -141,118 +171,61 @@ def parse_market_csv(path: str) -> MarketDataFile:
                          path, base_recs[1][0] if base_recs else None)
     base = base_recs[0][1][0]
 
-    def grid_time(token: str, lineno: int, what: str) -> float:
-        t = _parse_float(token, path, lineno, what)
-        if not ts.is_node(t):
-            raise InputError(f"{what}: {t} is not a grid node", path, lineno)
-        return t
-
-    first_line = {}
-
-    def once(lineno: int, kind: str, *key) -> None:
-        """Reject a quote whose (currencies..., maturity) key is repeated."""
-        first = first_line.setdefault((kind, *key), lineno)
-        if first != lineno:
-            raise InputError(f"duplicate {kind} quote for {'/'.join(key[:-1])} "
-                             f"at T={key[-1]:g} (first on line {first})",
-                             path, lineno)
-
     md = MarketDataFile(path=path, ts=ts, base=base)
+    first_line = {}
     for lineno, kind, f in records:
-        if kind in ("grid", "base"):
+        quote = _QUOTES.get(kind)
+        if quote is None:  # grid or base
             continue
-        if kind == "ois":
-            ccy = f[0]
-            if ccy in md.discounts:
-                raise InputError(
-                    f"{ccy}: has both ois quotes and discount pillars", path, lineno
-                )
-            T = grid_time(f[1], lineno, "ois maturity")
-            if T <= 0.0:
-                raise InputError("ois maturity must be positive", path, lineno)
-            rate = _parse_float(f[2], path, lineno, "ois rate")
-            once(lineno, kind, ccy, T)
-            md.ois.setdefault(ccy, []).append((T, rate))
-        elif kind == "discount":
-            ccy = f[0]
-            if ccy in md.ois:
-                raise InputError(
-                    f"{ccy}: has both ois quotes and discount pillars", path, lineno
-                )
-            T = grid_time(f[1], lineno, "discount maturity")
-            df = _parse_float(f[2], path, lineno, "discount factor")
-            if df <= 0.0:
-                raise InputError(f"discount factor must be positive, got {df}",
+        ccys = tuple(f[:quote.n_ccy])
+        key = ccys if quote.n_ccy > 1 else ccys[0]
+        if kind in ("ois", "discount") and ccys[0] in (
+                md.discounts if kind == "ois" else md.ois):
+            raise InputError(f"{ccys[0]}: has both ois quotes and discount pillars",
+                             path, lineno)
+        if quote.n_ccy > 1 and ccys[0] == ccys[1]:
+            raise InputError(f"{kind} pair must use two currencies", path, lineno)
+        if kind == "spot" and (ccys in md.spots or ccys[::-1] in md.spots):
+            raise InputError(f"duplicate spot for {ccys[0]}/{ccys[1]}",
+                             path, lineno)
+        if kind == "fxforward" and ccys[2] not in ccys[:2]:
+            raise InputError(f"fxforward collateral {ccys[2]!r} must be "
+                             f"{ccys[0]!r} or {ccys[1]!r}", path, lineno)
+        if quote.time is not None:
+            T = _parse_float(f[quote.n_ccy], path, lineno, quote.time)
+            if not ts.is_node(T):
+                raise InputError(f"{quote.time}: {T} is not a grid node",
                                  path, lineno)
-            once(lineno, kind, ccy, T)
-            md.discounts.setdefault(ccy, []).append((T, df))
-        elif kind == "fixing":
-            ccy = f[0]
-            T = grid_time(f[1], lineno, "fixing period start")
-            if ts.node_index(T) >= ts.n_buckets:
-                raise InputError(
-                    f"fixing period starting at {T} has no end node", path, lineno
-                )
-            value = _parse_float(f[2], path, lineno, "fixing value")
-            once(lineno, kind, ccy, T)
-            md.fixings.setdefault(ccy, []).append((T, value))
-        elif kind == "spot":
-            pay, recv = f[0], f[1]
-            if pay == recv:
-                raise InputError("spot pair must use two currencies", path, lineno)
-            if (pay, recv) in md.spots or (recv, pay) in md.spots:
-                raise InputError(f"duplicate spot for {pay}/{recv}", path, lineno)
-            rate = _parse_float(f[2], path, lineno, "spot rate")
-            if rate <= 0.0:
-                raise InputError(f"spot rate must be positive, got {rate}",
+            if quote.positive_time and T <= 0.0:
+                raise InputError(f"{quote.time} must be positive", path, lineno)
+            if kind == "fixing" and ts.node_index(T) >= ts.n_buckets:
+                raise InputError(f"fixing period starting at {T} has no end node",
                                  path, lineno)
-            md.spots[(pay, recv)] = rate
-        elif kind == "fxforward":
-            pay, recv, coll = f[0], f[1], f[2]
-            if pay == recv:
-                raise InputError("fxforward pair must use two currencies",
-                                 path, lineno)
-            if coll not in (pay, recv):
-                raise InputError(
-                    f"fxforward collateral {coll!r} must be {pay!r} or {recv!r}",
-                    path, lineno,
-                )
-            T = grid_time(f[3], lineno, "fxforward maturity")
-            if T <= 0.0:
-                raise InputError("fxforward maturity must be positive", path, lineno)
-            fwd = _parse_float(f[4], path, lineno, "forward rate")
-            if fwd <= 0.0:
-                raise InputError(f"forward rate must be positive, got {fwd}",
-                                 path, lineno)
-            once(lineno, kind, pay, recv, coll, T)
-            md.fx_forwards.setdefault((pay, recv, coll), []).append((T, fwd))
-        elif kind == "equity":
-            ccy = f[0]
-            T = grid_time(f[1], lineno, "equity pillar maturity")
-            fwd = _parse_float(f[2], path, lineno, "equity forward")
-            if fwd <= 0.0:
-                raise InputError(f"equity forward must be positive, got {fwd}",
-                                 path, lineno)
-            once(lineno, kind, ccy, T)
-            md.equities.setdefault(ccy, []).append((T, fwd))
+        value = _parse_float(f[-1], path, lineno, quote.value)
+        if quote.positive_value and value <= 0.0:
+            raise InputError(f"{quote.value} must be positive, got {value}",
+                             path, lineno)
+        table = getattr(md, quote.table)
+        if quote.time is None:
+            table[key] = value
+            continue
+        # A (currencies..., maturity) key is quoted once.
+        first = first_line.setdefault((kind, *ccys, T), lineno)
+        if first != lineno:
+            raise InputError(f"duplicate {kind} quote for {'/'.join(ccys)} "
+                             f"at T={T:g} (first on line {first})", path, lineno)
+        table.setdefault(key, []).append((T, value))
 
     known = set(md.ois) | set(md.discounts)
     if base not in known:
         raise InputError(f"base currency {base!r} has no curve records", path)
-    for ccy in md.fixings:
-        if ccy not in known:
-            raise InputError(f"fixing for unknown currency {ccy!r}", path)
-    for pair in md.spots:
-        for ccy in pair:
-            if ccy not in known:
-                raise InputError(f"spot quote uses unknown currency {ccy!r}", path)
-    for key in md.fx_forwards:
-        for ccy in key[:2]:
-            if ccy not in known:
-                raise InputError(f"fxforward uses unknown currency {ccy!r}", path)
-    for ccy in md.equities:
-        if ccy not in known:
-            raise InputError(f"equity pillars for unknown currency {ccy!r}", path)
+    for quote in _QUOTES.values():
+        if quote.unknown is None:
+            continue
+        for key in getattr(md, quote.table):
+            for ccy in key if quote.n_ccy > 1 else (key,):
+                if ccy not in known:
+                    raise InputError(f"{quote.unknown} {ccy!r}", path)
     return md
 
 
@@ -359,27 +332,27 @@ def _section(doc: dict, name: str, path: str) -> dict:
     return value
 
 
+def _pillars(curve) -> dict:
+    return {"times": curve.times.tolist(), "values": curve.values.tolist()}
+
+
+def _read_pillars(cls, rec: dict, *names):
+    """A pillar curve from its {"times": ..., "values": ...} record."""
+    return cls(*names, np.array(rec["times"]), np.array(rec["values"]))
+
+
 def curve_set_document(ts: TenorStructure, base: str, curves: CurveSet) -> dict:
     """JSON-ready dict capturing the grid, base currency, and all pillars."""
-    doc = {
+    return {
         "grid": [float(t) for t in ts.nodes],
         "base": base,
-        "discounts": {
-            ccy: {"times": curve.times.tolist(), "values": curve.values.tolist()}
-            for ccy, curve in curves.discounts.items()
-        },
-        "spreads": {
-            _pair_key(pair): {"times": c.times.tolist(), "values": c.values.tolist()}
-            for pair, c in curves.spreads.items()
-        },
+        "discounts": {ccy: _pillars(c) for ccy, c in curves.discounts.items()},
+        "spreads": {_pair_key(pair): _pillars(c)
+                    for pair, c in curves.spreads.items()},
         "fixings": {ccy: f.values.tolist() for ccy, f in curves.fixings.items()},
         "spot_fx": {_pair_key(p): v for p, v in curves.spot_fx.items()},
-        "equities": {
-            ccy: {"times": c.times.tolist(), "values": c.values.tolist()}
-            for ccy, c in curves.equities.items()
-        },
+        "equities": {ccy: _pillars(c) for ccy, c in curves.equities.items()},
     }
-    return doc
 
 
 def save_curve_set(path: str, ts: TenorStructure, base: str,
@@ -414,15 +387,13 @@ def load_curve_set(path: str):
         if not isinstance(base, str):
             raise InputError(f"base must be a currency code, got {base!r}", path)
         discounts = {
-            ccy: DiscountCurve(ccy, np.array(rec["times"]), np.array(rec["values"]))
+            ccy: _read_pillars(DiscountCurve, rec, ccy)
             for ccy, rec in _section(doc, "discounts", path).items()
         }
         spreads = {}
         for key, rec in _section(doc, "spreads", path).items():
-            pay, coll = _split_pair(key, path, "spreads")
-            spreads[(pay, coll)] = SpreadCurve(
-                pay, coll, np.array(rec["times"]), np.array(rec["values"])
-            )
+            pair = _split_pair(key, path, "spreads")
+            spreads[pair] = _read_pillars(SpreadCurve, rec, *pair)
         fixings = {
             ccy: SpreadFixings(ccy, np.array(values))
             for ccy, values in _section(doc, "fixings", path).items()
@@ -436,8 +407,7 @@ def load_curve_set(path: str):
             for key, v in _section(doc, "spot_fx", path).items()
         }
         equities = {
-            ccy: EquityForwardCurve(ccy, np.array(rec["times"]),
-                                    np.array(rec["values"]))
+            ccy: _read_pillars(EquityForwardCurve, rec, ccy)
             for ccy, rec in _section(doc, "equities", path).items()
         }
         curves = CurveSet(discounts=discounts, spreads=spreads, fixings=fixings,
@@ -446,7 +416,7 @@ def load_curve_set(path: str):
         raise
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r}", path)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad curve data: {exc}", path)
     if base not in discounts:
         raise InputError(f"base currency {base!r} has no discount curve", path)
@@ -488,7 +458,7 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
     try:
         return VolatilitySpec(n_factors=n_factors, n_buckets=n_buckets,
                               **sections)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(str(exc), path)
 
 
@@ -570,7 +540,7 @@ def parse_instruments(path: str) -> list:
                 spec = FxOptionSpec(fields["pay"], fields["receive"],
                                     fields["collateral"], fields["maturity"],
                                     fields["strike"], fields["style"] == "call")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{where}: {exc}", path)
         out.append(Instrument(label=label, kind=kind, fields=fields, spec=spec))
     return out

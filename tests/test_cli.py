@@ -151,6 +151,19 @@ class TestBootstrap:
         np.testing.assert_allclose(y.values, 1.0, rtol=0, atol=1e-15)
 
 
+    def test_readme_market_file_bootstraps(self, tmp_path, capsys):
+        # The README's example market file must stay a valid input.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("A minimal two-currency file", 1)[1]
+        block = after.split("```\n", 2)[1]
+        (tmp_path / "m.csv").write_text(block)
+        rc = main(["bootstrap", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "c.json")])
+        captured = capsys.readouterr().out
+        assert rc == 0
+        assert float(captured.split("max |residual| =")[1].split()[0]) < 1e-12
+
+
 class TestPrice:
     def test_analytic_prices_match_library(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -533,6 +546,56 @@ class TestExitCodes:
                    "--vols", str(workdir / "vols.json"), "--paths", "1"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    @pytest.mark.parametrize("paths", [2 ** 62, 2 ** 64, 10 ** 23])
+    def test_unsizeable_paths_are_2(self, tmp_path, capsys, command, paths):
+        # Counts whose arrays numpy cannot size are rejected before any
+        # path array is allocated.
+        (tmp_path / "m.csv").write_text(
+            "grid,0,0.5,1.0\nbase,USD\nois,USD,0.5,0.02\nois,USD,1.0,0.021\n"
+            "ois,EUR,0.5,0.01\nois,EUR,1.0,0.011\nspot,USD,EUR,1.08\n")
+        (tmp_path / "v.json").write_text(json.dumps(
+            {"n_factors": 1, "fx": {"USD/EUR": [0.1]}}))
+        (tmp_path / "i.json").write_text(json.dumps(
+            [dict(INSTRUMENTS[3], maturity=1.0)]))
+        assert main(["bootstrap", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "c.json")]) == 0
+        capsys.readouterr()
+        argv = [command, str(tmp_path / "c.json"), "--vols",
+                str(tmp_path / "v.json"), "--paths", str(paths)]
+        if command == "price":
+            argv += ["--instruments", str(tmp_path / "i.json"),
+                     "--method", "mc"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"input error: out of memory: cannot allocate the "
+                       f"arrays for --paths {paths}\n")
+
+    @pytest.mark.parametrize("where", ["maturity", "collateral", "fx",
+                                       "spot_fx"])
+    def test_huge_json_integer_is_2(self, workdir, tmp_path, capsys, where):
+        huge = 10 ** 400
+        curves = json.loads((workdir / "curves.json").read_text())
+        vols = json.loads(json.dumps(VOLS))
+        instruments = json.loads(json.dumps(INSTRUMENTS))
+        if where == "maturity":
+            instruments[0]["maturity"] = huge
+        elif where == "spot_fx":
+            curves["spot_fx"]["USD/EUR"] = huge
+        else:
+            key = "USD" if where == "collateral" else "USD/EUR"
+            vols[where][key][0] = huge
+        for name, doc in [("c.json", curves), ("v.json", vols),
+                          ("i.json", instruments)]:
+            (tmp_path / name).write_text(json.dumps(doc))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(tmp_path / "i.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_every_traced_layer_still_resolves(monkeypatch):

@@ -73,6 +73,32 @@ class TestParseMarketCsv:
         (lambda t: t + "discount,EUR,0.5,-0.5\n", "positive"),
         (lambda t: t + "equity,JPY,0.5,100\n", "JPY"),
         (lambda t: t + "fixing,USD,1.0,0.001\n", "start"),
+        (lambda t: t + "ois,USD,0,0.02\n", "ois maturity must be positive"),
+        (lambda t: t + "fxforward,USD,EUR,USD,0,1.08\n",
+         "fxforward maturity must be positive"),
+        (lambda t: t + "discount,EUR,1.0,0\n",
+         "discount factor must be positive, got 0.0"),
+        (lambda t: t + "spot,USD,GBP,-1\n",
+         "spot rate must be positive, got -1.0"),
+        (lambda t: t + "fxforward,USD,EUR,EUR,1.0,-1.08\n",
+         "forward rate must be positive, got -1.08"),
+        (lambda t: t + "equity,EUR,1.0,-5\n",
+         "equity forward must be positive, got -5.0"),
+        (lambda t: t + "spot,EUR,EUR,1.0\n",
+         "spot pair must use two currencies"),
+        (lambda t: t + "fxforward,EUR,EUR,EUR,0.5,1.0\n",
+         "fxforward pair must use two currencies"),
+        (lambda t: t + "spot,EUR,USD,0.9259\n", "duplicate spot for EUR/USD"),
+        (lambda t: t.replace("ois,USD,0.5,0.02\nois,USD,1.0,0.021\n", ""),
+         "base currency 'USD' has no curve records"),
+        (lambda t: t + "fixing,JPY,0.5,0.001\n",
+         "fixing for unknown currency 'JPY'"),
+        (lambda t: t + "spot,JPY,USD,0.0067\n",
+         "spot quote uses unknown currency 'JPY'"),
+        (lambda t: t + "fxforward,USD,JPY,USD,0.5,150\n",
+         "fxforward uses unknown currency 'JPY'"),
+        (lambda t: t + "equity,JPY,0.5,100\n",
+         "equity pillars for unknown currency 'JPY'"),
     ])
     def test_rejects_bad_input(self, tmp_path, mangle, needle):
         path = write(tmp_path, mangle(GOOD))
