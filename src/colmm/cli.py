@@ -203,14 +203,14 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig,
     def add(family, tag, T, payoff, target):
         specs[f"{family} {tag} T={T:g}"] = (family, tag, T, payoff, target)
 
-    # A unit of `pay` margined in `collateral` vs D * Y; zcb rows have
-    # pay == collateral, so Y is the identity curve and D * 1.0 == D.
+    # A unit of `pay` margined in `collateral` (fn None: the deflator
+    # itself) vs D * Y; zcb rows have pay == collateral, so Y is the
+    # identity curve and D * 1.0 == D.
     def unit_rows(family, tag, pay, collateral):
         disc = curves.discount_curve(pay)
         spread = curves.spread_curve(pay, collateral, missing_ok=True)
         for T in horizons:
-            add(family, tag, T,
-                GridPayoff(lambda st: np.ones(st.n_paths), T, pay, collateral),
+            add(family, tag, T, GridPayoff(None, T, pay, collateral),
                 disc.discount(T) * spread.value(T))
 
     for ccy in curves.currencies:

@@ -44,7 +44,10 @@ c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
 accrues minus what the account of ccy accrues.  So spot FX is a read of
 the accounts and W, with no state of its own:
 X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy) + sigma_X . W(T_n)
-- 1/2 |sigma_X|^2 T_n), with L the log accounts.
+- 1/2 |sigma_X|^2 T_n), with L the log accounts.  So is the deflator of
+a cash flow in ccy margined in k, one over the base pair account of k
+converted to ccy: X(base,ccy)(T_n) / (X(0) exp(L(base,k))), one exp in
+which X(0) cancels (`PathState.deflator`).
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
 formula with the leading bracketed sum shifted by -sigma_X(base, currency);
@@ -450,7 +453,19 @@ class PathState:
             tab = self.tables[family, key]
         except KeyError:
             raise ConfigurationError(_NOT_SIMULATED[family].format(key))
-        cols = np.arange(lo, self.ts.n_buckets if hi is None else hi)
+        hi = self.ts.n_buckets if hi is None else hi
+        if hi == lo + 1:
+            # One bucket: one row of the tables and one (paths, d) @ (d,).
+            r = min(self.node, lo + tab.lag)
+            x = self.w[r] @ tab.sig[lo]
+            x += tab.drift[r, lo]
+            if tab.lognormal:
+                np.exp(x, out=x)
+                x *= tab.x0[lo]
+            else:
+                x += tab.x0[lo]
+            return x[:, None]
+        cols = np.arange(lo, hi)
         rows = np.minimum(self.node, cols + tab.lag)
         x = tab.drift[rows, cols] + np.einsum("mpd,md->pm", self.w[rows],
                                               tab.sig[cols])
@@ -472,33 +487,59 @@ class PathState:
             rates = rates + self.buckets("y", (currency, collateral), k, n)
         return np.exp(-(rates @ self.ts.deltas[k:n]))
 
+    def _log_account(self, currency: str, collateral: str) -> np.ndarray:
+        """Log of the account accruing c + y of the pair; of C if same ccy."""
+        same = currency == collateral
+        try:
+            return self.log_acc[:, self.columns[
+                currency if same else (currency, collateral)]]
+        except KeyError:
+            raise ConfigurationError(
+                f"currency {currency!r} is not simulated" if same
+                else f"pair account ({currency},{collateral}) is not simulated")
+
     def account(self, currency: str) -> np.ndarray:
         """Discrete collateral account C(t) at the current node."""
-        try:
-            return np.exp(self.log_acc[:, self.columns[currency]])
-        except KeyError:
-            raise ConfigurationError(f"currency {currency!r} is not simulated")
+        return np.exp(self._log_account(currency, currency))
 
     def pair_account(self, currency: str, collateral: str) -> np.ndarray:
         """Discrete account accruing c + y of the pair; C itself if same ccy."""
-        if currency == collateral:
-            return self.account(currency)
-        try:
-            return np.exp(self.log_acc[:, self.columns[currency, collateral]])
-        except KeyError:
-            raise ConfigurationError(
-                f"pair account ({currency},{collateral}) is not simulated"
-            )
+        return np.exp(self._log_account(currency, collateral))
+
+    def _log_fx_move(self, currency: str) -> np.ndarray:
+        """log X(base, currency) - log X(0) at the current node, a new array."""
+        sig = self.fx_legs[currency][1]
+        log_acc, col = self.log_acc, self.columns
+        carry = log_acc[:, col[self.base, currency]] - log_acc[:, col[currency]]
+        return (carry + self.w[self.node] @ sig
+                - 0.5 * float(sig @ sig) * self.time)
 
     def _fx_leg(self, currency: str):
         """X(base, currency) at the current node, read from the accounts."""
         if currency == self.base:
             return 1.0
-        x0, sig = self.fx_legs[currency]
-        log_acc, col = self.log_acc, self.columns
-        carry = log_acc[:, col[self.base, currency]] - log_acc[:, col[currency]]
-        return x0 * np.exp(carry + self.w[self.node] @ sig
-                           - 0.5 * float(sig @ sig) * self.time)
+        return self.fx_legs[currency][0] * np.exp(self._log_fx_move(currency))
+
+    def deflator(self, currency: str, collateral: str) -> np.ndarray:
+        """1 / numeraire of a cash flow in `currency` margined in `collateral`.
+
+        The numeraire is the base pair account of `collateral`, converted
+        to `currency` at simulated spot and times today's spot X(0), so
+        X(0) cancels: the deflator is one exp of L(base, currency) -
+        L(currency) + sigma_X . W(T_n) - 1/2 |sigma_X|^2 T_n - L(base pair),
+        and exp(-L(base pair)) for the base currency.
+        """
+        acc = self._log_account(self.base, collateral)
+        if currency == self.base:
+            log_d = np.negative(acc)
+        else:
+            try:
+                log_d = self._log_fx_move(currency)
+            except KeyError:
+                raise ConfigurationError(
+                    f"no simulated FX linking {self.base} and {currency}")
+            log_d -= acc
+        return np.exp(log_d, out=log_d)
 
     def fx_rate(self, currency: str, other: str) -> np.ndarray:
         """Spot FX path values: price of one unit of `other` in `currency`."""

@@ -25,6 +25,12 @@ the negated increments of p's stream.  The estimator averages pair means and
 its standard error is the sample stdev of the pair means over sqrt(pairs);
 the reported path count stays at the physical 2 * pairs.
 
+Settlement reads one deflator per (node, currency, collateral) from the
+log accounts and W (`PathState.deflator`); a payoff's pair means are its
+amounts times that deflator (a unit payoff, fn None, is the deflator
+itself), written into one (payoffs, pairs) array that the estimator
+reduces a few rows at a time.
+
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
 floating-point averaging of identical numbers.
@@ -66,6 +72,9 @@ _SHIFT11 = np.uint64(11)
 # Paths are generated in chunks of about this many 4-word blocks: the round
 # buffers then stay in cache and memory does not grow with the path count.
 _CHUNK_BLOCKS = 1 << 14
+
+# Estimator rows reduced at a time; see _estimates.
+_ESTIMATE_ROWS = 16
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
 # approximations, highest power first.
@@ -189,14 +198,17 @@ class PriceEstimate:
 class GridPayoff:
     """Payoff amount fixed at a grid node, in `currency`, margined in `collateral`.
 
-    fn maps the PathState at the maturity node to per-path amounts.  The
-    engine divides them by the numeraire in `currency`: the base pair
-    account accruing c + y of (base, collateral), converted at simulated
-    spot FX and times today's spot, so the estimate is in `currency`.
-    Payoffs sharing (node, currency, collateral) share one numeraire.
+    fn maps the PathState at the maturity node to per-path amounts, and
+    None means one unit of `currency`.  The engine multiplies the amounts
+    by `PathState.deflator(currency, collateral)`, one over the numeraire
+    in `currency`: the base pair account accruing c + y of (base,
+    collateral), converted at simulated spot FX and times today's spot, so
+    the estimate is in `currency`.  Payoffs sharing (node, currency,
+    collateral) share one deflator; a unit payoff's values are the
+    deflator itself.
     """
 
-    fn: Callable[[PathState], np.ndarray]
+    fn: Callable[[PathState], np.ndarray] | None
     maturity: float
     currency: str
     collateral: str
@@ -421,59 +433,81 @@ def _partition(n_units: int, n_workers: int) -> list[tuple[int, int]]:
 
 
 def _simulate_block(model: Model, cfg: SimulationConfig,
-                    payoffs: dict[str, GridPayoff], by_node: dict[int, list[str]],
+                    by_node: dict[int, dict[tuple[str, str], list]],
                     n_last: int, unit_lo: int, unit_hi: int,
-                    tables: PathState) -> dict[str, np.ndarray]:
-    """Evolve one block of paths; return per-unit estimator values by payoff.
+                    tables: PathState, values: np.ndarray) -> None:
+    """Evolve one block of paths; write its pair means to its columns.
 
-    A unit is a (path, mirror) pair and the returned values are pair
-    means, so concatenating block results in unit order is independent of
-    the partition.  The block's state shares the deterministic tables of
-    `tables`, and owns its W and accounts.
+    A unit is a (path, mirror) pair, and unit u of every payoff's row is
+    the pair's mean deflated value, so each block's columns
+    values[:, unit_lo:unit_hi] are the same for any partition.  Each
+    (node, currency, collateral) key reads one deflator.  The block's
+    state shares the deterministic tables of `tables`, and owns its W and
+    accounts.
     """
-    ts, vols, base = model.ts, model.vols, model.base
+    ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
     normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
     state = tables.fresh(n_phys)
+    cols = values[:, unit_lo:unit_hi]
+    deflated = np.empty(n_phys)
 
-    # Pair means, one row per payoff in one allocation (less heap churn).
-    out = dict(zip(payoffs, np.empty((len(payoffs), n_units))))
-    numeraires: dict[tuple[str, str], np.ndarray] = {}
+    def settle(node: int) -> None:
+        for key, rows in by_node.get(node, {}).items():
+            deflator = None
+            for row, name, fn in rows:
+                if fn is not None:
+                    amounts = np.asarray(fn(state), dtype=float)
+                    if amounts.shape != (n_phys,):
+                        raise ConfigurationError(
+                            f"payoff {name!r} returned shape {amounts.shape}, "
+                            f"expected ({n_phys},)"
+                        )
+                if deflator is None:
+                    deflator = state.deflator(*key)
+                x = (deflator if fn is None
+                     else np.multiply(amounts, deflator, out=deflated))
+                pair_mean = np.add(x[:n_units], x[n_units:], out=cols[row])
+                pair_mean *= 0.5
 
-    def settle(name: str) -> None:
-        p = payoffs[name]
-        amounts = np.asarray(p.fn(state), dtype=float)
-        if amounts.shape != (n_phys,):
-            raise ConfigurationError(
-                f"payoff {name!r} returned shape {amounts.shape}, "
-                f"expected ({n_phys},)"
-            )
-        key = p.currency, p.collateral
-        if key not in numeraires:
-            numeraires[key] = (state.pair_account(base, p.collateral)
-                               * model.curves.fx_rate(base, p.currency)
-                               / state.fx_rate(base, p.currency))
-        deflated = amounts / numeraires[key]
-        np.add(deflated[:n_units], deflated[n_units:], out=out[name])
-        out[name] *= 0.5
-
-    for name in by_node.get(0, []):
-        settle(name)
+    settle(0)
+    dw = np.empty((n_phys, vols.n_factors))    # each path's, then its mirror's
     for node in range(1, n_last + 1):
-        dw = np.sqrt(ts.deltas[node - 1]) * normals[:, node - 1]
-        evolve_step(state, np.concatenate([dw, -dw], axis=0))
-        numeraires.clear()
-        for name in by_node.get(node, []):
-            settle(name)
+        np.multiply(np.sqrt(ts.deltas[node - 1]), normals[:, node - 1],
+                    out=dw[:n_units])
+        np.negative(dw[:n_units], out=dw[n_units:])
+        evolve_step(state, dw)
+        settle(node)
+
+
+def _estimates(values: np.ndarray, n_paths: int,
+               currencies: list[str]) -> list[PriceEstimate]:
+    """One estimate per row of pair means; overwrites `values`.
+
+    Rows are reduced _ESTIMATE_ROWS at a time, with np.std's steps (mean,
+    deviations, squares, sum over n - 1, sqrt) done in place, so nothing
+    the size of the array is allocated.  Each row's mean and SE are bit
+    for bit np.mean and np.std(ddof=1) / sqrt(n) of that row alone.  A
+    row whose values are all equal is deterministic: its first value with
+    SE 0.0, and it takes no part in the reduction.
+    """
+    out = []
+    root_n = np.sqrt(values.shape[1])
+    for lo in range(0, len(values), _ESTIMATE_ROWS):
+        chunk = values[lo:lo + _ESTIMATE_ROWS]
+        live = chunk.min(axis=1) != chunk.max(axis=1)
+        means, ses = chunk[:, 0].copy(), np.zeros(len(chunk))
+        if live.any():
+            sub = chunk if live.all() else chunk[live]
+            mean = sub.mean(axis=1)
+            means[live] = mean
+            np.subtract(sub, mean[:, None], out=sub)
+            np.multiply(sub, sub, out=sub)
+            ses[live] = np.sqrt(sub.sum(axis=1) / (sub.shape[1] - 1)) / root_n
+        out += [PriceEstimate(float(m), float(se), n_paths, ccy)
+                for m, se, ccy in zip(means, ses, currencies[lo:])]
     return out
-
-
-def _estimate(values: np.ndarray, n_paths: int, currency: str) -> PriceEstimate:
-    if np.all(values == values[0]):
-        return PriceEstimate(float(values[0]), 0.0, n_paths, currency)
-    se = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    return PriceEstimate(float(np.mean(values)), se, n_paths, currency)
 
 
 def simulate_many(model: Model, cfg: SimulationConfig,
@@ -482,14 +516,17 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     """Estimate several payoffs from one shared set of paths.
 
     All payoffs ride the same scenarios, settling at their own maturity
-    nodes while the block evolves to the farthest one.
+    nodes while the block evolves to the farthest one.  Payoffs are
+    grouped by (node, currency, collateral) once, and every block writes
+    its pair means into one (payoffs, pairs) array, reduced at the end.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
-    by_node: dict[int, list[str]] = {}
-    for name, p in payoffs.items():
+    by_node: dict[int, dict[tuple[str, str], list]] = {}
+    for row, (name, p) in enumerate(payoffs.items()):
         node = model.ts.node_index(p.maturity)
-        by_node.setdefault(node, []).append(name)
+        by_node.setdefault(node, {}).setdefault(
+            (p.currency, p.collateral), []).append((row, name, p.fn))
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
@@ -504,24 +541,21 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     if cfg.n_paths * width * 8 > _MAX_BYTES:
         raise MemoryError(f"{cfg.n_paths} paths need more than "
                           f"{_MAX_BYTES} bytes")
+    values = np.empty((len(payoffs), cfg.n_paths // 2))
     blocks = _partition(cfg.n_paths // 2, n_workers)
 
     def run(block):
         lo, hi = block
-        return _simulate_block(model, cfg, payoffs, by_node, n_last, lo, hi,
-                               tables)
+        _simulate_block(model, cfg, by_node, n_last, lo, hi, tables, values)
 
     if len(blocks) == 1:
-        results = [run(blocks[0])]
+        run(blocks[0])
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(run, blocks))
+            list(pool.map(run, blocks))
 
-    merged = {}
-    for name, p in payoffs.items():
-        values = np.concatenate([r[name] for r in results])
-        merged[name] = _estimate(values, cfg.n_paths, p.currency)
-    return merged
+    return dict(zip(payoffs, _estimates(
+        values, cfg.n_paths, [p.currency for p in payoffs.values()])))
 
 
 def simulate(model: Model, cfg: SimulationConfig, payoff: GridPayoff,

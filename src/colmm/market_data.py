@@ -25,7 +25,8 @@ pair before bootstrapping, which is exact because common-collateral
 forwards of mirrored pairs are reciprocals.
 
 Curve sets, volatility configs, and instrument lists are JSON documents;
-ordered pair keys are written "PAY/COLLATERAL" (or "PAY/RECEIVE" for FX).
+ordered pair keys are written "PAY/COLLATERAL" (or "PAY/RECEIVE" for FX),
+and a JSON true or false is never read as a number.
 A vol config's sections are VolatilitySpec.SECTIONS; an instrument list's
 kinds, with each kind's fields and their types, are _INSTRUMENT_FIELDS.
 """
@@ -378,9 +379,30 @@ def _read_json(path: str):
         raise InputError(f"not valid JSON: {exc}", path)
 
 
+def _reject_bools(doc: dict, path: str) -> None:
+    """Refuse a JSON true or false anywhere in a document of numbers.
+
+    float(), int() and numpy would read them as 1 and 0.  The message
+    names the field by its keys, as in discounts.USD.values.
+    """
+    stack = [((), doc)]
+    while stack:
+        keys, node = stack.pop()
+        named = isinstance(node, dict)
+        for key, v in node.items() if named else enumerate(node):
+            where = (*keys, str(key)) if named else keys
+            if isinstance(v, bool):
+                raise InputError(f"{'.'.join(where)}: expected a number, "
+                                 f"got {json.dumps(v)}", path)
+            if isinstance(v, (dict, list)):
+                stack.append((where, v))
+
+
 def load_curve_set(path: str):
     """Read a curve-set file back; returns (ts, base, curves)."""
     doc = _read_json(path)
+    if isinstance(doc, dict):
+        _reject_bools({k: v for k, v in doc.items() if k != "base"}, path)
     try:
         ts = TenorStructure(np.array(doc["grid"], dtype=float))
         base = doc["base"]
@@ -435,6 +457,7 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
     """
     if not isinstance(doc, dict):
         raise InputError("volatility config must be a JSON object", path)
+    _reject_bools(doc, path)
     try:
         n_factors = int(doc["n_factors"])
     except KeyError:
@@ -471,20 +494,26 @@ def load_vol_config(path: str, n_buckets: int) -> VolatilitySpec:
 def _style(value) -> str:
     style = str(value).lower()
     if style not in ("call", "put"):
-        raise ValueError(f"style must be call or put, got {style!r}")
+        raise ValueError(f"must be call or put, got {style!r}")
     return style
+
+
+def _number(value) -> float:
+    if isinstance(value, bool):   # float() would read it as 1.0 or 0.0
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
 
 
 # Each kind's fields and the type each is read as; the price report lists
 # them as read.  An option's style comes first, so that a bad style is
 # reported before a bad number.
 _INSTRUMENT_FIELDS = {
-    "zcb": {"currency": str, "collateral": str, "maturity": float},
+    "zcb": {"currency": str, "collateral": str, "maturity": _number},
     "fx_forward": {"pay": str, "receive": str, "collateral": str,
-                   "maturity": float},
+                   "maturity": _number},
     "fx_option": {"style": _style, "pay": str, "receive": str,
-                  "collateral": str, "maturity": float, "strike": float},
-    "equity_forward": {"currency": str, "maturity": float},
+                  "collateral": str, "maturity": _number, "strike": _number},
+    "equity_forward": {"currency": str, "maturity": _number},
 }
 
 
@@ -531,9 +560,14 @@ def parse_instruments(path: str) -> list:
         if label in seen:
             raise InputError(f"{where}: duplicate label {label!r}", path)
         seen.add(label)
+        fields = {}
+        for name, read in readers.items():
+            try:
+                fields[name] = read(rec[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{where}: {name}: {exc}", path)
         try:
-            fields = spec = {name: read(rec[name])
-                             for name, read in readers.items()}
+            spec = fields
             if kind == "fx_forward":
                 spec = FxForwardSpec(**fields)
             elif kind == "fx_option":

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -596,6 +598,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("input error:") and err.count("\n") == 1
+
+    # float(), int() and numpy read true and false as 1 and 0; each of these
+    # edits would otherwise price silently (or fail naming another field).
+    @pytest.mark.parametrize("doc, where, value, field", [
+        ("i.json", (0, "maturity"), True, "maturity"),
+        ("i.json", (3, "strike"), True, "strike"),
+        ("v.json", ("n_factors",), True, "n_factors"),
+        ("v.json", ("collateral", "USD", 1), False, "collateral.USD"),
+        ("v.json", ("fx", "USD/EUR", 1), True, "fx.USD/EUR"),
+        ("c.json", ("grid", 0), False, "grid"),
+        ("c.json", ("discounts", "USD", "values", 0), True,
+         "discounts.USD.values"),
+        ("c.json", ("spreads", "EUR/USD", "times", 0), False,
+         "spreads.EUR/USD.times"),
+        ("c.json", ("spot_fx", "USD/EUR"), True, "spot_fx.USD/EUR"),
+        ("c.json", ("fixings", "USD", 0), False, "fixings.USD"),
+    ])
+    def test_json_boolean_number_is_2(self, workdir, tmp_path, capsys, doc,
+                                      where, value, field):
+        docs = {"c.json": json.loads((workdir / "curves.json").read_text()),
+                "v.json": json.loads(json.dumps(VOLS)),
+                "i.json": json.loads(json.dumps(INSTRUMENTS))}
+        *keys, last = where
+        reduce(getitem, keys, docs[doc])[last] = value
+        for name, content in docs.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(tmp_path / "i.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert f"{field}: expected a number, got {json.dumps(value)}" in err
 
 
 def test_every_traced_layer_still_resolves(monkeypatch):

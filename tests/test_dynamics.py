@@ -363,6 +363,24 @@ class TestEvolveStep:
         with pytest.raises(ValueError):
             evolve_step(st, np.zeros((2, 3)))
 
+    def test_single_bucket_read_matches_slice(self, ts4, eq_curves, full_vols):
+        # One bucket takes its own (paths, d) @ (d,) product, so it agrees
+        # with the batched read to roundoff, at every node and family.
+        rng = np.random.default_rng(2)
+        st = make_state(ts4, eq_curves, full_vols, n_paths=16)
+        keys = [("c", "USD"), ("c", "EUR"), ("y", ("EUR", "USD")),
+                ("b", "USD"), ("s", "USD")]
+        for node in range(5):
+            for family, key in keys:
+                whole = st.buckets(family, key)
+                for m in range(4):
+                    one = st.buckets(family, key, m, m + 1)
+                    assert one.shape == (16, 1)
+                    np.testing.assert_allclose(one, whole[:, m:m + 1],
+                                               rtol=1e-15, atol=1e-18)
+            if node < 4:
+                evolve_step(st, rng.normal(size=(16, 3)) * np.sqrt(0.5))
+
     def test_step_past_last_node_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
         for _ in range(4):
@@ -545,3 +563,72 @@ class TestRollover:
         st = self._node_state(ts4, eq_curves, full_vols)
         fwd = rollover_fx_forward(st, ("USD", "USD"), "EUR")
         assert fwd[0] == 1.0
+
+
+@pytest.fixture
+def three_ccy(ts4):
+    """USD base, EUR and GBP with funding spreads and spots, 3 factors."""
+    nodes = ts4.nodes
+    curves = CurveSet(
+        discounts={"USD": flat_curve("USD", 0.02, nodes),
+                   "EUR": flat_curve("EUR", 0.01, nodes),
+                   "GBP": flat_curve("GBP", 0.03, nodes)},
+        spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes),
+                 ("GBP", "USD"): flat_spread("GBP", "USD", -0.001, nodes),
+                 ("EUR", "GBP"): flat_spread("EUR", "GBP", 0.0015, nodes)},
+        spot_fx={("USD", "EUR"): 1.08, ("USD", "GBP"): 1.27},
+    )
+    vols = VolatilitySpec(
+        n_factors=3, n_buckets=4,
+        collateral={"USD": [0.01, 0.0, 0.002], "EUR": [0.003, 0.008, 0.0],
+                    "GBP": [0.0, 0.004, 0.009]},
+        funding={("EUR", "USD"): [0.0, 0.002, 0.003],
+                 ("USD", "GBP"): [0.001, 0.0, -0.002],
+                 ("EUR", "GBP"): [0.002, -0.001, 0.0]},
+        fx={("USD", "EUR"): [0.04, -0.08, 0.02],
+            ("USD", "GBP"): [-0.03, 0.05, 0.06]},
+    )
+    return curves, vols
+
+
+class TestDeflator:
+    CCYS = ("USD", "EUR", "GBP")
+
+    def test_matches_numeraire_formula(self, ts4, three_ccy):
+        # 1 / (base pair account of k, converted to c at simulated spot,
+        # times today's spot), for every (c, k), at every node.
+        curves, vols = three_ccy
+        rng = np.random.default_rng(8)
+        st = PathState.initial(ts4, curves, vols, "USD", 32)
+        for node in range(5):
+            for c in self.CCYS:
+                for k in self.CCYS:
+                    want = st.fx_rate("USD", c) / (
+                        st.pair_account("USD", k) * curves.fx_rate("USD", c))
+                    np.testing.assert_allclose(st.deflator(c, k), want,
+                                               rtol=1e-14, atol=0)
+            if node < 4:
+                evolve_step(st, rng.normal(size=(32, 3)) * np.sqrt(0.5))
+
+    def test_zero_vols_give_one_value_per_key(self, ts4, three_ccy):
+        curves, _ = three_ccy
+        st = PathState.initial(ts4, curves, VolatilitySpec(3, 4), "USD", 6)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            evolve_step(st, rng.normal(size=(6, 3)))
+            for c in self.CCYS:
+                for k in self.CCYS:
+                    d = st.deflator(c, k)
+                    assert np.all(d == d[0]), (c, k)
+
+    def test_unsimulated_key_has_todays_message(self, ts4, three_ccy):
+        curves, vols = three_ccy
+        st = PathState.initial(ts4, curves, vols, "USD", 2)
+        for key, today in [(("USD", "JPY"), lambda: st.pair_account("USD", "JPY")),
+                           (("EUR", "JPY"), lambda: st.pair_account("USD", "JPY")),
+                           (("JPY", "USD"), lambda: st.fx_rate("USD", "JPY"))]:
+            with pytest.raises(ConfigurationError) as want:
+                today()
+            with pytest.raises(ConfigurationError) as got:
+                st.deflator(*key)
+            assert str(got.value) == str(want.value), key

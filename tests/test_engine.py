@@ -1,6 +1,7 @@
 """Path generation, estimator mechanics, and martingale checks for the engine."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from colmm import (
     simulate,
     simulate_many,
 )
-from colmm.engine import WORKERS_ENV_VAR, _block_normals, _ndtri, _partition
+from colmm.engine import (WORKERS_ENV_VAR, _block_normals, _estimates, _ndtri,
+                          _partition)
 
 from conftest import flat_curve
 
@@ -210,6 +212,26 @@ class TestSimulationConfig:
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         with pytest.raises(ConfigurationError):
             SimulationConfig().resolved_workers()
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("pairs", [2, 7, 2_500, 8_193])
+    def test_rows_reduce_as_they_would_alone(self, pairs):
+        # Chunks of rows, with constant rows among them, give each row's own
+        # np.mean and np.std(ddof=1) / sqrt(n), bit for bit.
+        rng = np.random.default_rng(pairs)
+        values = (rng.standard_normal((37, pairs))
+                  * rng.uniform(1e-3, 1e2, (37, 1)) + rng.uniform(-5, 5, (37, 1)))
+        values[[3, 20, 36]] = [[1.25], [-0.0], [7.0]]
+        want = values.copy()
+        got = _estimates(values, 2 * pairs, ["EUR"] * 37)
+        for row, est in zip(want, got):
+            if np.all(row == row[0]):
+                assert (est.mean, est.std_error) == (row[0], 0.0)
+            else:
+                assert est.mean == np.mean(row)
+                assert est.std_error == np.std(row, ddof=1) / np.sqrt(pairs)
+            assert est.n_paths == 2 * pairs and est.currency == "EUR"
 
 
 class TestPriceEstimate:
@@ -427,6 +449,88 @@ class TestSimulate:
             single = simulate(model, cfg, payoff)
             assert joint[name].mean == single.mean, name
             assert joint[name].std_error == single.std_error, name
+
+    def test_key_estimate_ignores_its_neighbours(self, ts4, two_ccy_curves):
+        # One node shared by unit payoffs (fn None) of three keys, an
+        # fx_rate payoff on one of those keys and a libor_ois payoff on
+        # another: each estimate is bit for bit its payoff's own run.
+        from colmm import CurveSet, SpreadFixings
+        curves = CurveSet(discounts=two_ccy_curves.discounts,
+                          spreads=two_ccy_curves.spreads,
+                          spot_fx=two_ccy_curves.spot_fx,
+                          fixings={"USD": SpreadFixings("USD", np.full(4, 0.003))})
+        vols = VolatilitySpec(
+            n_factors=2, n_buckets=4,
+            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+            libor_ois={"USD": [0.1, 0.05]},
+            funding={("EUR", "USD"): [0.001, 0.002]},
+            fx={("USD", "EUR"): [0.05, -0.05]},
+        )
+        model = Model(ts4, curves, vols, "USD")
+        pays = {
+            "usd": GridPayoff(None, 1.5, "USD", "USD"),
+            "eur usd-coll": GridPayoff(None, 1.5, "EUR", "USD"),
+            "usd eur-coll": GridPayoff(None, 1.5, "USD", "EUR"),
+            "spot": GridPayoff(lambda st: st.fx_rate("USD", "EUR"),
+                               1.5, "USD", "USD"),
+            "libor": GridPayoff(lambda st: st.libor_ois("USD", 3),
+                                1.5, "USD", "EUR"),
+        }
+        for workers in (1, 3):
+            cfg = SimulationConfig(n_paths=1_002, seed=3, workers=workers)
+            joint = simulate_many(model, cfg, pays)
+            for name, payoff in pays.items():
+                single = simulate(model, cfg, payoff)
+                assert joint[name].std_error > 0.0, name
+                assert joint[name].mean == single.mean, (workers, name)
+                assert joint[name].std_error == single.std_error, (workers, name)
+                assert joint[name].currency == payoff.currency
+
+    def test_memory_is_the_estimator_array_plus_one_block(self):
+        # 320 payoffs over 10,000 paths on one worker, on a 10-bucket grid
+        # so that the (payoffs, pairs) array of pair means outweighs the
+        # block's normals and state.  Besides those three, only row- and
+        # chunk-sized temporaries may be allocated: a whole-array np.std
+        # adds one as large as the array, which takes the peak to about 1.5x.
+        from colmm import CurveSet
+        ts = TenorStructure(np.linspace(0.0, 2.5, 11))
+        ccys = ("USD", "EUR", "GBP")
+        curves = CurveSet(
+            discounts={c: flat_curve(c, r, ts.nodes)
+                       for c, r in zip(ccys, (0.02, 0.01, 0.03))},
+            spot_fx={("USD", "EUR"): 1.08, ("USD", "GBP"): 1.27})
+        vols = VolatilitySpec(
+            n_factors=3, n_buckets=10,
+            collateral={"USD": [0.01, 0.0, 0.0], "EUR": [0.0, 0.008, 0.0],
+                        "GBP": [0.0, 0.0, 0.009]},
+            fx={("USD", "EUR"): [0.05, -0.05, 0.0],
+                ("USD", "GBP"): [0.0, 0.04, 0.06]})
+        model = Model(ts, curves, vols, "USD")
+        pays = {}
+        for T in ts.nodes[1:]:
+            for c in ccys:
+                pays[f"{c} {T}"] = GridPayoff(None, T, c, c)
+            for c in ccys[1:]:
+                pays[f"USD/{c} {T}"] = GridPayoff(None, T, "USD", c)
+            for i in range(27):   # calls on EUR and GBP, some far out
+                c, k = ccys[1 + i % 2], 0.8 + 0.015 * i
+                pays[f"call {c} {k:.3f} {T}"] = GridPayoff(
+                    lambda st, c=c, k=k: np.maximum(
+                        st.fx_rate("USD", c) - k * curves.fx_rate("USD", c),
+                        0.0), T, "USD", "USD")
+        assert len(pays) == 320
+        n_paths, pairs, d = 10_000, 5_000, 3
+        estimator = 8 * len(pays) * pairs
+        normals = 8 * pairs * ts.n_buckets * d
+        state = 8 * n_paths * ((ts.n_buckets + 1) * d + 5)   # W, 5 accounts
+        cfg = SimulationConfig(n_paths=n_paths, seed=1, workers=1)
+        tracemalloc.start()
+        try:
+            simulate_many(model, cfg, pays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (estimator + normals + state)
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
