@@ -24,13 +24,18 @@ rather than silently interpolated.
 
 Pillar storage
 --------------
-Every curve keeps its pillars twice: as the public numpy arrays `times` and
+DiscountCurve, SpreadCurve and EquityForwardCurve share one pillar rule:
+positive values, log-linear between pillars, no extrapolation.  One store,
+_PillarCurve._store, checks the pillars, anchors discount and spread curves
+at (0, 1), and keeps them twice: as the public numpy arrays `times` and
 `values`, which dynamics and the curve-set writer read, and as private float
 lists `_t`, `_v` and `_logv` (the logs from one np.log over the pillar
 array), built once at construction.  Scalar lookups bisect the lists with
 plain float arithmetic, which gives the same bits as numpy's element-wise
 operations without numpy's per-call dispatch.  The lists do not follow a
 later reassignment of `times` or `values`; curves are not edited in place.
+Spread curves of pairs a CurveSet does not store (reversed and identity
+curves) are built on first use and kept in one memo on the CurveSet.
 """
 
 from __future__ import annotations
@@ -114,35 +119,6 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
     )
 
 
-def _as_pillars(times, values, what: str):
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise ValueError(f"{what}: times and values must be 1-d and equal length")
-    if t.size == 0:
-        raise ValueError(f"{what}: at least one pillar required")
-    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{what}: pillars must be finite")
-    if np.any(t < 0.0):
-        raise ValueError(f"{what}: pillar times must be non-negative")
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError(f"{what}: pillar times must be strictly increasing")
-    if np.any(v <= 0.0):
-        raise ValueError(f"{what}: pillar values must be strictly positive")
-    # Anchor the curve at (0, 1) so interpolation is defined from time zero.
-    if t[0] != 0.0:
-        t = np.concatenate([[0.0], t])
-        v = np.concatenate([[1.0], v])
-    elif v[0] != 1.0:
-        raise ValueError(f"{what}: value at time 0 must be 1, got {v[0]}")
-    return t, v
-
-
-def _pillar_lists(times: np.ndarray, values: np.ndarray):
-    """Float lists of the pillar times, values and their logs."""
-    return times.tolist(), values.tolist(), np.log(values).tolist()
-
-
 def _log_linear(times: list, values: list, log_values: list, T, what: str,
                 log: bool = False) -> float:
     """Interpolate log-linearly between pillars; exact (bit-for-bit) at them.
@@ -164,8 +140,41 @@ def _log_linear(times: list, values: list, log_values: list, T, what: str,
     return float(x) if log else math.exp(x)
 
 
+class _PillarCurve:
+    """Pillar validator and store of the discount, spread and equity curves."""
+
+    def _store(self, what: str, anchored: bool = True) -> None:
+        """Check and keep `times` and `values`; `anchored` starts at (0, 1)."""
+        t = np.asarray(self.times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise ValueError(f"{what}: times and values must be 1-d and equal length")
+        if t.size == 0:
+            raise ValueError(f"{what}: at least one pillar required")
+        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
+            raise ValueError(f"{what}: pillars must be finite")
+        if np.any(t < 0.0):
+            raise ValueError(f"{what}: pillar times must be non-negative")
+        if not np.all(np.diff(t) > 0.0):
+            raise ValueError(f"{what}: pillar times must be strictly increasing")
+        if np.any(v <= 0.0):
+            raise ValueError(f"{what}: pillar values must be strictly positive")
+        # Anchor the curve at (0, 1) so interpolation is defined from time zero.
+        if anchored and t[0] != 0.0:
+            t = np.concatenate([[0.0], t])
+            v = np.concatenate([[1.0], v])
+        elif anchored and v[0] != 1.0:
+            raise ValueError(f"{what}: value at time 0 must be 1, got {v[0]}")
+        self.times, self.values, self._what = t, v, what
+        self._t, self._v, self._logv = t.tolist(), v.tolist(), np.log(v).tolist()
+
+    @property
+    def last_pillar(self) -> float:
+        return self._t[-1]
+
+
 @dataclass
-class DiscountCurve:
+class DiscountCurve(_PillarCurve):
     """Collateralized zero-coupon bond prices D(0,T) for one currency."""
 
     currency: str
@@ -173,10 +182,7 @@ class DiscountCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        self._what = f"discount curve {self.currency}"
-        self.times, self.values = _as_pillars(self.times, self.values,
-                                              self._what)
-        self._t, self._v, self._logv = _pillar_lists(self.times, self.values)
+        self._store(f"discount curve {self.currency}")
 
     def discount(self, T: float) -> float:
         """D(0,T); exact at pillars, log-linear between them."""
@@ -186,13 +192,9 @@ class DiscountCurve:
         return _log_linear(self._t, self._v, self._logv, T, self._what,
                            log=True)
 
-    @property
-    def last_pillar(self) -> float:
-        return self._t[-1]
-
 
 @dataclass
-class SpreadCurve:
+class SpreadCurve(_PillarCurve):
     """Funding-spread factor Y(0,T) for the ordered pair (currency, collateral)."""
 
     currency: str
@@ -201,15 +203,10 @@ class SpreadCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        what = self._what = f"spread curve ({self.currency},{self.collateral})"
         if self.currency == self.collateral:
             # Same-currency spread is identically one regardless of input.
-            self.times = np.array([0.0])
-            self.values = np.array([1.0])
-        else:
-            self.times, self.values = _as_pillars(self.times, self.values, what)
-        self._t, self._v, self._logv = _pillar_lists(self.times, self.values)
-        self._reciprocal = None
+            self.times, self.values = np.array([0.0]), np.array([1.0])
+        self._store(f"spread curve ({self.currency},{self.collateral})")
 
     @classmethod
     def identity(cls, currency: str, collateral: str | None = None) -> "SpreadCurve":
@@ -226,13 +223,9 @@ class SpreadCurve:
 
         Forward spreads built from the reciprocal are the exact negatives of
         the original pair's, matching how reversed-pair vol loadings flip.
-        Built on the first call and kept: two threads racing here build
-        equal curves, so either may be kept.
         """
-        if self._reciprocal is None:
-            self._reciprocal = SpreadCurve(self.collateral, self.currency,
-                                           self.times.copy(), 1.0 / self.values)
-        return self._reciprocal
+        return SpreadCurve(self.collateral, self.currency, self.times.copy(),
+                           1.0 / self.values)
 
     def value(self, T: float) -> float:
         """Y(0,T); the single-anchor identity curve is 1 for every T."""
@@ -247,10 +240,6 @@ class SpreadCurve:
             return 0.0
         return _log_linear(self._t, self._v, self._logv, T, self._what,
                            log=True)
-
-    @property
-    def last_pillar(self) -> float:
-        return self._t[-1]
 
 
 @dataclass
@@ -279,7 +268,7 @@ class SpreadFixings:
 
 
 @dataclass
-class EquityForwardCurve:
+class EquityForwardCurve(_PillarCurve):
     """Equity forward pillars S(0,T); log-linear between pillars."""
 
     currency: str
@@ -287,17 +276,7 @@ class EquityForwardCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.shape != v.shape or t.size == 0:
-            raise ValueError("equity forward pillars must be 1-d and equal length")
-        if not np.all(np.diff(t) > 0.0) or np.any(t < 0.0):
-            raise ValueError("equity pillar times must be non-negative, increasing")
-        if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-            raise ValueError("equity forward pillars must be positive and finite")
-        self.times, self.values = t, v
-        self._t, self._v, self._logv = _pillar_lists(t, v)
-        self._what = f"equity curve {self.currency}"
+        self._store(f"equity curve {self.currency}", anchored=False)
 
     def value(self, T: float) -> float:
         return _log_linear(self._t, self._v, self._logv, T, self._what)
@@ -451,6 +430,34 @@ def bootstrap_spread_curve(spot_fx: float, fwd_quotes, domestic: DiscountCurve,
                        np.array(times), np.array(values))
 
 
+def pair_path(pairs, start: str, end: str, _seen=None):
+    """Steps (pair, +1 or -1) from `start` to `end` along the keys of `pairs`.
+
+    Step ((a, b), +1) goes from a to b and ((a, b), -1) from b to a.  The
+    pair itself or its reverse comes first; otherwise a depth-first search
+    over the keys in their order, visiting each currency once.  Returns []
+    when start == end and None when no chain of pairs links them.
+    """
+    if start == end:
+        return []
+    if (start, end) in pairs:
+        return [((start, end), 1)]
+    if (end, start) in pairs:
+        return [((end, start), -1)]
+    seen = set() if _seen is None else _seen
+    seen.add(start)
+    for a, b in pairs:
+        if a == start and b not in seen:
+            rest = pair_path(pairs, b, end, seen)
+            if rest is not None:
+                return [((a, b), 1), *rest]
+        elif b == start and a not in seen:
+            rest = pair_path(pairs, a, end, seen)
+            if rest is not None:
+                return [((a, b), -1), *rest]
+    return None
+
+
 @dataclass
 class CurveSet:
     """Everything known at time 0: discounts, spreads, fixings, spots, equity."""
@@ -462,8 +469,11 @@ class CurveSet:
     equities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # Identity curves handed out for same-currency and missing pairs.
-        self._identities = {}
+        # Pair -> (stored reverse curve or None, its reciprocal or the
+        # identity) for pairs not in `spreads`, built on first use.  The
+        # source is kept so that a later edit of `spreads` is seen.  Two
+        # threads racing here build equal curves, so either may be kept.
+        self._derived = {}
         for pair in self.spreads:
             if pair[0] == pair[1]:
                 raise ValueError(f"same-currency spread pair {pair} is implicit")
@@ -486,18 +496,19 @@ class CurveSet:
     def spread_curve(self, currency: str, collateral: str,
                      missing_ok: bool = False) -> SpreadCurve:
         pair = (currency, collateral)
-        if currency != collateral:
-            if pair in self.spreads:
-                return self.spreads[pair]
-            if (collateral, currency) in self.spreads:
-                return self.spreads[(collateral, currency)].reciprocal()
-            if not missing_ok:
-                raise ConfigurationError(
-                    f"no funding-spread curve for pair ({currency},{collateral})"
-                )
-        if pair not in self._identities:
-            self._identities[pair] = SpreadCurve.identity(currency, collateral)
-        return self._identities[pair]
+        stored = self.spreads.get(pair)
+        if stored is not None:
+            return stored
+        source = self.spreads.get((collateral, currency))
+        if source is None and currency != collateral and not missing_ok:
+            raise ConfigurationError(
+                f"no funding-spread curve for pair ({currency},{collateral})")
+        kept = self._derived.get(pair)
+        if kept is None or kept[0] is not source:
+            kept = self._derived[pair] = (
+                source, SpreadCurve.identity(currency, collateral)
+                if source is None else source.reciprocal())
+        return kept[1]
 
     def fixings_for(self, currency: str, n_periods: int) -> SpreadFixings:
         fx = self.fixings.get(currency)
@@ -505,29 +516,21 @@ class CurveSet:
             return SpreadFixings.zeros(currency, n_periods)
         return fx
 
-    def fx_rate(self, currency: str, other: str, _seen=None) -> float:
-        """Spot FX: price of one unit of `other` in units of `currency`."""
-        if currency == other:
-            return 1.0
-        if (currency, other) in self.spot_fx:
-            return self.spot_fx[(currency, other)]
-        if (other, currency) in self.spot_fx:
-            return 1.0 / self.spot_fx[(other, currency)]
-        # Triangulate through intermediate currencies, guarding against cycles.
-        seen = set() if _seen is None else _seen
-        seen.add(currency)
-        for (a, b), v in self.spot_fx.items():
-            if a == currency and b not in seen:
-                try:
-                    return v * self.fx_rate(b, other, seen)
-                except ConfigurationError:
-                    continue
-            if b == currency and a not in seen:
-                try:
-                    return self.fx_rate(a, other, seen) / v
-                except ConfigurationError:
-                    continue
-        raise ConfigurationError(f"no spot FX quote linking {currency} and {other}")
+    def fx_rate(self, currency: str, other: str) -> float:
+        """Spot FX: price of one unit of `other` in units of `currency`.
+
+        The quote, its reciprocal, or the product along the chain of quotes
+        that pair_path finds, multiplied from the far end.
+        """
+        path = pair_path(self.spot_fx, currency, other)
+        if path is None:
+            raise ConfigurationError(
+                f"no spot FX quote linking {currency} and {other}")
+        rate = 1.0
+        for pair, sign in reversed(path):
+            v = self.spot_fx[pair]
+            rate = v * rate if sign > 0 else rate / v
+        return rate
 
     def equity_curve(self, currency: str):
         return self.equities.get(currency)

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurveSet, forward_rates
+from .curves import CurveSet, forward_rates, pair_path
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -82,7 +82,10 @@ class VolatilitySpec:
     negated loading of the stored orientation: the spread of (j,i) is the
     negative of the spread of (i,j), and log FX of (j,i) is minus log FX of
     (i,j), so a single stored orientation keeps both directions coherent.
-    Same-currency keys are rejected; those loadings are identically zero.
+    Log FX also adds up along a chain, so an FX pair resolves through the
+    stored pairs as spot FX does (`curves.pair_path`): log X(i,k) =
+    log X(i,j) + log X(j,k).  Same-currency keys are rejected; those
+    loadings are identically zero.
     """
 
     SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
@@ -145,15 +148,6 @@ class VolatilitySpec:
     def _zero_matrix(self) -> np.ndarray:
         return np.zeros((self.n_buckets, self.n_factors))
 
-    @staticmethod
-    def _pair(section: dict, key: tuple, zero: np.ndarray) -> np.ndarray:
-        """The loading of `key`, minus that of the reversed key, or zero."""
-        if key in section:
-            return section[key]
-        if key[::-1] in section:
-            return -section[key[::-1]]
-        return zero
-
     def collateral_loadings(self, currency: str) -> np.ndarray:
         return self.collateral.get(currency, self._zero_matrix())
 
@@ -164,11 +158,17 @@ class VolatilitySpec:
         return self.equity.get(currency, self._zero_matrix())
 
     def funding_loadings(self, currency: str, collateral: str) -> np.ndarray:
-        return self._pair(self.funding, (currency, collateral),
-                          self._zero_matrix())
+        if (currency, collateral) in self.funding:
+            return self.funding[currency, collateral]
+        if (collateral, currency) in self.funding:
+            return -self.funding[collateral, currency]
+        return self._zero_matrix()
 
     def fx_loadings(self, currency: str, other: str) -> np.ndarray:
-        return self._pair(self.fx, (currency, other), np.zeros(self.n_factors))
+        """Loading of log X(currency, other): the sum along pair_path."""
+        steps = [self.fx[pair] if sign > 0 else -self.fx[pair]
+                 for pair, sign in pair_path(self.fx, currency, other) or ()]
+        return sum(steps[1:], steps[0]) if steps else np.zeros(self.n_factors)
 
 
 def quanto_adjustment(vols: VolatilitySpec, base: str, currency: str) -> np.ndarray:
@@ -380,11 +380,9 @@ class PathState:
                 funding_drift_vector(vols, ts, pay, col, base))
 
         for ccy in curves.discounts:
-            fix = curves.fixings.get(ccy)
-            has_vol = ccy in vols.libor_ois
-            if fix is None and not has_vol:
+            if ccy not in curves.fixings and ccy not in vols.libor_ois:
                 continue
-            values = fix.values if fix is not None else np.zeros(n)
+            values = curves.fixings_for(ccy, n).values
             if values.size != n:
                 raise ConfigurationError(
                     f"LIBOR-OIS fixings for {ccy} have {values.size} periods, "

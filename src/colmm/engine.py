@@ -131,6 +131,22 @@ class Model:
                 f"volatility spec has {self.vols.n_buckets} buckets, "
                 f"grid has {self.ts.n_buckets}"
             )
+        # A loading keyed to no curve would be ignored, not priced.  A
+        # funding pair's collateral currency may lack a curve.
+        vols, curves = self.vols, self.curves
+        keyed = [*(("collateral", c) for c in vols.collateral),
+                 *(("libor_ois", c) for c in vols.libor_ois),
+                 *(("fx", c) for pair in vols.fx for c in pair),
+                 *(("funding", pay) for pay, _ in vols.funding)]
+        for section, ccy in keyed:
+            if ccy not in curves.discounts:
+                raise ConfigurationError(
+                    f"vol config {section}: currency {ccy!r} has no "
+                    f"discount curve")
+        for ccy in vols.equity:
+            if ccy not in curves.equities:
+                raise ConfigurationError(
+                    f"vol config equity: currency {ccy!r} has no equity curve")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,20 @@ class TestBootstrap:
         captured = capsys.readouterr().out
         assert rc == 0
         assert float(captured.split("max |residual| =")[1].split()[0]) < 1e-12
+        # ... and so must its vol config and instrument list, priced on it.
+        for name, lead in [("v.json", "Volatility configs are JSON"),
+                           ("i.json", "Instruments are a JSON array")]:
+            after = readme.split(lead, 1)[1]
+            (tmp_path / name).write_text(after.split("```json\n", 1)[1]
+                                         .split("```", 1)[0])
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(tmp_path / "i.json"),
+                   "--method", "both", "--paths", "2000",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 0, capsys.readouterr().err
+        results = json.loads((tmp_path / "r.json").read_text())["results"]
+        assert len(results) == 4
 
 
 class TestPrice:
@@ -598,6 +613,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("input error:") and err.count("\n") == 1
+
+    # A loading keyed to a currency with no curve would price as zero vol.
+    @pytest.mark.parametrize("section, key, ccy, curve", [
+        ("collateral", "EUU", "EUU", "discount"),
+        ("libor_ois", "EUU", "EUU", "discount"),
+        ("fx", "USD/EUU", "EUU", "discount"),
+        ("fx", "EUU/EUR", "EUU", "discount"),
+        ("funding", "EUU/USD", "EUU", "discount"),
+        ("equity", "EUR", "EUR", "equity"),
+    ])
+    def test_vol_key_without_curve_is_2(self, workdir, tmp_path, capsys,
+                                        section, key, ccy, curve):
+        vols = json.loads(json.dumps(VOLS))
+        vols[section][key] = [0.01, 0.0, 0.0]
+        (tmp_path / "v.json").write_text(json.dumps(vols))
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: vol config {section}: currency {ccy!r} "
+            f"has no {curve} curve\n")
+
+    def test_infinite_equity_time_is_2(self, workdir, tmp_path, capsys):
+        # json reads Infinity; the equity curve must refuse it as the
+        # discount and spread curves do.
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["equities"]["USD"] = {"times": [0.5, math.inf],
+                                  "values": [102.0, 104.1]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert "Infinity" in (tmp_path / "c.json").read_text()
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "equity curve USD: pillars must be finite" in err
 
     # float(), int() and numpy read true and false as 1 and 0; each of these
     # edits would otherwise price silently (or fail naming another field).

@@ -1,6 +1,7 @@
 """Curve storage, interpolation, forward extraction, and bootstrapping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -514,6 +515,35 @@ class TestEquityForwardCurve:
         vals, mask = curve.grid_values(ts)
         assert mask.tolist() == [True, True, False]
         assert vals[0] == 102.0
+
+
+# One bad pillar set each: (times, values).
+_BAD_PILLARS = {
+    "nan time": ([0.5, math.nan], [0.99, 0.98]),
+    "infinite time": ([0.5, math.inf], [0.99, 0.98]),
+    "negative time": ([-0.5, 1.0], [0.99, 0.98]),
+    "non-increasing times": ([1.0, 0.5], [0.99, 0.98]),
+    "repeated time": ([0.5, 0.5], [0.99, 0.98]),
+    "zero value": ([0.5, 1.0], [0.99, 0.0]),
+    "negative value": ([0.5, 1.0], [0.99, -0.98]),
+    "shape mismatch": ([0.5, 1.0], [0.99, 0.98, 0.97]),
+    "no pillars": ([], []),
+}
+
+
+@pytest.mark.parametrize("times, values", _BAD_PILLARS.values(),
+                         ids=_BAD_PILLARS.keys())
+def test_every_pillar_curve_rejects_bad_pillars(times, values):
+    # Discount, spread and equity curves share one validator, and each
+    # names itself in the message.
+    for make, name in [
+        (lambda t, v: DiscountCurve("USD", t, v), "discount curve USD"),
+        (lambda t, v: SpreadCurve("EUR", "USD", t, v),
+         "spread curve (EUR,USD)"),
+        (lambda t, v: EquityForwardCurve("USD", t, v), "equity curve USD"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(name)):
+            make(np.array(times), np.array(values))
 
 
 class TestCurveSet:

@@ -63,6 +63,19 @@ class TestVolatilitySpec:
         assert v.fx_loadings("A", "A").tolist() == [0.0]
         assert v.funding_loadings("A", "A").tolist() == [[0.0], [0.0]]
 
+    def test_fx_loadings_chain_through_stored_pairs(self):
+        # log X(EUR,GBP) = log X(EUR,USD) + log X(USD,GBP), as spot FX
+        # triangulates; with no chain of stored pairs the loading is zero.
+        v = VolatilitySpec(n_factors=2, n_buckets=2,
+                           fx={("USD", "EUR"): [0.06, -0.03],
+                               ("USD", "GBP"): [0.02, 0.07]})
+        np.testing.assert_array_equal(
+            v.fx_loadings("EUR", "GBP"),
+            v.fx_loadings("USD", "GBP") - v.fx_loadings("USD", "EUR"))
+        np.testing.assert_array_equal(v.fx_loadings("GBP", "EUR"),
+                                      -v.fx_loadings("EUR", "GBP"))
+        assert not v.fx_loadings("EUR", "JPY").any()
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             VolatilitySpec(n_factors=2, n_buckets=3,

@@ -269,6 +269,57 @@ class TestFxOptionMc:
         assert abs(est.mean - ref) < 3.0 * est.std_error
 
 
+@pytest.fixture
+def cross_setup(ts4):
+    """USD, EUR and GBP with spot and FX vol stored against USD only.
+
+    No funding spreads or funding loadings, so every price is consistent
+    under any base currency.
+    """
+    nodes = ts4.nodes
+    curves = CurveSet(
+        discounts={"USD": flat_curve("USD", 0.02, nodes),
+                   "EUR": flat_curve("EUR", 0.01, nodes),
+                   "GBP": flat_curve("GBP", 0.03, nodes)},
+        spreads={(c, "USD"): flat_spread(c, "USD", 0.0, nodes)
+                 for c in ("EUR", "GBP")},
+        spot_fx={("USD", "EUR"): 1.1, ("USD", "GBP"): 1.3},
+    )
+    vols = VolatilitySpec(
+        n_factors=3, n_buckets=4,
+        collateral={"USD": [0.01, 0.0, 0.0], "EUR": [0.0, 0.008, 0.0],
+                    "GBP": [0.0, 0.0, 0.009]},
+        fx={("USD", "EUR"): [0.08, -0.05, 0.02],
+            ("USD", "GBP"): [-0.03, 0.06, 0.07]},
+    )
+    return curves, vols
+
+
+class TestCrossPairFx:
+    """FX vol of a pair with no stored orientation, through the stored ones."""
+
+    def test_black_matches_mc_on_a_cross_pair(self, ts4, cross_setup):
+        curves, vols = cross_setup
+        spec = FxOptionSpec("EUR", "GBP", "USD", 2.0,
+                            fx_forward(curves, FxForwardSpec(
+                                "EUR", "GBP", "USD", 2.0)))
+        ref = fx_option_black(curves, vols, ts4, spec)
+        est = fx_option_mc(Model(ts4, curves, vols, "USD"),
+                           SimulationConfig(n_paths=20_000, seed=5), spec)
+        assert abs(est.mean - ref) < 4.0 * est.std_error
+
+    def test_mc_price_does_not_depend_on_base(self, ts4, cross_setup):
+        curves, vols = cross_setup
+        spec = FxOptionSpec("USD", "GBP", "USD", 2.0,
+                            fx_forward(curves, FxForwardSpec(
+                                "USD", "GBP", "USD", 2.0)))
+        cfg = SimulationConfig(n_paths=20_000, seed=9)
+        usd = fx_option_mc(Model(ts4, curves, vols, "USD"), cfg, spec)
+        eur = fx_option_mc(Model(ts4, curves, vols, "EUR"), cfg, spec)
+        assert abs(usd.mean - eur.mean) < 4.0 * math.hypot(usd.std_error,
+                                                           eur.std_error)
+
+
 class TestEquityForward:
     def test_curve_lookup(self, ts4):
         eq = EquityForwardCurve("USD", np.array([0.5, 1.0]),
