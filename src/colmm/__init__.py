@@ -22,7 +22,6 @@ from .dynamics import (
     VolatilitySpec,
     evolve_step,
     quanto_adjustment,
-    rollover_fx_forward,
 )
 from .engine import (
     GridPayoff,
@@ -100,7 +99,6 @@ __all__ = [
     "parse_market_csv",
     "quanto_adjustment",
     "repricing_residuals",
-    "rollover_fx_forward",
     "save_curve_set",
     "simulate",
     "simulate_many",

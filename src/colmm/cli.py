@@ -18,7 +18,9 @@ a path count whose arrays cannot be allocated), 3 calibration failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -69,8 +71,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    # str() first: csv would write a numpy float through its repr.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([str(v) for v in row] for row in rows)
+    _write_text(path, buf.getvalue())
 
 
 def _sim_config(args) -> SimulationConfig:

@@ -116,6 +116,9 @@ class VolatilitySpec:
             setattr(self, name, {
                 k: self._loadings(v, f"{name}[{k}]", per_bucket=name != "fx")
                 for k, v in table.items()})
+        # One read-only zero matrix answers every missed lookup.
+        self._zero = np.zeros((self.n_buckets, self.n_factors))
+        self._zero.flags.writeable = False
 
     def _loadings(self, value, what: str, per_bucket: bool) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
@@ -145,24 +148,21 @@ class VolatilitySpec:
             raise ValueError(f"{what}: loadings must be finite")
         return arr.copy()
 
-    def _zero_matrix(self) -> np.ndarray:
-        return np.zeros((self.n_buckets, self.n_factors))
-
     def collateral_loadings(self, currency: str) -> np.ndarray:
-        return self.collateral.get(currency, self._zero_matrix())
+        return self.collateral.get(currency, self._zero)
 
     def libor_ois_loadings(self, currency: str) -> np.ndarray:
-        return self.libor_ois.get(currency, self._zero_matrix())
+        return self.libor_ois.get(currency, self._zero)
 
     def equity_loadings(self, currency: str) -> np.ndarray:
-        return self.equity.get(currency, self._zero_matrix())
+        return self.equity.get(currency, self._zero)
 
     def funding_loadings(self, currency: str, collateral: str) -> np.ndarray:
         if (currency, collateral) in self.funding:
             return self.funding[currency, collateral]
         if (collateral, currency) in self.funding:
             return -self.funding[collateral, currency]
-        return self._zero_matrix()
+        return self._zero
 
     def fx_loadings(self, currency: str, other: str) -> np.ndarray:
         """Loading of log X(currency, other): the sum along pair_path."""
@@ -452,22 +452,20 @@ class PathState:
         except KeyError:
             raise ConfigurationError(_NOT_SIMULATED[family].format(key))
         hi = self.ts.n_buckets if hi is None else hi
-        if hi == lo + 1:
-            # One bucket: one row of the tables and one (paths, d) @ (d,).
-            r = min(self.node, lo + tab.lag)
-            x = self.w[r] @ tab.sig[lo]
-            x += tab.drift[r, lo]
+        # Row m - lo is bucket m: one row of the tables and one (paths, d)
+        # @ (d,) product, so a wide read is the single-bucket reads bit for
+        # bit, and a single read copies nothing.
+        out = np.empty((max(hi - lo, 0), self.n_paths))
+        for x, m in zip(out, range(lo, hi)):
+            r = min(self.node, m + tab.lag)
+            np.matmul(self.w[r], tab.sig[m], out=x)
+            x += tab.drift[r, m]
             if tab.lognormal:
                 np.exp(x, out=x)
-                x *= tab.x0[lo]
+                x *= tab.x0[m]
             else:
-                x += tab.x0[lo]
-            return x[:, None]
-        cols = np.arange(lo, hi)
-        rows = np.minimum(self.node, cols + tab.lag)
-        x = tab.drift[rows, cols] + np.einsum("mpd,md->pm", self.w[rows],
-                                              tab.sig[cols])
-        return tab.x0[cols] * np.exp(x) if tab.lognormal else tab.x0[cols] + x
+                x += tab.x0[m]
+        return out.T
 
     def zcb(self, currency: str, maturity: float) -> np.ndarray:
         """D(t, T) reconstructed from live bucket rates at the current node."""
@@ -592,26 +590,3 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     state.node = k + 1
     return state
 
-
-def rollover_fx_forward(state: PathState, pair: tuple, collateral: str) -> np.ndarray:
-    """Forward FX for delivery at the next node, struck at the current one.
-
-    At node T_n this is spot * Ytilde_foreign / Ytilde_pay over the single
-    bucket n, with Ytilde(T_n, T_{n+1}) = exp(-delta_n (c_n + y_n)) built
-    from the rates fixed at T_n.  This is the per-period reset value of a
-    rolling FX forward collateralized in `collateral`.
-    """
-    pay, foreign = pair
-    n = state.node
-    if n >= state.ts.n_buckets:
-        raise ValueError("no next period at the final node")
-    d_n = state.ts.deltas[n]
-    spot = state.fx_rate(pay, foreign)
-
-    def accrual(ccy):
-        rate = state.buckets("c", ccy, n, n + 1)[:, 0]
-        if ccy == collateral:
-            return rate
-        return rate + state.buckets("y", (ccy, collateral), n, n + 1)[:, 0]
-
-    return spot * np.exp(-d_n * (accrual(foreign) - accrual(pay)))

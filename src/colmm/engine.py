@@ -153,7 +153,6 @@ class Model:
 class SimulationConfig:
     n_paths: int = 100_000
     seed: int = 42
-    workers: int | None = None
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -164,12 +163,8 @@ class SimulationConfig:
             )
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must fit in a uint64, got {self.seed}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {self.workers}")
 
     def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return self.workers
         raw = os.environ.get(WORKERS_ENV_VAR)
         if raw is None:
             return 1

@@ -459,12 +459,15 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
         raise InputError("volatility config must be a JSON object", path)
     _reject_bools(doc, path)
     try:
-        n_factors = int(doc["n_factors"])
+        n_factors = doc["n_factors"]
     except KeyError:
         raise InputError("missing field 'n_factors'", path)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"n_factors must be an integer, got {doc['n_factors']!r}",
+    # int() would truncate 1.7 and parse "3"; 3.0 is a JSON integer too.
+    if not (isinstance(n_factors, int)
+            or isinstance(n_factors, float) and n_factors.is_integer()):
+        raise InputError(f"n_factors must be an integer, got {n_factors!r}",
                          path)
+    n_factors = int(n_factors)
     if not 1 <= n_factors <= MAX_FACTORS:
         raise InputError(f"n_factors must be in [1, {MAX_FACTORS}], "
                          f"got {n_factors}", path)

@@ -180,12 +180,13 @@ def forward_fx_total_stdev(vols: VolatilitySpec, ts: TenorStructure,
     # suffix[a] = sum over buckets a..n-1; one row past the end stays zero
     suffix = np.zeros((n + 1, vols.n_factors))
     suffix[:n] = np.cumsum(weighted[::-1], axis=0)[::-1]
-    total = 0.0
-    for a in range(1, n + 1):
-        # rates fixed before interval a no longer load on its increment
-        vec = sig_x + suffix[a]
-        total += ts.deltas[a - 1] * float(vec @ vec)
-    return sqrt(total)
+    # Row a - 1 loads interval a: rates fixed before it no longer load.
+    # The stacked matmul takes one ddot per row and cumsum adds in order,
+    # so this is the per-interval loop bit for bit; einsum would not be.
+    vec = sig_x + suffix[1:]
+    squares = (vec[:, None, :] @ vec[:, :, None])[:, 0, 0]
+    variance = np.cumsum(ts.deltas[:n] * squares)
+    return sqrt(variance[-1]) if n else 0.0
 
 
 def fx_option_black(curves: CurveSet, vols: VolatilitySpec, ts: TenorStructure,

@@ -1,5 +1,6 @@
 """End-to-end command line runs: bootstrap, price, diagnose, exit codes."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -362,6 +363,24 @@ class TestPrice:
         assert main(argv) == rc == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    def test_csv_fields_are_quoted(self, workdir, tmp_path, capsys):
+        # A label holding the delimiter and the quote character reads back
+        # as one field.
+        insts = [dict(INSTRUMENTS[0], label='a,"b'), *INSTRUMENTS[1:]]
+        (tmp_path / "i.json").write_text(json.dumps(insts))
+        out = tmp_path / "prices.csv"
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(tmp_path / "i.json"),
+                   "--out", str(tmp_path / "report.json"), "--csv", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "kind", "price", "mc_mean", "mc_se"]
+        assert [len(r) for r in rows] == [5] * (1 + len(insts))
+        assert sorted(r[0] for r in rows[1:]) == sorted(i["label"] for i in insts)
+
 
 class TestDiagnose:
     def test_zero_vols_reproduce_curves_exactly(self, workdir, tmp_path,
@@ -435,6 +454,22 @@ class TestExitCodes:
                    "--vols", str(tmp_path / "v.json"), "--paths", "4"])
         assert rc == 2
         assert "n_factors" in capsys.readouterr().err
+
+    # int() would run 1.7 as one factor and read "3" as three.
+    @pytest.mark.parametrize("n_factors, code", [
+        (3, 0), (3.0, 0), (1.7, 2), (2.5, 2), ("3", 2)])
+    def test_n_factors_must_be_an_integer(self, workdir, tmp_path, capsys,
+                                          n_factors, code):
+        (tmp_path / "v.json").write_text(json.dumps({"n_factors": n_factors}))
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(workdir / "instruments.json"),
+                   "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == code
+        if code:
+            assert err.startswith("input error:") and err.count("\n") == 1
+            assert f"n_factors must be an integer, got {n_factors!r}" in err
 
     def test_wrong_vol_section_type_is_2(self, workdir, tmp_path, capsys):
         bad = dict(VOLS, collateral=[1, 2])

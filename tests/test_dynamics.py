@@ -14,7 +14,6 @@ from colmm import (
     VolatilitySpec,
     evolve_step,
     quanto_adjustment,
-    rollover_fx_forward,
 )
 from colmm.dynamics import (
     collateral_drift_vector,
@@ -45,6 +44,14 @@ class TestVolatilitySpec:
         assert not v.collateral_loadings("X").any()
         assert not v.funding_loadings("X", "Y").any()
         assert not v.fx_loadings("X", "Y").any()
+        # Every miss shares one read-only (N, d) zero matrix.
+        zero = v.collateral_loadings("X")
+        assert zero.shape == (3, 2)
+        for miss in (v.collateral_loadings("Y"), v.libor_ois_loadings("X"),
+                     v.equity_loadings("X"), v.funding_loadings("X", "Y")):
+            assert miss is zero
+        with pytest.raises(ValueError):
+            zero[0, 0] = 1.0
 
     def test_reversed_pair_negates(self):
         v = VolatilitySpec(n_factors=2, n_buckets=2,
@@ -377,20 +384,18 @@ class TestEvolveStep:
             evolve_step(st, np.zeros((2, 3)))
 
     def test_single_bucket_read_matches_slice(self, ts4, eq_curves, full_vols):
-        # One bucket takes its own (paths, d) @ (d,) product, so it agrees
-        # with the batched read to roundoff, at every node and family.
+        # Every read is one (paths, d) @ (d,) product per bucket, so a
+        # whole-curve read is the single-bucket reads bit for bit, at every
+        # node and for every simulated curve.
         rng = np.random.default_rng(2)
         st = make_state(ts4, eq_curves, full_vols, n_paths=16)
-        keys = [("c", "USD"), ("c", "EUR"), ("y", ("EUR", "USD")),
-                ("b", "USD"), ("s", "USD")]
         for node in range(5):
-            for family, key in keys:
+            for family, key in st.tables:
                 whole = st.buckets(family, key)
                 for m in range(4):
                     one = st.buckets(family, key, m, m + 1)
                     assert one.shape == (16, 1)
-                    np.testing.assert_allclose(one, whole[:, m:m + 1],
-                                               rtol=1e-15, atol=1e-18)
+                    assert (one == whole[:, m:m + 1]).all(), (node, key, m)
             if node < 4:
                 evolve_step(st, rng.normal(size=(16, 3)) * np.sqrt(0.5))
 
@@ -540,6 +545,19 @@ class TestAgainstEulerOracle:
             st.fx_rate("JPY", "EUR")
 
 
+def rolling_fx_forward(st, pay, foreign, collateral):
+    """FX forward for delivery at the next node, struck at the current one.
+
+    Spot times the one-bucket Ytilde of the foreign leg over that of the
+    pay leg, with Ytilde(T_n, T_{n+1}) = exp(-delta_n (c_n + y_n)) from
+    the rates fixed at T_n: the per-period reset value of a rolling FX
+    forward collateralized in `collateral`.
+    """
+    t_next = st.ts.nodes[st.node + 1]
+    return (st.fx_rate(pay, foreign) * st.spread_zcb(foreign, collateral, t_next)
+            / st.spread_zcb(pay, collateral, t_next))
+
+
 class TestRollover:
     def _node_state(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
@@ -555,7 +573,7 @@ class TestRollover:
                       spot_fx={("USD", "EUR"): 100.0})
         st = PathState.initial(ts4, cs, v0, "USD", 1)
         evolve_step(st, np.zeros((1, 1)))
-        fwd = rollover_fx_forward(st, ("USD", "EUR"), "EUR")
+        fwd = rolling_fx_forward(st, "USD", "EUR", "EUR")
         spot = st.fx_rate("USD", "EUR")[0]
         c_i = st.buckets("c", "USD")[0, 1]
         c_j = st.buckets("c", "EUR")[0, 1]
@@ -568,13 +586,13 @@ class TestRollover:
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
         st = PathState.initial(ts4, eq_curves, v0, "USD", 1)
         evolve_step(st, np.zeros((1, 1)))
-        fwd = rollover_fx_forward(st, ("USD", "EUR"), "USD")
+        fwd = rolling_fx_forward(st, "USD", "EUR", "USD")
         spot = st.fx_rate("USD", "EUR")[0]
         assert fwd[0] == pytest.approx(spot * np.exp(0.004), rel=1e-14)
 
     def test_same_currency_is_one(self, ts4, eq_curves, full_vols):
         st = self._node_state(ts4, eq_curves, full_vols)
-        fwd = rollover_fx_forward(st, ("USD", "USD"), "EUR")
+        fwd = rolling_fx_forward(st, "USD", "USD", "EUR")
         assert fwd[0] == 1.0
 
 

@@ -197,15 +197,12 @@ class TestSimulationConfig:
             SimulationConfig(seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(seed=2 ** 64)
-        with pytest.raises(ValueError):
-            SimulationConfig(workers=0)
 
     def test_workers_from_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert SimulationConfig().resolved_workers() == 1
         monkeypatch.setenv(WORKERS_ENV_VAR, "6")
         assert SimulationConfig().resolved_workers() == 6
-        assert SimulationConfig(workers=2).resolved_workers() == 2
         monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
         with pytest.raises(ConfigurationError):
             SimulationConfig().resolved_workers()
@@ -346,7 +343,8 @@ class TestSimulate:
         assert np.allclose(center, center[0], rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_increments_are_one_keyed_normal_per_interval(self, workers):
+    def test_increments_are_one_keyed_normal_per_interval(self, workers,
+                                                          monkeypatch):
         # Uneven intervals, so a delta read one interval off shows.
         ts = TenorStructure(np.array([0.0, 0.25, 1.0, 1.5, 3.0]))
         from colmm import CurveSet
@@ -363,8 +361,8 @@ class TestSimulate:
 
         payoff = GridPayoff(fn=grab, maturity=3.0, currency="USD",
                             collateral="USD")
-        simulate(model, SimulationConfig(n_paths=2 * pairs, seed=seed,
-                                         workers=workers), payoff)
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+        simulate(model, SimulationConfig(n_paths=2 * pairs, seed=seed), payoff)
         expect = np.array([[np.sqrt(ts.deltas[k])
                             * gaussian_increments(seed, p, k, 3)
                             for k in range(ts.n_buckets)]
@@ -387,13 +385,14 @@ class TestSimulate:
         hi = simulate(one_ccy_model, SimulationConfig(n_paths=40_000), pay)
         assert lo.std_error / hi.std_error == pytest.approx(2.0, rel=0.25)
 
-    def test_worker_count_does_not_change_numbers(self, one_ccy_model):
+    def test_worker_count_does_not_change_numbers(self, one_ccy_model,
+                                                  monkeypatch):
         pay = unit_zcb(3.5)
-        base = simulate(one_ccy_model,
-                        SimulationConfig(n_paths=4_000, workers=1), pay)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        base = simulate(one_ccy_model, SimulationConfig(n_paths=4_000), pay)
         for w in (2, 3, 8):
-            est = simulate(one_ccy_model,
-                           SimulationConfig(n_paths=4_000, workers=w), pay)
+            monkeypatch.setenv(WORKERS_ENV_VAR, str(w))
+            est = simulate(one_ccy_model, SimulationConfig(n_paths=4_000), pay)
             assert est.mean == base.mean
             assert est.std_error == base.std_error
 
@@ -406,8 +405,8 @@ class TestSimulate:
             lambda cls, *a: made.append(initial(cls, *a)) or made[-1]))
         monkeypatch.setattr(PathState, "fresh", lambda self, n: states.append(
             fresh(self, n)) or states[-1])
-        simulate(one_ccy_model, SimulationConfig(n_paths=4_000, workers=3),
-                 unit_zcb(3.5))
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        simulate(one_ccy_model, SimulationConfig(n_paths=4_000), unit_zcb(3.5))
         assert len(made) == 1 and len(states) == 3
         assert sorted(st.n_paths for st in states) == [1332, 1334, 1334]
         for st in states:
@@ -450,7 +449,8 @@ class TestSimulate:
             assert joint[name].mean == single.mean, name
             assert joint[name].std_error == single.std_error, name
 
-    def test_key_estimate_ignores_its_neighbours(self, ts4, two_ccy_curves):
+    def test_key_estimate_ignores_its_neighbours(self, ts4, two_ccy_curves,
+                                                 monkeypatch):
         # One node shared by unit payoffs (fn None) of three keys, an
         # fx_rate payoff on one of those keys and a libor_ois payoff on
         # another: each estimate is bit for bit its payoff's own run.
@@ -476,8 +476,9 @@ class TestSimulate:
             "libor": GridPayoff(lambda st: st.libor_ois("USD", 3),
                                 1.5, "USD", "EUR"),
         }
+        cfg = SimulationConfig(n_paths=1_002, seed=3)
         for workers in (1, 3):
-            cfg = SimulationConfig(n_paths=1_002, seed=3, workers=workers)
+            monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
             joint = simulate_many(model, cfg, pays)
             for name, payoff in pays.items():
                 single = simulate(model, cfg, payoff)
@@ -486,7 +487,7 @@ class TestSimulate:
                 assert joint[name].std_error == single.std_error, (workers, name)
                 assert joint[name].currency == payoff.currency
 
-    def test_memory_is_the_estimator_array_plus_one_block(self):
+    def test_memory_is_the_estimator_array_plus_one_block(self, monkeypatch):
         # 320 payoffs over 10,000 paths on one worker, on a 10-bucket grid
         # so that the (payoffs, pairs) array of pair means outweighs the
         # block's normals and state.  Besides those three, only row- and
@@ -523,7 +524,8 @@ class TestSimulate:
         estimator = 8 * len(pays) * pairs
         normals = 8 * pairs * ts.n_buckets * d
         state = 8 * n_paths * ((ts.n_buckets + 1) * d + 5)   # W, 5 accounts
-        cfg = SimulationConfig(n_paths=n_paths, seed=1, workers=1)
+        cfg = SimulationConfig(n_paths=n_paths, seed=1)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
         tracemalloc.start()
         try:
             simulate_many(model, cfg, pays)
