@@ -21,7 +21,6 @@ from .dynamics import (
     PathState,
     VolatilitySpec,
     evolve_step,
-    quanto_adjustment,
 )
 from .engine import (
     GridPayoff,
@@ -97,7 +96,6 @@ __all__ = [
     "ois_par_rate",
     "parse_instruments",
     "parse_market_csv",
-    "quanto_adjustment",
     "repricing_residuals",
     "save_curve_set",
     "simulate",

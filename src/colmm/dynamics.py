@@ -32,27 +32,30 @@ A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
 Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
 only W (at every node passed) and one (paths, K) array of log accounts,
-K = currencies + simulated pairs, and reads buckets from tables A built
+one per (currency, collateral) pair, and reads buckets from tables A built
 once by PathState.initial; each drift function returns an (N + 1, N)
-array whose row j is alpha(j), so each A is one cumsum.  An account
-accrues over (T_k, T_{k+1}] the rate fixed at T_k, x0 + A(k) +
-sigma . W(T_k) of bucket k (c for a currency, c + y for a pair), so
-evolve_step is one (paths, d) @ (d, K) product plus elementwise updates.
+array whose row j is alpha(j), so each A is one cumsum.  The account of
+a pair accrues over (T_k, T_{k+1}] the rate fixed at T_k, x0 + A(k) +
+sigma . W(T_k) of bucket k of c + y, whose loading is
+VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
+y = 0.  So evolve_step is one (paths, d) @ (d, K) product plus
+elementwise updates.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
 c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
-accrues minus what the account of ccy accrues.  So spot FX is a read of
+accrues minus what the account (ccy, ccy) accrues.  So spot FX is a read of
 the accounts and W, with no state of its own:
-X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy) + sigma_X . W(T_n)
+X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy,ccy) + sigma_X . W(T_n)
 - 1/2 |sigma_X|^2 T_n), with L the log accounts.  So is the deflator of
 a cash flow in ccy margined in k, one over the base pair account of k
 converted to ccy: X(base,ccy)(T_n) / (X(0) exp(L(base,k))), one exp in
 which X(0) cancels (`PathState.deflator`).
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
-formula with the leading bracketed sum shifted by -sigma_X(base, currency);
-for funding spreads of a foreign pair the shift applies to the first
-bracket only.
+formula with the leading bracketed sum shifted by -sigma_X(base, currency),
+the spot-FX loading `fx_loadings(base, currency)` (zero for the base
+itself); for funding spreads of a foreign pair the shift applies to the
+first bracket only.
 
 `half_variance_sign` scales the +1/2 delta |sigma|^2 convexity term of the
 collateral-rate drift.  It exists so diagnostics can prove that a corrupted
@@ -84,8 +87,8 @@ class VolatilitySpec:
     (i,j), so a single stored orientation keeps both directions coherent.
     Log FX also adds up along a chain, so an FX pair resolves through the
     stored pairs as spot FX does (`curves.pair_path`): log X(i,k) =
-    log X(i,j) + log X(j,k).  Same-currency keys are rejected; those
-    loadings are identically zero.
+    log X(i,j) + log X(j,k).  Same-currency keys, and a pair given in both
+    orientations, are rejected; same-currency loadings are identically zero.
     """
 
     SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
@@ -113,6 +116,10 @@ class VolatilitySpec:
                 if key[0] == key[1]:
                     raise ValueError(
                         f"same-currency pair {key} must be omitted (zero)")
+                if key[::-1] in table:
+                    raise ValueError(
+                        f"{name}: pair {key[0]}/{key[1]} is also given as "
+                        f"{key[1]}/{key[0]}; give one orientation")
             setattr(self, name, {
                 k: self._loadings(v, f"{name}[{k}]", per_bucket=name != "fx")
                 for k, v in table.items()})
@@ -164,22 +171,20 @@ class VolatilitySpec:
             return -self.funding[collateral, currency]
         return self._zero
 
+    def account_loadings(self, currency: str, collateral: str) -> np.ndarray:
+        """sigma_c + sigma_y of the account accruing c + y; sigma_c if same."""
+        return (self.collateral_loadings(currency)
+                + self.funding_loadings(currency, collateral))
+
     def fx_loadings(self, currency: str, other: str) -> np.ndarray:
-        """Loading of log X(currency, other): the sum along pair_path."""
+        """Loading of log X(currency, other): the sum along pair_path.
+
+        Zero when no chain links them, as for a `currency` of None: the
+        drift functions read it as the quanto shift, None meaning domestic.
+        """
         steps = [self.fx[pair] if sign > 0 else -self.fx[pair]
                  for pair, sign in pair_path(self.fx, currency, other) or ()]
         return sum(steps[1:], steps[0]) if steps else np.zeros(self.n_factors)
-
-
-def quanto_adjustment(vols: VolatilitySpec, base: str, currency: str) -> np.ndarray:
-    """Vector subtracted from a foreign currency's bracketed drift sums.
-
-    Equals the spot-FX loading of (base, currency); zero for the base
-    currency itself, which makes the domestic formulas a special case.
-    """
-    if base is None or base == currency:
-        return np.zeros(vols.n_factors)
-    return vols.fx_loadings(base, currency)
 
 
 def _brackets(deltas: np.ndarray, sig: np.ndarray, shift: np.ndarray,
@@ -208,7 +213,7 @@ def collateral_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
     """
     return _collateral_formula(
         vols.collateral_loadings(currency), ts.deltas,
-        quanto_adjustment(vols, measure_currency, currency), half_variance_sign)
+        vols.fx_loadings(measure_currency, currency), half_variance_sign)
 
 
 def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
@@ -223,11 +228,11 @@ def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
     with the quanto shift in the first bracket only: the collateral formula
     on sigma + sigma_y minus the one on sigma (their shifts on sigma cancel).
     """
-    sy = vols.funding_loadings(currency, collateral)
-    sc = vols.collateral_loadings(currency)
-    shift = quanto_adjustment(vols, measure_currency, currency)
-    return (_collateral_formula(sc + sy, ts.deltas, shift, 1.0)
-            - _collateral_formula(sc, ts.deltas, shift, 1.0))
+    shift = vols.fx_loadings(measure_currency, currency)
+    return (_collateral_formula(vols.account_loadings(currency, collateral),
+                                ts.deltas, shift, 1.0)
+            - _collateral_formula(vols.collateral_loadings(currency),
+                                  ts.deltas, shift, 1.0))
 
 
 def _terminal_drift_vector(own: np.ndarray, vols: VolatilitySpec,
@@ -239,10 +244,10 @@ def _terminal_drift_vector(own: np.ndarray, vols: VolatilitySpec,
     the collateral-rate buckets k..idx inclusive, i.e. the discount-bond
     exposure out to node idx+1.  Valid from idx = k-1 (empty sum) upward.
     """
-    shift = quanto_adjustment(vols, measure_currency, currency)
     return np.einsum("nd,knd->kn", own,
                      _brackets(ts.deltas, vols.collateral_loadings(currency),
-                               shift, inclusive=True))
+                               vols.fx_loadings(measure_currency, currency),
+                               inclusive=True))
 
 
 def libor_ois_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
@@ -306,7 +311,7 @@ class PathState:
     One instance represents a block of scenarios; the scalar case is a
     block of size one.  What moves through time is the Brownian factor W
     (kept at every node passed, so fixed buckets can be rebuilt) and the
-    log accounts, one column per currency and per simulated pair;
+    log accounts, one column per (currency, collateral) pair;
     evolve_step mutates them in place.  Bucket values and spot FX are read
     from them through deterministic tables.
     """
@@ -319,7 +324,7 @@ class PathState:
         self.node = 0
         self.tables = tables            # (family, key) -> _BucketTables
         self.s_mask = s_mask            # ccy -> (N,) bool
-        self.columns = columns          # ccy or (ccy, collateral) -> column
+        self.columns = columns          # (ccy, collateral) -> column
         self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
         self.fx_legs = fx_legs          # ccy -> (X(base, ccy)(0), sigma_X)
@@ -408,18 +413,18 @@ class PathState:
                 lag=1, lognormal=True)
             s_mask[ccy] = mask
 
-        # Accounts: bucket k at node k of c (currency) or c + y (pair).
-        columns = {key: col for col, key in
-                   enumerate([*curves.discounts, *pairs])}
+        # Accounts, one per (currency, collateral) pair: bucket k at node k
+        # of c + y.  A currency's own account (ccy, ccy) has no y table.
+        columns = {key: col for col, key in enumerate(
+            [*((ccy, ccy) for ccy in curves.discounts), *pairs])}
         rate0 = np.zeros((n, len(columns)))
         rate_sig = np.zeros((n, vols.n_factors, len(columns)))
         for key, col in columns.items():
-            parts = ([("c", key[0]), ("y", key)] if isinstance(key, tuple)
-                     else [("c", key)])
-            for part in parts:
-                tab = tables[part]
-                rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
-                rate_sig[:, :, col] += tab.sig
+            for part in (("c", key[0]), ("y", key)):
+                if part in tables:
+                    tab = tables[part]
+                    rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
+            rate_sig[:, :, col] = vols.account_loadings(*key)
 
         fx_legs = {ccy: (curves.fx_rate(base, ccy), vols.fx_loadings(base, ccy))
                    for ccy in curves.discounts if ccy != base}
@@ -484,15 +489,12 @@ class PathState:
         return np.exp(-(rates @ self.ts.deltas[k:n]))
 
     def _log_account(self, currency: str, collateral: str) -> np.ndarray:
-        """Log of the account accruing c + y of the pair; of C if same ccy."""
-        same = currency == collateral
+        """Log of the account accruing c + y of the pair; y = 0 if same ccy."""
         try:
-            return self.log_acc[:, self.columns[
-                currency if same else (currency, collateral)]]
+            return self.log_acc[:, self.columns[currency, collateral]]
         except KeyError:
             raise ConfigurationError(
-                f"currency {currency!r} is not simulated" if same
-                else f"pair account ({currency},{collateral}) is not simulated")
+                f"pair account ({currency},{collateral}) is not simulated")
 
     def account(self, currency: str) -> np.ndarray:
         """Discrete collateral account C(t) at the current node."""
@@ -506,7 +508,8 @@ class PathState:
         """log X(base, currency) - log X(0) at the current node, a new array."""
         sig = self.fx_legs[currency][1]
         log_acc, col = self.log_acc, self.columns
-        carry = log_acc[:, col[self.base, currency]] - log_acc[:, col[currency]]
+        carry = (log_acc[:, col[self.base, currency]]
+                 - log_acc[:, col[currency, currency]])
         return (carry + self.w[self.node] @ sig
                 - 0.5 * float(sig @ sig) * self.time)
 
@@ -522,8 +525,8 @@ class PathState:
         The numeraire is the base pair account of `collateral`, converted
         to `currency` at simulated spot and times today's spot X(0), so
         X(0) cancels: the deflator is one exp of L(base, currency) -
-        L(currency) + sigma_X . W(T_n) - 1/2 |sigma_X|^2 T_n - L(base pair),
-        and exp(-L(base pair)) for the base currency.
+        L(currency, currency) + sigma_X . W(T_n) - 1/2 |sigma_X|^2 T_n
+        - L(base pair), and exp(-L(base pair)) for the base currency.
         """
         acc = self._log_account(self.base, collateral)
         if currency == self.base:

@@ -64,7 +64,12 @@ def collateralized_zcb(curves: CurveSet, pay: str, collateral: str,
                        maturity: float) -> float:
     """Value of one unit of `pay` at `maturity`, margined in `collateral`."""
     disc = curves.discount_curve(pay).discount(maturity)
-    return disc * curves.spread_curve(pay, collateral).value(maturity)
+    value = disc * curves.spread_curve(pay, collateral).value(maturity)
+    if not value > 0.0:  # D * Y can underflow
+        raise ConfigurationError(
+            f"discount of {pay} margined in {collateral} at T={maturity:g} "
+            f"is {value!r}, not positive")
+    return value
 
 
 def fx_forward(curves: CurveSet, spec: FxForwardSpec) -> float:
@@ -78,7 +83,12 @@ def fx_forward(curves: CurveSet, spec: FxForwardSpec) -> float:
                                      spec.maturity)
     leg_pay = collateralized_zcb(curves, spec.pay, spec.collateral,
                                  spec.maturity)
-    return spot * leg_receive / leg_pay
+    forward = spot * leg_receive / leg_pay
+    if not forward > 0.0:
+        raise ConfigurationError(
+            f"forward {spec.pay}/{spec.receive} margined in {spec.collateral} "
+            f"at T={spec.maturity:g} is {forward!r}, not positive")
+    return forward
 
 
 # Cephes erfc (P/Q below 8, R/S above) and erf (T/U) rational
@@ -147,9 +157,7 @@ def _ndtr(a: float) -> float:
 
 
 def _black(forward: float, strike: float, stdev: float, is_call: bool) -> float:
-    """Undiscounted Black price with total standard deviation `stdev`."""
-    if forward <= 0.0:
-        raise ValueError(f"forward must be positive, got {forward}")
+    """Undiscounted Black price; `fx_forward` keeps the forward > 0."""
     intrinsic = max(forward - strike, 0.0) if is_call else max(strike - forward, 0.0)
     if stdev <= 0.0 or strike == 0.0:
         return intrinsic
@@ -166,16 +174,14 @@ def forward_fx_total_stdev(vols: VolatilitySpec, ts: TenorStructure,
     """Total lognormal stdev of the forward FX out to `maturity`.
 
     The forward's loading on interval a is sigma_X plus the discount-bond
-    loadings Gamma of both legs: Gamma of leg m sums delta_b * (sigma_c +
-    sigma_y) over the live buckets b in [a, n_T).  Piecewise-constant
-    loadings make the variance integral an exact finite sum.
+    loadings Gamma of both legs: Gamma of leg m sums delta_b times
+    `account_loadings(m, collateral)` over the live buckets b in [a, n_T).
+    Piecewise-constant loadings make the variance integral an exact sum.
     """
     n = ts.node_index(maturity)
     sig_x = vols.fx_loadings(pay, receive)
-    gap = ((vols.collateral_loadings(pay)
-            + vols.funding_loadings(pay, collateral))
-           - (vols.collateral_loadings(receive)
-              + vols.funding_loadings(receive, collateral)))
+    gap = (vols.account_loadings(pay, collateral)
+           - vols.account_loadings(receive, collateral))
     weighted = ts.deltas[:n, None] * gap[:n]
     # suffix[a] = sum over buckets a..n-1; one row past the end stays zero
     suffix = np.zeros((n + 1, vols.n_factors))

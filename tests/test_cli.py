@@ -649,6 +649,60 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    # Black would read one orientation and Monte Carlo the other.
+    @pytest.mark.parametrize("section, pair", [
+        ("fx", "USD/EUR"), ("funding", "EUR/USD")])
+    def test_pair_in_both_orientations_is_2(self, workdir, tmp_path, capsys,
+                                             section, pair):
+        vols = json.loads(json.dumps(VOLS))
+        pay, col = pair.split("/")
+        vols[section][f"{col}/{pay}"] = [0.01, 0.0, 0.0]
+        (tmp_path / "v.json").write_text(json.dumps(vols))
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert f"{section}: pair {pair} is also given as {col}/{pay}" in err
+
+    # Every factor is positive, but D * Y of EUR at T = 1 (1e-160 * 1e-200)
+    # and the USD/EUR forward at T = 0.5 (1e-200 * 1e-160) underflow to 0.
+    @pytest.mark.parametrize("inst, what", [
+        ({"type": "zcb", "currency": "EUR", "collateral": "USD",
+          "maturity": 1.0}, "discount of EUR margined in USD at T=1"),
+        ({"type": "fx_forward", "pay": "EUR", "receive": "USD",
+          "collateral": "USD", "maturity": 1.0},
+         "discount of EUR margined in USD at T=1"),
+        ({"type": "fx_option", "pay": "USD", "receive": "EUR",
+          "collateral": "USD", "maturity": 1.0, "strike": 1.0,
+          "style": "call"}, "discount of EUR margined in USD at T=1"),
+        ({"type": "fx_forward", "pay": "USD", "receive": "EUR",
+          "collateral": "USD", "maturity": 0.5},
+         "forward USD/EUR margined in USD at T=0.5"),
+        ({"type": "fx_option", "pay": "USD", "receive": "EUR",
+          "collateral": "USD", "maturity": 0.5, "strike": 1.0,
+          "style": "put"}, "forward USD/EUR margined in USD at T=0.5"),
+    ], ids=["zcb", "fx_forward", "fx_option", "fx_forward-spot",
+            "fx_option-spot"])
+    def test_underflow_to_zero_is_2(self, workdir, tmp_path, capsys, inst,
+                                    what):
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spot_fx"]["USD/EUR"] = 1e-200
+        for curve, first, value in ((doc["discounts"]["EUR"], 1, 1e-160),
+                                    (doc["spreads"]["EUR/USD"], 2, 1e-200)):
+            assert curve["times"][1:3] == [0.5, 1.0]
+            curve["values"][first:] = [value] * (len(curve["values"]) - first)
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        (tmp_path / "i.json").write_text(json.dumps([inst]))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(tmp_path / "i.json"),
+                   "--method", "black"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {what} is 0.0, not positive\n")
+
     # A loading keyed to a currency with no curve would price as zero vol.
     @pytest.mark.parametrize("section, key, ccy, curve", [
         ("collateral", "EUU", "EUU", "discount"),

@@ -13,7 +13,6 @@ from colmm import (
     TenorStructure,
     VolatilitySpec,
     evolve_step,
-    quanto_adjustment,
 )
 from colmm.dynamics import (
     collateral_drift_vector,
@@ -143,7 +142,7 @@ class TestDriftOracles:
 class TestQuanto:
     def test_zero_fx_vol_is_identity(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, collateral={"J": 0.01})
-        assert quanto_adjustment(v, "I", "J").tolist() == [0.0]
+        assert v.fx_loadings("I", "J").tolist() == [0.0]
         assert (collateral_drift_vector(v, ts8, "J", measure_currency="I")[1, 1]
                 == collateral_drift_vector(v, ts8, "J")[1, 1])
 
@@ -156,7 +155,7 @@ class TestQuanto:
 
     def test_same_currency_is_zero(self, ts8):
         v = VolatilitySpec(n_factors=1, n_buckets=8, fx={("I", "J"): 0.1})
-        assert quanto_adjustment(v, "I", "I").tolist() == [0.0]
+        assert v.fx_loadings("I", "I").tolist() == [0.0]
 
     def test_sign_lowers_foreign_drift(self, ts8):
         # positive FX/rate covariance pushes the foreign drift down
@@ -246,7 +245,7 @@ def test_drift_tables_match_written_out_formulas(seed):
     vols = VolatilitySpec(n_factors=3, n_buckets=n, collateral={"J": sc},
                           funding={("J", "K"): sy}, libor_ois={"J": sb},
                           equity={"J": ss}, fx={("I", "J"): rng.normal(0, 0.1, 3)})
-    shift = quanto_adjustment(vols, "I", "J")
+    shift = vols.fx_loadings("I", "J")
     assert shift.any()
     tables = {
         "c": collateral_drift_vector(vols, ts, "J", "I", half_variance_sign=-1.0),
@@ -453,12 +452,11 @@ def euler_oracle(st, vols, ts, z, substeps):
                 carry = (x["c", pay][:, j - 1] - x["c", ccy][:, j - 1]
                          + x["y", (pay, ccy)][:, j - 1])
                 spot *= np.exp((carry - 0.5 * sig @ sig) * dt + dw @ sig)
-        for key in acc:
-            pay = key[0] if isinstance(key, tuple) else key
+        for (pay, col), a in acc.items():
             rate = x["c", pay][:, j - 1]
-            if isinstance(key, tuple):
-                rate = rate + x["y", key][:, j - 1]
-            acc[key] += ts.deltas[j - 1] * rate
+            if pay != col:
+                rate = rate + x["y", (pay, col)][:, j - 1]
+            a += ts.deltas[j - 1] * rate
         yield x, fx, acc
 
 
@@ -518,10 +516,27 @@ class TestAgainstEulerOracle:
             for (pay, ccy), want in fx.items():
                 np.testing.assert_allclose(st.fx_rate(pay, ccy), want,
                                            rtol=1e-13)
-            for key, want in acc.items():
-                got = (st.pair_account(*key) if isinstance(key, tuple)
-                       else st.account(key))
+            for (pay, col), want in acc.items():
+                got = (st.account(pay) if pay == col
+                       else st.pair_account(pay, col))
                 np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
+
+    def test_account_loadings_are_the_one_source(self):
+        # stored (EUR, USD), its reverse (USD, EUR), the cross pair
+        # (GBP, EUR) and every own account (ccy, ccy) read one method
+        ts, curves, vols, _ = self._model(4)
+        st = PathState.initial(ts, curves, vols, "USD", 2)
+        own = {(c, c) for c in ("USD", "EUR", "GBP")}
+        assert set(st.columns) == own | {("EUR", "USD"), ("USD", "EUR"),
+                                         ("GBP", "EUR"), ("USD", "GBP")}
+        for key, col in st.columns.items():
+            want = vols.account_loadings(*key)
+            assert (st.rate_sig[:, :, col] == want).all(), key
+        assert (vols.account_loadings("USD", "EUR")
+                == vols.collateral["USD"] - vols.funding["EUR", "USD"]).all()
+        for key in own:
+            assert (vols.account_loadings(*key)
+                    == vols.collateral_loadings(key[0])).all()
 
     def test_fx_rate_orientations(self):
         # stored legs are (base, ccy); reversed and cross pairs derive from them
