@@ -34,8 +34,8 @@ array), built once at construction.  Scalar lookups bisect the lists with
 plain float arithmetic, which gives the same bits as numpy's element-wise
 operations without numpy's per-call dispatch.  The lists do not follow a
 later reassignment of `times` or `values`; curves are not edited in place.
-Spread curves of pairs a CurveSet does not store (reversed and identity
-curves) are built on first use and kept in one memo on the CurveSet.
+A CurveSet builds the reversed and identity spread curves it answers when
+it is built, and is not edited afterwards.
 """
 
 from __future__ import annotations
@@ -424,6 +424,10 @@ def bootstrap_spread_curve(spot_fx: float, fwd_quotes, domestic: DiscountCurve,
             raise CalibrationError(
                 f"FX forward at T={T} implies non-positive spread factor {y}"
             )
+        if not math.isfinite(1.0 / y):  # the reversed pair's pillar
+            raise CalibrationError(
+                f"FX forward at T={T} implies spread factor {y}, whose "
+                f"reciprocal is not finite")
         times.append(T)
         values.append(y)
     return SpreadCurve(foreign.currency, domestic.currency,
@@ -460,7 +464,11 @@ def pair_path(pairs, start: str, end: str, _seen=None):
 
 @dataclass
 class CurveSet:
-    """Everything known at time 0: discounts, spreads, fixings, spots, equity."""
+    """Everything known at time 0: discounts, spreads, fixings, spots, equity.
+
+    Built whole and not edited afterwards: the reversed and same-currency
+    spread curves that spread_curve returns are made at construction.
+    """
 
     discounts: dict = field(default_factory=dict)
     spreads: dict = field(default_factory=dict)
@@ -469,11 +477,6 @@ class CurveSet:
     equities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # Pair -> (stored reverse curve or None, its reciprocal or the
-        # identity) for pairs not in `spreads`, built on first use.  The
-        # source is kept so that a later edit of `spreads` is seen.  Two
-        # threads racing here build equal curves, so either may be kept.
-        self._derived = {}
         for pair in self.spreads:
             if pair[0] == pair[1]:
                 raise ValueError(f"same-currency spread pair {pair} is implicit")
@@ -482,6 +485,10 @@ class CurveSet:
                 raise ValueError(f"same-currency FX pair {pair} is implicit")
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"spot FX {pair} must be positive, got {v}")
+        self._pair_curves = {
+            **{(c, c): SpreadCurve.identity(c) for c in self.discounts},
+            **{(b, a): y.reciprocal() for (a, b), y in self.spreads.items()},
+            **self.spreads}  # a stored pair wins over a reverse
 
     @property
     def currencies(self) -> list:
@@ -495,20 +502,13 @@ class CurveSet:
 
     def spread_curve(self, currency: str, collateral: str,
                      missing_ok: bool = False) -> SpreadCurve:
-        pair = (currency, collateral)
-        stored = self.spreads.get(pair)
-        if stored is not None:
-            return stored
-        source = self.spreads.get((collateral, currency))
-        if source is None and currency != collateral and not missing_ok:
+        curve = self._pair_curves.get((currency, collateral))
+        if curve is not None:
+            return curve
+        if currency != collateral and not missing_ok:
             raise ConfigurationError(
                 f"no funding-spread curve for pair ({currency},{collateral})")
-        kept = self._derived.get(pair)
-        if kept is None or kept[0] is not source:
-            kept = self._derived[pair] = (
-                source, SpreadCurve.identity(currency, collateral)
-                if source is None else source.reciprocal())
-        return kept[1]
+        return SpreadCurve.identity(currency, collateral)
 
     def fixings_for(self, currency: str, n_periods: int) -> SpreadFixings:
         fx = self.fixings.get(currency)

@@ -51,6 +51,9 @@ from .errors import ConfigurationError
 from .tenor import TenorStructure
 
 WORKERS_ENV_VAR = "COLMM_WORKERS"
+# Each worker is one OS thread, started per simulation; the count is
+# bounded before any is started.
+MAX_WORKERS = 64
 
 # Residuals below this relative size count as roundoff when a deterministic
 # estimate (SE exactly zero) is scored against its target.
@@ -172,8 +175,9 @@ class SimulationConfig:
             n = int(raw)
         except ValueError:
             raise ConfigurationError(f"{WORKERS_ENV_VAR}={raw!r} is not an integer")
-        if n < 1:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be >= 1, got {n}")
+        if not 1 <= n <= MAX_WORKERS:
+            raise ConfigurationError(
+                f"{WORKERS_ENV_VAR} must be in [1, {MAX_WORKERS}], got {n}")
         return n
 
 

@@ -255,8 +255,8 @@ def build_curve_set(md: MarketDataFile) -> CurveSet:
             values[md.ts.node_index(T)] = value
         fixings[ccy] = SpreadFixings(ccy, values)
 
-    curves = CurveSet(discounts=discounts, fixings=fixings, spot_fx=dict(md.spots))
-
+    spots = CurveSet(spot_fx=dict(md.spots))
+    spreads = {}
     for (pay, recv, coll), quotes in sorted(md.fx_forwards.items()):
         if coll == pay:
             dom, frn = pay, recv
@@ -266,27 +266,27 @@ def build_curve_set(md: MarketDataFile) -> CurveSet:
             dom, frn = recv, pay
             folded = sorted((T, 1.0 / q) for T, q in quotes)
         pair = (frn, dom)
-        if pair in curves.spreads:
+        if pair in spreads:
             raise InputError(
                 f"funding pair {pair} bootstrapped from more than one quote set",
                 md.path,
             )
         try:
-            spot = curves.fx_rate(dom, frn)
+            spot = spots.fx_rate(dom, frn)
         except ConfigurationError:
             raise InputError(
                 f"fxforward quotes for ({pay},{recv}) but no spot FX "
                 f"quote links {dom} and {frn}",
                 md.path,
             )
-        curves.spreads[pair] = bootstrap_spread_curve(
+        spreads[pair] = bootstrap_spread_curve(
             spot, folded, discounts[dom], discounts[frn]
         )
 
-    for ccy, pillars in sorted(md.equities.items()):
-        curves.equities[ccy] = _pillar_curve(EquityForwardCurve, ccy, pillars,
-                                             md.path)
-    return curves
+    equities = {ccy: _pillar_curve(EquityForwardCurve, ccy, pillars, md.path)
+                for ccy, pillars in sorted(md.equities.items())}
+    return CurveSet(discounts=discounts, spreads=spreads, fixings=fixings,
+                    spot_fx=spots.spot_fx, equities=equities)
 
 
 def repricing_residuals(md: MarketDataFile, curves: CurveSet) -> list:
@@ -504,7 +504,10 @@ def _style(value) -> str:
 def _number(value) -> float:
     if isinstance(value, bool):   # float() would read it as 1.0 or 0.0
         raise ValueError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):  # json reads 1e400, Infinity and NaN
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
 
 
 # Each kind's fields and the type each is read as; the price report lists

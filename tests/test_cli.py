@@ -398,6 +398,27 @@ class TestDiagnose:
             assert row["z"] == 0.0
             assert row["std_error"] == 0.0
 
+    def test_libor_ois_vols_without_fixings_read_zero(self, workdir,
+                                                      tmp_path, capsys):
+        # EUR has LIBOR-OIS loadings but no fixings: its spread starts at 0
+        # and, being lognormal, stays there on every path.
+        (tmp_path / "v.json").write_text(json.dumps(
+            {"n_factors": 1, "libor_ois": {"EUR": [0.1]}}))
+        out = tmp_path / "diag.json"
+        rc = main(["diagnose", str(workdir / "curves.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--paths", "8", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is True
+        rows = [r for r in doc["rows"]
+                if (r["asset"], r["tag"]) == ("libor_ois", "EUR")]
+        assert len(rows) == 8
+        for row in rows:
+            assert (row["mean"], row["target"], row["std_error"]) == (
+                0.0, 0.0, 0.0)
+
     def test_stochastic_run_passes(self, workdir, tmp_path, capsys):
         out = tmp_path / "diag.json"
         rc = main(["diagnose", str(workdir / "curves.json"),
@@ -773,6 +794,77 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("input error:") and err.count("\n") == 1
         assert f"{field}: expected a number, got {json.dumps(value)}" in err
+
+    # json reads 1e400 as inf, and the literals Infinity and NaN as well.
+    @pytest.mark.parametrize("field", ["strike", "maturity"])
+    @pytest.mark.parametrize("literal, shown", [
+        ("1e400", "inf"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+        ("NaN", "nan")])
+    def test_non_finite_instrument_number_is_2(self, workdir, tmp_path, capsys,
+                                               field, literal, shown):
+        insts = json.loads(json.dumps(INSTRUMENTS))
+        insts[3][field] = "@"
+        (tmp_path / "i.json").write_text(
+            json.dumps(insts).replace('"@"', literal))
+        rc = main(["price", str(workdir / "curves.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(tmp_path / "i.json"),
+                   "--method", "black"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert err.endswith(
+            f"instrument 3: {field}: expected a finite number, got {shown}\n")
+
+    def test_spread_factor_without_finite_reciprocal_is_3(self, tmp_path,
+                                                          capsys):
+        # Y(4) is about 1e-309: finite and positive, but the reversed
+        # pair's pillar 1 / Y is not.
+        quote = "fxforward,USD,EUR,USD,4.0,"
+        assert quote + "1.1312" in MARKET
+        (tmp_path / "m.csv").write_text(
+            MARKET.replace(quote + "1.1312", quote + "1e-309"))
+        rc = main(["bootstrap", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("calibration error: FX forward at T=4.0 ")
+        assert err.endswith("whose reciprocal is not finite\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_subnormal_spread_pillar_is_2(self, workdir, tmp_path, capsys,
+                                          command):
+        # The curve set holds the reversed pair's curve from the start, so
+        # a pillar whose reciprocal is inf fails at load, in one line.
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spreads"]["EUR/USD"]["values"][-1] = 9e-310
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        (tmp_path / "i.json").write_text(json.dumps([
+            {"type": "zcb", "currency": "USD", "collateral": "EUR",
+             "maturity": 4.0}]))
+        argv = [command, str(tmp_path / "c.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "4"]
+        if command == "price":
+            argv += ["--instruments", str(tmp_path / "i.json")]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'c.json'}: bad curve data: spread "
+            f"curve (USD,EUR): pillars must be finite\n")
+
+    def test_too_many_workers_is_2(self, workdir, capsys, monkeypatch):
+        # The count is refused before any thread starts; with --paths 4 a
+        # broken check would still start no more than two.
+        monkeypatch.setenv("COLMM_WORKERS", "100000")
+        rc = main(["diagnose", str(workdir / "curves.json"),
+                   "--vols", str(workdir / "zero_vols.json"),
+                   "--paths", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: COLMM_WORKERS must be in [1, 64], "
+            "got 100000\n")
 
 
 def test_every_traced_layer_still_resolves(monkeypatch):

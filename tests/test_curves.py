@@ -487,6 +487,13 @@ class TestSpreadBootstrap:
         with pytest.raises(CalibrationError):
             bootstrap_spread_curve(100.0, [], d_i, d_j)
 
+    def test_rejects_a_factor_without_a_finite_reciprocal(self):
+        # Y about 9e-310 is positive and finite, but the reversed pair's
+        # pillar 1 / Y is not.
+        d_i, d_j = self._curves()
+        with pytest.raises(CalibrationError, match="reciprocal is not finite"):
+            bootstrap_spread_curve(1.0, [(1.0, 9e-310)], d_i, d_j)
+
 
 class TestSpreadFixings:
     def test_lookup_and_default(self):
@@ -583,3 +590,33 @@ class TestCurveSet:
             CurveSet(spot_fx={("USD", "USD"): 1.0})
         with pytest.raises(ValueError):
             CurveSet(spreads={("USD", "USD"): SpreadCurve.identity("USD")})
+
+    def test_fx_chain_takes_forward_steps(self):
+        # A/C is quoted through B, both steps in their stored orientation.
+        cs = CurveSet(spot_fx={("A", "B"): 2.0, ("B", "C"): 3.0})
+        assert cs.fx_rate("A", "C") == 6.0
+        assert cs.fx_rate("C", "A") == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+    def test_derived_spread_curves_are_built_with_the_set(self):
+        # The reciprocal of a subnormal pillar is inf: the set refuses it
+        # when it is built, not at the first reversed lookup.
+        nodes = np.array([0.0, 1.0])
+        tiny = SpreadCurve("EUR", "USD", nodes, np.array([1.0, 9e-310]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=(
+                re.escape("spread curve (USD,EUR): pillars must be finite"))):
+            CurveSet(spreads={("EUR", "USD"): tiny})
+
+    def test_stored_pair_wins_over_a_reverse(self):
+        nodes = np.array([0.0, 1.0])
+        eur_usd = SpreadCurve("EUR", "USD", nodes, np.array([1.0, 0.99]))
+        usd_eur = SpreadCurve("USD", "EUR", nodes, np.array([1.0, 0.98]))
+        cs = CurveSet(spreads={("EUR", "USD"): eur_usd,
+                               ("USD", "EUR"): usd_eur})
+        assert cs.spread_curve("EUR", "USD") is eur_usd
+        assert cs.spread_curve("USD", "EUR") is usd_eur
+
+    def test_own_pair_without_a_discount_curve_is_the_identity(self):
+        cs = CurveSet()
+        same = cs.spread_curve("JPY", "JPY")
+        assert (same.currency, same.collateral) == ("JPY", "JPY")
+        assert same.is_identity

@@ -1,5 +1,8 @@
 """Drift formulas, state evolution, freezing, and account compounding."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,15 @@ class TestVolatilitySpec:
         np.testing.assert_array_equal(v.fx_loadings("GBP", "EUR"),
                                       -v.fx_loadings("EUR", "GBP"))
         assert not v.fx_loadings("EUR", "JPY").any()
+
+    def test_fx_loadings_chain_forward_steps(self):
+        # A/C is reached through B, both steps in their stored orientation.
+        v = VolatilitySpec(n_factors=2, n_buckets=2,
+                           fx={("A", "B"): [0.06, -0.03],
+                               ("B", "C"): [0.02, 0.07]})
+        np.testing.assert_array_equal(
+            v.fx_loadings("A", "C"),
+            v.fx_loadings("A", "B") + v.fx_loadings("B", "C"))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -335,6 +347,43 @@ class TestPathState:
             st.libor_ois("EUR", 1)   # no fixings and no vols for EUR
         with pytest.raises(ConfigurationError):
             st.equity_forward("EUR", 1.0)
+
+    @pytest.mark.parametrize("edit, message", [
+        (dict(spreads={("GBP", "USD"): flat_spread("GBP", "USD", 0.001,
+                                                   np.linspace(0, 2, 5))}),
+         "pair ('GBP', 'USD'): pay currency 'GBP' has no discount curve"),
+        (dict(fixings={"USD": SpreadFixings("USD", np.zeros(5))}),
+         "LIBOR-OIS fixings for USD have 5 periods, grid has 4"),
+        (dict(equities={"GBP": EquityForwardCurve(
+            "GBP", np.array([1.0, 2.0]), np.array([100.0, 101.0]))}),
+         "equity curve 'GBP' has no matching discount curve"),
+    ], ids=["pair-pay", "fixings-length", "equity-currency"])
+    def test_initial_refuses_curves_it_cannot_simulate(self, ts4, eq_curves,
+                                                       full_vols, edit,
+                                                       message):
+        cs = dataclasses.replace(eq_curves, **edit)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            make_state(ts4, cs, full_vols)
+
+    def test_accessors_refuse_times_they_do_not_hold(self, ts4, eq_curves):
+        # The equity curve starts at T = 1, so bucket 0 (T_1 = 0.5) has no
+        # pillar coverage.
+        cs = CurveSet(discounts={"USD": eq_curves.discount_curve("USD")},
+                      equities={"USD": EquityForwardCurve(
+                          "USD", np.array([1.0, 2.0]),
+                          np.array([100.0, 101.0]))})
+        st = make_state(ts4, cs, VolatilitySpec(n_factors=1, n_buckets=4))
+        evolve_step(st, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="before current time"):
+            st.spread_zcb("USD", "USD", 0.0)
+        for end_node in (0, 5):
+            with pytest.raises(ValueError, match="outside the grid"):
+                st.libor_ois("USD", end_node)
+        with pytest.raises(ValueError, match="start at the first node"):
+            st.equity_forward("USD", 0.0)
+        with pytest.raises(ConfigurationError, match="no pillar coverage"):
+            st.equity_forward("USD", 0.5)
+        assert st.equity_forward("USD", 1.0).tolist() == [100.0] * 3
 
 
 class TestEvolveStep:

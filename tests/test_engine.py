@@ -22,8 +22,8 @@ from colmm import (
     simulate,
     simulate_many,
 )
-from colmm.engine import (WORKERS_ENV_VAR, _block_normals, _estimates, _ndtri,
-                          _partition)
+from colmm.engine import (MAX_WORKERS, WORKERS_ENV_VAR, _block_normals,
+                          _estimates, _ndtri, _partition)
 
 from conftest import flat_curve
 
@@ -209,6 +209,17 @@ class TestSimulationConfig:
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")
         with pytest.raises(ConfigurationError):
             SimulationConfig().resolved_workers()
+
+    def test_workers_are_capped(self, monkeypatch):
+        # Only the check runs: resolved_workers starts no thread.
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
+        assert SimulationConfig().resolved_workers() == MAX_WORKERS
+        for raw in (str(MAX_WORKERS + 1), "100000"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+            with pytest.raises(ConfigurationError, match=(
+                    rf"COLMM_WORKERS must be in \[1, {MAX_WORKERS}\], "
+                    rf"got {raw}")):
+                SimulationConfig().resolved_workers()
 
 
 class TestEstimates:

@@ -199,6 +199,19 @@ class TestCurveSetJson:
         with pytest.raises(InputError):
             load_curve_set(str(p2))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"fixings": {"USD": [0.001]}}, "fixings USD: 1 periods, grid has 2"),
+        ({"base": "JPY"}, "base currency 'JPY' has no discount curve"),
+    ])
+    def test_rejects_what_the_grid_or_base_cannot_use(self, tmp_path, edit,
+                                                      message):
+        md = parse_market_csv(write(tmp_path, GOOD))
+        out = tmp_path / "curves.json"
+        save_curve_set(str(out), md.ts, md.base, build_curve_set(md))
+        out.write_text(json.dumps({**json.loads(out.read_text()), **edit}))
+        with pytest.raises(InputError, match=message):
+            load_curve_set(str(out))
+
 
 class TestBuildVolatility:
     def test_pair_keys_and_broadcast(self):
