@@ -224,8 +224,11 @@ class SpreadCurve(_PillarCurve):
         Forward spreads built from the reciprocal are the exact negatives of
         the original pair's, matching how reversed-pair vol loadings flip.
         """
+        # A subnormal pillar overflows to inf, which _store refuses.
+        with np.errstate(over="ignore"):
+            values = 1.0 / self.values
         return SpreadCurve(self.collateral, self.currency, self.times.copy(),
-                           1.0 / self.values)
+                           values)
 
     def value(self, T: float) -> float:
         """Y(0,T); the single-anchor identity curve is 1 for every T."""
@@ -483,6 +486,10 @@ class CurveSet:
         for pair, v in self.spot_fx.items():
             if pair[0] == pair[1]:
                 raise ValueError(f"same-currency FX pair {pair} is implicit")
+            if pair[::-1] in self.spot_fx:
+                raise ValueError(
+                    f"spot_fx: pair {pair[0]}/{pair[1]} is also given as "
+                    f"{pair[1]}/{pair[0]}; give one orientation")
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"spot FX {pair} must be positive, got {v}")
         self._pair_curves = {
@@ -532,5 +539,8 @@ class CurveSet:
             rate = v * rate if sign > 0 else rate / v
         return rate
 
-    def equity_curve(self, currency: str):
-        return self.equities.get(currency)
+    def equity_curve(self, currency: str) -> EquityForwardCurve:
+        try:
+            return self.equities[currency]
+        except KeyError:
+            raise ConfigurationError(f"no equity curve for {currency!r}")

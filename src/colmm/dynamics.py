@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CurveSet, forward_rates, pair_path
+from .curves import forward_rates, pair_path
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -333,28 +333,16 @@ class PathState:
         self.w = np.zeros((ts.n_buckets + 1, n_paths, rate_sig.shape[1]))
 
     @classmethod
-    def initial(cls, ts: TenorStructure, curves: CurveSet, vols: VolatilitySpec,
-                base: str, n_paths: int,
+    def initial(cls, model, n_paths: int,
                 half_variance_sign: float = 1.0) -> "PathState":
+        """A state at T_0 of n_paths paths, tabled from a (checked) Model."""
         if n_paths < 1:
             raise ValueError("need at least one path")
-        if vols.n_buckets != ts.n_buckets:
-            raise ConfigurationError(
-                f"volatility spec has {vols.n_buckets} buckets, grid has "
-                f"{ts.n_buckets}"
-            )
-        if base not in curves.discounts:
-            raise ConfigurationError(f"base currency {base!r} has no discount curve")
-        horizon = ts.horizon
+        ts, curves, vols, base = model.ts, model.curves, model.vols, model.base
         n = ts.n_buckets
         tables = {}
 
         for ccy, curve in curves.discounts.items():
-            if curve.last_pillar < horizon:
-                raise ConfigurationError(
-                    f"discount curve {ccy} ends at {curve.last_pillar}, "
-                    f"grid needs {horizon}"
-                )
             tables["c", ccy] = _bucket_tables(
                 forward_rates(curve.log_discount, ts),
                 vols.collateral_loadings(ccy), ts,
@@ -374,11 +362,6 @@ class PathState:
                     f"pair {pair}: pay currency {pay!r} has no discount curve"
                 )
             spread = curves.spread_curve(pay, col, missing_ok=True)
-            if not spread.is_identity and spread.last_pillar < horizon:
-                raise ConfigurationError(
-                    f"spread curve {pair} ends at {spread.last_pillar}, "
-                    f"grid needs {horizon}"
-                )
             tables["y", pair] = _bucket_tables(
                 forward_rates(spread.log_value, ts),
                 vols.funding_loadings(pay, col), ts,
@@ -506,7 +489,11 @@ class PathState:
 
     def _log_fx_move(self, currency: str) -> np.ndarray:
         """log X(base, currency) - log X(0) at the current node, a new array."""
-        sig = self.fx_legs[currency][1]
+        try:
+            sig = self.fx_legs[currency][1]
+        except KeyError:
+            raise ConfigurationError(
+                f"no simulated FX linking {self.base} and {currency}")
         log_acc, col = self.log_acc, self.columns
         carry = (log_acc[:, col[self.base, currency]]
                  - log_acc[:, col[currency, currency]])
@@ -517,7 +504,7 @@ class PathState:
         """X(base, currency) at the current node, read from the accounts."""
         if currency == self.base:
             return 1.0
-        return self.fx_legs[currency][0] * np.exp(self._log_fx_move(currency))
+        return np.exp(self._log_fx_move(currency)) * self.fx_legs[currency][0]
 
     def deflator(self, currency: str, collateral: str) -> np.ndarray:
         """1 / numeraire of a cash flow in `currency` margined in `collateral`.
@@ -532,11 +519,7 @@ class PathState:
         if currency == self.base:
             log_d = np.negative(acc)
         else:
-            try:
-                log_d = self._log_fx_move(currency)
-            except KeyError:
-                raise ConfigurationError(
-                    f"no simulated FX linking {self.base} and {currency}")
+            log_d = self._log_fx_move(currency)
             log_d -= acc
         return np.exp(log_d, out=log_d)
 
@@ -544,12 +527,7 @@ class PathState:
         """Spot FX path values: price of one unit of `other` in `currency`."""
         if currency == other:
             return np.ones(self.n_paths)
-        try:
-            return self._fx_leg(other) / self._fx_leg(currency)
-        except KeyError:
-            raise ConfigurationError(
-                f"no simulated FX linking {currency} and {other}"
-            )
+        return self._fx_leg(other) / self._fx_leg(currency)
 
     def libor_ois(self, currency: str, end_node: int) -> np.ndarray:
         """LIBOR-OIS spread for the period ending at node end_node."""

@@ -111,12 +111,13 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
              2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Immutable simulation inputs: grid, initial curves, vols, base currency.
 
-    The base currency fixes the measure: deflated prices are computed with
-    the base currency's (pair) collateral accounts as numeraires.
+    Checked once, when built, and frozen.  The base currency fixes the
+    measure: deflated prices are computed with the base currency's (pair)
+    collateral accounts as numeraires.
     """
 
     ts: TenorStructure
@@ -547,8 +548,7 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # The deterministic tables are built once, on a one-path state, and
     # shared read-only; each block allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
-    tables = PathState.initial(model.ts, model.curves, model.vols, model.base,
-                               1, half_variance_sign)
+    tables = PathState.initial(model, 1, half_variance_sign)
     # No path array holds more float64 per path than the one-path state's
     # W and accounts plus one per payoff; a count whose arrays numpy cannot
     # size is out of memory before anything is allocated.

@@ -379,10 +379,13 @@ def _read_json(path: str):
         raise InputError(f"not valid JSON: {exc}", path)
 
 
-def _reject_bools(doc: dict, path: str) -> None:
-    """Refuse a JSON true or false anywhere in a document of numbers.
+def _reject_non_numbers(doc: dict, path: str) -> None:
+    """Refuse a leaf that is not a JSON number in a document of numbers.
 
-    float(), int() and numpy would read them as 1 and 0.  The message
+    float(), int() and numpy would read true and false as 1 and 0, and
+    parse a string such as "0.99".  A boolean is refused anywhere; a
+    string or null inside a section, since a top-level one is a section
+    or field of the wrong type, which its reader names.  The message
     names the field by its keys, as in discounts.USD.values.
     """
     stack = [((), doc)]
@@ -391,18 +394,18 @@ def _reject_bools(doc: dict, path: str) -> None:
         named = isinstance(node, dict)
         for key, v in node.items() if named else enumerate(node):
             where = (*keys, str(key)) if named else keys
-            if isinstance(v, bool):
-                raise InputError(f"{'.'.join(where)}: expected a number, "
-                                 f"got {json.dumps(v)}", path)
             if isinstance(v, (dict, list)):
                 stack.append((where, v))
+            elif isinstance(v, bool) or (keys and not isinstance(v, (int, float))):
+                raise InputError(f"{'.'.join(where)}: expected a number, "
+                                 f"got {json.dumps(v)}", path)
 
 
 def load_curve_set(path: str):
     """Read a curve-set file back; returns (ts, base, curves)."""
     doc = _read_json(path)
     if isinstance(doc, dict):
-        _reject_bools({k: v for k, v in doc.items() if k != "base"}, path)
+        _reject_non_numbers({k: v for k, v in doc.items() if k != "base"}, path)
     try:
         ts = TenorStructure(np.array(doc["grid"], dtype=float))
         base = doc["base"]
@@ -457,7 +460,7 @@ def build_volatility(doc: dict, n_buckets: int, path: str = "<config>") -> Volat
     """
     if not isinstance(doc, dict):
         raise InputError("volatility config must be a JSON object", path)
-    _reject_bools(doc, path)
+    _reject_non_numbers(doc, path)
     try:
         n_factors = doc["n_factors"]
     except KeyError:
@@ -502,7 +505,8 @@ def _style(value) -> str:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool):   # float() would read it as 1.0 or 0.0
+    # float() would read true as 1.0 and parse the string "1.0"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {json.dumps(value)}")
     x = float(value)
     if not math.isfinite(x):  # json reads 1e400, Infinity and NaN

@@ -235,7 +235,4 @@ def equity_forward(curves: CurveSet, currency: str, maturity: float) -> float:
 
     The per-path simulated forward is `PathState.equity_forward`.
     """
-    curve = curves.equity_curve(currency)
-    if curve is None:
-        raise ConfigurationError(f"no equity curve for {currency!r}")
-    return curve.value(maturity)
+    return curves.equity_curve(currency).value(maturity)

@@ -866,6 +866,77 @@ class TestExitCodes:
             "configuration error: COLMM_WORKERS must be in [1, 64], "
             "got 100000\n")
 
+    # float() and numpy parse a numeric string, so each of these edits
+    # would otherwise price as the number it spells.
+    @pytest.mark.parametrize("doc, where, value, field", [
+        ("c.json", ("grid", 1), "0.5", "grid"),
+        ("c.json", ("discounts", "EUR", "values", 1), "0.99",
+         "discounts.EUR.values"),
+        ("c.json", ("fixings", "USD", 0), "0.0015", "fixings.USD"),
+        ("c.json", ("spot_fx", "USD/EUR"), "1.08", "spot_fx.USD/EUR"),
+        ("v.json", ("collateral", "USD", 0), "0.009", "collateral.USD"),
+        ("v.json", ("fx", "USD/EUR", 0), None, "fx.USD/EUR"),
+        ("i.json", (0, "maturity"), " 2.0 ", "maturity"),
+        ("i.json", (3, "strike"), "1.1", "strike"),
+    ])
+    def test_json_string_number_is_2(self, workdir, tmp_path, capsys, doc,
+                                     where, value, field):
+        docs = {"c.json": json.loads((workdir / "curves.json").read_text()),
+                "v.json": json.loads(json.dumps(VOLS)),
+                "i.json": json.loads(json.dumps(INSTRUMENTS))}
+        *keys, last = where
+        reduce(getitem, keys, docs[doc])[last] = value
+        for name, content in docs.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(tmp_path / "v.json"),
+                   "--instruments", str(tmp_path / "i.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert f"{field}: expected a number, got {json.dumps(value)}" in err
+
+    def test_spot_pair_in_both_orientations_is_2(self, workdir, tmp_path,
+                                                 capsys):
+        # Black would read the EUR/USD quote and the simulation the
+        # reciprocal of USD/EUR.
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spot_fx"]["EUR/USD"] = 0.8
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        rc = main(["price", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"),
+                   "--instruments", str(workdir / "instruments.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'c.json'}: bad curve data: spot_fx: "
+            f"pair USD/EUR is also given as EUR/USD; give one orientation\n")
+
+    @pytest.mark.parametrize("section, key, curve", [
+        ("discounts", "EUR", "discount curve EUR"),
+        ("spreads", "USD/EUR", "spread curve (USD,EUR)")])
+    def test_curve_short_of_the_grid_has_one_message(self, workdir, tmp_path,
+                                                     capsys, section, key,
+                                                     curve):
+        # The curve ends at 1.0 on a grid to 4.0.  The interpolator refuses
+        # the lookup, for a simulation as for diagnose's targets.  The
+        # spread is stored as (base, EUR), the pair both read first.
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spreads"] = {}
+        doc[section][key] = {"times": [0.0, 0.5, 1.0],
+                             "values": [1.0, 0.995, 0.99]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        (tmp_path / "i.json").write_text(json.dumps(INSTRUMENTS[3:4]))
+        model = [str(tmp_path / "c.json"), "--vols",
+                 str(workdir / "zero_vols.json"), "--paths", "4"]
+        errs = []
+        for argv in (["price", *model, "--instruments", str(tmp_path / "i.json"),
+                      "--method", "mc"], ["diagnose", *model]):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            f"configuration error: {curve}: time 1.5 outside pillar range "
+            f"[0.0, 1.0] (no extrapolation)\n")
+
 
 def test_every_traced_layer_still_resolves(monkeypatch):
     # The benchmark's tracer patches colmm by name; a renamed function would

@@ -602,9 +602,14 @@ class TestCurveSet:
         # when it is built, not at the first reversed lookup.
         nodes = np.array([0.0, 1.0])
         tiny = SpreadCurve("EUR", "USD", nodes, np.array([1.0, 9e-310]))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=(
+        with pytest.raises(ValueError, match=(
                 re.escape("spread curve (USD,EUR): pillars must be finite"))):
             CurveSet(spreads={("EUR", "USD"): tiny})
+
+    def test_missing_equity_curve_raises(self, two_ccy_curves):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("no equity curve for 'XXX'")):
+            two_ccy_curves.equity_curve("XXX")
 
     def test_stored_pair_wins_over_a_reverse(self):
         nodes = np.array([0.0, 1.0])

@@ -11,6 +11,7 @@ from colmm import (
     CurveSet,
     DiscountCurve,
     EquityForwardCurve,
+    Model,
     PathState,
     SpreadFixings,
     TenorStructure,
@@ -273,7 +274,7 @@ def test_drift_tables_match_written_out_formulas(seed):
 
 
 def make_state(ts, curves, vols, base="USD", n_paths=3):
-    return PathState.initial(ts, curves, vols, base, n_paths)
+    return PathState.initial(Model(ts, curves, vols, base), n_paths)
 
 
 @pytest.fixture
@@ -354,8 +355,9 @@ class TestPathState:
          "pair ('GBP', 'USD'): pay currency 'GBP' has no discount curve"),
         (dict(fixings={"USD": SpreadFixings("USD", np.zeros(5))}),
          "LIBOR-OIS fixings for USD have 5 periods, grid has 4"),
-        (dict(equities={"GBP": EquityForwardCurve(
-            "GBP", np.array([1.0, 2.0]), np.array([100.0, 101.0]))}),
+        (dict(equities={ccy: EquityForwardCurve(
+            ccy, np.array([1.0, 2.0]), np.array([100.0, 101.0]))
+            for ccy in ("USD", "GBP")}),
          "equity curve 'GBP' has no matching discount curve"),
     ], ids=["pair-pay", "fixings-length", "equity-currency"])
     def test_initial_refuses_curves_it_cannot_simulate(self, ts4, eq_curves,
@@ -409,7 +411,7 @@ class TestEvolveStep:
     def test_deterministic_fx_growth(self, ts4, eq_curves, full_vols):
         # zero vols: spot fx accrues the frozen one-period carry
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(ts4, eq_curves, v0, "USD", 1)
+        st = PathState.initial(Model(ts4, eq_curves, v0, "USD"), 1)
         carry = (st.buckets("c", "USD")[0, 0] - st.buckets("c", "EUR")[0, 0]
                  + st.buckets("y", ("USD", "EUR"))[0, 0])
         f0 = st.fx_rate("USD", "EUR")[0]
@@ -547,9 +549,9 @@ class TestAgainstEulerOracle:
     def test_every_node_matches(self, seed):
         substeps, n_paths = 3, 16
         ts, curves, vols, rng = self._model(seed)
-        st = PathState.initial(ts, curves, vols, "USD", n_paths)
+        st = PathState.initial(Model(ts, curves, vols, "USD"), n_paths)
         z = rng.standard_normal((n_paths, ts.n_buckets * substeps, 3))
-        oracle = euler_oracle(PathState.initial(ts, curves, vols, "USD",
+        oracle = euler_oracle(PathState.initial(Model(ts, curves, vols, "USD"),
                                                 n_paths),
                               vols, ts, z, substeps)
         for node, (x, fx, acc) in enumerate(oracle):
@@ -574,7 +576,7 @@ class TestAgainstEulerOracle:
         # stored (EUR, USD), its reverse (USD, EUR), the cross pair
         # (GBP, EUR) and every own account (ccy, ccy) read one method
         ts, curves, vols, _ = self._model(4)
-        st = PathState.initial(ts, curves, vols, "USD", 2)
+        st = PathState.initial(Model(ts, curves, vols, "USD"), 2)
         own = {(c, c) for c in ("USD", "EUR", "GBP")}
         assert set(st.columns) == own | {("EUR", "USD"), ("USD", "EUR"),
                                          ("GBP", "EUR"), ("USD", "GBP")}
@@ -591,7 +593,7 @@ class TestAgainstEulerOracle:
         # stored legs are (base, ccy); reversed and cross pairs derive from them
         n_paths = 16
         ts, curves, vols, rng = self._model(1)
-        st = PathState.initial(ts, curves, vols, "USD", n_paths)
+        st = PathState.initial(Model(ts, curves, vols, "USD"), n_paths)
         for node in range(ts.n_buckets + 1):
             if node:
                 evolve_step(st, np.sqrt(ts.deltas[node - 1])
@@ -635,7 +637,7 @@ class TestRollover:
         cs = CurveSet(discounts={"USD": flat_curve("USD", 0.02, nodes),
                                  "EUR": flat_curve("EUR", 0.01, nodes)},
                       spot_fx={("USD", "EUR"): 100.0})
-        st = PathState.initial(ts4, cs, v0, "USD", 1)
+        st = PathState.initial(Model(ts4, cs, v0, "USD"), 1)
         evolve_step(st, np.zeros((1, 1)))
         fwd = rolling_fx_forward(st, "USD", "EUR", "EUR")
         spot = st.fx_rate("USD", "EUR")[0]
@@ -648,7 +650,7 @@ class TestRollover:
         # zero vols keep the flat-curve rates: c_USD = 2%, c_EUR = 1% and
         # y_EUR/USD = 0.2% in bucket 1
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(ts4, eq_curves, v0, "USD", 1)
+        st = PathState.initial(Model(ts4, eq_curves, v0, "USD"), 1)
         evolve_step(st, np.zeros((1, 1)))
         fwd = rolling_fx_forward(st, "USD", "EUR", "USD")
         spot = st.fx_rate("USD", "EUR")[0]
@@ -694,7 +696,7 @@ class TestDeflator:
         # times today's spot), for every (c, k), at every node.
         curves, vols = three_ccy
         rng = np.random.default_rng(8)
-        st = PathState.initial(ts4, curves, vols, "USD", 32)
+        st = PathState.initial(Model(ts4, curves, vols, "USD"), 32)
         for node in range(5):
             for c in self.CCYS:
                 for k in self.CCYS:
@@ -707,7 +709,7 @@ class TestDeflator:
 
     def test_zero_vols_give_one_value_per_key(self, ts4, three_ccy):
         curves, _ = three_ccy
-        st = PathState.initial(ts4, curves, VolatilitySpec(3, 4), "USD", 6)
+        st = PathState.initial(Model(ts4, curves, VolatilitySpec(3, 4), "USD"), 6)
         rng = np.random.default_rng(3)
         for _ in range(4):
             evolve_step(st, rng.normal(size=(6, 3)))
@@ -718,7 +720,7 @@ class TestDeflator:
 
     def test_unsimulated_key_has_todays_message(self, ts4, three_ccy):
         curves, vols = three_ccy
-        st = PathState.initial(ts4, curves, vols, "USD", 2)
+        st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)
         for key, today in [(("USD", "JPY"), lambda: st.pair_account("USD", "JPY")),
                            (("EUR", "JPY"), lambda: st.pair_account("USD", "JPY")),
                            (("JPY", "USD"), lambda: st.fx_rate("USD", "JPY"))]:

@@ -1,5 +1,6 @@
 """Path generation, estimator mechanics, and martingale checks for the engine."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -554,3 +555,9 @@ class TestSimulate:
         vols = VolatilitySpec(n_factors=1, n_buckets=5)
         with pytest.raises(ConfigurationError):
             Model(ts8, two_ccy_curves, vols, "USD")
+
+    def test_a_built_model_is_frozen(self, ts8, two_ccy_curves):
+        # PathState.initial relies on the checks made when it was built.
+        model = Model(ts8, two_ccy_curves, VolatilitySpec(1, 8), "USD")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.base = "EUR"

@@ -377,7 +377,7 @@ class TestEquityForward:
             discounts={"USD": flat_curve("USD", 0.02, ts4.nodes)},
             equities={"USD": eq})
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(ts4, curves, v0, "USD", 2)
+        st = PathState.initial(Model(ts4, curves, v0, "USD"), 2)
         before = st.equity_forward("USD", 2.0)
         evolve_step(st, np.zeros((2, 1)))
         after = st.equity_forward("USD", 2.0)

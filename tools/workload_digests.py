@@ -1,0 +1,74 @@
+"""One SHA-256 per (workload, seed) over everything the benchmark jobs make.
+
+    PYTHONPATH=src python3 tools/workload_digests.py [--seeds 7 11]
+
+Runs every setup and job of each workload in `perfbench/workloads.py`
+through `colmm.cli.main`, in a temporary directory, and prints one line
+per (workload, seed).  Each digest covers, in run order, every step's
+exit code, its standard output (with the path after "wrote curve set to"
+masked, since the directory differs between runs) and every output file
+of the setups and jobs.  The worker count is the program's own:
+`COLMM_WORKERS` from the environment.  colmm is imported from PYTHONPATH,
+else from this checkout's `src/`, and the file it came from is printed
+to standard error.  Two commits give the same numbers when the lines
+printed with each one's `src/` on PYTHONPATH are equal.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_WROTE = re.compile(r"^(wrote curve set to ).*$", re.MULTILINE)
+
+
+def workload_digest(cli, workload, seed: int) -> str:
+    """SHA-256 over the exit codes, stdout and outputs of one workload."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        setups, jobs = workload.prepare(Path(tmp), seed)
+        for job in [*setups, *jobs]:
+            for argv in job.steps:
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main(argv)
+                h.update(f"exit {code}\n".encode())
+                h.update(_WROTE.sub(r"\1<path>", out.getvalue()).encode())
+            for path in job.outputs:
+                if path.exists():
+                    h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    args = parser.parse_args(argv)
+    # As the benchmark runs: one BLAS thread, set before numpy is imported.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.append(str(ROOT / "src"))
+
+    from colmm import cli
+    from workloads import WORKLOADS
+
+    print(f"colmm from {cli.__file__}", file=sys.stderr)
+    workers = os.environ.get("COLMM_WORKERS", "unset")
+    for name, workload in WORKLOADS.items():
+        for seed in args.seeds:
+            digest = workload_digest(cli, workload, seed)
+            print(f"{name} seed={seed} COLMM_WORKERS={workers} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
