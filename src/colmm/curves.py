@@ -168,10 +168,6 @@ class _PillarCurve:
         self.times, self.values, self._what = t, v, what
         self._t, self._v, self._logv = t.tolist(), v.tolist(), np.log(v).tolist()
 
-    @property
-    def last_pillar(self) -> float:
-        return self._t[-1]
-
 
 @dataclass
 class DiscountCurve(_PillarCurve):
@@ -195,18 +191,25 @@ class DiscountCurve(_PillarCurve):
 
 @dataclass
 class SpreadCurve(_PillarCurve):
-    """Funding-spread factor Y(0,T) for the ordered pair (currency, collateral)."""
+    """Funding-spread factor Y(0,T) for the ordered pair (currency, collateral).
+
+    `flipped` marks the reciprocal of the stored (collateral, currency)
+    curve; its errors name that stored pair, the one the data gave.
+    """
 
     currency: str
     collateral: str
     times: np.ndarray
     values: np.ndarray
+    flipped: bool = False
 
     def __post_init__(self):
         if self.currency == self.collateral:
             # Same-currency spread is identically one regardless of input.
             self.times, self.values = np.array([0.0]), np.array([1.0])
-        self._store(f"spread curve ({self.currency},{self.collateral})")
+        pair = (self.collateral, self.currency) if self.flipped else (
+            self.currency, self.collateral)
+        self._store(f"spread curve ({pair[0]},{pair[1]})")
 
     @classmethod
     def identity(cls, currency: str, collateral: str | None = None) -> "SpreadCurve":
@@ -223,12 +226,14 @@ class SpreadCurve(_PillarCurve):
 
         Forward spreads built from the reciprocal are the exact negatives of
         the original pair's, matching how reversed-pair vol loadings flip.
+        Its errors name this pair, as this curve's do.
         """
-        # A subnormal pillar overflows to inf, which _store refuses.
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):    # a subnormal pillar gives inf
             values = 1.0 / self.values
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{self._what}: a pillar's reciprocal is not finite")
         return SpreadCurve(self.collateral, self.currency, self.times.copy(),
-                           values)
+                           values, flipped=not self.flipped)
 
     def value(self, T: float) -> float:
         """Y(0,T); the single-anchor identity curve is 1 for every T."""

@@ -31,14 +31,14 @@ x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
 A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
 Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
-only W (at every node passed) and one (paths, K) array of log accounts,
+only W (at every node passed) and one (K, paths) array of log accounts,
 one per (currency, collateral) pair, and reads buckets from tables A built
 once by PathState.initial; each drift function returns an (N + 1, N)
 array whose row j is alpha(j), so each A is one cumsum.  The account of
 a pair accrues over (T_k, T_{k+1}] the rate fixed at T_k, x0 + A(k) +
 sigma . W(T_k) of bucket k of c + y, whose loading is
 VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
-y = 0.  So evolve_step is one (paths, d) @ (d, K) product plus
+y = 0.  So evolve_step is one (K, d) @ (d, paths) product plus
 elementwise updates.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
@@ -306,14 +306,17 @@ _NOT_SIMULATED = {
 
 
 class PathState:
-    """Batched market state at a grid node: every path array leads with paths.
+    """Batched market state at a grid node.
 
     One instance represents a block of scenarios; the scalar case is a
     block of size one.  What moves through time is the Brownian factor W
     (kept at every node passed, so fixed buckets can be rebuilt) and the
-    log accounts, one column per (currency, collateral) pair;
-    evolve_step mutates them in place.  Bucket values and spot FX are read
-    from them through deterministic tables.
+    log accounts, one per (currency, collateral) pair; evolve_step mutates
+    them in place.  Bucket values and spot FX are read from them through
+    deterministic tables.  Both are stored paths-last, W as (N + 1, d,
+    paths) and the accounts as (K, paths), so one node's factor and one
+    account are contiguous rows; `w` and `log_acc` are views that lead
+    with paths, as every array a PathState returns does.
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
@@ -328,9 +331,9 @@ class PathState:
         self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
         self.fx_legs = fx_legs          # ccy -> (X(base, ccy)(0), sigma_X)
-        self.log_acc = np.zeros((n_paths, len(columns)))
-        # (N + 1, P, d): W(T_k), rows <= node
-        self.w = np.zeros((ts.n_buckets + 1, n_paths, rate_sig.shape[1]))
+        self._log_acc = np.zeros((len(columns), n_paths))
+        # (N + 1, d, P): W(T_k), rows <= node
+        self._w = np.zeros((ts.n_buckets + 1, rate_sig.shape[1], n_paths))
 
     @classmethod
     def initial(cls, model, n_paths: int,
@@ -422,6 +425,16 @@ class PathState:
     # -- accessors used by payoffs and diagnostics --------------------------
 
     @property
+    def w(self) -> np.ndarray:
+        """W(T_k) of every path, (N + 1, paths, d); rows past the node are 0."""
+        return self._w.transpose(0, 2, 1)
+
+    @property
+    def log_acc(self) -> np.ndarray:
+        """Log accounts, (paths, K), column `columns[ccy, collateral]`."""
+        return self._log_acc.T
+
+    @property
     def time(self) -> float:
         return float(self.ts.nodes[self.node])
 
@@ -440,13 +453,13 @@ class PathState:
         except KeyError:
             raise ConfigurationError(_NOT_SIMULATED[family].format(key))
         hi = self.ts.n_buckets if hi is None else hi
-        # Row m - lo is bucket m: one row of the tables and one (paths, d)
-        # @ (d,) product, so a wide read is the single-bucket reads bit for
-        # bit, and a single read copies nothing.
+        # Row m - lo is bucket m: one row of the tables and one (d,) @
+        # (d, paths) product, so a wide read is the single-bucket reads bit
+        # for bit, and a single read copies nothing.
         out = np.empty((max(hi - lo, 0), self.n_paths))
         for x, m in zip(out, range(lo, hi)):
             r = min(self.node, m + tab.lag)
-            np.matmul(self.w[r], tab.sig[m], out=x)
+            np.matmul(tab.sig[m], self._w[r], out=x)
             x += tab.drift[r, m]
             if tab.lognormal:
                 np.exp(x, out=x)
@@ -474,7 +487,7 @@ class PathState:
     def _log_account(self, currency: str, collateral: str) -> np.ndarray:
         """Log of the account accruing c + y of the pair; y = 0 if same ccy."""
         try:
-            return self.log_acc[:, self.columns[currency, collateral]]
+            return self._log_acc[self.columns[currency, collateral]]
         except KeyError:
             raise ConfigurationError(
                 f"pair account ({currency},{collateral}) is not simulated")
@@ -494,10 +507,10 @@ class PathState:
         except KeyError:
             raise ConfigurationError(
                 f"no simulated FX linking {self.base} and {currency}")
-        log_acc, col = self.log_acc, self.columns
-        carry = (log_acc[:, col[self.base, currency]]
-                 - log_acc[:, col[currency, currency]])
-        return (carry + self.w[self.node] @ sig
+        log_acc, col = self._log_acc, self.columns
+        carry = (log_acc[col[self.base, currency]]
+                 - log_acc[col[currency, currency]])
+        return (carry + sig @ self._w[self.node]
                 - 0.5 * float(sig @ sig) * self.time)
 
     def _fx_leg(self, currency: str):
@@ -551,10 +564,11 @@ class PathState:
 def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     """Advance the state by one whole interval, to the next grid node.
 
-    dW is the Brownian increment over the interval, shape (n_paths, d).  W
+    dW is the Brownian increment over the interval, shape (n_paths, d); a
+    transposed view of a (d, n_paths) array is read without a copy.  W
     moves by dW and every log account adds delta_k times the rate fixed at
-    the interval start T_k, rate0[k] + W(T_k) @ rate_sig[k]: one
-    (paths, d) @ (d, K) product.  No bucket is touched, since the tables
+    the interval start T_k, rate0[k] + rate_sig[k].T @ W(T_k): one
+    (K, d) @ (d, paths) product.  No bucket is touched, since the tables
     give every bucket at any node, and spot FX follows from the accounts.
     """
     k = state.node
@@ -565,9 +579,12 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
         raise ValueError(
             f"dW must have shape {state.w.shape[1:]}, got {dW.shape}"
         )
-    state.log_acc += state.ts.deltas[k] * (state.rate0[k]
-                                           + state.w[k] @ state.rate_sig[k])
-    np.add(state.w[k], dW, out=state.w[k + 1])
+    w = state._w
+    rate = state.rate_sig[k].T @ w[k]
+    rate += state.rate0[k][:, None]
+    rate *= state.ts.deltas[k]
+    state._log_acc += rate
+    np.add(w[k], dW.T, out=w[k + 1])
     state.node = k + 1
     return state
 

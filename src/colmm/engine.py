@@ -15,21 +15,24 @@ of cephes ndtri: bit for bit scipy.special.ndtri on the central 73 % of
 draws and within a few ulp of it in the tails, where numpy's log stands in
 for libm's.  The engine needs numpy alone.
 
-Workers never share generator state, and paths are partitioned in
-contiguous blocks whose results are merged in block order, so the estimate
-is bit-identical for any worker count.
+Workers never share generator state.  Sampling is always antithetic: with
+pairs = n_paths / 2 (so the path count must be even), path p < pairs has a
+mirror path p + pairs driven by the negated increments of p's stream.  The
+estimator averages pair means and its standard error is the sample stdev
+of the pair means over sqrt(pairs); the reported path count stays at the
+physical 2 * pairs.
 
-Sampling is always antithetic: with pairs = n_paths / 2 (so the path
-count must be even), path p < pairs has a mirror path p + pairs driven by
-the negated increments of p's stream.  The estimator averages pair means and
-its standard error is the sample stdev of the pair means over sqrt(pairs);
-the reported path count stays at the physical 2 * pairs.
-
-Settlement reads one deflator per (node, currency, collateral) from the
-log accounts and W (`PathState.deflator`); a payoff's pair means are its
-amounts times that deflator (a unit payoff, fn None, is the deflator
-itself), written into one (payoffs, pairs) array that the estimator
-reduces a few rows at a time.
+Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
+partial, and workers take contiguous blocks of whole chunks.  Settlement
+reads one deflator per (node, currency, collateral) from the log accounts
+and W (`PathState.deflator`); a payoff's pair means are its amounts times
+that deflator (a unit payoff, fn None, is the deflator itself).  A block
+reduces them at once into per-chunk statistics (count, mean, M2 = the sum
+of squared deviations, min, max), and no pair mean outlives its node.  The
+chunks are merged with the k-group form of Chan, Golub & LeVeque's (1983)
+update, each sum running over the chunks in their order.  C depends on
+nothing else, so every statistic, and the estimate, is bit-identical for
+any worker count.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -76,8 +79,15 @@ _SHIFT11 = np.uint64(11)
 # buffers then stay in cache and memory does not grow with the path count.
 _CHUNK_BLOCKS = 1 << 14
 
-# Estimator rows reduced at a time; see _estimates.
-_ESTIMATE_ROWS = 16
+# Pairs per estimator chunk; see _ChunkStatistics.  A fixed size, so the
+# chunks are the same for any worker count.  Workers split whole chunks,
+# so a small C balances them; a path count that is a multiple of 200
+# gives whole chunks.
+_CHUNK_PAIRS = 100
+
+# Rows of pair sums a block holds before it reduces them: a bound on its
+# scratch, whatever the number of payoffs settling at one node.
+_SETTLE_ROWS = 8
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
 # approximations, highest power first.
@@ -362,23 +372,25 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
                    n_steps: int, n_factors: int) -> np.ndarray:
     """Normals for a contiguous path block, shape (paths, steps, factors).
 
-    Row p takes the first steps * factors words w of
-    numpy.random.Philox(key=[seed, p]), bit for bit, to the uniforms
-    ((w >> 11) + 0.5) * 2^-53 and those through `_ndtri`.  numpy bumps the
-    counter before its first block, so block b of the row is Philox4x64-10
-    of counter (b + 1, 0, 0, 0) under key (seed, p).  The rounds run as
-    in-place uint64 ufuncs over (rows, blocks) arrays, a chunk of about
-    _CHUNK_BLOCKS blocks at a time.  Both multiplications of a round are
-    one ufunc call over the stacked words [x0, x2], with the products' low
-    words stacked as [x3, x1], which halves the calls.  The key word is a
-    full array, because numpy broadcasts a (rows, 1) column over a short
-    row slowly.
+    The array is a view of (steps, factors, paths) storage, so each step's
+    normals are contiguous rows, one per factor.  Row p takes the first
+    steps * factors words w of numpy.random.Philox(key=[seed, p]), bit for
+    bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those through
+    `_ndtri`.  numpy bumps the counter before its first block, so block b
+    of the row is Philox4x64-10 of counter (b + 1, 0, 0, 0) under key
+    (seed, p).  The rounds run as in-place uint64 ufuncs over (blocks,
+    paths) arrays, a chunk of about _CHUNK_BLOCKS blocks at a time.  Both
+    multiplications of a round are one ufunc call over the stacked words
+    [x0, x2], with the products' low words stacked as [x3, x1], which
+    halves the calls.  A chunk's normals are made in one contiguous
+    (words, paths) buffer and copied into place.
     """
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
-    out = np.empty((n_paths, words))
+    out = np.empty((words, n_paths))
+    normals = out.reshape(n_steps, n_factors, n_paths).transpose(2, 0, 1)
     if words == 0:
-        return out.reshape(n_paths, n_steps, n_factors)
+        return normals
     blocks = -(-words // 4)
     rows = max(1, min(n_paths, _CHUNK_BLOCKS // blocks))
     mult = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
@@ -389,26 +401,33 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
     # Counter words 1-3 are zero and key word 0 is the seed, so rounds 1
     # and 2 reduce to per-block constants xored with the path's key word.
     counters = range(1, blocks + 1)
-    hi_ctr = np.array([_PHILOX_M0 * c >> 64 for c in counters], dtype=np.uint64)
+    hi_ctr = np.array([_PHILOX_M0 * c >> 64 for c in counters],
+                      dtype=np.uint64)[:, None]
     mix = np.array([(_PHILOX_M0 * seed >> 64) ^ (_PHILOX_M0 * c % _MAX_SEED)
-                    for c in counters], dtype=np.uint64)
+                    for c in counters], dtype=np.uint64)[:, None]
     lo_seed = np.uint64(_PHILOX_M0 * seed % _MAX_SEED)
     # The key word runs on from chunk to chunk; rounds 2-10 each add W1.
     next_chunk = np.uint64((rows - (_PHILOX_ROUNDS - 1) * _PHILOX_W1)
                            % _MAX_SEED)
 
     # Six stacked round buffers in three arrays, which are float scratch
-    # for _ndtri once the chunk's uniforms are out, and the key word.
-    bufs = [np.empty((4, rows, blocks), dtype=np.uint64) for _ in range(3)]
-    scratch = [buf.reshape(-1).view(np.float64) for buf in bufs]
-    key1_buf = np.empty((rows, blocks), dtype=np.uint64)
-    key1_buf[...] = np.arange(path_lo, path_lo + rows, dtype=np.uint64)[:, None]
+    # for _ndtri once the chunk's uniforms are out, and the key word as a
+    # full (blocks, paths) array.  A (paths,) vector broadcast over the
+    # blocks gives the same words, but it raised diagnose-wide's peak RSS
+    # by 1.6-7.0 MB in 5 of 5 paired runs, through where the allocator then
+    # placed the arrays that follow.
+    bufs = [np.empty(4 * blocks * rows, dtype=np.uint64) for _ in range(3)]
+    scratch = [buf.view(np.float64) for buf in bufs]
+    key1_buf = np.empty((blocks, rows), dtype=np.uint64)
+    key1_buf[...] = np.arange(path_lo, path_lo + rows, dtype=np.uint64)
+    chunk_buf = out.reshape(-1) if rows == n_paths else np.empty(words * rows)
     full = words // 4
     for lo in range(path_lo, path_hi, rows):
         hi = min(lo + rows, path_hi)
         n = hi - lo
-        x, y, low, t, s, h = (buf[i:i + 2, :n] for buf in bufs for i in (0, 2))
-        key1 = key1_buf[:n]                            # the path's key word
+        x, y, low, t, s, h = (buf[:4 * blocks * n].reshape(4, blocks, n)[i:i + 2]
+                              for buf in bufs for i in (0, 2))
+        key1 = key1_buf[:, :n]                         # the path's key word
         c = y[0]
         np.bitwise_xor(key1, hi_ctr, out=c)           # round 1: word 2
         _mulhi(mult_lo[1], mult_hi[1], c, x[1], t[0], s[0], h[0])  # round 2
@@ -427,18 +446,20 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
             y[1] ^= key0[r]
             x, y = y, x
         key1_buf += next_chunk
-        # Uniforms: word k of block b is column 4 b + k of the row.
-        dest = out[lo - path_lo:hi - path_lo]
-        by_block = dest[:, :4 * full].reshape(n, full, 4)
+        # Uniforms: word k of block b is row 4 b + k.
+        dest = chunk_buf[:words * n].reshape(words, n)
+        by_block = dest[:4 * full].reshape(full, 4, n)
         for k, word in enumerate((x[1], low[1], x[0], low[0])):
             word >>= _SHIFT11
-            by_block[:, :, k] = word[:, :full]
+            by_block[:, k] = word[:full]
             if 4 * full + k < words:
-                dest[:, 4 * full + k] = word[:, full]
+                dest[4 * full + k] = word[full]
         dest += 0.5
         dest *= 2.0 ** -53
         _ndtri(dest.reshape(-1), scratch)
-    return out.reshape(n_paths, n_steps, n_factors)
+        if n < n_paths:
+            out[:, lo - path_lo:hi - path_lo] = dest
+    return normals
 
 
 def _partition(n_units: int, n_workers: int) -> list[tuple[int, int]]:
@@ -448,31 +469,111 @@ def _partition(n_units: int, n_workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _simulate_block(model: Model, cfg: SimulationConfig,
-                    by_node: dict[int, dict[tuple[str, str], list]],
-                    n_last: int, unit_lo: int, unit_hi: int,
-                    tables: PathState, values: np.ndarray) -> None:
-    """Evolve one block of paths; write its pair means to its columns.
+def _pair_blocks(n_pairs: int, n_workers: int) -> list[tuple[int, int]]:
+    """Pair blocks [lo, hi) of whole chunks; only the last holds a partial one."""
+    n_chunks = -(-n_pairs // _CHUNK_PAIRS)
+    return [(lo * _CHUNK_PAIRS, min(hi * _CHUNK_PAIRS, n_pairs))
+            for lo, hi in _partition(n_chunks, n_workers)]
 
-    A unit is a (path, mirror) pair, and unit u of every payoff's row is
-    the pair's mean deflated value, so each block's columns
-    values[:, unit_lo:unit_hi] are the same for any partition.  Each
-    (node, currency, collateral) key reads one deflator.  The block's
-    state shares the deterministic tables of `tables`, and owns its W and
-    accounts.
+
+class _ChunkStatistics:
+    """Per-chunk statistics of rows of values, one per pair, and their merge.
+
+    Chunk c holds pairs [c C, (c + 1) C), C = _CHUNK_PAIRS, the last one
+    partial.  `add` reduces a chunk-aligned slice of rows to, per row and
+    chunk, the mean (sum / count, np.mean's steps), its residual (the mean
+    of the deviations from it, the roundoff np.mean left) and M2 (the sum
+    of the squared deviations, np.std's steps): each a function of its
+    row and chunk alone, as are the chunk's min and max.  `estimates`
+    merges the chunks with the k-group form of Chan, Golub & LeVeque's
+    update, M2 = sum of M2_c + sum of n_c (mean_c - mean)^2, on deviations
+    from chunk 0's mean with the residuals added back, so no difference of
+    two means loses the digits of the level.  Each sum runs over a row's
+    chunks in order, so a row's result depends on its chunks alone.  A
+    single chunk gives np.mean and np.std(ddof=1) / sqrt(n) bit for bit.
+    A row whose min equals its max is deterministic: that value with SE 0.0.
+    """
+
+    def __init__(self, n_rows: int, n_pairs: int):
+        n_chunks = -(-n_pairs // _CHUNK_PAIRS)
+        self.counts = [min(_CHUNK_PAIRS, n_pairs - c * _CHUNK_PAIRS)
+                       for c in range(n_chunks)]
+        self.lo, self.hi, self.mean, self.resid, self.m2 = np.empty(
+            (5, n_rows, n_chunks))
+
+    def add(self, rows: slice, pair_lo: int, values: np.ndarray) -> None:
+        """Reduce values (rows, pairs from pair_lo on), clobbering them."""
+        n = values.shape[1]
+        c0, full = pair_lo // _CHUNK_PAIRS, n - n % _CHUNK_PAIRS
+        for lo, hi in ((0, full), (full, n)):
+            if hi == lo:
+                continue
+            size = min(hi - lo, _CHUNK_PAIRS)
+            part = values[:, lo:hi].reshape(len(values), -1, size)
+            cols = slice(c0 + lo // _CHUNK_PAIRS, c0 + -(-hi // _CHUNK_PAIRS))
+            least, most, mean, resid, m2 = (
+                a[rows, cols] for a in (self.lo, self.hi, self.mean,
+                                        self.resid, self.m2))
+            part.min(axis=2, out=least)
+            part.max(axis=2, out=most)
+            part.sum(axis=2, out=mean)
+            mean /= size
+            part -= mean[:, :, None]
+            part.sum(axis=2, out=resid)
+            resid /= size
+            part *= part
+            part.sum(axis=2, out=m2)
+
+    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's mean and standard error, from every chunk's statistics."""
+        counts = np.array(self.counts, dtype=float)
+        n = counts.sum()
+        mean0, resid0 = self.mean[:, :1], self.resid[:, :1]
+        # Chunk means less chunk 0's, with the roundoff of both added back.
+        delta = (self.mean - mean0) + (self.resid - resid0)
+        offset = (delta * counts).sum(axis=1) / n   # merged mean - mean0
+        delta -= offset[:, None]
+        delta *= delta
+        m2 = self.m2.sum(axis=1) + (delta * counts).sum(axis=1)
+        lo, hi = self.lo.min(axis=1), self.hi.max(axis=1)
+        live = lo != hi
+        means, ses = lo.copy(), np.zeros(len(lo))
+        means[live] = mean0[live, 0] + offset[live]
+        ses[live] = np.sqrt(m2[live] / (n - 1)) / np.sqrt(n)
+        return means, ses
+
+
+def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
+                    n_last: int, unit_lo: int, unit_hi: int,
+                    tables: PathState, stats: _ChunkStatistics) -> None:
+    """Evolve one block of paths; reduce its pairs' values into `stats`.
+
+    A unit is a (path, mirror) pair, and unit u of a payoff's row is the
+    sum of the pair's deflated values, twice its mean: scaling by 2 is
+    exact, so the caller halves the estimates instead of every value.  A
+    block's units are whole chunks, so its statistics are the same for
+    any partition.  Each (node, currency, collateral) key reads one
+    deflator, and a node's rows are reduced _SETTLE_ROWS at a time.  The
+    block's state shares the deterministic tables of `tables`, and owns
+    its W and accounts.
     """
     ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
     normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
     state = tables.fresh(n_phys)
-    cols = values[:, unit_lo:unit_hi]
     deflated = np.empty(n_phys)
+    width = max(hi - lo for lo, hi, _ in by_node.values())
+    pair_sums = np.empty((min(width, _SETTLE_ROWS), n_units))
 
     def settle(node: int) -> None:
-        for key, rows in by_node.get(node, {}).items():
+        if node not in by_node:
+            return
+        row, _, groups = by_node[node]
+        held = 0
+        for key, payoffs in groups:
             deflator = None
-            for row, name, fn in rows:
+            for name, fn in payoffs:
                 if fn is not None:
                     amounts = np.asarray(fn(state), dtype=float)
                     if amounts.shape != (n_phys,):
@@ -484,46 +585,23 @@ def _simulate_block(model: Model, cfg: SimulationConfig,
                     deflator = state.deflator(*key)
                 x = (deflator if fn is None
                      else np.multiply(amounts, deflator, out=deflated))
-                pair_mean = np.add(x[:n_units], x[n_units:], out=cols[row])
-                pair_mean *= 0.5
+                np.add(x[:n_units], x[n_units:], out=pair_sums[held])
+                held += 1
+                if held == len(pair_sums):
+                    stats.add(slice(row, row + held), unit_lo, pair_sums)
+                    row, held = row + held, 0
+        if held:
+            stats.add(slice(row, row + held), unit_lo, pair_sums[:held])
 
     settle(0)
-    dw = np.empty((n_phys, vols.n_factors))    # each path's, then its mirror's
+    dw = np.empty((vols.n_factors, n_phys))    # each path's, then its mirror's
+    steps = normals.transpose(1, 2, 0)         # (steps, d, units), contiguous
     for node in range(1, n_last + 1):
-        np.multiply(np.sqrt(ts.deltas[node - 1]), normals[:, node - 1],
-                    out=dw[:n_units])
-        np.negative(dw[:n_units], out=dw[n_units:])
-        evolve_step(state, dw)
+        np.multiply(np.sqrt(ts.deltas[node - 1]), steps[node - 1],
+                    out=dw[:, :n_units])
+        np.negative(dw[:, :n_units], out=dw[:, n_units:])
+        evolve_step(state, dw.T)
         settle(node)
-
-
-def _estimates(values: np.ndarray, n_paths: int,
-               currencies: list[str]) -> list[PriceEstimate]:
-    """One estimate per row of pair means; overwrites `values`.
-
-    Rows are reduced _ESTIMATE_ROWS at a time, with np.std's steps (mean,
-    deviations, squares, sum over n - 1, sqrt) done in place, so nothing
-    the size of the array is allocated.  Each row's mean and SE are bit
-    for bit np.mean and np.std(ddof=1) / sqrt(n) of that row alone.  A
-    row whose values are all equal is deterministic: its first value with
-    SE 0.0, and it takes no part in the reduction.
-    """
-    out = []
-    root_n = np.sqrt(values.shape[1])
-    for lo in range(0, len(values), _ESTIMATE_ROWS):
-        chunk = values[lo:lo + _ESTIMATE_ROWS]
-        live = chunk.min(axis=1) != chunk.max(axis=1)
-        means, ses = chunk[:, 0].copy(), np.zeros(len(chunk))
-        if live.any():
-            sub = chunk if live.all() else chunk[live]
-            mean = sub.mean(axis=1)
-            means[live] = mean
-            np.subtract(sub, mean[:, None], out=sub)
-            np.multiply(sub, sub, out=sub)
-            ses[live] = np.sqrt(sub.sum(axis=1) / (sub.shape[1] - 1)) / root_n
-        out += [PriceEstimate(float(m), float(se), n_paths, ccy)
-                for m, se, ccy in zip(means, ses, currencies[lo:])]
-    return out
 
 
 def simulate_many(model: Model, cfg: SimulationConfig,
@@ -533,16 +611,24 @@ def simulate_many(model: Model, cfg: SimulationConfig,
 
     All payoffs ride the same scenarios, settling at their own maturity
     nodes while the block evolves to the farthest one.  Payoffs are
-    grouped by (node, currency, collateral) once, and every block writes
-    its pair means into one (payoffs, pairs) array, reduced at the end.
+    grouped by (node, currency, collateral) once, and each node's rows are
+    numbered contiguously, so a block reduces a node's pair sums into
+    rows [lo, hi) of one set of chunk statistics, merged at the end.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
-    by_node: dict[int, dict[tuple[str, str], list]] = {}
-    for row, (name, p) in enumerate(payoffs.items()):
+    grouped: dict[int, dict[tuple[str, str], list]] = {}
+    for name, p in payoffs.items():
         node = model.ts.node_index(p.maturity)
-        by_node.setdefault(node, {}).setdefault(
-            (p.currency, p.collateral), []).append((row, name, p.fn))
+        grouped.setdefault(node, {}).setdefault(
+            (p.currency, p.collateral), []).append((name, p.fn))
+    # node -> (first row, end row, [(key, [(name, fn)])]), rows in node order
+    by_node, order = {}, []
+    for node in sorted(grouped):
+        groups = list(grouped[node].items())
+        by_node[node] = (len(order), len(order) + sum(len(g) for _, g in groups),
+                         groups)
+        order += [name for _, group in groups for name, _ in group]
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
@@ -550,27 +636,32 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1, half_variance_sign)
     # No path array holds more float64 per path than the one-path state's
-    # W and accounts plus one per payoff; a count whose arrays numpy cannot
-    # size is out of memory before anything is allocated.
-    width = tables.w.size + tables.log_acc.size + len(payoffs)
-    if cfg.n_paths * width * 8 > _MAX_BYTES:
+    # W and accounts, and the statistics hold five per payoff and chunk; a
+    # count whose arrays numpy cannot size is out of memory before anything
+    # is allocated.
+    width = tables.w.size + tables.log_acc.size
+    chunks = -(-cfg.n_paths // (2 * _CHUNK_PAIRS))
+    if max(cfg.n_paths * width, 5 * len(payoffs) * chunks) * 8 > _MAX_BYTES:
         raise MemoryError(f"{cfg.n_paths} paths need more than "
                           f"{_MAX_BYTES} bytes")
-    values = np.empty((len(payoffs), cfg.n_paths // 2))
-    blocks = _partition(cfg.n_paths // 2, n_workers)
+    stats = _ChunkStatistics(len(order), cfg.n_paths // 2)
 
     def run(block):
         lo, hi = block
-        _simulate_block(model, cfg, by_node, n_last, lo, hi, tables, values)
+        _simulate_block(model, cfg, by_node, n_last, lo, hi, tables, stats)
 
+    blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
     if len(blocks) == 1:
         run(blocks[0])
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             list(pool.map(run, blocks))
 
-    return dict(zip(payoffs, _estimates(
-        values, cfg.n_paths, [p.currency for p in payoffs.values()])))
+    # The rows hold pair sums; halving their mean and SE is exact.
+    found = {name: PriceEstimate(0.5 * float(m), 0.5 * float(se), cfg.n_paths,
+                                 payoffs[name].currency)
+             for name, m, se in zip(order, *stats.estimates())}
+    return {name: found[name] for name in payoffs}
 
 
 def simulate(model: Model, cfg: SimulationConfig, payoff: GridPayoff,

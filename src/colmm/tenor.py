@@ -45,10 +45,6 @@ class TenorStructure:
     def n_buckets(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def horizon(self) -> float:
-        return float(self.nodes[-1])
-
     def q_index(self, t: float) -> int:
         """Smallest n with T_n >= t.
 

@@ -852,7 +852,7 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"input error: {tmp_path / 'c.json'}: bad curve data: spread "
-            f"curve (USD,EUR): pillars must be finite\n")
+            f"curve (EUR,USD): a pillar's reciprocal is not finite\n")
 
     def test_too_many_workers_is_2(self, workdir, capsys, monkeypatch):
         # The count is refused before any thread starts; with --paths 4 a
@@ -913,13 +913,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("section, key, curve", [
         ("discounts", "EUR", "discount curve EUR"),
-        ("spreads", "USD/EUR", "spread curve (USD,EUR)")])
+        ("spreads", "USD/EUR", "spread curve (USD,EUR)"),
+        ("spreads", "EUR/USD", "spread curve (EUR,USD)")])
     def test_curve_short_of_the_grid_has_one_message(self, workdir, tmp_path,
                                                      capsys, section, key,
                                                      curve):
         # The curve ends at 1.0 on a grid to 4.0.  The interpolator refuses
-        # the lookup, for a simulation as for diagnose's targets.  The
-        # spread is stored as (base, EUR), the pair both read first.
+        # the lookup, for a simulation as for diagnose's targets.  Both
+        # name the stored spread pair, whichever orientation they read
+        # first: diagnose's targets read (base, EUR), and the simulation
+        # reads the pairs in sorted order.
         doc = json.loads((workdir / "curves.json").read_text())
         doc["spreads"] = {}
         doc[section][key] = {"times": [0.0, 0.5, 1.0],

@@ -218,9 +218,6 @@ class TestLookupsMatchNumpyFormula:
                                          log)
             for T in _query_times(curve.times.tolist()):
                 _assert_same_lookup(fn, want, T)
-        for curve in (disc, spread):
-            assert type(curve.last_pillar) is float
-            assert curve.last_pillar == curve.times[-1]
 
 
 def _numpy_bootstrap(quotes) -> np.ndarray:
@@ -603,7 +600,8 @@ class TestCurveSet:
         nodes = np.array([0.0, 1.0])
         tiny = SpreadCurve("EUR", "USD", nodes, np.array([1.0, 9e-310]))
         with pytest.raises(ValueError, match=(
-                re.escape("spread curve (USD,EUR): pillars must be finite"))):
+                re.escape("spread curve (EUR,USD): a pillar's reciprocal "
+                          "is not finite"))):
             CurveSet(spreads={("EUR", "USD"): tiny})
 
     def test_missing_equity_curve_raises(self, two_ccy_curves):

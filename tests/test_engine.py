@@ -23,8 +23,9 @@ from colmm import (
     simulate,
     simulate_many,
 )
-from colmm.engine import (MAX_WORKERS, WORKERS_ENV_VAR, _block_normals,
-                          _estimates, _ndtri, _partition)
+from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, MAX_WORKERS,
+                          WORKERS_ENV_VAR, _block_normals, _ChunkStatistics,
+                          _ndtri, _pair_blocks, _partition)
 
 from conftest import flat_curve
 
@@ -223,24 +224,87 @@ class TestSimulationConfig:
                 SimulationConfig().resolved_workers()
 
 
+def _chunk_estimates(values, blocks, rows_at_once=None):
+    """(mean, SE) of each row of pair means, reduced block by block.
+
+    Each block adds its columns a few rows at a time, as a simulation's
+    blocks do at a node, and the statistics are merged once.
+    """
+    n_rows, pairs = values.shape
+    stats = _ChunkStatistics(n_rows, pairs)
+    step = rows_at_once or n_rows
+    for lo, hi in blocks:
+        for r in range(0, n_rows, step):
+            stats.add(slice(r, r + step), lo, values[r:r + step, lo:hi].copy())
+    return list(zip(*stats.estimates()))
+
+
 class TestEstimates:
     @pytest.mark.parametrize("pairs", [2, 7, 2_500, 8_193])
     def test_rows_reduce_as_they_would_alone(self, pairs):
-        # Chunks of rows, with constant rows among them, give each row's own
-        # np.mean and np.std(ddof=1) / sqrt(n), bit for bit.
+        # Rows with constant rows among them.  One chunk gives each row's
+        # own np.mean and np.std(ddof=1) / sqrt(n), bit for bit; more
+        # chunks agree with a math.fsum two-pass reference.  Row 5 sits at
+        # 1e8 times its spread, where the naive sum of squares loses every
+        # digit.
         rng = np.random.default_rng(pairs)
         values = (rng.standard_normal((37, pairs))
                   * rng.uniform(1e-3, 1e2, (37, 1)) + rng.uniform(-5, 5, (37, 1)))
+        values[5] = 1e8 + rng.standard_normal(pairs)
         values[[3, 20, 36]] = [[1.25], [-0.0], [7.0]]
-        want = values.copy()
-        got = _estimates(values, 2 * pairs, ["EUR"] * 37)
-        for row, est in zip(want, got):
+        got = _chunk_estimates(values, _pair_blocks(pairs, 1), rows_at_once=5)
+        for i, (row, (mean, se)) in enumerate(zip(values, got)):
             if np.all(row == row[0]):
-                assert (est.mean, est.std_error) == (row[0], 0.0)
+                assert (mean, se) == (row[0], 0.0)
+            elif pairs <= _CHUNK_PAIRS:
+                assert mean == np.mean(row)
+                assert se == np.std(row, ddof=1) / np.sqrt(pairs)
             else:
-                assert est.mean == np.mean(row)
-                assert est.std_error == np.std(row, ddof=1) / np.sqrt(pairs)
-            assert est.n_paths == 2 * pairs and est.currency == "EUR"
+                want = math.fsum(row) / pairs
+                m2 = math.fsum((x - want) ** 2 for x in row)
+                assert mean == pytest.approx(want, rel=1e-13, abs=0.0), i
+                assert se == pytest.approx(math.sqrt(m2 / (pairs - 1) / pairs),
+                                           rel=1e-13, abs=0.0), i
+        if pairs > 2:
+            row = values[5]
+            naive = (np.sum(row * row) - pairs * np.mean(row) ** 2) / (pairs - 1)
+            assert abs(naive / np.var(row, ddof=1) - 1.0) > 1e-3
+
+    def test_any_chunk_partition_gives_the_same_bits(self):
+        # 17 chunks, the last partial, split into 1-8 blocks at chunk
+        # bounds: as by the workers, and at random cuts.
+        pairs = 16 * _CHUNK_PAIRS + 3
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((6, pairs)) * [[1], [1e-8], [3], [1], [2], [5]]
+        values[1] += 1e8
+        values[4] = 0.5
+        want = _chunk_estimates(values, [(0, pairs)])
+        chunks = 17
+        splits = [_pair_blocks(pairs, workers) for workers in range(1, 9)]
+        for n_blocks in range(1, 9):
+            cuts = sorted(rng.choice(np.arange(1, chunks), n_blocks - 1,
+                                     replace=False) * _CHUNK_PAIRS)
+            bounds = [0, *cuts, pairs]
+            splits.append(list(zip(bounds[:-1], bounds[1:])))
+        for blocks in splits:
+            got = _chunk_estimates(values, blocks[::-1], rows_at_once=4)
+            assert got == want, blocks
+        assert want[4] == (0.5, 0.0)
+
+    def test_blocks_are_whole_chunks(self):
+        for pairs, workers in [(5_000, 2), (2_000, 3), (517, 2), (5, 2),
+                               (512, 4), (1, 1)]:
+            blocks = _pair_blocks(pairs, workers)
+            assert blocks[0][0] == 0 and blocks[-1][1] == pairs
+            assert all(lo % _CHUNK_PAIRS == 0 for lo, _ in blocks)
+            assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+            assert len(blocks) == min(workers, -(-pairs // _CHUNK_PAIRS))
+        assert _pair_blocks(5_000, 2) == [(0, 2_500), (2_500, 5_000)]
+        assert _pair_blocks(5_050, 2) == [(0, 2_600), (2_600, 5_050)]
+        # Chunks are small enough that whole chunks still balance workers.
+        for pairs, workers in [(5_000, 3), (5_000, 4), (2_000, 3)]:
+            largest = max(hi - lo for lo, hi in _pair_blocks(pairs, workers))
+            assert largest <= 1.05 * pairs / workers
 
 
 class TestPriceEstimate:
@@ -364,7 +428,8 @@ class TestSimulate:
         vols = VolatilitySpec(n_factors=3, n_buckets=4,
                               collateral={"USD": [0.01, 0.005, 0.002]})
         model = Model(ts, curves, vols, "USD")
-        seed, pairs = 17, 5
+        # One whole chunk and 5 pairs: two blocks on two workers.
+        seed, pairs = 17, _CHUNK_PAIRS + 5
         seen = []
 
         def grab(st):
@@ -381,15 +446,15 @@ class TestSimulate:
                            for p in range(pairs)])
         # A block of u pairs holds u paths, then their u mirrors; the
         # partition gives blocks of distinct sizes, which identify them.
-        blocks = {hi - lo: lo for lo, hi in _partition(pairs, workers)}
+        blocks = {hi - lo: lo for lo, hi in _pair_blocks(pairs, workers)}
         assert len(blocks) == workers == len(seen)
         for w in seen:
             units = w.shape[1] // 2
             lo = blocks.pop(units)
-            dw = np.diff(w, axis=0).transpose(1, 0, 2)  # (paths, intervals, d)
-            want = expect[lo:lo + units]
-            np.testing.assert_allclose(dw[:units], want, rtol=1e-14, atol=1e-16)
-            np.testing.assert_allclose(dw[units:], -want, rtol=1e-14, atol=1e-16)
+            # W(T_k+1) is W(T_k) plus the increment, bit for bit.
+            want = expect[lo:lo + units].transpose(1, 0, 2)  # (intervals, paths, d)
+            np.testing.assert_array_equal(w[1:, :units], w[:-1, :units] + want)
+            np.testing.assert_array_equal(w[1:, units:], w[:-1, units:] - want)
 
     def test_se_shrinks_like_sqrt_n(self, one_ccy_model):
         pay = unit_zcb(4.0)
@@ -420,7 +485,8 @@ class TestSimulate:
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         simulate(one_ccy_model, SimulationConfig(n_paths=4_000), unit_zcb(3.5))
         assert len(made) == 1 and len(states) == 3
-        assert sorted(st.n_paths for st in states) == [1332, 1334, 1334]
+        # 2,000 pairs are 20 chunks of 100, split 7, 6, 7 among 3 workers.
+        assert sorted(st.n_paths for st in states) == [1200, 1400, 1400]
         for st in states:
             assert st.tables is made[0].tables and st.rate0 is made[0].rate0
             assert st.n_paths == st.log_acc.shape[0] == st.w.shape[1]
@@ -500,11 +566,14 @@ class TestSimulate:
                 assert joint[name].currency == payoff.currency
 
     def test_memory_is_the_estimator_array_plus_one_block(self, monkeypatch):
-        # 320 payoffs over 10,000 paths on one worker, on a 10-bucket grid
-        # so that the (payoffs, pairs) array of pair means outweighs the
-        # block's normals and state.  Besides those three, only row- and
-        # chunk-sized temporaries may be allocated: a whole-array np.std
-        # adds one as large as the array, which takes the peak to about 1.5x.
+        # 320 payoffs over 10,000 paths on one worker, on a 10-bucket grid.
+        # No array holds a value per payoff and pair: the peak is the
+        # block's normals and state, its pair means of _SETTLE_ROWS rows,
+        # room for path-length temporaries, and the chunk statistics, five
+        # floats per payoff and chunk.  A (payoffs, pairs) array of pair
+        # means, 12.8 MB here, is over twice that bound.  Going from one
+        # payoff to 320 adds the statistics, the other scratch rows and
+        # the temporaries of the payoffs' own code, a few path vectors.
         from colmm import CurveSet
         ts = TenorStructure(np.linspace(0.0, 2.5, 11))
         ccys = ("USD", "EUR", "GBP")
@@ -533,18 +602,25 @@ class TestSimulate:
                         0.0), T, "USD", "USD")
         assert len(pays) == 320
         n_paths, pairs, d = 10_000, 5_000, 3
-        estimator = 8 * len(pays) * pairs
+        chunks = -(-pairs // _CHUNK_PAIRS)
+        statistics = 8 * 5 * len(pays) * chunks
+        scratch = 8 * _SETTLE_ROWS * pairs
         normals = 8 * pairs * ts.n_buckets * d
         state = 8 * n_paths * ((ts.n_buckets + 1) * d + 5)   # W, 5 accounts
         cfg = SimulationConfig(n_paths=n_paths, seed=1)
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        tracemalloc.start()
-        try:
-            simulate_many(model, cfg, pays)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * (estimator + normals + state)
+
+        def peak(payoffs):
+            tracemalloc.start()
+            try:
+                simulate_many(model, cfg, payoffs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        many, one = peak(pays), peak({"one": pays["USD 2.5"]})
+        assert many < 1.25 * (normals + state + scratch) + statistics
+        assert many - one < statistics + scratch + 8 * 4 * n_paths
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)

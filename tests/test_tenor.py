@@ -14,7 +14,6 @@ class TestConstruction:
         ts = TenorStructure(np.array([0.0, 0.25, 1.0]))
         np.testing.assert_array_equal(ts.deltas, [0.25, 0.75])
         assert ts.n_buckets == 2
-        assert ts.horizon == 1.0
 
     def test_accrual_examples(self):
         ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
@@ -66,7 +65,7 @@ class TestQIndex:
 
     def test_accruals_sum_to_horizon(self):
         ts = TenorStructure(np.array([0.0, 0.25, 0.75, 2.0, 3.5]))
-        assert ts.deltas.sum() == ts.horizon
+        assert ts.deltas.sum() == ts.nodes[-1]
 
 
 class TestNodeIndex:
