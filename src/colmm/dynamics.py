@@ -49,7 +49,8 @@ X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy,ccy) + sigma_X . W(T_n)
 - 1/2 |sigma_X|^2 T_n), with L the log accounts.  So is the deflator of
 a cash flow in ccy margined in k, one over the base pair account of k
 converted to ccy: X(base,ccy)(T_n) / (X(0) exp(L(base,k))), one exp in
-which X(0) cancels (`PathState.deflator`).
+which X(0) cancels.  A node's keys are read together, as one (keys,
+paths) table (`PathState.deflators`).
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
 formula with the leading bracketed sum shifted by -sigma_X(base, currency),
@@ -500,18 +501,24 @@ class PathState:
         """Discrete account accruing c + y of the pair; C itself if same ccy."""
         return np.exp(self._log_account(currency, collateral))
 
-    def _log_fx_move(self, currency: str) -> np.ndarray:
-        """log X(base, currency) - log X(0) at the current node, a new array."""
+    def _log_fx_move(self, currency: str, out=None,
+                     scratch=None) -> np.ndarray:
+        """log X(base, currency) - log X(0) at the current node, into out.
+
+        (carry + sigma_X . W) - 1/2 |sigma_X|^2 T, in that order; out and
+        scratch are (paths,) arrays, allocated when not given.
+        """
         try:
             sig = self.fx_legs[currency][1]
         except KeyError:
             raise ConfigurationError(
                 f"no simulated FX linking {self.base} and {currency}")
         log_acc, col = self._log_acc, self.columns
-        carry = (log_acc[col[self.base, currency]]
-                 - log_acc[col[currency, currency]])
-        return (carry + sig @ self._w[self.node]
-                - 0.5 * float(sig @ sig) * self.time)
+        out = np.subtract(log_acc[col[self.base, currency]],
+                          log_acc[col[currency, currency]], out=out)
+        out += np.matmul(sig, self._w[self.node], out=scratch)
+        out -= 0.5 * float(sig @ sig) * self.time
+        return out
 
     def _fx_leg(self, currency: str):
         """X(base, currency) at the current node, read from the accounts."""
@@ -528,13 +535,30 @@ class PathState:
         L(currency, currency) + sigma_X . W(T_n) - 1/2 |sigma_X|^2 T_n
         - L(base pair), and exp(-L(base pair)) for the base currency.
         """
-        acc = self._log_account(self.base, collateral)
-        if currency == self.base:
-            log_d = np.negative(acc)
-        else:
-            log_d = self._log_fx_move(currency)
-            log_d -= acc
-        return np.exp(log_d, out=log_d)
+        return self.deflators([(currency, collateral)],
+                              np.empty((1, self.n_paths)))[0]
+
+    def deflators(self, keys, out: np.ndarray,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+        """The deflators of (currency, collateral) keys as rows of out.
+
+        Row i is deflator(*keys[i]) bit for bit: each row's log takes the
+        same steps in the same order, and one exp covers the table.  out
+        has at least len(keys) rows of paths; scratch is a (paths,) array
+        for the sigma_X . W products, allocated when not given.  Returns
+        the table's first len(keys) rows.
+        """
+        for (currency, collateral), row in zip(keys, out):
+            acc = self._log_account(self.base, collateral)
+            if currency == self.base:
+                np.negative(acc, out=row)
+            else:
+                if scratch is None:
+                    scratch = np.empty(self.n_paths)
+                self._log_fx_move(currency, row, scratch)
+                row -= acc
+        table = out[:len(keys)]
+        return np.exp(table, out=table)
 
     def fx_rate(self, currency: str, other: str) -> np.ndarray:
         """Spot FX path values: price of one unit of `other` in `currency`."""

@@ -23,16 +23,19 @@ of the pair means over sqrt(pairs); the reported path count stays at the
 physical 2 * pairs.
 
 Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
-partial, and workers take contiguous blocks of whole chunks.  Settlement
-reads one deflator per (node, currency, collateral) from the log accounts
-and W (`PathState.deflator`); a payoff's pair means are its amounts times
-that deflator (a unit payoff, fn None, is the deflator itself).  A block
-reduces them at once into per-chunk statistics (count, mean, M2 = the sum
-of squared deviations, min, max), and no pair mean outlives its node.  The
-chunks are merged with the k-group form of Chan, Golub & LeVeque's (1983)
-update, each sum running over the chunks in their order.  C depends on
-nothing else, so every statistic, and the estimate, is bit-identical for
-any worker count.
+partial, and workers take contiguous blocks of whole chunks, each on a
+thread of its own.  At each node a block writes one table of deflators, a
+row per (currency, collateral) key, from the log accounts and W
+(`PathState.deflators`); a payoff's values are its amounts times its key's
+row (a unit payoff, fn None, is the row itself).  The block holds the
+pair sums of its rows across nodes, a bounded number at a time, and
+reduces them into per-chunk statistics (count, mean, M2 = the sum of
+squared deviations, min, max), so few, large numpy calls do the
+reduction and no pair sum outlives the buffer.  The chunks are merged
+with the k-group form of Chan, Golub & LeVeque's (1983) update, each sum
+running over the chunks in their order.  C depends on nothing else, and
+each row's statistics on its own values alone, so every statistic, and
+the estimate, is bit-identical for any worker count and buffer size.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -42,7 +45,7 @@ floating-point averaging of identical numbers.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,9 +88,13 @@ _CHUNK_BLOCKS = 1 << 14
 # gives whole chunks.
 _CHUNK_PAIRS = 100
 
-# Rows of pair sums a block holds before it reduces them: a bound on its
-# scratch, whatever the number of payoffs settling at one node.
-_SETTLE_ROWS = 8
+# A block's settlement scratch in rows of one value per pair, whatever
+# the number of payoffs: its deflator table takes two per key (a path and
+# its mirror), and the rest, at least one, hold pair sums until they are
+# reduced.  The table is not capped, so a node with k > 19 keys takes
+# 2k + 1 rows.  Reducing many rows per call keeps the numpy calls of
+# concurrent blocks few and large.
+_SETTLE_ROWS = 40
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
 # approximations, highest power first.
@@ -229,9 +236,10 @@ class GridPayoff:
     by `PathState.deflator(currency, collateral)`, one over the numeraire
     in `currency`: the base pair account accruing c + y of (base,
     collateral), converted at simulated spot FX and times today's spot, so
-    the estimate is in `currency`.  Payoffs sharing (node, currency,
-    collateral) share one deflator; a unit payoff's values are the
-    deflator itself.
+    the estimate is in `currency`.  A node's deflators are one table, a
+    row per (currency, collateral) key, so payoffs sharing a key share a
+    row; a unit payoff's values are the row itself, and unit payoffs of
+    one key share one estimate.
     """
 
     fn: Callable[[PathState], np.ndarray] | None
@@ -543,19 +551,50 @@ class _ChunkStatistics:
         return means, ses
 
 
+def _run_threads(target: Callable, calls: list[tuple]) -> None:
+    """Run target(*args) for each args on a thread of its own; join them all.
+
+    The first exception, in the order of `calls`, is raised once every
+    thread has ended.
+    """
+    errors: list[BaseException | None] = [None] * len(calls)
+
+    def run(i: int, args: tuple) -> None:
+        try:
+            target(*args)
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i, args in enumerate(calls):
+            thread = threading.Thread(target=run, args=(i, args))
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
-                    n_last: int, unit_lo: int, unit_hi: int,
+                    n_held: int, n_last: int, unit_lo: int, unit_hi: int,
                     tables: PathState, stats: _ChunkStatistics) -> None:
     """Evolve one block of paths; reduce its pairs' values into `stats`.
 
-    A unit is a (path, mirror) pair, and unit u of a payoff's row is the
-    sum of the pair's deflated values, twice its mean: scaling by 2 is
-    exact, so the caller halves the estimates instead of every value.  A
-    block's units are whole chunks, so its statistics are the same for
-    any partition.  Each (node, currency, collateral) key reads one
-    deflator, and a node's rows are reduced _SETTLE_ROWS at a time.  The
-    block's state shares the deterministic tables of `tables`, and owns
-    its W and accounts.
+    A unit is a (path, mirror) pair, and unit u of a row is the sum of the
+    pair's deflated values, twice its mean: scaling by 2 is exact, so the
+    caller halves the estimates instead of every value.  A block's units
+    are whole chunks, so its statistics are the same for any partition.
+    At each node the block writes one deflator table, a row per (currency,
+    collateral) key (`PathState.deflators`); the unit rows' pair sums are
+    one add over the table's first rows, and each other row multiplies
+    its payoff's amounts by its key's deflator.  Pair sums are held across
+    nodes, in row order, and reduced n_held rows at a time.  The block's
+    state shares the deterministic tables of `tables`, and owns its W and
+    accounts.
     """
     ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
@@ -563,35 +602,43 @@ def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
     normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
     state = tables.fresh(n_phys)
     deflated = np.empty(n_phys)
-    width = max(hi - lo for lo, hi, _ in by_node.values())
-    pair_sums = np.empty((min(width, _SETTLE_ROWS), n_units))
+    table = np.empty((max(len(keys) for keys, _, _ in by_node.values()),
+                      n_phys))
+    held = np.empty((n_held, n_units))
+    row = filled = 0                    # held[:filled] is rows row, row + 1, ...
+
+    def reduce_held() -> None:
+        nonlocal row, filled
+        stats.add(slice(row, row + filled), unit_lo, held[:filled])
+        row, filled = row + filled, 0
+
+    def hold(values: np.ndarray) -> None:
+        """Hold the pair sums of (rows, paths) values, reducing full buffers."""
+        nonlocal filled
+        done = 0
+        while done < len(values):
+            n = min(len(values) - done, n_held - filled)
+            part = values[done:done + n]
+            np.add(part[:, :n_units], part[:, n_units:],
+                   out=held[filled:filled + n])
+            done, filled = done + n, filled + n
+            if filled == n_held:
+                reduce_held()
 
     def settle(node: int) -> None:
         if node not in by_node:
             return
-        row, _, groups = by_node[node]
-        held = 0
-        for key, payoffs in groups:
-            deflator = None
-            for name, fn in payoffs:
-                if fn is not None:
-                    amounts = np.asarray(fn(state), dtype=float)
-                    if amounts.shape != (n_phys,):
-                        raise ConfigurationError(
-                            f"payoff {name!r} returned shape {amounts.shape}, "
-                            f"expected ({n_phys},)"
-                        )
-                if deflator is None:
-                    deflator = state.deflator(*key)
-                x = (deflator if fn is None
-                     else np.multiply(amounts, deflator, out=deflated))
-                np.add(x[:n_units], x[n_units:], out=pair_sums[held])
-                held += 1
-                if held == len(pair_sums):
-                    stats.add(slice(row, row + held), unit_lo, pair_sums)
-                    row, held = row + held, 0
-        if held:
-            stats.add(slice(row, row + held), unit_lo, pair_sums[:held])
+        keys, unit_rows, fns = by_node[node]
+        deflators = state.deflators(keys, table, deflated)
+        hold(deflators[:unit_rows])
+        for k, name, fn in fns:
+            amounts = np.asarray(fn(state), dtype=float)
+            if amounts.shape != (n_phys,):
+                raise ConfigurationError(
+                    f"payoff {name!r} returned shape {amounts.shape}, "
+                    f"expected ({n_phys},)"
+                )
+            hold(np.multiply(amounts, deflators[k], out=deflated)[None])
 
     settle(0)
     dw = np.empty((vols.n_factors, n_phys))    # each path's, then its mirror's
@@ -602,6 +649,8 @@ def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
         np.negative(dw[:, :n_units], out=dw[:, n_units:])
         evolve_step(state, dw.T)
         settle(node)
+    if filled:
+        reduce_held()
 
 
 def simulate_many(model: Model, cfg: SimulationConfig,
@@ -611,9 +660,12 @@ def simulate_many(model: Model, cfg: SimulationConfig,
 
     All payoffs ride the same scenarios, settling at their own maturity
     nodes while the block evolves to the farthest one.  Payoffs are
-    grouped by (node, currency, collateral) once, and each node's rows are
-    numbered contiguously, so a block reduces a node's pair sums into
-    rows [lo, hi) of one set of chunk statistics, merged at the end.
+    grouped by (node, currency, collateral) once.  Rows are numbered in
+    node order; within a node, one row per key that has unit payoffs
+    (shared by them, since their values are the deflator itself) comes
+    first, in the order of the node's deflator table, then one row per
+    other payoff.  Blocks reduce their pair sums into those rows of one
+    set of chunk statistics, merged at the end.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
@@ -622,13 +674,23 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         node = model.ts.node_index(p.maturity)
         grouped.setdefault(node, {}).setdefault(
             (p.currency, p.collateral), []).append((name, p.fn))
-    # node -> (first row, end row, [(key, [(name, fn)])]), rows in node order
-    by_node, order = {}, []
+    # node -> (deflator keys, unit key count, [(key index, name, fn)]),
+    # and the row of each payoff.
+    by_node, row_of, n_rows = {}, {}, 0
     for node in sorted(grouped):
-        groups = list(grouped[node].items())
-        by_node[node] = (len(order), len(order) + sum(len(g) for _, g in groups),
-                         groups)
-        order += [name for _, group in groups for name, _ in group]
+        groups = grouped[node]
+        # Keys with unit payoffs come first: unit row k is table row k.
+        units = [key for key, group in groups.items()
+                 if any(fn is None for _, fn in group)]
+        keys = units + [key for key in groups if key not in units]
+        fns = [(k, name, fn) for k, key in enumerate(keys)
+               for name, fn in groups[key] if fn is not None]
+        by_node[node] = (keys, len(units), fns)
+        row_of.update((name, n_rows + k) for k, key in enumerate(units)
+                      for name, fn in groups[key] if fn is None)
+        row_of.update((name, n_rows + len(units) + j)
+                      for j, (_, name, _) in enumerate(fns))
+        n_rows += len(units) + len(fns)
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
@@ -636,32 +698,37 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1, half_variance_sign)
     # No path array holds more float64 per path than the one-path state's
-    # W and accounts, and the statistics hold five per payoff and chunk; a
+    # W and accounts, and the statistics hold five per row and chunk; a
     # count whose arrays numpy cannot size is out of memory before anything
     # is allocated.
     width = tables.w.size + tables.log_acc.size
     chunks = -(-cfg.n_paths // (2 * _CHUNK_PAIRS))
-    if max(cfg.n_paths * width, 5 * len(payoffs) * chunks) * 8 > _MAX_BYTES:
+    if max(cfg.n_paths * width, 5 * n_rows * chunks) * 8 > _MAX_BYTES:
         raise MemoryError(f"{cfg.n_paths} paths need more than "
                           f"{_MAX_BYTES} bytes")
-    stats = _ChunkStatistics(len(order), cfg.n_paths // 2)
-
-    def run(block):
-        lo, hi = block
-        _simulate_block(model, cfg, by_node, n_last, lo, hi, tables, stats)
-
+    stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
+    # Rows each block holds.  Concurrent blocks hold rows across nodes, to
+    # make their numpy calls few and large; a lone block shares the GIL
+    # with none, and holds one node's rows at most, as scratch it does not
+    # need cost it fresh pages from the allocator.
+    n_keys = max(len(keys) for keys, _, _ in by_node.values())
+    wanted = (n_rows if len(blocks) > 1 else
+              max(units + len(fns) for _, units, fns in by_node.values()))
+    n_held = max(1, min(wanted, _SETTLE_ROWS - 2 * n_keys))
+    args = (model, cfg, by_node, n_held, n_last)
     if len(blocks) == 1:
-        run(blocks[0])
+        _simulate_block(*args, *blocks[0], tables, stats)
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
+        _run_threads(_simulate_block, [(*args, *block, tables, stats)
+                                       for block in blocks])
 
     # The rows hold pair sums; halving their mean and SE is exact.
-    found = {name: PriceEstimate(0.5 * float(m), 0.5 * float(se), cfg.n_paths,
-                                 payoffs[name].currency)
-             for name, m, se in zip(order, *stats.estimates())}
-    return {name: found[name] for name in payoffs}
+    means, ses = stats.estimates()
+    return {name: PriceEstimate(0.5 * float(means[row_of[name]]),
+                                0.5 * float(ses[row_of[name]]), cfg.n_paths,
+                                payoffs[name].currency)
+            for name in payoffs}
 
 
 def simulate(model: Model, cfg: SimulationConfig, payoff: GridPayoff,

@@ -866,6 +866,31 @@ class TestExitCodes:
             "configuration error: COLMM_WORKERS must be in [1, 64], "
             "got 100000\n")
 
+    def test_payoff_error_on_a_worker_thread_is_2(self, workdir, capsys,
+                                                  monkeypatch):
+        # A payoff that raises on a worker thread ends the run as it does
+        # inline: one line and exit 2, whatever the worker count.
+        import threading
+        from colmm.dynamics import PathState
+        from colmm.errors import ConfigurationError
+        seen = set()
+
+        def broken(self, currency, end_node):
+            seen.add(threading.current_thread())
+            raise ConfigurationError(f"no spread for {currency} at {end_node}")
+
+        monkeypatch.setattr(PathState, "libor_ois", broken)
+        results = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("COLMM_WORKERS", workers)
+            rc = main(["diagnose", str(workdir / "curves.json"),
+                       "--vols", str(workdir / "vols.json"), "--paths", "400"])
+            results.append((rc, *capsys.readouterr()))
+        assert results[0] == results[1] == (
+            2, "", "configuration error: no spread for USD at 1\n")
+        # Inline on the main thread, then on one thread per block.
+        assert len(seen) == 3 and threading.main_thread() in seen
+
     # float() and numpy parse a numeric string, so each of these edits
     # would otherwise price as the number it spells.
     @pytest.mark.parametrize("doc, where, value, field", [
@@ -962,6 +987,19 @@ def test_import_loads_no_scipy_or_numpy_random():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, colmm, colmm.cli; print(' '.join(m for m in sys.modules"
             " if m.startswith(('scipy', 'numpy.random'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == []
+
+
+def test_import_loads_no_thread_pool():
+    # Workers are plain threads: concurrent.futures, and the logging,
+    # traceback and string modules it pulls in, stay unloaded.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, colmm, colmm.cli; print(' '.join(m for m in ("
+            "'concurrent.futures', 'logging', 'traceback', 'string')"
+            " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout

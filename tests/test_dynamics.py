@@ -729,3 +729,45 @@ class TestDeflator:
             with pytest.raises(ConfigurationError) as got:
                 st.deflator(*key)
             assert str(got.value) == str(want.value), key
+
+    def test_table_rows_are_the_deflators(self, ts4, three_ccy):
+        # Base, non-base and reversed-pair keys in one table, at node 0 and
+        # after each step: every row equals deflator(*key) and the log
+        # formula's own steps, ((L(base, c) - L(c, c)) + sigma_X . W)
+        # - 1/2 |sigma_X|^2 T - L(base, k), then exp, bit for bit.
+        curves, vols = three_ccy
+        st = PathState.initial(Model(ts4, curves, vols, "USD"), 33)
+        keys = [("EUR", "USD"), ("USD", "USD"), ("USD", "EUR"), ("GBP", "EUR"),
+                ("EUR", "GBP"), ("GBP", "GBP"), ("USD", "GBP"), ("EUR", "EUR")]
+        rng = np.random.default_rng(12)
+        out = np.full((len(keys) + 2, 33), np.nan)
+        for node in range(5):
+            acc = st._log_acc
+            for scratch in (None, np.empty(33)):
+                table = st.deflators(keys, out, scratch)
+                assert table.shape == (len(keys), 33)
+                assert np.shares_memory(table, out)
+                assert np.isnan(out[len(keys):]).all()
+                for (c, k), row in zip(keys, table):
+                    if c == "USD":
+                        log_d = -acc[st.columns["USD", k]]
+                    else:
+                        sig = st.fx_legs[c][1]
+                        log_d = ((acc[st.columns["USD", c]] - acc[st.columns[c, c]])
+                                 + sig @ st.w[node].T)
+                        log_d = (log_d - 0.5 * float(sig @ sig) * st.time
+                                 - acc[st.columns["USD", k]])
+                    assert np.array_equal(row, st.deflator(c, k)), (node, c, k)
+                    assert np.array_equal(row, np.exp(log_d)), (node, c, k)
+            if node < 4:
+                evolve_step(st, rng.normal(size=(33, 3)) * np.sqrt(0.5))
+
+    def test_table_of_an_unsimulated_key_has_todays_message(self, ts4, three_ccy):
+        curves, vols = three_ccy
+        st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)
+        for key in [("USD", "JPY"), ("JPY", "USD")]:
+            with pytest.raises(ConfigurationError) as want:
+                st.deflator(*key)
+            with pytest.raises(ConfigurationError) as got:
+                st.deflators([("USD", "USD"), key], np.empty((2, 2)))
+            assert str(got.value) == str(want.value), key

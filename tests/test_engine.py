@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -23,9 +24,11 @@ from colmm import (
     simulate,
     simulate_many,
 )
+from colmm import engine
 from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, MAX_WORKERS,
                           WORKERS_ENV_VAR, _block_normals, _ChunkStatistics,
-                          _ndtri, _pair_blocks, _partition)
+                          _ndtri, _pair_blocks, _partition,
+                          _run_threads)
 
 from conftest import flat_curve
 
@@ -270,7 +273,8 @@ class TestEstimates:
             naive = (np.sum(row * row) - pairs * np.mean(row) ** 2) / (pairs - 1)
             assert abs(naive / np.var(row, ddof=1) - 1.0) > 1e-3
 
-    def test_any_chunk_partition_gives_the_same_bits(self):
+    def test_any_chunk_partition_gives_the_same_bits(self, ts4, two_ccy_curves,
+                                                     monkeypatch):
         # 17 chunks, the last partial, split into 1-8 blocks at chunk
         # bounds: as by the workers, and at random cuts.
         pairs = 16 * _CHUNK_PAIRS + 3
@@ -291,6 +295,55 @@ class TestEstimates:
             assert got == want, blocks
         assert want[4] == (0.5, 0.0)
 
+        # A simulation's blocks hold pair sums across nodes and reduce them
+        # a buffer at a time: every buffer size and worker count gives the
+        # same bits.  Nodes hold 1, 0, 1, 40 and 4 rows over at most 4
+        # deflator keys, so _SETTLE_ROWS 1-8, 11, 16 and 32 hold 1, 3, 8
+        # and 24 rows: node 3's 40 rows fill more than any of them, and
+        # its 3 unit rows more than one.
+        vols = VolatilitySpec(
+            n_factors=2, n_buckets=4,
+            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+            funding={("EUR", "USD"): [0.001, 0.002]},
+            fx={("USD", "EUR"): [0.05, -0.05]},
+        )
+        model = Model(ts4, two_ccy_curves, vols, "USD")
+        spot = two_ccy_curves.fx_rate("USD", "EUR")
+
+        def call(k):
+            return lambda st: np.maximum(st.fx_rate("USD", "EUR") - k * spot, 0.0)
+
+        pays = {"now": GridPayoff(None, 0.0, "USD", "USD"),
+                "fx 1": GridPayoff(call(1.0), 1.0, "USD", "EUR")}
+        keys = [("USD", "USD"), ("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
+        for key in keys[:3]:
+            pays[f"unit {key} 1.5"] = GridPayoff(None, 1.5, *key)
+        pays["unit again 1.5"] = GridPayoff(None, 1.5, "EUR", "USD")
+        for i in range(37):
+            pays[f"call {i} 1.5"] = GridPayoff(call(0.8 + 0.01 * i), 1.5,
+                                              *keys[i % 4])
+        # A key without unit payoffs first: the table puts it after them.
+        pays.update({"call usd 2": GridPayoff(call(1.1), 2.0, "USD", "USD"),
+                     "unit 2": GridPayoff(None, 2.0, "EUR", "USD"),
+                     "unit eur 2": GridPayoff(None, 2.0, "EUR", "EUR"),
+                     "call 2": GridPayoff(call(1.0), 2.0, "EUR", "EUR")})
+        cfg = SimulationConfig(n_paths=2 * (2 * _CHUNK_PAIRS + 7), seed=9)
+        runs = {}
+        for rows in (1, 3, 8, 11, 16, 32):
+            monkeypatch.setattr(engine, "_SETTLE_ROWS", rows)
+            for workers in (1, 2, 3):
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                runs[rows, workers] = simulate_many(model, cfg, pays)
+        first = runs[1, 1]
+        assert all(est.std_error > 0.0 for name, est in first.items()
+                   if name != "now")
+        assert first["unit again 1.5"] == first["unit ('EUR', 'USD') 1.5"]
+        for name in ("now", "fx 1", "unit again 1.5", "call 36 1.5", "unit 2",
+                     "call 2"):
+            assert first[name] == simulate(model, cfg, pays[name]), name
+        for (rows, workers), got in runs.items():
+            assert got == first, (rows, workers)
+
     def test_blocks_are_whole_chunks(self):
         for pairs, workers in [(5_000, 2), (2_000, 3), (517, 2), (5, 2),
                                (512, 4), (1, 1)]:
@@ -305,6 +358,26 @@ class TestEstimates:
         for pairs, workers in [(5_000, 3), (5_000, 4), (2_000, 3)]:
             largest = max(hi - lo for lo, hi in _pair_blocks(pairs, workers))
             assert largest <= 1.05 * pairs / workers
+
+
+class TestThreads:
+    def test_first_error_in_block_order_once_every_block_ends(self):
+        # Block 2 fails first and block 1 after it; block 1's error is
+        # raised, and only once block 0 has finished too.
+        failed, ended = threading.Event(), []
+
+        def block(i):
+            if i < 2:
+                assert failed.wait(10)
+            ended.append(i)
+            if i:
+                if i == 2:
+                    failed.set()
+                raise ValueError(f"block {i}")
+
+        with pytest.raises(ValueError, match="block 1"):
+            _run_threads(block, [(0,), (1,), (2,)])
+        assert sorted(ended) == [0, 1, 2] and ended[0] == 2
 
 
 class TestPriceEstimate:
