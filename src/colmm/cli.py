@@ -191,8 +191,7 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _diagnose_rows(model: Model, cfg: SimulationConfig,
-                   half_variance_sign: float) -> list:
+def _diagnose_rows(model: Model, cfg: SimulationConfig) -> list:
     """Martingale table: every simulated deflated asset vs its curve target.
 
     Row families, one per horizon node T_n:
@@ -246,8 +245,7 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig,
                     eq.value(T) * disc.discount(T))
 
     payoffs = {name: payoff for name, (*_, payoff, _) in specs.items()}
-    estimates = simulate_many(model, cfg, payoffs,
-                              half_variance_sign=half_variance_sign)
+    estimates = simulate_many(model, cfg, payoffs)
     rows = []
     for name, (family, tag, T, _, target) in specs.items():
         est = estimates[name]
@@ -263,9 +261,9 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig,
 def cmd_diagnose(args) -> int:
     ts, base, curves, vols = _load_model_inputs(args)
     cfg = _sim_config(args)
-    model = Model(ts, curves, vols, base)
-    sign = -1.0 if args.corrupt_drift_c else 1.0
-    rows = _diagnose_rows(model, cfg, sign)
+    model = Model(ts, curves, vols, base,
+                  half_variance_sign=-1.0 if args.corrupt_drift_c else 1.0)
+    rows = _diagnose_rows(model, cfg)
 
     worst = max((abs(r["z"]) for r in rows), default=0.0)
     passed = bool(worst <= Z_LIMIT)

@@ -221,6 +221,12 @@ class SpreadCurve(_PillarCurve):
     def is_identity(self) -> bool:
         return len(self._t) == 1 and self._v[0] == 1.0
 
+    def _check_identity_time(self, T: float) -> None:
+        # The identity spans every T >= 0 but, as a pillar curve does,
+        # refuses a negative or NaN T.
+        if not T >= 0.0:
+            raise ConfigurationError(f"{self._what}: time {T} is negative or NaN")
+
     def reciprocal(self) -> "SpreadCurve":
         """The reversed pair's curve: Y of (j,i) is 1/Y of (i,j) pillar-wise.
 
@@ -236,15 +242,15 @@ class SpreadCurve(_PillarCurve):
                            values, flipped=not self.flipped)
 
     def value(self, T: float) -> float:
-        """Y(0,T); the single-anchor identity curve is 1 for every T."""
+        """Y(0,T); the single-anchor identity curve is 1 for every T >= 0."""
         if self.is_identity:
-            if T < 0.0:
-                raise ValueError(f"time {T} is negative")
+            self._check_identity_time(T)
             return 1.0
         return _log_linear(self._t, self._v, self._logv, T, self._what)
 
     def log_value(self, T: float) -> float:
         if self.is_identity:
+            self._check_identity_time(T)
             return 0.0
         return _log_linear(self._t, self._v, self._logv, T, self._what,
                            log=True)

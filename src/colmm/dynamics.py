@@ -58,10 +58,9 @@ the spot-FX loading `fx_loadings(base, currency)` (zero for the base
 itself); for funding spreads of a foreign pair the shift applies to the
 first bracket only.
 
-`half_variance_sign` scales the +1/2 delta |sigma|^2 convexity term of the
-collateral-rate drift.  It exists so diagnostics can prove that a corrupted
-drift is detected (flip it to -1); production code never passes anything
-else.
+`half_variance_sign`, a field of the Model, scales the +1/2 delta |sigma|^2
+convexity term of the collateral-rate drift; -1, set by `diagnose
+--corrupt-drift-c`, is a negative control that the martingale table fails.
 """
 
 from __future__ import annotations
@@ -337,9 +336,9 @@ class PathState:
         self._w = np.zeros((ts.n_buckets + 1, rate_sig.shape[1], n_paths))
 
     @classmethod
-    def initial(cls, model, n_paths: int,
-                half_variance_sign: float = 1.0) -> "PathState":
-        """A state at T_0 of n_paths paths, tabled from a (checked) Model."""
+    def initial(cls, model, n_paths: int) -> "PathState":
+        """A state at T_0 of n_paths paths, tabled from a (checked) Model,
+        whose `half_variance_sign` the collateral-rate drifts take."""
         if n_paths < 1:
             raise ValueError("need at least one path")
         ts, curves, vols, base = model.ts, model.curves, model.vols, model.base
@@ -351,7 +350,7 @@ class PathState:
                 forward_rates(curve.log_discount, ts),
                 vols.collateral_loadings(ccy), ts,
                 collateral_drift_vector(vols, ts, ccy, base,
-                                        half_variance_sign))
+                                        model.half_variance_sign))
 
         # Simulated pairs: anything with an initial spread curve or funding
         # loadings, plus (base, ccy) for every non-base currency, whose

@@ -134,13 +134,15 @@ class Model:
 
     Checked once, when built, and frozen.  The base currency fixes the
     measure: deflated prices are computed with the base currency's (pair)
-    collateral accounts as numeraires.
+    collateral accounts as numeraires.  `half_variance_sign` scales the
+    collateral-rate drift's convexity term; -1.0 is a negative control.
     """
 
     ts: TenorStructure
     curves: CurveSet
     vols: VolatilitySpec
     base: str
+    half_variance_sign: float = 1.0
 
     def __post_init__(self):
         if self.base not in self.curves.discounts:
@@ -170,8 +172,10 @@ class Model:
                     f"vol config equity: currency {ccy!r} has no equity curve")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
+    """Path count and seed, checked once, when built, and frozen."""
+
     n_paths: int = 100_000
     seed: int = 42
 
@@ -654,8 +658,7 @@ def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
 
 
 def simulate_many(model: Model, cfg: SimulationConfig,
-                  payoffs: dict[str, GridPayoff],
-                  half_variance_sign: float = 1.0) -> dict[str, PriceEstimate]:
+                  payoffs: dict[str, GridPayoff]) -> dict[str, PriceEstimate]:
     """Estimate several payoffs from one shared set of paths.
 
     All payoffs ride the same scenarios, settling at their own maturity
@@ -665,7 +668,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     (shared by them, since their values are the deflator itself) comes
     first, in the order of the node's deflator table, then one row per
     other payoff.  Blocks reduce their pair sums into those rows of one
-    set of chunk statistics, merged at the end.
+    set of chunk statistics, merged at the end.  Every model choice, the
+    drift's `half_variance_sign` included, comes from the frozen `model`.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
@@ -696,7 +700,7 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # The deterministic tables are built once, on a one-path state, and
     # shared read-only; each block allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
-    tables = PathState.initial(model, 1, half_variance_sign)
+    tables = PathState.initial(model, 1)
     # No path array holds more float64 per path than the one-path state's
     # W and accounts, and the statistics hold five per row and chunk; a
     # count whose arrays numpy cannot size is out of memory before anything
@@ -731,8 +735,7 @@ def simulate_many(model: Model, cfg: SimulationConfig,
             for name in payoffs}
 
 
-def simulate(model: Model, cfg: SimulationConfig, payoff: GridPayoff,
-             half_variance_sign: float = 1.0) -> PriceEstimate:
+def simulate(model: Model, cfg: SimulationConfig,
+             payoff: GridPayoff) -> PriceEstimate:
     """Estimate E[payoff / numeraire], reported in the payoff's currency."""
-    return simulate_many(model, cfg, {"payoff": payoff},
-                         half_variance_sign)["payoff"]
+    return simulate_many(model, cfg, {"payoff": payoff})["payoff"]

@@ -3,6 +3,7 @@
 Run with -s to see the table; every criterion states its own tolerance.
 """
 
+import dataclasses
 import json
 import time
 
@@ -346,8 +347,8 @@ def test_criterion_9_negative_control():
     model = _criterion2_model()
     payoffs, targets = _criterion2_payoffs(model)
     cfg = SimulationConfig(n_paths=100_000, seed=42)
-    estimates = simulate_many(model, cfg, {"zcb 8": payoffs["zcb 8"]},
-                              half_variance_sign=-1.0)
+    corrupted = dataclasses.replace(model, half_variance_sign=-1.0)
+    estimates = simulate_many(corrupted, cfg, {"zcb 8": payoffs["zcb 8"]})
     z = estimates["zcb 8"].z_score(targets["zcb 8"])
     ok = abs(z) > 4.0
     _report(9, f"flipped convexity sign moves the 4y ZCB to z {z:+.1f}", ok)

@@ -144,6 +144,25 @@ class TestSpreadCurveReciprocal:
         assert missing.is_identity and missing.log_value(3.0) == 0.0
         assert two_ccy_curves.spread_curve("EUR", "EUR") is not same
 
+    @pytest.mark.parametrize("T", [-1.0, -1e-300, float("nan")])
+    def test_identity_lookups_refuse_what_pillar_curves_refuse(self, T):
+        # A pillar curve refuses a negative or NaN T; so do both lookups of
+        # the identity, with one error, where they once gave 1.0 and 0.0.
+        pillared = SpreadCurve("USD", "EUR", np.array([0.0, 1.0]),
+                               np.array([1.0, 0.99]))
+        for lookup in (pillared.value, pillared.log_value):
+            with pytest.raises(ConfigurationError):
+                lookup(T)
+        identity = SpreadCurve.identity("USD", "EUR")
+        errors = []
+        for lookup in (identity.value, identity.log_value):
+            with pytest.raises(ConfigurationError,
+                               match="negative or NaN") as exc:
+                lookup(T)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert identity.value(0.0) == 1.0 and identity.log_value(0.0) == 0.0
+
 
 def _numpy_log_linear(times, values, T, what, log=False):
     """The array formula: np.log over the pillar array, np.searchsorted."""

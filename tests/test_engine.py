@@ -413,6 +413,41 @@ def unit_zcb(maturity, ccy="USD", coll="USD"):
                       currency=ccy, collateral=coll)
 
 
+def _assert_peak_memory(model, pays, one, n_keys, n_accounts):
+    """Bound the traced peak of simulate_many over 10,000 paths.
+
+    No array holds a value per payoff and pair: the peak is the block's
+    normals and state (W and n_accounts log accounts), its settlement
+    scratch, room for path-length temporaries, and the chunk statistics,
+    five floats per payoff and chunk.  The scratch is _SETTLE_ROWS rows of
+    one value per pair, or 2 n_keys + 1 rows when a node's n_keys deflator
+    rows do not fit in it.  Going from the payoff `one` alone to all of
+    them adds the statistics, the other scratch rows and the temporaries
+    of the payoffs' own code, a few path vectors.
+    """
+    n_paths, pairs = 10_000, 5_000
+    ts, d = model.ts, model.vols.n_factors
+    chunks = -(-pairs // _CHUNK_PAIRS)
+    statistics = 8 * 5 * len(pays) * chunks
+    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 1) * pairs
+    normals = 8 * pairs * ts.n_buckets * d
+    state = 8 * n_paths * ((ts.n_buckets + 1) * d + n_accounts)
+    cfg = SimulationConfig(n_paths=n_paths, seed=1)
+    assert len(PathState.initial(model, 1).columns) == n_accounts
+
+    def peak(payoffs):
+        tracemalloc.start()
+        try:
+            simulate_many(model, cfg, payoffs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many, solo = peak(pays), peak({one: pays[one]})
+    assert many < 1.25 * (normals + state + scratch) + statistics
+    assert many - solo < statistics + scratch + 8 * 4 * n_paths
+
+
 class TestSimulate:
     def test_zero_vol_is_deterministic(self, ts8):
         from colmm import CurveSet
@@ -639,15 +674,12 @@ class TestSimulate:
                 assert joint[name].currency == payoff.currency
 
     def test_memory_is_the_estimator_array_plus_one_block(self, monkeypatch):
-        # 320 payoffs over 10,000 paths on one worker, on a 10-bucket grid.
-        # No array holds a value per payoff and pair: the peak is the
-        # block's normals and state, its pair means of _SETTLE_ROWS rows,
-        # room for path-length temporaries, and the chunk statistics, five
-        # floats per payoff and chunk.  A (payoffs, pairs) array of pair
-        # means, 12.8 MB here, is over twice that bound.  Going from one
-        # payoff to 320 adds the statistics, the other scratch rows and
-        # the temporaries of the payoffs' own code, a few path vectors.
+        # 10,000 paths on one worker, on a 10-bucket grid; see
+        # _assert_peak_memory for the bound.  First 320 payoffs, 5 keys a
+        # node: a (payoffs, pairs) array of pair means, 12.8 MB here, is
+        # over twice the bound.
         from colmm import CurveSet
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
         ts = TenorStructure(np.linspace(0.0, 2.5, 11))
         ccys = ("USD", "EUR", "GBP")
         curves = CurveSet(
@@ -674,26 +706,29 @@ class TestSimulate:
                         st.fx_rate("USD", c) - k * curves.fx_rate("USD", c),
                         0.0), T, "USD", "USD")
         assert len(pays) == 320
-        n_paths, pairs, d = 10_000, 5_000, 3
-        chunks = -(-pairs // _CHUNK_PAIRS)
-        statistics = 8 * 5 * len(pays) * chunks
-        scratch = 8 * _SETTLE_ROWS * pairs
-        normals = 8 * pairs * ts.n_buckets * d
-        state = 8 * n_paths * ((ts.n_buckets + 1) * d + 5)   # W, 5 accounts
-        cfg = SimulationConfig(n_paths=n_paths, seed=1)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        _assert_peak_memory(model, pays, "USD 2.5", n_keys=5, n_accounts=5)
 
-        def peak(payoffs):
-            tracemalloc.start()
-            try:
-                simulate_many(model, cfg, payoffs)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        many, one = peak(pays), peak({"one": pays["USD 2.5"]})
-        assert many < 1.25 * (normals + state + scratch) + statistics
-        assert many - one < statistics + scratch + 8 * 4 * n_paths
+        # Then 25 (currency, collateral) unit keys a node, from five
+        # currencies, read from 9 accounts (5 own, 4 base pairs): the
+        # deflator table outgrows _SETTLE_ROWS and takes 2 * 25 + 1 rows.
+        ccys = ("USD", "EUR", "GBP", "JPY", "CHF")
+        curves = CurveSet(
+            discounts={c: flat_curve(c, r, ts.nodes) for c, r in
+                       zip(ccys, (0.02, 0.01, 0.03, 0.005, 0.015))},
+            spot_fx={("USD", c): x for c, x in
+                     zip(ccys[1:], (1.08, 1.27, 0.0067, 1.12))})
+        vols = VolatilitySpec(
+            n_factors=3, n_buckets=10,
+            collateral={c: np.roll([0.01 - 0.001 * i, 0.0, 0.0], i)
+                        for i, c in enumerate(ccys)},
+            fx={("USD", c): np.roll([0.05, -0.04, 0.0], i)
+                for i, c in enumerate(ccys[1:])})
+        model = Model(ts, curves, vols, "USD")
+        pays = {f"{c}/{k} {T}": GridPayoff(None, T, c, k)
+                for T in ts.nodes[1:] for c in ccys for k in ccys}
+        assert len(pays) == 250
+        _assert_peak_memory(model, pays, "USD/USD 2.5", n_keys=25,
+                            n_accounts=9)
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
@@ -710,3 +745,57 @@ class TestSimulate:
         model = Model(ts8, two_ccy_curves, VolatilitySpec(1, 8), "USD")
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.base = "EUR"
+
+    def test_a_built_config_is_frozen(self):
+        # A path count set after the check would run unchecked, and the
+        # report would state a count the estimate did not use.
+        cfg = SimulationConfig(n_paths=1000, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_paths = 1001
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 2
+
+    def test_the_drift_sign_moves_only_collateral_rates(self, ts4):
+        # The negative control is a Model field: flipping it changes the
+        # collateral-rate drifts, so the tables of c and the account rates
+        # built on them, and nothing else.
+        from colmm import (CurveSet, EquityForwardCurve, SpreadCurve,
+                           SpreadFixings)
+        nodes = ts4.nodes
+        curves = CurveSet(
+            discounts={"USD": flat_curve("USD", 0.02, nodes),
+                       "EUR": flat_curve("EUR", 0.01, nodes)},
+            spreads={("EUR", "USD"): SpreadCurve(
+                "EUR", "USD", nodes, np.exp(-0.002 * nodes))},
+            spot_fx={("USD", "EUR"): 100.0},
+            fixings={"USD": SpreadFixings("USD", np.full(4, 0.003))},
+            equities={"USD": EquityForwardCurve(
+                "USD", nodes[1:], 100.0 * np.exp(0.03 * nodes[1:]))})
+        vols = VolatilitySpec(
+            n_factors=3, n_buckets=4,
+            collateral={"USD": [0.01, 0.0, 0.0], "EUR": [0.0, 0.008, 0.0]},
+            libor_ois={"USD": [0.0, 0.15, 0.1]},
+            equity={"USD": [0.05, 0.0, 0.18]},
+            funding={("EUR", "USD"): [0.0, 0.002, 0.003]},
+            fx={("USD", "EUR"): [0.04, -0.08, 0.02]})
+        model = Model(ts4, curves, vols, "USD")
+        assert model.half_variance_sign == 1.0
+        right = PathState.initial(model, 1)
+        wrong = PathState.initial(
+            dataclasses.replace(model, half_variance_sign=-1.0), 1)
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        assert right.tables.keys() == wrong.tables.keys()
+        assert {fam for fam, _ in right.tables} == {"c", "y", "b", "s"}
+        for key, tab in right.tables.items():
+            other = wrong.tables[key]
+            assert same(tab.x0, other.x0) and same(tab.sig, other.sig), key
+            assert same(tab.drift, other.drift) == (key[0] != "c"), key
+        assert not same(right.rate0, wrong.rate0)
+        assert same(right.rate_sig, wrong.rate_sig)
+        assert right.fx_legs.keys() == wrong.fx_legs.keys()
+        for ccy, (x0, sig) in right.fx_legs.items():
+            assert same(wrong.fx_legs[ccy][0], x0)
+            assert same(wrong.fx_legs[ccy][1], sig)

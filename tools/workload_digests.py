@@ -7,7 +7,10 @@ through `colmm.cli.main`, in a temporary directory, and prints one line
 per (workload, seed).  Each digest covers, in run order, every step's
 exit code, its standard output (with the path after "wrote curve set to"
 masked, since the directory differs between runs) and every output file
-of the setups and jobs.  The worker count is the program's own:
+of the setups and jobs.  After a job's outputs, each of its `diagnose`
+steps runs again with `--corrupt-drift-c` appended, the negative control,
+and its exit code, standard output and report enter the digest too.  The
+worker count is the program's own:
 `COLMM_WORKERS` from the environment.  colmm is imported from PYTHONPATH,
 else from this checkout's `src/`, and the file it came from is printed
 to standard error.  Two commits give the same numbers when the lines
@@ -33,18 +36,30 @@ _WROTE = re.compile(r"^(wrote curve set to ).*$", re.MULTILINE)
 def workload_digest(cli, workload, seed: int) -> str:
     """SHA-256 over the exit codes, stdout and outputs of one workload."""
     h = hashlib.sha256()
+
+    def run(argv) -> None:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        h.update(f"exit {code}\n".encode())
+        h.update(_WROTE.sub(r"\1<path>", out.getvalue()).encode())
+
+    def hash_outputs(job) -> None:
+        for path in job.outputs:
+            if path.exists():
+                h.update(path.read_bytes())
+
     with tempfile.TemporaryDirectory() as tmp:
         setups, jobs = workload.prepare(Path(tmp), seed)
         for job in [*setups, *jobs]:
             for argv in job.steps:
-                out = io.StringIO()
-                with redirect_stdout(out):
-                    code = cli.main(argv)
-                h.update(f"exit {code}\n".encode())
-                h.update(_WROTE.sub(r"\1<path>", out.getvalue()).encode())
-            for path in job.outputs:
-                if path.exists():
-                    h.update(path.read_bytes())
+                run(argv)
+            hash_outputs(job)
+            # The negative control overwrites the report just hashed.
+            for argv in job.steps:
+                if argv[0] == "diagnose":
+                    run([*argv, "--corrupt-drift-c"])
+                    hash_outputs(job)
     return h.hexdigest()
 
 
