@@ -31,12 +31,14 @@ from .engine import GridPayoff, Model, SimulationConfig, simulate_many
 from .errors import CalibrationError, ConfigurationError, InputError
 from .market_data import (
     build_curve_set,
+    json_text,
     load_curve_set,
     load_vol_config,
     parse_instruments,
     parse_market_csv,
     repricing_residuals,
     save_curve_set,
+    write_text,
 )
 from .pricers import (
     collateralized_zcb,
@@ -62,21 +64,13 @@ def _job_id(parts: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"cannot write: {exc}", path)
-
-
 def _write_csv(path: str, header: list, rows) -> None:
     # str() first: csv would write a numpy float through its repr.
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([str(v) for v in row] for row in rows)
-    _write_text(path, buf.getvalue())
+    write_text(path, buf.getvalue())
 
 
 def _sim_config(args) -> SimulationConfig:
@@ -100,11 +94,11 @@ def _write_job(args, base: str, cfg: SimulationConfig, body: dict,
     config = {"base": base, "paths": cfg.n_paths, "seed": cfg.seed, **config}
     doc = {"job_id": _job_id({"inputs": inputs, "config": config}),
            "inputs": inputs, "config": config, **body}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json_text(doc) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
-        _write_text(args.out, text)
+        write_text(args.out, text)
     if args.csv:
         _write_csv(args.csv, csv_header, csv_rows)
 
@@ -114,14 +108,15 @@ def cmd_bootstrap(args) -> int:
     curves = build_curve_set(md)
     residuals = repricing_residuals(md, curves)
     save_curve_set(args.out, md.ts, md.base, curves)
-    for label, resid in residuals:
-        print(f"{label}: residual {resid:.3e}")
+    # One write: an unbuffered stdout would take one per print.
+    lines = [f"{label}: residual {resid:.3e}" for label, resid in residuals]
     worst_label, worst = max(residuals, key=lambda lr: lr[1],
                              default=(None, 0.0))
-    print(f"max |residual| = {worst:.3e}")
+    lines.append(f"max |residual| = {worst:.3e}")
     if worst_label is not None:
-        print(f"worst quote: {worst_label}")
-    print(f"wrote curve set to {args.out}")
+        lines.append(f"worst quote: {worst_label}")
+    lines.append(f"wrote curve set to {args.out}")
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.csv:
         _write_csv(args.csv, ["quote", "residual"],
                    [(label, repr(resid)) for label, resid in residuals])

@@ -37,6 +37,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -356,15 +357,77 @@ def curve_set_document(ts: TenorStructure, base: str, curves: CurveSet) -> dict:
     }
 
 
-def save_curve_set(path: str, ts: TenorStructure, base: str,
-                   curves: CurveSet) -> None:
+_CONTAINERS = (dict, list, tuple)
+_REFUSE = json.JSONEncoder().default  # json's TypeError for other types
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    With `indent` set, CPython's json writes through its pure-Python
+    encoder.  Here Python walks the containers that hold containers, and
+    each innermost one goes whole to json's C encoder, built once per
+    depth with that depth's indent in its item separator.  Scalars and
+    keys are written by json's own code, so a value json refuses (a set,
+    a numpy integer, a tuple key) raises json's TypeError.  Circular
+    documents are not detected.
+    """
+    encoders = []
+
+    def encoder(level):
+        while len(encoders) <= level:
+            pad = "\n" + "  " * len(encoders)
+            encoders.append(c_make_encoder(
+                None, _REFUSE, encode_basestring_ascii, None, ": ", "," + pad,
+                True, False, True))  # sort_keys, skipkeys, allow_nan
+        return encoders[level]
+
+    def text(value, level):
+        if not (isinstance(value, _CONTAINERS) and value):
+            return encoder(0)(value, 0)[0]
+        is_dict = isinstance(value, dict)
+        inner = level + 1
+        pad = "\n" + "  " * inner
+        for item in value.values() if is_dict else value:
+            if isinstance(item, _CONTAINERS):
+                break
+        else:  # innermost: the C encoder writes it whole
+            s = encoder(inner)(value, 0)[0]
+            return f"{s[0]}{pad}{s[1:-1]}\n{'  ' * level}{s[-1]}"
+        if is_dict:
+            parts = [f"{_key_text(k)}: {text(v, inner)}"
+                     for k, v in sorted(value.items())]
+        else:
+            parts = [text(v, inner) for v in value]
+        opening, closing = "{}" if is_dict else "[]"
+        return (f"{opening}{pad}{(',' + pad).join(parts)}"
+                f"\n{'  ' * level}{closing}")
+
+    return text(doc, 0)
+
+
+def _key_text(key) -> str:
+    # json writes the other key types it accepts as strings of their JSON.
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to the file at `path`; an unwritable path -> InputError."""
     try:
         with open(path, "w") as fh:
-            json.dump(curve_set_document(ts, base, curves), fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write: {exc}", path)
+
+
+def save_curve_set(path: str, ts: TenorStructure, base: str,
+                   curves: CurveSet) -> None:
+    write_text(path, json_text(curve_set_document(ts, base, curves)) + "\n")
 
 
 def _read_json(path: str):

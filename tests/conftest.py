@@ -1,9 +1,15 @@
 """Shared model builders for the test suite."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from colmm import (
+# colmm from PYTHONPATH, else from this checkout's src/, so a run with
+# PYTHONPATH naming another tree tests that tree.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+from colmm import (  # noqa: E402
     CurveSet,
     DiscountCurve,
     SpreadCurve,

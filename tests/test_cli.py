@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import colmm
 from colmm import load_curve_set
 from colmm.cli import main
 
@@ -107,6 +108,23 @@ class TestBootstrap:
         worst = float(captured.split("max |residual| =")[1].split()[0])
         assert worst < 1e-12
         assert (tmp_path / "resid.csv").read_text().count("\n") > 16
+
+    def test_listing_is_one_write(self, workdir, tmp_path, monkeypatch):
+        # An unbuffered stdout makes each write a system call.
+        writes = []
+
+        class Out:
+            write = staticmethod(writes.append)
+
+        monkeypatch.setattr(sys, "stdout", Out())
+        out = tmp_path / "curves.json"
+        assert main(["bootstrap", str(workdir / "market.csv"),
+                     "--out", str(out)]) == 0
+        assert len(writes) == 1
+        # 16 OIS and 8 forward residuals, the maximum, the worst quote
+        # and the curve-set path.
+        assert len(writes[0].splitlines()) == 16 + 8 + 3
+        assert writes[0].endswith(f"\nwrote curve set to {out}\n")
 
     def test_names_the_worst_quote(self, tmp_path, capsys):
         # Discount pillars reprice exactly (residual 0), so the EUR OIS
@@ -966,6 +984,37 @@ class TestExitCodes:
             f"[0.0, 1.0] (no extrapolation)\n")
 
 
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestOutputForm:
+    """Every JSON document written is json.dumps(sort_keys=True, indent=2)
+    of itself plus a newline: colmm's writer must not drift from json's."""
+
+    def test_curve_set(self, workdir):
+        text = (workdir / "curves.json").read_text()
+        assert text == _canonical(text)
+
+    @pytest.mark.parametrize("flags", [
+        ["price", "--method", "black"], ["price", "--method", "mc"],
+        ["price", "--method", "both"], ["diagnose"],
+        ["diagnose", "--corrupt-drift-c"]])
+    def test_report_file_and_stdout(self, workdir, tmp_path, capsys, flags):
+        argv = [flags[0], str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "400",
+                *flags[1:]]
+        if flags[0] == "price":
+            argv += ["--instruments", str(workdir / "instruments.json")]
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (0, 4)
+        capsys.readouterr()
+        assert main(argv) == rc
+        for text in (out.read_text(), capsys.readouterr().out):
+            assert text == _canonical(text)
+
+
 def test_every_traced_layer_still_resolves(monkeypatch):
     # The benchmark's tracer patches colmm by name; a renamed function would
     # silently drop its layer from the traced metrics.
@@ -984,7 +1033,7 @@ def test_every_traced_layer_still_resolves(monkeypatch):
 
 
 def test_import_loads_no_scipy_or_numpy_random():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = Path(colmm.__file__).resolve().parents[1]
     code = ("import sys, colmm, colmm.cli; print(' '.join(m for m in sys.modules"
             " if m.startswith(('scipy', 'numpy.random'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -996,7 +1045,7 @@ def test_import_loads_no_scipy_or_numpy_random():
 def test_import_loads_no_thread_pool():
     # Workers are plain threads: concurrent.futures, and the logging,
     # traceback and string modules it pulls in, stay unloaded.
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = Path(colmm.__file__).resolve().parents[1]
     code = ("import sys, colmm, colmm.cli; print(' '.join(m for m in ("
             "'concurrent.futures', 'logging', 'traceback', 'string')"
             " if m in sys.modules))")
