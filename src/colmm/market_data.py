@@ -370,8 +370,11 @@ def json_text(doc) -> str:
     depth with that depth's indent in its item separator.  Scalars and
     keys are written by json's own code, so a value json refuses (a set,
     a numpy integer, a tuple key) raises json's TypeError.  Circular
-    documents are not detected.
+    documents are not detected.  An interpreter without json's C
+    encoder gets `json.dumps` itself.
     """
+    if c_make_encoder is None:
+        return json.dumps(doc, sort_keys=True, indent=2)
     encoders = []
 
     def encoder(level):
@@ -384,7 +387,7 @@ def json_text(doc) -> str:
 
     def text(value, level):
         if not (isinstance(value, _CONTAINERS) and value):
-            return encoder(0)(value, 0)[0]
+            return "".join(encoder(0)(value, 0))
         is_dict = isinstance(value, dict)
         inner = level + 1
         pad = "\n" + "  " * inner
@@ -392,7 +395,9 @@ def json_text(doc) -> str:
             if isinstance(item, _CONTAINERS):
                 break
         else:  # innermost: the C encoder writes it whole
-            s = encoder(inner)(value, 0)[0]
+            # The C encoder returns its text in pieces (one per 100,000
+            # chunks on CPython 3.11), so the whole list is joined.
+            s = "".join(encoder(inner)(value, 0))
             return f"{s[0]}{pad}{s[1:-1]}\n{'  ' * level}{s[-1]}"
         if is_dict:
             parts = [f"{_key_text(k)}: {text(v, inner)}"

@@ -85,3 +85,19 @@ def test_refuses_what_json_refuses(doc):
 def test_numpy_floats_are_written_as_floats():
     doc = {"a": [np.float64(0.1), np.float64(-np.inf)], "b": {"c": np.float64(2.0)}}
     assert json_text(doc) == _dumps(doc)
+
+
+def test_long_innermost_containers_are_written_whole():
+    # json's C encoder hands back its text in pieces once a container
+    # runs to about 100,000 chunks (two per list item, four per entry).
+    doc = {"a": [0.123456789] * 60000,
+           "b": {str(i): 0.5 for i in range(30000)},
+           "c": [[1.25] * 50000, {"d": list(range(50001))}]}
+    assert json_text(doc) == _dumps(doc)
+    assert json_text(doc["a"]) == _dumps(doc["a"])
+
+
+def test_without_the_c_encoder_json_dumps_writes(monkeypatch):
+    monkeypatch.setattr("colmm.market_data.c_make_encoder", None)
+    doc = {"a": [1.5, {"b": None}], "c": "d"}
+    assert json_text(doc) == _dumps(doc)
