@@ -24,18 +24,26 @@ physical 2 * pairs.
 
 Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
 partial, and workers take contiguous blocks of whole chunks, each on a
-thread of its own.  At each node a block writes one table of deflators, a
-row per (currency, collateral) key, from the log accounts and W
-(`PathState.deflators`); a payoff's values are its amounts times its key's
-row (a unit payoff, fn None, is the row itself).  The block holds the
-pair sums of its rows across nodes, a bounded number at a time, and
-reduces them into per-chunk statistics (count, mean, M2 = the sum of
-squared deviations, min, max), so few, large numpy calls do the
-reduction and no pair sum outlives the buffer.  The chunks are merged
-with the k-group form of Chan, Golub & LeVeque's (1983) update, each sum
-running over the chunks in their order.  C depends on nothing else, and
-each row's statistics on its own values alone, so every statistic, and
-the estimate, is bit-identical for any worker count and buffer size.
+thread of its own.  A block runs its pairs in tiles of _TILE_PAIRS, whole
+chunks from the block's start, the last one partial; each tile draws its
+own normals and evolves its own W and accounts over the whole grid.  At
+each node a tile writes one table of deflators, a row per (currency,
+collateral) key, from the log accounts and W (`PathState.deflators`); a
+payoff's values are its amounts times its key's row (a unit payoff, fn
+None, is the row itself).  The tile holds the pair sums of its rows
+across nodes, a bounded number at a time, and reduces them into
+per-chunk statistics (count, mean, M2 = the sum of squared deviations,
+min, max), so few, large numpy calls do the reduction and no pair sum
+outlives the buffer.  The chunks are merged with the k-group form of
+Chan, Golub & LeVeque's (1983) update, each sum running over the chunks
+in their order.  C depends on nothing else, and each row's statistics on
+its own values alone, so every statistic, and the estimate, is
+bit-identical for any worker count, tile size and buffer size.
+
+Memory grows with the path count only through the statistics: a
+simulation holds, per worker, one tile's normals, W and accounts and its
+settlement scratch, and, shared, the chunk statistics, 40 B per payoff
+row per 100 pairs.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -87,6 +95,13 @@ _CHUNK_BLOCKS = 1 << 14
 # so a small C balances them; a path count that is a multiple of 200
 # gives whole chunks.
 _CHUNK_PAIRS = 100
+
+# Pairs per tile, 50 whole chunks: a block runs its pairs a tile at a
+# time, so its normals, W and accounts never outgrow one tile.  Smaller
+# tiles save little more memory and make more, smaller numpy calls, which
+# concurrent blocks pay for most: on diagnose-wide's inputs at 40,000
+# paths and 2 workers, 2,500-pair tiles took 1.2x the time of these.
+_TILE_PAIRS = 50 * _CHUNK_PAIRS
 
 # A block's settlement scratch in rows of one value per pair, whatever
 # the number of payoffs: its deflator table takes two per key (a path and
@@ -508,8 +523,7 @@ class _ChunkStatistics:
 
     def __init__(self, n_rows: int, n_pairs: int):
         n_chunks = -(-n_pairs // _CHUNK_PAIRS)
-        self.counts = [min(_CHUNK_PAIRS, n_pairs - c * _CHUNK_PAIRS)
-                       for c in range(n_chunks)]
+        self.n_pairs = n_pairs
         self.lo, self.hi, self.mean, self.resid, self.m2 = np.empty(
             (5, n_rows, n_chunks))
 
@@ -538,7 +552,8 @@ class _ChunkStatistics:
 
     def estimates(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's mean and standard error, from every chunk's statistics."""
-        counts = np.array(self.counts, dtype=float)
+        counts = np.full(self.mean.shape[1], float(_CHUNK_PAIRS))
+        counts[-1] = self.n_pairs - _CHUNK_PAIRS * (len(counts) - 1)
         n = counts.sum()
         mean0, resid0 = self.mean[:, :1], self.resid[:, :1]
         # Chunk means less chunk 0's, with the roundoff of both added back.
@@ -586,19 +601,32 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
 def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
                     n_held: int, n_last: int, unit_lo: int, unit_hi: int,
                     tables: PathState, stats: _ChunkStatistics) -> None:
-    """Evolve one block of paths; reduce its pairs' values into `stats`.
+    """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
+
+    Tiles are _TILE_PAIRS pairs, whole chunks from the block's start, the
+    last one partial, so a block's memory is one tile's whatever its size.
+    """
+    for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
+        _simulate_tile(model, cfg, by_node, n_held, n_last, lo,
+                       min(lo + _TILE_PAIRS, unit_hi), tables, stats)
+
+
+def _simulate_tile(model: Model, cfg: SimulationConfig, by_node: dict,
+                   n_held: int, n_last: int, unit_lo: int, unit_hi: int,
+                   tables: PathState, stats: _ChunkStatistics) -> None:
+    """Evolve one tile of paths; reduce its pairs' values into `stats`.
 
     A unit is a (path, mirror) pair, and unit u of a row is the sum of the
     pair's deflated values, twice its mean: scaling by 2 is exact, so the
-    caller halves the estimates instead of every value.  A block's units
+    caller halves the estimates instead of every value.  A tile's units
     are whole chunks, so its statistics are the same for any partition.
-    At each node the block writes one deflator table, a row per (currency,
+    At each node the tile writes one deflator table, a row per (currency,
     collateral) key (`PathState.deflators`); the unit rows' pair sums are
     one add over the table's first rows, and each other row multiplies
     its payoff's amounts by its key's deflator.  Pair sums are held across
-    nodes, in row order, and reduced n_held rows at a time.  The block's
-    state shares the deterministic tables of `tables`, and owns its W and
-    accounts.
+    nodes, in row order, reduced n_held rows at a time and at the tile's
+    end.  The tile's state shares the deterministic tables of `tables`,
+    and owns its W and accounts.
     """
     ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
@@ -698,16 +726,16 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
-    # shared read-only; each block allocates its own state after its
+    # shared read-only; each tile allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1)
-    # No path array holds more float64 per path than the one-path state's
-    # W and accounts, and the statistics hold five per row and chunk; a
-    # count whose arrays numpy cannot size is out of memory before anything
-    # is allocated.
-    width = tables.w.size + tables.log_acc.size
+    # Path arrays are one tile's, whatever the count; only the statistics,
+    # five float64 per row and chunk, grow with it.  A count whose
+    # statistics numpy cannot size is out of memory before anything sized
+    # by the chunk count is built; one it can size but the machine cannot
+    # hold fails in their one np.empty, before the first tile.
     chunks = -(-cfg.n_paths // (2 * _CHUNK_PAIRS))
-    if max(cfg.n_paths * width, 5 * n_rows * chunks) * 8 > _MAX_BYTES:
+    if 5 * n_rows * chunks * 8 > _MAX_BYTES:
         raise MemoryError(f"{cfg.n_paths} paths need more than "
                           f"{_MAX_BYTES} bytes")
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)

@@ -25,9 +25,9 @@ from colmm import (
     simulate_many,
 )
 from colmm import engine
-from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, MAX_WORKERS,
-                          WORKERS_ENV_VAR, _block_normals, _ChunkStatistics,
-                          _ndtri, _pair_blocks, _partition,
+from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, _TILE_PAIRS,
+                          MAX_WORKERS, WORKERS_ENV_VAR, _block_normals,
+                          _ChunkStatistics, _ndtri, _pair_blocks, _partition,
                           _run_threads)
 
 from conftest import flat_curve
@@ -227,6 +227,43 @@ class TestSimulationConfig:
                 SimulationConfig().resolved_workers()
 
 
+def _mixed_payoffs(ts4, curves):
+    """A two-currency model and 47 payoffs on ts4's grid.
+
+    Nodes 0-4 hold 1, 0, 1, 40 and 4 rows over at most 4 deflator keys:
+    node 3's unit payoffs of three keys, one of them twice, share it with
+    37 calls, and node 4 puts a key without unit payoffs before the keys
+    with them.
+    """
+    vols = VolatilitySpec(
+        n_factors=2, n_buckets=4,
+        collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+        funding={("EUR", "USD"): [0.001, 0.002]},
+        fx={("USD", "EUR"): [0.05, -0.05]},
+    )
+    model = Model(ts4, curves, vols, "USD")
+    spot = curves.fx_rate("USD", "EUR")
+
+    def call(k):
+        return lambda st: np.maximum(st.fx_rate("USD", "EUR") - k * spot, 0.0)
+
+    pays = {"now": GridPayoff(None, 0.0, "USD", "USD"),
+            "fx 1": GridPayoff(call(1.0), 1.0, "USD", "EUR")}
+    keys = [("USD", "USD"), ("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
+    for key in keys[:3]:
+        pays[f"unit {key} 1.5"] = GridPayoff(None, 1.5, *key)
+    pays["unit again 1.5"] = GridPayoff(None, 1.5, "EUR", "USD")
+    for i in range(37):
+        pays[f"call {i} 1.5"] = GridPayoff(call(0.8 + 0.01 * i), 1.5,
+                                          *keys[i % 4])
+    # A key without unit payoffs first: the table puts it after them.
+    pays.update({"call usd 2": GridPayoff(call(1.1), 2.0, "USD", "USD"),
+                 "unit 2": GridPayoff(None, 2.0, "EUR", "USD"),
+                 "unit eur 2": GridPayoff(None, 2.0, "EUR", "EUR"),
+                 "call 2": GridPayoff(call(1.0), 2.0, "EUR", "EUR")})
+    return model, pays
+
+
 def _chunk_estimates(values, blocks, rows_at_once=None):
     """(mean, SE) of each row of pair means, reduced block by block.
 
@@ -297,36 +334,10 @@ class TestEstimates:
 
         # A simulation's blocks hold pair sums across nodes and reduce them
         # a buffer at a time: every buffer size and worker count gives the
-        # same bits.  Nodes hold 1, 0, 1, 40 and 4 rows over at most 4
-        # deflator keys, so _SETTLE_ROWS 1-8, 11, 16 and 32 hold 1, 3, 8
-        # and 24 rows: node 3's 40 rows fill more than any of them, and
-        # its 3 unit rows more than one.
-        vols = VolatilitySpec(
-            n_factors=2, n_buckets=4,
-            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
-            funding={("EUR", "USD"): [0.001, 0.002]},
-            fx={("USD", "EUR"): [0.05, -0.05]},
-        )
-        model = Model(ts4, two_ccy_curves, vols, "USD")
-        spot = two_ccy_curves.fx_rate("USD", "EUR")
-
-        def call(k):
-            return lambda st: np.maximum(st.fx_rate("USD", "EUR") - k * spot, 0.0)
-
-        pays = {"now": GridPayoff(None, 0.0, "USD", "USD"),
-                "fx 1": GridPayoff(call(1.0), 1.0, "USD", "EUR")}
-        keys = [("USD", "USD"), ("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
-        for key in keys[:3]:
-            pays[f"unit {key} 1.5"] = GridPayoff(None, 1.5, *key)
-        pays["unit again 1.5"] = GridPayoff(None, 1.5, "EUR", "USD")
-        for i in range(37):
-            pays[f"call {i} 1.5"] = GridPayoff(call(0.8 + 0.01 * i), 1.5,
-                                              *keys[i % 4])
-        # A key without unit payoffs first: the table puts it after them.
-        pays.update({"call usd 2": GridPayoff(call(1.1), 2.0, "USD", "USD"),
-                     "unit 2": GridPayoff(None, 2.0, "EUR", "USD"),
-                     "unit eur 2": GridPayoff(None, 2.0, "EUR", "EUR"),
-                     "call 2": GridPayoff(call(1.0), 2.0, "EUR", "EUR")})
+        # same bits.  With at most 4 deflator keys a node, _SETTLE_ROWS
+        # 1-8, 11, 16 and 32 hold 1, 3, 8 and 24 rows: node 3's 40 rows
+        # fill more than any of them, and its 3 unit rows more than one.
+        model, pays = _mixed_payoffs(ts4, two_ccy_curves)
         cfg = SimulationConfig(n_paths=2 * (2 * _CHUNK_PAIRS + 7), seed=9)
         runs = {}
         for rows in (1, 3, 8, 11, 16, 32):
@@ -343,6 +354,30 @@ class TestEstimates:
             assert first[name] == simulate(model, cfg, pays[name]), name
         for (rows, workers), got in runs.items():
             assert got == first, (rows, workers)
+
+    def test_tiles_move_no_number(self, ts4, two_ccy_curves, monkeypatch):
+        # 7 chunks and 37 pairs in tiles of 3 chunks: 1 worker runs tiles
+        # of 3, 3 and 1.37 chunks, 2 workers 3 + 1 and 3 + 0.37, and 3
+        # workers 3, 2 and 2.37.  Every estimate is the one-tile run's.
+        model, pays = _mixed_payoffs(ts4, two_ccy_curves)
+        pairs = 7 * _CHUNK_PAIRS + 37
+        cfg = SimulationConfig(n_paths=2 * pairs, seed=13)
+        tiles, fresh = [], PathState.fresh
+        monkeypatch.setattr(PathState, "fresh", lambda self, n: tiles.append(
+            n // 2) or fresh(self, n))
+        for workers in (1, 2, 3):
+            monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+            monkeypatch.setattr(engine, "_TILE_PAIRS", _TILE_PAIRS)
+            want = simulate_many(model, cfg, pays)
+            assert len(tiles) == workers
+            monkeypatch.setattr(engine, "_TILE_PAIRS", 3 * _CHUNK_PAIRS)
+            tiles.clear()
+            assert simulate_many(model, cfg, pays) == want, workers
+            assert sum(tiles) == pairs and max(tiles) == 3 * _CHUNK_PAIRS
+            assert len(tiles) == {1: 3, 2: 4, 3: 3}[workers]
+            tiles.clear()
+        assert all(est.std_error > 0.0 for name, est in want.items()
+                   if name != "now")
 
     def test_blocks_are_whole_chunks(self):
         for pairs, workers in [(5_000, 2), (2_000, 3), (517, 2), (5, 2),
@@ -414,9 +449,9 @@ def unit_zcb(maturity, ccy="USD", coll="USD"):
 
 
 def _assert_peak_memory(model, pays, one, n_keys, n_accounts):
-    """Bound the traced peak of simulate_many over 10,000 paths.
+    """Bound the traced peak of simulate_many over one full tile of paths.
 
-    No array holds a value per payoff and pair: the peak is the block's
+    No array holds a value per payoff and pair: the peak is one tile's
     normals and state (W and n_accounts log accounts), its settlement
     scratch, room for path-length temporaries, and the chunk statistics,
     five floats per payoff and chunk.  The scratch is _SETTLE_ROWS rows of
@@ -425,7 +460,8 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts):
     them adds the statistics, the other scratch rows and the temporaries
     of the payoffs' own code, a few path vectors.
     """
-    n_paths, pairs = 10_000, 5_000
+    pairs = _TILE_PAIRS
+    n_paths = 2 * pairs
     ts, d = model.ts, model.vols.n_factors
     chunks = -(-pairs // _CHUNK_PAIRS)
     statistics = 8 * 5 * len(pays) * chunks
@@ -673,8 +709,49 @@ class TestSimulate:
                 assert joint[name].std_error == single.std_error, (workers, name)
                 assert joint[name].currency == payoff.currency
 
+    def test_memory_stays_flat_as_paths_grow(self, ts8, two_ccy_curves,
+                                             monkeypatch):
+        # Four FX options on one worker: 40,000 paths run four full tiles
+        # where 10,000 run one, and add only the chunk statistics, 40 B per
+        # option per 100 pairs.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        from colmm import CurveSet
+        from conftest import flat_spread
+        nodes = ts8.nodes
+        curves = CurveSet(
+            discounts={"USD": flat_curve("USD", 0.02, nodes),
+                       "EUR": flat_curve("EUR", 0.01, nodes)},
+            spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
+            spot_fx={("USD", "EUR"): 1.08})
+        vols = VolatilitySpec(
+            n_factors=2, n_buckets=8,
+            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+            funding={("EUR", "USD"): [0.001, 0.002]},
+            fx={("USD", "EUR"): [0.1, -0.05]})
+        model = Model(ts8, curves, vols, "USD")
+        pays = {}
+        for coll, T, sign in (("USD", 1.0, 1.0), ("EUR", 2.0, -1.0),
+                              ("EUR", 3.0, 1.0), ("USD", 4.0, -1.0)):
+            k = curves.fx_rate("USD", "EUR")
+            pays[f"{coll} {T}"] = GridPayoff(
+                lambda st, k=k, sign=sign: np.maximum(
+                    sign * (st.fx_rate("USD", "EUR") - k), 0.0),
+                T, "USD", coll)
+
+        def peak(n_paths):
+            cfg = SimulationConfig(n_paths=n_paths, seed=1)
+            tracemalloc.start()
+            try:
+                simulate_many(model, cfg, pays)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_tile = peak(2 * _TILE_PAIRS)
+        assert peak(8 * _TILE_PAIRS) < 1.2 * one_tile
+
     def test_memory_is_the_estimator_array_plus_one_block(self, monkeypatch):
-        # 10,000 paths on one worker, on a 10-bucket grid; see
+        # One full tile of paths on one worker, on a 10-bucket grid; see
         # _assert_peak_memory for the bound.  First 320 payoffs, 5 keys a
         # node: a (payoffs, pairs) array of pair means, 12.8 MB here, is
         # over twice the bound.

@@ -1,9 +1,10 @@
-"""tools/worker_scaling.py: in-process job times at 1 worker against 2."""
+"""tools/worker_scaling.py: in-process job times and memory at 1 and 2 workers."""
 
 import importlib.util
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,12 +36,17 @@ def test_prints_a_median_and_speedup_per_path_count(worker_scaling, capsys):
     assert out[0] == ("diagnose-wide seed=1: median of 1 runs at "
                       "COLMM_WORKERS=1 and 2")
     assert out[1].split() == ["paths", "1", "worker", "s", "2", "workers",
-                              "s", "speedup"]
+                              "s", "speedup", "1", "worker", "MB", "2",
+                              "workers", "MB"]
     rows = [line.split() for line in out[2:]]
     assert [row[0] for row in rows] == ["200", "400"]
-    for _, one, many, speedup in rows:
+    for _, one, many, speedup, peak_one, peak_many in rows:
         assert float(one) > 0.0 and float(many) > 0.0
         assert re.fullmatch(r"\d+\.\d\d", speedup)
+        assert re.fullmatch(r"\d+\.\d", peak_one)
+        assert float(peak_one) > 0.0 and float(peak_many) > 0.0
+    # Tracing is stopped again.
+    assert not tracemalloc.is_tracing()
     # The caller's worker count is put back.
     assert os.environ["COLMM_WORKERS"] == "3"
 
