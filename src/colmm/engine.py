@@ -105,10 +105,10 @@ _TILE_PAIRS = 50 * _CHUNK_PAIRS
 
 # A block's settlement scratch in rows of one value per pair, whatever
 # the number of payoffs: its deflator table takes two per key (a path and
-# its mirror), and the rest, at least one, hold pair sums until they are
-# reduced.  The table is not capped, so a node with k > 19 keys takes
-# 2k + 1 rows.  Reducing many rows per call keeps the numpy calls of
-# concurrent blocks few and large.
+# its mirror), and the rest, at least one, hold pair sums across nodes
+# until they are reduced, so that every block makes few, large numpy
+# calls.  The table is not capped, so a node with k > 19 keys takes
+# 2k + 1 rows.
 _SETTLE_ROWS = 40
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
@@ -195,8 +195,8 @@ class SimulationConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise ValueError(f"need at least 2 paths, got {self.n_paths}")
+        if self.n_paths < 4:    # one pair would read as deterministic
+            raise ValueError(f"need at least 4 paths, got {self.n_paths}")
         if self.n_paths % 2:
             raise ValueError(
                 f"antithetic sampling needs an even path count, got {self.n_paths}"
@@ -625,8 +625,9 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, by_node: dict,
     one add over the table's first rows, and each other row multiplies
     its payoff's amounts by its key's deflator.  Pair sums are held across
     nodes, in row order, reduced n_held rows at a time and at the tile's
-    end.  The tile's state shares the deterministic tables of `tables`,
-    and owns its W and accounts.
+    end; n_held depends on the payoffs, never on the worker count.  The
+    tile's state shares the deterministic tables of `tables`, and owns
+    its W and accounts.
     """
     ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
@@ -740,15 +741,13 @@ def simulate_many(model: Model, cfg: SimulationConfig,
                           f"{_MAX_BYTES} bytes")
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
-    # Rows each block holds.  Concurrent blocks hold rows across nodes, to
-    # make their numpy calls few and large; a lone block shares the GIL
-    # with none, and holds one node's rows at most, as scratch it does not
-    # need cost it fresh pages from the allocator.
+    # Rows each block holds across nodes, set by the payoffs alone.
     n_keys = max(len(keys) for keys, _, _ in by_node.values())
-    wanted = (n_rows if len(blocks) > 1 else
-              max(units + len(fns) for _, units, fns in by_node.values()))
-    n_held = max(1, min(wanted, _SETTLE_ROWS - 2 * n_keys))
+    n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys))
     args = (model, cfg, by_node, n_held, n_last)
+    # A lone block runs on the calling thread: on a thread of its own it
+    # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
+    # beside the other blocks' threads raised diagnose-wide's by 8 MB.
     if len(blocks) == 1:
         _simulate_block(*args, *blocks[0], tables, stats)
     else:

@@ -639,6 +639,20 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_one_pair_is_2(self, workdir, capsys, command):
+        # One antithetic pair has no spread: it would claim an exact price
+        # (SE 0.0) in price and an infinite z in diagnose.
+        argv = [command, str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"), "--paths", "2"]
+        if command == "price":
+            argv += ["--instruments", str(workdir / "instruments.json"),
+                     "--method", "mc"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "input error: <flags>: need at least 4 paths, got 2\n"
+
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
     @pytest.mark.parametrize("paths", [2 ** 62, 2 ** 64, 10 ** 23])
     def test_unsizeable_paths_are_2(self, tmp_path, capsys, command, paths):
         # Counts whose arrays numpy cannot size are rejected before any

@@ -196,6 +196,8 @@ class TestSimulationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=1)
+        with pytest.raises(ValueError, match="at least 4 paths"):
+            SimulationConfig(n_paths=2)  # one pair: its min is its max
         with pytest.raises(ValueError):
             SimulationConfig(n_paths=11)  # odd: no mirror for the last path
         with pytest.raises(ValueError):
@@ -277,6 +279,36 @@ def _chunk_estimates(values, blocks, rows_at_once=None):
         for r in range(0, n_rows, step):
             stats.add(slice(r, r + step), lo, values[r:r + step, lo:hi].copy())
     return list(zip(*stats.estimates()))
+
+
+def _fx_options(ts8):
+    """A two-currency model and four FX options, one at each of T = 1-4.
+
+    Each option is its node's one row, as in the fxopt-mc workload.
+    """
+    from colmm import CurveSet
+    from conftest import flat_spread
+    nodes = ts8.nodes
+    curves = CurveSet(
+        discounts={"USD": flat_curve("USD", 0.02, nodes),
+                   "EUR": flat_curve("EUR", 0.01, nodes)},
+        spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
+        spot_fx={("USD", "EUR"): 1.08})
+    vols = VolatilitySpec(
+        n_factors=2, n_buckets=8,
+        collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
+        funding={("EUR", "USD"): [0.001, 0.002]},
+        fx={("USD", "EUR"): [0.1, -0.05]})
+    model = Model(ts8, curves, vols, "USD")
+    pays = {}
+    for coll, T, sign in (("USD", 1.0, 1.0), ("EUR", 2.0, -1.0),
+                          ("EUR", 3.0, 1.0), ("USD", 4.0, -1.0)):
+        k = curves.fx_rate("USD", "EUR")
+        pays[f"{coll} {T}"] = GridPayoff(
+            lambda st, k=k, sign=sign: np.maximum(
+                sign * (st.fx_rate("USD", "EUR") - k), 0.0),
+            T, "USD", coll)
+    return model, pays
 
 
 class TestEstimates:
@@ -378,6 +410,32 @@ class TestEstimates:
             tiles.clear()
         assert all(est.std_error > 0.0 for name, est in want.items()
                    if name != "now")
+
+    def test_one_reduction_per_tile_at_any_worker_count(self, ts8,
+                                                         monkeypatch):
+        # Four single-row nodes fit one buffer, so each tile reduces them
+        # in one call, whether its block runs alone or beside another.
+        # Holding one row at a time, four calls a tile, gives the same
+        # estimates, and each is its option's own run.
+        model, pays = _fx_options(ts8)
+        cfg = SimulationConfig(n_paths=2 * _TILE_PAIRS, seed=5)
+        calls, add = [], _ChunkStatistics.add
+        monkeypatch.setattr(_ChunkStatistics, "add", lambda self, *a: (
+            calls.append(a) or add(self, *a)))
+        runs = {}
+        for rows in (_SETTLE_ROWS, 3):       # 3: the table's 2 and 1 held
+            monkeypatch.setattr(engine, "_SETTLE_ROWS", rows)
+            for workers in (1, 2):
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                calls.clear()
+                runs[rows, workers] = simulate_many(model, cfg, pays)
+                per_tile = 1 if rows == _SETTLE_ROWS else len(pays)
+                assert len(calls) == per_tile * workers, (rows, workers)
+        want = runs[_SETTLE_ROWS, 1]
+        assert all(got == want for got in runs.values())
+        for name, payoff in pays.items():
+            assert want[name].std_error > 0.0
+            assert want[name] == simulate(model, cfg, payoff), name
 
     def test_blocks_are_whole_chunks(self):
         for pairs, workers in [(5_000, 2), (2_000, 3), (517, 2), (5, 2),
@@ -709,34 +767,12 @@ class TestSimulate:
                 assert joint[name].std_error == single.std_error, (workers, name)
                 assert joint[name].currency == payoff.currency
 
-    def test_memory_stays_flat_as_paths_grow(self, ts8, two_ccy_curves,
-                                             monkeypatch):
+    def test_memory_stays_flat_as_paths_grow(self, ts8, monkeypatch):
         # Four FX options on one worker: 40,000 paths run four full tiles
         # where 10,000 run one, and add only the chunk statistics, 40 B per
         # option per 100 pairs.
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        from colmm import CurveSet
-        from conftest import flat_spread
-        nodes = ts8.nodes
-        curves = CurveSet(
-            discounts={"USD": flat_curve("USD", 0.02, nodes),
-                       "EUR": flat_curve("EUR", 0.01, nodes)},
-            spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
-            spot_fx={("USD", "EUR"): 1.08})
-        vols = VolatilitySpec(
-            n_factors=2, n_buckets=8,
-            collateral={"USD": [0.01, 0.0], "EUR": [0.0, 0.008]},
-            funding={("EUR", "USD"): [0.001, 0.002]},
-            fx={("USD", "EUR"): [0.1, -0.05]})
-        model = Model(ts8, curves, vols, "USD")
-        pays = {}
-        for coll, T, sign in (("USD", 1.0, 1.0), ("EUR", 2.0, -1.0),
-                              ("EUR", 3.0, 1.0), ("USD", 4.0, -1.0)):
-            k = curves.fx_rate("USD", "EUR")
-            pays[f"{coll} {T}"] = GridPayoff(
-                lambda st, k=k, sign=sign: np.maximum(
-                    sign * (st.fx_rate("USD", "EUR") - k), 0.0),
-                T, "USD", coll)
+        model, pays = _fx_options(ts8)
 
         def peak(n_paths):
             cfg = SimulationConfig(n_paths=n_paths, seed=1)
