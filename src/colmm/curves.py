@@ -476,10 +476,26 @@ def pair_path(pairs, start: str, end: str, _seen=None):
     return None
 
 
+def check_pairs(pairs, section: str) -> None:
+    """Refuse a key that is not a (ccy, ccy) tuple of two currencies, or whose
+    reverse is also a key: a reverse is derived from its pair, never given."""
+    for key in pairs:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ValueError(
+                f"{section}: pair keys must be (ccy, ccy) tuples, got {key!r}")
+        if key[0] == key[1]:
+            raise ValueError(f"{section}: same-currency pair {key} is implicit")
+        if key[::-1] in pairs:
+            raise ValueError(
+                f"{section}: pair {key[0]}/{key[1]} is also given as "
+                f"{key[1]}/{key[0]}; give one orientation")
+
+
 @dataclass
 class CurveSet:
     """Everything known at time 0: discounts, spreads, fixings, spots, equity.
 
+    `spreads` and `spot_fx` hold one orientation per pair (check_pairs).
     Built whole and not edited afterwards: the reversed and same-currency
     spread curves that spread_curve returns are made at construction.
     """
@@ -491,22 +507,15 @@ class CurveSet:
     equities: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for pair in self.spreads:
-            if pair[0] == pair[1]:
-                raise ValueError(f"same-currency spread pair {pair} is implicit")
+        check_pairs(self.spreads, "spreads")
+        check_pairs(self.spot_fx, "spot_fx")
         for pair, v in self.spot_fx.items():
-            if pair[0] == pair[1]:
-                raise ValueError(f"same-currency FX pair {pair} is implicit")
-            if pair[::-1] in self.spot_fx:
-                raise ValueError(
-                    f"spot_fx: pair {pair[0]}/{pair[1]} is also given as "
-                    f"{pair[1]}/{pair[0]}; give one orientation")
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"spot FX {pair} must be positive, got {v}")
         self._pair_curves = {
             **{(c, c): SpreadCurve.identity(c) for c in self.discounts},
             **{(b, a): y.reciprocal() for (a, b), y in self.spreads.items()},
-            **self.spreads}  # a stored pair wins over a reverse
+            **self.spreads}
 
     @property
     def currencies(self) -> list:

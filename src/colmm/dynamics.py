@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import forward_rates, pair_path
+from .curves import check_pairs, forward_rates, pair_path
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -88,7 +88,8 @@ class VolatilitySpec:
     Log FX also adds up along a chain, so an FX pair resolves through the
     stored pairs as spot FX does (`curves.pair_path`): log X(i,k) =
     log X(i,j) + log X(j,k).  Same-currency keys, and a pair given in both
-    orientations, are rejected; same-currency loadings are identically zero.
+    orientations, are rejected (`curves.check_pairs`); same-currency
+    loadings are identically zero.
     """
 
     SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
@@ -109,17 +110,8 @@ class VolatilitySpec:
             raise ValueError("need at least one bucket")
         for name in self.SECTIONS:
             table = getattr(self, name)
-            for key in table if name in self.PAIR_SECTIONS else ():
-                if not (isinstance(key, tuple) and len(key) == 2):
-                    raise ValueError(
-                        f"pair keys must be (ccy, ccy) tuples, got {key!r}")
-                if key[0] == key[1]:
-                    raise ValueError(
-                        f"same-currency pair {key} must be omitted (zero)")
-                if key[::-1] in table:
-                    raise ValueError(
-                        f"{name}: pair {key[0]}/{key[1]} is also given as "
-                        f"{key[1]}/{key[0]}; give one orientation")
+            if name in self.PAIR_SECTIONS:
+                check_pairs(table, name)
             setattr(self, name, {
                 k: self._loadings(v, f"{name}[{k}]", per_bucket=name != "fx")
                 for k, v in table.items()})

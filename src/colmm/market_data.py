@@ -19,10 +19,11 @@ quotes each spot pair once, and each maturity once per currency (ois,
 discount, fixing, equity) or per pay, receive and collateral
 (fxforward); a repeat is rejected at its line.  A currency may be
 described by OIS quotes or by direct discount pillars, not both.  FX
-forwards must be collateralized in one of their own two currencies; a
-quote collateralized in the receive currency is folded into the reciprocal
-pair before bootstrapping, which is exact because common-collateral
-forwards of mirrored pairs are reciprocals.
+forwards must be collateralized in one of their own two currencies, and
+a pair's forwards in one of them, not both.  A quote collateralized in the
+receive currency is folded into the reciprocal pair before bootstrapping,
+which is exact because common-collateral forwards of mirrored pairs are
+reciprocals.
 
 Curve sets, volatility configs, and instrument lists are JSON documents;
 ordered pair keys are written "PAY/COLLATERAL" (or "PAY/RECEIVE" for FX),
@@ -267,11 +268,9 @@ def build_curve_set(md: MarketDataFile) -> CurveSet:
             dom, frn = recv, pay
             folded = sorted((T, 1.0 / q) for T, q in quotes)
         pair = (frn, dom)
-        if pair in spreads:
-            raise InputError(
-                f"funding pair {pair} bootstrapped from more than one quote set",
-                md.path,
-            )
+        if pair in spreads or pair[::-1] in spreads:
+            raise InputError(f"fxforward quotes for {frn}/{dom} come in more "
+                             "than one orientation or collateral", md.path)
         try:
             spot = spots.fx_rate(dom, frn)
         except ConfigurationError:
@@ -473,6 +472,10 @@ def load_curve_set(path: str):
     """Read a curve-set file back; returns (ts, base, curves)."""
     doc = _read_json(path)
     if isinstance(doc, dict):
+        for key in doc:  # the sections curve_set_document writes
+            if key not in ("grid", "base", "discounts", "spreads", "fixings",
+                           "spot_fx", "equities"):
+                raise InputError(f"unknown curve-set section {key!r}", path)
         _reject_non_numbers({k: v for k, v in doc.items() if k != "base"}, path)
     try:
         ts = TenorStructure(np.array(doc["grid"], dtype=float))

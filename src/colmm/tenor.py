@@ -55,12 +55,6 @@ class TenorStructure:
             raise ValueError(f"time {t} outside the grid [0, {self._nodes[-1]}]")
         return bisect_left(self._nodes, t)
 
-    def accrual(self, m: int) -> float:
-        """Year fraction delta_m = T_{m+1} - T_m of bucket m."""
-        if not 0 <= m < self.n_buckets:
-            raise ValueError(f"bucket index {m} outside [0, {self.n_buckets})")
-        return float(self.deltas[m])
-
     def node_index(self, t: float) -> int:
         """Index of the node exactly equal to t; error if t is off-grid."""
         idx = bisect_left(self._nodes, t)

@@ -527,6 +527,31 @@ class TestExitCodes:
         assert rc == 2
         assert "'spreads' must be a JSON object" in capsys.readouterr().err
 
+    def test_unknown_curve_set_section_is_2(self, workdir, tmp_path, capsys):
+        # A misspelled section would leave every spread at the identity.
+        doc = json.loads((workdir / "curves.json").read_text())
+        doc["spred"] = doc.pop("spreads")
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        rc = main(["diagnose", str(tmp_path / "c.json"),
+                   "--vols", str(workdir / "vols.json"), "--paths", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'c.json'}: "
+            "unknown curve-set section 'spred'\n")
+
+    def test_forwards_under_both_collaterals_is_2(self, tmp_path, capsys):
+        # Each collateral would give the pair a spread curve of its own
+        # orientation, and Black and the simulation could read different ones.
+        text = MARKET + "fxforward,USD,EUR,EUR,1.0,1.0924\n"
+        (tmp_path / "m.csv").write_text(text)
+        rc = main(["bootstrap", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'm.csv'}: fxforward quotes for "
+            "EUR/USD come in more than one orientation or collateral\n")
+        assert not (tmp_path / "c.json").exists()
+
     def test_object_loading_is_2(self, workdir, tmp_path, capsys):
         bad = dict(VOLS, collateral={"USD": {"a": 1}})
         (tmp_path / "v.json").write_text(json.dumps(bad))
@@ -956,17 +981,23 @@ class TestExitCodes:
     def test_spot_pair_in_both_orientations_is_2(self, workdir, tmp_path,
                                                  capsys):
         # Black would read the EUR/USD quote and the simulation the
-        # reciprocal of USD/EUR.
-        doc = json.loads((workdir / "curves.json").read_text())
-        doc["spot_fx"]["EUR/USD"] = 0.8
-        (tmp_path / "c.json").write_text(json.dumps(doc))
-        rc = main(["price", str(tmp_path / "c.json"),
-                   "--vols", str(workdir / "vols.json"),
-                   "--instruments", str(workdir / "instruments.json")])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"input error: {tmp_path / 'c.json'}: bad curve data: spot_fx: "
-            f"pair USD/EUR is also given as EUR/USD; give one orientation\n")
+        # reciprocal of USD/EUR.  A spread pair keeps the same rule: Black
+        # would read one curve and the simulation the other.
+        curve = {"times": [0.0, 4.0], "values": [1.0, 1.01]}
+        for section, pair, value in [("spot_fx", "USD/EUR", 0.8),
+                                     ("spreads", "EUR/USD", curve)]:
+            doc = json.loads((workdir / "curves.json").read_text())
+            pay, col = pair.split("/")
+            doc[section][f"{col}/{pay}"] = value
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            rc = main(["price", str(tmp_path / "c.json"),
+                       "--vols", str(workdir / "vols.json"),
+                       "--instruments", str(workdir / "instruments.json")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"input error: {tmp_path / 'c.json'}: bad curve data: "
+                f"{section}: pair {pair} is also given as {col}/{pay}; "
+                "give one orientation\n")
 
     @pytest.mark.parametrize("section, key, curve", [
         ("discounts", "EUR", "discount curve EUR"),

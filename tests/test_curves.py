@@ -102,8 +102,8 @@ class TestForwardRates:
         curve = DiscountCurve("X", nodes,
                               np.array([1.0, 0.99, 0.975, 0.962, 0.95]))
         for n in range(1, 5):
-            acc = sum(ts.accrual(m) * forward_rates(curve.log_discount, ts)[m]
-                      for m in range(n))
+            rates = forward_rates(curve.log_discount, ts)
+            acc = sum(float(ts.deltas[m]) * rates[m] for m in range(n))
             assert math.exp(-acc) == pytest.approx(curve.discount(nodes[n]),
                                                    rel=1e-14)
 
@@ -628,14 +628,25 @@ class TestCurveSet:
                            match=re.escape("no equity curve for 'XXX'")):
             two_ccy_curves.equity_curve("XXX")
 
-    def test_stored_pair_wins_over_a_reverse(self):
+    def test_spread_pair_in_both_orientations_rejected(self):
+        # Black would read one curve and Monte Carlo the other.
         nodes = np.array([0.0, 1.0])
         eur_usd = SpreadCurve("EUR", "USD", nodes, np.array([1.0, 0.99]))
         usd_eur = SpreadCurve("USD", "EUR", nodes, np.array([1.0, 0.98]))
-        cs = CurveSet(spreads={("EUR", "USD"): eur_usd,
-                               ("USD", "EUR"): usd_eur})
-        assert cs.spread_curve("EUR", "USD") is eur_usd
-        assert cs.spread_curve("USD", "EUR") is usd_eur
+        with pytest.raises(ValueError, match=re.escape(
+                "spreads: pair EUR/USD is also given as USD/EUR; "
+                "give one orientation")):
+            CurveSet(spreads={("EUR", "USD"): eur_usd,
+                              ("USD", "EUR"): usd_eur})
+
+    @pytest.mark.parametrize("section, value", [
+        ("spreads", SpreadCurve.identity("EUR", "USD")), ("spot_fx", 0.9)],
+        ids=["spreads", "spot_fx"])
+    def test_pair_keys_must_be_tuples(self, section, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{section}: pair keys must be (ccy, ccy) tuples, "
+                "got 'EUR/USD'")):
+            CurveSet(**{section: {"EUR/USD": value}})
 
     def test_own_pair_without_a_discount_curve_is_the_identity(self):
         cs = CurveSet()

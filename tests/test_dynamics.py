@@ -207,7 +207,8 @@ class TestDriftIdentities:
                 k = ts8.q_index(t)
                 drifts = collateral_drift_vector(v, ts8, "X")[k]
                 for n in range(k, 9):
-                    lhs = sum(ts8.accrual(m) * drifts[m] for m in range(k, n))
+                    lhs = sum(float(ts8.deltas[m]) * drifts[m]
+                              for m in range(k, n))
                     w = (ts8.deltas[k:n, None] * sig[k:n]).sum(axis=0)
                     assert abs(lhs - 0.5 * w @ w) < 1e-14
 

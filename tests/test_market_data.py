@@ -155,10 +155,13 @@ class TestBuildCurveSet:
         np.testing.assert_allclose(ya.values, yb.values, rtol=1e-12)
 
     def test_duplicate_pair_after_folding_rejected(self, tmp_path):
-        text = GOOD + "fxforward,EUR,USD,USD,0.5,0.9249\n"
-        md = parse_market_csv(write(tmp_path, text))
-        with pytest.raises(InputError):
-            build_curve_set(md)
+        # The mirrored pair under the same collateral, and the same pair
+        # under the other collateral, would each give EUR/USD a second curve.
+        for line in ("fxforward,EUR,USD,USD,0.5,0.9249\n",
+                     "fxforward,USD,EUR,EUR,0.5,1.0811\n"):
+            md = parse_market_csv(write(tmp_path, GOOD + line))
+            with pytest.raises(InputError, match="fxforward quotes for EUR/USD"):
+                build_curve_set(md)
 
     def test_fx_forward_needs_spot(self, tmp_path):
         text = GOOD.replace("spot,USD,EUR,1.08\n", "")

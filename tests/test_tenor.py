@@ -15,19 +15,6 @@ class TestConstruction:
         np.testing.assert_array_equal(ts.deltas, [0.25, 0.75])
         assert ts.n_buckets == 2
 
-    def test_accrual_examples(self):
-        ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
-        assert ts.accrual(0) == 0.5
-        assert ts.accrual(1) == 0.5
-        assert TenorStructure(np.array([0.0, 0.25, 1.0])).accrual(1) == 0.75
-
-    def test_accrual_out_of_range(self):
-        ts = TenorStructure(np.array([0.0, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            ts.accrual(2)
-        with pytest.raises(ValueError):
-            ts.accrual(-1)
-
     @pytest.mark.parametrize("nodes", [
         [0.0],                    # too short
         [0.1, 0.5],               # does not start at zero
