@@ -324,6 +324,7 @@ class PathState:
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
         self.fx_legs = fx_legs          # ccy -> (X(base, ccy)(0), sigma_X)
         self._log_acc = np.zeros((len(columns), n_paths))
+        self._resolved = {}             # ccy -> _leg, key -> (L, _leg)
         # (N + 1, d, P): W(T_k), rows <= node
         self._w = np.zeros((ts.n_buckets + 1, rate_sig.shape[1], n_paths))
 
@@ -438,27 +439,34 @@ class PathState:
         start) and "s" (equity forwards by maturity T_{m+1}) take a currency
         key, "y" (funding spreads) a (currency, collateral) pair.  A bucket
         that has fixed keeps its value from its fixing node.  Returns shape
-        (paths, hi - lo).
+        (paths, hi - lo); row m - lo is `_bucket`'s read of bucket m, so a
+        wide read is the single-bucket reads bit for bit.
         """
-        try:
-            tab = self.tables[family, key]
-        except KeyError:
-            raise ConfigurationError(_NOT_SIMULATED[family].format(key))
+        tab = self._tables(family, key)
         hi = self.ts.n_buckets if hi is None else hi
-        # Row m - lo is bucket m: one row of the tables and one (d,) @
-        # (d, paths) product, so a wide read is the single-bucket reads bit
-        # for bit, and a single read copies nothing.
         out = np.empty((max(hi - lo, 0), self.n_paths))
         for x, m in zip(out, range(lo, hi)):
-            r = min(self.node, m + tab.lag)
-            np.matmul(tab.sig[m], self._w[r], out=x)
-            x += tab.drift[r, m]
-            if tab.lognormal:
-                np.exp(x, out=x)
-                x *= tab.x0[m]
-            else:
-                x += tab.x0[m]
+            self._bucket(tab, m, x)
         return out.T
+
+    def _tables(self, family: str, key) -> _BucketTables:
+        try:
+            return self.tables[family, key]
+        except KeyError:
+            raise ConfigurationError(_NOT_SIMULATED[family].format(key))
+
+    def _bucket(self, tab: _BucketTables, m: int, out=None) -> np.ndarray:
+        """Bucket m of `tab` at the current node, into out (paths,), or new:
+        one row of the tables and one (d,) @ (d, paths) product."""
+        r = min(self.node, m + tab.lag)
+        x = np.matmul(tab.sig[m], self._w[r], out=out)
+        x += tab.drift[r, m]
+        if tab.lognormal:
+            np.exp(x, out=x)
+            x *= tab.x0[m]
+        else:
+            x += tab.x0[m]
+        return x
 
     def zcb(self, currency: str, maturity: float) -> np.ndarray:
         """D(t, T) reconstructed from live bucket rates at the current node."""
@@ -492,30 +500,41 @@ class PathState:
         """Discrete account accruing c + y of the pair; C itself if same ccy."""
         return np.exp(self._log_account(currency, collateral))
 
-    def _log_fx_move(self, currency: str, out=None,
-                     scratch=None) -> np.ndarray:
-        """log X(base, currency) - log X(0) at the current node, into out.
+    def _leg(self, currency: str):
+        """(L(base, ccy), L(ccy, ccy), sigma_X, 1/2 |sigma_X|^2) of a leg, once
+        per state: the L are row views, which evolve_step updates in place."""
+        leg = self._resolved.get(currency)
+        if leg is None:
+            try:
+                sig = self.fx_legs[currency][1]
+            except KeyError:
+                raise ConfigurationError(
+                    f"no simulated FX linking {self.base} and {currency}")
+            leg = self._resolved[currency] = (
+                self._log_account(self.base, currency),
+                self._log_account(currency, currency), sig,
+                0.5 * float(sig @ sig))
+        return leg
 
-        (carry + sigma_X . W) - 1/2 |sigma_X|^2 T, in that order; out and
-        scratch are (paths,) arrays, allocated when not given.
+    def _log_fx_move(self, leg, time: float, out=None,
+                     scratch=None) -> np.ndarray:
+        """log X(base, ccy) - log X(0) at the current node, into out.
+
+        leg is `_leg(ccy)`: (carry + sigma_X . W) - 1/2 |sigma_X|^2 time, in
+        that order; out and scratch are (paths,) arrays, or new.
         """
-        try:
-            sig = self.fx_legs[currency][1]
-        except KeyError:
-            raise ConfigurationError(
-                f"no simulated FX linking {self.base} and {currency}")
-        log_acc, col = self._log_acc, self.columns
-        out = np.subtract(log_acc[col[self.base, currency]],
-                          log_acc[col[currency, currency]], out=out)
+        own, other, sig, half_variance = leg
+        out = np.subtract(own, other, out=out)
         out += np.matmul(sig, self._w[self.node], out=scratch)
-        out -= 0.5 * float(sig @ sig) * self.time
+        out -= half_variance * time
         return out
 
     def _fx_leg(self, currency: str):
         """X(base, currency) at the current node, read from the accounts."""
         if currency == self.base:
             return 1.0
-        return np.exp(self._log_fx_move(currency)) * self.fx_legs[currency][0]
+        move = self._log_fx_move(self._leg(currency), self.time)
+        return np.exp(move) * self.fx_legs[currency][0]
 
     def deflator(self, currency: str, collateral: str) -> np.ndarray:
         """1 / numeraire of a cash flow in `currency` margined in `collateral`.
@@ -534,19 +553,25 @@ class PathState:
         """The deflators of (currency, collateral) keys as rows of out.
 
         Row i is deflator(*keys[i]) bit for bit: each row's log takes the
-        same steps in the same order, and one exp covers the table.  out
-        has at least len(keys) rows of paths; scratch is a (paths,) array
-        for the sigma_X . W products, allocated when not given.  Returns
-        the table's first len(keys) rows.
+        same steps in the same order, and one exp covers the table.  A key
+        is resolved on its state's first read of it (`_leg`), so a node
+        looks it up once.  out has at least len(keys) rows of paths;
+        scratch is a (paths,) array for the sigma_X . W products, or new.
+        Returns the table's first len(keys) rows.
         """
-        for (currency, collateral), row in zip(keys, out):
-            acc = self._log_account(self.base, collateral)
-            if currency == self.base:
+        time = self.time
+        for key, row in zip(keys, out):
+            resolved = self._resolved.get(key)
+            if resolved is None:
+                currency, collateral = key
+                resolved = self._resolved[key] = (
+                    self._log_account(self.base, collateral),
+                    None if currency == self.base else self._leg(currency))
+            acc, leg = resolved
+            if leg is None:
                 np.negative(acc, out=row)
             else:
-                if scratch is None:
-                    scratch = np.empty(self.n_paths)
-                self._log_fx_move(currency, row, scratch)
+                self._log_fx_move(leg, time, row, scratch)
                 row -= acc
         table = out[:len(keys)]
         return np.exp(table, out=table)
@@ -561,7 +586,7 @@ class PathState:
         """LIBOR-OIS spread for the period ending at node end_node."""
         if not 1 <= end_node <= self.ts.n_buckets:
             raise ValueError(f"period end node {end_node} outside the grid")
-        return self.buckets("b", currency, end_node - 1, end_node)[:, 0]
+        return self._bucket(self._tables("b", currency), end_node - 1)
 
     def equity_forward(self, currency: str, maturity: float) -> np.ndarray:
         """Equity forward S(t, maturity)."""
@@ -573,7 +598,7 @@ class PathState:
             raise ConfigurationError(
                 f"equity curve {currency} has no pillar coverage at T={maturity}"
             )
-        return self.buckets("s", currency, n - 1, n)[:, 0]
+        return self._bucket(self._tables("s", currency), n - 1)
 
 
 def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
@@ -590,11 +615,11 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     if k >= state.ts.n_buckets:
         raise ValueError(f"state is at the last node T_{k}; no interval left")
     dW = np.asarray(dW, dtype=float)
-    if dW.shape != state.w.shape[1:]:
-        raise ValueError(
-            f"dW must have shape {state.w.shape[1:]}, got {dW.shape}"
-        )
     w = state._w
+    if dW.shape != (state.n_paths, w.shape[1]):
+        raise ValueError(
+            f"dW must have shape {(state.n_paths, w.shape[1])}, got {dW.shape}"
+        )
     rate = state.rate_sig[k].T @ w[k]
     rate += state.rate0[k][:, None]
     rate *= state.ts.deltas[k]

@@ -32,8 +32,9 @@ collateral) key, from the log accounts and W (`PathState.deflators`); a
 payoff's values are its amounts times its key's row (a unit payoff, fn
 None, is the row itself).  The tile holds the pair sums of its rows
 across nodes, a bounded number at a time, and reduces them into
-per-chunk statistics (count, mean, M2 = the sum of squared deviations,
-min, max), so few, large numpy calls do the reduction and no pair sum
+per-chunk statistics (count, mean, M2 = the sum of squared deviations)
+and each row's min and max over the whole buffer, which are exact in any
+order, so few, large numpy calls do the reduction and no pair sum
 outlives the buffer.  The chunks are merged with the k-group form of
 Chan, Golub & LeVeque's (1983) update, each sum running over the chunks
 in their order.  C depends on nothing else, and each row's statistics on
@@ -511,14 +512,16 @@ class _ChunkStatistics:
     chunk, the mean (sum / count, np.mean's steps), its residual (the mean
     of the deviations from it, the roundoff np.mean left) and M2 (the sum
     of the squared deviations, np.std's steps): each a function of its
-    row and chunk alone, as are the chunk's min and max.  `estimates`
-    merges the chunks with the k-group form of Chan, Golub & LeVeque's
-    update, M2 = sum of M2_c + sum of n_c (mean_c - mean)^2, on deviations
-    from chunk 0's mean with the residuals added back, so no difference of
-    two means loses the digits of the level.  Each sum runs over a row's
-    chunks in order, so a row's result depends on its chunks alone.  A
-    single chunk gives np.mean and np.std(ddof=1) / sqrt(n) bit for bit.
-    A row whose min equals its max is deterministic: that value with SE 0.0.
+    row and chunk alone.  Each chunk of a slice takes its row's min and
+    max over the whole slice, one pass each, exact in any partition.
+    `estimates` merges the chunks with the k-group form of Chan, Golub &
+    LeVeque's update, M2 = sum of M2_c + sum of n_c (mean_c - mean)^2, on
+    deviations from chunk 0's mean with the residuals added back, so no
+    difference of two means loses the digits of the level.  Each sum runs
+    over a row's chunks in order, so a row's result depends on its chunks
+    alone.  A single chunk gives np.mean and np.std(ddof=1) / sqrt(n) bit
+    for bit.  A row whose min equals its max is deterministic: that value
+    with SE 0.0.
     """
 
     def __init__(self, n_rows: int, n_pairs: int):
@@ -531,17 +534,17 @@ class _ChunkStatistics:
         """Reduce values (rows, pairs from pair_lo on), clobbering them."""
         n = values.shape[1]
         c0, full = pair_lo // _CHUNK_PAIRS, n - n % _CHUNK_PAIRS
+        chunks = slice(c0, c0 + -(-n // _CHUNK_PAIRS))
+        self.lo[rows, chunks] = values.min(axis=1)[:, None]
+        self.hi[rows, chunks] = values.max(axis=1)[:, None]
         for lo, hi in ((0, full), (full, n)):
             if hi == lo:
                 continue
             size = min(hi - lo, _CHUNK_PAIRS)
             part = values[:, lo:hi].reshape(len(values), -1, size)
             cols = slice(c0 + lo // _CHUNK_PAIRS, c0 + -(-hi // _CHUNK_PAIRS))
-            least, most, mean, resid, m2 = (
-                a[rows, cols] for a in (self.lo, self.hi, self.mean,
-                                        self.resid, self.m2))
-            part.min(axis=2, out=least)
-            part.max(axis=2, out=most)
+            mean, resid, m2 = (a[rows, cols]
+                               for a in (self.mean, self.resid, self.m2))
             part.sum(axis=2, out=mean)
             mean /= size
             part -= mean[:, :, None]

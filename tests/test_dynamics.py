@@ -763,6 +763,62 @@ class TestDeflator:
             if node < 4:
                 evolve_step(st, rng.normal(size=(33, 3)) * np.sqrt(0.5))
 
+    def test_resolved_keys_follow_each_state(self, ts4, eq_curves, full_vols):
+        # Keys are resolved on a state's first read and kept: reads at
+        # every node 0-4, before and after a fresh() state of the same
+        # tables evolves on other shocks, are each state's own formula,
+        # exp(((L(base, c) - L(c, c)) + sigma_X . W) - 1/2 |sigma_X|^2 T
+        # - L(base, k)), bit for bit, as is deflator(*key) row by row.
+        # fx_rate is the ratio of its legs X(0) exp(log move), bit for bit.
+        keys = [("EUR", "USD"), ("USD", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
+        rng = np.random.default_rng(17)
+
+        def check(st):
+            acc, col, node = st._log_acc, st.columns, st.node
+            sig = st.fx_legs["EUR"][1]
+            move = ((acc[col["USD", "EUR"]] - acc[col["EUR", "EUR"]])
+                    + sig @ st.w[node].T)
+            move = move - 0.5 * float(sig @ sig) * st.time
+            table = st.deflators(keys, np.empty((len(keys), st.n_paths)),
+                                 np.empty(st.n_paths))
+            for (c, k), row in zip(keys, table):
+                log_d = -acc[col["USD", k]]
+                if c == "EUR":
+                    log_d = move - acc[col["USD", k]]
+                assert np.array_equal(row, np.exp(log_d)), (node, c, k)
+                assert np.array_equal(row, st.deflator(c, k)), (node, c, k)
+            leg = np.exp(move) * eq_curves.fx_rate("USD", "EUR")
+            assert np.array_equal(st.fx_rate("USD", "EUR"), leg / 1.0)
+            assert np.array_equal(st.fx_rate("EUR", "USD"), 1.0 / leg)
+
+        st = make_state(ts4, eq_curves, full_vols, n_paths=9)
+        for node in range(5):
+            check(st)
+            check(st)
+            if node == 2:
+                other = st.fresh(7)
+                check(other)
+                evolve_step(other, rng.normal(size=(7, 3)))
+                check(other)
+            if node < 4:
+                evolve_step(st, rng.normal(size=(9, 3)) * np.sqrt(0.5))
+        check(other)
+
+    def test_one_bucket_reads_are_the_wide_reads(self, ts4, eq_curves,
+                                                 full_vols):
+        # libor_ois and equity_forward read their bucket alone: the
+        # buckets() column bit for bit, at every node.
+        rng = np.random.default_rng(5)
+        st = make_state(ts4, eq_curves, full_vols, n_paths=11)
+        for node in range(5):
+            b, s = st.buckets("b", "USD"), st.buckets("s", "USD")
+            for m in range(4):
+                assert np.array_equal(st.libor_ois("USD", m + 1), b[:, m])
+                assert np.array_equal(
+                    st.equity_forward("USD", ts4.nodes[m + 1]), s[:, m])
+            if node < 4:
+                evolve_step(st, rng.normal(size=(11, 3)) * np.sqrt(0.5))
+
     def test_table_of_an_unsimulated_key_has_todays_message(self, ts4, three_ccy):
         curves, vols = three_ccy
         st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)

@@ -437,6 +437,57 @@ class TestEstimates:
             assert want[name].std_error > 0.0
             assert want[name] == simulate(model, cfg, payoff), name
 
+    def test_extrema_span_every_block(self):
+        # Each add takes a row's min and max over its whole slice.  A row
+        # constant inside each block but not across blocks, or inside
+        # each chunk but not across chunks, stays live; a row equal
+        # everywhere, -0.0 among its zeros, is deterministic with SE 0.0.
+        pairs = 6 * _CHUNK_PAIRS + 17
+        values = np.zeros((5, pairs))
+        values[0, 3 * _CHUNK_PAIRS:] = 2.0 ** -40
+        values[1] = np.arange(pairs) // _CHUNK_PAIRS
+        values[2, 1::3] = -0.0
+        values[3] = 0.1     # its chunk sums round: only min == max says 0.1
+        values[4] = np.random.default_rng(6).standard_normal(pairs)
+        want = _chunk_estimates(values, [(0, pairs)])
+        splits = [_pair_blocks(pairs, workers) for workers in (1, 2, 3, 4)]
+        splits += [[(0, 3 * _CHUNK_PAIRS), (3 * _CHUNK_PAIRS, pairs)],
+                   [(0, _CHUNK_PAIRS), (_CHUNK_PAIRS, 5 * _CHUNK_PAIRS),
+                    (5 * _CHUNK_PAIRS, pairs)]]
+        for blocks in splits:
+            for rows_at_once in (1, 2, 5):
+                got = _chunk_estimates(values, blocks, rows_at_once)
+                assert got == want, (blocks, rows_at_once)
+        for i in (0, 1, 4):
+            assert want[i][1] > 0.0, i
+        assert want[0][0] == pytest.approx(0.5 * 2.0 ** -40, rel=0.01)
+        for i, level in ((2, 0.0), (3, 0.1)):
+            mean, se = want[i]
+            assert (mean, se) == (level, 0.0) and math.copysign(1.0, se) == 1.0
+
+    def test_signed_zeros_stay_deterministic_in_any_tiling(
+            self, ts4, two_ccy_curves, monkeypatch):
+        # A payoff of 0.0 on some paths and -0.0 on the rest keeps SE 0.0
+        # and mean 0.0 in tiles of two chunks and whole blocks, at 1-3
+        # workers; every other row's bits are the one-tile run's.
+        model, pays = _mixed_payoffs(ts4, two_ccy_curves)
+        pays["signed zero"] = GridPayoff(
+            lambda st: np.where(st.fx_rate("USD", "EUR") > 1.08, -0.0, 0.0),
+            1.5, "EUR", "USD")
+        cfg = SimulationConfig(n_paths=2 * (5 * _CHUNK_PAIRS + 37), seed=21)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        want = simulate_many(model, cfg, pays)
+        for tile in (_TILE_PAIRS, 2 * _CHUNK_PAIRS):
+            monkeypatch.setattr(engine, "_TILE_PAIRS", tile)
+            for workers in (1, 2, 3):
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                got = simulate_many(model, cfg, pays)
+                assert got == want, (tile, workers)
+                zero = got["signed zero"]
+                assert (zero.mean, zero.std_error) == (0.0, 0.0)
+        assert all(est.std_error > 0.0 for name, est in want.items()
+                   if name not in ("now", "signed zero"))
+
     def test_blocks_are_whole_chunks(self):
         for pairs, workers in [(5_000, 2), (2_000, 3), (517, 2), (5, 2),
                                (512, 4), (1, 1)]:

@@ -50,3 +50,23 @@ def test_prints_a_median_and_speedup_per_path_count(worker_scaling, capsys):
     # The caller's worker count is put back.
     assert os.environ["COLMM_WORKERS"] == "3"
 
+
+
+def test_workers_names_the_counts_and_their_columns(worker_scaling, capsys):
+    assert worker_scaling(["--paths", "200", "--runs", "1",
+                           "--workers", "1", "3", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("diagnose-wide seed=1: median of 1 runs at "
+                      "COLMM_WORKERS=1, 3 and 4")
+    assert out[1].split() == ["paths", "1", "worker", "s", "3", "workers",
+                              "s", "4", "workers", "s", "speedup", "1",
+                              "worker", "MB", "3", "workers", "MB", "4",
+                              "workers", "MB"]
+    (row,) = [line.split() for line in out[2:]]
+    assert row[0] == "200" and len(row) == 8
+    assert float(row[4]) == pytest.approx(float(row[1]) / float(row[3]),
+                                          abs=0.02)
+    assert all(re.fullmatch(r"\d+\.\d", mb) for mb in row[5:])
+    # Columns line up under their labels.
+    assert [len(line) for line in out[1:]] == [len(out[1])] * 2
+    assert os.environ["COLMM_WORKERS"] == "3"

@@ -1,19 +1,20 @@
-"""In-process diagnose-wide job time and memory at 1 worker and 2, by paths.
+"""In-process diagnose-wide job time and memory by worker count and paths.
 
     PYTHONPATH=src python3 tools/worker_scaling.py
-        [--paths 10000 20000 40000] [--runs 5]
+        [--paths 10000 20000 40000] [--runs 5] [--workers 1 2]
 
 Prepares the `diagnose-wide` workload of `perfbench/workloads.py` at
 seed 1 in a temporary directory and runs its setups once.  Then, for
 each path count, it runs the workload's job through `colmm.cli.main`
-with its `--paths` replaced, alternating `COLMM_WORKERS` 1 and 2,
-`--runs` times each after one untimed run of each, and then once more
-each, untimed, under `tracemalloc`.  It prints, per path count, the
-median wall seconds at 1 and 2 workers, the speedup, median(1) /
-median(2), and the traced peak MB of the job at 1 and 2 workers: what
-numpy and Python allocated at most at once, the job's inputs and outputs
-included.  One BLAS thread is pinned, as the benchmark pins it.  colmm
-is imported from PYTHONPATH, else from this checkout's `src/`.
+with its `--paths` replaced, alternating the `COLMM_WORKERS` counts of
+`--workers` (1 and 2 by default), `--runs` times each after one untimed
+run of each, and then once more each, untimed, under `tracemalloc`.  It
+prints, per path count, the median wall seconds at each worker count,
+the speedup, the first count's median over the last one's, and the
+traced peak MB of the job at each count: what numpy and Python
+allocated at most at once, the job's inputs and outputs included.  One
+BLAS thread is pinned, as the benchmark pins it.  colmm is imported
+from PYTHONPATH, else from this checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD, SEED, WORKERS = "diagnose-wide", 1, (1, 2)
+WORKLOAD, SEED = "diagnose-wide", 1
 
 
 def with_paths(steps: list[list[str]], n_paths: int) -> list[list[str]]:
@@ -66,7 +67,9 @@ def main(argv=None) -> int:
     parser.add_argument("--paths", type=int, nargs="+",
                         default=[10_000, 20_000, 40_000])
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
+    workers = args.workers
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -76,11 +79,14 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
 
     print(f"colmm from {cli.__file__}", file=sys.stderr)
+    *rest, last = workers
+    counts = f"{', '.join(map(str, rest))} and {last}" if rest else str(last)
     print(f"{WORKLOAD} seed={SEED}: median of {args.runs} runs "
-          f"at COLMM_WORKERS={WORKERS[0]} and {WORKERS[1]}")
-    print(f"{'paths':>8} {'1 worker s':>11} {f'{WORKERS[1]} workers s':>12} "
-          f"{'speedup':>8} {'1 worker MB':>12} "
-          f"{f'{WORKERS[1]} workers MB':>13}")
+          f"at COLMM_WORKERS={counts}")
+    # Each column is one wider than its label.
+    labels = ([f"{w} worker{'s' * (w > 1)} s" for w in workers] + ["speedup"]
+              + [f"{w} worker{'s' * (w > 1)} MB" for w in workers])
+    print(f"{'paths':>8}", *(f"{label:>{len(label) + 1}}" for label in labels))
     saved = os.environ.get("COLMM_WORKERS")
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -91,18 +97,19 @@ def main(argv=None) -> int:
                         cli.main(step)
             for n_paths in args.paths:
                 steps = with_paths(jobs[0].steps, n_paths)
-                times = {w: [] for w in WORKERS}
+                times = {w: [] for w in workers}
                 for run in range(args.runs + 1):
-                    for w in WORKERS:
+                    for w in workers:
                         t = job_seconds(cli, steps, w)
                         if run:             # the first run of each is warm-up
                             times[w].append(t)
-                one, many = (statistics.median(times[w]) for w in WORKERS)
-                peak_one, peak_many = (traced_peak_mb(cli, steps, w)
-                                       for w in WORKERS)
-                print(f"{n_paths:>8} {one:>11.4f} {many:>12.4f} "
-                      f"{one / many:>8.2f} {peak_one:>12.1f} "
-                      f"{peak_many:>13.1f}")
+                medians = [statistics.median(times[w]) for w in workers]
+                peaks = [traced_peak_mb(cli, steps, w) for w in workers]
+                cells = ([f"{t:.4f}" for t in medians]
+                         + [f"{medians[0] / medians[-1]:.2f}"]
+                         + [f"{mb:.1f}" for mb in peaks])
+                print(f"{n_paths:>8}", *(f"{cell:>{len(label) + 1}}" for
+                                         cell, label in zip(cells, labels)))
     finally:
         if saved is None:
             os.environ.pop("COLMM_WORKERS", None)
