@@ -491,11 +491,24 @@ def check_pairs(pairs, section: str) -> None:
                 f"{key[1]}/{key[0]}; give one orientation")
 
 
+def check_tree(pairs, section: str) -> None:
+    """Refuse a key whose two currencies the keys before it already link
+    (pair_path): it closes a cycle, so its pair would have two values."""
+    earlier = []
+    for a, b in pairs:
+        if pair_path(earlier, a, b) is not None:
+            raise ValueError(
+                f"{section}: pair {a}/{b} closes a cycle: the pairs before it "
+                f"already link {a} and {b}; the pairs must form a tree")
+        earlier.append((a, b))
+
+
 @dataclass
 class CurveSet:
     """Everything known at time 0: discounts, spreads, fixings, spots, equity.
 
-    `spreads` and `spot_fx` hold one orientation per pair (check_pairs).
+    `spreads` and `spot_fx` hold one orientation per pair (check_pairs),
+    and `spot_fx` is a tree (check_tree), so each spot has one value.
     Built whole and not edited afterwards: the reversed and same-currency
     spread curves that spread_curve returns are made at construction.
     """
@@ -509,6 +522,7 @@ class CurveSet:
     def __post_init__(self):
         check_pairs(self.spreads, "spreads")
         check_pairs(self.spot_fx, "spot_fx")
+        check_tree(self.spot_fx, "spot_fx")
         for pair, v in self.spot_fx.items():
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"spot FX {pair} must be positive, got {v}")

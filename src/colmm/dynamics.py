@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import check_pairs, forward_rates, pair_path
+from .curves import check_pairs, check_tree, forward_rates, pair_path
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -88,8 +88,9 @@ class VolatilitySpec:
     Log FX also adds up along a chain, so an FX pair resolves through the
     stored pairs as spot FX does (`curves.pair_path`): log X(i,k) =
     log X(i,j) + log X(j,k).  Same-currency keys, and a pair given in both
-    orientations, are rejected (`curves.check_pairs`); same-currency
-    loadings are identically zero.
+    orientations, are rejected (`curves.check_pairs`), and so are fx pairs
+    that close a cycle (`curves.check_tree`), since a chain's sum must not
+    depend on the path; same-currency loadings are identically zero.
     """
 
     SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
@@ -112,6 +113,8 @@ class VolatilitySpec:
             table = getattr(self, name)
             if name in self.PAIR_SECTIONS:
                 check_pairs(table, name)
+            if name == "fx":
+                check_tree(table, name)
             setattr(self, name, {
                 k: self._loadings(v, f"{name}[{k}]", per_bucket=name != "fx")
                 for k, v in table.items()})
@@ -308,7 +311,9 @@ class PathState:
     deterministic tables.  Both are stored paths-last, W as (N + 1, d,
     paths) and the accounts as (K, paths), so one node's factor and one
     account are contiguous rows; `w` and `log_acc` are views that lead
-    with paths, as every array a PathState returns does.
+    with paths, as every array a PathState returns does.  Each FX leg
+    X(base, ccy) is resolved once per model, in `initial`, as `fx_legs`;
+    each state makes its account-row views once, when built.
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
@@ -322,9 +327,9 @@ class PathState:
         self.columns = columns          # (ccy, collateral) -> column
         self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
-        self.fx_legs = fx_legs          # ccy -> (X(base, ccy)(0), sigma_X)
+        self.fx_legs = fx_legs          # ccy -> one leg's constants
         self._log_acc = np.zeros((len(columns), n_paths))
-        self._resolved = {}             # ccy -> _leg, key -> (L, _leg)
+        self._rows = list(self._log_acc)  # row views, updated in place
         # (N + 1, d, P): W(T_k), rows <= node
         self._w = np.zeros((ts.n_buckets + 1, rate_sig.shape[1], n_paths))
 
@@ -405,8 +410,15 @@ class PathState:
                     rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
             rate_sig[:, :, col] = vols.account_loadings(*key)
 
-        fx_legs = {ccy: (curves.fx_rate(base, ccy), vols.fx_loadings(base, ccy))
-                   for ccy in curves.discounts if ccy != base}
+        # One leg per non-base currency: (X(base, ccy)(0), sigma_X,
+        # 1/2 |sigma_X|^2, column of L(base, ccy), column of L(ccy, ccy)).
+        fx_legs = {}
+        for ccy in curves.discounts:
+            if ccy != base:
+                sig = vols.fx_loadings(base, ccy)
+                fx_legs[ccy] = (curves.fx_rate(base, ccy), sig,
+                                0.5 * float(sig @ sig), columns[base, ccy],
+                                columns[ccy, ccy])
         return cls(ts, base, n_paths, tables, s_mask, columns, rate0,
                    rate_sig, fx_legs)
 
@@ -485,9 +497,10 @@ class PathState:
         return np.exp(-(rates @ self.ts.deltas[k:n]))
 
     def _log_account(self, currency: str, collateral: str) -> np.ndarray:
-        """Log of the account accruing c + y of the pair; y = 0 if same ccy."""
+        """Log of the account accruing c + y of the pair, a row view that
+        evolve_step updates in place; y = 0 if same ccy."""
         try:
-            return self._log_acc[self.columns[currency, collateral]]
+            return self._rows[self.columns[currency, collateral]]
         except KeyError:
             raise ConfigurationError(
                 f"pair account ({currency},{collateral}) is not simulated")
@@ -500,31 +513,20 @@ class PathState:
         """Discrete account accruing c + y of the pair; C itself if same ccy."""
         return np.exp(self._log_account(currency, collateral))
 
-    def _leg(self, currency: str):
-        """(L(base, ccy), L(ccy, ccy), sigma_X, 1/2 |sigma_X|^2) of a leg, once
-        per state: the L are row views, which evolve_step updates in place."""
-        leg = self._resolved.get(currency)
-        if leg is None:
-            try:
-                sig = self.fx_legs[currency][1]
-            except KeyError:
-                raise ConfigurationError(
-                    f"no simulated FX linking {self.base} and {currency}")
-            leg = self._resolved[currency] = (
-                self._log_account(self.base, currency),
-                self._log_account(currency, currency), sig,
-                0.5 * float(sig @ sig))
-        return leg
-
-    def _log_fx_move(self, leg, time: float, out=None,
+    def _log_fx_move(self, currency: str, time: float, out=None,
                      scratch=None) -> np.ndarray:
-        """log X(base, ccy) - log X(0) at the current node, into out.
+        """log X(base, currency) - log X(0) at the current node, into out.
 
-        leg is `_leg(ccy)`: (carry + sigma_X . W) - 1/2 |sigma_X|^2 time, in
-        that order; out and scratch are (paths,) arrays, or new.
+        (L(base, ccy) - L(ccy, ccy) + sigma_X . W) - 1/2 |sigma_X|^2 time,
+        in that order, from the leg's constants in fx_legs; out and scratch
+        are (paths,) arrays, or new.
         """
-        own, other, sig, half_variance = leg
-        out = np.subtract(own, other, out=out)
+        try:
+            _, sig, half_variance, own, other = self.fx_legs[currency]
+        except KeyError:
+            raise ConfigurationError(
+                f"no simulated FX linking {self.base} and {currency}")
+        out = np.subtract(self._rows[own], self._rows[other], out=out)
         out += np.matmul(sig, self._w[self.node], out=scratch)
         out -= half_variance * time
         return out
@@ -533,7 +535,7 @@ class PathState:
         """X(base, currency) at the current node, read from the accounts."""
         if currency == self.base:
             return 1.0
-        move = self._log_fx_move(self._leg(currency), self.time)
+        move = self._log_fx_move(currency, self.time)
         return np.exp(move) * self.fx_legs[currency][0]
 
     def deflator(self, currency: str, collateral: str) -> np.ndarray:
@@ -553,25 +555,19 @@ class PathState:
         """The deflators of (currency, collateral) keys as rows of out.
 
         Row i is deflator(*keys[i]) bit for bit: each row's log takes the
-        same steps in the same order, and one exp covers the table.  A key
-        is resolved on its state's first read of it (`_leg`), so a node
-        looks it up once.  out has at least len(keys) rows of paths;
-        scratch is a (paths,) array for the sigma_X . W products, or new.
-        Returns the table's first len(keys) rows.
+        same steps in the same order, from the model's FX legs and the
+        state's account rows, and one exp covers the table.  out has at
+        least len(keys) rows of paths; scratch is a (paths,) array for the
+        sigma_X . W products, or new.  Returns the table's first len(keys)
+        rows.
         """
         time = self.time
-        for key, row in zip(keys, out):
-            resolved = self._resolved.get(key)
-            if resolved is None:
-                currency, collateral = key
-                resolved = self._resolved[key] = (
-                    self._log_account(self.base, collateral),
-                    None if currency == self.base else self._leg(currency))
-            acc, leg = resolved
-            if leg is None:
+        for (currency, collateral), row in zip(keys, out):
+            acc = self._log_account(self.base, collateral)
+            if currency == self.base:
                 np.negative(acc, out=row)
             else:
-                self._log_fx_move(leg, time, row, scratch)
+                self._log_fx_move(currency, time, row, scratch)
                 row -= acc
         table = out[:len(keys)]
         return np.exp(table, out=table)

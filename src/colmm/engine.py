@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import CurveSet
+from .curves import CurveSet, pair_path
 from .dynamics import PathState, VolatilitySpec, evolve_step
 from .errors import ConfigurationError
 from .tenor import TenorStructure
@@ -148,10 +148,13 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
 class Model:
     """Immutable simulation inputs: grid, initial curves, vols, base currency.
 
-    Checked once, when built, and frozen.  The base currency fixes the
-    measure: deflated prices are computed with the base currency's (pair)
-    collateral accounts as numeraires.  `half_variance_sign` scales the
-    collateral-rate drift's convexity term; -1.0 is a negative control.
+    Checked once, when built, and frozen: every loading's currency has a
+    curve, and every currency of an fx pair reaches the base through the
+    fx pairs, since the simulation reads only the legs X(base, ccy).  The
+    base currency fixes the measure: deflated prices are computed with the
+    base currency's (pair) collateral accounts as numeraires.
+    `half_variance_sign` scales the collateral-rate drift's convexity term;
+    -1.0 is a negative control.
     """
 
     ts: TenorStructure
@@ -186,6 +189,13 @@ class Model:
             if ccy not in curves.equities:
                 raise ConfigurationError(
                     f"vol config equity: currency {ccy!r} has no equity curve")
+        # A simulated FX leg is X(base, ccy), the loadings' sum along the
+        # chain from the base: an fx pair off every such chain is not priced.
+        for ccy in (c for pair in vols.fx for c in pair):
+            if pair_path(vols.fx, self.base, ccy) is None:
+                raise ConfigurationError(
+                    f"vol config fx: no chain of fx pairs links currency "
+                    f"{ccy!r} to the base {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -526,6 +536,12 @@ class _ChunkStatistics:
 
     def __init__(self, n_rows: int, n_pairs: int):
         n_chunks = -(-n_pairs // _CHUNK_PAIRS)
+        # Five float64 per row and chunk.  Statistics numpy cannot size are
+        # out of memory before anything is allocated; ones it can size but
+        # the machine cannot hold fail in their one np.empty.
+        if 5 * n_rows * n_chunks * 8 > _MAX_BYTES:
+            raise MemoryError(f"{2 * n_pairs} paths need more than "
+                              f"{_MAX_BYTES} bytes")
         self.n_pairs = n_pairs
         self.lo, self.hi, self.mean, self.resid, self.m2 = np.empty(
             (5, n_rows, n_chunks))
@@ -733,15 +749,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # shared read-only; each tile allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1)
-    # Path arrays are one tile's, whatever the count; only the statistics,
-    # five float64 per row and chunk, grow with it.  A count whose
-    # statistics numpy cannot size is out of memory before anything sized
-    # by the chunk count is built; one it can size but the machine cannot
-    # hold fails in their one np.empty, before the first tile.
-    chunks = -(-cfg.n_paths // (2 * _CHUNK_PAIRS))
-    if 5 * n_rows * chunks * 8 > _MAX_BYTES:
-        raise MemoryError(f"{cfg.n_paths} paths need more than "
-                          f"{_MAX_BYTES} bytes")
+    # Path arrays are one tile's, whatever the count; only the statistics
+    # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
     # Rows each block holds across nodes, set by the payoffs alone.

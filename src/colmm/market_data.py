@@ -17,7 +17,10 @@ declared grid.  Maturities must be positive for ois and fxforward, and
 values for discount, spot, fxforward and equity (see _QUOTES).  A file
 quotes each spot pair once, and each maturity once per currency (ois,
 discount, fixing, equity) or per pay, receive and collateral
-(fxforward); a repeat is rejected at its line.  A currency may be
+(fxforward); a repeat is rejected at its line.  The spot pairs form a
+tree: a spot whose two currencies the earlier spots already link closes a
+cycle and is rejected (`curves.check_tree`), since each cross rate must
+have one value.  A currency may be
 described by OIS quotes or by direct discount pillars, not both.  FX
 forwards must be collateralized in one of their own two currencies, and
 a pair's forwards in one of them, not both.  A quote collateralized in the
@@ -257,7 +260,10 @@ def build_curve_set(md: MarketDataFile) -> CurveSet:
             values[md.ts.node_index(T)] = value
         fixings[ccy] = SpreadFixings(ccy, values)
 
-    spots = CurveSet(spot_fx=dict(md.spots))
+    try:
+        spots = CurveSet(spot_fx=dict(md.spots))
+    except ValueError as exc:   # spots that close a cycle
+        raise InputError(str(exc), md.path)
     spreads = {}
     for (pay, recv, coll), quotes in sorted(md.fx_forwards.items()):
         if coll == pay:

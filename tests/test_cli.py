@@ -1029,6 +1029,97 @@ class TestExitCodes:
             f"[0.0, 1.0] (no extrapolation)\n")
 
 
+# USD, EUR and GBP, spots from the base only, and EUR/GBP forwards
+# collateralized in EUR, so that an EUR/GBP option prices.
+THREE_CCY = """\
+grid,0,0.5,1.0,1.5,2.0
+base,USD
+ois,USD,1.0,0.020
+ois,USD,2.0,0.021
+ois,EUR,1.0,0.010
+ois,EUR,2.0,0.011
+ois,GBP,1.0,0.030
+ois,GBP,2.0,0.031
+spot,USD,EUR,1.1
+spot,USD,GBP,1.3
+fxforward,EUR,GBP,EUR,1.0,1.158
+fxforward,EUR,GBP,EUR,2.0,1.135
+"""
+
+EUR_GBP_CALL = {"type": "fx_option", "pay": "EUR", "receive": "GBP",
+                "collateral": "EUR", "maturity": 2.0, "strike": 1.18,
+                "style": "call", "label": "call"}
+
+
+class TestFxTables:
+    """Every simulated FX leg is X(base, ccy): the spot and fx pair tables
+    are trees, and every fx pair reaches the base."""
+
+    @pytest.fixture
+    def three(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text(THREE_CCY)
+        (tmp_path / "i.json").write_text(json.dumps([EUR_GBP_CALL]))
+        assert main(["bootstrap", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "c.json")]) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    def run(self, d, command, fx, *flags):
+        (d / "v.json").write_text(json.dumps({"n_factors": 1, "fx": fx}))
+        argv = [command, str(d / "c.json"), "--vols", str(d / "v.json"),
+                "--paths", "400", *flags]
+        if command == "price":
+            argv += ["--instruments", str(d / "i.json"), "--method", "both"]
+        return main(argv)
+
+    # Under base USD the EUR/GBP loading enters no leg X(USD, ccy): Monte
+    # Carlo would price the call at zero vol.
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_fx_pair_off_the_base_is_2(self, three, capsys, command):
+        assert self.run(three, command, {"EUR/GBP": 0.2}) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: vol config fx: no chain of fx pairs links "
+            "currency 'EUR' to the base 'USD'\n")
+        assert self.run(three, "price", {"EUR/GBP": 0.2},
+                        "--base-ccy", "EUR") == 0
+        assert self.run(three, command, {"USD/EUR": 0.1, "EUR/GBP": 0.1}) == 0
+
+    # Black would read the direct quote or loading and the simulation the
+    # chain through the base; a triangle that agrees is refused too.
+    @pytest.mark.parametrize("cross", ["1.0", repr(1.3 / 1.1)],
+                             ids=["cycle", "consistent"])
+    def test_spot_cycle_in_a_market_file_is_2(self, tmp_path, capsys, cross):
+        (tmp_path / "m.csv").write_text(THREE_CCY + f"spot,EUR,GBP,{cross}\n")
+        assert main(["bootstrap", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {tmp_path / 'm.csv'}: spot_fx: pair EUR/GBP closes "
+            "a cycle: the pairs before it already link EUR and GBP; the pairs "
+            "must form a tree\n")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("cross", [1.0, 1.3 / 1.1],
+                             ids=["cycle", "consistent"])
+    def test_spot_cycle_in_a_curve_set_is_2(self, three, capsys, cross):
+        doc = json.loads((three / "c.json").read_text())
+        doc["spot_fx"]["EUR/GBP"] = cross
+        (three / "c.json").write_text(json.dumps(doc))
+        assert self.run(three, "price", {"USD/EUR": 0.1}) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {three / 'c.json'}: bad curve data: spot_fx: pair "
+            "EUR/GBP closes a cycle: the pairs before it already link EUR and "
+            "GBP; the pairs must form a tree\n")
+
+    @pytest.mark.parametrize("cross", [0.05, 0.2], ids=["cycle", "sum"])
+    def test_fx_cycle_in_a_vol_config_is_2(self, three, capsys, cross):
+        fx = {"USD/EUR": 0.1, "EUR/GBP": 0.1, "USD/GBP": cross}
+        assert self.run(three, "price", fx) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {three / 'v.json'}: fx: pair USD/GBP closes a "
+            "cycle: the pairs before it already link USD and GBP; the pairs "
+            "must form a tree\n")
+
+
 def _canonical(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 

@@ -639,6 +639,16 @@ class TestCurveSet:
             CurveSet(spreads={("EUR", "USD"): eur_usd,
                               ("USD", "EUR"): usd_eur})
 
+    @pytest.mark.parametrize("cross", [1.0, 1.3 / 1.1],
+                             ids=["cycle", "consistent"])
+    def test_spot_cycle_rejected(self, cross):
+        # fx_rate would take the direct quote and the simulation the chain
+        # through the base; a triangle that agrees is refused too.
+        with pytest.raises(ValueError, match=re.escape(
+                "spot_fx: pair GBP/EUR closes a cycle")):
+            CurveSet(spot_fx={("USD", "EUR"): 1.1, ("USD", "GBP"): 1.3,
+                              ("GBP", "EUR"): 1.0 / cross})
+
     @pytest.mark.parametrize("section, value", [
         ("spreads", SpreadCurve.identity("EUR", "USD")), ("spot_fx", 0.9)],
         ids=["spreads", "spot_fx"])

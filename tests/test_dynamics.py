@@ -95,6 +95,16 @@ class TestVolatilitySpec:
             v.fx_loadings("A", "C"),
             v.fx_loadings("A", "B") + v.fx_loadings("B", "C"))
 
+    @pytest.mark.parametrize("cross", [0.05, 0.2], ids=["cycle", "sum"])
+    def test_fx_cycle_rejected(self, cross):
+        # Closing the triangle would give log X(USD, GBP) two loadings, even
+        # when the direct one equals the sum along the chain.
+        with pytest.raises(ValueError, match=re.escape(
+                "fx: pair USD/GBP closes a cycle")):
+            VolatilitySpec(n_factors=1, n_buckets=2,
+                           fx={("USD", "EUR"): 0.1, ("EUR", "GBP"): 0.1,
+                               ("USD", "GBP"): cross})
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             VolatilitySpec(n_factors=2, n_buckets=3,
@@ -481,7 +491,7 @@ def euler_oracle(st, vols, ts, z, substeps):
     n, base = ts.n_buckets, st.base
     x = {key: st.buckets(*key) for key in st.tables}
     fx = {(base, ccy): np.full(st.n_paths, x0)
-          for ccy, (x0, _) in st.fx_legs.items()}
+          for ccy, (x0, *_) in st.fx_legs.items()}
     acc = {key: np.zeros(st.n_paths) for key in st.columns}
     yield x, fx, acc
     for j in range(1, n + 1):
@@ -764,9 +774,9 @@ class TestDeflator:
                 evolve_step(st, rng.normal(size=(33, 3)) * np.sqrt(0.5))
 
     def test_resolved_keys_follow_each_state(self, ts4, eq_curves, full_vols):
-        # Keys are resolved on a state's first read and kept: reads at
-        # every node 0-4, before and after a fresh() state of the same
-        # tables evolves on other shocks, are each state's own formula,
+        # Each state reads its own account rows through the model's legs:
+        # reads at every node 0-4, before and after a fresh() state of the
+        # same tables evolves on other shocks, are each state's own formula,
         # exp(((L(base, c) - L(c, c)) + sigma_X . W) - 1/2 |sigma_X|^2 T
         # - L(base, k)), bit for bit, as is deflator(*key) row by row.
         # fx_rate is the ratio of its legs X(0) exp(log move), bit for bit.

@@ -904,6 +904,23 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             Model(ts8, two_ccy_curves, vols, "USD")
 
+    def test_fx_pair_off_the_base_rejected(self, ts4):
+        # Under base USD the legs X(USD, EUR) and X(USD, GBP) read no
+        # loading of EUR/GBP, so it would be dropped, not priced; under
+        # base EUR the chain EUR -> GBP carries it.
+        from colmm import CurveSet
+        curves = CurveSet(
+            discounts={c: flat_curve(c, r, ts4.nodes) for c, r in
+                       (("USD", 0.02), ("EUR", 0.01), ("GBP", 0.03))},
+            spot_fx={("USD", "EUR"): 1.1, ("USD", "GBP"): 1.3})
+        vols = VolatilitySpec(n_factors=1, n_buckets=4,
+                              fx={("EUR", "GBP"): 0.2})
+        with pytest.raises(ConfigurationError, match=(
+                "vol config fx: no chain of fx pairs links currency 'EUR' "
+                "to the base 'USD'")):
+            Model(ts4, curves, vols, "USD")
+        Model(ts4, curves, vols, "EUR")
+
     def test_a_built_model_is_frozen(self, ts8, two_ccy_curves):
         # PathState.initial relies on the checks made when it was built.
         model = Model(ts8, two_ccy_curves, VolatilitySpec(1, 8), "USD")
@@ -960,6 +977,6 @@ class TestSimulate:
         assert not same(right.rate0, wrong.rate0)
         assert same(right.rate_sig, wrong.rate_sig)
         assert right.fx_legs.keys() == wrong.fx_legs.keys()
-        for ccy, (x0, sig) in right.fx_legs.items():
+        for ccy, (x0, sig, *_) in right.fx_legs.items():
             assert same(wrong.fx_legs[ccy][0], x0)
             assert same(wrong.fx_legs[ccy][1], sig)
