@@ -31,15 +31,16 @@ x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
 A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
 Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
-only W (at every node passed) and one (K, paths) array of log accounts,
-one per (currency, collateral) pair, and reads buckets from tables A built
-once by PathState.initial; each drift function returns an (N + 1, N)
-array whose row j is alpha(j), so each A is one cumsum.  The account of
-a pair accrues over (T_k, T_{k+1}] the rate fixed at T_k, x0 + A(k) +
-sigma . W(T_k) of bucket k of c + y, whose loading is
-VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
-y = 0.  So evolve_step is one (K, d) @ (d, paths) product plus
-elementwise updates.
+only W (at every node passed) and the log accounts the deflators read,
+one (K, paths) array: (ccy, ccy) for every currency with a curve and
+(base, c), whose y alone is simulated, for every other currency c.  It
+reads buckets from tables A built once by PathState.initial; each drift
+function returns an (N + 1, N) array whose row j is alpha(j), so each A
+is one cumsum.  The account of a pair accrues over (T_k, T_{k+1}] the
+rate fixed at T_k, x0 + A(k) + sigma . W(T_k) of bucket k of c + y, whose
+loading is VolatilitySpec.account_loadings; a currency's own account
+(ccy, ccy) has y = 0.  So evolve_step is one (K, d) @ (d, paths) product
+plus elementwise updates.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
 c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
@@ -306,14 +307,14 @@ class PathState:
     One instance represents a block of scenarios; the scalar case is a
     block of size one.  What moves through time is the Brownian factor W
     (kept at every node passed, so fixed buckets can be rebuilt) and the
-    log accounts, one per (currency, collateral) pair; evolve_step mutates
-    them in place.  Bucket values and spot FX are read from them through
-    deterministic tables.  Both are stored paths-last, W as (N + 1, d,
-    paths) and the accounts as (K, paths), so one node's factor and one
-    account are contiguous rows; `w` and `log_acc` are views that lead
-    with paths, as every array a PathState returns does.  Each FX leg
-    X(base, ccy) is resolved once per model, in `initial`, as `fx_legs`;
-    each state makes its account-row views once, when built.
+    log accounts that `deflators` and `fx_legs` read, (ccy, ccy) and
+    (base, c); evolve_step mutates them in place.  Bucket values and spot
+    FX are read from them through deterministic tables.  Both are stored
+    paths-last, W as (N + 1, d, paths) and the accounts as (K, paths), so
+    one node's factor and one account are contiguous rows; `w` and
+    `log_acc` are views that lead with paths, as every array a PathState
+    returns does.  Each FX leg X(base, ccy) is resolved once per model, in
+    `initial`, as `fx_legs`; each state makes its account-row views once.
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
@@ -335,12 +336,12 @@ class PathState:
 
     @classmethod
     def initial(cls, model, n_paths: int) -> "PathState":
-        """A state at T_0 of n_paths paths, tabled from a (checked) Model,
-        whose `half_variance_sign` the collateral-rate drifts take."""
+        """A state at T_0 of n_paths paths, tabled from a Model, which has
+        made every input check; the collateral-rate drifts take its
+        `half_variance_sign`."""
         if n_paths < 1:
             raise ValueError("need at least one path")
         ts, curves, vols, base = model.ts, model.curves, model.vols, model.base
-        n = ts.n_buckets
         tables = {}
 
         for ccy, curve in curves.discounts.items():
@@ -350,44 +351,31 @@ class PathState:
                 collateral_drift_vector(vols, ts, ccy, base,
                                         model.half_variance_sign))
 
-        # Simulated pairs: anything with an initial spread curve or funding
-        # loadings, plus (base, ccy) for every non-base currency, whose
-        # account spot FX is read from.
-        pairs = set(curves.spreads) | set(vols.funding)
-        pairs = sorted(pairs | {(base, ccy) for ccy in curves.discounts
-                                if ccy != base})
+        # The accounts the deflators read: (ccy, ccy) for every currency
+        # with a curve and (base, c) for every other currency c, which has
+        # a curve or shares a spread or funding pair with the base.
+        linked = {c for pair in (*curves.spreads, *vols.funding)
+                  if base in pair for c in pair}
+        pairs = [(base, c) for c in sorted({*curves.discounts, *linked})
+                 if c != base]
         for pair in pairs:
-            pay, col = pair
-            if pay not in curves.discounts:
-                raise ConfigurationError(
-                    f"pair {pair}: pay currency {pay!r} has no discount curve"
-                )
-            spread = curves.spread_curve(pay, col, missing_ok=True)
+            spread = curves.spread_curve(*pair, missing_ok=True)
             tables["y", pair] = _bucket_tables(
                 forward_rates(spread.log_value, ts),
-                vols.funding_loadings(pay, col), ts,
-                funding_drift_vector(vols, ts, pay, col, base))
+                vols.funding_loadings(*pair), ts,
+                funding_drift_vector(vols, ts, *pair, base))
 
         for ccy in curves.discounts:
             if ccy not in curves.fixings and ccy not in vols.libor_ois:
                 continue
-            values = curves.fixings_for(ccy, n).values
-            if values.size != n:
-                raise ConfigurationError(
-                    f"LIBOR-OIS fixings for {ccy} have {values.size} periods, "
-                    f"grid has {n}"
-                )
             tables["b", ccy] = _bucket_tables(
-                values, vols.libor_ois_loadings(ccy), ts,
+                curves.fixings_for(ccy, ts.n_buckets).values,
+                vols.libor_ois_loadings(ccy), ts,
                 libor_ois_drift_vector(vols, ts, ccy, base),
                 lognormal=True)
 
         s_mask = {}
         for ccy, eq in curves.equities.items():
-            if ccy not in curves.discounts:
-                raise ConfigurationError(
-                    f"equity curve {ccy!r} has no matching discount curve"
-                )
             vals, mask = eq.grid_values(ts)
             # Buckets without pillar coverage stay at 1 and never move.
             tables["s", ccy] = _bucket_tables(
@@ -397,12 +385,12 @@ class PathState:
                 lag=1, lognormal=True)
             s_mask[ccy] = mask
 
-        # Accounts, one per (currency, collateral) pair: bucket k at node k
-        # of c + y.  A currency's own account (ccy, ccy) has no y table.
+        # Each account accrues bucket k at node k of c + y; a currency's own
+        # account (ccy, ccy) has no y table.
         columns = {key: col for col, key in enumerate(
             [*((ccy, ccy) for ccy in curves.discounts), *pairs])}
-        rate0 = np.zeros((n, len(columns)))
-        rate_sig = np.zeros((n, vols.n_factors, len(columns)))
+        rate0 = np.zeros((ts.n_buckets, len(columns)))
+        rate_sig = np.zeros((ts.n_buckets, vols.n_factors, len(columns)))
         for key, col in columns.items():
             for part in (("c", key[0]), ("y", key)):
                 if part in tables:

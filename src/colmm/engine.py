@@ -148,11 +148,13 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
 class Model:
     """Immutable simulation inputs: grid, initial curves, vols, base currency.
 
-    Checked once, when built, and frozen: every loading's currency has a
-    curve, and every currency of an fx pair reaches the base through the
-    fx pairs, since the simulation reads only the legs X(base, ccy).  The
-    base currency fixes the measure: deflated prices are computed with the
-    base currency's (pair) collateral accounts as numeraires.
+    Checked once, when built, and frozen, so PathState.initial only builds
+    tables.  Every loading's currency has a curve; every fx currency reaches
+    the base through the fx pairs and every funding pair holds it, since
+    the simulation reads only the legs X(base, ccy) and the accounts
+    (ccy, ccy) and (base, c); spreads and equities are paid in a currency
+    with a curve, and fixings span the grid.  The base currency fixes the
+    measure: deflated prices use its pair accounts as numeraires.
     `half_variance_sign` scales the collateral-rate drift's convexity term;
     -1.0 is a negative control.
     """
@@ -196,6 +198,24 @@ class Model:
                 raise ConfigurationError(
                     f"vol config fx: no chain of fx pairs links currency "
                     f"{ccy!r} to the base {self.base!r}")
+        for pay, col in vols.funding:
+            if self.base not in (pay, col):
+                raise ConfigurationError(
+                    f"vol config funding: pair {pay}/{col} does not hold the "
+                    f"base {self.base!r}")
+        for pay, col in curves.spreads:
+            if pay not in curves.discounts:
+                raise ConfigurationError(f"pair {(pay, col)}: pay currency "
+                                         f"{pay!r} has no discount curve")
+        for ccy, fix in curves.fixings.items():
+            if ccy in curves.discounts and fix.values.size != self.ts.n_buckets:
+                raise ConfigurationError(
+                    f"LIBOR-OIS fixings for {ccy} have {fix.values.size} "
+                    f"periods, grid has {self.ts.n_buckets}")
+        for ccy in curves.equities:
+            if ccy not in curves.discounts:
+                raise ConfigurationError(
+                    f"equity curve {ccy!r} has no matching discount curve")
 
 
 @dataclass(frozen=True)

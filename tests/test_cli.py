@@ -1052,8 +1052,9 @@ EUR_GBP_CALL = {"type": "fx_option", "pay": "EUR", "receive": "GBP",
 
 
 class TestFxTables:
-    """Every simulated FX leg is X(base, ccy): the spot and fx pair tables
-    are trees, and every fx pair reaches the base."""
+    """Every simulated FX leg is X(base, ccy) and every spread account is
+    (base, c): the spot and fx pair tables are trees, every fx pair reaches
+    the base, and every funding pair holds it."""
 
     @pytest.fixture
     def three(self, tmp_path, capsys):
@@ -1064,8 +1065,9 @@ class TestFxTables:
         capsys.readouterr()
         return tmp_path
 
-    def run(self, d, command, fx, *flags):
-        (d / "v.json").write_text(json.dumps({"n_factors": 1, "fx": fx}))
+    def run(self, d, command, fx, *flags, **sections):
+        (d / "v.json").write_text(
+            json.dumps({"n_factors": 1, "fx": fx, **sections}))
         argv = [command, str(d / "c.json"), "--vols", str(d / "v.json"),
                 "--paths", "400", *flags]
         if command == "price":
@@ -1083,6 +1085,18 @@ class TestFxTables:
         assert self.run(three, "price", {"EUR/GBP": 0.2},
                         "--base-ccy", "EUR") == 0
         assert self.run(three, command, {"USD/EUR": 0.1, "EUR/GBP": 0.1}) == 0
+
+    # Under base USD no simulated account reads a EUR/GBP funding loading:
+    # Black would price it and Monte Carlo drop it.
+    @pytest.mark.parametrize("command", ["price", "diagnose"])
+    def test_funding_pair_off_the_base_is_2(self, three, capsys, command):
+        fx, funding = {"USD/EUR": 0.1, "EUR/GBP": 0.1}, {"EUR/GBP": 0.002}
+        assert self.run(three, command, fx, funding=funding) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: vol config funding: pair EUR/GBP does not "
+            "hold the base 'USD'\n")
+        assert self.run(three, command, fx, "--base-ccy", "EUR",
+                        funding=funding) == 0
 
     # Black would read the direct quote or loading and the simulation the
     # chain through the base; a triangle that agrees is refused too.

@@ -330,10 +330,14 @@ class TestPathState:
 
     def test_reversed_pair_spread_seeded_from_reciprocal(self, ts4, eq_curves,
                                                          full_vols):
+        # y(USD, EUR) at node 0 is minus the stored (EUR, USD) curve's
+        # forward rates; only the base pair (USD, EUR) is simulated.
+        from colmm import forward_rates
         st = make_state(ts4, eq_curves, full_vols)
-        np.testing.assert_allclose(st.buckets("y", ("USD", "EUR")),
-                                   -st.buckets("y", ("EUR", "USD")),
-                                   rtol=0, atol=1e-15)
+        stored = forward_rates(eq_curves.spread_curve("EUR", "USD").log_value,
+                               ts4)
+        for row in st.buckets("y", ("USD", "EUR")):
+            np.testing.assert_allclose(row, -stored, rtol=0, atol=1e-15)
 
     def test_zcb_reconstruction(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols)
@@ -374,9 +378,10 @@ class TestPathState:
     def test_initial_refuses_curves_it_cannot_simulate(self, ts4, eq_curves,
                                                        full_vols, edit,
                                                        message):
+        # Model makes the checks, so PathState.initial only builds tables.
         cs = dataclasses.replace(eq_curves, **edit)
         with pytest.raises(ConfigurationError, match=re.escape(message)):
-            make_state(ts4, cs, full_vols)
+            Model(ts4, cs, full_vols, "USD")
 
     def test_accessors_refuse_times_they_do_not_hold(self, ts4, eq_curves):
         # The equity curve starts at T = 1, so bucket 0 (T_1 = 0.5) has no
@@ -402,11 +407,11 @@ class TestPathState:
 class TestEvolveStep:
     def test_pair_account_accrues_spread(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
-        c0 = st.buckets("c", "EUR")[0, 0]
-        y0 = st.buckets("y", ("EUR", "USD"))[0, 0]
+        c0 = st.buckets("c", "USD")[0, 0]
+        y0 = st.buckets("y", ("USD", "EUR"))[0, 0]
         evolve_step(st, np.zeros((1, 3)))
         assert st.time == 0.5
-        np.testing.assert_allclose(st.pair_account("EUR", "USD"),
+        np.testing.assert_allclose(st.pair_account("USD", "EUR"),
                                    np.exp(0.5 * (c0 + y0)), rtol=1e-15)
 
     def test_freeze_after_fixing(self, ts4, eq_curves, full_vols):
@@ -560,9 +565,9 @@ class TestAgainstEulerOracle:
     def test_every_node_matches(self, seed):
         substeps, n_paths = 3, 16
         ts, curves, vols, rng = self._model(seed)
-        st = PathState.initial(Model(ts, curves, vols, "USD"), n_paths)
+        st = PathState.initial(Model(ts, curves, vols, "EUR"), n_paths)
         z = rng.standard_normal((n_paths, ts.n_buckets * substeps, 3))
-        oracle = euler_oracle(PathState.initial(Model(ts, curves, vols, "USD"),
+        oracle = euler_oracle(PathState.initial(Model(ts, curves, vols, "EUR"),
                                                 n_paths),
                               vols, ts, z, substeps)
         for node, (x, fx, acc) in enumerate(oracle):
@@ -584,16 +589,32 @@ class TestAgainstEulerOracle:
                 np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
 
     def test_account_loadings_are_the_one_source(self):
-        # stored (EUR, USD), its reverse (USD, EUR), the cross pair
-        # (GBP, EUR) and every own account (ccy, ccy) read one method
+        # stored (EUR, USD), the reverse (EUR, GBP) of stored (GBP, EUR)
+        # and every own account (ccy, ccy) read one method
         ts, curves, vols, _ = self._model(4)
-        st = PathState.initial(Model(ts, curves, vols, "USD"), 2)
-        own = {(c, c) for c in ("USD", "EUR", "GBP")}
-        assert set(st.columns) == own | {("EUR", "USD"), ("USD", "EUR"),
-                                         ("GBP", "EUR"), ("USD", "GBP")}
+        st = PathState.initial(Model(ts, curves, vols, "EUR"), 2)
+        ccys = ("USD", "EUR", "GBP")
+        own = {(c, c) for c in ccys}
+        assert set(st.columns) == own | {("EUR", "USD"), ("EUR", "GBP")}
         for key, col in st.columns.items():
             want = vols.account_loadings(*key)
             assert (st.rate_sig[:, :, col] == want).all(), key
+        # Under each base, keeping the funding pairs that hold it, the
+        # state is what settlement reads: the own accounts and the base
+        # pairs, and moving any one of them moves some deflator.
+        keys = [(c, k) for c in ccys for k in ccys]
+        for base in ccys:
+            funding = {p: v for p, v in vols.funding.items() if base in p}
+            model = Model(ts, curves, dataclasses.replace(vols, funding=funding),
+                          base)
+            st = PathState.initial(model, 2)
+            assert set(st.columns) == own | {(base, c) for c in ccys}
+            for col in st.columns.values():
+                before = st.deflators(keys, np.empty((len(keys), 2))).copy()
+                st._log_acc[col] += 1.0
+                after = st.deflators(keys, np.empty((len(keys), 2)))
+                st._log_acc[col] -= 1.0
+                assert (before != after).any(), (base, col)
         assert (vols.account_loadings("USD", "EUR")
                 == vols.collateral["USD"] - vols.funding["EUR", "USD"]).all()
         for key in own:
@@ -604,7 +625,7 @@ class TestAgainstEulerOracle:
         # stored legs are (base, ccy); reversed and cross pairs derive from them
         n_paths = 16
         ts, curves, vols, rng = self._model(1)
-        st = PathState.initial(Model(ts, curves, vols, "USD"), n_paths)
+        st = PathState.initial(Model(ts, curves, vols, "EUR"), n_paths)
         for node in range(ts.n_buckets + 1):
             if node:
                 evolve_step(st, np.sqrt(ts.deltas[node - 1])
@@ -659,9 +680,10 @@ class TestRollover:
 
     def test_hand_value(self, ts4, eq_curves):
         # zero vols keep the flat-curve rates: c_USD = 2%, c_EUR = 1% and
-        # y_EUR/USD = 0.2% in bucket 1
+        # y_EUR/USD = 0.2% in bucket 1; under base EUR (EUR, USD) is
+        # simulated, and with zero vols the measure does not matter
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(Model(ts4, eq_curves, v0, "USD"), 1)
+        st = PathState.initial(Model(ts4, eq_curves, v0, "EUR"), 1)
         evolve_step(st, np.zeros((1, 1)))
         fwd = rolling_fx_forward(st, "USD", "EUR", "USD")
         spot = st.fx_rate("USD", "EUR")[0]
@@ -691,8 +713,7 @@ def three_ccy(ts4):
         collateral={"USD": [0.01, 0.0, 0.002], "EUR": [0.003, 0.008, 0.0],
                     "GBP": [0.0, 0.004, 0.009]},
         funding={("EUR", "USD"): [0.0, 0.002, 0.003],
-                 ("USD", "GBP"): [0.001, 0.0, -0.002],
-                 ("EUR", "GBP"): [0.002, -0.001, 0.0]},
+                 ("USD", "GBP"): [0.001, 0.0, -0.002]},
         fx={("USD", "EUR"): [0.04, -0.08, 0.02],
             ("USD", "GBP"): [-0.03, 0.05, 0.06]},
     )

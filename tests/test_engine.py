@@ -921,6 +921,23 @@ class TestSimulate:
             Model(ts4, curves, vols, "USD")
         Model(ts4, curves, vols, "EUR")
 
+    def test_funding_pair_off_the_base_rejected(self, ts4):
+        # The simulated spread accounts are the base pairs (base, c): under
+        # base USD no account reads a loading of EUR/GBP, so Monte Carlo
+        # would drop what Black reads; under base EUR (EUR, GBP) carries it.
+        from colmm import CurveSet
+        curves = CurveSet(
+            discounts={c: flat_curve(c, r, ts4.nodes) for c, r in
+                       (("USD", 0.02), ("EUR", 0.01), ("GBP", 0.03))},
+            spot_fx={("USD", "EUR"): 1.1, ("USD", "GBP"): 1.3})
+        vols = VolatilitySpec(n_factors=1, n_buckets=4,
+                              funding={("EUR", "GBP"): 0.002})
+        with pytest.raises(ConfigurationError, match=(
+                "vol config funding: pair EUR/GBP does not hold the base "
+                "'USD'")):
+            Model(ts4, curves, vols, "USD")
+        Model(ts4, curves, vols, "EUR")
+
     def test_a_built_model_is_frozen(self, ts8, two_ccy_curves):
         # PathState.initial relies on the checks made when it was built.
         model = Model(ts8, two_ccy_curves, VolatilitySpec(1, 8), "USD")
