@@ -11,14 +11,15 @@ id is a digest of inputs, never a timestamp, and covers only what can change
 a number, so the worker count is left out.  `--substeps` is still accepted
 for old command lines but read by nothing: the engine draws one exact
 increment per grid interval.  Exit codes: 0 ok, 2 input problem (including
-a path count whose arrays cannot be allocated), 3 calibration failure,
-4 diagnostic failure.
+a malformed flag and a path count whose arrays cannot be allocated),
+3 calibration failure, 4 diagnostic failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -273,8 +274,19 @@ def cmd_diagnose(args) -> int:
     return 0 if passed else 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors, missing and unknown arguments too
+    (which `exit_on_error=False` leaves out); subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The process's one parser, built on the first call and shared by
+    every later one, so callers must not change it."""
+    parser = _Parser(
         prog="colmm",
         description="Collateralized multi-currency market model tools",
     )
@@ -284,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("market", help="market-data CSV file")
     p_boot.add_argument("--out", required=True, help="curve-set JSON to write")
     p_boot.add_argument("--csv", default=None, help="optional residual CSV")
-    p_boot.set_defaults(func=cmd_bootstrap)
 
     def add_model_flags(p):
         p.add_argument("curveset", help="curve-set JSON from bootstrap")
@@ -305,21 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instrument list JSON")
     p_price.add_argument("--method", choices=("black", "mc", "both"),
                          default="black", help="FX option pricing method")
-    p_price.set_defaults(func=cmd_price)
 
     p_diag = sub.add_parser("diagnose",
                             help="run the martingale test table")
     add_model_flags(p_diag)
     p_diag.add_argument("--corrupt-drift-c", action="store_true",
                         help="negative control: flip the convexity drift sign")
-    p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace()
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # Looked up per call, so a handler replaced after the first call runs.
+        command = {"bootstrap": cmd_bootstrap, "price": cmd_price,
+                   "diagnose": cmd_diagnose}[args.command]
+        return command(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -78,6 +78,11 @@ def fx_forward(curves: CurveSet, spec: FxForwardSpec) -> float:
     Both legs discount against the same collateral currency, which is what
     makes forwards of a currency triangle multiply out exactly.
     """
+    return _forward_and_pay_leg(curves, spec)[0]
+
+
+def _forward_and_pay_leg(curves: CurveSet, spec):
+    """`fx_forward` of an `FxForwardSpec` or `FxOptionSpec`, and Ytilde_pay."""
     spot = curves.fx_rate(spec.pay, spec.receive)
     leg_receive = collateralized_zcb(curves, spec.receive, spec.collateral,
                                      spec.maturity)
@@ -88,7 +93,7 @@ def fx_forward(curves: CurveSet, spec: FxForwardSpec) -> float:
         raise ConfigurationError(
             f"forward {spec.pay}/{spec.receive} margined in {spec.collateral} "
             f"at T={spec.maturity:g} is {forward!r}, not positive")
-    return forward
+    return forward, leg_pay
 
 
 # Cephes erfc (P/Q below 8, R/S above) and erf (T/U) rational
@@ -203,12 +208,9 @@ def fx_option_black(curves: CurveSet, vols: VolatilitySpec, ts: TenorStructure,
     the measure attached to the pay leg's spread-adjusted discount, so the
     price is Ytilde_pay * Black(F, K, stdev).
     """
-    forward = fx_forward(curves, FxForwardSpec(spec.pay, spec.receive,
-                                               spec.collateral, spec.maturity))
+    forward, annuity = _forward_and_pay_leg(curves, spec)
     stdev = forward_fx_total_stdev(vols, ts, spec.pay, spec.receive,
                                    spec.collateral, spec.maturity)
-    annuity = collateralized_zcb(curves, spec.pay, spec.collateral,
-                                 spec.maturity)
     return annuity * _black(forward, spec.strike, stdev, spec.is_call)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line runs: bootstrap, price, diagnose, exit codes."""
 
+import argparse
 import csv
 import importlib.util
 import json
@@ -381,6 +382,44 @@ class TestPrice:
         assert main(argv) == rc == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    def test_black_reads_each_leg_once(self, workdir, monkeypatch):
+        # The pay leg's discount is both the forward's denominator and the
+        # annuity: one lookup per leg, and the price of the three-lookup
+        # formula bit for bit, on this (the acceptance) market.
+        import colmm.pricers as pricers
+        from colmm import (FxForwardSpec, FxOptionSpec, collateralized_zcb,
+                           forward_fx_total_stdev, fx_forward, fx_option_black)
+        from colmm.market_data import load_vol_config
+
+        ts, _, curves = load_curve_set(str(workdir / "curves.json"))
+        vols = load_vol_config(str(workdir / "vols.json"), ts.n_buckets)
+        calls = []
+
+        def counting_zcb(*args):
+            calls.append(args)
+            return collateralized_zcb(*args)
+
+        monkeypatch.setattr(pricers, "collateralized_zcb", counting_zcb)
+        n_options = 0
+        for T in map(float, ts.nodes[1:]):
+            for pay, receive in (("USD", "EUR"), ("EUR", "USD")):
+                for coll in ("USD", "EUR"):
+                    fwd = fx_forward(curves,
+                                     FxForwardSpec(pay, receive, coll, T))
+                    stdev = forward_fx_total_stdev(vols, ts, pay, receive,
+                                                   coll, T)
+                    annuity = collateralized_zcb(curves, pay, coll, T)
+                    for k, is_call in [(0.8, True), (1.0, False), (1.25, True)]:
+                        spec = FxOptionSpec(pay, receive, coll, T, fwd * k,
+                                            is_call)
+                        want = annuity * pricers._black(fwd, fwd * k, stdev,
+                                                        is_call)
+                        calls.clear()
+                        assert fx_option_black(curves, vols, ts, spec) == want
+                        assert len(calls) == 2
+                        n_options += 1
+        assert n_options == 96
+
     def test_csv_fields_are_quoted(self, workdir, tmp_path, capsys):
         # A label holding the delimiter and the quote character reads back
         # as one field.
@@ -662,6 +701,31 @@ class TestExitCodes:
                    "--vols", str(workdir / "vols.json"), "--paths", "1"])
         assert rc == 2
         capsys.readouterr()
+
+    # The parser stops before any file is opened, so none need exist.
+    @pytest.mark.parametrize("argv, message", [
+        (["price", "c.json", "--vols", "v.json", "--instruments", "i.json",
+          "--paths", "1e5"], "argument --paths: invalid int value: '1e5'"),
+        (["price", "c.json", "--vols", "v.json", "--instruments", "i.json",
+          "--method", "exact"], "argument --method: invalid choice: 'exact' "
+                                "(choose from 'black', 'mc', 'both')"),
+        (["diagnose", "c.json"],
+         "the following arguments are required: --vols"),
+        (["diagnose", "c.json", "--vols", "v.json", "--seeds", "3"],
+         "unrecognized arguments: --seeds 3")],
+        ids=["bad-int", "bad-choice", "missing-flag", "unknown-flag"])
+    def test_usage_error_is_one_line_and_2(self, capsys, argv, message):
+        # argparse would print its usage block and raise SystemExit(2).
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: colmm price ")
 
     @pytest.mark.parametrize("command", ["price", "diagnose"])
     def test_one_pair_is_2(self, workdir, capsys, command):
@@ -1163,6 +1227,85 @@ class TestOutputForm:
         assert main(argv) == rc
         for text in (out.read_text(), capsys.readouterr().out):
             assert text == _canonical(text)
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and dispatches by name."""
+
+    def price_argv(self, workdir, out):
+        return ["price", str(workdir / "curves.json"),
+                "--vols", str(workdir / "vols.json"),
+                "--instruments", str(workdir / "instruments.json"),
+                "--method", "both", "--paths", "400", "--out", str(out)]
+
+    def test_parser_is_built_once(self, workdir, tmp_path, capsys,
+                                  monkeypatch):
+        argv = self.price_argv(workdir, tmp_path / "report.json")
+        assert main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert main(argv) == 0
+        assert main(["bootstrap", str(workdir / "market.csv"),
+                     "--out", str(tmp_path / "c.json")]) == 0
+        assert main(["diagnose", str(workdir / "curves.json"),
+                     "--vols", str(workdir / "zero_vols.json"),
+                     "--paths", "4", "--out", str(tmp_path / "d.json")]) == 0
+        assert main(["price", "--paths", "x"]) == 2
+        capsys.readouterr()
+        assert built == []
+
+    def test_reuse_holds_no_state(self, workdir, tmp_path, capsys):
+        curves = tmp_path / "curves.json"
+        assert main(["bootstrap", str(workdir / "market.csv"),
+                     "--out", str(curves)]) == 0
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = self.price_argv(workdir, first)
+        argv[1] = str(curves)
+        assert main(argv) == 0
+        assert main(["price", str(curves), "--paths", "1e5"]) == 2
+        assert main(["price", str(tmp_path / "nope.json"),
+                     "--vols", str(workdir / "vols.json"),
+                     "--instruments", str(workdir / "instruments.json")]) == 2
+        assert main(argv[:-1] + [str(second)]) == 0
+        capsys.readouterr()
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_dispatch_reads_the_handler_per_call(self, workdir, tmp_path,
+                                                 capsys, monkeypatch):
+        import colmm.cli as cli
+
+        argv = ["bootstrap", str(workdir / "market.csv"),
+                "--out", str(tmp_path / "c.json")]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bootstrap",
+                            lambda args: seen.append(args.market) or 5)
+        assert main(argv) == 5
+        assert seen == [argv[1]]
+        capsys.readouterr()
+
+    def test_import_builds_no_parser(self):
+        src = Path(colmm.__file__).resolve().parents[1]
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting_init(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counting_init\n"
+                "import colmm.cli\n"
+                "print(len(built))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.split() == ["0"]
 
 
 def test_every_traced_layer_still_resolves(monkeypatch):
