@@ -28,7 +28,6 @@ from .engine import (
     PriceEstimate,
     SimulationConfig,
     gaussian_increments,
-    simulate,
     simulate_many,
 )
 from .errors import CalibrationError, ConfigurationError, InputError
@@ -52,7 +51,6 @@ from .pricers import (
     forward_fx_total_stdev,
     fx_forward,
     fx_option_black,
-    fx_option_mc,
 )
 from .tenor import TenorStructure
 
@@ -89,7 +87,6 @@ __all__ = [
     "forward_rates",
     "fx_forward",
     "fx_option_black",
-    "fx_option_mc",
     "gaussian_increments",
     "load_curve_set",
     "load_vol_config",
@@ -98,6 +95,5 @@ __all__ = [
     "parse_market_csv",
     "repricing_residuals",
     "save_curve_set",
-    "simulate",
     "simulate_many",
 ]

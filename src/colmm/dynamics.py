@@ -315,6 +315,9 @@ class PathState:
     `log_acc` are views that lead with paths, as every array a PathState
     returns does.  Each FX leg X(base, ccy) is resolved once per model, in
     `initial`, as `fx_legs`; each state makes its account-row views once.
+    Payoffs and diagnostics read a state through `deflator`/`deflators`,
+    `fx_rate`, `buckets`, `libor_ois`, `equity_forward` and the `w` and
+    `log_acc` views; an account is exp(log_acc[:, columns[ccy, coll]]).
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
@@ -415,7 +418,7 @@ class PathState:
         return PathState(self.ts, self.base, n_paths, self.tables, self.s_mask,
                          self.columns, self.rate0, self.rate_sig, self.fx_legs)
 
-    # -- accessors used by payoffs and diagnostics --------------------------
+    # -- readers for payoffs and diagnostics --------------------------------
 
     @property
     def w(self) -> np.ndarray:
@@ -444,7 +447,10 @@ class PathState:
         """
         tab = self._tables(family, key)
         hi = self.ts.n_buckets if hi is None else hi
-        out = np.empty((max(hi - lo, 0), self.n_paths))
+        if not 0 <= lo <= hi <= self.ts.n_buckets:
+            raise ValueError(f"bucket range [{lo}, {hi}) is not within "
+                             f"[0, {self.ts.n_buckets}]")
+        out = np.empty((hi - lo, self.n_paths))
         for x, m in zip(out, range(lo, hi)):
             self._bucket(tab, m, x)
         return out.T
@@ -468,22 +474,6 @@ class PathState:
             x += tab.x0[m]
         return x
 
-    def zcb(self, currency: str, maturity: float) -> np.ndarray:
-        """D(t, T) reconstructed from live bucket rates at the current node."""
-        return self.spread_zcb(currency, currency, maturity)
-
-    def spread_zcb(self, currency: str, collateral: str,
-                   maturity: float) -> np.ndarray:
-        """D(t,T) * Y(t,T) of (currency, collateral) from live bucket rates."""
-        k = self.node
-        n = self.ts.node_index(maturity)
-        if n < k:
-            raise ValueError(f"maturity {maturity} before current time {self.time}")
-        rates = self.buckets("c", currency, k, n)
-        if currency != collateral:
-            rates = rates + self.buckets("y", (currency, collateral), k, n)
-        return np.exp(-(rates @ self.ts.deltas[k:n]))
-
     def _log_account(self, currency: str, collateral: str) -> np.ndarray:
         """Log of the account accruing c + y of the pair, a row view that
         evolve_step updates in place; y = 0 if same ccy."""
@@ -492,14 +482,6 @@ class PathState:
         except KeyError:
             raise ConfigurationError(
                 f"pair account ({currency},{collateral}) is not simulated")
-
-    def account(self, currency: str) -> np.ndarray:
-        """Discrete collateral account C(t) at the current node."""
-        return np.exp(self._log_account(currency, currency))
-
-    def pair_account(self, currency: str, collateral: str) -> np.ndarray:
-        """Discrete account accruing c + y of the pair; C itself if same ccy."""
-        return np.exp(self._log_account(currency, collateral))
 
     def _log_fx_move(self, currency: str, time: float, out=None,
                      scratch=None) -> np.ndarray:

@@ -218,6 +218,20 @@ class Model:
                     f"equity curve {ccy!r} has no matching discount curve")
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; floats, bools and other non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_seed(seed) -> int:
+    seed = _integer("seed", seed)
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must fit in a uint64, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Path count and seed, checked once, when built, and frozen."""
@@ -226,14 +240,16 @@ class SimulationConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n_paths < 4:    # one pair would read as deterministic
-            raise ValueError(f"need at least 4 paths, got {self.n_paths}")
-        if self.n_paths % 2:
+        n_paths = _integer("n_paths", self.n_paths)
+        if n_paths < 4:         # one pair would read as deterministic
+            raise ValueError(f"need at least 4 paths, got {n_paths}")
+        if n_paths % 2:
             raise ValueError(
-                f"antithetic sampling needs an even path count, got {self.n_paths}"
+                f"antithetic sampling needs an even path count, got {n_paths}"
             )
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must fit in a uint64, got {self.seed}")
+        # Kept as int: numpy integers overflow in the seed's key arithmetic.
+        object.__setattr__(self, "n_paths", n_paths)
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
     def resolved_workers(self) -> int:
         raw = os.environ.get(WORKERS_ENV_VAR)
@@ -281,10 +297,12 @@ class PriceEstimate:
 class GridPayoff:
     """Payoff amount fixed at a grid node, in `currency`, margined in `collateral`.
 
-    fn maps the PathState at the maturity node to per-path amounts, and
-    None means one unit of `currency`.  The engine multiplies the amounts
-    by `PathState.deflator(currency, collateral)`, one over the numeraire
-    in `currency`: the base pair account accruing c + y of (base,
+    fn maps the PathState at the maturity node to per-path amounts, read
+    through the state's `fx_rate`, `buckets`, `libor_ois`,
+    `equity_forward`, `w` and `log_acc`; None means one unit of
+    `currency`.  The engine multiplies the amounts by
+    `PathState.deflator(currency, collateral)`, one over the numeraire in
+    `currency`: the base pair account accruing c + y of (base,
     collateral), converted at simulated spot FX and times today's spot, so
     the estimate is in `currency`.  A node's deflators are one table, a
     row per (currency, collateral) key, so payoffs sharing a key share a
@@ -304,13 +322,12 @@ def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.n
     Pure function of its arguments; workers calling it in any order or
     partition reproduce the same numbers.
     """
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must fit in a uint64, got {seed}")
+    seed = _checked_seed(seed)
     if path < 0 or step < 0:
         raise ValueError(f"path and step indices must be >= 0, got ({path},{step})")
     if n_factors < 1:
         raise ValueError(f"need at least one factor, got {n_factors}")
-    return _block_normals(seed, path, path + 1, step + 1, n_factors)[0, step]
+    return _block_normals(seed, path, path + 1, step + 1, n_factors)[step, :, 0]
 
 
 def _ratio(w: np.ndarray, num: tuple, den: tuple, p: np.ndarray,
@@ -428,25 +445,24 @@ def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, t: np.ndarray,
 
 def _block_normals(seed: int, path_lo: int, path_hi: int,
                    n_steps: int, n_factors: int) -> np.ndarray:
-    """Normals for a contiguous path block, shape (paths, steps, factors).
+    """Normals for a contiguous path block, shape (steps, factors, paths).
 
-    The array is a view of (steps, factors, paths) storage, so each step's
-    normals are contiguous rows, one per factor.  Row p takes the first
-    steps * factors words w of numpy.random.Philox(key=[seed, p]), bit for
-    bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those through
-    `_ndtri`.  numpy bumps the counter before its first block, so block b
-    of the row is Philox4x64-10 of counter (b + 1, 0, 0, 0) under key
-    (seed, p).  The rounds run as in-place uint64 ufuncs over (blocks,
-    paths) arrays, a chunk of about _CHUNK_BLOCKS blocks at a time.  Both
-    multiplications of a round are one ufunc call over the stacked words
-    [x0, x2], with the products' low words stacked as [x3, x1], which
-    halves the calls.  A chunk's normals are made in one contiguous
+    Each step's normals are contiguous rows, one per factor.  Path p takes
+    the first steps * factors words w of numpy.random.Philox(key=[seed,
+    p]), bit for bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those
+    through `_ndtri`.  numpy bumps the counter before its first block, so
+    block b of the path's stream is Philox4x64-10 of counter (b + 1, 0, 0,
+    0) under key (seed, p).  The rounds run as in-place uint64 ufuncs over
+    (blocks, paths) arrays, a chunk of about _CHUNK_BLOCKS blocks at a
+    time.  Both multiplications of a round are one ufunc call over the
+    stacked words [x0, x2], with the products' low words stacked as [x3,
+    x1], which halves the calls.  A chunk's normals are made in one contiguous
     (words, paths) buffer and copied into place.
     """
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
     out = np.empty((words, n_paths))
-    normals = out.reshape(n_steps, n_factors, n_paths).transpose(2, 0, 1)
+    normals = out.reshape(n_steps, n_factors, n_paths)
     if words == 0:
         return normals
     blocks = -(-words // 4)
@@ -714,9 +730,8 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, by_node: dict,
 
     settle(0)
     dw = np.empty((vols.n_factors, n_phys))    # each path's, then its mirror's
-    steps = normals.transpose(1, 2, 0)         # (steps, d, units), contiguous
     for node in range(1, n_last + 1):
-        np.multiply(np.sqrt(ts.deltas[node - 1]), steps[node - 1],
+        np.multiply(np.sqrt(ts.deltas[node - 1]), normals[node - 1],
                     out=dw[:, :n_units])
         np.negative(dw[:, :n_units], out=dw[:, n_units:])
         evolve_step(state, dw.T)
@@ -792,9 +807,3 @@ def simulate_many(model: Model, cfg: SimulationConfig,
                                 0.5 * float(ses[row_of[name]]), cfg.n_paths,
                                 payoffs[name].currency)
             for name in payoffs}
-
-
-def simulate(model: Model, cfg: SimulationConfig,
-             payoff: GridPayoff) -> PriceEstimate:
-    """Estimate E[payoff / numeraire], reported in the payoff's currency."""
-    return simulate_many(model, cfg, {"payoff": payoff})["payoff"]

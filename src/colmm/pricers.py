@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import CurveSet
 from .dynamics import PathState, VolatilitySpec
-from .engine import GridPayoff, Model, PriceEstimate, SimulationConfig, simulate
+from .engine import GridPayoff
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -224,12 +224,6 @@ def fx_option_payoff(spec: FxOptionSpec) -> GridPayoff:
         return np.maximum(sign * (fx - strike), 0.0)
 
     return GridPayoff(payoff, spec.maturity, pay, spec.collateral)
-
-
-def fx_option_mc(model: Model, cfg: SimulationConfig,
-                 spec: FxOptionSpec) -> PriceEstimate:
-    """Monte Carlo value of the option, in the pay currency with its SE."""
-    return simulate(model, cfg, fx_option_payoff(spec))
 
 
 def equity_forward(curves: CurveSet, currency: str, maturity: float) -> float:

@@ -25,14 +25,13 @@ from colmm import (
     build_curve_set,
     fx_forward,
     fx_option_black,
-    fx_option_mc,
     parse_market_csv,
     repricing_residuals,
-    simulate,
     simulate_many,
 )
 from colmm.cli import main
 from colmm.dynamics import collateral_drift_vector
+from colmm.pricers import fx_option_payoff
 
 from conftest import flat_curve, flat_spread
 
@@ -218,7 +217,7 @@ def test_criterion_3_black_vs_mc():
         for frac in (0.8, 1.0, 1.2):
             spec = FxOptionSpec("USD", "EUR", coll, 2.0, frac * fwd)
             ref = fx_option_black(curves, vols, TS8, spec)
-            est = fx_option_mc(model, cfg, spec)
+            est = simulate_many(model, cfg, {"p": fx_option_payoff(spec)})["p"]
             worst_gap = max(worst_gap, abs(est.mean - ref) / est.std_error)
             worst_se = max(worst_se, est.std_error)
     elapsed = time.perf_counter() - start
@@ -295,7 +294,7 @@ def test_criterion_6_measure_change():
     model = Model(TS8, curves, vols, "USD")
     cfg = SimulationConfig(n_paths=100_000, seed=42)
     payoff = GridPayoff(lambda st: np.ones(st.n_paths), 2.0, "EUR", "EUR")
-    est = simulate(model, cfg, payoff)
+    est = simulate_many(model, cfg, {"p": payoff})["p"]
     target = curves.discount_curve("EUR").discount(2.0)
     z = est.z_score(target)
     ok = abs(z) < 3.0

@@ -174,6 +174,15 @@ class TestBootstrap:
         np.testing.assert_allclose(y.values, 1.0, rtol=0, atol=1e-15)
 
 
+    def test_readme_library_example_runs(self, capsys):
+        # The README's first python block, run as written: the ZCB it prints
+        # is within 4 SE of its curve, and a name gone from colmm fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        mean, se, _ = map(float, capsys.readouterr().out.split())
+        assert se > 0.0 and abs(mean - math.exp(-0.04)) < 4.0 * se
+
     def test_readme_market_file_bootstraps(self, tmp_path, capsys):
         # The README's example market file must stay a valid input.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -266,7 +275,8 @@ class TestPrice:
         capsys.readouterr()
         res = json.loads(out.read_text())["results"]
         from colmm import (FxOptionSpec, Model, SimulationConfig,
-                           fx_option_mc, load_vol_config)
+                           load_vol_config, simulate_many)
+        from colmm.pricers import fx_option_payoff
         ts, base, curves = load_curve_set(str(workdir / "curves.json"))
         model = Model(ts, curves,
                       load_vol_config(str(workdir / "vols.json"), ts.n_buckets),
@@ -276,7 +286,7 @@ class TestPrice:
             spec = FxOptionSpec(opt["pay"], opt["receive"], opt["collateral"],
                                 opt["maturity"], opt["strike"],
                                 opt["style"] == "call")
-            est = fx_option_mc(model, cfg, spec)
+            est = simulate_many(model, cfg, {"p": fx_option_payoff(spec)})["p"]
             assert res[opt["label"]]["mc_mean"] == est.mean
             assert res[opt["label"]]["mc_std_error"] == est.std_error
 
@@ -1310,7 +1320,9 @@ class TestParserReuse:
 
 def test_every_traced_layer_still_resolves(monkeypatch):
     # The benchmark's tracer patches colmm by name; a renamed function would
-    # silently drop its layer from the traced metrics.
+    # silently drop its layer from the traced metrics.  The hooks allowed to
+    # be absent are the functions deleted from colmm, which no CLI command
+    # calls, until the tracer's hook list drops them.
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", root / "perfbench" / "tracing.py")
@@ -1322,7 +1334,10 @@ def test_every_traced_layer_still_resolves(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
-    assert set(tracer.absent) <= {"colmm.cli.fx_option_mc"}
+    deleted = {"colmm.cli.fx_option_mc", "colmm.pricers.simulate",
+               *(f"colmm.dynamics.PathState.{name}" for name in
+                 ("zcb", "spread_zcb", "account", "pair_account"))}
+    assert set(tracer.absent) <= deleted
 
 
 def test_import_loads_no_scipy_or_numpy_random():

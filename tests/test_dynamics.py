@@ -324,8 +324,9 @@ class TestPathState:
         for m in range(4):
             assert st.buckets("c", "USD")[0, m] == want[m]
         assert st.time == 0.0
-        np.testing.assert_array_equal(st.account("USD"), 1.0)
-        np.testing.assert_array_equal(st.pair_account("USD", "EUR"), 1.0)
+        for key in (("USD", "USD"), ("USD", "EUR")):
+            np.testing.assert_array_equal(
+                np.exp(st.log_acc[:, st.columns[key]]), 1.0)
         np.testing.assert_array_equal(st.fx_rate("USD", "EUR"), 100.0)
 
     def test_reversed_pair_spread_seeded_from_reciprocal(self, ts4, eq_curves,
@@ -339,14 +340,19 @@ class TestPathState:
         for row in st.buckets("y", ("USD", "EUR")):
             np.testing.assert_allclose(row, -stored, rtol=0, atol=1e-15)
 
-    def test_zcb_reconstruction(self, ts4, eq_curves, full_vols):
+    def test_buckets_refuse_ranges_outside_the_grid(self, ts4, eq_curves,
+                                                    full_vols):
+        # At node 2, lo = -1 read bucket 3's tables against W(T_4), a row
+        # the state has not reached, and hi = 5 raised a bare IndexError.
         st = make_state(ts4, eq_curves, full_vols)
-        usd = eq_curves.discount_curve("USD")
-        np.testing.assert_allclose(st.zcb("USD", 2.0), usd.discount(2.0),
-                                   rtol=1e-14)
-        ytil = usd.discount(1.5) * eq_curves.spread_curve("USD", "EUR").value(1.5)
-        np.testing.assert_allclose(st.spread_zcb("USD", "EUR", 1.5), ytil,
-                                   rtol=1e-14)
+        for _ in range(2):
+            evolve_step(st, np.full((3, 3), 0.1))
+        for lo, hi in ((-1, 0), (0, 5), (3, 2), (5, 5)):
+            with pytest.raises(ValueError, match="not within"):
+                st.buckets("c", "USD", lo, hi)
+        assert st.buckets("c", "USD", 4, 4).shape == (3, 0)
+        np.testing.assert_array_equal(st.buckets("c", "USD", 0, 4),
+                                      st.buckets("c", "USD"))
 
     def test_curve_too_short_rejected(self, ts4, full_vols):
         short = DiscountCurve("USD", np.array([0.0, 1.0]), np.array([1.0, 0.98]))
@@ -358,7 +364,7 @@ class TestPathState:
     def test_unknown_currency_errors(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols)
         with pytest.raises(ConfigurationError):
-            st.zcb("JPY", 1.0)
+            st.buckets("c", "JPY")
         with pytest.raises(ConfigurationError):
             st.libor_ois("EUR", 1)   # no fixings and no vols for EUR
         with pytest.raises(ConfigurationError):
@@ -392,8 +398,6 @@ class TestPathState:
                           np.array([100.0, 101.0]))})
         st = make_state(ts4, cs, VolatilitySpec(n_factors=1, n_buckets=4))
         evolve_step(st, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="before current time"):
-            st.spread_zcb("USD", "USD", 0.0)
         for end_node in (0, 5):
             with pytest.raises(ValueError, match="outside the grid"):
                 st.libor_ois("USD", end_node)
@@ -411,8 +415,9 @@ class TestEvolveStep:
         y0 = st.buckets("y", ("USD", "EUR"))[0, 0]
         evolve_step(st, np.zeros((1, 3)))
         assert st.time == 0.5
-        np.testing.assert_allclose(st.pair_account("USD", "EUR"),
-                                   np.exp(0.5 * (c0 + y0)), rtol=1e-15)
+        np.testing.assert_allclose(
+            np.exp(st.log_acc[:, st.columns["USD", "EUR"]]),
+            np.exp(0.5 * (c0 + y0)), rtol=1e-15)
 
     def test_freeze_after_fixing(self, ts4, eq_curves, full_vols):
         rng = np.random.default_rng(0)
@@ -584,8 +589,7 @@ class TestAgainstEulerOracle:
                 np.testing.assert_allclose(st.fx_rate(pay, ccy), want,
                                            rtol=1e-13)
             for (pay, col), want in acc.items():
-                got = (st.account(pay) if pay == col
-                       else st.pair_account(pay, col))
+                got = np.exp(st.log_acc[:, st.columns[pay, col]])
                 np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
 
     def test_account_loadings_are_the_one_source(self):
@@ -651,9 +655,15 @@ def rolling_fx_forward(st, pay, foreign, collateral):
     the rates fixed at T_n: the per-period reset value of a rolling FX
     forward collateralized in `collateral`.
     """
-    t_next = st.ts.nodes[st.node + 1]
-    return (st.fx_rate(pay, foreign) * st.spread_zcb(foreign, collateral, t_next)
-            / st.spread_zcb(pay, collateral, t_next))
+    k = st.node
+
+    def ytilde(ccy):
+        rates = st.buckets("c", ccy, k, k + 1)
+        if ccy != collateral:
+            rates = rates + st.buckets("y", (ccy, collateral), k, k + 1)
+        return np.exp(-(rates @ st.ts.deltas[k:k + 1]))
+
+    return st.fx_rate(pay, foreign) * ytilde(foreign) / ytilde(pay)
 
 
 class TestRollover:
@@ -732,8 +742,9 @@ class TestDeflator:
         for node in range(5):
             for c in self.CCYS:
                 for k in self.CCYS:
+                    account = np.exp(st.log_acc[:, st.columns["USD", k]])
                     want = st.fx_rate("USD", c) / (
-                        st.pair_account("USD", k) * curves.fx_rate("USD", c))
+                        account * curves.fx_rate("USD", c))
                     np.testing.assert_allclose(st.deflator(c, k), want,
                                                rtol=1e-14, atol=0)
             if node < 4:
@@ -753,14 +764,14 @@ class TestDeflator:
     def test_unsimulated_key_has_todays_message(self, ts4, three_ccy):
         curves, vols = three_ccy
         st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)
-        for key, today in [(("USD", "JPY"), lambda: st.pair_account("USD", "JPY")),
-                           (("EUR", "JPY"), lambda: st.pair_account("USD", "JPY")),
-                           (("JPY", "USD"), lambda: st.fx_rate("USD", "JPY"))]:
-            with pytest.raises(ConfigurationError) as want:
-                today()
+        with pytest.raises(ConfigurationError) as fx:
+            st.fx_rate("USD", "JPY")
+        pair = "pair account (USD,JPY) is not simulated"
+        for key, want in [(("USD", "JPY"), pair), (("EUR", "JPY"), pair),
+                          (("JPY", "USD"), str(fx.value))]:
             with pytest.raises(ConfigurationError) as got:
                 st.deflator(*key)
-            assert str(got.value) == str(want.value), key
+            assert str(got.value) == want, key
 
     def test_table_rows_are_the_deflators(self, ts4, three_ccy):
         # Base, non-base and reversed-pair keys in one table, at node 0 and

@@ -21,7 +21,6 @@ from colmm import (
     TenorStructure,
     VolatilitySpec,
     gaussian_increments,
-    simulate,
     simulate_many,
 )
 from colmm import engine
@@ -60,15 +59,16 @@ class TestGaussianIncrements:
         ]
         for seed, lo, hi, n_steps, n_factors in cases:
             block = _block_normals(seed, lo, hi, n_steps, n_factors)
-            assert block.shape == (hi - lo, n_steps, n_factors)
+            assert block.shape == (n_steps, n_factors, hi - lo)
             words = n_steps * n_factors
-            for row, path in enumerate(range(lo, hi)):
+            for col, path in enumerate(range(lo, hi)):
                 bg = Philox(key=np.array([seed, path], dtype=np.uint64))
                 expect = _ndtri(_uniforms(bg.random_raw(words)))
-                assert block[row].tobytes() == expect.tobytes(), (seed, path)
+                assert block[..., col].tobytes() == expect.tobytes(), \
+                    (seed, path)
                 for step in ({0, n_steps - 1} if n_steps else ()):
                     one = gaussian_increments(seed, path, step, n_factors)
-                    assert block[row, step].tobytes() == one.tobytes(), \
+                    assert block[step, :, col].tobytes() == one.tobytes(), \
                         (seed, path, step, n_factors)
 
     def test_moments(self):
@@ -80,7 +80,7 @@ class TestGaussianIncrements:
 
     def test_cross_path_independence(self):
         z = _block_normals(9, 0, 50_000, 1, 2)
-        a, b = z[:, 0, 0], z[:, 0, 1]
+        a, b = z[0, 0], z[0, 1]
         n = a.size
         assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
         assert abs(np.corrcoef(a[:-1], a[1:])[0, 1]) < 4.0 / np.sqrt(n - 1)
@@ -204,6 +204,26 @@ class TestSimulationConfig:
             SimulationConfig(seed=-1)
         with pytest.raises(ValueError):
             SimulationConfig(seed=2 ** 64)
+
+    def test_refuses_non_integers_when_built(self):
+        # Not later, in a tile's range or the seed's key arithmetic; a bool
+        # would otherwise run silently as seed or count 0 or 1.
+        for bad in (dict(n_paths=1000.0), dict(n_paths=True),
+                    dict(seed=1.5), dict(seed=True), dict(seed="3")):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimulationConfig(**bad)
+        with pytest.raises(ValueError, match="must be an integer"):
+            gaussian_increments(1.5, 0, 0, 1)
+
+    def test_numpy_integers_are_kept_as_int(self, one_ccy_model):
+        cfg = SimulationConfig(n_paths=np.int64(400), seed=np.uint64(3))
+        assert type(cfg.n_paths) is int and type(cfg.seed) is int
+        pays = {"p": unit_zcb(2.0)}
+        want = simulate_many(one_ccy_model,
+                             SimulationConfig(n_paths=400, seed=3), pays)
+        assert simulate_many(one_ccy_model, cfg, pays) == want
+        assert (gaussian_increments(np.uint64(3), 1, 2, 2).tobytes()
+                == gaussian_increments(3, 1, 2, 2).tobytes())
 
     def test_workers_from_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
@@ -383,7 +403,8 @@ class TestEstimates:
         assert first["unit again 1.5"] == first["unit ('EUR', 'USD') 1.5"]
         for name in ("now", "fx 1", "unit again 1.5", "call 36 1.5", "unit 2",
                      "call 2"):
-            assert first[name] == simulate(model, cfg, pays[name]), name
+            one = simulate_many(model, cfg, {"p": pays[name]})["p"]
+            assert first[name] == one, name
         for (rows, workers), got in runs.items():
             assert got == first, (rows, workers)
 
@@ -435,7 +456,8 @@ class TestEstimates:
         assert all(got == want for got in runs.values())
         for name, payoff in pays.items():
             assert want[name].std_error > 0.0
-            assert want[name] == simulate(model, cfg, payoff), name
+            one = simulate_many(model, cfg, {"p": payoff})["p"]
+            assert want[name] == one, name
 
     def test_extrema_span_every_block(self):
         # Each add takes a row's min and max over its whole slice.  A row
@@ -600,7 +622,7 @@ class TestSimulate:
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
         model = Model(ts8, curves, vols, "USD")
         cfg = SimulationConfig(n_paths=16)
-        est = simulate(model, cfg, unit_zcb(2.0))
+        est = simulate_many(model, cfg, {"p": unit_zcb(2.0)})["p"]
         assert est.std_error == 0.0
         assert est.n_paths == 16
         assert est.mean == pytest.approx(
@@ -610,7 +632,7 @@ class TestSimulate:
     def test_zcb_martingale(self, one_ccy_model):
         cfg = SimulationConfig(n_paths=20_000, seed=11)
         target = one_ccy_model.curves.discount_curve("USD").discount(3.0)
-        est = simulate(one_ccy_model, cfg, unit_zcb(3.0))
+        est = simulate_many(one_ccy_model, cfg, {"p": unit_zcb(3.0)})["p"]
         assert est.std_error > 0.0
         assert abs(est.z_score(target)) < 4.0
 
@@ -632,19 +654,21 @@ class TestSimulate:
         )
         model = Model(ts8, curves, vols, "USD")
         cfg = SimulationConfig(n_paths=20_000, seed=5)
-        est = simulate(model, cfg, unit_zcb(2.0, ccy="EUR", coll="USD"))
+        est = simulate_many(
+            model, cfg, {"p": unit_zcb(2.0, ccy="EUR", coll="USD")})["p"]
         d = curves.discount_curve("EUR").discount(2.0)
         y = curves.spread_curve("EUR", "USD").value(2.0)
         assert abs(est.z_score(d * y)) < 4.0
 
     def test_maturity_zero_pays_now(self, one_ccy_model):
         cfg = SimulationConfig(n_paths=4)
-        est = simulate(one_ccy_model, cfg, unit_zcb(0.0))
+        est = simulate_many(one_ccy_model, cfg, {"p": unit_zcb(0.0)})["p"]
         assert est.mean == 1.0 and est.std_error == 0.0
 
     def test_off_grid_maturity_rejected(self, one_ccy_model):
         with pytest.raises(ValueError):
-            simulate(one_ccy_model, SimulationConfig(n_paths=4), unit_zcb(0.25))
+            simulate_many(one_ccy_model, SimulationConfig(n_paths=4),
+                          {"p": unit_zcb(0.25)})
 
     def test_no_payoffs_rejected(self, one_ccy_model):
         with pytest.raises(ValueError):
@@ -654,7 +678,8 @@ class TestSimulate:
         bad = GridPayoff(fn=lambda st: np.ones(3), maturity=1.0,
                          currency="USD", collateral="USD")
         with pytest.raises(ConfigurationError):
-            simulate(one_ccy_model, SimulationConfig(n_paths=8), bad)
+            simulate_many(one_ccy_model, SimulationConfig(n_paths=8),
+                          {"p": bad})
 
     def test_antithetic_mirrors_shocks(self, one_ccy_model):
         seen = []
@@ -665,7 +690,8 @@ class TestSimulate:
 
         payoff = GridPayoff(fn=grab, maturity=0.5, currency="USD",
                             collateral="USD")
-        simulate(one_ccy_model, SimulationConfig(n_paths=8), payoff)
+        simulate_many(one_ccy_model, SimulationConfig(n_paths=8),
+                      {"p": payoff})
         c = np.concatenate(seen, axis=0)
         live = c[:, 1:]  # bucket 0 fixed at time zero
         center = live[:4] + live[4:]  # x + (2a - x) for each mirrored pair
@@ -692,7 +718,8 @@ class TestSimulate:
         payoff = GridPayoff(fn=grab, maturity=3.0, currency="USD",
                             collateral="USD")
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
-        simulate(model, SimulationConfig(n_paths=2 * pairs, seed=seed), payoff)
+        simulate_many(model, SimulationConfig(n_paths=2 * pairs, seed=seed),
+                      {"p": payoff})
         expect = np.array([[np.sqrt(ts.deltas[k])
                             * gaussian_increments(seed, p, k, 3)
                             for k in range(ts.n_buckets)]
@@ -711,18 +738,23 @@ class TestSimulate:
 
     def test_se_shrinks_like_sqrt_n(self, one_ccy_model):
         pay = unit_zcb(4.0)
-        lo = simulate(one_ccy_model, SimulationConfig(n_paths=10_000), pay)
-        hi = simulate(one_ccy_model, SimulationConfig(n_paths=40_000), pay)
+        lo = simulate_many(one_ccy_model, SimulationConfig(n_paths=10_000),
+                           {"p": pay})["p"]
+        hi = simulate_many(one_ccy_model, SimulationConfig(n_paths=40_000),
+                           {"p": pay})["p"]
         assert lo.std_error / hi.std_error == pytest.approx(2.0, rel=0.25)
 
     def test_worker_count_does_not_change_numbers(self, one_ccy_model,
                                                   monkeypatch):
         pay = unit_zcb(3.5)
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-        base = simulate(one_ccy_model, SimulationConfig(n_paths=4_000), pay)
+        base = simulate_many(one_ccy_model, SimulationConfig(n_paths=4_000),
+                             {"p": pay})["p"]
         for w in (2, 3, 8):
             monkeypatch.setenv(WORKERS_ENV_VAR, str(w))
-            est = simulate(one_ccy_model, SimulationConfig(n_paths=4_000), pay)
+            est = simulate_many(one_ccy_model,
+                                SimulationConfig(n_paths=4_000),
+                                {"p": pay})["p"]
             assert est.mean == base.mean
             assert est.std_error == base.std_error
 
@@ -736,7 +768,8 @@ class TestSimulate:
         monkeypatch.setattr(PathState, "fresh", lambda self, n: states.append(
             fresh(self, n)) or states[-1])
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        simulate(one_ccy_model, SimulationConfig(n_paths=4_000), unit_zcb(3.5))
+        simulate_many(one_ccy_model, SimulationConfig(n_paths=4_000),
+                      {"p": unit_zcb(3.5)})
         assert len(made) == 1 and len(states) == 3
         # 2,000 pairs are 20 chunks of 100, split 7, 6, 7 among 3 workers.
         assert sorted(st.n_paths for st in states) == [1200, 1400, 1400]
@@ -752,10 +785,10 @@ class TestSimulate:
         cfg = SimulationConfig(n_paths=2_000)
         pays = {"short": unit_zcb(1.0), "long": unit_zcb(4.0)}
         joint = simulate_many(one_ccy_model, cfg, pays)
-        assert joint["short"].mean == simulate(one_ccy_model, cfg,
-                                               pays["short"]).mean
-        assert joint["long"].mean == simulate(one_ccy_model, cfg,
-                                              pays["long"]).mean
+        assert joint["short"].mean == simulate_many(
+            one_ccy_model, cfg, {"p": pays["short"]})["p"].mean
+        assert joint["long"].mean == simulate_many(
+            one_ccy_model, cfg, {"p": pays["long"]})["p"].mean
         # Two currencies: payoffs sharing (node, currency, collateral) share
         # one conversion, which a later node of the same key must not reuse.
         vols = VolatilitySpec(
@@ -776,7 +809,7 @@ class TestSimulate:
         }
         joint = simulate_many(model, cfg, pays)
         for name, payoff in pays.items():
-            single = simulate(model, cfg, payoff)
+            single = simulate_many(model, cfg, {"p": payoff})["p"]
             assert joint[name].mean == single.mean, name
             assert joint[name].std_error == single.std_error, name
 
@@ -812,7 +845,7 @@ class TestSimulate:
             monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
             joint = simulate_many(model, cfg, pays)
             for name, payoff in pays.items():
-                single = simulate(model, cfg, payoff)
+                single = simulate_many(model, cfg, {"p": payoff})["p"]
                 assert joint[name].std_error > 0.0, name
                 assert joint[name].mean == single.mean, (workers, name)
                 assert joint[name].std_error == single.std_error, (workers, name)

@@ -24,11 +24,11 @@ from colmm import (
     equity_forward,
     fx_forward,
     fx_option_black,
-    fx_option_mc,
     forward_fx_total_stdev,
+    simulate_many,
 )
 from colmm.dynamics import evolve_step
-from colmm.pricers import _black, _ndtr
+from colmm.pricers import _black, _ndtr, fx_option_payoff
 
 from conftest import flat_curve, flat_spread
 
@@ -296,7 +296,7 @@ class TestFxOptionMc:
         for k in (90.0, 105.0):
             spec = FxOptionSpec("USD", "EUR", "USD", 2.0, k)
             ref = fx_option_black(curves, vols, ts8, spec)
-            est = fx_option_mc(model, cfg, spec)
+            est = simulate_many(model, cfg, {"p": fx_option_payoff(spec)})["p"]
             assert est.std_error > 0
             assert abs(est.mean - ref) < 3.0 * est.std_error
 
@@ -306,7 +306,7 @@ class TestFxOptionMc:
         cfg = SimulationConfig(n_paths=10_000, seed=3)
         spec = FxOptionSpec("USD", "EUR", "USD", 1.0, 101.0, is_call=False)
         ref = fx_option_black(curves, vols, ts8, spec)
-        est = fx_option_mc(model, cfg, spec)
+        est = simulate_many(model, cfg, {"p": fx_option_payoff(spec)})["p"]
         assert abs(est.mean - ref) < 3.0 * est.std_error
 
 
@@ -345,8 +345,9 @@ class TestCrossPairFx:
                             fx_forward(curves, FxForwardSpec(
                                 "EUR", "GBP", "USD", 2.0)))
         ref = fx_option_black(curves, vols, ts4, spec)
-        est = fx_option_mc(Model(ts4, curves, vols, "USD"),
-                           SimulationConfig(n_paths=20_000, seed=5), spec)
+        est = simulate_many(Model(ts4, curves, vols, "USD"),
+                            SimulationConfig(n_paths=20_000, seed=5),
+                            {"p": fx_option_payoff(spec)})["p"]
         assert abs(est.mean - ref) < 4.0 * est.std_error
 
     def test_mc_price_does_not_depend_on_base(self, ts4, cross_setup):
@@ -355,8 +356,9 @@ class TestCrossPairFx:
                             fx_forward(curves, FxForwardSpec(
                                 "USD", "GBP", "USD", 2.0)))
         cfg = SimulationConfig(n_paths=20_000, seed=9)
-        usd = fx_option_mc(Model(ts4, curves, vols, "USD"), cfg, spec)
-        eur = fx_option_mc(Model(ts4, curves, vols, "EUR"), cfg, spec)
+        payoffs = {"p": fx_option_payoff(spec)}
+        usd = simulate_many(Model(ts4, curves, vols, "USD"), cfg, payoffs)["p"]
+        eur = simulate_many(Model(ts4, curves, vols, "EUR"), cfg, payoffs)["p"]
         assert abs(usd.mean - eur.mean) < 4.0 * math.hypot(usd.std_error,
                                                            eur.std_error)
 
@@ -395,10 +397,11 @@ class TestEquityForward:
                               collateral={"USD": [0.01, 0.0]},
                               equity={"USD": [0.05, 0.18]})
         model = Model(ts4, curves, vols, "USD")
-        from colmm import GridPayoff, simulate
+        from colmm import GridPayoff
         pay = GridPayoff(fn=lambda st: st.equity_forward("USD", 2.0),
                          maturity=2.0, currency="USD", collateral="USD")
-        est = simulate(model, SimulationConfig(n_paths=20_000, seed=29), pay)
+        est = simulate_many(model, SimulationConfig(n_paths=20_000, seed=29),
+                            {"p": pay})["p"]
         target = eq.value(2.0) * curves.discount_curve("USD").discount(2.0)
         assert abs(est.z_score(target)) < 4.0
 
