@@ -317,21 +317,33 @@ def forward_rates(log_value, ts: TenorStructure) -> np.ndarray:
     return (logs[:-1] - logs[1:]) / ts.deltas
 
 
-def _fixed_leg_schedule(T: float):
-    """Annual fixed-leg payment times up to T with a short final stub."""
+def _fixed_leg(T: float):
+    """Annual fixed leg up to T: (n, t, a), accrual 1.0 at each whole year
+    1..n, then accrual a at t, a short stub at T, or the whole year n + 1
+    when T lies within 1e-9 below it or 1e-12 above it."""
     whole_years = int(math.floor(T + 1e-9))
-    times = [float(j) for j in range(1, whole_years + 1)]
-    if not times or times[-1] < T - 1e-12:
-        times.append(T)
-    prev = [0.0] + times[:-1]
-    accruals = [t - p for t, p in zip(times, prev)]
-    return times, accruals
+    if whole_years and whole_years >= T - 1e-12:
+        return whole_years - 1, float(whole_years), 1.0
+    return whole_years, T, T - whole_years
 
 
-def ois_par_rate(curve: DiscountCurve, T: float) -> float:
-    """Par rate of a spot-starting OIS maturing at T, off the given curve."""
-    times, accruals = _fixed_leg_schedule(T)
-    annuity = sum(a * curve.discount(t) for t, a in zip(times, accruals))
+def _coupon_discounts(discount, coupons: list, years: int) -> list:
+    """D(1), ..., D(years), kept in `coupons` so each is looked up once."""
+    coupons += [discount(float(j)) for j in range(len(coupons) + 1, years + 1)]
+    return coupons[:years]
+
+
+def ois_par_rate(curve: DiscountCurve, T: float,
+                 coupons: list | None = None) -> float:
+    """Par rate of a spot-starting OIS maturing at T, off the given curve.
+
+    Calls on one curve may share `coupons` (_coupon_discounts).  One sum()
+    over the leg's terms in order keeps a compensated sum()'s bits.
+    """
+    n, last, accrual = _fixed_leg(T)
+    known = _coupon_discounts(curve.discount,
+                              [] if coupons is None else coupons, n)
+    annuity = sum([*known, accrual * curve.discount(last)])
     if annuity <= 0.0:
         raise CalibrationError(f"non-positive annuity for OIS maturity {T}")
     return (1.0 - curve.discount(T)) / annuity
@@ -356,6 +368,7 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
     pillar_t = [0.0]
     pillar_v = [1.0]
     pillar_log = [0.0]
+    coupons = []  # whole-year discounts, each at or before the last pillar
 
     def known_df(t: float, candidate_T: float, candidate_x: float) -> float:
         """Discount at t off known pillars, or between the last one and the
@@ -372,14 +385,12 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
             raise CalibrationError(
                 f"{currency}: quote maturity {T} not beyond last pillar"
             )
-        times, accruals = _fixed_leg_schedule(T)
-        inner = [t for t in times[:-1] if t > pillar_t[-1]]
-        if not inner:
+        n, last, accrual = _fixed_leg(T)
+        if n <= pillar_t[-1]:
             # Every earlier payment date sits at or before a known pillar.
-            known = sum(
-                a * known_df(t, T, 1.0) for t, a in zip(times[:-1], accruals[:-1])
-            )
-            denom = 1.0 + rate * accruals[-1]
+            known = sum(_coupon_discounts(lambda t: known_df(t, T, 1.0),
+                                          coupons, n))
+            denom = 1.0 + rate * accrual
             if denom <= 0.0:
                 raise CalibrationError(
                     f"{currency}: OIS quote at T={T} admits no positive pillar"
@@ -387,9 +398,9 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
             x = (1.0 - rate * known) / denom
         else:
             def par_residual(x: float) -> float:
-                fixed = sum(
-                    a * known_df(t, T, x) for t, a in zip(times, accruals)
-                )
+                fixed = sum([*(known_df(float(j), T, x)
+                               for j in range(1, n + 1)),
+                             accrual * known_df(last, T, x)])
                 return rate * fixed - (1.0 - x)
 
             gap = T - pillar_t[-1]
@@ -407,8 +418,8 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
             )
         pillar_t.append(T)
         pillar_v.append(x)
-        # The log np.log gives over the pillar array, as the curve takes it.
-        pillar_log.append(float(np.log(pillar_v)[-1]))
+        # The same bits as the curve's np.log over its whole pillar array.
+        pillar_log.append(float(np.log(x)))
 
     return DiscountCurve(currency, np.array(pillar_t), np.array(pillar_v))
 
@@ -510,7 +521,8 @@ class CurveSet:
     `spreads` and `spot_fx` hold one orientation per pair (check_pairs),
     and `spot_fx` is a tree (check_tree), so each spot has one value.
     Built whole and not edited afterwards: the reversed and same-currency
-    spread curves that spread_curve returns are made at construction.
+    spread curves that spread_curve returns are made at construction;
+    fx_rate keeps each (currency, other) rate after its first walk.
     """
 
     discounts: dict = field(default_factory=dict)
@@ -530,6 +542,7 @@ class CurveSet:
             **{(c, c): SpreadCurve.identity(c) for c in self.discounts},
             **{(b, a): y.reciprocal() for (a, b), y in self.spreads.items()},
             **self.spreads}
+        self._fx_rates = {}
 
     @property
     def currencies(self) -> list:
@@ -563,6 +576,8 @@ class CurveSet:
         The quote, its reciprocal, or the product along the chain of quotes
         that pair_path finds, multiplied from the far end.
         """
+        if (currency, other) in self._fx_rates:
+            return self._fx_rates[currency, other]
         path = pair_path(self.spot_fx, currency, other)
         if path is None:
             raise ConfigurationError(
@@ -571,7 +586,7 @@ class CurveSet:
         for pair, sign in reversed(path):
             v = self.spot_fx[pair]
             rate = v * rate if sign > 0 else rate / v
-        return rate
+        return self._fx_rates.setdefault((currency, other), rate)
 
     def equity_curve(self, currency: str) -> EquityForwardCurve:
         try:

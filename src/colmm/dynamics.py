@@ -92,6 +92,8 @@ class VolatilitySpec:
     orientations, are rejected (`curves.check_pairs`), and so are fx pairs
     that close a cycle (`curves.check_tree`), since a chain's sum must not
     depend on the path; same-currency loadings are identically zero.
+    Built whole and not edited afterwards: fx_loadings and account_loadings
+    resolve each key once and keep its array, read-only.
     """
 
     SECTIONS = ("collateral", "libor_ois", "equity", "funding", "fx")
@@ -122,6 +124,7 @@ class VolatilitySpec:
         # One read-only zero matrix answers every missed lookup.
         self._zero = np.zeros((self.n_buckets, self.n_factors))
         self._zero.flags.writeable = False
+        self._kept = {}
 
     def _loadings(self, value, what: str, per_bucket: bool) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
@@ -169,8 +172,9 @@ class VolatilitySpec:
 
     def account_loadings(self, currency: str, collateral: str) -> np.ndarray:
         """sigma_c + sigma_y of the account accruing c + y; sigma_c if same."""
-        return (self.collateral_loadings(currency)
-                + self.funding_loadings(currency, collateral))
+        return self._keep(("account", currency, collateral), lambda: (
+            self.collateral_loadings(currency)
+            + self.funding_loadings(currency, collateral)))
 
     def fx_loadings(self, currency: str, other: str) -> np.ndarray:
         """Loading of log X(currency, other): the sum along pair_path.
@@ -178,9 +182,19 @@ class VolatilitySpec:
         Zero when no chain links them, as for a `currency` of None: the
         drift functions read it as the quanto shift, None meaning domestic.
         """
-        steps = [self.fx[pair] if sign > 0 else -self.fx[pair]
-                 for pair, sign in pair_path(self.fx, currency, other) or ()]
-        return sum(steps[1:], steps[0]) if steps else np.zeros(self.n_factors)
+        def total():
+            steps = [self.fx[p] if sign > 0 else -self.fx[p]
+                     for p, sign in pair_path(self.fx, currency, other) or ()]
+            return (sum(steps[1:], steps[0]) if steps
+                    else np.zeros(self.n_factors))
+        return self._keep(("fx", currency, other), total)
+
+    def _keep(self, key, make) -> np.ndarray:
+        """A copy of make() kept read-only under `key` from the first call."""
+        if key not in self._kept:
+            self._kept[key] = arr = make().copy()
+            arr.flags.writeable = False
+        return self._kept[key]
 
 
 def _brackets(deltas: np.ndarray, sig: np.ndarray, shift: np.ndarray,

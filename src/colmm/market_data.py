@@ -299,9 +299,10 @@ def repricing_residuals(md: MarketDataFile, curves: CurveSet) -> list:
     """Relative round-trip errors, one (label, residual) per input quote."""
     out = []
     for ccy, quotes in sorted(md.ois.items()):
-        curve = curves.discount_curve(ccy)
+        curve, coupons = curves.discount_curve(ccy), []
         for T, rate in sorted(quotes):
-            resid = abs(ois_par_rate(curve, T) - rate) / max(1.0, abs(rate))
+            resid = (abs(ois_par_rate(curve, T, coupons) - rate)
+                     / max(1.0, abs(rate)))
             out.append((f"ois {ccy} T={T:g}", resid))
     for ccy, pillars in sorted(md.discounts.items()):
         curve = curves.discount_curve(ccy)

@@ -24,7 +24,8 @@ from colmm import (
     forward_rates,
     ois_par_rate,
 )
-from colmm.curves import RATE_BOUND, _brentq, _fixed_leg_schedule
+from colmm.curves import RATE_BOUND, _brentq, _log_linear
+from colmm.market_data import MarketDataFile, repricing_residuals
 
 
 class TestDiscountCurve:
@@ -239,6 +240,17 @@ class TestLookupsMatchNumpyFormula:
                 _assert_same_lookup(fn, want, T)
 
 
+def _fixed_leg_schedule(T: float):
+    """Annual fixed-leg payment times up to T with a short final stub."""
+    whole_years = int(math.floor(T + 1e-9))
+    times = [float(j) for j in range(1, whole_years + 1)]
+    if not times or times[-1] < T - 1e-12:
+        times.append(T)
+    prev = [0.0] + times[:-1]
+    accruals = [t - p for t, p in zip(times, prev)]
+    return times, accruals
+
+
 def _numpy_bootstrap(quotes) -> np.ndarray:
     """Pillar values of bootstrap_discount_curve by the array formula.
 
@@ -324,6 +336,92 @@ class TestGappedBootstrapBitForBit:
         curve = bootstrap_discount_curve("USD", quotes)
         assert len(calls) == 3                    # the 3y, 7y and 10y pillars
         assert curve.values.tolist() == _numpy_bootstrap(quotes).tolist()
+
+
+# Offsets from a whole year W at the edges of the fixed leg's stub rule: a
+# maturity T in [W - 1e-9, W + 1e-12] pays its last coupon at W, one
+# outside it a short stub ending at T.
+_WHOLE_YEAR_EDGES = (-2e-9, -5e-10, 5e-13, 2e-12)
+
+
+@st.composite
+def _gapless_ois_quotes(draw):
+    """Quarterly or semi-annual quotes out to 10-20 y, some whole years
+    moved to an edge of the stub rule (which may open a gap after them)."""
+    step = draw(st.sampled_from([0.25, 0.5]))
+    years = draw(st.integers(10, 20))
+    level = draw(st.floats(-0.005, 0.05))
+    quotes = []
+    for k in range(1, round(years / step) + 1):
+        T = step * k
+        if T.is_integer() and draw(st.booleans()):
+            T += draw(st.sampled_from(_WHOLE_YEAR_EDGES))
+        quotes.append((T, level + draw(st.floats(-0.002, 0.002))))
+    return quotes
+
+
+def _par_rate_by_schedule(curve, T):
+    """The par rate off the list schedule, one lookup per payment."""
+    times, accruals = _fixed_leg_schedule(T)
+    annuity = sum(a * curve.discount(t) for t, a in zip(times, accruals))
+    return (1.0 - curve.discount(T)) / annuity
+
+
+def _ois_file(quotes) -> MarketDataFile:
+    return MarketDataFile("quotes.csv", TenorStructure(np.array([0.0, 1.0])),
+                          "USD", ois={"USD": quotes})
+
+
+class TestGaplessBootstrapBitForBit:
+    """The closed-form branch, which quarterly and semi-annual quotes take."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_gapless_ois_quotes())
+    @example([(T + dict(zip((3.0, 5.0, 7.0, 9.0), _WHOLE_YEAR_EDGES)).get(
+        T, 0.0), 0.02 + 0.002 * T) for T in (0.25 * k for k in range(1, 41))])
+    def test_matches_array_formula_and_repricing(self, quotes):
+        try:
+            want = _numpy_bootstrap(quotes)
+        except CalibrationError:
+            with pytest.raises(CalibrationError):
+                bootstrap_discount_curve("USD", quotes)
+            return
+        curve = bootstrap_discount_curve("USD", quotes)
+        assert curve.values.tolist() == want.tolist()
+        md, curves = _ois_file(quotes), CurveSet(discounts={"USD": curve})
+        lines = []
+        for T, rate in quotes:
+            try:
+                want_rate = _par_rate_by_schedule(curve, T)
+            except ConfigurationError as exc:   # the last payment is past T
+                for reprice in (lambda: ois_par_rate(curve, T),
+                                lambda: repricing_residuals(md, curves)):
+                    with pytest.raises(ConfigurationError,
+                                       match=re.escape(str(exc))):
+                        reprice()
+                return
+            par = ois_par_rate(curve, T)
+            assert par == want_rate
+            lines.append((f"ois USD T={T:g}",
+                          abs(par - rate) / max(1.0, abs(rate))))
+        assert repricing_residuals(md, curves) == lines
+
+    def test_sums_stay_linear_in_the_quotes(self, monkeypatch):
+        # The bootstrap and the repricing pass look each whole-year coupon
+        # up once per curve, so a quote costs a few lookups however long
+        # its fixed leg is.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return _log_linear(*args, **kwargs)
+
+        monkeypatch.setattr(colmm.curves, "_log_linear", counted)
+        quotes = [(0.25 * k, 0.02 + 0.0002 * k) for k in range(1, 41)]
+        curve = bootstrap_discount_curve("USD", quotes)
+        repricing_residuals(_ois_file(quotes),
+                            CurveSet(discounts={"USD": curve}))
+        assert len(calls) <= 3 * len(quotes)
 
 
 def _random_bracketed(rng):
@@ -587,8 +685,20 @@ class TestCurveSet:
         assert cs.fx_rate("C", "B") == pytest.approx(0.25, rel=1e-15)
 
     def test_fx_missing_link(self, two_ccy_curves):
-        with pytest.raises(ConfigurationError):
-            two_ccy_curves.fx_rate("USD", "JPY")
+        for _ in range(2):   # a failed walk is not kept
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    "no spot FX quote linking USD and JPY")):
+                two_ccy_curves.fx_rate("USD", "JPY")
+
+    def test_fx_rates_are_kept_per_set(self):
+        # Each set answers from its own spots, before and after the other
+        # set's walks: no rate is kept beyond the set that walked it.
+        sets = [CurveSet(spot_fx={("A", "B"): spot, ("B", "C"): 3.0})
+                for spot in (2.0, 4.0)]
+        for _ in range(2):
+            assert [cs.fx_rate("A", "C") for cs in sets] == [6.0, 12.0]
+            assert [cs.fx_rate("C", "A") for cs in sets] == [1.0 / 6.0,
+                                                            1.0 / 12.0]
 
     def test_spread_reciprocal_fallback(self, two_ccy_curves):
         # only (EUR, USD) is registered; the reversed pair is its reciprocal

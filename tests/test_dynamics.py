@@ -56,6 +56,26 @@ class TestVolatilitySpec:
         with pytest.raises(ValueError):
             zero[0, 0] = 1.0
 
+    def test_kept_loadings_are_read_only_and_fresh(self):
+        # fx_loadings and account_loadings keep each key's array: a caller
+        # cannot write into it, and it holds what a fresh spec computes.
+        def spec():
+            return VolatilitySpec(
+                n_factors=2, n_buckets=3, collateral={"EUR": [0.01, 0.02]},
+                funding={("EUR", "USD"): [0.003, -0.001]},
+                fx={("USD", "EUR"): [0.1, 0.2], ("EUR", "GBP"): [0.05, -0.4]})
+
+        v = spec()
+        for lookup in (v.fx_loadings, v.account_loadings):
+            for key in [("USD", "EUR"), ("EUR", "USD"), ("USD", "GBP"),
+                        ("GBP", "USD"), ("EUR", "EUR"), ("USD", "JPY")]:
+                kept = lookup(*key)
+                assert lookup(*key) is kept
+                fresh = getattr(spec(), lookup.__name__)(*key)
+                assert kept.tobytes() == fresh.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0] = 1.0
+
     def test_reversed_pair_negates(self):
         v = VolatilitySpec(n_factors=2, n_buckets=2,
                            funding={("A", "B"): [0.01, -0.02]},
