@@ -23,6 +23,8 @@ from .dynamics import (
     evolve_step,
 )
 from .engine import (
+    BucketRead,
+    FxOption,
     GridPayoff,
     Model,
     PriceEstimate,
@@ -57,12 +59,14 @@ from .tenor import TenorStructure
 __version__ = "0.1.0"
 
 __all__ = [
+    "BucketRead",
     "CalibrationError",
     "ConfigurationError",
     "CurveSet",
     "DiscountCurve",
     "EquityForwardCurve",
     "FxForwardSpec",
+    "FxOption",
     "FxOptionSpec",
     "GridPayoff",
     "InputError",

@@ -28,7 +28,8 @@ import sys
 
 import numpy as np
 
-from .engine import GridPayoff, Model, SimulationConfig, simulate_many
+from .engine import (BucketRead, GridPayoff, Model, SimulationConfig,
+                     simulate_many)
 from .errors import CalibrationError, ConfigurationError, InputError
 from .market_data import (
     build_curve_set,
@@ -227,17 +228,16 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig) -> list:
         fix = curves.fixings_for(ccy, ts.n_buckets)
         for n, T in enumerate(horizons, start=1):
             add("libor_ois", ccy, T,
-                GridPayoff(lambda st, c=ccy, k=n: st.libor_ois(c, k), T, ccy, ccy),
+                GridPayoff(None, T, ccy, ccy, BucketRead("b", ccy, n - 1)),
                 fix.value(n - 1) * disc.discount(T))
 
     for ccy, eq in sorted(curves.equities.items()):
         disc = curves.discount_curve(ccy)
         _, mask = eq.grid_values(ts)
-        for T, covered in zip(horizons, mask):
+        for n, (T, covered) in enumerate(zip(horizons, mask)):
             if covered:
                 add("equity", ccy, T,
-                    GridPayoff(lambda st, c=ccy, t=T: st.equity_forward(c, t),
-                               T, ccy, ccy),
+                    GridPayoff(None, T, ccy, ccy, BucketRead("s", ccy, n)),
                     eq.value(T) * disc.discount(T))
 
     payoffs = {name: payoff for name, (*_, payoff, _) in specs.items()}

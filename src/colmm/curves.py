@@ -320,10 +320,11 @@ def forward_rates(log_value, ts: TenorStructure) -> np.ndarray:
 def _fixed_leg(T: float):
     """Annual fixed leg up to T: (n, t, a), accrual 1.0 at each whole year
     1..n, then accrual a at t, a short stub at T, or the whole year n + 1
-    when T lies within 1e-9 below it or 1e-12 above it."""
+    when T lies within 1e-9 below it or 1e-12 above it.  That last year
+    pays at min(n + 1, T), never after the quote's own maturity."""
     whole_years = int(math.floor(T + 1e-9))
     if whole_years and whole_years >= T - 1e-12:
-        return whole_years - 1, float(whole_years), 1.0
+        return whole_years - 1, min(float(whole_years), T), 1.0
     return whole_years, T, T - whole_years
 
 

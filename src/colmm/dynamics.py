@@ -51,7 +51,8 @@ X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy,ccy) + sigma_X . W(T_n)
 a cash flow in ccy margined in k, one over the base pair account of k
 converted to ccy: X(base,ccy)(T_n) / (X(0) exp(L(base,k))), one exp in
 which X(0) cancels.  A node's keys are read together, as one (keys,
-paths) table (`PathState.deflators`).
+paths) table (`PathState.deflator_rows`), and so are its bucket reads
+(`PathState.read`): a few numpy calls a node, each over many rows.
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
 formula with the leading bracketed sum shifted by -sigma_X(base, currency),
@@ -67,6 +68,7 @@ convexity term of the collateral-rate drift; -1, set by `diagnose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -307,12 +309,95 @@ def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, drift: np.ndarray,
     return _BucketTables(np.asarray(x0, dtype=float), table, sig, lag, lognormal)
 
 
+def index_runs(*seqs) -> list:
+    """Maximal runs of parallel index sequences that all step evenly.
+
+    Returns (lo, hi, slices): entries lo..hi-1 of every sequence, and per
+    sequence the slice that picks them, each with a step of at least 1.
+    An entry that starts no such run is a run of its own.  So one slice
+    operation over a run stands in for its entries' gathers, without
+    copying.
+    """
+    runs, lo, n = [], 0, len(seqs[0])
+    while lo < n:
+        hi, steps = lo + 1, [1] * len(seqs)
+        if hi < n:
+            diff = [s[hi] - s[lo] for s in seqs]
+            if min(diff) >= 1:
+                steps, hi = diff, hi + 1
+                while hi < n and [s[hi] - s[hi - 1] for s in seqs] == steps:
+                    hi += 1
+        runs.append((lo, hi, tuple([slice(s[lo], s[hi - 1] + d, d)
+                                    for s, d in zip(seqs, steps)])))
+        lo = hi
+    return runs
+
+
+class BucketReads(NamedTuple):
+    """Bucket reads on curves of one kind, a row each (`PathState.read`).
+
+    Row i is x0[i] * exp(drift[i] + sig_i . W(T_r)) on lognormal curves
+    and (drift[i] + sig_i . W(T_r)) + x0[i] on normal ones, the steps of
+    one bucket read in their order.  The products are (r, sig, rows): the
+    rows that read W(T_r), evenly spaced, and their stacked loadings.
+    """
+
+    products: tuple     # (r, (rows, 1, d) loadings, slice of rows)
+    drift: np.ndarray   # (rows, 1): drift[r, m] of each row's table
+    x0: np.ndarray      # (rows, 1)
+    lognormal: bool
+
+
+class DeflatorPlan(NamedTuple):
+    """A deflator table's rows, resolved once (`PathState.deflator_plan`).
+
+    Runs of rows whose indices step evenly (`index_runs`): `base` holds,
+    per run of base-currency keys, the table rows and the columns of
+    L(base, collateral); `fx` holds, per run of the other keys, the table
+    rows, the columns of L(base, ccy), L(ccy, ccy) and L(base,
+    collateral), and each row's sigma_X, (rows, 1, d), and 1/2
+    |sigma_X|^2, (rows, 1).
+    """
+
+    n_keys: int
+    base: tuple
+    fx: tuple
+
+
 _NOT_SIMULATED = {
     "c": "currency {!r} is not simulated",
     "y": "funding pair ({0[0]},{0[1]}) is not simulated",
     "b": "no LIBOR-OIS spreads simulated for {!r}",
     "s": "no equity forwards simulated for {!r}",
 }
+
+
+def _read_layout(pattern: tuple) -> list:
+    """The batches of reads whose (lognormal, r - node) are `pattern`.
+
+    Per run of consecutive reads of one kind: its bounds, its kind, the
+    order in which its rows' loadings are stacked, and per product the W
+    row's shift from the node, its stacked rows a..b and its evenly
+    spaced rows of the run (`PathState.bucket_reads`).
+    """
+    layout, lo = [], 0
+    while lo < len(pattern):
+        lognormal, hi = pattern[lo][0], lo + 1
+        while hi < len(pattern) and pattern[hi][0] == lognormal:
+            hi += 1
+        by_row: dict[int, list] = {}
+        for i, (_, shift) in enumerate(pattern[lo:hi]):
+            by_row.setdefault(shift, []).append(i)
+        products, start = [], 0
+        for shift, rows in by_row.items():
+            products += [(shift, start + a, start + b, where)
+                         for a, b, (where,) in index_runs(rows)]
+            start += len(rows)
+        layout.append((lo, hi, lognormal,
+                       [i for rows in by_row.values() for i in rows],
+                       products))
+        lo = hi
+    return layout
 
 
 class PathState:
@@ -332,6 +417,10 @@ class PathState:
     Payoffs and diagnostics read a state through `deflator`/`deflators`,
     `fx_rate`, `buckets`, `libor_ois`, `equity_forward` and the `w` and
     `log_acc` views; an account is exp(log_acc[:, columns[ccy, coll]]).
+    The grouped readers under them, `deflator_rows` and `read`, take plans
+    (`deflator_plan`, `bucket_reads`) that read only the tables, so the
+    engine makes them once per simulation and every tile's state runs
+    them.
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
@@ -346,6 +435,7 @@ class PathState:
         self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
         self.fx_legs = fx_legs          # ccy -> one leg's constants
+        self._read_layouts = {}         # see bucket_reads
         self._log_acc = np.zeros((len(columns), n_paths))
         self._rows = list(self._log_acc)  # row views, updated in place
         # (N + 1, d, P): W(T_k), rows <= node
@@ -456,17 +546,20 @@ class PathState:
         start) and "s" (equity forwards by maturity T_{m+1}) take a currency
         key, "y" (funding spreads) a (currency, collateral) pair.  A bucket
         that has fixed keeps its value from its fixing node.  Returns shape
-        (paths, hi - lo); row m - lo is `_bucket`'s read of bucket m, so a
+        (paths, hi - lo): one `read` of the range's `bucket_reads`, which
+        makes one product per fixed bucket and one for the live ones.
+        Each row is one (d,) @ (d, paths) product whatever its batch, so a
         wide read is the single-bucket reads bit for bit.
         """
-        tab = self._tables(family, key)
+        self._tables(family, key)
         hi = self.ts.n_buckets if hi is None else hi
         if not 0 <= lo <= hi <= self.ts.n_buckets:
             raise ValueError(f"bucket range [{lo}, {hi}) is not within "
                              f"[0, {self.ts.n_buckets}]")
         out = np.empty((hi - lo, self.n_paths))
-        for x, m in zip(out, range(lo, hi)):
-            self._bucket(tab, m, x)
+        for reads, rows in self.bucket_reads(
+                [(family, key, m) for m in range(lo, hi)], self.node):
+            self.read(reads, out[rows])
         return out.T
 
     def _tables(self, family: str, key) -> _BucketTables:
@@ -475,51 +568,90 @@ class PathState:
         except KeyError:
             raise ConfigurationError(_NOT_SIMULATED[family].format(key))
 
-    def _bucket(self, tab: _BucketTables, m: int, out=None) -> np.ndarray:
-        """Bucket m of `tab` at the current node, into out (paths,), or new:
-        one row of the tables and one (d,) @ (d, paths) product."""
-        r = min(self.node, m + tab.lag)
-        x = np.matmul(tab.sig[m], self._w[r], out=out)
-        x += tab.drift[r, m]
-        if tab.lognormal:
-            np.exp(x, out=x)
-            x *= tab.x0[m]
-        else:
-            x += tab.x0[m]
-        return x
+    def bucket_reads(self, reads, node: int) -> list:
+        """Reads (family, key, bucket) at `node`, batched for `read`.
 
-    def _log_account(self, currency: str, collateral: str) -> np.ndarray:
-        """Log of the account accruing c + y of the pair, a row view that
-        evolve_step updates in place; y = 0 if same ccy."""
+        Bucket m of a table with lag L reads W(T_r), r = min(node, m + L).
+        Returns (BucketReads, rows) per run of consecutive reads of one
+        kind (normal or lognormal), rows being the run's slice of `reads`;
+        within a run, the reads of each W row make one product per evenly
+        spaced run of them.  Reads only the tables, so any state of the
+        model plans another's reads; the layout of each pattern of kinds
+        and W rows relative to the node is kept, and only the tables'
+        numbers are gathered per call.
+        """
+        n = self.ts.n_buckets
+        looked_up = []
+        for family, key, m in reads:
+            tab = self._tables(family, key)
+            if not 0 <= m < n:
+                raise ValueError(f"bucket {m} is not within [0, {n})")
+            looked_up.append((tab, m, min(node, m + tab.lag)))
+        pattern = tuple([(tab.lognormal, r - node) for tab, _, r in looked_up])
+        if pattern not in self._read_layouts:
+            self._read_layouts[pattern] = _read_layout(pattern)
+        batches = []
+        for lo, hi, lognormal, order, products in self._read_layouts[pattern]:
+            run = looked_up[lo:hi]
+            # The loadings stacked product by product, each a view of them.
+            sig = np.array([run[i][0].sig[run[i][1]] for i in order])[:, None]
+            drift, x0 = np.array([[tab.drift[r, m] for tab, m, r in run],
+                                  [tab.x0[m] for tab, m, _ in run]])[:, :, None]
+            batches.append((BucketReads(
+                tuple([(node + shift, sig[a:b], where)
+                       for shift, a, b, where in products]),
+                drift, x0, lognormal), slice(lo, hi)))
+        return batches
+
+    def read(self, reads: BucketReads, out: np.ndarray) -> np.ndarray:
+        """The reads at this state into out, (rows, paths), a row each.
+
+        Each product is one np.matmul of its (rows, 1, d) loadings with
+        W(T_r), which makes one (d,) @ (d, paths) product per row, bit for
+        bit, as a 2-D (rows, d) @ (d, paths) product would not.  Then the
+        drifts, exp on lognormal curves and x0, each over every row.
+        """
+        for r, sig, rows in reads.products:
+            np.matmul(sig, self._w[r], out=out[rows, None])
+        out += reads.drift
+        if reads.lognormal:
+            np.exp(out, out=out)
+            out *= reads.x0
+        else:
+            out += reads.x0
+        return out
+
+    def _column(self, currency: str, collateral: str) -> int:
+        """Column of the account accruing c + y of the pair; y = 0 if
+        same ccy."""
         try:
-            return self._rows[self.columns[currency, collateral]]
+            return self.columns[currency, collateral]
         except KeyError:
             raise ConfigurationError(
                 f"pair account ({currency},{collateral}) is not simulated")
 
-    def _log_fx_move(self, currency: str, time: float, out=None,
-                     scratch=None) -> np.ndarray:
-        """log X(base, currency) - log X(0) at the current node, into out.
+    def _log_fx_move(self, currency: str) -> np.ndarray:
+        """log X(base, currency) - log X(0) at the current node:
+        (L(base, ccy) - L(ccy, ccy) + sigma_X . W) - 1/2 |sigma_X|^2 T_n,
+        in that order, from the leg's constants in fx_legs."""
+        _, sig, half_variance, own, other = self._fx_leg_tables(currency)
+        out = self._rows[own] - self._rows[other]
+        out += sig @ self._w[self.node]
+        out -= half_variance * self.time
+        return out
 
-        (L(base, ccy) - L(ccy, ccy) + sigma_X . W) - 1/2 |sigma_X|^2 time,
-        in that order, from the leg's constants in fx_legs; out and scratch
-        are (paths,) arrays, or new.
-        """
+    def _fx_leg_tables(self, currency: str) -> tuple:
         try:
-            _, sig, half_variance, own, other = self.fx_legs[currency]
+            return self.fx_legs[currency]
         except KeyError:
             raise ConfigurationError(
                 f"no simulated FX linking {self.base} and {currency}")
-        out = np.subtract(self._rows[own], self._rows[other], out=out)
-        out += np.matmul(sig, self._w[self.node], out=scratch)
-        out -= half_variance * time
-        return out
 
     def _fx_leg(self, currency: str):
         """X(base, currency) at the current node, read from the accounts."""
         if currency == self.base:
             return 1.0
-        move = self._log_fx_move(currency, self.time)
+        move = self._log_fx_move(currency)
         return np.exp(move) * self.fx_legs[currency][0]
 
     def deflator(self, currency: str, collateral: str) -> np.ndarray:
@@ -538,22 +670,70 @@ class PathState:
                   scratch: np.ndarray | None = None) -> np.ndarray:
         """The deflators of (currency, collateral) keys as rows of out.
 
-        Row i is deflator(*keys[i]) bit for bit: each row's log takes the
-        same steps in the same order, from the model's FX legs and the
-        state's account rows, and one exp covers the table.  out has at
-        least len(keys) rows of paths; scratch is a (paths,) array for the
-        sigma_X . W products, or new.  Returns the table's first len(keys)
-        rows.
+        `deflator_rows` of `deflator_plan(keys)`: row i is deflator(*keys[i])
+        bit for bit.  out has at least len(keys) rows of paths; scratch is
+        a (paths,) array or rows of them for the sigma_X . W products, or
+        new.  Returns the table's first len(keys) rows.
         """
-        time = self.time
-        for (currency, collateral), row in zip(keys, out):
-            acc = self._log_account(self.base, collateral)
+        return self.deflator_rows(self.deflator_plan(keys), out, scratch)
+
+    def deflator_plan(self, keys) -> DeflatorPlan:
+        """The columns and FX legs each key's row reads, resolved once.
+
+        Each key resolves its base pair account, then its FX leg, so an
+        unsimulated key raises what `deflator` raises.  Reads only the
+        model's tables.
+        """
+        base, fx = [], []
+        for row, (currency, collateral) in enumerate(keys):
+            col = self._column(self.base, collateral)
             if currency == self.base:
-                np.negative(acc, out=row)
+                base.append((row, col))
             else:
-                self._log_fx_move(currency, time, row, scratch)
-                row -= acc
-        table = out[:len(keys)]
+                fx.append((row, col, self._fx_leg_tables(currency)))
+        d = self.rate_sig.shape[1]
+        legs = [leg for _, _, leg in fx]
+        return DeflatorPlan(
+            len(keys),
+            tuple(where for _, _, where in index_runs(*zip(*base))) if base
+            else (),
+            tuple((*where,
+                   np.array([leg[1] for leg in legs[lo:hi]]).reshape(-1, 1, d),
+                   np.array([[leg[2]] for leg in legs[lo:hi]]))
+                  for lo, hi, where in index_runs(
+                      [row for row, _, _ in fx], [leg[3] for leg in legs],
+                      [leg[4] for leg in legs], [col for _, col, _ in fx]))
+            if fx else ())
+
+    def deflator_rows(self, plan: DeflatorPlan, out: np.ndarray,
+                      work: np.ndarray | None = None) -> np.ndarray:
+        """The deflator table of `plan` at this state, as rows of out.
+
+        Each row's log takes `deflator`'s steps in its order: -L(base,
+        collateral), one negate per run of base keys, and for the other
+        keys, per run, ((L(base, ccy) - L(ccy, ccy)) + sigma_X . W(T_n))
+        - 1/2 |sigma_X|^2 T_n - L(base, collateral), whose products are
+        batched as in `read`, len(work) rows at a time.  Then one exp over
+        the table.  out has at least plan.n_keys rows of paths; work is a
+        (paths,) array or rows of them, or new.  Returns the table.
+        """
+        table, acc = out[:plan.n_keys], self._log_acc
+        for rows, cols in plan.base:
+            np.negative(acc[cols], out=table[rows])
+        if plan.fx:
+            w, time = self._w[self.node], self.time
+            work = (np.empty((max(len(sig) for *_, sig, _ in plan.fx),
+                              self.n_paths))
+                    if work is None else work.reshape(-1, self.n_paths))
+            for rows, own, other, cols, sig, half_variance in plan.fx:
+                x = np.subtract(acc[own], acc[other], out=table[rows])
+                for lo in range(0, len(sig), len(work)):
+                    part = slice(lo, lo + len(work))
+                    products = work[:len(sig[part])]
+                    np.matmul(sig[part], w, out=products[:, None])
+                    x[part] += products
+                x -= half_variance * time
+                x -= acc[cols]
         return np.exp(table, out=table)
 
     def fx_rate(self, currency: str, other: str) -> np.ndarray:
@@ -566,7 +746,7 @@ class PathState:
         """LIBOR-OIS spread for the period ending at node end_node."""
         if not 1 <= end_node <= self.ts.n_buckets:
             raise ValueError(f"period end node {end_node} outside the grid")
-        return self._bucket(self._tables("b", currency), end_node - 1)
+        return self.buckets("b", currency, end_node - 1, end_node)[:, 0]
 
     def equity_forward(self, currency: str, maturity: float) -> np.ndarray:
         """Equity forward S(t, maturity)."""
@@ -578,7 +758,7 @@ class PathState:
             raise ConfigurationError(
                 f"equity curve {currency} has no pillar coverage at T={maturity}"
             )
-        return self._bucket(self._tables("s", currency), n - 1)
+        return self.buckets("s", currency, n - 1, n)[:, 0]
 
 
 def evolve_step(state: PathState, dW: np.ndarray) -> PathState:

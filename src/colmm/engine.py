@@ -28,14 +28,19 @@ thread of its own.  A block runs its pairs in tiles of _TILE_PAIRS, whole
 chunks from the block's start, the last one partial; each tile draws its
 own normals and evolves its own W and accounts over the whole grid.  At
 each node a tile writes one table of deflators, a row per (currency,
-collateral) key, from the log accounts and W (`PathState.deflators`); a
-payoff's values are its amounts times its key's row (a unit payoff, fn
-None, is the row itself).  The tile holds the pair sums of its rows
-across nodes, a bounded number at a time, and reduces them into
-per-chunk statistics (count, mean, M2 = the sum of squared deviations)
-and each row's min and max over the whole buffer, which are exact in any
-order, so few, large numpy calls do the reduction and no pair sum
-outlives the buffer.  The chunks are merged with the k-group form of
+collateral) key, from the log accounts and W (`PathState.deflator_rows`);
+a payoff's values are its amounts times its key's row (a unit payoff is
+the row itself).  A payoff is a unit, a description (a bucket read or an
+FX option) or an opaque fn.  `simulate_many` plans each node once: the
+deflator table's columns and FX legs, and the other rows in batches,
+their bucket reads grouped by the W row they read.  A tile then settles
+a node in a fixed handful of grouped numpy calls, each row taking the
+steps of its own read in their order, so that grouping moves no bit.
+The tile holds the pair sums of its rows across nodes, a bounded number
+at a time, and reduces them into per-chunk statistics (count, mean, M2 =
+the sum of squared deviations) and each row's min and max over the whole
+buffer, which are exact in any order, so few, large numpy calls do the
+reduction and no pair sum outlives the buffer.  The chunks are merged with the k-group form of
 Chan, Golub & LeVeque's (1983) update, each sum running over the chunks
 in their order.  C depends on nothing else, and each row's statistics on
 its own values alone, so every statistic, and the estimate, is
@@ -56,12 +61,14 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import groupby
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .curves import CurveSet, pair_path
-from .dynamics import PathState, VolatilitySpec, evolve_step
+from .dynamics import (DeflatorPlan, PathState, VolatilitySpec, evolve_step,
+                       index_runs)
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -105,11 +112,14 @@ _CHUNK_PAIRS = 100
 _TILE_PAIRS = 50 * _CHUNK_PAIRS
 
 # A block's settlement scratch in rows of one value per pair, whatever
-# the number of payoffs: its deflator table takes two per key (a path and
-# its mirror), and the rest, at least one, hold pair sums across nodes
-# until they are reduced, so that every block makes few, large numpy
-# calls.  The table is not capped, so a node with k > 19 keys takes
-# 2k + 1 rows.
+# the number of payoffs.  Its deflator table takes two per key (a path and
+# its mirror), and its work rows two each: a node's other rows are
+# settled `width` at a time in them, and its FX keys' sigma_X . W products
+# made `width` at a time, width being the most a node needs, cut to fit
+# this budget but at least one.  The rest, at least one, hold pair sums
+# across nodes until they are reduced, so that every block makes few,
+# large numpy calls.  The table is not capped, so a node with k > 19 keys
+# takes 2k + 1 rows, or 2k + 3 with work rows.
 _SETTLE_ROWS = 40
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
@@ -293,14 +303,37 @@ class PriceEstimate:
         return float(np.copysign(np.inf, resid))
 
 
+class BucketRead(NamedTuple):
+    """Bucket `bucket` of the simulated curve (family, key) at the payoff's
+    node: `PathState.buckets(family, key, bucket, bucket + 1)`, with the
+    families and keys of `buckets`."""
+
+    family: str
+    key: str | tuple
+    bucket: int
+
+
+class FxOption(NamedTuple):
+    """max(sign (X(pay, receive) - strike), 0) at the payoff's node, with
+    sign 1.0 for a call and -1.0 for a put and X `PathState.fx_rate`."""
+
+    pay: str
+    receive: str
+    strike: float
+    is_call: bool = True
+
+
 @dataclass(frozen=True)
 class GridPayoff:
     """Payoff amount fixed at a grid node, in `currency`, margined in `collateral`.
 
-    fn maps the PathState at the maturity node to per-path amounts, read
-    through the state's `fx_rate`, `buckets`, `libor_ois`,
-    `equity_forward`, `w` and `log_acc`; None means one unit of
-    `currency`.  The engine multiplies the amounts by
+    The amount is one unit of `currency` (fn and description None), a
+    description (a `BucketRead` or an `FxOption`), which the engine
+    settles from the model's tables a node's rows at a time, or an opaque
+    fn, which maps the PathState at the maturity node to per-path amounts
+    read through the state's `fx_rate`, `buckets`, `libor_ois`,
+    `equity_forward`, `w` and `log_acc`; a payoff takes fn or a
+    description, not both.  The engine multiplies the amounts by
     `PathState.deflator(currency, collateral)`, one over the numeraire in
     `currency`: the base pair account accruing c + y of (base,
     collateral), converted at simulated spot FX and times today's spot, so
@@ -314,6 +347,71 @@ class GridPayoff:
     maturity: float
     currency: str
     collateral: str
+    description: BucketRead | FxOption | None = None
+
+    def __post_init__(self):
+        if self.fn is not None and self.description is not None:
+            raise ValueError("a payoff takes fn or a description, not both")
+        if not isinstance(self.description, (BucketRead, FxOption,
+                                             type(None))):
+            raise TypeError(f"a description is a BucketRead or an FxOption, "
+                            f"got {self.description!r}")
+
+
+class _Batch(NamedTuple):
+    """Up to `width` non-unit rows of a node, settled in the tile's work
+    rows in row order: runs of bucket reads (`PathState.read`), FX options
+    and opaque payoffs a row each, then each run of evenly spaced rows
+    times its keys' deflator rows."""
+
+    n_rows: int
+    reads: tuple        # (BucketReads, slice of rows)
+    options: tuple      # (row, FxOption)
+    opaque: tuple       # (row, name, fn)
+    deflate: tuple      # (slice of rows, slice of deflator table rows)
+
+
+class _NodePlan(NamedTuple):
+    """How a tile settles one node: its deflator table, whose first
+    n_units rows are unit rows, then its other rows in batches."""
+
+    deflators: DeflatorPlan
+    n_units: int
+    batches: tuple
+
+
+def _batches(tables: PathState, node: int, others: list, width: int,
+             deflate: dict) -> tuple:
+    """Batches of a node's non-unit rows, (table row, name, payoff) in row
+    order, width rows at a time; the reads' tables come from `tables`, and
+    `deflate` keeps the deflator runs of each batch's table rows."""
+    batches = []
+    for lo in range(0, len(others), max(1, width)):   # width 0: no rows
+        rows = others[lo:lo + width]
+        reads, options, opaque = [], [], []
+        for is_read, run in groupby(
+                range(len(rows)),
+                lambda j: isinstance(rows[j][2].description, BucketRead)):
+            run = list(run)
+            if is_read:
+                reads += [(batch, slice(run[0] + where.start,
+                                        run[0] + where.stop))
+                          for batch, where in tables.bucket_reads(
+                              [rows[j][2].description for j in run], node)]
+                continue
+            for j in run:
+                _, name, p = rows[j]
+                if p.fn is None:
+                    options.append((j, p.description))
+                else:
+                    opaque.append((j, name, p.fn))
+        keys = tuple([k for k, _, _ in rows])
+        if keys not in deflate:
+            deflate[keys] = tuple(where for _, _, where in
+                                  index_runs(range(len(keys)), keys))
+        batches.append(_Batch(len(rows), tuple(reads), tuple(options),
+                              tuple(opaque), deflate[keys]))
+    return tuple(batches)
 
 
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
@@ -653,45 +751,63 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
             raise exc
 
 
-def _simulate_block(model: Model, cfg: SimulationConfig, by_node: dict,
-                    n_held: int, n_last: int, unit_lo: int, unit_hi: int,
-                    tables: PathState, stats: _ChunkStatistics) -> None:
+def _simulate_block(model: Model, cfg: SimulationConfig, plans: dict,
+                    n_held: int, width: int, n_last: int, unit_lo: int,
+                    unit_hi: int, tables: PathState,
+                    stats: _ChunkStatistics) -> None:
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
     Tiles are _TILE_PAIRS pairs, whole chunks from the block's start, the
     last one partial, so a block's memory is one tile's whatever its size.
     """
     for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
-        _simulate_tile(model, cfg, by_node, n_held, n_last, lo,
+        _simulate_tile(model, cfg, plans, n_held, width, n_last, lo,
                        min(lo + _TILE_PAIRS, unit_hi), tables, stats)
 
 
-def _simulate_tile(model: Model, cfg: SimulationConfig, by_node: dict,
-                   n_held: int, n_last: int, unit_lo: int, unit_hi: int,
-                   tables: PathState, stats: _ChunkStatistics) -> None:
+def _option_values(state: PathState, option: FxOption,
+                   out: np.ndarray) -> np.ndarray:
+    """max(sign (fx - strike), 0.0) into out, in the steps an opaque fn
+    would take: sign times the difference is that difference times sign."""
+    np.subtract(state.fx_rate(option.pay, option.receive), option.strike,
+                out=out)
+    out *= 1.0 if option.is_call else -1.0
+    return np.maximum(out, 0.0, out=out)
+
+
+def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
+                   n_held: int, width: int, n_last: int, unit_lo: int,
+                   unit_hi: int, tables: PathState,
+                   stats: _ChunkStatistics) -> None:
     """Evolve one tile of paths; reduce its pairs' values into `stats`.
 
     A unit is a (path, mirror) pair, and unit u of a row is the sum of the
     pair's deflated values, twice its mean: scaling by 2 is exact, so the
     caller halves the estimates instead of every value.  A tile's units
     are whole chunks, so its statistics are the same for any partition.
-    At each node the tile writes one deflator table, a row per (currency,
-    collateral) key (`PathState.deflators`); the unit rows' pair sums are
-    one add over the table's first rows, and each other row multiplies
-    its payoff's amounts by its key's deflator.  Pair sums are held across
-    nodes, in row order, reduced n_held rows at a time and at the tile's
-    end; n_held depends on the payoffs, never on the worker count.  The
-    tile's state shares the deterministic tables of `tables`, and owns
-    its W and accounts.
+    Each node with payoffs is settled by its plan (`simulate_many`) in a
+    fixed handful of grouped numpy calls, whatever its rows: one deflator
+    table, a row per (currency, collateral) key
+    (`PathState.deflator_rows`), whose first rows are the unit rows, held
+    with one add; then the other rows, `width` at a time, in the tile's
+    work rows and in row order: one `PathState.read` per run of bucket
+    reads, an FX option or an opaque fn a row each, one multiply per
+    evenly spaced run of rows by their keys' deflator rows, and one add
+    to hold them.  Every row takes the steps of its own read in their
+    order, so grouping moves no bit.  Pair sums are held across nodes, in
+    row order, reduced n_held rows at a time and at the tile's end;
+    n_held and width depend on the payoffs, never on the worker count.
+    The tile's state shares the deterministic tables of `tables`, and
+    owns its W and accounts; its table and work rows are allocated once.
     """
     ts, vols = model.ts, model.vols
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
     normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
     state = tables.fresh(n_phys)
-    deflated = np.empty(n_phys)
-    table = np.empty((max(len(keys) for keys, _, _ in by_node.values()),
+    table = np.empty((max(plan.deflators.n_keys for plan in plans.values()),
                       n_phys))
+    work = np.empty((width, n_phys))
     held = np.empty((n_held, n_units))
     row = filled = 0                    # held[:filled] is rows row, row + 1, ...
 
@@ -714,19 +830,28 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, by_node: dict,
                 reduce_held()
 
     def settle(node: int) -> None:
-        if node not in by_node:
+        plan = plans.get(node)
+        if plan is None:
             return
-        keys, unit_rows, fns = by_node[node]
-        deflators = state.deflators(keys, table, deflated)
-        hold(deflators[:unit_rows])
-        for k, name, fn in fns:
-            amounts = np.asarray(fn(state), dtype=float)
-            if amounts.shape != (n_phys,):
-                raise ConfigurationError(
-                    f"payoff {name!r} returned shape {amounts.shape}, "
-                    f"expected ({n_phys},)"
-                )
-            hold(np.multiply(amounts, deflators[k], out=deflated)[None])
+        deflators = state.deflator_rows(plan.deflators, table, work)
+        hold(deflators[:plan.n_units])
+        for batch in plan.batches:
+            values = work[:batch.n_rows]
+            for reads, rows in batch.reads:
+                state.read(reads, values[rows])
+            for v, option in batch.options:
+                _option_values(state, option, values[v])
+            for v, name, fn in batch.opaque:
+                amounts = np.asarray(fn(state), dtype=float)
+                if amounts.shape != (n_phys,):
+                    raise ConfigurationError(
+                        f"payoff {name!r} returned shape {amounts.shape}, "
+                        f"expected ({n_phys},)"
+                    )
+                values[v] = amounts
+            for rows, keys in batch.deflate:
+                values[rows] *= deflators[keys]
+            hold(values)
 
     settle(0)
     dw = np.empty((vols.n_factors, n_phys))    # each path's, then its mirror's
@@ -750,9 +875,12 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     node order; within a node, one row per key that has unit payoffs
     (shared by them, since their values are the deflator itself) comes
     first, in the order of the node's deflator table, then one row per
-    other payoff.  Blocks reduce their pair sums into those rows of one
-    set of chunk statistics, merged at the end.  Every model choice, the
-    drift's `half_variance_sign` included, comes from the frozen `model`.
+    other payoff.  Each node's settlement plan is built once, here: its
+    deflator table's columns and FX legs, and its other rows in batches,
+    their bucket reads grouped by the W row they read.  Blocks reduce
+    their pair sums into those rows of one set of chunk statistics,
+    merged at the end.  Every model choice, the drift's
+    `half_variance_sign` included, comes from the frozen `model`.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
@@ -760,38 +888,57 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     for name, p in payoffs.items():
         node = model.ts.node_index(p.maturity)
         grouped.setdefault(node, {}).setdefault(
-            (p.currency, p.collateral), []).append((name, p.fn))
-    # node -> (deflator keys, unit key count, [(key index, name, fn)]),
+            (p.currency, p.collateral), []).append(
+                (name, p, p.fn is None and p.description is None))
+    # node -> (deflator keys, unit key count, [(key index, name, payoff)]),
     # and the row of each payoff.
     by_node, row_of, n_rows = {}, {}, 0
     for node in sorted(grouped):
         groups = grouped[node]
         # Keys with unit payoffs come first: unit row k is table row k.
         units = [key for key, group in groups.items()
-                 if any(fn is None for _, fn in group)]
+                 if any(unit for _, _, unit in group)]
         keys = units + [key for key in groups if key not in units]
-        fns = [(k, name, fn) for k, key in enumerate(keys)
-               for name, fn in groups[key] if fn is not None]
-        by_node[node] = (keys, len(units), fns)
+        others = [(k, name, p) for k, key in enumerate(keys)
+                  for name, p, unit in groups[key] if not unit]
+        by_node[node] = (keys, len(units), others)
         row_of.update((name, n_rows + k) for k, key in enumerate(units)
-                      for name, fn in groups[key] if fn is None)
+                      for name, _, unit in groups[key] if unit)
         row_of.update((name, n_rows + len(units) + j)
-                      for j, (_, name, _) in enumerate(fns))
-        n_rows += len(units) + len(fns)
+                      for j, (_, name, _) in enumerate(others))
+        n_rows += len(units) + len(others)
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
     # shared read-only; each tile allocates its own state after its
     # normals, since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1)
+    # Nodes with the same keys share one deflator plan.
+    by_keys: dict[tuple, DeflatorPlan] = {}
+    for keys, _, _ in by_node.values():
+        if tuple(keys) not in by_keys:
+            by_keys[tuple(keys)] = tables.deflator_plan(keys)
+    deflators = {node: by_keys[tuple(keys)]
+                 for node, (keys, _, _) in by_node.items()}
+    # The scratch rows each tile takes, set by the payoffs alone (see
+    # _SETTLE_ROWS): the work rows, as many as a node's other rows or its
+    # longest run of FX keys, and the held rows.
+    n_keys = max(len(keys) for keys, _, _ in by_node.values())
+    width = max(max([len(others), *(len(sig) for *_, sig, _ in
+                                    deflators[node].fx)])
+                for node, (_, _, others) in by_node.items())
+    if width:
+        width = max(1, min(width, (_SETTLE_ROWS - 2 * n_keys - 1) // 2))
+    n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys - 2 * width))
+    deflate: dict[tuple, tuple] = {}
+    plans = {node: _NodePlan(deflators[node], n_units,
+                             _batches(tables, node, others, width, deflate))
+             for node, (_, n_units, others) in by_node.items()}
     # Path arrays are one tile's, whatever the count; only the statistics
     # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
-    # Rows each block holds across nodes, set by the payoffs alone.
-    n_keys = max(len(keys) for keys, _, _ in by_node.values())
-    n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys))
-    args = (model, cfg, by_node, n_held, n_last)
+    args = (model, cfg, plans, n_held, width, n_last)
     # A lone block runs on the calling thread: on a thread of its own it
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.

@@ -17,8 +17,8 @@ from math import exp, log, nan, sqrt
 import numpy as np
 
 from .curves import CurveSet
-from .dynamics import PathState, VolatilitySpec
-from .engine import GridPayoff
+from .dynamics import VolatilitySpec
+from .engine import FxOption, GridPayoff
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -215,15 +215,10 @@ def fx_option_black(curves: CurveSet, vols: VolatilitySpec, ts: TenorStructure,
 
 
 def fx_option_payoff(spec: FxOptionSpec) -> GridPayoff:
-    """The option's exercise value at maturity, as an engine payoff."""
-    pay, receive, strike = spec.pay, spec.receive, spec.strike
-    sign = 1.0 if spec.is_call else -1.0
-
-    def payoff(state: PathState) -> np.ndarray:
-        fx = state.fx_rate(pay, receive)
-        return np.maximum(sign * (fx - strike), 0.0)
-
-    return GridPayoff(payoff, spec.maturity, pay, spec.collateral)
+    """The option's exercise value at maturity, as a described engine payoff."""
+    return GridPayoff(None, spec.maturity, spec.pay, spec.collateral,
+                      FxOption(spec.pay, spec.receive, spec.strike,
+                               spec.is_call))
 
 
 def equity_forward(curves: CurveSet, currency: str, maturity: float) -> float:

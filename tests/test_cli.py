@@ -140,6 +140,22 @@ class TestBootstrap:
         at = lines.index("max |residual| = 1.318e-16")
         assert lines[at + 1] == "worst quote: ois EUR T=1"
 
+    def test_last_quote_just_below_a_whole_year_reprices(self, tmp_path,
+                                                         capsys):
+        # 2.9999999999999996 lies within 1e-9 below 3, so its fixed leg
+        # takes the whole third year; that coupon pays at the quote's own
+        # maturity, the last pillar, not at 3.0 past it.
+        text = ("grid,0,1,2,2.9999999999999996\nbase,USD\n"
+                "ois,USD,1,0.02\nois,USD,2,0.021\n"
+                "ois,USD,2.9999999999999996,0.022\n")
+        (tmp_path / "m.csv").write_text(text)
+        rc = main(["bootstrap", str(tmp_path / "m.csv"),
+                   "--out", str(tmp_path / "c.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+        worst = float(captured.out.split("max |residual| =")[1].split()[0])
+        assert worst <= 1e-10
+
     def test_zero_rates_give_unit_discounts(self, tmp_path, capsys):
         text = "grid,0,1.0,2.0\nbase,USD\nois,USD,1.0,0.0\nois,USD,2.0,0.0\n"
         (tmp_path / "m.csv").write_text(text)
@@ -1000,17 +1016,20 @@ class TestExitCodes:
     def test_payoff_error_on_a_worker_thread_is_2(self, workdir, capsys,
                                                   monkeypatch):
         # A payoff that raises on a worker thread ends the run as it does
-        # inline: one line and exit 2, whatever the worker count.
+        # inline: one line and exit 2, whatever the worker count.  The
+        # LIBOR-OIS rows are described reads, so the grouped read raises;
+        # the first one settles at node 1, and USD is the only currency
+        # with LIBOR-OIS spreads.
         import threading
         from colmm.dynamics import PathState
         from colmm.errors import ConfigurationError
         seen = set()
 
-        def broken(self, currency, end_node):
+        def broken(self, reads, out):
             seen.add(threading.current_thread())
-            raise ConfigurationError(f"no spread for {currency} at {end_node}")
+            raise ConfigurationError(f"no spread for USD at {self.node}")
 
-        monkeypatch.setattr(PathState, "libor_ois", broken)
+        monkeypatch.setattr(PathState, "read", broken)
         results = []
         for workers in ("1", "2"):
             monkeypatch.setenv("COLMM_WORKERS", workers)

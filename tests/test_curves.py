@@ -248,6 +248,7 @@ def _fixed_leg_schedule(T: float):
         times.append(T)
     prev = [0.0] + times[:-1]
     accruals = [t - p for t, p in zip(times, prev)]
+    times[-1] = min(times[-1], T)       # never paid after the maturity
     return times, accruals
 
 

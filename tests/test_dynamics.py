@@ -22,6 +22,7 @@ from colmm.dynamics import (
     collateral_drift_vector,
     equity_drift_vector,
     funding_drift_vector,
+    index_runs,
     libor_ois_drift_vector,
 )
 
@@ -890,3 +891,49 @@ class TestDeflator:
             with pytest.raises(ConfigurationError) as got:
                 st.deflators([("USD", "USD"), key], np.empty((2, 2)))
             assert str(got.value) == str(want.value), key
+
+
+class TestBatchedProducts:
+    """The product identity the grouped readers rely on."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_batched_matmul_is_the_per_row_products(self, d):
+        # np.matmul of (rows, 1, d) loadings with a (d, paths) or (rows, d,
+        # paths) W makes one (d,) @ (d, paths) product per row, bit for bit,
+        # whether W is one row broadcast to all, gathered per row, or
+        # written with out= into rows of a larger table, every one or every
+        # other.  A numpy or BLAS change that breaks it fails here before
+        # it moves a report.
+        rng = np.random.default_rng(100 + d)
+        for paths in (1, 7, 33, 1001, 5001):
+            w = rng.standard_normal((6, d, paths))
+            for rows in (1, 2, 3, 5):
+                sig = rng.standard_normal((rows, d)) * 0.2
+                at = rng.integers(0, 6, rows)
+                one = np.stack([s @ w[2] for s in sig])
+                each = np.stack([s @ w[r] for s, r in zip(sig, at)])
+                stacked = sig[:, None, :]
+                assert np.array_equal(np.matmul(stacked, w[2])[:, 0], one)
+                assert np.array_equal(np.matmul(stacked, w[at])[:, 0], each)
+                table = np.full((2 * rows + 3, paths), np.nan)
+                np.matmul(stacked, w[2], out=table[1:rows + 1, None])
+                assert np.array_equal(table[1:rows + 1], one)
+                np.matmul(stacked, w[at], out=table[2::2][:rows, None])
+                assert np.array_equal(table[2::2][:rows], each)
+                assert np.isnan(table[0]).all()
+
+
+def test_index_runs():
+    assert index_runs([4]) == [(0, 1, (slice(4, 5, 1),))]
+    # Every sequence steps evenly and by at least 1 within a run.
+    assert index_runs(range(5), [0, 3, 4, 5, 5]) == [
+        (0, 2, (slice(0, 2, 1), slice(0, 6, 3))),
+        (2, 4, (slice(2, 4, 1), slice(4, 6, 1))),
+        (4, 5, (slice(4, 5, 1), slice(5, 6, 1)))]
+    assert index_runs([3, 2, 1]) == [(0, 1, (slice(3, 4, 1),)),
+                                     (1, 2, (slice(2, 3, 1),)),
+                                     (2, 3, (slice(1, 2, 1),))]
+    values = np.arange(10.0)
+    for seq in ([0, 2, 4, 5, 9], [7, 1, 2, 3, 8, 8]):
+        got = [values[where] for _, _, (where,) in index_runs(seq)]
+        assert np.concatenate(got).tolist() == [float(i) for i in seq]

@@ -25,6 +25,7 @@ from colmm import (
 )
 from colmm import engine
 from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, _TILE_PAIRS,
+                          BucketRead, FxOption,
                           MAX_WORKERS, WORKERS_ENV_VAR, _block_normals,
                           _ChunkStatistics, _ndtri, _pair_blocks, _partition,
                           _run_threads)
@@ -1030,3 +1031,124 @@ class TestSimulate:
         for ccy, (x0, sig, *_) in right.fx_legs.items():
             assert same(wrong.fx_legs[ccy][0], x0)
             assert same(wrong.fx_legs[ccy][1], sig)
+
+
+def _described_model(ts4):
+    """Two currencies, LIBOR-OIS and equity curves, three factors."""
+    from colmm import CurveSet, EquityForwardCurve, SpreadFixings
+    from conftest import flat_spread
+    nodes = ts4.nodes
+    curves = CurveSet(
+        discounts={"USD": flat_curve("USD", 0.02, nodes),
+                   "EUR": flat_curve("EUR", 0.01, nodes)},
+        spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
+        spot_fx={("USD", "EUR"): 1.08},
+        fixings={"USD": SpreadFixings("USD", np.full(4, 0.003)),
+                 "EUR": SpreadFixings("EUR", np.full(4, 0.002))},
+        equities={"USD": EquityForwardCurve(
+            "USD", nodes[1:], 100.0 * np.exp(0.03 * nodes[1:]))})
+    vols = VolatilitySpec(
+        n_factors=3, n_buckets=4,
+        collateral={"USD": [0.01, 0.0, 0.0], "EUR": [0.0, 0.008, 0.0]},
+        libor_ois={"USD": [0.0, 0.15, 0.1], "EUR": [0.1, 0.0, 0.05]},
+        equity={"USD": [0.05, 0.0, 0.18]},
+        funding={("EUR", "USD"): [0.0, 0.002, 0.003]},
+        fx={("USD", "EUR"): [0.04, -0.08, 0.02]})
+    return Model(ts4, curves, vols, "USD")
+
+
+def _read_fn(family, key, m):
+    return lambda st: st.buckets(family, key, m, m + 1)[:, 0].copy()
+
+
+class TestDescribedPayoffs:
+    """A description settles from the tables, grouped with its node's
+    rows, and gives its opaque twin's estimate bit for bit."""
+
+    def _pays(self, ts4):
+        # At T = 1.5 (node 3): reads of every family, fixed (r < 3) and
+        # live, normal and lognormal, on four keys, interleaved with an FX
+        # option, an opaque payoff and unit payoffs.
+        spot = 1.08
+        reads = [("b", "USD", 2), ("s", "USD", 2), ("c", "USD", 0),
+                 ("b", "EUR", 2), ("b", "USD", 1), ("y", ("USD", "EUR"), 3),
+                 ("c", "EUR", 3), ("s", "USD", 1), ("b", "EUR", 0)]
+        keys = [("USD", "USD"), ("EUR", "EUR"), ("USD", "EUR"), ("EUR", "USD")]
+        described, opaque = {}, {}
+        for i, read in enumerate(reads):
+            key = keys[i % 4]
+            described[f"read {i}"] = GridPayoff(None, 1.5, *key,
+                                                BucketRead(*read))
+            opaque[f"read {i}"] = GridPayoff(_read_fn(*read), 1.5, *key)
+            if i == 4:
+                option = FxOption("USD", "EUR", 1.01 * spot, False)
+                described["put"] = GridPayoff(None, 1.5, "EUR", "USD", option)
+                opaque["put"] = GridPayoff(
+                    lambda st: np.maximum(
+                        -1.0 * (st.fx_rate("USD", "EUR") - 1.01 * spot), 0.0),
+                    1.5, "EUR", "USD")
+        for pays in (described, opaque):
+            pays["unit"] = GridPayoff(None, 1.5, "EUR", "EUR")
+            pays["spot"] = GridPayoff(lambda st: st.fx_rate("EUR", "USD"),
+                                      1.5, "USD", "EUR")
+            pays["later"] = GridPayoff(None, 2.0, "USD", "EUR",
+                                       BucketRead("s", "USD", 3)) \
+                if pays is described else GridPayoff(
+                    _read_fn("s", "USD", 3), 2.0, "USD", "EUR")
+        return described, opaque
+
+    def test_descriptions_are_their_opaque_twins(self, ts4, monkeypatch):
+        # Node 3 has 4 keys and 11 other rows: a budget of 11, 13 or 15
+        # rows settles them 1, 2 or 3 at a time, and its 2 FX keys' moves
+        # 1, 2 and 2 at a time.  Every budget, worker count and pairing
+        # gives the opaque payoffs' estimates bit for bit.
+        model = _described_model(ts4)
+        described, opaque = self._pays(ts4)
+        cfg = SimulationConfig(n_paths=2 * (2 * _CHUNK_PAIRS + 7), seed=21)
+        want = simulate_many(model, cfg, opaque)
+        assert all(est.std_error > 0.0 for est in want.values())
+        for rows in (_SETTLE_ROWS, 15, 13, 11):
+            monkeypatch.setattr(engine, "_SETTLE_ROWS", rows)
+            for workers in (1, 2, 3):
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                assert simulate_many(model, cfg, described) == want, rows
+        for name in ("read 2", "put", "later"):
+            assert simulate_many(model, cfg, {"p": described[name]})["p"] \
+                == want[name]
+
+    def test_fx_option_payoff_is_the_closure_it_replaced(self, ts8):
+        from colmm import FxOptionSpec
+        from colmm.pricers import fx_option_payoff
+        model, pays = _fx_options(ts8)
+        cfg = SimulationConfig(n_paths=2 * _CHUNK_PAIRS + 6, seed=4)
+        spot = model.curves.fx_rate("USD", "EUR")
+        for (coll, T, is_call), name in zip(
+                (("USD", 1.0, True), ("EUR", 2.0, False), ("EUR", 3.0, True),
+                 ("USD", 4.0, False)), pays):
+            payoff = fx_option_payoff(
+                FxOptionSpec("USD", "EUR", coll, T, spot, is_call))
+            assert payoff.fn is None
+            assert payoff.description == FxOption("USD", "EUR", spot, is_call)
+            assert (simulate_many(model, cfg, {"p": payoff})
+                    == simulate_many(model, cfg, {"p": pays[name]}))
+
+    def test_fn_and_description_together_rejected(self):
+        with pytest.raises(ValueError, match="fn or a description"):
+            GridPayoff(lambda st: 1.0, 1.0, "USD", "USD",
+                       BucketRead("c", "USD", 0))
+        with pytest.raises(TypeError, match="a BucketRead or an FxOption"):
+            GridPayoff(None, 1.0, "USD", "USD", ("c", "USD", 0))
+
+    def test_unreadable_description_is_refused_before_any_path(
+            self, ts4, monkeypatch):
+        model = _described_model(ts4)
+        cfg = SimulationConfig(n_paths=8)
+        monkeypatch.setattr(engine, "_block_normals", None)    # never reached
+        for read, error, message in (
+                (("s", "EUR", 1), ConfigurationError,
+                 "no equity forwards simulated for 'EUR'"),
+                (("b", "USD", 4), ValueError, r"bucket 4 is not within \[0, 4\)"),
+                (("b", "USD", -1), ValueError, "bucket -1")):
+            payoff = GridPayoff(None, 1.0, "USD", "USD", BucketRead(*read))
+            with pytest.raises(error, match=message):
+                simulate_many(model, cfg, {"p": payoff})

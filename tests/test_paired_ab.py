@@ -51,3 +51,25 @@ def test_one_tree_against_itself(paired_ab, capsys):
     # Both copies are unloaded and the caller's worker count is put back.
     assert not any(m.startswith(("colmm_a", "colmm_b")) for m in sys.modules)
     assert os.environ["COLMM_WORKERS"] == "3"
+
+
+def test_workers_flag_sets_the_count_for_both_sides(paired_ab, capsys):
+    # diagnose-wide runs at 2 workers of its own; --workers 1 times it at
+    # one, says so, and puts the caller's count back.
+    src = str(ROOT / "src")
+    assert paired_ab([src, src, "--workload", "diagnose-wide", "--pairs", "2",
+                      "--workers", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("diagnose-wide seed=1 COLMM_WORKERS=1: 2 pairs, "
+                      "alternating which side runs first")
+    assert out[-1] == "outputs identical in 2 of 2 pairs"
+    assert os.environ["COLMM_WORKERS"] == "3"
+
+
+def test_workers_below_one_is_a_usage_error(paired_ab, capsys):
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as exc:
+        paired_ab([src, src, "--workload", "diagnose-wide", "--workers", "0"])
+    assert exc.value.code == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert os.environ["COLMM_WORKERS"] == "3"

@@ -1,15 +1,16 @@
 """In-process paired A/B of two colmm source trees on one benchmark workload.
 
     python3 tools/paired_ab.py A/src B/src --workload bootstrap-analytic
-        [--seed 1] [--pairs 30]
+        [--seed 1] [--pairs 30] [--workers N]
 
 Copies the `colmm` package of each tree into a temporary directory as
 `colmm_a` and `colmm_b`; colmm imports its own modules only relatively, so
 both copies load side by side in this process.  It sets `COLMM_WORKERS`
-to the workload's worker count (as `perfbench/run.py` does, with one BLAS
-thread), prepares the workload of `perfbench/workloads.py` at `--seed` in
-a temporary directory, and runs its set-up jobs and one warm-up job on
-each side.  Then it runs `--pairs` pairs of jobs through each side's
+to `--workers`, by default the workload's worker count (as
+`perfbench/run.py` does, with one BLAS thread), and puts the caller's
+value back at the end.  It prepares the workload of
+`perfbench/workloads.py` at `--seed` in a temporary directory, and runs
+its set-up jobs and one warm-up job on each side.  Then it runs `--pairs` pairs of jobs through each side's
 `cli.main`, cycling through the workload's jobs, with A first in even
 pairs and B first in odd ones.  Each job's wall time is taken as the
 benchmark takes it, around its CLI calls, and a job that fails the
@@ -67,17 +68,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=30)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="COLMM_WORKERS for both sides (default: the "
+                             "workload's own)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be at least 1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     workload = workloads.WORKLOADS[args.workload]
+    workers = workload.workers if args.workers is None else args.workers
     saved = os.environ.get("COLMM_WORKERS")
-    os.environ["COLMM_WORKERS"] = str(workload.workers)
+    os.environ["COLMM_WORKERS"] = str(workers)
     packages = [f"colmm_{side.lower()}" for side in SIDES]
     tmp = Path(tempfile.mkdtemp(prefix="paired_ab_"))
     sys.path.insert(0, str(tmp))
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
         else:
             os.environ["COLMM_WORKERS"] = saved
 
-    print(f"{args.workload} seed={args.seed} COLMM_WORKERS={workload.workers}:"
+    print(f"{args.workload} seed={args.seed} COLMM_WORKERS={workers}:"
           f" {args.pairs} pairs, alternating which side runs first")
     print(f"{'side':<4} {'median_s':>9} {'q1_s':>9} {'q3_s':>9} {'wins':>5}")
     medians = {}
