@@ -31,7 +31,8 @@ x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
 A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
 Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
 same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
-only W (at every node passed) and the log accounts the deflators read,
+only W (at the nodes its reads reach back to) and the log accounts the
+deflators read,
 one (K, paths) array: (ccy, ccy) for every currency with a curve and
 (base, c), whose y alone is simulated, for every other currency c.  It
 reads buckets from tables A built once by PathState.initial; each drift
@@ -405,14 +406,18 @@ class PathState:
 
     One instance represents a block of scenarios; the scalar case is a
     block of size one.  What moves through time is the Brownian factor W
-    (kept at every node passed, so fixed buckets can be rebuilt) and the
-    log accounts that `deflators` and `fx_legs` read, (ccy, ccy) and
-    (base, c); evolve_step mutates them in place.  Bucket values and spot
-    FX are read from them through deterministic tables.  Both are stored
-    paths-last, W as (N + 1, d, paths) and the accounts as (K, paths), so
-    one node's factor and one account are contiguous rows; `w` and
-    `log_acc` are views that lead with paths, as every array a PathState
-    returns does.  Each FX leg X(base, ccy) is resolved once per model, in
+    and the log accounts that `deflators` and `fx_legs` read, (ccy, ccy)
+    and (base, c); evolve_step mutates them in place.  W is kept at the
+    last `depth` nodes, W(T_r) in row r % depth of a ring, so that fixed
+    buckets can be rebuilt: at every node by default (`initial`, and
+    `fresh` without a depth), and in the engine's tiles only as far back
+    as their reads look; a read further back, or `w` on a ring, raises
+    ValueError.  Bucket values and spot FX are read from them through
+    deterministic tables.  Both are stored paths-last, W as (depth, d,
+    paths) and the accounts as (K, paths), in one flat buffer, so one
+    node's factor and one account are contiguous rows; `w` and `log_acc`
+    are views that lead with paths, as every array a PathState returns
+    does.  Each FX leg X(base, ccy) is resolved once per model, in
     `initial`, as `fx_legs`; each state makes its account-row views once.
     Payoffs and diagnostics read a state through `deflator`/`deflators`,
     `fx_rate`, `buckets`, `libor_ois`, `equity_forward` and the `w` and
@@ -424,7 +429,7 @@ class PathState:
     """
 
     def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
-                 rate_sig, fx_legs):
+                 rate_sig, fx_legs, depth=None, space=None):
         self.ts = ts
         self.base = base
         self.n_paths = n_paths
@@ -436,10 +441,19 @@ class PathState:
         self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
         self.fx_legs = fx_legs          # ccy -> one leg's constants
         self._read_layouts = {}         # see bucket_reads
-        self._log_acc = np.zeros((len(columns), n_paths))
+        depth = ts.n_buckets + 1 if depth is None else depth
+        if not 2 <= depth <= ts.n_buckets + 1:
+            raise ValueError(f"W ring depth must be in [2, "
+                             f"{ts.n_buckets + 1}], got {depth}")
+        d = rate_sig.shape[1]
+        n_w = depth * d * n_paths
+        size = n_w + len(columns) * n_paths
+        space = np.empty(size) if space is None else space[:size]
+        space.fill(0.0)
+        # (depth, d, P): W(T_r) in row r % depth, for the last depth nodes
+        self._w = space[:n_w].reshape(depth, d, n_paths)
+        self._log_acc = space[n_w:].reshape(len(columns), n_paths)
         self._rows = list(self._log_acc)  # row views, updated in place
-        # (N + 1, d, P): W(T_k), rows <= node
-        self._w = np.zeros((ts.n_buckets + 1, rate_sig.shape[1], n_paths))
 
     @classmethod
     def initial(cls, model, n_paths: int) -> "PathState":
@@ -517,17 +531,35 @@ class PathState:
         return cls(ts, base, n_paths, tables, s_mask, columns, rate0,
                    rate_sig, fx_legs)
 
-    def fresh(self, n_paths: int) -> "PathState":
-        """A state at T_0 over n_paths paths, sharing this one's tables."""
+    def fresh(self, n_paths: int, depth: int | None = None,
+              space: np.ndarray | None = None) -> "PathState":
+        """A state at T_0 over n_paths paths, sharing this one's tables.
+
+        It keeps W at its last `depth` nodes, every node by default, and
+        builds W and the log accounts in the first (depth d + K) n_paths
+        elements of the flat float64 array `space`, or in a new one.
+        """
         return PathState(self.ts, self.base, n_paths, self.tables, self.s_mask,
-                         self.columns, self.rate0, self.rate_sig, self.fx_legs)
+                         self.columns, self.rate0, self.rate_sig, self.fx_legs,
+                         depth, space)
 
     # -- readers for payoffs and diagnostics --------------------------------
 
     @property
     def w(self) -> np.ndarray:
-        """W(T_k) of every path, (N + 1, paths, d); rows past the node are 0."""
+        """W(T_k) of every path, (N + 1, paths, d); rows past the node are 0.
+
+        A state that keeps fewer than N + 1 nodes raises ValueError.
+        """
+        depth = len(self._w)
+        if depth <= self.ts.n_buckets:
+            raise ValueError(f"this state keeps W at its last {depth} nodes, "
+                             f"not at all {self.ts.n_buckets + 1}")
         return self._w.transpose(0, 2, 1)
+
+    def _w_at(self, r: int) -> np.ndarray:
+        """W(T_r), (d, paths): row r % depth of the ring."""
+        return self._w[r % len(self._w)]
 
     @property
     def log_acc(self) -> np.ndarray:
@@ -612,7 +644,10 @@ class PathState:
         drifts, exp on lognormal curves and x0, each over every row.
         """
         for r, sig, rows in reads.products:
-            np.matmul(sig, self._w[r], out=out[rows, None])
+            if self.node - r >= len(self._w):
+                raise ValueError(f"W(T_{r}) is more than {len(self._w)} "
+                                 f"nodes back from T_{self.node}")
+            np.matmul(sig, self._w_at(r), out=out[rows, None])
         out += reads.drift
         if reads.lognormal:
             np.exp(out, out=out)
@@ -636,7 +671,7 @@ class PathState:
         in that order, from the leg's constants in fx_legs."""
         _, sig, half_variance, own, other = self._fx_leg_tables(currency)
         out = self._rows[own] - self._rows[other]
-        out += sig @ self._w[self.node]
+        out += sig @ self._w_at(self.node)
         out -= half_variance * self.time
         return out
 
@@ -721,7 +756,7 @@ class PathState:
         for rows, cols in plan.base:
             np.negative(acc[cols], out=table[rows])
         if plan.fx:
-            w, time = self._w[self.node], self.time
+            w, time = self._w_at(self.node), self.time
             work = (np.empty((max(len(sig) for *_, sig, _ in plan.fx),
                               self.n_paths))
                     if work is None else work.reshape(-1, self.n_paths))
@@ -766,7 +801,8 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
 
     dW is the Brownian increment over the interval, shape (n_paths, d); a
     transposed view of a (d, n_paths) array is read without a copy.  W
-    moves by dW and every log account adds delta_k times the rate fixed at
+    moves by dW, into the ring row of T_{k+1}, and every log account adds
+    delta_k times the rate fixed at
     the interval start T_k, rate0[k] + rate_sig[k].T @ W(T_k): one
     (K, d) @ (d, paths) product.  No bucket is touched, since the tables
     give every bucket at any node, and spot FX follows from the accounts.
@@ -775,16 +811,16 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     if k >= state.ts.n_buckets:
         raise ValueError(f"state is at the last node T_{k}; no interval left")
     dW = np.asarray(dW, dtype=float)
-    w = state._w
-    if dW.shape != (state.n_paths, w.shape[1]):
+    w = state._w_at(k)
+    if dW.shape != (state.n_paths, len(w)):
         raise ValueError(
-            f"dW must have shape {(state.n_paths, w.shape[1])}, got {dW.shape}"
+            f"dW must have shape {(state.n_paths, len(w))}, got {dW.shape}"
         )
-    rate = state.rate_sig[k].T @ w[k]
+    rate = state.rate_sig[k].T @ w
     rate += state.rate0[k][:, None]
     rate *= state.ts.deltas[k]
     state._log_acc += rate
-    np.add(w[k], dW.T, out=w[k + 1])
+    np.add(w, dW.T, out=state._w_at(k + 1))
     state.node = k + 1
     return state
 

@@ -26,7 +26,9 @@ Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
 partial, and workers take contiguous blocks of whole chunks, each on a
 thread of its own.  A block runs its pairs in tiles of _TILE_PAIRS, whole
 chunks from the block's start, the last one partial; each tile draws its
-own normals and evolves its own W and accounts over the whole grid.  At
+own normals, a slab of steps at a time, and evolves its own W and
+accounts over the whole grid, keeping W only as far back as its payoffs
+read it.  At
 each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
@@ -46,10 +48,13 @@ in their order.  C depends on nothing else, and each row's statistics on
 its own values alone, so every statistic, and the estimate, is
 bit-identical for any worker count, tile size and buffer size.
 
-Memory grows with the path count only through the statistics: a
-simulation holds, per worker, one tile's normals, W and accounts and its
-settlement scratch, and, shared, the chunk statistics, 40 B per payoff
-row per 100 pairs.
+Memory grows with the path count and the grid only through the
+statistics and the tables: a simulation holds, per worker, one tile's
+workspace, and, shared, the model's tables, the settlement plans and the
+chunk statistics, 40 B per payoff row per 100 pairs.  A workspace holds
+the tile's accounts, W at the last few nodes (every node when a payoff
+is an opaque fn), a slab of normals and their Philox buffers, and its
+settlement scratch: nothing in it grows with the grid but that W.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -61,7 +66,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -105,7 +110,7 @@ _CHUNK_BLOCKS = 1 << 14
 _CHUNK_PAIRS = 100
 
 # Pairs per tile, 50 whole chunks: a block runs its pairs a tile at a
-# time, so its normals, W and accounts never outgrow one tile.  Smaller
+# time, so its workspace never outgrows one tile.  Smaller
 # tiles save little more memory and make more, smaller numpy calls, which
 # concurrent blocks pay for most: on diagnose-wide's inputs at 40,000
 # paths and 2 workers, 2,500-pair tiles took 1.2x the time of these.
@@ -425,7 +430,10 @@ def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.n
         raise ValueError(f"path and step indices must be >= 0, got ({path},{step})")
     if n_factors < 1:
         raise ValueError(f"need at least one factor, got {n_factors}")
-    return _block_normals(seed, path, path + 1, step + 1, n_factors)[step, :, 0]
+    # The 4-step group that holds the step starts on a Philox block.
+    first = step - step % 4
+    return _block_normals(seed, path, path + 1, step - first + 1, n_factors,
+                          first)[-1, :, 0]
 
 
 def _ratio(w: np.ndarray, num: tuple, den: tuple, p: np.ndarray,
@@ -541,30 +549,52 @@ def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, t: np.ndarray,
     return np.add(out, s, out=out)
 
 
-def _block_normals(seed: int, path_lo: int, path_hi: int,
-                   n_steps: int, n_factors: int) -> np.ndarray:
+def _normals_layout(n_paths: int, n_steps: int,
+                    n_factors: int) -> tuple[int, int, int]:
+    """Philox blocks per path, paths per chunk and float64 elements of the
+    workspace of `_block_normals` over n_steps steps: the normals, three
+    round buffers of 4 words a block, the key words, and a chunk's
+    normals when there is more than one chunk."""
+    words = n_steps * n_factors
+    blocks = -(-words // 4)
+    rows = max(1, min(n_paths, _CHUNK_BLOCKS // max(blocks, 1)))
+    chunk = 0 if rows == n_paths else words * rows
+    return blocks, rows, words * n_paths + (3 * 4 + 1) * blocks * rows + chunk
+
+
+def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
+                   n_factors: int, step_lo: int = 0,
+                   space: np.ndarray | None = None) -> np.ndarray:
     """Normals for a contiguous path block, shape (steps, factors, paths).
 
-    Each step's normals are contiguous rows, one per factor.  Path p takes
-    the first steps * factors words w of numpy.random.Philox(key=[seed,
-    p]), bit for bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those
+    Steps step_lo to step_lo + n_steps - 1; each step's normals are
+    contiguous rows, one per factor.  Path p takes words step_lo d,
+    ..., (step_lo + n_steps) d - 1 of numpy.random.Philox(key=[seed, p]),
+    bit for bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those
     through `_ndtri`.  numpy bumps the counter before its first block, so
     block b of the path's stream is Philox4x64-10 of counter (b + 1, 0, 0,
-    0) under key (seed, p).  The rounds run as in-place uint64 ufuncs over
-    (blocks, paths) arrays, a chunk of about _CHUNK_BLOCKS blocks at a
-    time.  Both multiplications of a round are one ufunc call over the
-    stacked words [x0, x2], with the products' low words stacked as [x3,
-    x1], which halves the calls.  A chunk's normals are made in one contiguous
-    (words, paths) buffer and copied into place.
+    0) under key (seed, p).  step_lo is a multiple of 4, so for any d the
+    steps start on block step_lo d / 4 and any slab of them is the
+    matching rows of a draw from step 0.  The rounds run as in-place
+    uint64 ufuncs over (blocks, paths) arrays, a chunk of about
+    _CHUNK_BLOCKS blocks at a time.  Both multiplications of a round are
+    one ufunc call over the stacked words [x0, x2], with the products' low
+    words stacked as [x3, x1], which halves the calls.  A chunk's normals
+    are made in one contiguous (words, paths) buffer and, unless it is
+    all the paths, copied into place.  Everything lives in `space`, a flat
+    float64 array of at least `_normals_layout(...)[2]` elements, in that
+    function's order, or in a new one.
     """
+    if step_lo % 4:
+        raise ValueError(f"step_lo must be a multiple of 4, got {step_lo}")
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
-    out = np.empty((words, n_paths))
+    blocks, rows, size = _normals_layout(n_paths, n_steps, n_factors)
+    space = np.empty(size) if space is None else space[:size]
+    out = space[:words * n_paths].reshape(words, n_paths)
     normals = out.reshape(n_steps, n_factors, n_paths)
     if words == 0:
         return normals
-    blocks = -(-words // 4)
-    rows = max(1, min(n_paths, _CHUNK_BLOCKS // blocks))
     mult = np.array([_PHILOX_M0, _PHILOX_M1], dtype=np.uint64)[:, None, None]
     mult_lo, mult_hi = mult & _LO32, mult >> _SHIFT32
     key0 = [np.uint64((seed + r * _PHILOX_W0) % _MAX_SEED)
@@ -572,7 +602,8 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
     w1 = np.uint64(_PHILOX_W1)
     # Counter words 1-3 are zero and key word 0 is the seed, so rounds 1
     # and 2 reduce to per-block constants xored with the path's key word.
-    counters = range(1, blocks + 1)
+    first = step_lo * n_factors // 4
+    counters = range(first + 1, first + blocks + 1)
     hi_ctr = np.array([_PHILOX_M0 * c >> 64 for c in counters],
                       dtype=np.uint64)[:, None]
     mix = np.array([(_PHILOX_M0 * seed >> 64) ^ (_PHILOX_M0 * c % _MAX_SEED)
@@ -588,11 +619,15 @@ def _block_normals(seed: int, path_lo: int, path_hi: int,
     # blocks gives the same words, but it raised diagnose-wide's peak RSS
     # by 1.6-7.0 MB in 5 of 5 paired runs, through where the allocator then
     # placed the arrays that follow.
-    bufs = [np.empty(4 * blocks * rows, dtype=np.uint64) for _ in range(3)]
-    scratch = [buf.view(np.float64) for buf in bufs]
-    key1_buf = np.empty((blocks, rows), dtype=np.uint64)
+    at, n_buf = words * n_paths, 4 * blocks * rows
+    scratch = [space[at + i * n_buf:][:n_buf] for i in range(3)]
+    bufs = [buf.view(np.uint64) for buf in scratch]
+    at += 3 * n_buf
+    key1_buf = space[at:at + blocks * rows].view(np.uint64).reshape(blocks,
+                                                                     rows)
     key1_buf[...] = np.arange(path_lo, path_lo + rows, dtype=np.uint64)
-    chunk_buf = out.reshape(-1) if rows == n_paths else np.empty(words * rows)
+    chunk_buf = (out.reshape(-1) if rows == n_paths
+                 else space[at + blocks * rows:])
     full = words // 4
     for lo in range(path_lo, path_hi, rows):
         hi = min(lo + rows, path_hi)
@@ -752,8 +787,8 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
 
 
 def _simulate_block(model: Model, cfg: SimulationConfig, plans: dict,
-                    n_held: int, width: int, n_last: int, unit_lo: int,
-                    unit_hi: int, tables: PathState,
+                    n_held: int, width: int, n_last: int, depth: int,
+                    unit_lo: int, unit_hi: int, tables: PathState,
                     stats: _ChunkStatistics) -> None:
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
@@ -761,7 +796,7 @@ def _simulate_block(model: Model, cfg: SimulationConfig, plans: dict,
     last one partial, so a block's memory is one tile's whatever its size.
     """
     for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
-        _simulate_tile(model, cfg, plans, n_held, width, n_last, lo,
+        _simulate_tile(model, cfg, plans, n_held, width, n_last, depth, lo,
                        min(lo + _TILE_PAIRS, unit_hi), tables, stats)
 
 
@@ -776,8 +811,8 @@ def _option_values(state: PathState, option: FxOption,
 
 
 def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
-                   n_held: int, width: int, n_last: int, unit_lo: int,
-                   unit_hi: int, tables: PathState,
+                   n_held: int, width: int, n_last: int, depth: int,
+                   unit_lo: int, unit_hi: int, tables: PathState,
                    stats: _ChunkStatistics) -> None:
     """Evolve one tile of paths; reduce its pairs' values into `stats`.
 
@@ -798,17 +833,32 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
     row order, reduced n_held rows at a time and at the tile's end;
     n_held and width depend on the payoffs, never on the worker count.
     The tile's state shares the deterministic tables of `tables`, and
-    owns its W and accounts; its table and work rows are allocated once.
+    owns its accounts and W at the last `depth` nodes.  The normals are
+    drawn a slab of steps at a time: the most whole 4-step groups (d
+    Philox blocks per path each) whose blocks for the tile fit one
+    chunk, at least one.  One workspace, allocated once, holds the
+    state, a slab's normals and their Philox buffers, and the table,
+    work, held and increment rows, so no array in a tile grows with the
+    grid but the W of a state that keeps every node.
     """
-    ts, vols = model.ts, model.vols
+    ts, d = model.ts, model.vols.n_factors
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
-    normals = _block_normals(cfg.seed, unit_lo, unit_hi, n_last, vols.n_factors)
-    state = tables.fresh(n_phys)
-    table = np.empty((max(plan.deflators.n_keys for plan in plans.values()),
-                      n_phys))
-    work = np.empty((width, n_phys))
-    held = np.empty((n_held, n_units))
+    slab = 4 * max(1, _CHUNK_BLOCKS // (d * n_units))
+    n_keys = max(plan.deflators.n_keys for plan in plans.values())
+    sizes = ((depth * d + len(tables.columns)) * n_phys,
+             max((_normals_layout(n_units, min(slab, n_last - lo), d)[2]
+                  for lo in range(0, n_last, slab)), default=0),
+             n_keys * n_phys, width * n_phys, n_held * n_units, d * n_phys)
+    at = list(accumulate(sizes, initial=0))
+    space = np.empty(at[-1])
+    state_space, normals_space, table, work, held, dw = (
+        space[lo:hi] for lo, hi in zip(at, at[1:]))
+    state = tables.fresh(n_phys, depth, state_space)
+    table = table.reshape(n_keys, n_phys)
+    work = work.reshape(width, n_phys)
+    held = held.reshape(n_held, n_units)
+    dw = dw.reshape(d, n_phys)        # each path's, then its mirror's
     row = filled = 0                    # held[:filled] is rows row, row + 1, ...
 
     def reduce_held() -> None:
@@ -854,13 +904,14 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
             hold(values)
 
     settle(0)
-    dw = np.empty((vols.n_factors, n_phys))    # each path's, then its mirror's
-    for node in range(1, n_last + 1):
-        np.multiply(np.sqrt(ts.deltas[node - 1]), normals[node - 1],
-                    out=dw[:, :n_units])
-        np.negative(dw[:, :n_units], out=dw[:, n_units:])
-        evolve_step(state, dw.T)
-        settle(node)
+    for lo in range(0, n_last, slab):
+        normals = _block_normals(cfg.seed, unit_lo, unit_hi,
+                                 min(slab, n_last - lo), d, lo, normals_space)
+        for step, z in enumerate(normals, start=lo):
+            np.multiply(np.sqrt(ts.deltas[step]), z, out=dw[:, :n_units])
+            np.negative(dw[:, :n_units], out=dw[:, n_units:])
+            evolve_step(state, dw.T)
+            settle(step + 1)
     if filled:
         reduce_held()
 
@@ -879,7 +930,10 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     deflator table's columns and FX legs, and its other rows in batches,
     their bucket reads grouped by the W row they read.  Blocks reduce
     their pair sums into those rows of one set of chunk statistics,
-    merged at the end.  Every model choice, the drift's
+    merged at the end.  Each tile keeps W at 1 + the deepest lookback
+    (node - r) of any planned bucket read, at least 2 nodes, or at all
+    N + 1 when a payoff has an opaque fn, which may read any node through
+    `PathState.w`.  Every model choice, the drift's
     `half_variance_sign` included, comes from the frozen `model`.
     """
     if not payoffs:
@@ -910,8 +964,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
     # The deterministic tables are built once, on a one-path state, and
-    # shared read-only; each tile allocates its own state after its
-    # normals, since building every block's state here raised the peak RSS.
+    # shared read-only; each tile builds its own state in its workspace,
+    # since building every block's state here raised the peak RSS.
     tables = PathState.initial(model, 1)
     # Nodes with the same keys share one deflator plan.
     by_keys: dict[tuple, DeflatorPlan] = {}
@@ -934,11 +988,20 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     plans = {node: _NodePlan(deflators[node], n_units,
                              _batches(tables, node, others, width, deflate))
              for node, (_, n_units, others) in by_node.items()}
+    # A tile keeps W as far back as its reads look, and at every node for
+    # an opaque fn, which may read any of them through `PathState.w`.
+    if any(p.fn is not None for p in payoffs.values()):
+        depth = model.ts.n_buckets + 1
+    else:
+        depth = max(2, 1 + max((node - r for node, plan in plans.items()
+                                for batch in plan.batches
+                                for reads, _ in batch.reads
+                                for r, _, _ in reads.products), default=0))
     # Path arrays are one tile's, whatever the count; only the statistics
     # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
-    args = (model, cfg, plans, n_held, width, n_last)
+    args = (model, cfg, plans, n_held, width, n_last, depth)
     # A lone block runs on the calling thread: on a thread of its own it
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.

@@ -491,6 +491,44 @@ class TestEvolveStep:
             if node < 4:
                 evolve_step(st, rng.normal(size=(16, 3)) * np.sqrt(0.5))
 
+    def test_a_ring_reads_what_the_full_history_reads(self, ts4, eq_curves,
+                                                      full_vols):
+        # A state keeping W at its last 2 nodes, built in a dirty buffer,
+        # evolves on the full state's shocks: its accounts, deflators, FX
+        # and reads of W up to one node back are the full state's bit for
+        # bit.  Its `w`, and a read two nodes back, raise ValueError naming
+        # the depth, where they would read ring rows as nodes.
+        full = make_state(ts4, eq_curves, full_vols, n_paths=6)
+        ring = full.fresh(6, 2, np.full(1_000, np.nan))
+        assert full.w.shape == (5, 6, 3)
+        keys = [("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
+        rng = np.random.default_rng(4)
+        for node in range(5):
+            for a, b in ((ring.log_acc, full.log_acc),
+                         (ring.deflators(keys, np.empty((3, 6))),
+                          full.deflators(keys, np.empty((3, 6)))),
+                         (ring.fx_rate("USD", "EUR"), full.fx_rate("USD", "EUR")),
+                         (ring.buckets("c", "EUR", node if node < 4 else 3),
+                          full.buckets("c", "EUR", node if node < 4 else 3)),
+                         (ring.buckets("s", "USD", max(node - 1, 0)),
+                          full.buckets("s", "USD", max(node - 1, 0)))):
+                assert a.tobytes() == b.tobytes(), node
+            if node:
+                assert (ring.libor_ois("USD", node).tobytes()
+                        == full.libor_ois("USD", node).tobytes())
+            if node > 1:
+                with pytest.raises(ValueError, match="more than 2 nodes back"):
+                    ring.libor_ois("USD", node - 1)
+            with pytest.raises(ValueError, match="last 2 nodes, not at all 5"):
+                ring.w
+            if node < 4:
+                dw = rng.normal(size=(6, 3)) * np.sqrt(0.5)
+                evolve_step(full, dw)
+                evolve_step(ring, dw)
+        for depth in (1, 6):
+            with pytest.raises(ValueError, match=r"depth must be in \[2, 5\]"):
+                full.fresh(6, depth)
+
     def test_step_past_last_node_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
         for _ in range(4):

@@ -24,7 +24,8 @@ from colmm import (
     simulate_many,
 )
 from colmm import engine
-from colmm.engine import (_CHUNK_PAIRS, _SETTLE_ROWS, _TILE_PAIRS,
+from colmm.engine import (_CHUNK_BLOCKS, _CHUNK_PAIRS, _SETTLE_ROWS,
+                          _TILE_PAIRS,
                           BucketRead, FxOption,
                           MAX_WORKERS, WORKERS_ENV_VAR, _block_normals,
                           _ChunkStatistics, _ndtri, _pair_blocks, _partition,
@@ -71,6 +72,42 @@ class TestGaussianIncrements:
                     one = gaussian_increments(seed, path, step, n_factors)
                     assert block[step, :, col].tobytes() == one.tobytes(), \
                         (seed, path, step, n_factors)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_slabs_are_the_whole_grid_draw(self, d):
+        # Every run of steps from a block-aligned start, 0, 4, 8 or 12, to
+        # any end, the grid's last step (a partial slab) included, is the
+        # matching rows of the 13-step draw, bit for bit.
+        whole = _block_normals(19, 5, 30, 13, d)
+        for lo in range(0, 13, 4):
+            for n in range(1, 14 - lo):
+                slab = _block_normals(19, 5, 30, n, d, lo)
+                assert slab.tobytes() == whole[lo:lo + n].tobytes(), (lo, n)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            _block_normals(19, 5, 30, 2, d, 6)
+
+    def test_a_slab_of_many_chunks_is_the_whole_grid_draw(self):
+        # 4 steps of 5 factors are 5 blocks a path: 4,000 paths take 2
+        # chunks of _CHUNK_BLOCKS blocks, and the 12-step draw 4.
+        blocks = _CHUNK_BLOCKS // 5
+        lo, hi = 7, 7 + 4_000
+        assert hi - lo > blocks
+        whole = _block_normals(3, lo, hi, 12, 5)
+        for start in (0, 4, 8):
+            slab = _block_normals(3, lo, hi, 4, 5, start, np.full(
+                engine._normals_layout(hi - lo, 4, 5)[2], np.nan))
+            assert slab.tobytes() == whole[start:start + 4].tobytes(), start
+
+    def test_one_step_draws_its_group_alone(self, monkeypatch):
+        # gaussian_increments draws the 4-step group that holds its step,
+        # up to the step, not the path's whole stream.
+        drawn, draw = [], engine._block_normals
+        monkeypatch.setattr(engine, "_block_normals", lambda *a: drawn.append(
+            a[3:]) or draw(*a))
+        for step in (0, 3, 4, 1_001):
+            z = gaussian_increments(8, 2, step, 3)
+            assert z.tobytes() == draw(8, 2, 3, step + 1, 3)[step, :, 0].tobytes()
+        assert drawn == [(1, 3, 0), (4, 3, 0), (1, 3, 4), (2, 3, 1_000)]
 
     def test_moments(self):
         z = _block_normals(123, 0, 4000, 16, 4).ravel()  # 256k draws
@@ -417,8 +454,8 @@ class TestEstimates:
         pairs = 7 * _CHUNK_PAIRS + 37
         cfg = SimulationConfig(n_paths=2 * pairs, seed=13)
         tiles, fresh = [], PathState.fresh
-        monkeypatch.setattr(PathState, "fresh", lambda self, n: tiles.append(
-            n // 2) or fresh(self, n))
+        monkeypatch.setattr(PathState, "fresh", lambda self, n, *a: tiles.append(
+            n // 2) or fresh(self, n, *a))
         for workers in (1, 2, 3):
             monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
             monkeypatch.setattr(engine, "_TILE_PAIRS", _TILE_PAIRS)
@@ -580,40 +617,58 @@ def unit_zcb(maturity, ccy="USD", coll="USD"):
                       currency=ccy, collateral=coll)
 
 
-def _assert_peak_memory(model, pays, one, n_keys, n_accounts):
-    """Bound the traced peak of simulate_many over one full tile of paths.
+def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth):
+    """Bound the traced peak of simulate_many over one full tile of paths,
+    and return the tile's share of it.
 
-    No array holds a value per payoff and pair: the peak is one tile's
-    normals and state (W and n_accounts log accounts), its settlement
-    scratch, room for path-length temporaries, and the chunk statistics,
-    five floats per payoff and chunk.  The scratch is _SETTLE_ROWS rows of
-    one value per pair, or 2 n_keys + 1 rows when a node's n_keys deflator
-    rows do not fit in it.  Going from the payoff `one` alone to all of
-    them adds the statistics, the other scratch rows and the temporaries
-    of the payoffs' own code, a few path vectors.
+    No array holds a value per payoff and pair, and none a value per node
+    and path but the W of a state that keeps every node.  The peak is what
+    the same run holds at 4 paths (its tables, its plans and a tile of 2
+    pairs), the chunk statistics, five floats per payoff and chunk, and
+    one tile's workspace, with room for path-length temporaries.  The
+    workspace holds:
+    - the state, W at `depth` nodes and n_accounts log accounts, and the
+      increments, d rows of paths;
+    - one slab of normals, the most whole 4-step groups whose d Philox
+      blocks per pair fit one chunk of _CHUNK_BLOCKS blocks, at least one,
+      and their round buffers and key words, 13 per block and pair of a
+      chunk, and a chunk's normals when the slab takes more than one;
+    - the settlement rows: _SETTLE_ROWS rows of one value per pair, or
+      2 n_keys + 3 when a node's n_keys deflator rows, two each (a path
+      and its mirror), leave no room for a work row of paths and a held
+      row in them.
+    Going from the payoff `one` alone, of the same depth, to all of them
+    adds the statistics, the other scratch rows and the temporaries of
+    the payoffs' own code, a few path vectors.  The tile's share is the
+    peak less the 4-path run's and less what the statistics add to it.
     """
     pairs = _TILE_PAIRS
     n_paths = 2 * pairs
     ts, d = model.ts, model.vols.n_factors
     chunks = -(-pairs // _CHUNK_PAIRS)
     statistics = 8 * 5 * len(pays) * chunks
-    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 1) * pairs
-    normals = 8 * pairs * ts.n_buckets * d
-    state = 8 * n_paths * ((ts.n_buckets + 1) * d + n_accounts)
-    cfg = SimulationConfig(n_paths=n_paths, seed=1)
+    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * pairs
+    slab = min(ts.n_buckets, 4 * max(1, _CHUNK_BLOCKS // (d * pairs)))
+    blocks = -(-slab * d // 4)
+    rows = min(pairs, _CHUNK_BLOCKS // blocks)
+    normals = 8 * (slab * d * pairs + 13 * blocks * rows
+                   + (slab * d * rows if rows < pairs else 0))
+    state = 8 * n_paths * ((depth + 1) * d + n_accounts)
     assert len(PathState.initial(model, 1).columns) == n_accounts
 
-    def peak(payoffs):
+    def peak(payoffs, n):
         tracemalloc.start()
         try:
-            simulate_many(model, cfg, payoffs)
+            simulate_many(model, SimulationConfig(n_paths=n, seed=1), payoffs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    many, solo = peak(pays), peak({one: pays[one]})
-    assert many < 1.25 * (normals + state + scratch) + statistics
+    many, solo = peak(pays, n_paths), peak({one: pays[one]}, n_paths)
+    small = peak(pays, 4)
+    assert many < 1.25 * (normals + state + scratch) + statistics + small
     assert many - solo < statistics + scratch + 8 * 4 * n_paths
+    return many - small - (statistics - 8 * 5 * len(pays))
 
 
 class TestSimulate:
@@ -766,8 +821,8 @@ class TestSimulate:
         initial, fresh = PathState.initial.__func__, PathState.fresh
         monkeypatch.setattr(PathState, "initial", classmethod(
             lambda cls, *a: made.append(initial(cls, *a)) or made[-1]))
-        monkeypatch.setattr(PathState, "fresh", lambda self, n: states.append(
-            fresh(self, n)) or states[-1])
+        monkeypatch.setattr(PathState, "fresh", lambda self, n, *a: states.append(
+            fresh(self, n, *a)) or states[-1])
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         simulate_many(one_ccy_model, SimulationConfig(n_paths=4_000),
                       {"p": unit_zcb(3.5)})
@@ -904,11 +959,16 @@ class TestSimulate:
                         st.fx_rate("USD", c) - k * curves.fx_rate("USD", c),
                         0.0), T, "USD", "USD")
         assert len(pays) == 320
-        _assert_peak_memory(model, pays, "USD 2.5", n_keys=5, n_accounts=5)
+        # The calls are opaque, so the tile keeps W at all 11 nodes, and
+        # so does the call alone.
+        _assert_peak_memory(model, pays, "call EUR 0.800 2.5", n_keys=5,
+                            n_accounts=5, depth=11)
 
         # Then 25 (currency, collateral) unit keys a node, from five
         # currencies, read from 9 accounts (5 own, 4 base pairs): the
-        # deflator table outgrows _SETTLE_ROWS and takes 2 * 25 + 1 rows.
+        # deflator table outgrows _SETTLE_ROWS, and with a work row for
+        # the FX keys' sigma_X . W and a held row it takes 2 * 25 + 3.
+        # Unit payoffs read W at their node alone: a ring of 2 nodes.
         ccys = ("USD", "EUR", "GBP", "JPY", "CHF")
         curves = CurveSet(
             discounts={c: flat_curve(c, r, ts.nodes) for c, r in
@@ -926,7 +986,37 @@ class TestSimulate:
                 for T in ts.nodes[1:] for c in ccys for k in ccys}
         assert len(pays) == 250
         _assert_peak_memory(model, pays, "USD/USD 2.5", n_keys=25,
-                            n_accounts=9)
+                            n_accounts=9, depth=2)
+
+    def test_memory_stays_flat_as_the_grid_grows(self, monkeypatch):
+        # Described payoffs at every 4th node of 40 and 160 quarterly
+        # buckets, one full tile of paths on one worker; see
+        # _assert_peak_memory.  They read W one node back at most, so a
+        # tile keeps W at 2 nodes and draws 4 steps of normals at a time:
+        # its share of the peak, beyond the tables and statistics, does
+        # not grow with the grid.
+        # A tile that kept W at every node and drew the whole grid's
+        # normals would hold 14.6 MB of them at 40 buckets, 57.8 MB at 160.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        shares = []
+        for n in (40, 160):
+            ts = TenorStructure(np.linspace(0.0, 0.25 * n, n + 1))
+            model = _described_model(ts)
+            spot = model.curves.fx_rate("USD", "EUR")
+            pays = {}
+            for k in range(4, n + 1, 4):
+                T = ts.nodes[k]
+                pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
+                pays[f"usd/eur {k}"] = GridPayoff(None, T, "USD", "EUR")
+                pays[f"libor {k}"] = GridPayoff(None, T, "EUR", "EUR",
+                                                BucketRead("b", "EUR", k - 1))
+                pays[f"equity {k}"] = GridPayoff(None, T, "USD", "USD",
+                                                 BucketRead("s", "USD", k - 1))
+                pays[f"put {k}"] = GridPayoff(
+                    None, T, "EUR", "USD", FxOption("USD", "EUR", spot, False))
+            shares.append(_assert_peak_memory(model, pays, f"put {n}",
+                                              n_keys=4, n_accounts=3, depth=2))
+        assert shares[1] < 1.2 * shares[0], shares
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
@@ -1033,28 +1123,28 @@ class TestSimulate:
             assert same(wrong.fx_legs[ccy][1], sig)
 
 
-def _described_model(ts4):
+def _described_model(ts):
     """Two currencies, LIBOR-OIS and equity curves, three factors."""
     from colmm import CurveSet, EquityForwardCurve, SpreadFixings
     from conftest import flat_spread
-    nodes = ts4.nodes
+    nodes, n = ts.nodes, ts.n_buckets
     curves = CurveSet(
         discounts={"USD": flat_curve("USD", 0.02, nodes),
                    "EUR": flat_curve("EUR", 0.01, nodes)},
         spreads={("EUR", "USD"): flat_spread("EUR", "USD", 0.002, nodes)},
         spot_fx={("USD", "EUR"): 1.08},
-        fixings={"USD": SpreadFixings("USD", np.full(4, 0.003)),
-                 "EUR": SpreadFixings("EUR", np.full(4, 0.002))},
+        fixings={"USD": SpreadFixings("USD", np.full(n, 0.003)),
+                 "EUR": SpreadFixings("EUR", np.full(n, 0.002))},
         equities={"USD": EquityForwardCurve(
             "USD", nodes[1:], 100.0 * np.exp(0.03 * nodes[1:]))})
     vols = VolatilitySpec(
-        n_factors=3, n_buckets=4,
+        n_factors=3, n_buckets=n,
         collateral={"USD": [0.01, 0.0, 0.0], "EUR": [0.0, 0.008, 0.0]},
         libor_ois={"USD": [0.0, 0.15, 0.1], "EUR": [0.1, 0.0, 0.05]},
         equity={"USD": [0.05, 0.0, 0.18]},
         funding={("EUR", "USD"): [0.0, 0.002, 0.003]},
         fx={("USD", "EUR"): [0.04, -0.08, 0.02]})
-    return Model(ts4, curves, vols, "USD")
+    return Model(ts, curves, vols, "USD")
 
 
 def _read_fn(family, key, m):
@@ -1115,6 +1205,28 @@ class TestDescribedPayoffs:
         for name in ("read 2", "put", "later"):
             assert simulate_many(model, cfg, {"p": described[name]})["p"] \
                 == want[name]
+
+    def test_tiles_keep_w_as_far_back_as_their_reads(self, ts4,
+                                                     monkeypatch):
+        # A tile keeps W at 1 + its reads' deepest lookback nodes, at least
+        # 2, and at all 5 when a payoff is opaque (`spot`).  At node 3
+        # `read 4` reads W(T_1), `read 2` W(T_0).  Each estimate is the
+        # one of the run that keeps every node, bit for bit.
+        model = _described_model(ts4)
+        described, _ = self._pays(ts4)
+        cfg = SimulationConfig(n_paths=2 * _CHUNK_PAIRS + 6, seed=5)
+        depths, fresh = [], PathState.fresh
+        monkeypatch.setattr(PathState, "fresh", lambda self, n, depth, *a: (
+            depths.append(depth) or fresh(self, n, depth, *a)))
+        want = simulate_many(model, cfg, described)
+        assert depths == [5]
+        for names, depth in ((["unit"], 2), (["put", "later"], 2),
+                             (["read 4", "put"], 3), (["read 2", "read 4"], 4),
+                             (["read 4", "spot"], 5)):
+            depths.clear()
+            got = simulate_many(model, cfg, {n: described[n] for n in names})
+            assert depths == [depth], names
+            assert all(got[n] == want[n] for n in names), names
 
     def test_fx_option_payoff_is_the_closure_it_replaced(self, ts8):
         from colmm import FxOptionSpec

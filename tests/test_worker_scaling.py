@@ -1,4 +1,4 @@
-"""tools/worker_scaling.py: in-process job times and memory at 1 and 2 workers."""
+"""tools/worker_scaling.py: in-process job times and memory by worker count and grid."""
 
 import importlib.util
 import os
@@ -35,12 +35,12 @@ def test_prints_a_median_and_speedup_per_path_count(worker_scaling, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("diagnose-wide seed=1: median of 1 runs at "
                       "COLMM_WORKERS=1 and 2")
-    assert out[1].split() == ["paths", "1", "worker", "s", "2", "workers",
-                              "s", "speedup", "1", "worker", "MB", "2",
-                              "workers", "MB"]
+    assert out[1].split() == ["buckets", "paths", "1", "worker", "s", "2",
+                              "workers", "s", "speedup", "1", "worker", "MB",
+                              "2", "workers", "MB"]
     rows = [line.split() for line in out[2:]]
-    assert [row[0] for row in rows] == ["200", "400"]
-    for _, one, many, speedup, peak_one, peak_many in rows:
+    assert [row[:2] for row in rows] == [["40", "200"], ["40", "400"]]
+    for _, _, one, many, speedup, peak_one, peak_many in rows:
         assert float(one) > 0.0 and float(many) > 0.0
         assert re.fullmatch(r"\d+\.\d\d", speedup)
         assert re.fullmatch(r"\d+\.\d", peak_one)
@@ -58,15 +58,35 @@ def test_workers_names_the_counts_and_their_columns(worker_scaling, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("diagnose-wide seed=1: median of 1 runs at "
                       "COLMM_WORKERS=1, 3 and 4")
-    assert out[1].split() == ["paths", "1", "worker", "s", "3", "workers",
-                              "s", "4", "workers", "s", "speedup", "1",
-                              "worker", "MB", "3", "workers", "MB", "4",
+    assert out[1].split() == ["buckets", "paths", "1", "worker", "s", "3",
+                              "workers", "s", "4", "workers", "s", "speedup",
+                              "1", "worker", "MB", "3", "workers", "MB", "4",
                               "workers", "MB"]
     (row,) = [line.split() for line in out[2:]]
-    assert row[0] == "200" and len(row) == 8
-    assert float(row[4]) == pytest.approx(float(row[1]) / float(row[3]),
+    assert row[:2] == ["40", "200"] and len(row) == 9
+    assert float(row[5]) == pytest.approx(float(row[2]) / float(row[4]),
                                           abs=0.02)
-    assert all(re.fullmatch(r"\d+\.\d", mb) for mb in row[5:])
+    assert all(re.fullmatch(r"\d+\.\d", mb) for mb in row[6:])
     # Columns line up under their labels.
     assert [len(line) for line in out[1:]] == [len(out[1])] * 2
+    assert os.environ["COLMM_WORKERS"] == "3"
+
+
+def test_buckets_sets_the_grid_in_process(worker_scaling, capsys,
+                                          monkeypatch):
+    # A row per bucket count and path count, in that order, each job on
+    # its row's grid; the workload module's own bucket count is put back.
+    from colmm import cli
+    grids, simulate = [], cli.simulate_many
+    monkeypatch.setattr(cli, "simulate_many", lambda model, *a: grids.append(
+        model.ts.n_buckets) or simulate(model, *a))
+    assert worker_scaling(["--buckets", "8", "16", "--paths", "200", "400",
+                           "--runs", "1", "--workers", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in out[2:]]
+    assert [row[:2] for row in rows] == [["8", "200"], ["8", "400"],
+                                         ["16", "200"], ["16", "400"]]
+    assert all(float(row[4]) > 0.0 for row in rows)
+    assert grids == [8] * 6 + [16] * 6
+    assert sys.modules["workloads"].DIAGNOSE_BUCKETS == 40
     assert os.environ["COLMM_WORKERS"] == "3"

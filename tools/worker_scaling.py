@@ -1,20 +1,23 @@
-"""In-process diagnose-wide job time and memory by worker count and paths.
+"""In-process diagnose-wide job time and memory by worker count, grid and paths.
 
-    PYTHONPATH=src python3 tools/worker_scaling.py
+    PYTHONPATH=src python3 tools/worker_scaling.py [--buckets 40 160]
         [--paths 10000 20000 40000] [--runs 5] [--workers 1 2]
 
-Prepares the `diagnose-wide` workload of `perfbench/workloads.py` at
-seed 1 in a temporary directory and runs its setups once.  Then, for
-each path count, it runs the workload's job through `colmm.cli.main`
-with its `--paths` replaced, alternating the `COLMM_WORKERS` counts of
-`--workers` (1 and 2 by default), `--runs` times each after one untimed
-run of each, and then once more each, untimed, under `tracemalloc`.  It
-prints, per path count, the median wall seconds at each worker count,
-the speedup, the first count's median over the last one's, and the
-traced peak MB of the job at each count: what numpy and Python
-allocated at most at once, the job's inputs and outputs included.  One
-BLAS thread is pinned, as the benchmark pins it.  colmm is imported
-from PYTHONPATH, else from this checkout's `src/`.
+For each bucket count of `--buckets` (the workload's own 40 by default),
+prepares the `diagnose-wide` workload of `perfbench/workloads.py` at
+seed 1 on a grid of that many buckets, in a temporary directory, and runs
+its setups once; the count is set in-process, in the imported workloads
+module, and put back afterwards.  Then, for each path count, it runs the
+workload's job through `colmm.cli.main` with its `--paths` replaced,
+alternating the `COLMM_WORKERS` counts of `--workers` (1 and 2 by
+default), `--runs` times each after one untimed run of each, and then
+once more each, untimed, under `tracemalloc`.  It prints, per bucket
+count and path count, the median wall seconds at each worker count, the
+speedup, the first count's median over the last one's, and the traced
+peak MB of the job at each count: what numpy and Python allocated at most
+at once, the job's inputs and outputs included.  One BLAS thread is
+pinned, as the benchmark pins it.  colmm is imported from PYTHONPATH,
+else from this checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -62,8 +65,26 @@ def traced_peak_mb(cli, steps: list[list[str]], workers: int) -> float:
         tracemalloc.stop()
 
 
+def measure(cli, steps: list[list[str]], workers: list[int],
+            runs: int) -> list[str]:
+    """One row's cells: median seconds per worker count, the speedup and
+    the traced peak MB per worker count."""
+    times = {w: [] for w in workers}
+    for run in range(runs + 1):
+        for w in workers:
+            t = job_seconds(cli, steps, w)
+            if run:             # the first run of each is warm-up
+                times[w].append(t)
+    medians = [statistics.median(times[w]) for w in workers]
+    peaks = [traced_peak_mb(cli, steps, w) for w in workers]
+    return ([f"{t:.4f}" for t in medians]
+            + [f"{medians[0] / medians[-1]:.2f}"]
+            + [f"{mb:.1f}" for mb in peaks])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--buckets", type=int, nargs="+", default=[40])
     parser.add_argument("--paths", type=int, nargs="+",
                         default=[10_000, 20_000, 40_000])
     parser.add_argument("--runs", type=int, default=5)
@@ -75,8 +96,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.append(str(ROOT / "src"))
 
+    import workloads
     from colmm import cli
-    from workloads import WORKLOADS
 
     print(f"colmm from {cli.__file__}", file=sys.stderr)
     *rest, last = workers
@@ -86,31 +107,28 @@ def main(argv=None) -> int:
     # Each column is one wider than its label.
     labels = ([f"{w} worker{'s' * (w > 1)} s" for w in workers] + ["speedup"]
               + [f"{w} worker{'s' * (w > 1)} MB" for w in workers])
-    print(f"{'paths':>8}", *(f"{label:>{len(label) + 1}}" for label in labels))
+    print(f"{'buckets':>7}", f"{'paths':>8}",
+          *(f"{label:>{len(label) + 1}}" for label in labels))
     saved = os.environ.get("COLMM_WORKERS")
+    saved_buckets = workloads.DIAGNOSE_BUCKETS
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            setups, jobs = WORKLOADS[WORKLOAD].prepare(Path(tmp), SEED)
-            for job in setups:
-                for step in job.steps:
-                    with redirect_stdout(io.StringIO()):
-                        cli.main(step)
-            for n_paths in args.paths:
-                steps = with_paths(jobs[0].steps, n_paths)
-                times = {w: [] for w in workers}
-                for run in range(args.runs + 1):
-                    for w in workers:
-                        t = job_seconds(cli, steps, w)
-                        if run:             # the first run of each is warm-up
-                            times[w].append(t)
-                medians = [statistics.median(times[w]) for w in workers]
-                peaks = [traced_peak_mb(cli, steps, w) for w in workers]
-                cells = ([f"{t:.4f}" for t in medians]
-                         + [f"{medians[0] / medians[-1]:.2f}"]
-                         + [f"{mb:.1f}" for mb in peaks])
-                print(f"{n_paths:>8}", *(f"{cell:>{len(label) + 1}}" for
-                                         cell, label in zip(cells, labels)))
+        for n_buckets in args.buckets:
+            workloads.DIAGNOSE_BUCKETS = n_buckets
+            with tempfile.TemporaryDirectory() as tmp:
+                setups, jobs = workloads.WORKLOADS[WORKLOAD].prepare(
+                    Path(tmp), SEED)
+                for job in setups:
+                    for step in job.steps:
+                        with redirect_stdout(io.StringIO()):
+                            cli.main(step)
+                for n_paths in args.paths:
+                    cells = measure(cli, with_paths(jobs[0].steps, n_paths),
+                                    workers, args.runs)
+                    print(f"{n_buckets:>7}", f"{n_paths:>8}",
+                          *(f"{cell:>{len(label) + 1}}" for
+                            cell, label in zip(cells, labels)))
     finally:
+        workloads.DIAGNOSE_BUCKETS = saved_buckets
         if saved is None:
             os.environ.pop("COLMM_WORKERS", None)
         else:
