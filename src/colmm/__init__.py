@@ -18,6 +18,7 @@ from .curves import (
     ois_par_rate,
 )
 from .dynamics import (
+    ModelTables,
     PathState,
     VolatilitySpec,
     evolve_step,
@@ -73,6 +74,7 @@ __all__ = [
     "Instrument",
     "MarketDataFile",
     "Model",
+    "ModelTables",
     "PathState",
     "PriceEstimate",
     "SimulationConfig",

@@ -26,22 +26,21 @@ drifts below are deterministic within an interval and the update over a
 whole interval reproduces the exact node distribution of the Gaussian
 components; lognormal quantities use the exact exponential scheme.
 
-State: summing those updates, bucket m at node T_k is
-x_m(0) + A_m(r) + sigma_m . W(T_r) with r = min(k, fixing node of m) and
-A_m(k) = sum_{j<=k} delta_{j-1} alpha_m(j) (Andersen & Piterbarg,
-Interest Rate Modeling, 2010, on Gaussian HJM); log B and log S follow the
-same formula with the -1/2 |sigma|^2 term inside A.  So PathState carries
-only W (at the nodes its reads reach back to) and the log accounts the
-deflators read,
-one (K, paths) array: (ccy, ccy) for every currency with a curve and
-(base, c), whose y alone is simulated, for every other currency c.  It
-reads buckets from tables A built once by PathState.initial; each drift
-function returns an (N + 1, N) array whose row j is alpha(j), so each A
-is one cumsum.  The account of a pair accrues over (T_k, T_{k+1}] the
-rate fixed at T_k, x0 + A(k) + sigma . W(T_k) of bucket k of c + y, whose
-loading is VolatilitySpec.account_loadings; a currency's own account
-(ccy, ccy) has y = 0.  So evolve_step is one (K, d) @ (d, paths) product
-plus elementwise updates.
+State: summing those updates, bucket m at node T_k is x_m(0) + A_m(r) +
+sigma_m . W(T_r) with r = min(k, fixing node of m) and A_m(k) = sum_{j<=k}
+delta_{j-1} alpha_m(j) (Andersen & Piterbarg, Interest Rate Modeling, 2010,
+on Gaussian HJM); log B and log S follow the same formula with the -1/2
+|sigma|^2 term inside A.  So PathState carries only W (at the nodes its
+reads reach back to) and the log accounts the deflators read, one (K, paths)
+array: (ccy, ccy) for every currency with a curve and (base, c), whose y
+alone is simulated, for every other currency c.  It reads buckets from
+tables A, which ModelTables.of builds once per model; each drift function
+returns an (N + 1, N) array whose row j is alpha(j), so each A is one
+cumsum.  The account of a pair accrues over (T_k, T_{k+1}] the rate fixed at
+T_k, x0 + A(k) + sigma . W(T_k) of bucket k of c + y, whose loading is
+VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
+y = 0.  So evolve_step is one (K, d) @ (d, paths) product plus elementwise
+updates.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
 c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
@@ -200,6 +199,13 @@ class VolatilitySpec:
         return self._kept[key]
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; floats, bools and other non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _brackets(deltas: np.ndarray, sig: np.ndarray, shift: np.ndarray,
               inclusive: bool = False) -> np.ndarray:
     """[k, n] = sum_{m=k}^{n-1 (or n if inclusive)} delta_m sig_m - shift."""
@@ -283,7 +289,7 @@ def equity_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
 
 @dataclass(frozen=True)
 class _BucketTables:
-    """Deterministic tables of one simulated bucket curve.
+    """Deterministic tables of one simulated bucket curve, read-only.
 
     Bucket m fixes at node m + lag and, at node k, reads the row
     r = min(k, m + lag): x0[m] + drift[r, m] + sig[m] . W(T_r), or
@@ -307,7 +313,8 @@ def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, drift: np.ndarray,
         per_interval = per_interval - 0.5 * np.einsum("nd,nd->n", sig, sig)
     table = np.zeros_like(drift)
     np.cumsum(ts.deltas[:, None] * per_interval, axis=0, out=table[1:])
-    return _BucketTables(np.asarray(x0, dtype=float), table, sig, lag, lognormal)
+    return _BucketTables(np.array(x0, dtype=float), table,
+                         np.array(sig, dtype=float), lag, lognormal)
 
 
 def index_runs(*seqs) -> list:
@@ -350,7 +357,7 @@ class BucketReads(NamedTuple):
 
 
 class DeflatorPlan(NamedTuple):
-    """A deflator table's rows, resolved once (`PathState.deflator_plan`).
+    """A deflator table's rows, resolved once (`ModelTables.deflator_plan`).
 
     Runs of rows whose indices step evenly (`index_runs`): `base` holds,
     per run of base-currency keys, the table rows and the columns of
@@ -379,7 +386,7 @@ def _read_layout(pattern: tuple) -> list:
     Per run of consecutive reads of one kind: its bounds, its kind, the
     order in which its rows' loadings are stacked, and per product the W
     row's shift from the node, its stacked rows a..b and its evenly
-    spaced rows of the run (`PathState.bucket_reads`).
+    spaced rows of the run (`ModelTables.bucket_reads`).
     """
     layout, lo = [], 0
     while lo < len(pattern):
@@ -401,67 +408,43 @@ def _read_layout(pattern: tuple) -> list:
     return layout
 
 
-class PathState:
-    """Batched market state at a grid node.
+class FxLeg(NamedTuple):
+    """The constants of one FX leg X(base, ccy), in `ModelTables.fx_legs`."""
 
-    One instance represents a block of scenarios; the scalar case is a
-    block of size one.  What moves through time is the Brownian factor W
-    and the log accounts that `deflators` and `fx_legs` read, (ccy, ccy)
-    and (base, c); evolve_step mutates them in place.  W is kept at the
-    last `depth` nodes, W(T_r) in row r % depth of a ring, so that fixed
-    buckets can be rebuilt: at every node by default (`initial`, and
-    `fresh` without a depth), and in the engine's tiles only as far back
-    as their reads look; a read further back, or `w` on a ring, raises
-    ValueError.  Bucket values and spot FX are read from them through
-    deterministic tables.  Both are stored paths-last, W as (depth, d,
-    paths) and the accounts as (K, paths), in one flat buffer, so one
-    node's factor and one account are contiguous rows; `w` and `log_acc`
-    are views that lead with paths, as every array a PathState returns
-    does.  Each FX leg X(base, ccy) is resolved once per model, in
-    `initial`, as `fx_legs`; each state makes its account-row views once.
-    Payoffs and diagnostics read a state through `deflator`/`deflators`,
-    `fx_rate`, `buckets`, `libor_ois`, `equity_forward` and the `w` and
-    `log_acc` views; an account is exp(log_acc[:, columns[ccy, coll]]).
-    The grouped readers under them, `deflator_rows` and `read`, take plans
-    (`deflator_plan`, `bucket_reads`) that read only the tables, so the
-    engine makes them once per simulation and every tile's state runs
-    them.
+    x0: float               # X(base, ccy)(0)
+    sig: np.ndarray         # sigma_X, (d,)
+    half_variance: float    # 1/2 |sigma_X|^2
+    own: int                # column of L(base, ccy)
+    other: int              # column of L(ccy, ccy)
+
+
+@dataclass(frozen=True, eq=False)
+class ModelTables:
+    """The deterministic tables of one Model, shared by all its states.
+
+    A path state holds only W and its log accounts and reads the rest
+    here; `of` builds the tables once per simulation, and the plans that
+    read only them, `deflator_plan` and `bucket_reads`, need no paths.
+    Every array kept is read-only, a copy where it would alias the
+    Model's curves or vols, so a payoff that writes into one fails
+    instead of moving other tiles' numbers.
     """
 
-    def __init__(self, ts, base, n_paths, tables, s_mask, columns, rate0,
-                 rate_sig, fx_legs, depth=None, space=None):
-        self.ts = ts
-        self.base = base
-        self.n_paths = n_paths
-        self.node = 0
-        self.tables = tables            # (family, key) -> _BucketTables
-        self.s_mask = s_mask            # ccy -> (N,) bool
-        self.columns = columns          # (ccy, collateral) -> column
-        self.rate0 = rate0              # (N, K): rate on (T_k, T_k+1] at W = 0
-        self.rate_sig = rate_sig        # (N, d, K): ... and its loadings
-        self.fx_legs = fx_legs          # ccy -> one leg's constants
-        self._read_layouts = {}         # see bucket_reads
-        depth = ts.n_buckets + 1 if depth is None else depth
-        if not 2 <= depth <= ts.n_buckets + 1:
-            raise ValueError(f"W ring depth must be in [2, "
-                             f"{ts.n_buckets + 1}], got {depth}")
-        d = rate_sig.shape[1]
-        n_w = depth * d * n_paths
-        size = n_w + len(columns) * n_paths
-        space = np.empty(size) if space is None else space[:size]
-        space.fill(0.0)
-        # (depth, d, P): W(T_r) in row r % depth, for the last depth nodes
-        self._w = space[:n_w].reshape(depth, d, n_paths)
-        self._log_acc = space[n_w:].reshape(len(columns), n_paths)
-        self._rows = list(self._log_acc)  # row views, updated in place
+    ts: TenorStructure
+    base: str
+    curves: dict            # (family, key) -> _BucketTables
+    s_mask: dict            # ccy -> (N,) bool
+    columns: dict           # (ccy, collateral) -> column
+    rate0: np.ndarray       # (N, K): rate on (T_k, T_k+1] at W = 0
+    rate_sig: np.ndarray    # (N, d, K): ... and its loadings
+    fx_legs: dict           # ccy -> FxLeg
+    # bucket_reads' layouts; tiles on two threads may add one twice, equal.
+    _read_layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def initial(cls, model, n_paths: int) -> "PathState":
-        """A state at T_0 of n_paths paths, tabled from a Model, which has
-        made every input check; the collateral-rate drifts take its
-        `half_variance_sign`."""
-        if n_paths < 1:
-            raise ValueError("need at least one path")
+    def of(cls, model) -> "ModelTables":
+        """The tables of a Model, which has made every input check; the
+        collateral-rate drifts take its `half_variance_sign`."""
         ts, curves, vols, base = model.ts, model.curves, model.vols, model.base
         tables = {}
 
@@ -519,103 +502,62 @@ class PathState:
                     rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
             rate_sig[:, :, col] = vols.account_loadings(*key)
 
-        # One leg per non-base currency: (X(base, ccy)(0), sigma_X,
-        # 1/2 |sigma_X|^2, column of L(base, ccy), column of L(ccy, ccy)).
         fx_legs = {}
         for ccy in curves.discounts:
             if ccy != base:
-                sig = vols.fx_loadings(base, ccy)
-                fx_legs[ccy] = (curves.fx_rate(base, ccy), sig,
-                                0.5 * float(sig @ sig), columns[base, ccy],
-                                columns[ccy, ccy])
-        return cls(ts, base, n_paths, tables, s_mask, columns, rate0,
-                   rate_sig, fx_legs)
-
-    def fresh(self, n_paths: int, depth: int | None = None,
-              space: np.ndarray | None = None) -> "PathState":
-        """A state at T_0 over n_paths paths, sharing this one's tables.
-
-        It keeps W at its last `depth` nodes, every node by default, and
-        builds W and the log accounts in the first (depth d + K) n_paths
-        elements of the flat float64 array `space`, or in a new one.
-        """
-        return PathState(self.ts, self.base, n_paths, self.tables, self.s_mask,
-                         self.columns, self.rate0, self.rate_sig, self.fx_legs,
-                         depth, space)
-
-    # -- readers for payoffs and diagnostics --------------------------------
-
-    @property
-    def w(self) -> np.ndarray:
-        """W(T_k) of every path, (N + 1, paths, d); rows past the node are 0.
-
-        A state that keeps fewer than N + 1 nodes raises ValueError.
-        """
-        depth = len(self._w)
-        if depth <= self.ts.n_buckets:
-            raise ValueError(f"this state keeps W at its last {depth} nodes, "
-                             f"not at all {self.ts.n_buckets + 1}")
-        return self._w.transpose(0, 2, 1)
-
-    def _w_at(self, r: int) -> np.ndarray:
-        """W(T_r), (d, paths): row r % depth of the ring."""
-        return self._w[r % len(self._w)]
-
-    @property
-    def log_acc(self) -> np.ndarray:
-        """Log accounts, (paths, K), column `columns[ccy, collateral]`."""
-        return self._log_acc.T
-
-    @property
-    def time(self) -> float:
-        return float(self.ts.nodes[self.node])
-
-    def buckets(self, family: str, key, lo: int = 0,
-                hi: int | None = None) -> np.ndarray:
-        """Buckets lo..hi-1 of one simulated curve at the current node.
-
-        family "c" (collateral rates), "b" (LIBOR-OIS spreads by period
-        start) and "s" (equity forwards by maturity T_{m+1}) take a currency
-        key, "y" (funding spreads) a (currency, collateral) pair.  A bucket
-        that has fixed keeps its value from its fixing node.  Returns shape
-        (paths, hi - lo): one `read` of the range's `bucket_reads`, which
-        makes one product per fixed bucket and one for the live ones.
-        Each row is one (d,) @ (d, paths) product whatever its batch, so a
-        wide read is the single-bucket reads bit for bit.
-        """
-        self._tables(family, key)
-        hi = self.ts.n_buckets if hi is None else hi
-        if not 0 <= lo <= hi <= self.ts.n_buckets:
-            raise ValueError(f"bucket range [{lo}, {hi}) is not within "
-                             f"[0, {self.ts.n_buckets}]")
-        out = np.empty((hi - lo, self.n_paths))
-        for reads, rows in self.bucket_reads(
-                [(family, key, m) for m in range(lo, hi)], self.node):
-            self.read(reads, out[rows])
-        return out.T
+                sig = vols.fx_loadings(base, ccy)   # kept read-only by vols
+                fx_legs[ccy] = FxLeg(curves.fx_rate(base, ccy), sig,
+                                     0.5 * float(sig @ sig),
+                                     columns[base, ccy], columns[ccy, ccy])
+        for arr in (rate0, rate_sig, *s_mask.values(),
+                    *(a for tab in tables.values()
+                      for a in (tab.x0, tab.drift, tab.sig))):
+            arr.flags.writeable = False
+        return cls(ts, base, tables, s_mask, columns, rate0, rate_sig,
+                   fx_legs)
 
     def _tables(self, family: str, key) -> _BucketTables:
+        if family not in _NOT_SIMULATED:
+            raise ConfigurationError(f"unknown bucket family {family!r}: "
+                                     "expected one of 'c', 'y', 'b', 's'")
+        if family == "y" and not (isinstance(key, tuple) and len(key) == 2):
+            raise ConfigurationError(f"a 'y' key must be a (currency, "
+                                     f"collateral) pair, got {key!r}")
         try:
-            return self.tables[family, key]
+            return self.curves[family, key]
         except KeyError:
             raise ConfigurationError(_NOT_SIMULATED[family].format(key))
 
+    def _column(self, currency: str, collateral: str) -> int:
+        """Column of the pair's account, accruing c + y; y = 0 if same."""
+        try:
+            return self.columns[currency, collateral]
+        except KeyError:
+            raise ConfigurationError(
+                f"pair account ({currency},{collateral}) is not simulated")
+
+    def _fx_leg_tables(self, currency: str) -> FxLeg:
+        try:
+            return self.fx_legs[currency]
+        except KeyError:
+            raise ConfigurationError(
+                f"no simulated FX linking {self.base} and {currency}")
+
     def bucket_reads(self, reads, node: int) -> list:
-        """Reads (family, key, bucket) at `node`, batched for `read`.
+        """Reads (family, key, bucket) at `node`, batched for `PathState.read`.
 
         Bucket m of a table with lag L reads W(T_r), r = min(node, m + L).
         Returns (BucketReads, rows) per run of consecutive reads of one
         kind (normal or lognormal), rows being the run's slice of `reads`;
         within a run, the reads of each W row make one product per evenly
-        spaced run of them.  Reads only the tables, so any state of the
-        model plans another's reads; the layout of each pattern of kinds
-        and W rows relative to the node is kept, and only the tables'
-        numbers are gathered per call.
+        spaced run of them.  The layout of each pattern of kinds and W
+        rows relative to the node is kept, and only the tables' numbers
+        are gathered per call.
         """
         n = self.ts.n_buckets
         looked_up = []
         for family, key, m in reads:
-            tab = self._tables(family, key)
+            tab, m = self._tables(family, key), _integer("bucket", m)
             if not 0 <= m < n:
                 raise ValueError(f"bucket {m} is not within [0, {n})")
             looked_up.append((tab, m, min(node, m + tab.lag)))
@@ -634,6 +576,126 @@ class PathState:
                        for shift, a, b, where in products]),
                 drift, x0, lognormal), slice(lo, hi)))
         return batches
+
+    def deflator_plan(self, keys) -> DeflatorPlan:
+        """The columns and FX legs each key's row reads, resolved once.
+
+        Each key resolves its base pair account, then its FX leg, so an
+        unsimulated key raises what `PathState.deflator` raises.
+        """
+        base, fx = [], []
+        for row, (currency, collateral) in enumerate(keys):
+            col = self._column(self.base, collateral)
+            if currency == self.base:
+                base.append((row, col))
+            else:
+                fx.append((row, col, self._fx_leg_tables(currency)))
+        legs = [leg for _, _, leg in fx]
+        return DeflatorPlan(
+            len(keys),
+            tuple(where for _, _, where in index_runs(*zip(*base))) if base
+            else (),
+            tuple((*where,
+                   np.array([leg.sig for leg in legs[lo:hi]])[:, None],
+                   np.array([[leg.half_variance] for leg in legs[lo:hi]]))
+                  for lo, hi, where in index_runs(
+                      [row for row, _, _ in fx], [leg.own for leg in legs],
+                      [leg.other for leg in legs], [col for _, col, _ in fx]))
+            if fx else ())
+
+
+class PathState:
+    """Batched market state at a grid node, over one model's tables.
+
+    A block of scenarios (the scalar case is a block of one) owns only
+    what moves, W and the log accounts, which evolve_step mutates in
+    place, and the node; it reads every bucket and spot FX through
+    `tables`, which any number of states share.  W is kept at the last
+    `depth` nodes, W(T_r) in ring row r % depth, every node by default; a
+    read further back, or `w` on a ring, raises ValueError.  W, (depth, d,
+    paths), and the accounts, (K, paths), are stored paths-last in the
+    first (depth d + K) n_paths elements of the float64 array `space`, or
+    a new one; the `w` and `log_acc` views lead with paths, as every array
+    a PathState returns does.  Payoffs read a state through `deflator`,
+    `fx_rate`, `buckets`, `libor_ois`, `equity_forward`, `w` and
+    `log_acc`; an account is exp(log_acc[:, tables.columns[ccy, coll]]).
+    The grouped readers under them, `deflator_rows` and `read`, run the
+    tables' plans, which the engine makes once per simulation.
+    """
+
+    def __init__(self, tables: ModelTables, n_paths: int,
+                 depth: int | None = None, space: np.ndarray | None = None):
+        if n_paths < 1:
+            raise ValueError(f"need at least one path, got {n_paths}")
+        n = tables.ts.n_buckets
+        depth = n + 1 if depth is None else depth
+        if not 2 <= depth <= n + 1:
+            raise ValueError(f"W ring depth must be in [2, {n + 1}], "
+                             f"got {depth}")
+        self.tables = tables
+        self.n_paths = n_paths
+        self.node = 0
+        d, n_acc = tables.rate_sig.shape[1:]
+        n_w = depth * d * n_paths
+        size = n_w + n_acc * n_paths
+        space = np.empty(size) if space is None else space[:size]
+        space.fill(0.0)
+        # (depth, d, P): W(T_r) in row r % depth, for the last depth nodes
+        self._w = space[:n_w].reshape(depth, d, n_paths)
+        self._log_acc = space[n_w:].reshape(n_acc, n_paths)
+
+    # -- readers for payoffs and diagnostics --------------------------------
+
+    @property
+    def w(self) -> np.ndarray:
+        """W(T_k) of every path, (N + 1, paths, d); rows past the node are 0.
+
+        A state that keeps fewer than N + 1 nodes raises ValueError.
+        """
+        depth, n = len(self._w), self.tables.ts.n_buckets
+        if depth <= n:
+            raise ValueError(f"this state keeps W at its last {depth} nodes, "
+                             f"not at all {n + 1}")
+        return self._w.transpose(0, 2, 1)
+
+    def _w_at(self, r: int) -> np.ndarray:
+        """W(T_r), (d, paths): row r % depth of the ring."""
+        return self._w[r % len(self._w)]
+
+    @property
+    def log_acc(self) -> np.ndarray:
+        """Log accounts, (paths, K), column `tables.columns[ccy, coll]`."""
+        return self._log_acc.T
+
+    @property
+    def time(self) -> float:
+        return float(self.tables.ts.nodes[self.node])
+
+    def buckets(self, family: str, key, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+        """Buckets lo..hi-1 of one simulated curve at the current node.
+
+        family "c" (collateral rates), "b" (LIBOR-OIS spreads by period
+        start) and "s" (equity forwards by maturity T_{m+1}) take a currency
+        key, "y" (funding spreads) a (currency, collateral) pair.  A bucket
+        that has fixed keeps its value from its fixing node.  Returns shape
+        (paths, hi - lo): one `read` of the range's `bucket_reads`, which
+        makes one product per fixed bucket and one for the live ones.
+        Each row is one (d,) @ (d, paths) product whatever its batch, so a
+        wide read is the single-bucket reads bit for bit.
+        """
+        n = self.tables.ts.n_buckets
+        self.tables._tables(family, key)
+        hi = n if hi is None else hi
+        lo, hi = _integer("bucket", lo), _integer("bucket", hi)
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"bucket range [{lo}, {hi}) is not within "
+                             f"[0, {n}]")
+        out = np.empty((hi - lo, self.n_paths))
+        for reads, rows in self.tables.bucket_reads(
+                [(family, key, m) for m in range(lo, hi)], self.node):
+            self.read(reads, out[rows])
+        return out.T
 
     def read(self, reads: BucketReads, out: np.ndarray) -> np.ndarray:
         """The reads at this state into out, (rows, paths), a row each.
@@ -656,38 +718,17 @@ class PathState:
             out += reads.x0
         return out
 
-    def _column(self, currency: str, collateral: str) -> int:
-        """Column of the account accruing c + y of the pair; y = 0 if
-        same ccy."""
-        try:
-            return self.columns[currency, collateral]
-        except KeyError:
-            raise ConfigurationError(
-                f"pair account ({currency},{collateral}) is not simulated")
-
-    def _log_fx_move(self, currency: str) -> np.ndarray:
-        """log X(base, currency) - log X(0) at the current node:
-        (L(base, ccy) - L(ccy, ccy) + sigma_X . W) - 1/2 |sigma_X|^2 T_n,
-        in that order, from the leg's constants in fx_legs."""
-        _, sig, half_variance, own, other = self._fx_leg_tables(currency)
-        out = self._rows[own] - self._rows[other]
-        out += sig @ self._w_at(self.node)
-        out -= half_variance * self.time
-        return out
-
-    def _fx_leg_tables(self, currency: str) -> tuple:
-        try:
-            return self.fx_legs[currency]
-        except KeyError:
-            raise ConfigurationError(
-                f"no simulated FX linking {self.base} and {currency}")
-
     def _fx_leg(self, currency: str):
-        """X(base, currency) at the current node, read from the accounts."""
-        if currency == self.base:
+        """X(base, currency) at the current node, read from the accounts:
+        X(0) exp((L(base, ccy) - L(ccy, ccy) + sigma_X . W) - 1/2
+        |sigma_X|^2 T_n), in that order."""
+        if currency == self.tables.base:
             return 1.0
-        move = self._log_fx_move(currency)
-        return np.exp(move) * self.fx_legs[currency][0]
+        leg = self.tables._fx_leg_tables(currency)
+        move = self._log_acc[leg.own] - self._log_acc[leg.other]
+        move += leg.sig @ self._w_at(self.node)
+        move -= leg.half_variance * self.time
+        return np.exp(move) * leg.x0
 
     def deflator(self, currency: str, collateral: str) -> np.ndarray:
         """1 / numeraire of a cash flow in `currency` margined in `collateral`.
@@ -698,53 +739,16 @@ class PathState:
         L(currency, currency) + sigma_X . W(T_n) - 1/2 |sigma_X|^2 T_n
         - L(base pair), and exp(-L(base pair)) for the base currency.
         """
-        return self.deflators([(currency, collateral)],
-                              np.empty((1, self.n_paths)))[0]
-
-    def deflators(self, keys, out: np.ndarray,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
-        """The deflators of (currency, collateral) keys as rows of out.
-
-        `deflator_rows` of `deflator_plan(keys)`: row i is deflator(*keys[i])
-        bit for bit.  out has at least len(keys) rows of paths; scratch is
-        a (paths,) array or rows of them for the sigma_X . W products, or
-        new.  Returns the table's first len(keys) rows.
-        """
-        return self.deflator_rows(self.deflator_plan(keys), out, scratch)
-
-    def deflator_plan(self, keys) -> DeflatorPlan:
-        """The columns and FX legs each key's row reads, resolved once.
-
-        Each key resolves its base pair account, then its FX leg, so an
-        unsimulated key raises what `deflator` raises.  Reads only the
-        model's tables.
-        """
-        base, fx = [], []
-        for row, (currency, collateral) in enumerate(keys):
-            col = self._column(self.base, collateral)
-            if currency == self.base:
-                base.append((row, col))
-            else:
-                fx.append((row, col, self._fx_leg_tables(currency)))
-        d = self.rate_sig.shape[1]
-        legs = [leg for _, _, leg in fx]
-        return DeflatorPlan(
-            len(keys),
-            tuple(where for _, _, where in index_runs(*zip(*base))) if base
-            else (),
-            tuple((*where,
-                   np.array([leg[1] for leg in legs[lo:hi]]).reshape(-1, 1, d),
-                   np.array([[leg[2]] for leg in legs[lo:hi]]))
-                  for lo, hi, where in index_runs(
-                      [row for row, _, _ in fx], [leg[3] for leg in legs],
-                      [leg[4] for leg in legs], [col for _, col, _ in fx]))
-            if fx else ())
+        return self.deflator_rows(
+            self.tables.deflator_plan([(currency, collateral)]),
+            np.empty((1, self.n_paths)))[0]
 
     def deflator_rows(self, plan: DeflatorPlan, out: np.ndarray,
                       work: np.ndarray | None = None) -> np.ndarray:
         """The deflator table of `plan` at this state, as rows of out.
 
-        Each row's log takes `deflator`'s steps in its order: -L(base,
+        Row i is deflator(*keys[i]) of the plan's keys, bit for bit: its
+        log takes `deflator`'s steps in their order: -L(base,
         collateral), one negate per run of base keys, and for the other
         keys, per run, ((L(base, ccy) - L(ccy, ccy)) + sigma_X . W(T_n))
         - 1/2 |sigma_X|^2 T_n - L(base, collateral), whose products are
@@ -779,16 +783,16 @@ class PathState:
 
     def libor_ois(self, currency: str, end_node: int) -> np.ndarray:
         """LIBOR-OIS spread for the period ending at node end_node."""
-        if not 1 <= end_node <= self.ts.n_buckets:
+        if not 1 <= end_node <= self.tables.ts.n_buckets:
             raise ValueError(f"period end node {end_node} outside the grid")
         return self.buckets("b", currency, end_node - 1, end_node)[:, 0]
 
     def equity_forward(self, currency: str, maturity: float) -> np.ndarray:
         """Equity forward S(t, maturity)."""
-        n = self.ts.node_index(maturity)
+        n = self.tables.ts.node_index(maturity)
         if n < 1:
             raise ValueError("equity forwards start at the first node")
-        mask = self.s_mask.get(currency)
+        mask = self.tables.s_mask.get(currency)
         if mask is not None and not mask[n - 1]:
             raise ConfigurationError(
                 f"equity curve {currency} has no pillar coverage at T={maturity}"
@@ -802,13 +806,13 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
     dW is the Brownian increment over the interval, shape (n_paths, d); a
     transposed view of a (d, n_paths) array is read without a copy.  W
     moves by dW, into the ring row of T_{k+1}, and every log account adds
-    delta_k times the rate fixed at
-    the interval start T_k, rate0[k] + rate_sig[k].T @ W(T_k): one
-    (K, d) @ (d, paths) product.  No bucket is touched, since the tables
-    give every bucket at any node, and spot FX follows from the accounts.
+    delta_k times the rate fixed at the interval start T_k, rate0[k] +
+    rate_sig[k].T @ W(T_k) of the state's tables: one (K, d) @ (d, paths)
+    product.  No bucket is touched, since the tables give every bucket at
+    any node, and spot FX follows from the accounts.
     """
-    k = state.node
-    if k >= state.ts.n_buckets:
+    tables, k = state.tables, state.node
+    if k >= tables.ts.n_buckets:
         raise ValueError(f"state is at the last node T_{k}; no interval left")
     dW = np.asarray(dW, dtype=float)
     w = state._w_at(k)
@@ -816,11 +820,10 @@ def evolve_step(state: PathState, dW: np.ndarray) -> PathState:
         raise ValueError(
             f"dW must have shape {(state.n_paths, len(w))}, got {dW.shape}"
         )
-    rate = state.rate_sig[k].T @ w
-    rate += state.rate0[k][:, None]
-    rate *= state.ts.deltas[k]
+    rate = tables.rate_sig[k].T @ w
+    rate += tables.rate0[k][:, None]
+    rate *= tables.ts.deltas[k]
     state._log_acc += rate
     np.add(w, dW.T, out=state._w_at(k + 1))
     state.node = k + 1
     return state
-

@@ -72,8 +72,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .curves import CurveSet, pair_path
-from .dynamics import (DeflatorPlan, PathState, VolatilitySpec, evolve_step,
-                       index_runs)
+from .dynamics import (DeflatorPlan, ModelTables, PathState, VolatilitySpec,
+                       _integer, evolve_step, index_runs)
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -163,7 +163,7 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
 class Model:
     """Immutable simulation inputs: grid, initial curves, vols, base currency.
 
-    Checked once, when built, and frozen, so PathState.initial only builds
+    Checked once, when built, and frozen, so ModelTables.of only builds
     tables.  Every loading's currency has a curve; every fx currency reaches
     the base through the fx pairs and every funding pair holds it, since
     the simulation reads only the legs X(base, ccy) and the accounts
@@ -233,18 +233,12 @@ class Model:
                     f"equity curve {ccy!r} has no matching discount curve")
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; floats, bools and other non-integers are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _checked_seed(seed) -> int:
-    seed = _integer("seed", seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must fit in a uint64, got {seed}")
-    return seed
+def _uint64(name: str, value) -> int:
+    """value as an int in [0, 2**64), the range of a Philox key word."""
+    value = _integer(name, value)
+    if not 0 <= value < _MAX_SEED:
+        raise ValueError(f"{name} must fit in a uint64, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,7 @@ class SimulationConfig:
             )
         # Kept as int: numpy integers overflow in the seed's key arithmetic.
         object.__setattr__(self, "n_paths", n_paths)
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "seed", _uint64("seed", self.seed))
 
     def resolved_workers(self) -> int:
         raw = os.environ.get(WORKERS_ENV_VAR)
@@ -385,7 +379,7 @@ class _NodePlan(NamedTuple):
     batches: tuple
 
 
-def _batches(tables: PathState, node: int, others: list, width: int,
+def _batches(tables: ModelTables, node: int, others: list, width: int,
              deflate: dict) -> tuple:
     """Batches of a node's non-unit rows, (table row, name, payoff) in row
     order, width rows at a time; the reads' tables come from `tables`, and
@@ -425,9 +419,9 @@ def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.n
     Pure function of its arguments; workers calling it in any order or
     partition reproduce the same numbers.
     """
-    seed = _checked_seed(seed)
-    if path < 0 or step < 0:
-        raise ValueError(f"path and step indices must be >= 0, got ({path},{step})")
+    seed, path, step = (_uint64(name, value) for name, value in (
+        ("seed", seed), ("path", path), ("step", step)))
+    n_factors = _integer("n_factors", n_factors)
     if n_factors < 1:
         raise ValueError(f"need at least one factor, got {n_factors}")
     # The 4-step group that holds the step starts on a Philox block.
@@ -786,9 +780,9 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
             raise exc
 
 
-def _simulate_block(model: Model, cfg: SimulationConfig, plans: dict,
+def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: dict,
                     n_held: int, width: int, n_last: int, depth: int,
-                    unit_lo: int, unit_hi: int, tables: PathState,
+                    unit_lo: int, unit_hi: int,
                     stats: _ChunkStatistics) -> None:
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
@@ -796,8 +790,8 @@ def _simulate_block(model: Model, cfg: SimulationConfig, plans: dict,
     last one partial, so a block's memory is one tile's whatever its size.
     """
     for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
-        _simulate_tile(model, cfg, plans, n_held, width, n_last, depth, lo,
-                       min(lo + _TILE_PAIRS, unit_hi), tables, stats)
+        _simulate_tile(tables, cfg, plans, n_held, width, n_last, depth, lo,
+                       min(lo + _TILE_PAIRS, unit_hi), stats)
 
 
 def _option_values(state: PathState, option: FxOption,
@@ -810,9 +804,9 @@ def _option_values(state: PathState, option: FxOption,
     return np.maximum(out, 0.0, out=out)
 
 
-def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
+def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
                    n_held: int, width: int, n_last: int, depth: int,
-                   unit_lo: int, unit_hi: int, tables: PathState,
+                   unit_lo: int, unit_hi: int,
                    stats: _ChunkStatistics) -> None:
     """Evolve one tile of paths; reduce its pairs' values into `stats`.
 
@@ -832,16 +826,16 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
     order, so grouping moves no bit.  Pair sums are held across nodes, in
     row order, reduced n_held rows at a time and at the tile's end;
     n_held and width depend on the payoffs, never on the worker count.
-    The tile's state shares the deterministic tables of `tables`, and
-    owns its accounts and W at the last `depth` nodes.  The normals are
-    drawn a slab of steps at a time: the most whole 4-step groups (d
-    Philox blocks per path each) whose blocks for the tile fit one
-    chunk, at least one.  One workspace, allocated once, holds the
+    The tile's state reads the `tables` every tile shares and owns its
+    accounts and W at the last `depth` nodes.  The normals are drawn a
+    slab of steps at a time: the most whole 4-step groups (d Philox
+    blocks per path each) whose blocks for the tile fit one chunk, at
+    least one.  One workspace, allocated once, holds the
     state, a slab's normals and their Philox buffers, and the table,
     work, held and increment rows, so no array in a tile grows with the
     grid but the W of a state that keeps every node.
     """
-    ts, d = model.ts, model.vols.n_factors
+    ts, d = tables.ts, tables.rate_sig.shape[1]
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
     slab = 4 * max(1, _CHUNK_BLOCKS // (d * n_units))
@@ -854,7 +848,7 @@ def _simulate_tile(model: Model, cfg: SimulationConfig, plans: dict,
     space = np.empty(at[-1])
     state_space, normals_space, table, work, held, dw = (
         space[lo:hi] for lo, hi in zip(at, at[1:]))
-    state = tables.fresh(n_phys, depth, state_space)
+    state = PathState(tables, n_phys, depth, state_space)
     table = table.reshape(n_keys, n_phys)
     work = work.reshape(width, n_phys)
     held = held.reshape(n_held, n_units)
@@ -963,10 +957,10 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         n_rows += len(units) + len(others)
     n_last = max(by_node)
     n_workers = cfg.resolved_workers()
-    # The deterministic tables are built once, on a one-path state, and
-    # shared read-only; each tile builds its own state in its workspace,
-    # since building every block's state here raised the peak RSS.
-    tables = PathState.initial(model, 1)
+    # The model's tables are built once and shared read-only; each tile
+    # builds its own state in its workspace, since building every block's
+    # state here raised the peak RSS.
+    tables = ModelTables.of(model)
     # Nodes with the same keys share one deflator plan.
     by_keys: dict[tuple, DeflatorPlan] = {}
     for keys, _, _ in by_node.values():
@@ -1001,14 +995,14 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
-    args = (model, cfg, plans, n_held, width, n_last, depth)
+    args = (tables, cfg, plans, n_held, width, n_last, depth)
     # A lone block runs on the calling thread: on a thread of its own it
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.
     if len(blocks) == 1:
-        _simulate_block(*args, *blocks[0], tables, stats)
+        _simulate_block(*args, *blocks[0], stats)
     else:
-        _run_threads(_simulate_block, [(*args, *block, tables, stats)
+        _run_threads(_simulate_block, [(*args, *block, stats)
                                        for block in blocks])
 
     # The rows hold pair sums; halving their mean and SE is exact.

@@ -1355,7 +1355,8 @@ def test_every_traced_layer_still_resolves(monkeypatch):
         tracer.uninstall()
     deleted = {"colmm.cli.fx_option_mc", "colmm.pricers.simulate",
                *(f"colmm.dynamics.PathState.{name}" for name in
-                 ("zcb", "spread_zcb", "account", "pair_account"))}
+                 ("zcb", "spread_zcb", "account", "pair_account",
+                  "initial"))}
     assert set(tracer.absent) <= deleted
 
 

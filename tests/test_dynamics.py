@@ -12,6 +12,7 @@ from colmm import (
     DiscountCurve,
     EquityForwardCurve,
     Model,
+    ModelTables,
     PathState,
     SpreadFixings,
     TenorStructure,
@@ -306,7 +307,7 @@ def test_drift_tables_match_written_out_formulas(seed):
 
 
 def make_state(ts, curves, vols, base="USD", n_paths=3):
-    return PathState.initial(Model(ts, curves, vols, base), n_paths)
+    return PathState(ModelTables.of(Model(ts, curves, vols, base)), n_paths)
 
 
 @pytest.fixture
@@ -336,6 +337,16 @@ def full_vols():
     )
 
 
+# (buckets arguments, error, message) of reads no table answers
+_BAD_READS = [
+    (("x", "USD"), ConfigurationError,
+     "unknown bucket family 'x': expected one of 'c', 'y', 'b', 's'"),
+    (("y", "USD"), ConfigurationError,
+     re.escape("must be a (currency, collateral) pair, got 'USD'")),
+    (("c", "USD", 1.0, 2), ValueError, "bucket must be an integer, got 1.0"),
+]
+
+
 class TestPathState:
     def test_initial_matches_forwards(self, ts4, eq_curves, full_vols):
         from colmm import forward_rates
@@ -347,7 +358,7 @@ class TestPathState:
         assert st.time == 0.0
         for key in (("USD", "USD"), ("USD", "EUR")):
             np.testing.assert_array_equal(
-                np.exp(st.log_acc[:, st.columns[key]]), 1.0)
+                np.exp(st.log_acc[:, st.tables.columns[key]]), 1.0)
         np.testing.assert_array_equal(st.fx_rate("USD", "EUR"), 100.0)
 
     def test_reversed_pair_spread_seeded_from_reciprocal(self, ts4, eq_curves,
@@ -390,6 +401,33 @@ class TestPathState:
             st.libor_ois("EUR", 1)   # no fixings and no vols for EUR
         with pytest.raises(ConfigurationError):
             st.equity_forward("EUR", 1.0)
+        # An unknown family, a funding key that is no pair and a float
+        # bucket raised a bare KeyError, a message about pair (U,S) and a
+        # TypeError from range.
+        for args, error, message in _BAD_READS:
+            with pytest.raises(error, match=message):
+                st.buckets(*args)
+
+    def test_a_state_needs_a_path(self, ts4, eq_curves, full_vols):
+        tables = make_state(ts4, eq_curves, full_vols).tables
+        for n_paths in (0, -1):
+            with pytest.raises(ValueError, match="at least one path"):
+                PathState(tables, n_paths)
+
+    def test_tables_are_read_only_copies(self, ts4, eq_curves, full_vols):
+        # Every array the tables keep is read-only, and building them left
+        # the curve set's and the vol spec's own arrays writeable.
+        tables = make_state(ts4, eq_curves, full_vols).tables
+        kept = [tables.rate0, tables.rate_sig, *tables.s_mask.values(),
+                *(leg.sig for leg in tables.fx_legs.values()),
+                *(a for tab in tables.curves.values()
+                  for a in (tab.x0, tab.drift, tab.sig))]
+        assert len(kept) == 2 + 1 + 1 + 3 * len(tables.curves)
+        assert not any(a.flags.writeable for a in kept)
+        assert eq_curves.fixings["USD"].values.flags.writeable
+        assert all(a.flags.writeable for section in ("collateral",
+                   "libor_ois", "equity", "funding", "fx")
+                   for a in getattr(full_vols, section).values())
 
     @pytest.mark.parametrize("edit, message", [
         (dict(spreads={("GBP", "USD"): flat_spread("GBP", "USD", 0.001,
@@ -405,7 +443,7 @@ class TestPathState:
     def test_initial_refuses_curves_it_cannot_simulate(self, ts4, eq_curves,
                                                        full_vols, edit,
                                                        message):
-        # Model makes the checks, so PathState.initial only builds tables.
+        # Model makes the checks, so ModelTables.of only builds tables.
         cs = dataclasses.replace(eq_curves, **edit)
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             Model(ts4, cs, full_vols, "USD")
@@ -437,7 +475,7 @@ class TestEvolveStep:
         evolve_step(st, np.zeros((1, 3)))
         assert st.time == 0.5
         np.testing.assert_allclose(
-            np.exp(st.log_acc[:, st.columns["USD", "EUR"]]),
+            np.exp(st.log_acc[:, st.tables.columns["USD", "EUR"]]),
             np.exp(0.5 * (c0 + y0)), rtol=1e-15)
 
     def test_freeze_after_fixing(self, ts4, eq_curves, full_vols):
@@ -453,7 +491,7 @@ class TestEvolveStep:
     def test_deterministic_fx_growth(self, ts4, eq_curves, full_vols):
         # zero vols: spot fx accrues the frozen one-period carry
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(Model(ts4, eq_curves, v0, "USD"), 1)
+        st = PathState(ModelTables.of(Model(ts4, eq_curves, v0, "USD")), 1)
         carry = (st.buckets("c", "USD")[0, 0] - st.buckets("c", "EUR")[0, 0]
                  + st.buckets("y", ("USD", "EUR"))[0, 0])
         f0 = st.fx_rate("USD", "EUR")[0]
@@ -468,7 +506,7 @@ class TestEvolveStep:
             evolve_step(st, 3.0 * rng.normal(size=(64, 3)))  # oversized shocks
         assert (st.buckets("b", "USD") > 0).all()
         assert (st.fx_rate("USD", "EUR") > 0).all()
-        assert (st.buckets("s", "USD")[:, st.s_mask["USD"]] > 0).all()
+        assert (st.buckets("s", "USD")[:, st.tables.s_mask["USD"]] > 0).all()
 
     def test_bad_steps_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
@@ -482,7 +520,7 @@ class TestEvolveStep:
         rng = np.random.default_rng(2)
         st = make_state(ts4, eq_curves, full_vols, n_paths=16)
         for node in range(5):
-            for family, key in st.tables:
+            for family, key in st.tables.curves:
                 whole = st.buckets(family, key)
                 for m in range(4):
                     one = st.buckets(family, key, m, m + 1)
@@ -499,14 +537,15 @@ class TestEvolveStep:
         # bit.  Its `w`, and a read two nodes back, raise ValueError naming
         # the depth, where they would read ring rows as nodes.
         full = make_state(ts4, eq_curves, full_vols, n_paths=6)
-        ring = full.fresh(6, 2, np.full(1_000, np.nan))
+        ring = PathState(full.tables, 6, 2, np.full(1_000, np.nan))
         assert full.w.shape == (5, 6, 3)
-        keys = [("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")]
+        plan = full.tables.deflator_plan(
+            [("EUR", "USD"), ("USD", "EUR"), ("EUR", "EUR")])
         rng = np.random.default_rng(4)
         for node in range(5):
             for a, b in ((ring.log_acc, full.log_acc),
-                         (ring.deflators(keys, np.empty((3, 6))),
-                          full.deflators(keys, np.empty((3, 6)))),
+                         (ring.deflator_rows(plan, np.empty((3, 6))),
+                          full.deflator_rows(plan, np.empty((3, 6)))),
                          (ring.fx_rate("USD", "EUR"), full.fx_rate("USD", "EUR")),
                          (ring.buckets("c", "EUR", node if node < 4 else 3),
                           full.buckets("c", "EUR", node if node < 4 else 3)),
@@ -527,7 +566,7 @@ class TestEvolveStep:
                 evolve_step(ring, dw)
         for depth in (1, 6):
             with pytest.raises(ValueError, match=r"depth must be in \[2, 5\]"):
-                full.fresh(6, depth)
+                PathState(full.tables, 6, depth)
 
     def test_step_past_last_node_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)
@@ -557,11 +596,11 @@ def euler_oracle(st, vols, ts, z, substeps):
     Yields (buckets, fx, log accounts) at every node; z holds the normals,
     shape (paths, N * substeps, d).
     """
-    n, base = ts.n_buckets, st.base
-    x = {key: st.buckets(*key) for key in st.tables}
+    n, base = ts.n_buckets, st.tables.base
+    x = {key: st.buckets(*key) for key in st.tables.curves}
     fx = {(base, ccy): np.full(st.n_paths, x0)
-          for ccy, (x0, *_) in st.fx_legs.items()}
-    acc = {key: np.zeros(st.n_paths) for key in st.columns}
+          for ccy, (x0, *_) in st.tables.fx_legs.items()}
+    acc = {key: np.zeros(st.n_paths) for key in st.tables.columns}
     yield x, fx, acc
     for j in range(1, n + 1):
         dt = ts.deltas[j - 1] / substeps
@@ -571,7 +610,7 @@ def euler_oracle(st, vols, ts, z, substeps):
                 g, sig = _drift_and_loadings(family, key, j, vols, ts, base)
                 live = np.arange(n) >= (j - 1 if family == "s" else j)
                 if family == "s":
-                    live &= st.s_mask[key]
+                    live &= st.tables.s_mask[key]
                 move = g[live] * dt + dw @ sig[live].T
                 if family in ("c", "y"):
                     arr[:, live] += move
@@ -629,11 +668,11 @@ class TestAgainstEulerOracle:
     def test_every_node_matches(self, seed):
         substeps, n_paths = 3, 16
         ts, curves, vols, rng = self._model(seed)
-        st = PathState.initial(Model(ts, curves, vols, "EUR"), n_paths)
+        tables = ModelTables.of(Model(ts, curves, vols, "EUR"))
+        st = PathState(tables, n_paths)
         z = rng.standard_normal((n_paths, ts.n_buckets * substeps, 3))
-        oracle = euler_oracle(PathState.initial(Model(ts, curves, vols, "EUR"),
-                                                n_paths),
-                              vols, ts, z, substeps)
+        oracle = euler_oracle(PathState(tables, n_paths), vols, ts, z,
+                              substeps)
         for node, (x, fx, acc) in enumerate(oracle):
             if node:
                 dt = ts.deltas[node - 1] / substeps
@@ -648,20 +687,21 @@ class TestAgainstEulerOracle:
                 np.testing.assert_allclose(st.fx_rate(pay, ccy), want,
                                            rtol=1e-13)
             for (pay, col), want in acc.items():
-                got = np.exp(st.log_acc[:, st.columns[pay, col]])
+                got = np.exp(st.log_acc[:, st.tables.columns[pay, col]])
                 np.testing.assert_allclose(got, np.exp(want), rtol=1e-13)
 
     def test_account_loadings_are_the_one_source(self):
         # stored (EUR, USD), the reverse (EUR, GBP) of stored (GBP, EUR)
         # and every own account (ccy, ccy) read one method
         ts, curves, vols, _ = self._model(4)
-        st = PathState.initial(Model(ts, curves, vols, "EUR"), 2)
+        st = PathState(ModelTables.of(Model(ts, curves, vols, "EUR")), 2)
         ccys = ("USD", "EUR", "GBP")
         own = {(c, c) for c in ccys}
-        assert set(st.columns) == own | {("EUR", "USD"), ("EUR", "GBP")}
-        for key, col in st.columns.items():
+        assert (set(st.tables.columns)
+                == own | {("EUR", "USD"), ("EUR", "GBP")})
+        for key, col in st.tables.columns.items():
             want = vols.account_loadings(*key)
-            assert (st.rate_sig[:, :, col] == want).all(), key
+            assert (st.tables.rate_sig[:, :, col] == want).all(), key
         # Under each base, keeping the funding pairs that hold it, the
         # state is what settlement reads: the own accounts and the base
         # pairs, and moving any one of them moves some deflator.
@@ -670,12 +710,13 @@ class TestAgainstEulerOracle:
             funding = {p: v for p, v in vols.funding.items() if base in p}
             model = Model(ts, curves, dataclasses.replace(vols, funding=funding),
                           base)
-            st = PathState.initial(model, 2)
-            assert set(st.columns) == own | {(base, c) for c in ccys}
-            for col in st.columns.values():
-                before = st.deflators(keys, np.empty((len(keys), 2))).copy()
+            st = PathState(ModelTables.of(model), 2)
+            assert set(st.tables.columns) == own | {(base, c) for c in ccys}
+            plan = st.tables.deflator_plan(keys)
+            for col in st.tables.columns.values():
+                before = st.deflator_rows(plan, np.empty((len(keys), 2))).copy()
                 st._log_acc[col] += 1.0
-                after = st.deflators(keys, np.empty((len(keys), 2)))
+                after = st.deflator_rows(plan, np.empty((len(keys), 2)))
                 st._log_acc[col] -= 1.0
                 assert (before != after).any(), (base, col)
         assert (vols.account_loadings("USD", "EUR")
@@ -688,7 +729,7 @@ class TestAgainstEulerOracle:
         # stored legs are (base, ccy); reversed and cross pairs derive from them
         n_paths = 16
         ts, curves, vols, rng = self._model(1)
-        st = PathState.initial(Model(ts, curves, vols, "EUR"), n_paths)
+        st = PathState(ModelTables.of(Model(ts, curves, vols, "EUR")), n_paths)
         for node in range(ts.n_buckets + 1):
             if node:
                 evolve_step(st, np.sqrt(ts.deltas[node - 1])
@@ -720,7 +761,7 @@ def rolling_fx_forward(st, pay, foreign, collateral):
         rates = st.buckets("c", ccy, k, k + 1)
         if ccy != collateral:
             rates = rates + st.buckets("y", (ccy, collateral), k, k + 1)
-        return np.exp(-(rates @ st.ts.deltas[k:k + 1]))
+        return np.exp(-(rates @ st.tables.ts.deltas[k:k + 1]))
 
     return st.fx_rate(pay, foreign) * ytilde(foreign) / ytilde(pay)
 
@@ -738,7 +779,7 @@ class TestRollover:
         cs = CurveSet(discounts={"USD": flat_curve("USD", 0.02, nodes),
                                  "EUR": flat_curve("EUR", 0.01, nodes)},
                       spot_fx={("USD", "EUR"): 100.0})
-        st = PathState.initial(Model(ts4, cs, v0, "USD"), 1)
+        st = PathState(ModelTables.of(Model(ts4, cs, v0, "USD")), 1)
         evolve_step(st, np.zeros((1, 1)))
         fwd = rolling_fx_forward(st, "USD", "EUR", "EUR")
         spot = st.fx_rate("USD", "EUR")[0]
@@ -752,7 +793,7 @@ class TestRollover:
         # y_EUR/USD = 0.2% in bucket 1; under base EUR (EUR, USD) is
         # simulated, and with zero vols the measure does not matter
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(Model(ts4, eq_curves, v0, "EUR"), 1)
+        st = PathState(ModelTables.of(Model(ts4, eq_curves, v0, "EUR")), 1)
         evolve_step(st, np.zeros((1, 1)))
         fwd = rolling_fx_forward(st, "USD", "EUR", "USD")
         spot = st.fx_rate("USD", "EUR")[0]
@@ -797,11 +838,12 @@ class TestDeflator:
         # times today's spot), for every (c, k), at every node.
         curves, vols = three_ccy
         rng = np.random.default_rng(8)
-        st = PathState.initial(Model(ts4, curves, vols, "USD"), 32)
+        st = PathState(ModelTables.of(Model(ts4, curves, vols, "USD")), 32)
         for node in range(5):
             for c in self.CCYS:
                 for k in self.CCYS:
-                    account = np.exp(st.log_acc[:, st.columns["USD", k]])
+                    account = np.exp(
+                        st.log_acc[:, st.tables.columns["USD", k]])
                     want = st.fx_rate("USD", c) / (
                         account * curves.fx_rate("USD", c))
                     np.testing.assert_allclose(st.deflator(c, k), want,
@@ -811,7 +853,8 @@ class TestDeflator:
 
     def test_zero_vols_give_one_value_per_key(self, ts4, three_ccy):
         curves, _ = three_ccy
-        st = PathState.initial(Model(ts4, curves, VolatilitySpec(3, 4), "USD"), 6)
+        st = PathState(ModelTables.of(
+            Model(ts4, curves, VolatilitySpec(3, 4), "USD")), 6)
         rng = np.random.default_rng(3)
         for _ in range(4):
             evolve_step(st, rng.normal(size=(6, 3)))
@@ -822,7 +865,7 @@ class TestDeflator:
 
     def test_unsimulated_key_has_todays_message(self, ts4, three_ccy):
         curves, vols = three_ccy
-        st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)
+        st = PathState(ModelTables.of(Model(ts4, curves, vols, "USD")), 2)
         with pytest.raises(ConfigurationError) as fx:
             st.fx_rate("USD", "JPY")
         pair = "pair account (USD,JPY) is not simulated"
@@ -838,27 +881,29 @@ class TestDeflator:
         # formula's own steps, ((L(base, c) - L(c, c)) + sigma_X . W)
         # - 1/2 |sigma_X|^2 T - L(base, k), then exp, bit for bit.
         curves, vols = three_ccy
-        st = PathState.initial(Model(ts4, curves, vols, "USD"), 33)
+        st = PathState(ModelTables.of(Model(ts4, curves, vols, "USD")), 33)
         keys = [("EUR", "USD"), ("USD", "USD"), ("USD", "EUR"), ("GBP", "EUR"),
                 ("EUR", "GBP"), ("GBP", "GBP"), ("USD", "GBP"), ("EUR", "EUR")]
         rng = np.random.default_rng(12)
         out = np.full((len(keys) + 2, 33), np.nan)
+        plan = st.tables.deflator_plan(keys)
         for node in range(5):
             acc = st._log_acc
             for scratch in (None, np.empty(33)):
-                table = st.deflators(keys, out, scratch)
+                table = st.deflator_rows(plan, out, scratch)
                 assert table.shape == (len(keys), 33)
                 assert np.shares_memory(table, out)
                 assert np.isnan(out[len(keys):]).all()
                 for (c, k), row in zip(keys, table):
+                    col = st.tables.columns
                     if c == "USD":
-                        log_d = -acc[st.columns["USD", k]]
+                        log_d = -acc[col["USD", k]]
                     else:
-                        sig = st.fx_legs[c][1]
-                        log_d = ((acc[st.columns["USD", c]] - acc[st.columns[c, c]])
+                        sig = st.tables.fx_legs[c].sig
+                        log_d = ((acc[col["USD", c]] - acc[col[c, c]])
                                  + sig @ st.w[node].T)
                         log_d = (log_d - 0.5 * float(sig @ sig) * st.time
-                                 - acc[st.columns["USD", k]])
+                                 - acc[col["USD", k]])
                     assert np.array_equal(row, st.deflator(c, k)), (node, c, k)
                     assert np.array_equal(row, np.exp(log_d)), (node, c, k)
             if node < 4:
@@ -866,7 +911,7 @@ class TestDeflator:
 
     def test_resolved_keys_follow_each_state(self, ts4, eq_curves, full_vols):
         # Each state reads its own account rows through the model's legs:
-        # reads at every node 0-4, before and after a fresh() state of the
+        # reads at every node 0-4, before and after a new state of the
         # same tables evolves on other shocks, are each state's own formula,
         # exp(((L(base, c) - L(c, c)) + sigma_X . W) - 1/2 |sigma_X|^2 T
         # - L(base, k)), bit for bit, as is deflator(*key) row by row.
@@ -875,13 +920,14 @@ class TestDeflator:
         rng = np.random.default_rng(17)
 
         def check(st):
-            acc, col, node = st._log_acc, st.columns, st.node
-            sig = st.fx_legs["EUR"][1]
+            acc, col, node = st._log_acc, st.tables.columns, st.node
+            sig = st.tables.fx_legs["EUR"].sig
             move = ((acc[col["USD", "EUR"]] - acc[col["EUR", "EUR"]])
                     + sig @ st.w[node].T)
             move = move - 0.5 * float(sig @ sig) * st.time
-            table = st.deflators(keys, np.empty((len(keys), st.n_paths)),
-                                 np.empty(st.n_paths))
+            table = st.deflator_rows(st.tables.deflator_plan(keys),
+                                     np.empty((len(keys), st.n_paths)),
+                                     np.empty(st.n_paths))
             for (c, k), row in zip(keys, table):
                 log_d = -acc[col["USD", k]]
                 if c == "EUR":
@@ -897,7 +943,7 @@ class TestDeflator:
             check(st)
             check(st)
             if node == 2:
-                other = st.fresh(7)
+                other = PathState(st.tables, 7)
                 check(other)
                 evolve_step(other, rng.normal(size=(7, 3)))
                 check(other)
@@ -922,12 +968,12 @@ class TestDeflator:
 
     def test_table_of_an_unsimulated_key_has_todays_message(self, ts4, three_ccy):
         curves, vols = three_ccy
-        st = PathState.initial(Model(ts4, curves, vols, "USD"), 2)
+        st = PathState(ModelTables.of(Model(ts4, curves, vols, "USD")), 2)
         for key in [("USD", "JPY"), ("JPY", "USD")]:
             with pytest.raises(ConfigurationError) as want:
                 st.deflator(*key)
             with pytest.raises(ConfigurationError) as got:
-                st.deflators([("USD", "USD"), key], np.empty((2, 2)))
+                st.tables.deflator_plan([("USD", "USD"), key])
             assert str(got.value) == str(want.value), key
 
 

@@ -15,6 +15,7 @@ from colmm import (
     ConfigurationError,
     GridPayoff,
     Model,
+    ModelTables,
     PathState,
     PriceEstimate,
     SimulationConfig,
@@ -130,6 +131,16 @@ class TestGaussianIncrements:
             gaussian_increments(0, -1, 0, 1)
         with pytest.raises(ValueError):
             gaussian_increments(0, 0, 0, 0)
+        # The path is a Philox key word: 2**64 raised OverflowError, a
+        # float path, step or factor count a TypeError about a sequence,
+        # and True ran as path 1.
+        for args, message in (((0, 1.5, 0, 1), "path must be an integer"),
+                              ((0, True, 0, 1), "path must be an integer"),
+                              ((0, 2 ** 64, 0, 1), "path must fit in a uint64"),
+                              ((0, 0, 1.0, 1), "step must be an integer"),
+                              ((0, 0, 0, 2.0), "n_factors must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                gaussian_increments(*args)
 
 
 EXP_M2 = 0.13533528323661269189    # cephes's branch point e^-2
@@ -262,6 +273,9 @@ class TestSimulationConfig:
         assert simulate_many(one_ccy_model, cfg, pays) == want
         assert (gaussian_increments(np.uint64(3), 1, 2, 2).tobytes()
                 == gaussian_increments(3, 1, 2, 2).tobytes())
+        assert (gaussian_increments(3, np.uint64(2 ** 64 - 1), np.int32(5),
+                                    np.int64(2)).tobytes()
+                == gaussian_increments(3, 2 ** 64 - 1, 5, 2).tobytes())
 
     def test_workers_from_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
@@ -453,9 +467,9 @@ class TestEstimates:
         model, pays = _mixed_payoffs(ts4, two_ccy_curves)
         pairs = 7 * _CHUNK_PAIRS + 37
         cfg = SimulationConfig(n_paths=2 * pairs, seed=13)
-        tiles, fresh = [], PathState.fresh
-        monkeypatch.setattr(PathState, "fresh", lambda self, n, *a: tiles.append(
-            n // 2) or fresh(self, n, *a))
+        tiles, init = [], PathState.__init__
+        monkeypatch.setattr(PathState, "__init__", lambda self, tables, n, *a:
+                            tiles.append(n // 2) or init(self, tables, n, *a))
         for workers in (1, 2, 3):
             monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
             monkeypatch.setattr(engine, "_TILE_PAIRS", _TILE_PAIRS)
@@ -654,7 +668,7 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth):
     normals = 8 * (slab * d * pairs + 13 * blocks * rows
                    + (slab * d * rows if rows < pairs else 0))
     state = 8 * n_paths * ((depth + 1) * d + n_accounts)
-    assert len(PathState.initial(model, 1).columns) == n_accounts
+    assert len(ModelTables.of(model).columns) == n_accounts
 
     def peak(payoffs, n):
         tracemalloc.start()
@@ -815,14 +829,18 @@ class TestSimulate:
             assert est.std_error == base.std_error
 
     def test_tables_are_built_once_and_shared(self, one_ccy_model, monkeypatch):
-        # One PathState.initial per call, whatever the worker count; every
-        # block's state shares its tables and owns its W and accounts.
+        # One ModelTables.of per call, whatever the worker count; every
+        # block's state shares that one object and owns its W and accounts.
         made, states = [], []
-        initial, fresh = PathState.initial.__func__, PathState.fresh
-        monkeypatch.setattr(PathState, "initial", classmethod(
-            lambda cls, *a: made.append(initial(cls, *a)) or made[-1]))
-        monkeypatch.setattr(PathState, "fresh", lambda self, n, *a: states.append(
-            fresh(self, n, *a)) or states[-1])
+        of, init = ModelTables.of.__func__, PathState.__init__
+
+        def counted_init(self, *args):
+            states.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ModelTables, "of", classmethod(
+            lambda cls, *a: made.append(of(cls, *a)) or made[-1]))
+        monkeypatch.setattr(PathState, "__init__", counted_init)
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         simulate_many(one_ccy_model, SimulationConfig(n_paths=4_000),
                       {"p": unit_zcb(3.5)})
@@ -830,11 +848,29 @@ class TestSimulate:
         # 2,000 pairs are 20 chunks of 100, split 7, 6, 7 among 3 workers.
         assert sorted(st.n_paths for st in states) == [1200, 1400, 1400]
         for st in states:
-            assert st.tables is made[0].tables and st.rate0 is made[0].rate0
+            assert st.tables is made[0]
             assert st.n_paths == st.log_acc.shape[0] == st.w.shape[1]
         assert not any(np.shares_memory(a.w, b.w) or
                        np.shares_memory(a.log_acc, b.log_acc)
                        for a in states for b in states if a is not b)
+
+    def test_payoffs_cannot_write_the_shared_tables(self, one_ccy_model,
+                                                   monkeypatch):
+        # A write into the tables every tile and thread reads used to move
+        # their numbers silently; now it fails, and the model's own curve
+        # and vol arrays stay writeable.
+        def overwrite(st):
+            st.tables.rate0[0, 0] = 1.0
+            return np.ones(st.n_paths)
+
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        with pytest.raises(ValueError, match="read-only"):
+            simulate_many(one_ccy_model, SimulationConfig(n_paths=400),
+                          {"p": GridPayoff(overwrite, 1.0, "USD", "USD")})
+        assert one_ccy_model.vols.collateral["USD"].flags.writeable
+        curve = one_ccy_model.curves.discounts["USD"]
+        assert all(a.flags.writeable for a in vars(curve).values()
+                   if isinstance(a, np.ndarray))
 
     def test_joint_run_matches_single_runs(self, one_ccy_model, ts4,
                                            two_ccy_curves):
@@ -1063,7 +1099,7 @@ class TestSimulate:
         Model(ts4, curves, vols, "EUR")
 
     def test_a_built_model_is_frozen(self, ts8, two_ccy_curves):
-        # PathState.initial relies on the checks made when it was built.
+        # ModelTables.of relies on the checks made when it was built.
         model = Model(ts8, two_ccy_curves, VolatilitySpec(1, 8), "USD")
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.base = "EUR"
@@ -1102,17 +1138,17 @@ class TestSimulate:
             fx={("USD", "EUR"): [0.04, -0.08, 0.02]})
         model = Model(ts4, curves, vols, "USD")
         assert model.half_variance_sign == 1.0
-        right = PathState.initial(model, 1)
-        wrong = PathState.initial(
-            dataclasses.replace(model, half_variance_sign=-1.0), 1)
+        right = ModelTables.of(model)
+        wrong = ModelTables.of(
+            dataclasses.replace(model, half_variance_sign=-1.0))
 
         def same(a, b):
             return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-        assert right.tables.keys() == wrong.tables.keys()
-        assert {fam for fam, _ in right.tables} == {"c", "y", "b", "s"}
-        for key, tab in right.tables.items():
-            other = wrong.tables[key]
+        assert right.curves.keys() == wrong.curves.keys()
+        assert {fam for fam, _ in right.curves} == {"c", "y", "b", "s"}
+        for key, tab in right.curves.items():
+            other = wrong.curves[key]
             assert same(tab.x0, other.x0) and same(tab.sig, other.sig), key
             assert same(tab.drift, other.drift) == (key[0] != "c"), key
         assert not same(right.rate0, wrong.rate0)
@@ -1215,9 +1251,10 @@ class TestDescribedPayoffs:
         model = _described_model(ts4)
         described, _ = self._pays(ts4)
         cfg = SimulationConfig(n_paths=2 * _CHUNK_PAIRS + 6, seed=5)
-        depths, fresh = [], PathState.fresh
-        monkeypatch.setattr(PathState, "fresh", lambda self, n, depth, *a: (
-            depths.append(depth) or fresh(self, n, depth, *a)))
+        depths, init = [], PathState.__init__
+        monkeypatch.setattr(PathState, "__init__", lambda self, tables, n,
+                            depth, *a: depths.append(depth)
+                            or init(self, tables, n, depth, *a))
         want = simulate_many(model, cfg, described)
         assert depths == [5]
         for names, depth in ((["unit"], 2), (["put", "later"], 2),
@@ -1260,7 +1297,14 @@ class TestDescribedPayoffs:
                 (("s", "EUR", 1), ConfigurationError,
                  "no equity forwards simulated for 'EUR'"),
                 (("b", "USD", 4), ValueError, r"bucket 4 is not within \[0, 4\)"),
-                (("b", "USD", -1), ValueError, "bucket -1")):
+                (("b", "USD", -1), ValueError, "bucket -1"),
+                (("x", "USD", 0), ConfigurationError,
+                 "unknown bucket family 'x': expected one of 'c', 'y', 'b', "
+                 "'s'"),
+                (("y", "USD", 0), ConfigurationError,
+                 r"must be a \(currency, collateral\) pair, got 'USD'"),
+                (("c", "USD", 1.0), ValueError,
+                 "bucket must be an integer, got 1.0")):
             payoff = GridPayoff(None, 1.0, "USD", "USD", BucketRead(*read))
             with pytest.raises(error, match=message):
                 simulate_many(model, cfg, {"p": payoff})

@@ -15,6 +15,7 @@ from colmm import (
     FxForwardSpec,
     FxOptionSpec,
     Model,
+    ModelTables,
     PathState,
     SimulationConfig,
     SpreadCurve,
@@ -379,7 +380,7 @@ class TestEquityForward:
             discounts={"USD": flat_curve("USD", 0.02, ts4.nodes)},
             equities={"USD": eq})
         v0 = VolatilitySpec(n_factors=1, n_buckets=4)
-        st = PathState.initial(Model(ts4, curves, v0, "USD"), 2)
+        st = PathState(ModelTables.of(Model(ts4, curves, v0, "USD")), 2)
         before = st.equity_forward("USD", 2.0)
         evolve_step(st, np.zeros((2, 1)))
         after = st.equity_forward("USD", 2.0)
