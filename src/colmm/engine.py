@@ -28,7 +28,10 @@ thread of its own.  A block runs its pairs in tiles of _TILE_PAIRS, whole
 chunks from the block's start, the last one partial; each tile draws its
 own normals, a slab of steps at a time, and evolves its own W and
 accounts over the whole grid, keeping W only as far back as its payoffs
-read it.  At
+read it.  A slab's Philox blocks are made in chunks of _CHUNK_BLOCKS on a
+lone block and of twice that on blocks that run beside others, whose
+numpy calls each pass through the GIL: the normals are the same for any
+chunk size.  At
 each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
@@ -101,6 +104,12 @@ _SHIFT11 = np.uint64(11)
 
 # Paths are generated in chunks of about this many 4-word blocks: the round
 # buffers then stay in cache and memory does not grow with the path count.
+# This size fits one core's L2 and is the fastest on one thread.  Blocks
+# that run beside others draw chunks twice as large: every numpy call of a
+# worker thread pays a round trip through the GIL, and halving their
+# number cut diagnose-wide's 2-worker job time by about 8 %.  Chunks of
+# 1.5, 3 or 4 times the size gained less, and doubling a lone block's
+# chunk made fxopt-mc 6 % slower.
 _CHUNK_BLOCKS = 1 << 14
 
 # Pairs per estimator chunk; see _ChunkStatistics.  A fixed size, so the
@@ -543,22 +552,23 @@ def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, t: np.ndarray,
     return np.add(out, s, out=out)
 
 
-def _normals_layout(n_paths: int, n_steps: int,
-                    n_factors: int) -> tuple[int, int, int]:
-    """Philox blocks per path, paths per chunk and float64 elements of the
-    workspace of `_block_normals` over n_steps steps: the normals, three
-    round buffers of 4 words a block, the key words, and a chunk's
-    normals when there is more than one chunk."""
+def _normals_layout(n_paths: int, n_steps: int, n_factors: int,
+                    chunk: int = _CHUNK_BLOCKS) -> tuple[int, int, int]:
+    """Philox blocks per path, paths per chunk of about `chunk` blocks and
+    float64 elements of the workspace of `_block_normals` over n_steps
+    steps: the normals, three round buffers of 4 words a block, the key
+    words, and a chunk's normals when there is more than one chunk."""
     words = n_steps * n_factors
     blocks = -(-words // 4)
-    rows = max(1, min(n_paths, _CHUNK_BLOCKS // max(blocks, 1)))
-    chunk = 0 if rows == n_paths else words * rows
-    return blocks, rows, words * n_paths + (3 * 4 + 1) * blocks * rows + chunk
+    rows = max(1, min(n_paths, chunk // max(blocks, 1)))
+    staged = 0 if rows == n_paths else words * rows
+    return blocks, rows, words * n_paths + (3 * 4 + 1) * blocks * rows + staged
 
 
 def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
                    n_factors: int, step_lo: int = 0,
-                   space: np.ndarray | None = None) -> np.ndarray:
+                   space: np.ndarray | None = None,
+                   chunk: int = _CHUNK_BLOCKS) -> np.ndarray:
     """Normals for a contiguous path block, shape (steps, factors, paths).
 
     Steps step_lo to step_lo + n_steps - 1; each step's normals are
@@ -567,23 +577,30 @@ def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
     bit for bit, to the uniforms ((w >> 11) + 0.5) * 2^-53 and those
     through `_ndtri`.  numpy bumps the counter before its first block, so
     block b of the path's stream is Philox4x64-10 of counter (b + 1, 0, 0,
-    0) under key (seed, p).  step_lo is a multiple of 4, so for any d the
-    steps start on block step_lo d / 4 and any slab of them is the
-    matching rows of a draw from step 0.  The rounds run as in-place
-    uint64 ufuncs over (blocks, paths) arrays, a chunk of about
-    _CHUNK_BLOCKS blocks at a time.  Both multiplications of a round are
+    0) under key (seed, p); a draw whose last counter would reach 2^64,
+    where numpy carries into word 1, is refused.  step_lo is a multiple of
+    4, so for any d the steps start on block step_lo d / 4 and any slab of
+    them is the matching rows of a draw from step 0.  The rounds run as
+    in-place uint64 ufuncs over (blocks, paths) arrays, a chunk of about
+    `chunk` blocks at a time; the normals are the same for any chunk.
+    Both multiplications of a round are
     one ufunc call over the stacked words [x0, x2], with the products' low
     words stacked as [x3, x1], which halves the calls.  A chunk's normals
     are made in one contiguous (words, paths) buffer and, unless it is
     all the paths, copied into place.  Everything lives in `space`, a flat
-    float64 array of at least `_normals_layout(...)[2]` elements, in that
-    function's order, or in a new one.
+    float64 array of at least `_normals_layout(..., chunk)[2]` elements,
+    in that function's order, or in a new one.
     """
     if step_lo % 4:
         raise ValueError(f"step_lo must be a multiple of 4, got {step_lo}")
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
-    blocks, rows, size = _normals_layout(n_paths, n_steps, n_factors)
+    blocks, rows, size = _normals_layout(n_paths, n_steps, n_factors, chunk)
+    first = step_lo * n_factors // 4
+    if blocks and first + blocks >= _MAX_SEED:
+        raise ValueError(f"step {step_lo + n_steps - 1} of {n_factors} "
+                         f"factors runs the Philox block counter past "
+                         f"2**64 - 1")
     space = np.empty(size) if space is None else space[:size]
     out = space[:words * n_paths].reshape(words, n_paths)
     normals = out.reshape(n_steps, n_factors, n_paths)
@@ -596,7 +613,6 @@ def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
     w1 = np.uint64(_PHILOX_W1)
     # Counter words 1-3 are zero and key word 0 is the seed, so rounds 1
     # and 2 reduce to per-block constants xored with the path's key word.
-    first = step_lo * n_factors // 4
     counters = range(first + 1, first + blocks + 1)
     hi_ctr = np.array([_PHILOX_M0 * c >> 64 for c in counters],
                       dtype=np.uint64)[:, None]
@@ -782,8 +798,8 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
 
 def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: dict,
                     n_held: int, width: int, n_last: int, depth: int,
-                    unit_lo: int, unit_hi: int,
-                    stats: _ChunkStatistics) -> None:
+                    unit_lo: int, unit_hi: int, stats: _ChunkStatistics,
+                    chunk: int) -> None:
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
     Tiles are _TILE_PAIRS pairs, whole chunks from the block's start, the
@@ -791,7 +807,7 @@ def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     """
     for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
         _simulate_tile(tables, cfg, plans, n_held, width, n_last, depth, lo,
-                       min(lo + _TILE_PAIRS, unit_hi), stats)
+                       min(lo + _TILE_PAIRS, unit_hi), stats, chunk)
 
 
 def _option_values(state: PathState, option: FxOption,
@@ -806,8 +822,8 @@ def _option_values(state: PathState, option: FxOption,
 
 def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
                    n_held: int, width: int, n_last: int, depth: int,
-                   unit_lo: int, unit_hi: int,
-                   stats: _ChunkStatistics) -> None:
+                   unit_lo: int, unit_hi: int, stats: _ChunkStatistics,
+                   chunk: int) -> None:
     """Evolve one tile of paths; reduce its pairs' values into `stats`.
 
     A unit is a (path, mirror) pair, and unit u of a row is the sum of the
@@ -829,8 +845,8 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     The tile's state reads the `tables` every tile shares and owns its
     accounts and W at the last `depth` nodes.  The normals are drawn a
     slab of steps at a time: the most whole 4-step groups (d Philox
-    blocks per path each) whose blocks for the tile fit one chunk, at
-    least one.  One workspace, allocated once, holds the
+    blocks per path each) whose blocks for the tile fit one chunk of
+    `chunk` blocks, at least one.  One workspace, allocated once, holds the
     state, a slab's normals and their Philox buffers, and the table,
     work, held and increment rows, so no array in a tile grows with the
     grid but the W of a state that keeps every node.
@@ -838,10 +854,10 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     ts, d = tables.ts, tables.rate_sig.shape[1]
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
-    slab = 4 * max(1, _CHUNK_BLOCKS // (d * n_units))
+    slab = 4 * max(1, chunk // (d * n_units))
     n_keys = max(plan.deflators.n_keys for plan in plans.values())
     sizes = ((depth * d + len(tables.columns)) * n_phys,
-             max((_normals_layout(n_units, min(slab, n_last - lo), d)[2]
+             max((_normals_layout(n_units, min(slab, n_last - lo), d, chunk)[2]
                   for lo in range(0, n_last, slab)), default=0),
              n_keys * n_phys, width * n_phys, n_held * n_units, d * n_phys)
     at = list(accumulate(sizes, initial=0))
@@ -900,7 +916,8 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     settle(0)
     for lo in range(0, n_last, slab):
         normals = _block_normals(cfg.seed, unit_lo, unit_hi,
-                                 min(slab, n_last - lo), d, lo, normals_space)
+                                 min(slab, n_last - lo), d, lo, normals_space,
+                                 chunk)
         for step, z in enumerate(normals, start=lo):
             np.multiply(np.sqrt(ts.deltas[step]), z, out=dw[:, :n_units])
             np.negative(dw[:, :n_units], out=dw[:, n_units:])
@@ -999,10 +1016,13 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # A lone block runs on the calling thread: on a thread of its own it
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.
+    # Blocks that run beside others draw normals in chunks twice as large,
+    # to halve their numpy calls (see _CHUNK_BLOCKS).
     if len(blocks) == 1:
-        _simulate_block(*args, *blocks[0], stats)
+        _simulate_block(*args, *blocks[0], stats, _CHUNK_BLOCKS)
     else:
-        _run_threads(_simulate_block, [(*args, *block, stats)
+        _run_threads(_simulate_block, [(*args, *block, stats,
+                                        2 * _CHUNK_BLOCKS)
                                        for block in blocks])
 
     # The rows hold pair sums; halving their mean and SE is exact.

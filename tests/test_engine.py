@@ -99,6 +99,45 @@ class TestGaussianIncrements:
                 engine._normals_layout(hi - lo, 4, 5)[2], np.nan))
             assert slab.tobytes() == whole[start:start + 4].tobytes(), start
 
+    def test_a_concurrent_chunk_draws_the_same_normals(self):
+        # Blocks that run beside others draw chunks of 2 * _CHUNK_BLOCKS
+        # blocks.  4 steps of 5 factors are 5 blocks a path, so 7,000
+        # paths take 2 such chunks where the default draw takes 3; steps
+        # 8-11 start on block 10 of each path's stream.
+        chunk = 2 * _CHUNK_BLOCKS
+        lo, hi = 11, 11 + 7_000
+        _, rows, size = engine._normals_layout(hi - lo, 4, 5, chunk)
+        assert rows == chunk // 5 < hi - lo < 2 * rows
+        default = _block_normals(3, lo, hi, 4, 5, 8)
+        doubled = _block_normals(3, lo, hi, 4, 5, 8, np.full(size, np.nan),
+                                 chunk)
+        assert doubled.tobytes() == default.tobytes()
+        # numpy's Philox on either side of each chunk boundary.
+        for col in (0, rows - 1, rows, _CHUNK_BLOCKS // 5, hi - lo - 1):
+            bg = Philox(key=np.array([3, lo + col], dtype=np.uint64),
+                        counter=np.array([10, 0, 0, 0], dtype=np.uint64))
+            expect = _ndtri(_uniforms(bg.random_raw(20)))
+            assert doubled[..., col].tobytes() == expect.tobytes(), col
+
+    def test_block_counters_stay_below_2_64(self):
+        # numpy carries a block counter of 2**64 into counter word 1, which
+        # the kernel takes as zero, so a draw that reaches it is refused.
+        # A step of 8 factors takes 2 blocks and one of 4 factors 1, so the
+        # last steps drawn end on counters 2**64 - 2 and 2**64 - 1.
+        for args in ((5, 3, 2 ** 63, 8), (5, 3, 2 ** 64 - 4, 8),
+                     (5, 3, 2 ** 63 - 1, 8), (5, 3, 2 ** 64 - 1, 4)):
+            with pytest.raises(ValueError, match=r"past 2\*\*64 - 1$") as exc:
+                gaussian_increments(*args)
+            assert "\n" not in str(exc.value)
+        for step, d in ((2 ** 63 - 2, 8), (2 ** 64 - 2, 4)):
+            first = step - step % 4
+            bg = Philox(key=np.array([5, 3], dtype=np.uint64),
+                        counter=np.array([first * d // 4, 0, 0, 0],
+                                         dtype=np.uint64))
+            expect = _ndtri(_uniforms(bg.random_raw((step - first + 1) * d)))
+            assert (gaussian_increments(5, 3, step, d).tobytes()
+                    == expect[-d:].tobytes()), (step, d)
+
     def test_one_step_draws_its_group_alone(self, monkeypatch):
         # gaussian_increments draws the 4-step group that holds its step,
         # up to the step, not the path's whole stream.
@@ -631,43 +670,46 @@ def unit_zcb(maturity, ccy="USD", coll="USD"):
                       currency=ccy, collateral=coll)
 
 
-def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth):
-    """Bound the traced peak of simulate_many over one full tile of paths,
-    and return the tile's share of it.
+def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
+                        workers=1, chunk=_CHUNK_BLOCKS):
+    """Bound the traced peak of simulate_many over one full tile of paths
+    on each of `workers` blocks, and return the tiles' share of it.
 
     No array holds a value per payoff and pair, and none a value per node
     and path but the W of a state that keeps every node.  The peak is what
     the same run holds at 4 paths (its tables, its plans and a tile of 2
     pairs), the chunk statistics, five floats per payoff and chunk, and
-    one tile's workspace, with room for path-length temporaries.  The
-    workspace holds:
+    one tile's workspace per worker, with room for path-length
+    temporaries.  A workspace holds:
     - the state, W at `depth` nodes and n_accounts log accounts, and the
       increments, d rows of paths;
     - one slab of normals, the most whole 4-step groups whose d Philox
-      blocks per pair fit one chunk of _CHUNK_BLOCKS blocks, at least one,
-      and their round buffers and key words, 13 per block and pair of a
+      blocks per pair fit one chunk of `chunk` blocks, at least one, and
+      their round buffers and key words, 13 per block and pair of a
       chunk, and a chunk's normals when the slab takes more than one;
     - the settlement rows: _SETTLE_ROWS rows of one value per pair, or
       2 n_keys + 3 when a node's n_keys deflator rows, two each (a path
       and its mirror), leave no room for a work row of paths and a held
       row in them.
     Going from the payoff `one` alone, of the same depth, to all of them
-    adds the statistics, the other scratch rows and the temporaries of
-    the payoffs' own code, a few path vectors.  The tile's share is the
-    peak less the 4-path run's and less what the statistics add to it.
+    adds the statistics and, per worker, the other scratch rows and the
+    temporaries of the payoffs' own code, a few path vectors.  The tiles'
+    share is the peak less the 4-path run's and less what the statistics
+    add to it.
     """
+    assert SimulationConfig().resolved_workers() == workers
     pairs = _TILE_PAIRS
-    n_paths = 2 * pairs
+    n_paths = 2 * pairs * workers
     ts, d = model.ts, model.vols.n_factors
-    chunks = -(-pairs // _CHUNK_PAIRS)
+    chunks = -(-pairs * workers // _CHUNK_PAIRS)
     statistics = 8 * 5 * len(pays) * chunks
     scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * pairs
-    slab = min(ts.n_buckets, 4 * max(1, _CHUNK_BLOCKS // (d * pairs)))
+    slab = min(ts.n_buckets, 4 * max(1, chunk // (d * pairs)))
     blocks = -(-slab * d // 4)
-    rows = min(pairs, _CHUNK_BLOCKS // blocks)
+    rows = min(pairs, chunk // blocks)
     normals = 8 * (slab * d * pairs + 13 * blocks * rows
                    + (slab * d * rows if rows < pairs else 0))
-    state = 8 * n_paths * ((depth + 1) * d + n_accounts)
+    state = 8 * 2 * pairs * ((depth + 1) * d + n_accounts)
     assert len(ModelTables.of(model).columns) == n_accounts
 
     def peak(payoffs, n):
@@ -680,8 +722,9 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth):
 
     many, solo = peak(pays, n_paths), peak({one: pays[one]}, n_paths)
     small = peak(pays, 4)
-    assert many < 1.25 * (normals + state + scratch) + statistics + small
-    assert many - solo < statistics + scratch + 8 * 4 * n_paths
+    assert many < (1.25 * workers * (normals + state + scratch) + statistics
+                   + small)
+    assert many - solo < statistics + workers * (scratch + 8 * 4 * 2 * pairs)
     return many - small - (statistics - 8 * 5 * len(pays))
 
 
@@ -1036,23 +1079,38 @@ class TestSimulate:
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
         shares = []
         for n in (40, 160):
-            ts = TenorStructure(np.linspace(0.0, 0.25 * n, n + 1))
-            model = _described_model(ts)
-            spot = model.curves.fx_rate("USD", "EUR")
-            pays = {}
-            for k in range(4, n + 1, 4):
-                T = ts.nodes[k]
-                pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
-                pays[f"usd/eur {k}"] = GridPayoff(None, T, "USD", "EUR")
-                pays[f"libor {k}"] = GridPayoff(None, T, "EUR", "EUR",
-                                                BucketRead("b", "EUR", k - 1))
-                pays[f"equity {k}"] = GridPayoff(None, T, "USD", "USD",
-                                                 BucketRead("s", "USD", k - 1))
-                pays[f"put {k}"] = GridPayoff(
-                    None, T, "EUR", "USD", FxOption("USD", "EUR", spot, False))
+            model, pays = _quarterly_described(n)
             shares.append(_assert_peak_memory(model, pays, f"put {n}",
                                               n_keys=4, n_accounts=3, depth=2))
         assert shares[1] < 1.2 * shares[0], shares
+
+    def test_memory_of_concurrent_tiles(self, monkeypatch):
+        # The 40-bucket case above on two workers, one full tile each.
+        # Blocks that run beside others draw chunks of 2 * _CHUNK_BLOCKS
+        # blocks, so each tile takes 8-step slabs of 3 factors where a
+        # lone one takes 4, and the bound counts two such workspaces.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        model, pays = _quarterly_described(40)
+        _assert_peak_memory(model, pays, "put 40", n_keys=4, n_accounts=3,
+                            depth=2, workers=2, chunk=2 * _CHUNK_BLOCKS)
+
+    @pytest.mark.parametrize("workers, slabs", [
+        ("1", {0: [4, 4, 4, 4, 4]}), ("2", {0: [16, 4], 2_500: [16, 4]})])
+    def test_concurrent_tiles_draw_larger_slabs(self, workers, slabs,
+                                                monkeypatch):
+        # 3 factors, 20 steps, 10,000 paths.  A lone 5,000-pair tile's
+        # 4-step group is 15,000 blocks, which one chunk of _CHUNK_BLOCKS
+        # holds once; two concurrent 2,500-pair tiles fit 4 groups, 16
+        # steps, in one chunk of 2 * _CHUNK_BLOCKS.
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        model, pays = _quarterly_described(20)
+        drawn, draw = [], engine._block_normals
+        monkeypatch.setattr(engine, "_block_normals", lambda *a: drawn.append(
+            (a[1], a[3])) or draw(*a))
+        simulate_many(model, SimulationConfig(n_paths=10_000, seed=1),
+                      {"put 20": pays["put 20"]})
+        assert {lo: [n for at, n in drawn if at == lo]
+                for lo, _ in drawn} == slabs
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)
@@ -1181,6 +1239,26 @@ def _described_model(ts):
         funding={("EUR", "USD"): [0.0, 0.002, 0.003]},
         fx={("USD", "EUR"): [0.04, -0.08, 0.02]})
     return Model(ts, curves, vols, "USD")
+
+
+def _quarterly_described(n):
+    """`_described_model` on n quarterly buckets, with unit payoffs of two
+    keys, a LIBOR-OIS and an equity read and an FX put at every 4th node."""
+    ts = TenorStructure(np.linspace(0.0, 0.25 * n, n + 1))
+    model = _described_model(ts)
+    spot = model.curves.fx_rate("USD", "EUR")
+    pays = {}
+    for k in range(4, n + 1, 4):
+        T = ts.nodes[k]
+        pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
+        pays[f"usd/eur {k}"] = GridPayoff(None, T, "USD", "EUR")
+        pays[f"libor {k}"] = GridPayoff(None, T, "EUR", "EUR",
+                                        BucketRead("b", "EUR", k - 1))
+        pays[f"equity {k}"] = GridPayoff(None, T, "USD", "USD",
+                                         BucketRead("s", "USD", k - 1))
+        pays[f"put {k}"] = GridPayoff(
+            None, T, "EUR", "USD", FxOption("USD", "EUR", spot, False))
+    return model, pays
 
 
 def _read_fn(family, key, m):

@@ -73,3 +73,37 @@ def test_workers_below_one_is_a_usage_error(paired_ab, capsys):
     assert exc.value.code == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
     assert os.environ["COLMM_WORKERS"] == "3"
+
+
+def test_paths_sets_the_path_count_of_every_job(paired_ab, capsys,
+                                                monkeypatch):
+    # Each job's --paths is rewritten: the warm-up job and both jobs of
+    # each pair, on each side, run 400 paths.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    seen, run = [], workloads.run_steps
+    monkeypatch.setattr(workloads, "run_steps", lambda cli, job: seen.append(
+        job.steps) or run(cli, job))
+    src = str(ROOT / "src")
+    assert paired_ab([src, src, "--workload", "diagnose-wide", "--pairs", "2",
+                      "--workers", "1", "--paths", "400"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("diagnose-wide seed=1 COLMM_WORKERS=1 paths=400: 2 "
+                      "pairs, alternating which side runs first")
+    assert out[-1] == "outputs identical in 2 of 2 pairs"
+    paths = [argv[argv.index("--paths") + 1] for steps in seen
+             for argv in steps if "--paths" in argv]
+    assert paths == ["400"] * 6
+
+
+def test_paths_on_a_workload_without_paths_is_a_usage_error(paired_ab,
+                                                            capsys):
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as exc:
+        paired_ab([src, src, "--workload", "bootstrap-analytic",
+                   "--paths", "400"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: --paths: the jobs of bootstrap-analytic take no --paths")
+    assert not any(m.startswith(("colmm_a", "colmm_b")) for m in sys.modules)
+    assert os.environ["COLMM_WORKERS"] == "3"

@@ -1,7 +1,7 @@
 """In-process paired A/B of two colmm source trees on one benchmark workload.
 
     python3 tools/paired_ab.py A/src B/src --workload bootstrap-analytic
-        [--seed 1] [--pairs 30] [--workers N]
+        [--seed 1] [--pairs 30] [--workers N] [--paths N]
 
 Copies the `colmm` package of each tree into a temporary directory as
 `colmm_a` and `colmm_b`; colmm imports its own modules only relatively, so
@@ -9,8 +9,11 @@ both copies load side by side in this process.  It sets `COLMM_WORKERS`
 to `--workers`, by default the workload's worker count (as
 `perfbench/run.py` does, with one BLAS thread), and puts the caller's
 value back at the end.  It prepares the workload of
-`perfbench/workloads.py` at `--seed` in a temporary directory, and runs
-its set-up jobs and one warm-up job on each side.  Then it runs `--pairs` pairs of jobs through each side's
+`perfbench/workloads.py` at `--seed` in a temporary directory, with
+every `--paths` value of its jobs set to `--paths` when given, as
+`tools/worker_scaling.py` sets it (a workload whose jobs take no
+`--paths` is a usage error), and runs its set-up jobs and one warm-up
+job on each side.  Then it runs `--pairs` pairs of jobs through each side's
 `cli.main`, cycling through the workload's jobs, with A first in even
 pairs and B first in odd ones.  Each job's wall time is taken as the
 benchmark takes it, around its CLI calls, and a job that fails the
@@ -28,6 +31,7 @@ benchmark's alternating runs and do not replace them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import os
@@ -71,6 +75,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="COLMM_WORKERS for both sides (default: the "
                              "workload's own)")
+    parser.add_argument("--paths", type=int, default=None,
+                        help="the jobs' --paths value (default: the "
+                             "workload's own)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -79,7 +86,9 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "tools"))
     import workloads
+    from worker_scaling import with_paths
 
     workload = workloads.WORKLOADS[args.workload]
     workers = workload.workers if args.workers is None else args.workers
@@ -94,6 +103,14 @@ def main(argv=None) -> int:
         for side, tree in zip(SIDES, args.trees):
             print(f"{side}: colmm from {tree.resolve()}", file=sys.stderr)
         setups, jobs = workload.prepare(tmp / "work", args.seed)
+        if args.paths is not None:
+            if not any("--paths" in argv for job in jobs
+                       for argv in job.steps):
+                parser.error(f"--paths: the jobs of {args.workload} take "
+                             f"no --paths")
+            jobs = [dataclasses.replace(job, steps=with_paths(job.steps,
+                                                              args.paths))
+                    for job in jobs]
         for cli in clis:
             for job in [*setups, jobs[0]]:
                 run_job(workloads, cli, job)
@@ -121,7 +138,8 @@ def main(argv=None) -> int:
         else:
             os.environ["COLMM_WORKERS"] = saved
 
-    print(f"{args.workload} seed={args.seed} COLMM_WORKERS={workers}:"
+    paths = "" if args.paths is None else f" paths={args.paths}"
+    print(f"{args.workload} seed={args.seed} COLMM_WORKERS={workers}{paths}:"
           f" {args.pairs} pairs, alternating which side runs first")
     print(f"{'side':<4} {'median_s':>9} {'q1_s':>9} {'q3_s':>9} {'wins':>5}")
     medians = {}

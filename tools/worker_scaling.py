@@ -12,10 +12,13 @@ workload's job through `colmm.cli.main` with its `--paths` replaced,
 alternating the `COLMM_WORKERS` counts of `--workers` (1 and 2 by
 default), `--runs` times each after one untimed run of each, and then
 once more each, untimed, under `tracemalloc`.  It prints, per bucket
-count and path count, the median wall seconds at each worker count, the
-speedup, the first count's median over the last one's, and the traced
-peak MB of the job at each count: what numpy and Python allocated at most
-at once, the job's inputs and outputs included.  One BLAS thread is
+count and path count, the median wall seconds at each worker count and
+next to it the median CPU seconds of the blocks, `engine._simulate_block`
+calls each timed with `time.thread_time` on its own thread and summed
+over the job, so that CPU spent beyond the work shows; then the speedup,
+the first count's median over the last one's, and the traced peak MB of
+the job at each count: what numpy and Python allocated at most at once,
+the job's inputs and outputs included.  One BLAS thread is
 pinned, as the benchmark pins it.  colmm is imported from PYTHONPATH,
 else from this checkout's `src/`.
 """
@@ -31,7 +34,7 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, thread_time
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD, SEED = "diagnose-wide", 1
@@ -65,19 +68,36 @@ def traced_peak_mb(cli, steps: list[list[str]], workers: int) -> float:
         tracemalloc.stop()
 
 
-def measure(cli, steps: list[list[str]], workers: list[int],
+def measure(cli, engine, steps: list[list[str]], workers: list[int],
             runs: int) -> list[str]:
-    """One row's cells: median seconds per worker count, the speedup and
-    the traced peak MB per worker count."""
+    """One row's cells: median seconds and median block CPU seconds per
+    worker count, the speedup and the traced peak MB per worker count."""
     times = {w: [] for w in workers}
-    for run in range(runs + 1):
-        for w in workers:
-            t = job_seconds(cli, steps, w)
-            if run:             # the first run of each is warm-up
-                times[w].append(t)
+    cpus = {w: [] for w in workers}
+    block_cpu, simulate_block = [], engine._simulate_block
+
+    def timed_block(*args):
+        t0 = thread_time()
+        try:
+            simulate_block(*args)
+        finally:
+            block_cpu.append(thread_time() - t0)
+
+    engine._simulate_block = timed_block
+    try:
+        for run in range(runs + 1):
+            for w in workers:
+                block_cpu.clear()
+                t = job_seconds(cli, steps, w)
+                if run:             # the first run of each is warm-up
+                    times[w].append(t)
+                    cpus[w].append(sum(block_cpu))
+    finally:
+        engine._simulate_block = simulate_block
     medians = [statistics.median(times[w]) for w in workers]
     peaks = [traced_peak_mb(cli, steps, w) for w in workers]
-    return ([f"{t:.4f}" for t in medians]
+    return ([f"{t:.4f}" for w, wall in zip(workers, medians)
+             for t in (wall, statistics.median(cpus[w]))]
             + [f"{medians[0] / medians[-1]:.2f}"]
             + [f"{mb:.1f}" for mb in peaks])
 
@@ -97,7 +117,7 @@ def main(argv=None) -> int:
     sys.path.append(str(ROOT / "src"))
 
     import workloads
-    from colmm import cli
+    from colmm import cli, engine
 
     print(f"colmm from {cli.__file__}", file=sys.stderr)
     *rest, last = workers
@@ -105,7 +125,8 @@ def main(argv=None) -> int:
     print(f"{WORKLOAD} seed={SEED}: median of {args.runs} runs "
           f"at COLMM_WORKERS={counts}")
     # Each column is one wider than its label.
-    labels = ([f"{w} worker{'s' * (w > 1)} s" for w in workers] + ["speedup"]
+    labels = ([f"{w} worker{'s' * (w > 1)} {unit}" for w in workers
+               for unit in ("s", "cpu s")] + ["speedup"]
               + [f"{w} worker{'s' * (w > 1)} MB" for w in workers])
     print(f"{'buckets':>7}", f"{'paths':>8}",
           *(f"{label:>{len(label) + 1}}" for label in labels))
@@ -122,7 +143,8 @@ def main(argv=None) -> int:
                         with redirect_stdout(io.StringIO()):
                             cli.main(step)
                 for n_paths in args.paths:
-                    cells = measure(cli, with_paths(jobs[0].steps, n_paths),
+                    cells = measure(cli, engine,
+                                    with_paths(jobs[0].steps, n_paths),
                                     workers, args.runs)
                     print(f"{n_buckets:>7}", f"{n_paths:>8}",
                           *(f"{cell:>{len(label) + 1}}" for
