@@ -104,12 +104,11 @@ _SHIFT11 = np.uint64(11)
 
 # Paths are generated in chunks of about this many 4-word blocks: the round
 # buffers then stay in cache and memory does not grow with the path count.
-# This size fits one core's L2 and is the fastest on one thread.  Blocks
-# that run beside others draw chunks twice as large: every numpy call of a
+# This size is the fastest on one thread: doubling a lone block's chunk
+# made fxopt-mc 5 % and 1-worker diagnose-wide 7 % slower.  Blocks that
+# run beside others draw chunks twice as large: every numpy call of a
 # worker thread pays a round trip through the GIL, and halving their
-# number cut diagnose-wide's 2-worker job time by about 8 %.  Chunks of
-# 1.5, 3 or 4 times the size gained less, and doubling a lone block's
-# chunk made fxopt-mc 6 % slower.
+# number cut diagnose-wide's 2-worker job time by 4-9 %.
 _CHUNK_BLOCKS = 1 << 14
 
 # Pairs per estimator chunk; see _ChunkStatistics.  A fixed size, so the

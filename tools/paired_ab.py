@@ -13,9 +13,9 @@ value back at the end.  It prepares the workload of
 every `--paths` value of its jobs set to `--paths` when given, as
 `tools/worker_scaling.py` sets it (a workload whose jobs take no
 `--paths` is a usage error), and runs its set-up jobs and one warm-up
-job on each side.  Then it runs `--pairs` pairs of jobs through each side's
-`cli.main`, cycling through the workload's jobs, with A first in even
-pairs and B first in odd ones.  Each job's wall time is taken as the
+job on each side.  Then it runs `--pairs` pairs of jobs through each
+side's `cli.main`, cycling through the workload's jobs, with A first in
+even pairs and B first in odd ones.  Each job's wall time is taken as the
 benchmark takes it, around its CLI calls, and a job that fails the
 workload's output check ends the run with its problems.
 
