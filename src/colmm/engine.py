@@ -36,11 +36,16 @@ each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
 the row itself).  A payoff is a unit, a description (a bucket read or an
-FX option) or an opaque fn.  `simulate_many` plans each node once: the
-deflator table's columns and FX legs, and the other rows in batches,
-their bucket reads grouped by the W row they read.  A tile then settles
-a node in a fixed handful of grouped numpy calls, each row taking the
-steps of its own read in their order, so that grouping moves no bit.
+FX option) or an opaque fn.  `simulate_many` plans each run of
+consecutive nodes that settle alike once: the deflator table's columns
+and FX legs, and the other rows in batches, their bucket reads grouped
+by the W row they read and gathered at every node of the run.  A tile
+of n pairs then steps G = max(1, _TILE_PAIRS // n) nodes at a time,
+fewer where a slab or a run ends or at a node with an opaque fn, which
+sees the state at its own node, and settles them together in a fixed
+handful of grouped numpy calls with a leading node axis, each row
+taking the steps of its own read in their order, so that grouping
+moves no bit and a small tile's calls are as large as a full tile's.
 The tile holds the pair sums of its rows across nodes, a bounded number
 at a time, and reduces them into per-chunk statistics (count, mean, M2 =
 the sum of squared deviations) and each row's min and max over the whole
@@ -55,9 +60,11 @@ Memory grows with the path count and the grid only through the
 statistics and the tables: a simulation holds, per worker, one tile's
 workspace, and, shared, the model's tables, the settlement plans and the
 chunk statistics, 40 B per payoff row per 100 pairs.  A workspace holds
-the tile's accounts, W at the last few nodes (every node when a payoff
-is an opaque fn), a slab of normals and their Philox buffers, and its
-settlement scratch: nothing in it grows with the grid but that W.
+the tile's accounts at G + 1 nodes, W at the last few nodes and the G
+of a step (every node when a payoff is an opaque fn), a slab of normals
+and their Philox buffers, and its settlement scratch, sized for G nodes
+of the tile's pairs, so for a full tile's pairs: nothing in it grows
+with the grid but that W.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -118,21 +125,26 @@ _CHUNK_BLOCKS = 1 << 14
 _CHUNK_PAIRS = 100
 
 # Pairs per tile, 50 whole chunks: a block runs its pairs a tile at a
-# time, so its workspace never outgrows one tile.  Smaller
-# tiles save little more memory and make more, smaller numpy calls, which
-# concurrent blocks pay for most: on diagnose-wide's inputs at 40,000
-# paths and 2 workers, 2,500-pair tiles took 1.2x the time of these.
+# time, so its workspace never outgrows one tile.  A tile of n pairs
+# settles _TILE_PAIRS // n nodes a step, so its numpy calls are a full
+# tile's size: smaller calls on two threads each pay a GIL round trip.
+# 2,500-pair tiles that settled one node a step ran diagnose-wide's
+# 10,000 paths at 1.00-1.08x the speed of 1 worker in process; two
+# nodes a step run them at 1.18-1.20x.
 _TILE_PAIRS = 50 * _CHUNK_PAIRS
 
-# A block's settlement scratch in rows of one value per pair, whatever
-# the number of payoffs.  Its deflator table takes two per key (a path and
-# its mirror), and its work rows two each: a node's other rows are
-# settled `width` at a time in them, and its FX keys' sigma_X . W products
-# made `width` at a time, width being the most a node needs, cut to fit
-# this budget but at least one.  The rest, at least one, hold pair sums
-# across nodes until they are reduced, so that every block makes few,
-# large numpy calls.  The table is not capped, so a node with k > 19 keys
-# takes 2k + 1 rows, or 2k + 3 with work rows.
+# A tile's settlement scratch per node it settles at once, in rows of one
+# value per pair, whatever the number of payoffs: a tile that settles G
+# nodes a step takes G times these rows, so a full tile's pairs' worth.
+# Its deflator table takes two per key (a path and its mirror), and its
+# work rows two each: a node's other rows are settled `width` at a time
+# in them, and its FX keys' sigma_X . W products made `width` at a time,
+# width being the most a node needs, cut to fit this budget but at least
+# one.  The table and work rows share the space of the normals' Philox
+# buffers, since neither lives while the other does.  The rest, at least
+# one, hold pair sums across nodes until they are reduced, so that every
+# block makes few, large numpy calls.  The table is not capped, so a node
+# with k > 19 keys takes 2k + 1 rows, or 2k + 3 with work rows.
 _SETTLE_ROWS = 40
 
 # Cephes ndtri (Moshier, 1989): sqrt(2 pi), e^-2 and the rational
@@ -366,10 +378,10 @@ class GridPayoff:
 
 
 class _Batch(NamedTuple):
-    """Up to `width` non-unit rows of a node, settled in the tile's work
-    rows in row order: runs of bucket reads (`PathState.read`), FX options
-    and opaque payoffs a row each, then each run of evenly spaced rows
-    times its keys' deflator rows."""
+    """Up to `width` non-unit rows of each node of a run, settled in the
+    tile's work rows in row order: runs of bucket reads (`PathState.read`),
+    FX options and opaque payoffs a row each, then each run of evenly
+    spaced rows times its keys' deflator rows."""
 
     n_rows: int
     reads: tuple        # (BucketReads, slice of rows)
@@ -379,22 +391,30 @@ class _Batch(NamedTuple):
 
 
 class _NodePlan(NamedTuple):
-    """How a tile settles one node: its deflator table, whose first
-    n_units rows are unit rows, then its other rows in batches."""
+    """How a tile settles each node of a run of consecutive nodes that
+    settle alike, from `first` to `end` - 1: its deflator table, whose
+    first n_units rows are unit rows, then its other rows in batches, so
+    n_rows rows in all.  A node with an opaque fn is a run of its own;
+    nodes without payoffs make runs without deflators."""
 
+    first: int
+    end: int
     deflators: DeflatorPlan
     n_units: int
     batches: tuple
+    n_rows: int
 
 
-def _batches(tables: ModelTables, node: int, others: list, width: int,
+def _batches(tables: ModelTables, nodes: list, others: list, width: int,
              deflate: dict) -> tuple:
-    """Batches of a node's non-unit rows, (table row, name, payoff) in row
-    order, width rows at a time; the reads' tables come from `tables`, and
-    `deflate` keeps the deflator runs of each batch's table rows."""
-    batches = []
-    for lo in range(0, len(others), max(1, width)):   # width 0: no rows
-        rows = others[lo:lo + width]
+    """Batches of the non-unit rows of a run of nodes, others[i] being
+    node nodes[i]'s (table row, name, payoff) in row order, width rows at
+    a time; every node's rows settle alike.  One `bucket_reads` per run
+    of reads gathers their tables at every node, and `deflate` keeps the
+    deflator runs of each batch's table rows."""
+    batches, first = [], others[0]
+    for lo in range(0, len(first), max(1, width)):   # width 0: no rows
+        rows = first[lo:lo + width]
         reads, options, opaque = [], [], []
         for is_read, run in groupby(
                 range(len(rows)),
@@ -404,7 +424,8 @@ def _batches(tables: ModelTables, node: int, others: list, width: int,
                 reads += [(batch, slice(run[0] + where.start,
                                         run[0] + where.stop))
                           for batch, where in tables.bucket_reads(
-                              [rows[j][2].description for j in run], node)]
+                              [[each[lo + j][2].description for j in run]
+                               for each in others], nodes)]
                 continue
             for j in run:
                 _, name, p = rows[j]
@@ -419,6 +440,22 @@ def _batches(tables: ModelTables, node: int, others: list, width: int,
         batches.append(_Batch(len(rows), tuple(reads), tuple(options),
                               tuple(opaque), deflate[keys]))
     return tuple(batches)
+
+
+def _settles_as(tables: ModelTables, node: int, keys: list, n_units: int,
+                others: list):
+    """What a node's plan has in common with the plans of the nodes it
+    is settled with: its keys, its unit count and each other row's key
+    and kind, a read's `read_pattern` or the FxOption itself.  A node
+    with an opaque fn settles alone."""
+    if any(p.fn is not None for _, _, p in others):
+        return node
+    pattern = iter(tables.read_pattern(
+        [p.description for _, _, p in others
+         if isinstance(p.description, BucketRead)], node))
+    return tuple(keys), n_units, tuple([
+        (k, next(pattern) if isinstance(p.description, BucketRead)
+         else p.description) for k, _, p in others])
 
 
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
@@ -795,7 +832,7 @@ def _run_threads(target: Callable, calls: list[tuple]) -> None:
             raise exc
 
 
-def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: dict,
+def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: list,
                     n_held: int, width: int, n_last: int, depth: int,
                     unit_lo: int, unit_hi: int, stats: _ChunkStatistics,
                     chunk: int) -> None:
@@ -811,15 +848,16 @@ def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: dict,
 
 def _option_values(state: PathState, option: FxOption,
                    out: np.ndarray) -> np.ndarray:
-    """max(sign (fx - strike), 0.0) into out, in the steps an opaque fn
-    would take: sign times the difference is that difference times sign."""
-    np.subtract(state.fx_rate(option.pay, option.receive), option.strike,
-                out=out)
+    """max(sign (fx - strike), 0.0) at the last step's nodes into out,
+    (nodes, paths), in the steps an opaque fn would take: sign times the
+    difference is that difference times sign."""
+    np.subtract(state.fx_rate(option.pay, option.receive, grouped=True),
+                option.strike, out=out)
     out *= 1.0 if option.is_call else -1.0
     return np.maximum(out, 0.0, out=out)
 
 
-def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
+def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
                    n_held: int, width: int, n_last: int, depth: int,
                    unit_lo: int, unit_hi: int, stats: _ChunkStatistics,
                    chunk: int) -> None:
@@ -829,9 +867,12 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     pair's deflated values, twice its mean: scaling by 2 is exact, so the
     caller halves the estimates instead of every value.  A tile's units
     are whole chunks, so its statistics are the same for any partition.
-    Each node with payoffs is settled by its plan (`simulate_many`) in a
-    fixed handful of grouped numpy calls, whatever its rows: one deflator
-    table, a row per (currency, collateral) key
+    A tile of n pairs steps G = max(1, _TILE_PAIRS // n) nodes at a time
+    (`evolve_step`), fewer where a slab, a run of nodes that settle alike
+    (`simulate_many`) or the held rows end, so a small tile's numpy calls
+    are as large as a full tile's.  The step's nodes are settled together
+    by their plan in a fixed handful of grouped numpy calls, whatever
+    their rows: one deflator table, a row per (currency, collateral) key
     (`PathState.deflator_rows`), whose first rows are the unit rows, held
     with one add; then the other rows, `width` at a time, in the tile's
     work rows and in row order: one `PathState.read` per run of bucket
@@ -839,35 +880,47 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
     evenly spaced run of rows by their keys' deflator rows, and one add
     to hold them.  Every row takes the steps of its own read in their
     order, so grouping moves no bit.  Pair sums are held across nodes, in
-    row order, reduced n_held rows at a time and at the tile's end;
+    row order, a step's rows whole, reduced G n_held rows at a time and
+    at the tile's end; a lone node may fill the held rows many times.
     n_held and width depend on the payoffs, never on the worker count.
     The tile's state reads the `tables` every tile shares and owns its
     accounts and W at the last `depth` nodes.  The normals are drawn a
     slab of steps at a time: the most whole 4-step groups (d Philox
     blocks per path each) whose blocks for the tile fit one chunk of
-    `chunk` blocks, at least one.  One workspace, allocated once, holds the
-    state, a slab's normals and their Philox buffers, and the table,
-    work, held and increment rows, so no array in a tile grows with the
+    `chunk` blocks, at least one.  One workspace, allocated once, holds
+    the state, a slab's normals and their Philox buffers, and the table,
+    work and held rows of G nodes, so no array in a tile grows with the
     grid but the W of a state that keeps every node.
     """
     ts, d = tables.ts, tables.rate_sig.shape[1]
     n_units = unit_hi - unit_lo
     n_phys = 2 * n_units
+    group = max(1, _TILE_PAIRS // n_units)
     slab = 4 * max(1, chunk // (d * n_units))
-    n_keys = max(plan.deflators.n_keys for plan in plans.values())
-    sizes = ((depth * d + len(tables.columns)) * n_phys,
-             max((_normals_layout(n_units, min(slab, n_last - lo), d, chunk)[2]
-                  for lo in range(0, n_last, slab)), default=0),
-             n_keys * n_phys, width * n_phys, n_held * n_units, d * n_phys)
+    n_keys = max(plan.deflators.n_keys for plan in plans
+                 if plan.deflators is not None)
+    # A slab's normals come first in the draw space.  Their Philox
+    # buffers, dead once the slab is drawn, share the rest with the
+    # table and work rows, which live only while a step settles.
+    drawn = min(slab, n_last) * d * n_units
+    settling = list(accumulate((group * n_keys * n_phys,
+                                group * width * n_phys), initial=drawn))
+    sizes = (PathState.space_size(tables, n_phys, depth, group),
+             max([settling[-1], *(_normals_layout(
+                 n_units, min(slab, n_last - lo), d, chunk)[2]
+                 for lo in range(0, n_last, slab))]),
+             group * n_held * n_units)
     at = list(accumulate(sizes, initial=0))
     space = np.empty(at[-1])
-    state_space, normals_space, table, work, held, dw = (
+    state_space, normals_space, held = (
         space[lo:hi] for lo, hi in zip(at, at[1:]))
-    state = PathState(tables, n_phys, depth, state_space)
-    table = table.reshape(n_keys, n_phys)
-    work = work.reshape(width, n_phys)
-    held = held.reshape(n_held, n_units)
-    dw = dw.reshape(d, n_phys)        # each path's, then its mirror's
+    state = PathState(tables, n_phys, depth, state_space, group)
+    table, work = (normals_space[lo:hi] for lo, hi in zip(settling,
+                                                          settling[1:]))
+    table = table.reshape(group, n_keys, n_phys)
+    work = work.reshape(group, width, n_phys)
+    held = held.reshape(group * n_held, n_units)
+    root_deltas = np.sqrt(ts.deltas)
     row = filled = 0                    # held[:filled] is rows row, row + 1, ...
 
     def reduce_held() -> None:
@@ -875,31 +928,47 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
         stats.add(slice(row, row + filled), unit_lo, held[:filled])
         row, filled = row + filled, 0
 
-    def hold(values: np.ndarray) -> None:
-        """Hold the pair sums of (rows, paths) values, reducing full buffers."""
+    def hold(values: np.ndarray, dest: np.ndarray | None, at: int) -> None:
+        """Hold the pair sums of (nodes, rows, paths) values: rows at.. of
+        each node's in dest, or one node's rows in turn, reducing full
+        buffers."""
         nonlocal filled
-        done = 0
+        if dest is not None:
+            np.add(values[..., :n_units], values[..., n_units:],
+                   out=dest[:, at:at + values.shape[1]])
+            return
+        values, done = values[0], 0
         while done < len(values):
-            n = min(len(values) - done, n_held - filled)
+            n = min(len(values) - done, len(held) - filled)
             part = values[done:done + n]
             np.add(part[:, :n_units], part[:, n_units:],
                    out=held[filled:filled + n])
             done, filled = done + n, filled + n
-            if filled == n_held:
+            if filled == len(held):
                 reduce_held()
 
-    def settle(node: int) -> None:
-        plan = plans.get(node)
-        if plan is None:
+    def settle(node: int, g: int) -> None:
+        """Settle the g nodes of the last step, from `node` on."""
+        nonlocal filled
+        plan = plans[node]
+        if plan.deflators is None:
             return
-        deflators = state.deflator_rows(plan.deflators, table, work)
-        hold(deflators[:plan.n_units])
+        dest = None
+        if g > 1:
+            if filled + g * plan.n_rows > len(held):
+                reduce_held()
+            dest = held[filled:filled + g * plan.n_rows].reshape(
+                g, plan.n_rows, n_units)
+        at = node - plan.first
+        deflators = state.deflator_rows(plan.deflators, table[:g], work[:g])
+        hold(deflators[:, :plan.n_units], dest, 0)
+        rows_at = plan.n_units
         for batch in plan.batches:
-            values = work[:batch.n_rows]
+            values = work[:g, :batch.n_rows]
             for reads, rows in batch.reads:
-                state.read(reads, values[rows])
+                state.read(reads, values[:, rows], at)
             for v, option in batch.options:
-                _option_values(state, option, values[v])
+                _option_values(state, option, values[:, v])
             for v, name, fn in batch.opaque:
                 amounts = np.asarray(fn(state), dtype=float)
                 if amounts.shape != (n_phys,):
@@ -907,21 +976,35 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: dict,
                         f"payoff {name!r} returned shape {amounts.shape}, "
                         f"expected ({n_phys},)"
                     )
-                values[v] = amounts
+                values[0, v] = amounts
             for rows, keys in batch.deflate:
-                values[rows] *= deflators[keys]
-            hold(values)
+                values[:, rows] *= deflators[:, keys]
+            hold(values, dest, rows_at)
+            rows_at += batch.n_rows
+        if dest is not None:
+            filled += g * plan.n_rows
+            if filled == len(held):
+                reduce_held()
 
-    settle(0)
+    settle(0, 1)
     for lo in range(0, n_last, slab):
-        normals = _block_normals(cfg.seed, unit_lo, unit_hi,
-                                 min(slab, n_last - lo), d, lo, normals_space,
-                                 chunk)
-        for step, z in enumerate(normals, start=lo):
-            np.multiply(np.sqrt(ts.deltas[step]), z, out=dw[:, :n_units])
-            np.negative(dw[:, :n_units], out=dw[:, n_units:])
-            evolve_step(state, dw.T)
-            settle(step + 1)
+        hi = min(lo + slab, n_last)
+        normals = _block_normals(cfg.seed, unit_lo, unit_hi, hi - lo, d, lo,
+                                 normals_space, chunk)
+        step = lo
+        while step < hi:
+            # As many nodes as the held rows take, in the slab and the run.
+            plan = plans[step + 1]
+            g = min(max(1, min(group, len(held) // max(1, plan.n_rows))),
+                    hi - step, plan.end - step - 1)
+            dw = state.increments(g)
+            np.multiply(root_deltas[step:step + g, None, None],
+                        normals[step - lo:step - lo + g],
+                        out=dw[..., :n_units])
+            np.negative(dw[..., :n_units], out=dw[..., n_units:])
+            evolve_step(state, dw.transpose(0, 2, 1))
+            settle(step + 1, g)
+            step += g
     if filled:
         reduce_held()
 
@@ -936,9 +1019,11 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     node order; within a node, one row per key that has unit payoffs
     (shared by them, since their values are the deflator itself) comes
     first, in the order of the node's deflator table, then one row per
-    other payoff.  Each node's settlement plan is built once, here: its
-    deflator table's columns and FX legs, and its other rows in batches,
-    their bucket reads grouped by the W row they read.  Blocks reduce
+    other payoff.  The nodes fall in runs of consecutive nodes that
+    settle alike (`_settles_as`), and each run's settlement plan is
+    built once, here: its deflator table's columns and FX legs, and its
+    other rows in batches, their bucket reads grouped by the W row they
+    read and gathered at every node of the run at once.  Blocks reduce
     their pair sums into those rows of one set of chunk statistics,
     merged at the end.  Each tile keeps W at 1 + the deepest lookback
     (node - r) of any planned bucket read, at least 2 nodes, or at all
@@ -982,31 +1067,44 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     for keys, _, _ in by_node.values():
         if tuple(keys) not in by_keys:
             by_keys[tuple(keys)] = tables.deflator_plan(keys)
-    deflators = {node: by_keys[tuple(keys)]
-                 for node, (keys, _, _) in by_node.items()}
-    # The scratch rows each tile takes, set by the payoffs alone (see
-    # _SETTLE_ROWS): the work rows, as many as a node's other rows or its
-    # longest run of FX keys, and the held rows.
+    # The scratch rows each tile takes per node it settles at once, set by
+    # the payoffs alone (see _SETTLE_ROWS): the work rows, as many as a
+    # node's other rows or its longest run of FX keys, and the held rows.
     n_keys = max(len(keys) for keys, _, _ in by_node.values())
     width = max(max([len(others), *(len(sig) for *_, sig, _ in
-                                    deflators[node].fx)])
-                for node, (_, _, others) in by_node.items())
+                                    by_keys[tuple(keys)].fx)])
+                for keys, _, others in by_node.values())
     if width:
         width = max(1, min(width, (_SETTLE_ROWS - 2 * n_keys - 1) // 2))
     n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys - 2 * width))
+    # Runs of consecutive nodes that settle alike, nodes without payoffs
+    # included, each with one plan.
+    runs = [list(run) for _, run in groupby(
+        range(n_last + 1), lambda node: _settles_as(
+            tables, node, *by_node[node]) if node in by_node else None)]
     deflate: dict[tuple, tuple] = {}
-    plans = {node: _NodePlan(deflators[node], n_units,
-                             _batches(tables, node, others, width, deflate))
-             for node, (_, n_units, others) in by_node.items()}
+    plans = []
+    for run in runs:
+        first, end = run[0], run[-1] + 1
+        if first not in by_node:
+            plans += [_NodePlan(first, end, None, 0, (), 0)] * len(run)
+            continue
+        keys, n_units, others = by_node[first]
+        plans += [_NodePlan(first, end, by_keys[tuple(keys)], n_units,
+                            _batches(tables, run,
+                                     [by_node[node][2] for node in run],
+                                     width, deflate),
+                            n_units + len(others))] * len(run)
     # A tile keeps W as far back as its reads look, and at every node for
     # an opaque fn, which may read any of them through `PathState.w`.
     if any(p.fn is not None for p in payoffs.values()):
         depth = model.ts.n_buckets + 1
     else:
-        depth = max(2, 1 + max((node - r for node, plan in plans.items()
+        depth = max(2, 1 - min((shift for plan in plans
                                 for batch in plan.batches
                                 for reads, _ in batch.reads
-                                for r, _, _ in reads.products), default=0))
+                                for shift, _, _ in reads.products),
+                               default=0))
     # Path arrays are one tile's, whatever the count; only the statistics
     # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)

@@ -1018,16 +1018,17 @@ class TestExitCodes:
         # A payoff that raises on a worker thread ends the run as it does
         # inline: one line and exit 2, whatever the worker count.  The
         # LIBOR-OIS rows are described reads, so the grouped read raises;
-        # the first one settles at node 1, and USD is the only currency
-        # with LIBOR-OIS spreads.
+        # the first one settles the step's nodes from node 1 on, and USD
+        # is the only currency with LIBOR-OIS spreads.
         import threading
         from colmm.dynamics import PathState
         from colmm.errors import ConfigurationError
         seen = set()
 
-        def broken(self, reads, out):
+        def broken(self, reads, out, at=0):
             seen.add(threading.current_thread())
-            raise ConfigurationError(f"no spread for USD at {self.node}")
+            raise ConfigurationError(
+                f"no spread for USD at {self.nodes[0]}")
 
         monkeypatch.setattr(PathState, "read", broken)
         results = []

@@ -978,7 +978,7 @@ class TestDeflator:
 
 
 class TestBatchedProducts:
-    """The product identity the grouped readers rely on."""
+    """The product identities the grouped readers and evolve rely on."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_batched_matmul_is_the_per_row_products(self, d):
@@ -1005,6 +1005,95 @@ class TestBatchedProducts:
                 np.matmul(stacked, w[at], out=table[2::2][:rows, None])
                 assert np.array_equal(table[2::2][:rows], each)
                 assert np.isnan(table[0]).all()
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_stacked_matmul_is_each_nodes_product(self, d):
+        # A grouped step's rates are one (nodes, K, d) @ (nodes, d, paths)
+        # np.matmul of the transposed (nodes, d, K) loadings with W, written
+        # with out= into rows of the accounts: each node's (K, d) @ (d,
+        # paths) product, bit for bit.  A grouped read or deflator row is a
+        # (nodes, rows, 1, d) @ (nodes, 1, d, paths) product: each node's
+        # (rows, 1, d) @ (d, paths) product, and so each row's.
+        rng = np.random.default_rng(200 + d)
+        for paths in (1, 7, 1001, 5001):
+            for nodes, k in ((1, 1), (2, 5), (3, 4), (6, 9)):
+                sig = rng.standard_normal((nodes + 2, d, k)) * 0.01
+                w = rng.standard_normal((nodes + 1, d, paths))
+                each = np.stack([sig[j].T @ w[j] for j in range(nodes)])
+                out = np.full((nodes + 1, k, paths), np.nan)
+                np.matmul(sig[:nodes].transpose(0, 2, 1), w[:nodes],
+                          out=out[1:])
+                assert np.array_equal(out[1:], each)
+                rows = rng.standard_normal((nodes, k, 1, d))
+                one = np.stack([np.matmul(rows[j], w[j + 1])
+                                for j in range(nodes)])
+                table = np.full((nodes, k + 2, paths), np.nan)
+                np.matmul(rows, w[1:, None], out=table[:, 1:k + 1, None])
+                assert np.array_equal(table[:, 1:k + 1], one[:, :, 0])
+                assert np.array_equal(
+                    one[:, 0, 0], np.stack([rows[j, 0, 0] @ w[j + 1]
+                                            for j in range(nodes)]))
+                assert np.isnan(table[:, 0]).all()
+
+    def test_a_grouped_step_is_its_steps_one_at_a_time(self, ts4, eq_curves,
+                                                       full_vols):
+        # evolve_step over 1-4 intervals at once, from a ring of 2 nodes
+        # and from the full history, in a dirty buffer, takes each
+        # interval's steps: W, the accounts, the deflators and the reads
+        # of buckets with loadings of their own at every node equal the
+        # one-step state's, bit for bit, and a grouped reader's node axis
+        # holds the step's nodes.
+        rng = np.random.default_rng(9)
+        scale = np.array([[1.0], [1.5], [0.7], [1.2]])
+        vols = dataclasses.replace(
+            full_vols, libor_ois={"USD": scale * [0.0, 0.15, 0.1]},
+            equity={"USD": scale[::-1] * [0.05, 0.0, 0.18]})
+        full = make_state(ts4, eq_curves, vols, n_paths=6)
+        dw = rng.normal(size=(4, 6, 3)) * np.sqrt(0.5)
+        plan = full.tables.deflator_plan([("EUR", "USD"), ("USD", "EUR")])
+        # At node n: LIBOR-OIS fixed at T_n-1 and the equity forward
+        # maturing at T_n, which reads W(T_n).
+        reads = full.tables.bucket_reads(
+            [[("b", "USD", n - 1), ("s", "USD", n - 1)] for n in range(1, 5)],
+            range(1, 5))
+        want = []
+        for node in range(5):
+            values = np.empty((2, 6))
+            for batch, rows in reads:
+                if node:
+                    full.read(batch, values[rows], node - 1)
+            want.append((full.log_acc.copy(), full.deflator_rows(
+                plan, np.empty((2, 6))).copy(), values))
+            if node < 4:
+                evolve_step(full, dw[node])
+        for depth in (2, 5):
+            for sizes in ((1, 1, 1, 1), (2, 2), (3, 1), (1, 3), (4,)):
+                st = PathState(full.tables, 6, depth,
+                               np.full(1_000, np.nan), 4)
+                for n in sizes:
+                    lo = st.node
+                    evolve_step(st, dw[lo:lo + n])
+                    assert st.nodes == range(lo + 1, lo + n + 1)
+                    table = st.deflator_rows(plan, np.empty((n, 2, 6)))
+                    values = np.empty((n, 2, 6))
+                    for batch, rows in reads:
+                        st.read(batch, values[:, rows], lo)
+                    for j, node in enumerate(st.nodes):
+                        acc, defl, read = want[node]
+                        assert np.array_equal(st._acc_at_nodes(
+                            node, node + 1)[0].T, acc), (depth, sizes)
+                        assert np.array_equal(table[j], defl)
+                        assert np.array_equal(values[j], read)
+                assert np.array_equal(st.log_acc, want[4][0])
+                if depth == 5:
+                    # W is the running sum of its increments, node by
+                    # node: np.cumsum over the nodes, bit for bit.
+                    assert np.array_equal(st.w, full.w)
+                    assert np.array_equal(st.w, np.cumsum(
+                        [np.zeros((6, 3)), *dw], axis=0))
+        with pytest.raises(ValueError, match="moves 1 to 2 nodes, not 3"):
+            evolve_step(PathState(full.tables, 6, 2, None, 2), dw[:3])
 
 
 def test_index_runs():

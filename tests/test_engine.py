@@ -527,8 +527,9 @@ class TestEstimates:
                                                          monkeypatch):
         # Four single-row nodes fit one buffer, so each tile reduces them
         # in one call, whether its block runs alone or beside another.
-        # Holding one row at a time, four calls a tile, gives the same
-        # estimates, and each is its option's own run.
+        # Holding one full tile's row at a time, four calls a full tile
+        # and two a half tile, whose held rows are a full tile's values,
+        # gives the same estimates, and each is its option's own run.
         model, pays = _fx_options(ts8)
         cfg = SimulationConfig(n_paths=2 * _TILE_PAIRS, seed=5)
         calls, add = [], _ChunkStatistics.add
@@ -541,7 +542,8 @@ class TestEstimates:
                 monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
                 calls.clear()
                 runs[rows, workers] = simulate_many(model, cfg, pays)
-                per_tile = 1 if rows == _SETTLE_ROWS else len(pays)
+                per_tile = (1 if rows == _SETTLE_ROWS
+                            else len(pays) // workers)
                 assert len(calls) == per_tile * workers, (rows, workers)
         want = runs[_SETTLE_ROWS, 1]
         assert all(got == want for got in runs.values())
@@ -671,9 +673,10 @@ def unit_zcb(maturity, ccy="USD", coll="USD"):
 
 
 def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
-                        workers=1, chunk=_CHUNK_BLOCKS):
-    """Bound the traced peak of simulate_many over one full tile of paths
-    on each of `workers` blocks, and return the tiles' share of it.
+                        workers=1, chunk=_CHUNK_BLOCKS, pairs=_TILE_PAIRS):
+    """Bound the traced peak of simulate_many over `pairs` pairs, one full
+    tile by default, on each of `workers` blocks, each block held to one
+    full tile's workspace, and return the tiles' share of it.
 
     No array holds a value per payoff and pair, and none a value per node
     and path but the W of a state that keeps every node.  The peak is what
@@ -698,18 +701,17 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
     add to it.
     """
     assert SimulationConfig().resolved_workers() == workers
-    pairs = _TILE_PAIRS
     n_paths = 2 * pairs * workers
-    ts, d = model.ts, model.vols.n_factors
+    ts, d, tile = model.ts, model.vols.n_factors, _TILE_PAIRS
     chunks = -(-pairs * workers // _CHUNK_PAIRS)
     statistics = 8 * 5 * len(pays) * chunks
-    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * pairs
-    slab = min(ts.n_buckets, 4 * max(1, chunk // (d * pairs)))
+    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * tile
+    slab = min(ts.n_buckets, 4 * max(1, chunk // (d * tile)))
     blocks = -(-slab * d // 4)
-    rows = min(pairs, chunk // blocks)
-    normals = 8 * (slab * d * pairs + 13 * blocks * rows
-                   + (slab * d * rows if rows < pairs else 0))
-    state = 8 * 2 * pairs * ((depth + 1) * d + n_accounts)
+    rows = min(tile, chunk // blocks)
+    normals = 8 * (slab * d * tile + 13 * blocks * rows
+                   + (slab * d * rows if rows < tile else 0))
+    state = 8 * 2 * tile * ((depth + 1) * d + n_accounts)
     assert len(ModelTables.of(model).columns) == n_accounts
 
     def peak(payoffs, n):
@@ -1094,6 +1096,20 @@ class TestSimulate:
         _assert_peak_memory(model, pays, "put 40", n_keys=4, n_accounts=3,
                             depth=2, workers=2, chunk=2 * _CHUNK_BLOCKS)
 
+    def test_memory_of_grouped_half_tiles(self, monkeypatch):
+        # The same case on two blocks of half a tile each: each settles
+        # two nodes a step, in scratch sized for a full tile's pairs, and
+        # holds no more than one full tile's workspace.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        model, pays = _quarterly_described(40)
+        steps, evolve = [], engine.evolve_step
+        monkeypatch.setattr(engine, "evolve_step", lambda st, dw: (
+            steps.append((st.n_paths, len(dw))) or evolve(st, dw)))
+        _assert_peak_memory(model, pays, "put 40", n_keys=4, n_accounts=3,
+                            depth=2, workers=2, chunk=2 * _CHUNK_BLOCKS,
+                            pairs=_TILE_PAIRS // 2)
+        assert {n for paths, n in steps if paths == _TILE_PAIRS} == {1, 2}
+
     @pytest.mark.parametrize("workers, slabs", [
         ("1", {0: [4, 4, 4, 4, 4]}), ("2", {0: [16, 4], 2_500: [16, 4]})])
     def test_concurrent_tiles_draw_larger_slabs(self, workers, slabs,
@@ -1342,6 +1358,78 @@ class TestDescribedPayoffs:
             got = simulate_many(model, cfg, {n: described[n] for n in names})
             assert depths == [depth], names
             assert all(got[n] == want[n] for n in names), names
+
+    def test_grouped_steps_move_no_number(self, monkeypatch):
+        # 20 quarterly nodes, settled in steps of up to G nodes: unit keys
+        # at every node and at T_0, a LIBOR-OIS and an equity read, with
+        # loadings of their own per bucket, at nodes 5-14, the same FX put
+        # at nodes 1, 3, 5 and 7 and an opaque
+        # fn at node 10.  So nodes 8-9, 11-14 and 15-20 settle alike and
+        # every other node alone.  Tiles of 300, 500, 700 and 5,000 pairs
+        # give G = 1, 2, 3 and 24 on 1 worker's 207-pair block, and more
+        # on the 7-pair block of 2-4 workers; small chunks end slabs
+        # inside the runs, and 15 settlement rows hold too few rows for
+        # some steps.  Every estimate is the default run's, bit for bit.
+        ts = TenorStructure(np.linspace(0.0, 5.0, 21))
+        model = _described_model(ts)
+        scale = np.linspace(0.5, 1.5, 20)[:, None]
+        model = Model(ts, model.curves, dataclasses.replace(
+            model.vols, libor_ois={"EUR": scale * [0.1, 0.0, 0.05]},
+            equity={"USD": scale[::-1] * [0.05, 0.0, 0.18]}), "USD")
+        spot = model.curves.fx_rate("USD", "EUR")
+        put = FxOption("USD", "EUR", spot, False)
+        seen = []
+        pays = {"now": GridPayoff(None, 0.0, "USD", "USD")}
+        for k in range(1, 21):
+            T = ts.nodes[k]
+            pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
+            pays[f"eur/usd {k}"] = GridPayoff(None, T, "EUR", "USD")
+            if 5 <= k <= 14:
+                pays[f"libor {k}"] = GridPayoff(None, T, "USD", "USD",
+                                                BucketRead("b", "EUR", k - 1))
+                pays[f"equity {k}"] = GridPayoff(None, T, "EUR", "USD",
+                                                 BucketRead("s", "USD", k - 1))
+            if k in (1, 3, 5, 7):
+                pays[f"put {k}"] = GridPayoff(None, T, "EUR", "USD", put)
+        pays["spot 10"] = GridPayoff(
+            lambda st: seen.append((st.node, st.nodes)) or st.fx_rate(
+                "EUR", "USD"), ts.nodes[10], "USD", "EUR")
+        cfg = SimulationConfig(n_paths=2 * (2 * _CHUNK_PAIRS + 7), seed=3)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        want = simulate_many(model, cfg, pays)
+        # The USD account accrues the rate fixed at T_0 up to T_1.
+        assert [name for name, est in want.items()
+                if est.std_error == 0.0] == ["now", "usd 1"]
+        steps, evolve = [], engine.evolve_step
+        monkeypatch.setattr(engine, "evolve_step", lambda st, dw: (
+            steps.append((st.node, len(dw))) or evolve(st, dw)))
+        monkeypatch.setattr(engine, "_TILE_PAIRS", 5_000)
+        assert simulate_many(model, cfg, pays) == want
+        assert steps == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1),
+                         (6, 1), (7, 2), (9, 1), (10, 4), (14, 6)]
+        runs, sizes = 0, set()
+        for rows in (_SETTLE_ROWS, 15):
+            monkeypatch.setattr(engine, "_SETTLE_ROWS", rows)
+            for chunk in (_CHUNK_BLOCKS, 1_000):
+                monkeypatch.setattr(engine, "_CHUNK_BLOCKS", chunk)
+                for tile in (300, 500, 700, 5_000):
+                    monkeypatch.setattr(engine, "_TILE_PAIRS", tile)
+                    for workers in (1, 2, 3, 4):
+                        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                        steps.clear()
+                        got = simulate_many(model, cfg, pays)
+                        assert got == want, (rows, chunk, tile, workers)
+                        runs += max(n for _, n in steps) > 1
+                        sizes.update(n for _, n in steps)
+        assert runs > 40 and sizes == {1, 2, 3, 4, 5, 6}
+        assert set(seen) == {(10, range(10, 11))}
+        # An opaque fn at T_0, before a node without payoffs, settles alone.
+        got = simulate_many(model, cfg, {
+            "one": GridPayoff(lambda st: np.ones(st.n_paths), 0.0, "USD",
+                              "USD"),
+            "usd 2": pays["usd 2"]})
+        assert got == {"one": PriceEstimate(1.0, 0.0, cfg.n_paths, "USD"),
+                       "usd 2": want["usd 2"]}
 
     def test_fx_option_payoff_is_the_closure_it_replaced(self, ts8):
         from colmm import FxOptionSpec
