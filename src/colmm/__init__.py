@@ -35,8 +35,6 @@ from .engine import (
 )
 from .errors import CalibrationError, ConfigurationError, InputError
 from .market_data import (
-    Instrument,
-    MarketDataFile,
     build_curve_set,
     build_volatility,
     load_curve_set,
@@ -71,8 +69,6 @@ __all__ = [
     "FxOptionSpec",
     "GridPayoff",
     "InputError",
-    "Instrument",
-    "MarketDataFile",
     "Model",
     "ModelTables",
     "PathState",

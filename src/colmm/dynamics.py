@@ -70,6 +70,7 @@ convexity term of the collateral-rate drift; -1, set by `diagnose
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -350,11 +351,11 @@ class BucketReads(NamedTuple):
     At node n, row i is x0[n, i] * exp(drift[n, i] + sig_i . W(T_r)) on
     lognormal curves and (drift[n, i] + sig_i . W(T_r)) + x0[n, i] on
     normal ones, the steps of one bucket read in their order.  The
-    products are (shift, sig, rows): the rows that read W(T_r), r = n +
-    shift, evenly spaced, and their stacked loadings at each node.
+    products are (shift, sig, rows): a run of consecutive rows that read
+    W(T_r), r = n + shift, and their loadings at each node.
     """
 
-    products: tuple     # (shift, (nodes, rows, 1, d) loadings, slice of rows)
+    products: tuple     # (shift, (nodes, rows, 1, d) loadings, rows a..b)
     drift: np.ndarray   # (nodes, rows, 1): drift[r, m] of each row's table
     x0: np.ndarray      # (nodes, rows, 1)
     lognormal: bool
@@ -384,34 +385,6 @@ _NOT_SIMULATED = {
 }
 
 
-def _read_layout(pattern: tuple) -> list:
-    """The batches of reads whose (lognormal, r - node) are `pattern`.
-
-    Per run of consecutive reads of one kind: its bounds, its kind, the
-    order in which its rows' loadings are stacked, and per product the W
-    row's shift from the node, its stacked rows a..b and its evenly
-    spaced rows of the run (`ModelTables.bucket_reads`).
-    """
-    layout, lo = [], 0
-    while lo < len(pattern):
-        lognormal, hi = pattern[lo][0], lo + 1
-        while hi < len(pattern) and pattern[hi][0] == lognormal:
-            hi += 1
-        by_row: dict[int, list] = {}
-        for i, (_, shift) in enumerate(pattern[lo:hi]):
-            by_row.setdefault(shift, []).append(i)
-        products, start = [], 0
-        for shift, rows in by_row.items():
-            products += [(shift, start + a, start + b, where)
-                         for a, b, (where,) in index_runs(rows)]
-            start += len(rows)
-        layout.append((lo, hi, lognormal,
-                       [i for rows in by_row.values() for i in rows],
-                       products))
-        lo = hi
-    return layout
-
-
 class FxLeg(NamedTuple):
     """The constants of one FX leg X(base, ccy), in `ModelTables.fx_legs`."""
 
@@ -428,7 +401,8 @@ class ModelTables:
 
     A path state holds only W and its log accounts and reads the rest
     here; `of` builds the tables once per simulation, and the plans that
-    read only them, `deflator_plan` and `bucket_reads`, need no paths.
+    read only them, `deflator_plan` and `bucket_reads` of the reads
+    `look_up` resolves, need no paths.  Nothing here changes once built.
     Every array kept is read-only, a copy where it would alias the
     Model's curves or vols, so a payoff that writes into one fails
     instead of moving other tiles' numbers.
@@ -442,8 +416,6 @@ class ModelTables:
     rate0: np.ndarray       # (N, K): rate on (T_k, T_k+1] at W = 0
     rate_sig: np.ndarray    # (N, d, K): ... and its loadings
     fx_legs: dict           # ccy -> FxLeg
-    # bucket_reads' layouts; tiles on two threads may add one twice, equal.
-    _read_layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, model) -> "ModelTables":
@@ -547,7 +519,7 @@ class ModelTables:
             raise ConfigurationError(
                 f"no simulated FX linking {self.base} and {currency}")
 
-    def _looked_up(self, reads, node: int) -> list:
+    def look_up(self, reads, node: int) -> list:
         """(tables, bucket, W row) of each read (family, key, bucket) at
         `node`; bucket m of a table with lag L reads W(T_r), r = min(node,
         m + L)."""
@@ -559,46 +531,39 @@ class ModelTables:
             looked_up.append((tab, m, min(node, m + tab.lag)))
         return looked_up
 
-    def read_pattern(self, reads, node: int) -> tuple:
-        """Each read's (lognormal, r - node) at `node`: reads at nodes of
-        one pattern are batched together by `bucket_reads`."""
-        return tuple([(tab.lognormal, r - node)
-                      for tab, _, r in self._looked_up(reads, node)])
+    @staticmethod
+    def bucket_reads(looked_up, nodes) -> list:
+        """Reads looked up by `look_up`, looked_up[i] at nodes[i], batched
+        for `PathState.read`.
 
-    def bucket_reads(self, reads, nodes) -> list:
-        """Reads (family, key, bucket), reads[i] at nodes[i], batched for
-        `PathState.read`.
-
-        Every node's reads have one `read_pattern`.  Returns (BucketReads,
-        rows) per run of consecutive reads of one kind (normal or
-        lognormal), rows being the run's slice of each node's reads;
-        within a run, the reads of each W row make one product per evenly
-        spaced run of them.  Each table has a leading axis of the nodes.
-        The layout of each pattern is kept, and only the tables' numbers
-        are gathered per call.
+        Read by read, every node's reads are of one kind (normal or
+        lognormal) and W row relative to the node, which the first node's
+        give.  Returns (BucketReads, rows) per run of consecutive reads of
+        one kind, rows being the run's slice of each node's reads; within
+        a run, each run of consecutive reads of one W row is one product,
+        so reads sorted by W row make one product per W row.  Each table
+        has a leading axis of the nodes.
         """
-        looked_up = [self._looked_up(r, node) for r, node in zip(reads, nodes)]
-        patterns = {tuple([(tab.lognormal, r - node) for tab, _, r in each])
-                    for each, node in zip(looked_up, nodes)}
-        if len(patterns) != 1:
-            raise ValueError("the nodes' reads do not share one pattern")
-        pattern = patterns.pop()
-        if pattern not in self._read_layouts:
-            self._read_layouts[pattern] = _read_layout(pattern)
-        batches = []
-        for lo, hi, lognormal, order, products in self._read_layouts[pattern]:
+        first, node = looked_up[0], nodes[0]
+        batches, lo = [], 0
+        for lognormal, kind in groupby(first,
+                                       lambda read: read[0].lognormal):
+            hi = lo + len(list(kind))
             runs = [each[lo:hi] for each in looked_up]
-            # The loadings stacked product by product, each a view of them.
-            sig = np.array([[run[i][0].sig[run[i][1]] for i in order]
+            sig = np.array([[tab.sig[m] for tab, m, _ in run]
                             for run in runs])[:, :, None]
             drift, x0 = np.array([[[tab.drift[r, m] for tab, m, r in run]
                                    for run in runs],
                                   [[tab.x0[m] for tab, m, _ in run]
                                    for run in runs]])[..., None]
-            batches.append((BucketReads(
-                tuple([(shift, sig[:, a:b], where)
-                       for shift, a, b, where in products]),
-                drift, x0, lognormal), slice(lo, hi)))
+            products, a = [], 0
+            for shift, same in groupby(r - node for _, _, r in first[lo:hi]):
+                b = a + len(list(same))
+                products.append((shift, sig[:, a:b], slice(a, b)))
+                a = b
+            batches.append((BucketReads(tuple(products), drift, x0,
+                                        lognormal), slice(lo, hi)))
+            lo = hi
         return batches
 
     def deflator_plan(self, keys) -> DeflatorPlan:
@@ -783,8 +748,9 @@ class PathState:
             raise ValueError(f"bucket range [{lo}, {hi}) is not within "
                              f"[0, {n}]")
         out = np.empty((hi - lo, self.n_paths))
-        for reads, rows in self.tables.bucket_reads(
-                [[(family, key, m) for m in range(lo, hi)]], [self.node]):
+        looked_up = self.tables.look_up(
+            [(family, key, m) for m in range(lo, hi)], self.node)
+        for reads, rows in self.tables.bucket_reads([looked_up], [self.node]):
             self.read(reads, out[rows])
         return out.T
 

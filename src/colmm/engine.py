@@ -36,10 +36,13 @@ each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
 the row itself).  A payoff is a unit, a description (a bucket read or an
-FX option) or an opaque fn.  `simulate_many` plans each run of
-consecutive nodes that settle alike once: the deflator table's columns
-and FX legs, and the other rows in batches, their bucket reads grouped
-by the W row they read and gathered at every node of the run.  A tile
+FX option) or an opaque fn.  `simulate_many` looks each bucket read up
+once and puts a node's reads first among its other rows, stably sorted
+by kind and W row, so that each (kind, W row) is one run of rows.  It
+plans each run of consecutive nodes that settle alike once: the
+deflator table's columns and FX legs, and the other rows in batches,
+each kind of read one batched read with one product per W row,
+gathered at every node of the run.  A tile
 of n pairs then steps G = max(1, _TILE_PAIRS // n) nodes at a time,
 fewer where a slab or a run ends or at a node with an opaque fn, which
 sees the state at its own node, and settles them together in a fixed
@@ -379,9 +382,10 @@ class GridPayoff:
 
 class _Batch(NamedTuple):
     """Up to `width` non-unit rows of each node of a run, settled in the
-    tile's work rows in row order: runs of bucket reads (`PathState.read`),
-    FX options and opaque payoffs a row each, then each run of evenly
-    spaced rows times its keys' deflator rows."""
+    tile's work rows in row order: its bucket reads, one `PathState.read`
+    per run of one kind, then FX options and opaque payoffs a row each,
+    then each run of rows whose keys' deflator rows step evenly times
+    those rows."""
 
     n_rows: int
     reads: tuple        # (BucketReads, slice of rows)
@@ -405,57 +409,40 @@ class _NodePlan(NamedTuple):
     n_rows: int
 
 
-def _batches(tables: ModelTables, nodes: list, others: list, width: int,
-             deflate: dict) -> tuple:
-    """Batches of the non-unit rows of a run of nodes, others[i] being
-    node nodes[i]'s (table row, name, payoff) in row order, width rows at
-    a time; every node's rows settle alike.  One `bucket_reads` per run
-    of reads gathers their tables at every node, and `deflate` keeps the
-    deflator runs of each batch's table rows."""
+def _batches(nodes: list, others: list, reads: list, width: int) -> tuple:
+    """Batches of the non-unit rows of a run of nodes, width rows at a
+    time: others[i] is node nodes[i]'s (table row, name, payoff) in row
+    order, its bucket reads first, and reads[i] their `ModelTables.look_up`;
+    every node's rows settle alike.  One `bucket_reads` per batch gathers
+    its reads' tables at every node."""
     batches, first = [], others[0]
     for lo in range(0, len(first), max(1, width)):   # width 0: no rows
         rows = first[lo:lo + width]
-        reads, options, opaque = [], [], []
-        for is_read, run in groupby(
-                range(len(rows)),
-                lambda j: isinstance(rows[j][2].description, BucketRead)):
-            run = list(run)
-            if is_read:
-                reads += [(batch, slice(run[0] + where.start,
-                                        run[0] + where.stop))
-                          for batch, where in tables.bucket_reads(
-                              [[each[lo + j][2].description for j in run]
-                               for each in others], nodes)]
-                continue
-            for j in run:
-                _, name, p = rows[j]
-                if p.fn is None:
-                    options.append((j, p.description))
-                else:
-                    opaque.append((j, name, p.fn))
-        keys = tuple([k for k, _, _ in rows])
-        if keys not in deflate:
-            deflate[keys] = tuple(where for _, _, where in
-                                  index_runs(range(len(keys)), keys))
-        batches.append(_Batch(len(rows), tuple(reads), tuple(options),
-                              tuple(opaque), deflate[keys]))
+        n_reads = len(reads[0][lo:lo + width])
+        batches.append(_Batch(
+            len(rows),
+            tuple(ModelTables.bucket_reads(
+                [each[lo:lo + n_reads] for each in reads], nodes)),
+            tuple([(j, p.description) for j, (_, _, p) in enumerate(rows)
+                   if j >= n_reads and p.fn is None]),
+            tuple([(j, name, p.fn) for j, (_, name, p) in enumerate(rows)
+                   if p.fn is not None]),
+            tuple(where for _, _, where in index_runs(
+                range(len(rows)), [k for k, _, _ in rows]))))
     return tuple(batches)
 
 
-def _settles_as(tables: ModelTables, node: int, keys: list, n_units: int,
-                others: list):
+def _settles_as(node: int, keys: list, n_units: int, others: list,
+                reads: list):
     """What a node's plan has in common with the plans of the nodes it
-    is settled with: its keys, its unit count and each other row's key
-    and kind, a read's `read_pattern` or the FxOption itself.  A node
-    with an opaque fn settles alone."""
+    is settled with: its keys, its unit count, each other row's key, each
+    read's kind and W row relative to the node, and the FxOptions.  A
+    node with an opaque fn settles alone."""
     if any(p.fn is not None for _, _, p in others):
         return node
-    pattern = iter(tables.read_pattern(
-        [p.description for _, _, p in others
-         if isinstance(p.description, BucketRead)], node))
-    return tuple(keys), n_units, tuple([
-        (k, next(pattern) if isinstance(p.description, BucketRead)
-         else p.description) for k, _, p in others])
+    return (tuple(keys), n_units, tuple([k for k, _, _ in others]),
+            tuple([(tab.lognormal, r - node) for tab, _, r in reads]),
+            tuple([p.description for _, _, p in others[len(reads):]]))
 
 
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
@@ -875,10 +862,10 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
     their rows: one deflator table, a row per (currency, collateral) key
     (`PathState.deflator_rows`), whose first rows are the unit rows, held
     with one add; then the other rows, `width` at a time, in the tile's
-    work rows and in row order: one `PathState.read` per run of bucket
-    reads, an FX option or an opaque fn a row each, one multiply per
-    evenly spaced run of rows by their keys' deflator rows, and one add
-    to hold them.  Every row takes the steps of its own read in their
+    work rows and in row order: one `PathState.read` per kind of bucket
+    read, an FX option or an opaque fn a row each, one multiply per run
+    of rows whose keys' deflator rows step evenly, and one add to hold
+    them.  Every row takes the steps of its own read in their
     order, so grouping moves no bit.  Pair sums are held across nodes, in
     row order, a step's rows whole, reduced G n_held rows at a time and
     at the tile's end; a lone node may fill the held rows many times.
@@ -1019,11 +1006,16 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     node order; within a node, one row per key that has unit payoffs
     (shared by them, since their values are the deflator itself) comes
     first, in the order of the node's deflator table, then one row per
-    other payoff.  The nodes fall in runs of consecutive nodes that
-    settle alike (`_settles_as`), and each run's settlement plan is
-    built once, here: its deflator table's columns and FX legs, and its
-    other rows in batches, their bucket reads grouped by the W row they
-    read and gathered at every node of the run at once.  Blocks reduce
+    other payoff: the bucket reads, each looked up once
+    (`ModelTables.look_up`) and stably sorted by kind and W row, then the
+    rest.  Each row's statistics depend on its values alone, so the
+    order moves no number.  Errors come in a fixed order: an off-grid
+    maturity, then `COLMM_WORKERS`, then a key the model does not
+    simulate, then a bad read.  The nodes fall in runs of consecutive
+    nodes that settle alike (`_settles_as`), and each run's settlement
+    plan is built once, here: its deflator table's columns and FX legs,
+    and its other rows in batches, each kind of read one product per W
+    row, gathered at every node of the run at once.  Blocks reduce
     their pair sums into those rows of one set of chunk statistics,
     merged at the end.  Each tile keeps W at 1 + the deepest lookback
     (node - r) of any planned bucket read, at least 2 nodes, or at all
@@ -1039,71 +1031,79 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         grouped.setdefault(node, {}).setdefault(
             (p.currency, p.collateral), []).append(
                 (name, p, p.fn is None and p.description is None))
-    # node -> (deflator keys, unit key count, [(key index, name, payoff)]),
-    # and the row of each payoff.
-    by_node, row_of, n_rows = {}, {}, 0
-    for node in sorted(grouped):
-        groups = grouped[node]
-        # Keys with unit payoffs come first: unit row k is table row k.
-        units = [key for key, group in groups.items()
-                 if any(unit for _, _, unit in group)]
-        keys = units + [key for key in groups if key not in units]
-        others = [(k, name, p) for k, key in enumerate(keys)
-                  for name, p, unit in groups[key] if not unit]
-        by_node[node] = (keys, len(units), others)
-        row_of.update((name, n_rows + k) for k, key in enumerate(units)
-                      for name, _, unit in groups[key] if unit)
-        row_of.update((name, n_rows + len(units) + j)
-                      for j, (_, name, _) in enumerate(others))
-        n_rows += len(units) + len(others)
-    n_last = max(by_node)
+    n_last = max(grouped)
     n_workers = cfg.resolved_workers()
     # The model's tables are built once and shared read-only; each tile
     # builds its own state in its workspace, since building every block's
     # state here raised the peak RSS.
     tables = ModelTables.of(model)
-    # Nodes with the same keys share one deflator plan.
-    by_keys: dict[tuple, DeflatorPlan] = {}
-    for keys, _, _ in by_node.values():
+    # Keys with unit payoffs come first: unit row k is table row k.  Nodes
+    # with the same keys share one deflator plan.
+    keys_of, by_keys = {}, {}
+    for node in sorted(grouped):
+        units = [key for key, group in grouped[node].items()
+                 if any(unit for _, _, unit in group)]
+        keys = units + [key for key in grouped[node] if key not in units]
+        keys_of[node] = keys, len(units)
         if tuple(keys) not in by_keys:
             by_keys[tuple(keys)] = tables.deflator_plan(keys)
+    # node -> (deflator keys, unit key count, [(key index, name, payoff)],
+    # the reads' lookups), and the row of each payoff.  A node's bucket
+    # reads, each looked up once, are its first other rows, stably
+    # sorted by kind and W row, so that each is one run of rows.
+    by_node, row_of, n_rows = {}, {}, 0
+    for node, (keys, n_units) in keys_of.items():
+        others = [(k, name, p) for k, key in enumerate(keys)
+                  for name, p, unit in grouped[node][key] if not unit]
+        reads = [row for row in others
+                 if isinstance(row[2].description, BucketRead)]
+        looked_up = sorted(zip(tables.look_up(
+            [p.description for _, _, p in reads], node), reads),
+            key=lambda pair: (pair[0][0].lognormal, pair[0][2]))
+        others = [row for _, row in looked_up] + [
+            row for row in others
+            if not isinstance(row[2].description, BucketRead)]
+        by_node[node] = (keys, n_units, others,
+                         [read for read, _ in looked_up])
+        row_of.update((name, n_rows + k)
+                      for k, key in enumerate(keys[:n_units])
+                      for name, _, unit in grouped[node][key] if unit)
+        row_of.update((name, n_rows + n_units + j)
+                      for j, (_, name, _) in enumerate(others))
+        n_rows += n_units + len(others)
     # The scratch rows each tile takes per node it settles at once, set by
     # the payoffs alone (see _SETTLE_ROWS): the work rows, as many as a
     # node's other rows or its longest run of FX keys, and the held rows.
-    n_keys = max(len(keys) for keys, _, _ in by_node.values())
+    n_keys = max(len(keys) for keys, _ in keys_of.values())
     width = max(max([len(others), *(len(sig) for *_, sig, _ in
                                     by_keys[tuple(keys)].fx)])
-                for keys, _, others in by_node.values())
+                for keys, _, others, _ in by_node.values())
     if width:
         width = max(1, min(width, (_SETTLE_ROWS - 2 * n_keys - 1) // 2))
     n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys - 2 * width))
     # Runs of consecutive nodes that settle alike, nodes without payoffs
     # included, each with one plan.
-    runs = [list(run) for _, run in groupby(
-        range(n_last + 1), lambda node: _settles_as(
-            tables, node, *by_node[node]) if node in by_node else None)]
-    deflate: dict[tuple, tuple] = {}
     plans = []
-    for run in runs:
+    for _, run in groupby(range(n_last + 1), lambda node: _settles_as(
+            node, *by_node[node]) if node in by_node else None):
+        run = list(run)
         first, end = run[0], run[-1] + 1
         if first not in by_node:
             plans += [_NodePlan(first, end, None, 0, (), 0)] * len(run)
             continue
-        keys, n_units, others = by_node[first]
+        keys, n_units, others, _ = by_node[first]
         plans += [_NodePlan(first, end, by_keys[tuple(keys)], n_units,
-                            _batches(tables, run,
-                                     [by_node[node][2] for node in run],
-                                     width, deflate),
+                            _batches(run, [by_node[node][2] for node in run],
+                                     [by_node[node][3] for node in run],
+                                     width),
                             n_units + len(others))] * len(run)
     # A tile keeps W as far back as its reads look, and at every node for
     # an opaque fn, which may read any of them through `PathState.w`.
     if any(p.fn is not None for p in payoffs.values()):
         depth = model.ts.n_buckets + 1
     else:
-        depth = max(2, 1 - min((shift for plan in plans
-                                for batch in plan.batches
-                                for reads, _ in batch.reads
-                                for shift, _, _ in reads.products),
+        depth = max(2, 1 - min((r - node for node, (*_, reads)
+                                in by_node.items() for _, _, r in reads),
                                default=0))
     # Path arrays are one tile's, whatever the count; only the statistics
     # grow with it, and they are sized before the first tile.

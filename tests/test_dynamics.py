@@ -1055,8 +1055,8 @@ class TestBatchedProducts:
         # At node n: LIBOR-OIS fixed at T_n-1 and the equity forward
         # maturing at T_n, which reads W(T_n).
         reads = full.tables.bucket_reads(
-            [[("b", "USD", n - 1), ("s", "USD", n - 1)] for n in range(1, 5)],
-            range(1, 5))
+            [full.tables.look_up([("b", "USD", n - 1), ("s", "USD", n - 1)],
+                                 n) for n in range(1, 5)], range(1, 5))
         want = []
         for node in range(5):
             values = np.empty((2, 6))

@@ -1474,3 +1474,96 @@ class TestDescribedPayoffs:
             payoff = GridPayoff(None, 1.0, "USD", "USD", BucketRead(*read))
             with pytest.raises(error, match=message):
                 simulate_many(model, cfg, {"p": payoff})
+
+    def _interleaved(self, ts4):
+        # At T = 1.5 (node 3), on key (USD, USD) in this order: a
+        # LIBOR-OIS read fixed at T_2 (W row 2, one node back), the equity
+        # forward maturing at T_3 (W row 3), an FX put, a normal collateral
+        # read (W row 3), a second LIBOR-OIS read and a live equity read;
+        # another LIBOR-OIS read on key (EUR, USD), and a unit key.
+        spot = _described_model(ts4).curves.fx_rate("USD", "EUR")
+        described = [("b", "USD", 2), ("s", "USD", 2),
+                     FxOption("USD", "EUR", spot, False), ("c", "USD", 3),
+                     ("b", "EUR", 2), ("s", "USD", 3)]
+        pays = {f"row {i}": GridPayoff(
+            None, 1.5, "USD", "USD",
+            each if isinstance(each, FxOption) else BucketRead(*each))
+            for i, each in enumerate(described)}
+        pays["eur"] = GridPayoff(None, 1.5, "EUR", "USD",
+                                 BucketRead("b", "EUR", 2))
+        pays["unit"] = GridPayoff(None, 1.5, "EUR", "EUR")
+        return pays
+
+    def test_a_node_reads_each_kind_and_w_row_in_one_product(
+            self, ts4, monkeypatch):
+        # Reads interleaved with an FX put, on two keys, are settled with
+        # one product per (kind, W row), and every estimate is the
+        # payoff's alone and that of the payoffs in any order, bit for bit.
+        model = _described_model(ts4)
+        pays = self._interleaved(ts4)
+        cfg = SimulationConfig(n_paths=2 * (2 * _CHUNK_PAIRS + 7), seed=8)
+        plans, block = [], engine._simulate_block
+        monkeypatch.setattr(engine, "_simulate_block", lambda tables, cfg,
+                            p, *a: plans.append(p) or block(tables, cfg, p,
+                                                            *a))
+        alone = {name: simulate_many(model, cfg, {name: p})[name]
+                 for name, p in pays.items()}
+        names = list(pays)
+        for workers in (1, 2):
+            monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+            for order in (names, names[::-1], [*names[3:], *names[:3]]):
+                plans.clear()
+                assert simulate_many(
+                    model, cfg, {name: pays[name] for name in order}) \
+                    == alone, (workers, order)
+                plan = plans[0][3]
+                products = [(reads.lognormal, shift)
+                            for batch in plan.batches
+                            for reads, _ in batch.reads
+                            for shift, _, _ in reads.products]
+                assert sorted(products) == [(False, 0), (True, -1),
+                                            (True, 0)], order
+                assert [len(batch.options) for batch in plan.batches] == [1]
+
+    def test_each_read_is_looked_up_once(self, ts4, monkeypatch):
+        # Planning resolves each described read once, whatever the
+        # worker count and however many nodes settle alike.
+        described = _described_model(ts4)
+        calls, tables = [], ModelTables._tables
+        monkeypatch.setattr(ModelTables, "_tables", lambda self, *key: (
+            calls.append(key) or tables(self, *key)))
+        for model, pays in ((described, self._interleaved(ts4)),
+                            (described, self._pays(ts4)[0]),
+                            _quarterly_described(12)):
+            n_reads = sum(isinstance(p.description, BucketRead)
+                          for p in pays.values())
+            for workers in (1, 2):
+                monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+                calls.clear()
+                simulate_many(model, SimulationConfig(n_paths=2_000), pays)
+                assert len(calls) == n_reads > 0
+
+    def test_errors_come_in_a_fixed_order(self, ts4, monkeypatch):
+        # An off-grid maturity, then COLMM_WORKERS, then a key the model
+        # does not simulate, then a bad read, whatever their nodes.
+        model = _described_model(ts4)
+        cfg = SimulationConfig(n_paths=8)
+        monkeypatch.setattr(engine, "_block_normals", None)    # never reached
+        pays = {"read": GridPayoff(None, 0.5, "USD", "USD",
+                                   BucketRead("b", "USD", 4)),
+                "key": GridPayoff(None, 1.0, "GBP", "USD"),
+                "off": GridPayoff(None, 1.25, "USD", "USD")}
+        monkeypatch.setenv(WORKERS_ENV_VAR, "0")
+        with pytest.raises(ValueError, match="time 1.25 is not a tenor node"):
+            simulate_many(model, cfg, pays)
+        del pays["off"]
+        with pytest.raises(ConfigurationError,
+                           match=rf"{WORKERS_ENV_VAR} must be in \[1, "):
+            simulate_many(model, cfg, pays)
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        with pytest.raises(ConfigurationError,
+                           match="no simulated FX linking USD and GBP"):
+            simulate_many(model, cfg, pays)
+        del pays["key"]
+        with pytest.raises(ValueError, match=r"bucket 4 is not within"):
+            simulate_many(model, cfg, pays)

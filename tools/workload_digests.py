@@ -1,6 +1,7 @@
 """One SHA-256 per (workload, seed) over everything the benchmark jobs make.
 
     PYTHONPATH=src python3 tools/workload_digests.py [--seeds 7 11]
+        [--workers 1 2 3]
 
 Runs every setup and job of each workload in `perfbench/workloads.py`
 through `colmm.cli.main`, in a temporary directory, and prints one line
@@ -11,9 +12,13 @@ of the setups and jobs.  After a job's outputs, each of its `diagnose`
 steps runs again with `--corrupt-drift-c` appended, the negative control,
 and its exit code, standard output and report enter the digest too.  The
 worker count is the program's own:
-`COLMM_WORKERS` from the environment.  colmm is imported from PYTHONPATH,
-else from this checkout's `src/`, and the file it came from is printed
-to standard error.  Two commits give the same numbers when the lines
+`COLMM_WORKERS` from the environment.  With `--workers`, every workload
+runs at each count in turn, with `COLMM_WORKERS` set to it, and the
+caller's value is put back at the end; the last line then says whether
+each (workload, seed) has one digest across the counts, and the exit
+code is 1 when one does not.  colmm is imported from PYTHONPATH, else
+from this checkout's `src/`, and the file it came from is printed to
+standard error.  Two commits give the same numbers when the lines
 printed with each one's `src/` on PYTHONPATH are equal.
 """
 
@@ -66,6 +71,8 @@ def workload_digest(cli, workload, seed: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    parser.add_argument("--workers", type=int, nargs="+", default=None,
+                        help="run at each of these COLMM_WORKERS counts")
     args = parser.parse_args(argv)
     # As the benchmark runs: one BLAS thread, set before numpy is imported.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -77,11 +84,34 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
 
     print(f"colmm from {cli.__file__}", file=sys.stderr)
-    workers = os.environ.get("COLMM_WORKERS", "unset")
-    for name, workload in WORKLOADS.items():
-        for seed in args.seeds:
-            digest = workload_digest(cli, workload, seed)
-            print(f"{name} seed={seed} COLMM_WORKERS={workers} {digest}")
+    caller = os.environ.get("COLMM_WORKERS")
+    found: dict[tuple, set] = {}
+    try:
+        for count in args.workers or [caller]:
+            if count is not None:
+                os.environ["COLMM_WORKERS"] = str(count)
+            for name, workload in WORKLOADS.items():
+                for seed in args.seeds:
+                    digest = workload_digest(cli, workload, seed)
+                    found.setdefault((name, seed), set()).add(digest)
+                    print(f"{name} seed={seed} COLMM_WORKERS="
+                          f"{'unset' if count is None else count} {digest}")
+    finally:
+        if caller is None:
+            os.environ.pop("COLMM_WORKERS", None)
+        else:
+            os.environ["COLMM_WORKERS"] = caller
+    if args.workers is None:
+        return 0
+    counts = " ".join(map(str, args.workers))
+    differ = [f"{name} seed={seed}" for (name, seed), digests in found.items()
+              if len(digests) > 1]
+    if differ:
+        print(f"digests differ across COLMM_WORKERS {counts}: "
+              + ", ".join(differ))
+        return 1
+    print(f"each of {len(found)} (workload, seed) pairs has one digest "
+          f"across COLMM_WORKERS {counts}")
     return 0
 
 
