@@ -1050,7 +1050,9 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # node -> (deflator keys, unit key count, [(key index, name, payoff)],
     # the reads' lookups), and the row of each payoff.  A node's bucket
     # reads, each looked up once, are its first other rows, stably
-    # sorted by kind and W row, so that each is one run of rows.
+    # sorted by kind and W row, so that each is one run of rows.  They
+    # are looked up after every deflator plan, so that a key the model
+    # does not simulate is reported before a bad read.
     by_node, row_of, n_rows = {}, {}, 0
     for node, (keys, n_units) in keys_of.items():
         others = [(k, name, p) for k, key in enumerate(keys)
