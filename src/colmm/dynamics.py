@@ -34,9 +34,9 @@ on Gaussian HJM); log B and log S follow the same formula with the -1/2
 reads reach back to) and the log accounts the deflators read, one (K, paths)
 array: (ccy, ccy) for every currency with a curve and (base, c), whose y
 alone is simulated, for every other currency c.  It reads buckets from
-tables A, which ModelTables.of builds once per model; each drift function
-returns an (N + 1, N) array whose row j is alpha(j), so each A is one
-cumsum.  The account of a pair accrues over (T_k, T_{k+1}] the rate fixed at
+tables A, which ModelTables.of builds once per model: O(N d) numbers per
+curve, A_n(r) = T_r u[n] - own_n . Q[r] (`_Drifts`, `_BucketTables`).  The
+account of a pair accrues over (T_k, T_{k+1}] the rate fixed at
 T_k, x0 + A(k) + sigma . W(T_k) of bucket k of c + y, whose loading is
 VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
 y = 0.  So evolve_step is one (K, d) @ (d, paths) product plus elementwise
@@ -209,19 +209,67 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _brackets(deltas: np.ndarray, sig: np.ndarray, shift: np.ndarray,
-              inclusive: bool = False) -> np.ndarray:
-    """[k, n] = sum_{m=k}^{n-1 (or n if inclusive)} delta_m sig_m - shift."""
-    prefix = np.zeros((deltas.size + 1, sig.shape[1]))
-    np.cumsum(deltas[:, None] * sig, axis=0, out=prefix[1:])
-    end = prefix[1:] if inclusive else prefix[:-1]
-    return end[None] - prefix[:, None] - shift
+class _Drifts(NamedTuple):
+    """The drifts alpha[k, n] = own_n . (sum_{m=k}^{n-1 (or n if
+    inclusive)} delta_m bracket_m - shift) + convexity_n of one curve, as
+    O(N d) numbers: alpha[k, n] = u[n] - own_n . P[k], P[k] = sum_{m<k}
+    delta_m bracket_m.  d' = d, or 2d for two brackets side by side."""
+
+    own: np.ndarray     # (N, d')
+    prefix: np.ndarray  # (N + 1, d'): P
+    u: np.ndarray       # (N,)
+
+    @classmethod
+    def of(cls, ts: TenorStructure, own: np.ndarray, bracket: np.ndarray,
+           shift: np.ndarray, convexity, inclusive: bool = False):
+        prefix = np.zeros((ts.n_buckets + 1, own.shape[1]))
+        np.cumsum(ts.deltas[:, None] * bracket, axis=0, out=prefix[1:])
+        end = prefix[1:] if inclusive else prefix[:-1]
+        return cls(own, prefix,
+                   np.einsum("nd,nd->n", own, end - shift) + convexity)
+
+    def entries(self) -> np.ndarray:
+        """alpha[k, n], (N + 1, N), row k for the start bucket k."""
+        return self.u - self.prefix @ self.own.T
 
 
-def _collateral_formula(sig: np.ndarray, deltas: np.ndarray, shift: np.ndarray,
-                        half_variance_sign: float) -> np.ndarray:
-    return (np.einsum("nd,knd->kn", sig, _brackets(deltas, sig, shift))
-            + 0.5 * half_variance_sign * deltas * np.einsum("nd,nd->n", sig, sig))
+def _collateral_drifts(vols: VolatilitySpec, ts: TenorStructure,
+                       currency: str, measure_currency: str | None,
+                       half_variance_sign: float) -> _Drifts:
+    sig = vols.collateral_loadings(currency)
+    return _Drifts.of(ts, sig, sig,
+                      vols.fx_loadings(measure_currency, currency),
+                      0.5 * half_variance_sign * ts.deltas
+                      * np.einsum("nd,nd->n", sig, sig))
+
+
+def _funding_drifts(vols: VolatilitySpec, ts: TenorStructure, currency: str,
+                    collateral: str, measure_currency: str | None) -> _Drifts:
+    # Own loadings (sigma_y, sigma) on brackets of (sigma + sigma_y,
+    # sigma_y): a zero sigma_y gives exact zeros.
+    sig_y = vols.funding_loadings(currency, collateral)
+    sig = vols.collateral_loadings(currency)
+    shift = vols.fx_loadings(measure_currency, currency)
+    return _Drifts.of(ts, np.hstack([sig_y, sig]),
+                      np.hstack([vols.account_loadings(currency, collateral),
+                                 sig_y]),
+                      np.concatenate([shift, np.zeros_like(shift)]),
+                      ts.deltas * np.einsum("nd,nd->n", sig_y,
+                                            0.5 * sig_y + sig))
+
+
+def _terminal_drifts(own: np.ndarray, vols: VolatilitySpec,
+                     ts: TenorStructure, currency: str,
+                     measure_currency: str | None) -> _Drifts:
+    """Lognormal drifts sigma . (sum_{m=k}^{idx} delta_m sigma_m - shift).
+
+    Shared by LIBOR-OIS spreads and equity forwards: entry [k, idx] covers
+    the collateral-rate buckets k..idx inclusive, i.e. the discount-bond
+    exposure out to node idx+1.  Valid from idx = k-1 (empty sum) upward.
+    """
+    return _Drifts.of(ts, own, vols.collateral_loadings(currency),
+                      vols.fx_loadings(measure_currency, currency), 0.0,
+                      inclusive=True)
 
 
 def collateral_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
@@ -233,9 +281,8 @@ def collateral_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
     sigma_n . (sum_{m=k}^{n-1} delta_m sigma_m - shift)
     + half_variance_sign * 1/2 delta_n |sigma_n|^2.
     """
-    return _collateral_formula(
-        vols.collateral_loadings(currency), ts.deltas,
-        vols.fx_loadings(measure_currency, currency), half_variance_sign)
+    return _collateral_drifts(vols, ts, currency, measure_currency,
+                              half_variance_sign).entries()
 
 
 def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
@@ -247,77 +294,66 @@ def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
     sigma_y,n . (sum_{m=k}^{n-1} delta_m (sigma_y,m + sigma_m) - shift)
     + sigma_n . (sum_{m=k}^{n-1} delta_m sigma_y,m)
     + 1/2 delta_n |sigma_y,n|^2 + delta_n sigma_y,n . sigma_n,
-    with the quanto shift in the first bracket only: the collateral formula
-    on sigma + sigma_y minus the one on sigma (their shifts on sigma cancel).
+    with the quanto shift in the first bracket only.
     """
-    shift = vols.fx_loadings(measure_currency, currency)
-    return (_collateral_formula(vols.account_loadings(currency, collateral),
-                                ts.deltas, shift, 1.0)
-            - _collateral_formula(vols.collateral_loadings(currency),
-                                  ts.deltas, shift, 1.0))
-
-
-def _terminal_drift_vector(own: np.ndarray, vols: VolatilitySpec,
-                           ts: TenorStructure, currency: str,
-                           measure_currency: str | None) -> np.ndarray:
-    """Lognormal drifts sigma . (sum_{m=k}^{idx} delta_m sigma_m - shift).
-
-    Shared by LIBOR-OIS spreads and equity forwards: entry [k, idx] covers
-    the collateral-rate buckets k..idx inclusive, i.e. the discount-bond
-    exposure out to node idx+1.  Valid from idx = k-1 (empty sum) upward.
-    """
-    return np.einsum("nd,knd->kn", own,
-                     _brackets(ts.deltas, vols.collateral_loadings(currency),
-                               vols.fx_loadings(measure_currency, currency),
-                               inclusive=True))
+    return _funding_drifts(vols, ts, currency, collateral,
+                           measure_currency).entries()
 
 
 def libor_ois_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                            currency: str,
                            measure_currency: str | None = None) -> np.ndarray:
     """Lognormal drifts of the LIBOR-OIS spreads, indexed by start bucket."""
-    return _terminal_drift_vector(
-        vols.libor_ois_loadings(currency), vols, ts, currency, measure_currency
-    )
+    return _terminal_drifts(vols.libor_ois_loadings(currency), vols, ts,
+                            currency, measure_currency).entries()
 
 
 def equity_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
                         currency: str,
                         measure_currency: str | None = None) -> np.ndarray:
     """Lognormal drifts of the equity forwards, indexed by maturity bucket."""
-    return _terminal_drift_vector(
-        vols.equity_loadings(currency), vols, ts, currency, measure_currency
-    )
+    return _terminal_drifts(vols.equity_loadings(currency), vols, ts,
+                            currency, measure_currency).entries()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BucketTables:
     """Deterministic tables of one simulated bucket curve, read-only.
 
     Bucket m fixes at node m + lag and, at node k, reads the row
-    r = min(k, m + lag): x0[m] + drift[r, m] + sig[m] . W(T_r), or
-    x0[m] * exp(drift[r, m] + sig[m] . W(T_r)) for a lognormal curve.
-    drift[k, m] is the cumulative drift sum_{j<=k} delta_{j-1} alpha_m(j),
-    with the -1/2 |sig_m|^2 term included for lognormal curves.
+    r = min(k, m + lag): x0[m] + A[r, m] + sig[m] . W(T_r), or
+    x0[m] * exp(A[r, m] + sig[m] . W(T_r)) for a lognormal curve.
+    A[r, m] = sum_{j<=r} delta_{j-1} alpha_m(j), with the -1/2 |sig_m|^2
+    term included for lognormal curves, is T_r u[m] - own_m . Q[r] with
+    Q[r] = sum_{j=1}^{r} delta_{j-1} P[j] (`_Drifts`), read by `drift`.
+    Hashed by identity, so that `bucket_reads` can group reads by table.
     """
 
     x0: np.ndarray      # (N,)
-    drift: np.ndarray   # (N + 1, N)
     sig: np.ndarray     # (N, d)
     lag: int
     lognormal: bool
+    ts: TenorStructure  # T_r = ts.nodes[r]
+    u: np.ndarray       # (N,), less 1/2 |sig|^2 if lognormal
+    own: np.ndarray     # (N, d')
+    q: np.ndarray       # (N + 1, d'): Q
+
+    def drift(self, r, m) -> np.ndarray:
+        """A[r, m] at index arrays r and m of one shape, (rows,)."""
+        return (self.ts.nodes[r] * self.u[m]
+                - np.einsum("id,id->i", self.own[m], self.q[r]))
 
 
-def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, drift: np.ndarray,
+def _bucket_tables(x0, sig: np.ndarray, ts: TenorStructure, drifts: _Drifts,
                    lag: int = 0, lognormal: bool = False) -> _BucketTables:
-    """Tables of one curve; row j of `drift` applies on (T_{j-1}, T_j]."""
-    per_interval = drift[1:]
+    """Tables of one curve; alpha[j] of `drifts` applies on (T_{j-1}, T_j]."""
+    q = np.zeros_like(drifts.prefix)
+    np.cumsum(ts.deltas[:, None] * drifts.prefix[1:], axis=0, out=q[1:])
+    u = drifts.u
     if lognormal:
-        per_interval = per_interval - 0.5 * np.einsum("nd,nd->n", sig, sig)
-    table = np.zeros_like(drift)
-    np.cumsum(ts.deltas[:, None] * per_interval, axis=0, out=table[1:])
-    return _BucketTables(np.array(x0, dtype=float), table,
-                         np.array(sig, dtype=float), lag, lognormal)
+        u = u - 0.5 * np.einsum("nd,nd->n", sig, sig)
+    return _BucketTables(np.array(x0, dtype=float), np.array(sig, dtype=float),
+                         lag, lognormal, ts, u, np.array(drifts.own), q)
 
 
 def index_runs(*seqs) -> list:
@@ -356,7 +392,7 @@ class BucketReads(NamedTuple):
     """
 
     products: tuple     # (shift, (nodes, rows, 1, d) loadings, rows a..b)
-    drift: np.ndarray   # (nodes, rows, 1): drift[r, m] of each row's table
+    drift: np.ndarray   # (nodes, rows, 1): A[r, m] of each row's table
     x0: np.ndarray      # (nodes, rows, 1)
     lognormal: bool
 
@@ -428,8 +464,8 @@ class ModelTables:
             tables["c", ccy] = _bucket_tables(
                 forward_rates(curve.log_discount, ts),
                 vols.collateral_loadings(ccy), ts,
-                collateral_drift_vector(vols, ts, ccy, base,
-                                        model.half_variance_sign))
+                _collateral_drifts(vols, ts, ccy, base,
+                                   model.half_variance_sign))
 
         # The accounts the deflators read: (ccy, ccy) for every currency
         # with a curve and (base, c) for every other currency c, which has
@@ -443,25 +479,24 @@ class ModelTables:
             tables["y", pair] = _bucket_tables(
                 forward_rates(spread.log_value, ts),
                 vols.funding_loadings(*pair), ts,
-                funding_drift_vector(vols, ts, *pair, base))
+                _funding_drifts(vols, ts, *pair, base))
 
         for ccy in curves.discounts:
             if ccy not in curves.fixings and ccy not in vols.libor_ois:
                 continue
+            sig = vols.libor_ois_loadings(ccy)
             tables["b", ccy] = _bucket_tables(
-                curves.fixings_for(ccy, ts.n_buckets).values,
-                vols.libor_ois_loadings(ccy), ts,
-                libor_ois_drift_vector(vols, ts, ccy, base),
-                lognormal=True)
+                curves.fixings_for(ccy, ts.n_buckets).values, sig, ts,
+                _terminal_drifts(sig, vols, ts, ccy, base), lognormal=True)
 
         s_mask = {}
         for ccy, eq in curves.equities.items():
             vals, mask = eq.grid_values(ts)
             # Buckets without pillar coverage stay at 1 and never move.
+            sig = vols.equity_loadings(ccy) * mask[:, None]
             tables["s", ccy] = _bucket_tables(
-                np.where(mask, vals, 1.0),
-                vols.equity_loadings(ccy) * mask[:, None], ts,
-                equity_drift_vector(vols, ts, ccy, base) * mask,
+                np.where(mask, vals, 1.0), sig, ts,
+                _terminal_drifts(sig, vols, ts, ccy, base),
                 lag=1, lognormal=True)
             s_mask[ccy] = mask
 
@@ -475,7 +510,8 @@ class ModelTables:
             for part in (("c", key[0]), ("y", key)):
                 if part in tables:
                     tab = tables[part]
-                    rate0[:, col] += tab.x0 + np.diagonal(tab.drift)
+                    rate0[:, col] += tab.x0 + tab.drift(
+                        *np.diag_indices(ts.n_buckets))
             rate_sig[:, :, col] = vols.account_loadings(*key)
 
         fx_legs = {}
@@ -487,7 +523,7 @@ class ModelTables:
                                      columns[base, ccy], columns[ccy, ccy])
         for arr in (rate0, rate_sig, *s_mask.values(),
                     *(a for tab in tables.values()
-                      for a in (tab.x0, tab.drift, tab.sig))):
+                      for a in (tab.x0, tab.sig, tab.u, tab.own, tab.q))):
             arr.flags.writeable = False
         return cls(ts, base, tables, s_mask, columns, rate0, rate_sig,
                    fx_legs)
@@ -549,13 +585,20 @@ class ModelTables:
         for lognormal, kind in groupby(first,
                                        lambda read: read[0].lognormal):
             hi = lo + len(list(kind))
-            runs = [each[lo:hi] for each in looked_up]
-            sig = np.array([[tab.sig[m] for tab, m, _ in run]
-                            for run in runs])[:, :, None]
-            drift, x0 = np.array([[[tab.drift[r, m] for tab, m, r in run]
-                                   for run in runs],
-                                  [[tab.x0[m] for tab, m, _ in run]
-                                   for run in runs]])[..., None]
+            tabs, m, r = zip(*(read for each in looked_up
+                               for read in each[lo:hi]))
+            m, r = np.array(m), np.array(r)
+            sig = np.empty((len(tabs), first[lo][0].sig.shape[1]))
+            drift, x0 = np.empty((2, len(tabs)))
+            # One gather and one drift evaluation per table, over all its
+            # reads: no numpy call per read.
+            for tab in dict.fromkeys(tabs):
+                at = np.array([each is tab for each in tabs])
+                sig[at], x0[at] = tab.sig[m[at]], tab.x0[m[at]]
+                drift[at] = tab.drift(r[at], m[at])
+            shape = (len(looked_up), hi - lo, 1)
+            sig, drift, x0 = (sig.reshape(*shape, -1), drift.reshape(shape),
+                              x0.reshape(shape))
             products, a = [], 0
             for shift, same in groupby(r - node for _, _, r in first[lo:hi]):
                 b = a + len(list(same))

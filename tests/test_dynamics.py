@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from colmm import (
     SpreadFixings,
     TenorStructure,
     VolatilitySpec,
+    build_curve_set,
+    build_volatility,
     evolve_step,
+    parse_market_csv,
 )
 from colmm.dynamics import (
     collateral_drift_vector,
@@ -306,6 +310,155 @@ def test_drift_tables_match_written_out_formulas(seed):
             assert table[k, m] == pytest.approx(value, rel=1e-13), (family, k, m)
 
 
+def _acceptance_model(tmp_path):
+    """The acceptance dataset's market and vols (tests/test_acceptance.py)."""
+    from test_acceptance import MARKET
+    (tmp_path / "market.csv").write_text(MARKET)
+    md = parse_market_csv(str(tmp_path / "market.csv"))
+    vols = build_volatility({
+        "n_factors": 3,
+        "collateral": {"USD": [0.009, 0.0, 0.0], "EUR": [0.002, 0.008, 0.0]},
+        "libor_ois": {"USD": [0.0, 0.1, 0.15]},
+        "equity": {"USD": [0.05, 0.0, 0.18]},
+        "funding": {"EUR/USD": [0.0, 0.002, 0.002]},
+        "fx": {"USD/EUR": [0.04, -0.08, 0.02]},
+    }, md.ts.n_buckets)
+    return Model(md.ts, build_curve_set(md), vols, md.base)
+
+
+def _wide_model(n=640, seed=3, vols=True):
+    """Three currencies on a quarterly grid of n buckets, loadings that
+    vary per bucket, LIBOR-OIS for two and an equity curve that covers only
+    the second quarter of the grid; no vols at all if not `vols`."""
+    rng = np.random.default_rng(seed)
+    ts = TenorStructure(0.25 * np.arange(n + 1))
+    nodes, ccys, others = ts.nodes, ("USD", "EUR", "GBP"), ("EUR", "GBP")
+    pillars = nodes[n // 4:n // 2]
+    curves = CurveSet(
+        discounts={c: flat_curve(c, r, nodes)
+                   for c, r in zip(ccys, (0.02, 0.01, 0.03))},
+        spreads={(c, "USD"): flat_spread(c, "USD", 0.001, nodes)
+                 for c in others},
+        spot_fx={("USD", "EUR"): 1.08, ("USD", "GBP"): 1.27},
+        fixings={c: SpreadFixings(c, np.full(n, 0.002)) for c in ccys[:2]},
+        equities={"USD": EquityForwardCurve(
+            "USD", pillars, 100.0 * np.exp(0.03 * pillars))})
+
+    def per_bucket(scale):
+        # A level per curve, as the benchmark's markets have, moved per
+        # bucket: drifts then build up along the grid.
+        return rng.uniform(-scale, scale, 3) + rng.normal(0.0, scale / 4,
+                                                          (n, 3))
+
+    loadings = dict(
+        collateral={c: per_bucket(0.008) for c in ccys},
+        libor_ois={c: per_bucket(0.12) for c in ccys[:2]},
+        equity={"USD": per_bucket(0.15)},
+        funding={(c, "USD"): per_bucket(0.002) for c in others},
+        fx={("USD", c): rng.uniform(-0.07, 0.07, 3) for c in others})
+    return Model(ts, curves, VolatilitySpec(
+        n_factors=3, n_buckets=n, **(loadings if vols else {})), "USD")
+
+
+def _cumsum_tables(model, tables) -> dict:
+    """Each table's A[r, m] built as np.cumsum over r of delta_{r-1} times
+    row r of its drift function, less 1/2 |sig_m|^2 on lognormal curves,
+    (N + 1, N), and the account rates at W = 0 built on their diagonals."""
+    ts, vols, base = model.ts, model.vols, model.base
+    rows = {
+        "c": lambda ccy: collateral_drift_vector(
+            vols, ts, ccy, base, model.half_variance_sign),
+        "y": lambda pair: funding_drift_vector(vols, ts, *pair, base),
+        "b": lambda ccy: libor_ois_drift_vector(vols, ts, ccy, base),
+        "s": lambda ccy: (equity_drift_vector(vols, ts, ccy, base)
+                          * tables.s_mask[ccy]),
+    }
+    out = {}
+    for (family, key), tab in tables.curves.items():
+        per_interval = rows[family](key)[1:]
+        if tab.lognormal:
+            per_interval = per_interval - 0.5 * np.einsum(
+                "nd,nd->n", tab.sig, tab.sig)
+        table = np.zeros((ts.n_buckets + 1, ts.n_buckets))
+        np.cumsum(ts.deltas[:, None] * per_interval, axis=0, out=table[1:])
+        out[family, key] = table
+    rate0 = np.zeros_like(tables.rate0)
+    for (ccy, coll), col in tables.columns.items():
+        for part in (("c", ccy), ("y", (ccy, coll))):
+            if part in out:
+                rate0[:, col] += (tables.curves[part].x0
+                                  + np.diagonal(out[part]))
+    return out, rate0
+
+
+def _read_grid(tab):
+    """Every (r, m) a bucket read reaches: r <= m + lag."""
+    n = len(tab.x0)
+    return np.triu_indices(n + 1, -tab.lag, n)
+
+
+# The largest |A - cumsum| over each table's largest |A| was 4.4e-16 on the
+# acceptance dataset and 1.9e-15 to 2.8e-15 on the 640-bucket market over
+# seeds 1-5 (9.2e-15 with loadings constant per curve).
+@pytest.mark.parametrize("make, rel", [
+    (_acceptance_model, 1e-14), (lambda tmp_path: _wide_model(), 1e-13)],
+    ids=["acceptance", "wide-640"])
+def test_compact_tables_equal_the_cumsum_of_the_drift_rows(tmp_path, make,
+                                                           rel):
+    model = make(tmp_path)
+    tables = ModelTables.of(model)
+    want, rate0 = _cumsum_tables(model, tables)
+    assert {fam for fam, _ in tables.curves} == {"c", "y", "b", "s"}
+    scales = []
+    for key, tab in tables.curves.items():
+        r, m = _read_grid(tab)
+        scales.append(np.abs(want[key][r, m]).max())
+        assert scales[-1] > 0.0, key
+        np.testing.assert_allclose(tab.drift(r, m), want[key][r, m],
+                                   rtol=0.0, atol=rel * scales[-1],
+                                   err_msg=key)
+    # rate0 adds the diagonals A[k, k] to the rates at T_0.
+    np.testing.assert_allclose(tables.rate0, rate0, rtol=0.0,
+                               atol=rel * max(scales))
+
+
+def test_compact_tables_give_exact_zeros():
+    # No vols at all: every drift, so every A, is exactly 0.
+    tables = ModelTables.of(_wide_model(40, vols=False))
+    for key, tab in tables.curves.items():
+        assert not tab.drift(*_read_grid(tab)).any(), key
+    # A zero funding loading beside a non-zero collateral one: the
+    # funding spread's drift is exactly 0, with no roundoff left over.
+    ts = TenorStructure(0.25 * np.arange(41))
+    vols = VolatilitySpec(n_factors=3, n_buckets=40, collateral={
+        "X": np.random.default_rng(5).normal(0.0, 0.01, (40, 3))},
+        fx={("USD", "X"): [0.05, -0.02, 0.01]})
+    assert not funding_drift_vector(vols, ts, "X", "K", "USD").any()
+    model = _wide_model(40)
+    vols = dataclasses.replace(model.vols, funding={})
+    tables = ModelTables.of(dataclasses.replace(model, vols=vols))
+    for pair in (("USD", "EUR"), ("USD", "GBP")):
+        tab = tables.curves["y", pair]
+        assert not tab.drift(*_read_grid(tab)).any(), pair
+
+
+def test_the_tables_grow_as_n_times_d():
+    # O(N d) numbers per curve: an (N + 1) x N table per curve would keep
+    # 26 MB at 640 buckets and peak at 43 MB while it was built.
+    model = _wide_model()
+    tracemalloc.start()
+    try:
+        tables = ModelTables.of(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = [tables.rate0, tables.rate_sig, *tables.s_mask.values(),
+            *(a for tab in tables.curves.values() for a in vars(tab).values()
+              if isinstance(a, np.ndarray))]
+    assert sum(a.nbytes for a in kept) < 1e6
+    assert peak < 2e6
+
+
 def make_state(ts, curves, vols, base="USD", n_paths=3):
     return PathState(ModelTables.of(Model(ts, curves, vols, base)), n_paths)
 
@@ -421,8 +574,8 @@ class TestPathState:
         kept = [tables.rate0, tables.rate_sig, *tables.s_mask.values(),
                 *(leg.sig for leg in tables.fx_legs.values()),
                 *(a for tab in tables.curves.values()
-                  for a in (tab.x0, tab.drift, tab.sig))]
-        assert len(kept) == 2 + 1 + 1 + 3 * len(tables.curves)
+                  for a in (tab.x0, tab.sig, tab.u, tab.own, tab.q))]
+        assert len(kept) == 2 + 1 + 1 + 5 * len(tables.curves)
         assert not any(a.flags.writeable for a in kept)
         assert eq_curves.fixings["USD"].values.flags.writeable
         assert all(a.flags.writeable for section in ("collateral",

@@ -63,7 +63,7 @@ def test_workers_run_each_count_and_compare_them(tool, digests, monkeypatch,
         monkeypatch.setenv("COLMM_WORKERS", caller)
     seen = []
 
-    def digest(cli, workload, seed):
+    def digest(cli, workload, seed, keep=None):
         seen.append((os.environ["COLMM_WORKERS"], workload.name, seed))
         return f"{workload.name}-{seed}"
 
@@ -81,10 +81,53 @@ def test_workers_run_each_count_and_compare_them(tool, digests, monkeypatch,
 
     # A digest that moves with the worker count fails the run.
     name = list(workloads)[1]
-    monkeypatch.setattr(tool, "workload_digest", lambda cli, w, seed: (
+    monkeypatch.setattr(tool, "workload_digest", lambda cli, w, seed, keep: (
         f"{w.name}-{seed}-{os.environ['COLMM_WORKERS']}"
         if (w.name, seed) == (name, 11) else f"{w.name}-{seed}"))
     assert tool.main(["--seeds", "7", "11", "--workers", "1", "2"]) == 1
     assert os.environ.get("COLMM_WORKERS") == caller
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"digests differ across COLMM_WORKERS 1 2: {name} seed=11")
+
+
+def test_keep_copies_every_output_for_report_diff(tool, digests, monkeypatch,
+                                                  tmp_path):
+    # --keep copies each output a digest covers, the negative control's
+    # report beside the report, to DIR/<workload>/seed<seed>/workers<n>/;
+    # keeping changes no digest.
+    workload_digest, workloads = digests
+    monkeypatch.setenv("COLMM_WORKERS", "1")
+    workload = workloads["diagnose-wide"]
+    kept = tmp_path / "kept"
+    digest = workload_digest(cli, workload, 7, kept)
+    assert digest == workload_digest(cli, workload, 7)
+    assert sorted(p.name for p in kept.iterdir()) == [
+        "diag_curves.json", "diag_report.corrupt-drift-c.json",
+        "diag_report.json"]
+    report_diff = importlib.util.spec_from_file_location(
+        "report_diff", ROOT / "tools" / "report_diff.py")
+    module = importlib.util.module_from_spec(report_diff)
+    report_diff.loader.exec_module(module)
+    # The control fails rows the report passes: report_diff exits 1.
+    assert module.main([str(kept / "diag_report.json"),
+                        str(kept / "diag_report.json")]) == 0
+    assert module.main([str(kept / "diag_report.json"),
+                        str(kept / "diag_report.corrupt-drift-c.json")]) == 1
+
+    # main passes each (workload, seed, count) its own directory.
+    seen = []
+
+    def record(cli, workload, seed, keep=None):
+        seen.append(keep)
+        return "digest"
+
+    monkeypatch.setattr(tool, "workload_digest", record)
+    assert tool.main(["--seeds", "7", "--workers", "2",
+                      "--keep", str(tmp_path)]) == 0
+    assert seen == [tmp_path / name / "seed7" / "workers2"
+                    for name in workloads]
+    seen.clear()
+    monkeypatch.delenv("COLMM_WORKERS")
+    assert tool.main(["--seeds", "11", "--keep", str(tmp_path)]) == 0
+    assert seen == [tmp_path / name / "seed11" / "workersunset"
+                    for name in workloads]
