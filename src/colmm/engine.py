@@ -24,14 +24,15 @@ physical 2 * pairs.
 
 Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
 partial, and workers take contiguous blocks of whole chunks, each on a
-thread of its own.  A block runs its pairs in tiles of _TILE_PAIRS, whole
-chunks from the block's start, the last one partial; each tile draws its
-own normals, a slab of steps at a time, and evolves its own W and
-accounts over the whole grid, keeping W only as far back as its payoffs
-read it.  A slab's Philox blocks are made in chunks of _CHUNK_BLOCKS on a
-lone block and of twice that on blocks that run beside others, whose
-numpy calls each pass through the GIL: the normals are the same for any
-chunk size.  At
+thread of its own.  A block runs its pairs in tiles of whole chunks from
+the block's start, the last one partial: at most _TILE_PAIRS pairs,
+fewer when a 4-step group of many factors would outgrow a chunk of
+Philox blocks (`_simulate_block`): _CHUNK_BLOCKS on a lone block and
+twice that on blocks that run beside others, whose numpy calls each pass
+through the GIL.  Each tile draws its own normals, a slab of whole
+4-step groups at a time in one Philox pass, and evolves its own W and
+accounts over the whole grid, keeping W only as far back as its
+payoffs read it; the normals are the same for any tile and slab.  At
 each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
@@ -112,13 +113,14 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
-# Paths are generated in chunks of about this many 4-word blocks: the round
-# buffers then stay in cache and memory does not grow with the path count.
-# This size is the fastest on one thread: doubling a lone block's chunk
-# made fxopt-mc 5 % and 1-worker diagnose-wide 7 % slower.  Blocks that
-# run beside others draw chunks twice as large: every numpy call of a
-# worker thread pays a round trip through the GIL, and halving their
-# number cut diagnose-wide's 2-worker job time by 4-9 %.
+# A tile draws its normals in slabs of at most this many 4-word Philox
+# blocks (see _simulate_block): the round buffers then stay in cache and
+# memory does not grow with the path count.  This size is the fastest on
+# one thread: doubling a lone block's chunk made fxopt-mc 5 % and
+# 1-worker diagnose-wide 7 % slower.  Blocks that run beside others draw
+# chunks twice as large: every numpy call of a worker thread pays a round
+# trip through the GIL, and halving their number cut diagnose-wide's
+# 2-worker job time by 4-9 %.
 _CHUNK_BLOCKS = 1 << 14
 
 # Pairs per estimator chunk; see _ChunkStatistics.  A fixed size, so the
@@ -127,13 +129,14 @@ _CHUNK_BLOCKS = 1 << 14
 # gives whole chunks.
 _CHUNK_PAIRS = 100
 
-# Pairs per tile, 50 whole chunks: a block runs its pairs a tile at a
-# time, so its workspace never outgrows one tile.  A tile of n pairs
-# settles _TILE_PAIRS // n nodes a step, so its numpy calls are a full
-# tile's size: smaller calls on two threads each pay a GIL round trip.
-# 2,500-pair tiles that settled one node a step ran diagnose-wide's
-# 10,000 paths at 1.00-1.08x the speed of 1 worker in process; two
-# nodes a step run them at 1.18-1.20x.
+# Pairs per tile, 50 whole chunks, fewer when a 4-step group of many
+# factors would outgrow a chunk of Philox blocks (see _simulate_block): a
+# block runs its pairs a tile at a time, so its workspace never outgrows
+# one tile.  A tile of n pairs settles _TILE_PAIRS // n nodes a step, so
+# its numpy calls are a full tile's size: smaller calls on two threads
+# each pay a GIL round trip.  2,500-pair tiles that settled one node a
+# step ran diagnose-wide's 10,000 paths at 1.00-1.08x the speed of 1
+# worker in process; two nodes a step run them at 1.18-1.20x.
 _TILE_PAIRS = 50 * _CHUNK_PAIRS
 
 # A tile's settlement scratch per node it settles at once, in rows of one
@@ -575,23 +578,19 @@ def _mulhi(m_lo, m_hi, x: np.ndarray, out: np.ndarray, t: np.ndarray,
     return np.add(out, s, out=out)
 
 
-def _normals_layout(n_paths: int, n_steps: int, n_factors: int,
-                    chunk: int = _CHUNK_BLOCKS) -> tuple[int, int, int]:
-    """Philox blocks per path, paths per chunk of about `chunk` blocks and
-    float64 elements of the workspace of `_block_normals` over n_steps
-    steps: the normals, three round buffers of 4 words a block, the key
-    words, and a chunk's normals when there is more than one chunk."""
+def _normals_layout(n_paths: int, n_steps: int,
+                    n_factors: int) -> tuple[int, int]:
+    """Philox blocks per path and float64 elements of the workspace of
+    `_block_normals` over n_steps steps: the normals, then three round
+    buffers of 4 words a block and the key words, per path."""
     words = n_steps * n_factors
     blocks = -(-words // 4)
-    rows = max(1, min(n_paths, chunk // max(blocks, 1)))
-    staged = 0 if rows == n_paths else words * rows
-    return blocks, rows, words * n_paths + (3 * 4 + 1) * blocks * rows + staged
+    return blocks, (words + (3 * 4 + 1) * blocks) * n_paths
 
 
 def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
                    n_factors: int, step_lo: int = 0,
-                   space: np.ndarray | None = None,
-                   chunk: int = _CHUNK_BLOCKS) -> np.ndarray:
+                   space: np.ndarray | None = None) -> np.ndarray:
     """Normals for a contiguous path block, shape (steps, factors, paths).
 
     Steps step_lo to step_lo + n_steps - 1; each step's normals are
@@ -604,21 +603,19 @@ def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
     where numpy carries into word 1, is refused.  step_lo is a multiple of
     4, so for any d the steps start on block step_lo d / 4 and any slab of
     them is the matching rows of a draw from step 0.  The rounds run as
-    in-place uint64 ufuncs over (blocks, paths) arrays, a chunk of about
-    `chunk` blocks at a time; the normals are the same for any chunk.
-    Both multiplications of a round are
+    in-place uint64 ufuncs over (blocks, paths) arrays, every path in one
+    pass, so a caller bounds the round buffers by the paths and steps it
+    asks for.  Both multiplications of a round are
     one ufunc call over the stacked words [x0, x2], with the products' low
-    words stacked as [x3, x1], which halves the calls.  A chunk's normals
-    are made in one contiguous (words, paths) buffer and, unless it is
-    all the paths, copied into place.  Everything lives in `space`, a flat
-    float64 array of at least `_normals_layout(..., chunk)[2]` elements,
-    in that function's order, or in a new one.
+    words stacked as [x3, x1], which halves the calls.  Everything lives
+    in `space`, a flat float64 array of at least `_normals_layout(...)[1]`
+    elements, in that function's order, or in a new one.
     """
     if step_lo % 4:
         raise ValueError(f"step_lo must be a multiple of 4, got {step_lo}")
     n_paths = path_hi - path_lo
     words = n_steps * n_factors
-    blocks, rows, size = _normals_layout(n_paths, n_steps, n_factors, chunk)
+    blocks, size = _normals_layout(n_paths, n_steps, n_factors)
     first = step_lo * n_factors // 4
     if blocks and first + blocks >= _MAX_SEED:
         raise ValueError(f"step {step_lo + n_steps - 1} of {n_factors} "
@@ -642,63 +639,49 @@ def _block_normals(seed: int, path_lo: int, path_hi: int, n_steps: int,
     mix = np.array([(_PHILOX_M0 * seed >> 64) ^ (_PHILOX_M0 * c % _MAX_SEED)
                     for c in counters], dtype=np.uint64)[:, None]
     lo_seed = np.uint64(_PHILOX_M0 * seed % _MAX_SEED)
-    # The key word runs on from chunk to chunk; rounds 2-10 each add W1.
-    next_chunk = np.uint64((rows - (_PHILOX_ROUNDS - 1) * _PHILOX_W1)
-                           % _MAX_SEED)
 
     # Six stacked round buffers in three arrays, which are float scratch
-    # for _ndtri once the chunk's uniforms are out, and the key word as a
-    # full (blocks, paths) array.  A (paths,) vector broadcast over the
+    # for _ndtri once the uniforms are out, and the key word as a full
+    # (blocks, paths) array.  A (paths,) vector broadcast over the
     # blocks gives the same words, but it raised diagnose-wide's peak RSS
     # by 1.6-7.0 MB in 5 of 5 paired runs, through where the allocator then
     # placed the arrays that follow.
-    at, n_buf = words * n_paths, 4 * blocks * rows
+    at, n_buf = words * n_paths, 4 * blocks * n_paths
     scratch = [space[at + i * n_buf:][:n_buf] for i in range(3)]
-    bufs = [buf.view(np.uint64) for buf in scratch]
-    at += 3 * n_buf
-    key1_buf = space[at:at + blocks * rows].view(np.uint64).reshape(blocks,
-                                                                     rows)
-    key1_buf[...] = np.arange(path_lo, path_lo + rows, dtype=np.uint64)
-    chunk_buf = (out.reshape(-1) if rows == n_paths
-                 else space[at + blocks * rows:])
-    full = words // 4
-    for lo in range(path_lo, path_hi, rows):
-        hi = min(lo + rows, path_hi)
-        n = hi - lo
-        x, y, low, t, s, h = (buf[:4 * blocks * n].reshape(4, blocks, n)[i:i + 2]
-                              for buf in bufs for i in (0, 2))
-        key1 = key1_buf[:, :n]                         # the path's key word
-        c = y[0]
-        np.bitwise_xor(key1, hi_ctr, out=c)           # round 1: word 2
-        _mulhi(mult_lo[1], mult_hi[1], c, x[1], t[0], s[0], h[0])  # round 2
-        x[1] ^= key0[1]
-        np.multiply(c, mult[1], out=low[1])
+    x, y, low, t, s, h = (buf.view(np.uint64).reshape(4, blocks,
+                                                      n_paths)[i:i + 2]
+                          for buf in scratch for i in (0, 2))
+    key1 = (space[at + 3 * n_buf:][:blocks * n_paths].view(np.uint64)
+            .reshape(blocks, n_paths))                  # the path's key word
+    key1[...] = np.arange(path_lo, path_hi, dtype=np.uint64)
+    c = y[0]
+    np.bitwise_xor(key1, hi_ctr, out=c)               # round 1: word 2
+    _mulhi(mult_lo[1], mult_hi[1], c, x[1], t[0], s[0], h[0])  # round 2
+    x[1] ^= key0[1]
+    np.multiply(c, mult[1], out=low[1])
+    key1 += w1
+    np.bitwise_xor(key1, mix, out=x[0])
+    low[0].fill(lo_seed)
+    # x = [word 2, word 0] and low = [word 3, word 1] from here on.
+    for r in range(2, _PHILOX_ROUNDS):
         key1 += w1
-        np.bitwise_xor(key1, mix, out=x[0])
-        low[0].fill(lo_seed)
-        # x = [word 2, word 0] and low = [word 3, word 1] from here on.
-        for r in range(2, _PHILOX_ROUNDS):
-            key1 += w1
-            _mulhi(mult_lo, mult_hi, x[::-1], y, t, s, h)
-            y ^= low
-            np.multiply(x[::-1], mult, out=low)
-            y[0] ^= key1
-            y[1] ^= key0[r]
-            x, y = y, x
-        key1_buf += next_chunk
-        # Uniforms: word k of block b is row 4 b + k.
-        dest = chunk_buf[:words * n].reshape(words, n)
-        by_block = dest[:4 * full].reshape(full, 4, n)
-        for k, word in enumerate((x[1], low[1], x[0], low[0])):
-            word >>= _SHIFT11
-            by_block[:, k] = word[:full]
-            if 4 * full + k < words:
-                dest[4 * full + k] = word[full]
-        dest += 0.5
-        dest *= 2.0 ** -53
-        _ndtri(dest.reshape(-1), scratch)
-        if n < n_paths:
-            out[:, lo - path_lo:hi - path_lo] = dest
+        _mulhi(mult_lo, mult_hi, x[::-1], y, t, s, h)
+        y ^= low
+        np.multiply(x[::-1], mult, out=low)
+        y[0] ^= key1
+        y[1] ^= key0[r]
+        x, y = y, x
+    # Uniforms: word k of block b is row 4 b + k.
+    full = words // 4
+    by_block = out[:4 * full].reshape(full, 4, n_paths)
+    for k, word in enumerate((x[1], low[1], x[0], low[0])):
+        word >>= _SHIFT11
+        by_block[:, k] = word[:full]
+        if 4 * full + k < words:
+            out[4 * full + k] = word[full]
+    out += 0.5
+    out *= 2.0 ** -53
+    _ndtri(out.reshape(-1), scratch)
     return normals
 
 
@@ -825,12 +808,20 @@ def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: list,
                     chunk: int) -> None:
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
-    Tiles are _TILE_PAIRS pairs, whole chunks from the block's start, the
-    last one partial, so a block's memory is one tile's whatever its size.
+    Tiles are whole chunks of pairs from the block's start, the last one
+    partial, so a block's memory is one tile's whatever its size: at most
+    _TILE_PAIRS pairs, and at most chunk // d, so that a 4-step group of
+    the tile's normals, d Philox blocks a pair, fits one chunk of `chunk`
+    blocks, but at least one chunk of pairs.  Every slab of a tile is
+    then one Philox pass of at most `chunk` blocks, but for a one-chunk
+    tile of more than chunk // _CHUNK_PAIRS factors, whose 4-step group
+    is the least a slab can be.
     """
-    for lo in range(unit_lo, unit_hi, _TILE_PAIRS):
+    d = tables.rate_sig.shape[1]
+    tile = max(1, min(_TILE_PAIRS, chunk // d) // _CHUNK_PAIRS) * _CHUNK_PAIRS
+    for lo in range(unit_lo, unit_hi, tile):
         _simulate_tile(tables, cfg, plans, n_held, width, n_last, depth, lo,
-                       min(lo + _TILE_PAIRS, unit_hi), stats, chunk)
+                       min(lo + tile, unit_hi), stats, chunk)
 
 
 def _option_values(state: PathState, option: FxOption,
@@ -872,9 +863,10 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
     n_held and width depend on the payoffs, never on the worker count.
     The tile's state reads the `tables` every tile shares and owns its
     accounts and W at the last `depth` nodes.  The normals are drawn a
-    slab of steps at a time: the most whole 4-step groups (d Philox
-    blocks per path each) whose blocks for the tile fit one chunk of
-    `chunk` blocks, at least one.  One workspace, allocated once, holds
+    slab of steps at a time, each in one Philox pass: the most whole
+    4-step groups (d Philox blocks per path each) whose blocks for the
+    tile fit one chunk of `chunk` blocks, at least one.  The first slab
+    is the largest.  One workspace, allocated once, holds
     the state, a slab's normals and their Philox buffers, and the table,
     work and held rows of G nodes, so no array in a tile grows with the
     grid but the W of a state that keeps every node.
@@ -893,9 +885,8 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
     settling = list(accumulate((group * n_keys * n_phys,
                                 group * width * n_phys), initial=drawn))
     sizes = (PathState.space_size(tables, n_phys, depth, group),
-             max([settling[-1], *(_normals_layout(
-                 n_units, min(slab, n_last - lo), d, chunk)[2]
-                 for lo in range(0, n_last, slab))]),
+             max(settling[-1],
+                 _normals_layout(n_units, min(slab, n_last), d)[1]),
              group * n_held * n_units)
     at = list(accumulate(sizes, initial=0))
     space = np.empty(at[-1])
@@ -977,7 +968,7 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
     for lo in range(0, n_last, slab):
         hi = min(lo + slab, n_last)
         normals = _block_normals(cfg.seed, unit_lo, unit_hi, hi - lo, d, lo,
-                                 normals_space, chunk)
+                                 normals_space)
         step = lo
         while step < hi:
             # As many nodes as the held rows take, in the slab and the run.
@@ -1116,7 +1107,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.
     # Blocks that run beside others draw normals in chunks twice as large,
-    # to halve their numpy calls (see _CHUNK_BLOCKS).
+    # in larger tiles and slabs, to halve their numpy calls (see
+    # _CHUNK_BLOCKS).
     if len(blocks) == 1:
         _simulate_block(*args, *blocks[0], stats, _CHUNK_BLOCKS)
     else:

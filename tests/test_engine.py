@@ -57,7 +57,7 @@ class TestGaussianIncrements:
             (5, 0, 3, 1, 3),        # words % 4 == 3
             (5, 2, 6, 0, 3),        # no words at all
             (2 ** 64 - 1, 2 ** 32 - 2, 2 ** 32 + 3, 3, 3),  # key words at their limits
-            # 480 words: a long stream; 140 paths cross the first chunk boundary
+            # 480 words over 140 paths: a long stream, 120 blocks a path
             (11, 3, 143, 160, 3),
         ]
         for seed, lo, hi, n_steps, n_factors in cases:
@@ -88,36 +88,18 @@ class TestGaussianIncrements:
             _block_normals(19, 5, 30, 2, d, 6)
 
     def test_a_slab_of_many_chunks_is_the_whole_grid_draw(self):
-        # 4 steps of 5 factors are 5 blocks a path: 4,000 paths take 2
-        # chunks of _CHUNK_BLOCKS blocks, and the 12-step draw 4.
-        blocks = _CHUNK_BLOCKS // 5
+        # 4 steps of 5 factors are 5 blocks a path, so 4,000 paths are
+        # more blocks than a chunk of _CHUNK_BLOCKS.  Each 4-step slab,
+        # drawn in one pass into a NaN-filled workspace of the size its
+        # layout asks for, is the matching rows of the 12-step draw.
         lo, hi = 7, 7 + 4_000
-        assert hi - lo > blocks
+        blocks, size = engine._normals_layout(hi - lo, 4, 5)
+        assert blocks * (hi - lo) > _CHUNK_BLOCKS
         whole = _block_normals(3, lo, hi, 12, 5)
         for start in (0, 4, 8):
-            slab = _block_normals(3, lo, hi, 4, 5, start, np.full(
-                engine._normals_layout(hi - lo, 4, 5)[2], np.nan))
+            slab = _block_normals(3, lo, hi, 4, 5, start,
+                                  np.full(size, np.nan))
             assert slab.tobytes() == whole[start:start + 4].tobytes(), start
-
-    def test_a_concurrent_chunk_draws_the_same_normals(self):
-        # Blocks that run beside others draw chunks of 2 * _CHUNK_BLOCKS
-        # blocks.  4 steps of 5 factors are 5 blocks a path, so 7,000
-        # paths take 2 such chunks where the default draw takes 3; steps
-        # 8-11 start on block 10 of each path's stream.
-        chunk = 2 * _CHUNK_BLOCKS
-        lo, hi = 11, 11 + 7_000
-        _, rows, size = engine._normals_layout(hi - lo, 4, 5, chunk)
-        assert rows == chunk // 5 < hi - lo < 2 * rows
-        default = _block_normals(3, lo, hi, 4, 5, 8)
-        doubled = _block_normals(3, lo, hi, 4, 5, 8, np.full(size, np.nan),
-                                 chunk)
-        assert doubled.tobytes() == default.tobytes()
-        # numpy's Philox on either side of each chunk boundary.
-        for col in (0, rows - 1, rows, _CHUNK_BLOCKS // 5, hi - lo - 1):
-            bg = Philox(key=np.array([3, lo + col], dtype=np.uint64),
-                        counter=np.array([10, 0, 0, 0], dtype=np.uint64))
-            expect = _ndtri(_uniforms(bg.random_raw(20)))
-            assert doubled[..., col].tobytes() == expect.tobytes(), col
 
     def test_block_counters_stay_below_2_64(self):
         # numpy carries a block counter of 2**64 into counter word 1, which
@@ -686,10 +668,11 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
     temporaries.  A workspace holds:
     - the state, W at `depth` nodes and n_accounts log accounts, and the
       increments, d rows of paths;
-    - one slab of normals, the most whole 4-step groups whose d Philox
-      blocks per pair fit one chunk of `chunk` blocks, at least one, and
-      their round buffers and key words, 13 per block and pair of a
-      chunk, and a chunk's normals when the slab takes more than one;
+    - one slab of normals of the largest tile, whole chunks of pairs, at
+      most _TILE_PAIRS and chunk // d, at least one chunk: the most
+      whole 4-step groups whose d Philox blocks per pair fit one chunk
+      of `chunk` blocks, at least one, with their round buffers and key
+      words, as `engine._normals_layout` lays them out;
     - the settlement rows: _SETTLE_ROWS rows of one value per pair, or
       2 n_keys + 3 when a node's n_keys deflator rows, two each (a path
       and its mirror), leave no room for a work row of paths and a held
@@ -702,16 +685,15 @@ def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
     """
     assert SimulationConfig().resolved_workers() == workers
     n_paths = 2 * pairs * workers
-    ts, d, tile = model.ts, model.vols.n_factors, _TILE_PAIRS
+    ts, d = model.ts, model.vols.n_factors
     chunks = -(-pairs * workers // _CHUNK_PAIRS)
     statistics = 8 * 5 * len(pays) * chunks
-    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * tile
+    scratch = 8 * max(_SETTLE_ROWS, 2 * n_keys + 3) * _TILE_PAIRS
+    tile = min(pairs, _CHUNK_PAIRS * max(
+        1, min(_TILE_PAIRS, chunk // d) // _CHUNK_PAIRS))
     slab = min(ts.n_buckets, 4 * max(1, chunk // (d * tile)))
-    blocks = -(-slab * d // 4)
-    rows = min(tile, chunk // blocks)
-    normals = 8 * (slab * d * tile + 13 * blocks * rows
-                   + (slab * d * rows if rows < tile else 0))
-    state = 8 * 2 * tile * ((depth + 1) * d + n_accounts)
+    normals = 8 * engine._normals_layout(tile, slab, d)[1]
+    state = 8 * 2 * _TILE_PAIRS * ((depth + 1) * d + n_accounts)
     assert len(ModelTables.of(model).columns) == n_accounts
 
     def peak(payoffs, n):
@@ -1127,6 +1109,52 @@ class TestSimulate:
                       {"put 20": pays["put 20"]})
         assert {lo: [n for at, n in drawn if at == lo]
                 for lo, _ in drawn} == slabs
+
+    @pytest.mark.parametrize("d, pairs, tiles", [
+        (6, 10_000, {1: [2_700] * 3 + [1_900], 2: [5_000] * 2,
+                     3: [3_300, 3_300, 3_400]}),
+        (200, 250, dict.fromkeys((1, 2, 3), [100, 100, 50]))])
+    def test_each_slab_is_one_pass_over_its_whole_tile(self, d, pairs, tiles,
+                                                       monkeypatch):
+        # A tile is at most chunk // d pairs, in whole chunks of pairs, at
+        # least one: 6 factors give a lone block 2,700-pair tiles and two
+        # concurrent blocks 5,000, and 200 factors a one-chunk tile.  Each
+        # slab is one draw over its whole tile, of at most a chunk of
+        # Philox blocks but for a one-chunk tile, and the estimates are
+        # the same at any worker count.
+        from colmm import CurveSet
+        ts = TenorStructure(np.linspace(0.0, 3.0, 7))
+        curves = CurveSet(discounts={"USD": flat_curve("USD", 0.02,
+                                                       ts.nodes)})
+        vols = VolatilitySpec(n_factors=d, n_buckets=6, collateral={
+            "USD": 0.02 * np.cos(np.arange(d))})
+        model = Model(ts, curves, vols, "USD")
+        # A bond to T_1 is deterministic: its account accrues the rate
+        # fixed at T_0.
+        pays = {f"zcb {T}": unit_zcb(T) for T in ts.nodes[2:]}
+        cfg = SimulationConfig(n_paths=2 * pairs, seed=4)
+        drawn, draw = [], engine._block_normals
+        monkeypatch.setattr(engine, "_block_normals", lambda *a: drawn.append(
+            a[1:5]) or draw(*a))
+        tiled, tile = [], engine._simulate_tile
+        monkeypatch.setattr(engine, "_simulate_tile", lambda *a: tiled.append(
+            a[7:9] + a[10:]) or tile(*a))
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
+            drawn.clear()
+            tiled.clear()
+            runs[workers] = simulate_many(model, cfg, pays)
+            assert sorted(hi - lo for lo, hi, _ in tiled) == sorted(
+                tiles[workers]), workers
+            chunk_of = {(lo, hi): chunk for lo, hi, chunk in tiled}
+            assert {(lo, hi) for lo, hi, _, _ in drawn} == set(chunk_of)
+            for lo, hi, n_steps, n_factors in drawn:
+                blocks = -(-n_steps * n_factors // 4)
+                assert (hi - lo) * blocks <= chunk_of[lo, hi] or (
+                    hi - lo <= _CHUNK_PAIRS), (workers, lo, hi, n_steps)
+        assert runs[2] == runs[1] and runs[3] == runs[1]
+        assert all(est.std_error > 0.0 for est in runs[1].values())
 
     def test_base_without_curve_rejected(self, ts8, two_ccy_curves):
         vols = VolatilitySpec(n_factors=1, n_buckets=8)

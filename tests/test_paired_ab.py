@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+COPIES = ("colmm_a", "colmm_b", "colmm_c", "colmm_d")
 
 
 @pytest.fixture
@@ -48,9 +49,36 @@ def test_one_tree_against_itself(paired_ab, capsys):
     assert out[5] == "outputs identical in 2 of 2 pairs"
     assert len(out) == 6
     assert captured.err.count(f"colmm from {Path(src).resolve()}") == 2
-    # Both copies are unloaded and the caller's worker count is put back.
-    assert not any(m.startswith(("colmm_a", "colmm_b")) for m in sys.modules)
+    # Every copy is unloaded and the caller's worker count is put back.
+    assert not any(m.startswith(COPIES) for m in sys.modules)
     assert os.environ["COLMM_WORKERS"] == "3"
+
+
+def test_half_the_pairs_run_on_each_pair_of_copies(paired_ab, capsys,
+                                                   monkeypatch):
+    # A loads as colmm_a and colmm_d, B as colmm_b and colmm_c; each copy
+    # runs the set-up and warm-up jobs, then pairs 0 and 3 run (a, b) and
+    # pairs 1 and 2 (d, c), with A first in pairs 0 and 2.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    seen, run = [], workloads.run_steps
+    monkeypatch.setattr(workloads, "run_steps", lambda cli, job: seen.append(
+        cli.__name__.split(".")[0]) or run(cli, job))
+    src = str(ROOT / "src")
+    assert paired_ab([src, src, "--workload", "bootstrap-analytic",
+                      "--pairs", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "outputs identical in 4 of 4 pairs"
+    tree = Path(src).resolve()
+    assert captured.err.splitlines() == [
+        f"A: colmm from {tree} as colmm_a and colmm_d",
+        f"B: colmm from {tree} as colmm_b and colmm_c"]
+    warm, timed = seen[:-8], seen[-8:]
+    assert sorted(set(warm)) == list(COPIES)
+    assert [warm.count(copy) for copy in COPIES] == [len(warm) // 4] * 4
+    assert timed == ["colmm_a", "colmm_b", "colmm_c", "colmm_d",
+                     "colmm_d", "colmm_c", "colmm_b", "colmm_a"]
+    assert not any(m.startswith(COPIES) for m in sys.modules)
 
 
 def test_workers_flag_sets_the_count_for_both_sides(paired_ab, capsys):
@@ -77,8 +105,8 @@ def test_workers_below_one_is_a_usage_error(paired_ab, capsys):
 
 def test_paths_sets_the_path_count_of_every_job(paired_ab, capsys,
                                                 monkeypatch):
-    # Each job's --paths is rewritten: the warm-up job and both jobs of
-    # each pair, on each side, run 400 paths.
+    # Each job's --paths is rewritten: the warm-up job on each of the
+    # four copies and both jobs of each pair run 400 paths.
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     seen, run = [], workloads.run_steps
@@ -93,7 +121,7 @@ def test_paths_sets_the_path_count_of_every_job(paired_ab, capsys,
     assert out[-1] == "outputs identical in 2 of 2 pairs"
     paths = [argv[argv.index("--paths") + 1] for steps in seen
              for argv in steps if "--paths" in argv]
-    assert paths == ["400"] * 6
+    assert paths == ["400"] * 8
 
 
 def test_paths_on_a_workload_without_paths_is_a_usage_error(paired_ab,
@@ -105,5 +133,5 @@ def test_paths_on_a_workload_without_paths_is_a_usage_error(paired_ab,
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: --paths: the jobs of bootstrap-analytic take no --paths")
-    assert not any(m.startswith(("colmm_a", "colmm_b")) for m in sys.modules)
+    assert not any(m.startswith(COPIES) for m in sys.modules)
     assert os.environ["COLMM_WORKERS"] == "3"

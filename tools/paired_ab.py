@@ -3,19 +3,23 @@
     python3 tools/paired_ab.py A/src B/src --workload bootstrap-analytic
         [--seed 1] [--pairs 30] [--workers N] [--paths N]
 
-Copies the `colmm` package of each tree into a temporary directory as
-`colmm_a` and `colmm_b`; colmm imports its own modules only relatively, so
-both copies load side by side in this process.  It sets `COLMM_WORKERS`
-to `--workers`, by default the workload's worker count (as
-`perfbench/run.py` does, with one BLAS thread), and puts the caller's
-value back at the end.  It prepares the workload of
-`perfbench/workloads.py` at `--seed` in a temporary directory, with
-every `--paths` value of its jobs set to `--paths` when given, as
-`tools/worker_scaling.py` sets it (a workload whose jobs take no
-`--paths` is a usage error), and runs its set-up jobs and one warm-up
-job on each side.  Then it runs `--pairs` pairs of jobs through each
-side's `cli.main`, cycling through the workload's jobs, with A first in
-even pairs and B first in odd ones.  Each job's wall time is taken as the
+Copies the `colmm` package of each tree into a temporary directory twice,
+A as `colmm_a` and `colmm_d` and B as `colmm_b` and `colmm_c`; colmm
+imports its own modules only relatively, so all four copies load side by
+side in this process.  It sets `COLMM_WORKERS` to `--workers`, by
+default the workload's worker count (as `perfbench/run.py` does, with
+one BLAS thread), and puts the caller's value back at the end.  It
+prepares the workload of `perfbench/workloads.py` at `--seed` in a
+temporary directory, with every `--paths` value of its jobs set to
+`--paths` when given, as `tools/worker_scaling.py` sets it (a workload
+whose jobs take no `--paths` is a usage error), and runs its set-up jobs
+and one warm-up job on each copy.  Then it runs `--pairs` pairs of jobs
+through each side's `cli.main`, cycling through the workload's jobs,
+with A first in even pairs and B first in odd ones.  Pairs 4k and 4k + 3
+run `colmm_a` against `colmm_b`, and pairs 4k + 1 and 4k + 2 `colmm_d`
+against `colmm_c`, so half the pairs run on each pair of copies, each
+side first in half of those: a copy's package name or load order then
+weighs on both sides alike.  Each job's wall time is taken as the
 benchmark takes it, around its CLI calls, and a job that fails the
 workload's output check ends the run with its problems.
 
@@ -94,14 +98,18 @@ def main(argv=None) -> int:
     workers = workload.workers if args.workers is None else args.workers
     saved = os.environ.get("COLMM_WORKERS")
     os.environ["COLMM_WORKERS"] = str(workers)
-    packages = [f"colmm_{side.lower()}" for side in SIDES]
+    # (A, B) package names of the copies each pair runs on.
+    slots = (("colmm_a", "colmm_b"), ("colmm_d", "colmm_c"))
+    packages = [package for slot in slots for package in slot]
     tmp = Path(tempfile.mkdtemp(prefix="paired_ab_"))
     sys.path.insert(0, str(tmp))
     try:
-        clis = [load_cli(tree.resolve(), package, tmp)
-                for tree, package in zip(args.trees, packages)]
-        for side, tree in zip(SIDES, args.trees):
-            print(f"{side}: colmm from {tree.resolve()}", file=sys.stderr)
+        clis = {package: load_cli(tree.resolve(), package, tmp)
+                for slot in slots
+                for tree, package in zip(args.trees, slot)}
+        for side, tree, *names in zip(SIDES, args.trees, *slots):
+            print(f"{side}: colmm from {tree.resolve()} as "
+                  f"{' and '.join(names)}", file=sys.stderr)
         setups, jobs = workload.prepare(tmp / "work", args.seed)
         if args.paths is not None:
             if not any("--paths" in argv for job in jobs
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
             jobs = [dataclasses.replace(job, steps=with_paths(job.steps,
                                                               args.paths))
                     for job in jobs]
-        for cli in clis:
+        for cli in clis.values():
             for job in [*setups, jobs[0]]:
                 run_job(workloads, cli, job)
         times = {side: [] for side in SIDES}
@@ -120,9 +128,10 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             job = jobs[i % len(jobs)]
             order = (0, 1) if i % 2 == 0 else (1, 0)
+            slot = slots[(i + 1) // 2 % 2]
             walls, digests = [0.0, 0.0], ["", ""]
             for k in order:
-                walls[k], digests[k] = run_job(workloads, clis[k], job)
+                walls[k], digests[k] = run_job(workloads, clis[slot[k]], job)
             for side, wall in zip(SIDES, walls):
                 times[side].append(wall)
             if walls[0] != walls[1]:
