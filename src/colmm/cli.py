@@ -205,7 +205,7 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig) -> list:
     def add(family, tag, T, payoff, target):
         specs[f"{family} {tag} T={T:g}"] = (family, tag, T, payoff, target)
 
-    # A unit of `pay` margined in `collateral` (fn None: the deflator
+    # A unit of `pay` margined in `collateral` (amount None: the deflator
     # itself) vs D * Y; zcb rows have pay == collateral, so Y is the
     # identity curve and D * 1.0 == D.
     def unit_rows(family, tag, pay, collateral):
@@ -228,7 +228,7 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig) -> list:
         fix = curves.fixings_for(ccy, ts.n_buckets)
         for n, T in enumerate(horizons, start=1):
             add("libor_ois", ccy, T,
-                GridPayoff(None, T, ccy, ccy, BucketRead("b", ccy, n - 1)),
+                GridPayoff(BucketRead("b", ccy, n - 1), T, ccy, ccy),
                 fix.value(n - 1) * disc.discount(T))
 
     for ccy, eq in sorted(curves.equities.items()):
@@ -237,7 +237,7 @@ def _diagnose_rows(model: Model, cfg: SimulationConfig) -> list:
         for n, (T, covered) in enumerate(zip(horizons, mask)):
             if covered:
                 add("equity", ccy, T,
-                    GridPayoff(None, T, ccy, ccy, BucketRead("s", ccy, n)),
+                    GridPayoff(BucketRead("s", ccy, n), T, ccy, ccy),
                     eq.value(T) * disc.discount(T))
 
     payoffs = {name: payoff for name, (*_, payoff, _) in specs.items()}

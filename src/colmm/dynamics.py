@@ -567,6 +567,16 @@ class ModelTables:
             looked_up.append((tab, m, min(node, m + tab.lag)))
         return looked_up
 
+    def check_coverage(self, reads) -> None:
+        """Refuse a read (family, key, bucket) of an equity bucket without
+        pillar coverage, whose table holds a placeholder 1.0."""
+        for family, key, m in reads:
+            mask = self.s_mask.get(key) if family == "s" else None
+            if mask is not None and not mask[m]:
+                raise ConfigurationError(
+                    f"equity curve {key} has no pillar coverage at "
+                    f"T={self.ts.nodes[m + 1]}")
+
     @staticmethod
     def bucket_reads(looked_up, nodes) -> list:
         """Reads looked up by `look_up`, looked_up[i] at nodes[i], batched
@@ -915,11 +925,7 @@ class PathState:
         n = self.tables.ts.node_index(maturity)
         if n < 1:
             raise ValueError("equity forwards start at the first node")
-        mask = self.tables.s_mask.get(currency)
-        if mask is not None and not mask[n - 1]:
-            raise ConfigurationError(
-                f"equity curve {currency} has no pillar coverage at T={maturity}"
-            )
+        self.tables.check_coverage([("s", currency, n - 1)])
         return self.buckets("s", currency, n - 1, n)[:, 0]
 
 

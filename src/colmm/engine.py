@@ -36,18 +36,18 @@ payoffs read it; the normals are the same for any tile and slab.  At
 each node a tile writes one table of deflators, a row per (currency,
 collateral) key, from the log accounts and W (`PathState.deflator_rows`);
 a payoff's values are its amounts times its key's row (a unit payoff is
-the row itself).  A payoff is a unit, a description (a bucket read or an
-FX option) or an opaque fn.  `simulate_many` looks each bucket read up
-once and puts a node's reads first among its other rows, stably sorted
-by kind and W row, so that each (kind, W row) is one run of rows.  It
-plans each run of consecutive nodes that settle alike once: the
-deflator table's columns and FX legs, and the other rows in batches,
-each kind of read one batched read with one product per W row,
-gathered at every node of the run.  A tile
-of n pairs then steps G = max(1, _TILE_PAIRS // n) nodes at a time,
-fewer where a slab or a run ends or at a node with an opaque fn, which
-sees the state at its own node, and settles them together in a fixed
-handful of grouped numpy calls with a leading node axis, each row
+the row itself).  A payoff's amount is a unit (None), a description (a
+bucket read or an FX option) or an opaque callable.  `simulate_many`
+looks each bucket read up once and puts a node's reads first among its
+other rows, stably sorted by kind and W row, so that each (kind, W row)
+is one run of rows.  It plans each run of consecutive nodes that settle
+alike once: the deflator table's columns and FX legs, and the other rows
+in batches, each kind of read one batched read with one product per W
+row, gathered at every node of the run.  A tile of n pairs then steps
+G = max(1, _TILE_PAIRS // n) nodes at a time, fewer where a slab or a
+run ends or at a node with an opaque amount, which sees the state at its
+own node, and settles them together in a fixed handful of grouped numpy
+calls with a leading node axis, each row
 taking the steps of its own read in their order, so that grouping
 moves no bit and a small tile's calls are as large as a full tile's.
 The tile holds the pair sums of its rows across nodes, a bounded number
@@ -65,10 +65,10 @@ statistics and the tables: a simulation holds, per worker, one tile's
 workspace, and, shared, the model's tables, the settlement plans and the
 chunk statistics, 40 B per payoff row per 100 pairs.  A workspace holds
 the tile's accounts at G + 1 nodes, W at the last few nodes and the G
-of a step (every node when a payoff is an opaque fn), a slab of normals
-and their Philox buffers, and its settlement scratch, sized for G nodes
-of the tile's pairs, so for a full tile's pairs: nothing in it grows
-with the grid but that W.
+of a step (every node when a payoff has an opaque amount), a slab of
+normals and their Philox buffers, and its settlement scratch, sized for
+G nodes of the tile's pairs, so for a full tile's pairs: nothing in it
+grows with the grid but that W.
 
 With every volatility at zero all paths coincide; the estimator returns the
 common value with a standard error of exactly 0.0 rather than trusting
@@ -81,6 +81,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -352,13 +353,15 @@ class FxOption(NamedTuple):
 class GridPayoff:
     """Payoff amount fixed at a grid node, in `currency`, margined in `collateral`.
 
-    The amount is one unit of `currency` (fn and description None), a
-    description (a `BucketRead` or an `FxOption`), which the engine
-    settles from the model's tables a node's rows at a time, or an opaque
-    fn, which maps the PathState at the maturity node to per-path amounts
-    read through the state's `fx_rate`, `buckets`, `libor_ois`,
-    `equity_forward`, `w` and `log_acc`; a payoff takes fn or a
-    description, not both.  The engine multiplies the amounts by
+    The amount is None, one unit of `currency`; a description, a
+    `BucketRead` or an `FxOption`, which the engine settles from the
+    model's tables a node's rows at a time; or an opaque callable, which
+    maps the PathState at the maturity node to per-path amounts read
+    through the state's `fx_rate`, `buckets`, `libor_ois`,
+    `equity_forward`, `w` and `log_acc`.  Any other amount is a
+    TypeError, and so is an FxOption whose `is_call` is not a bool; an
+    FxOption whose strike is not a finite number >= 0 is a ValueError.
+    The engine multiplies the amounts by
     `PathState.deflator(currency, collateral)`, one over the numeraire in
     `currency`: the base pair account accruing c + y of (base,
     collateral), converted at simulated spot FX and times today's spot, so
@@ -368,19 +371,25 @@ class GridPayoff:
     one key share one estimate.
     """
 
-    fn: Callable[[PathState], np.ndarray] | None
+    amount: BucketRead | FxOption | Callable[[PathState], np.ndarray] | None
     maturity: float
     currency: str
     collateral: str
-    description: BucketRead | FxOption | None = None
 
     def __post_init__(self):
-        if self.fn is not None and self.description is not None:
-            raise ValueError("a payoff takes fn or a description, not both")
-        if not isinstance(self.description, (BucketRead, FxOption,
-                                             type(None))):
-            raise TypeError(f"a description is a BucketRead or an FxOption, "
-                            f"got {self.description!r}")
+        amount = self.amount
+        if not (amount is None or callable(amount)
+                or isinstance(amount, (BucketRead, FxOption))):
+            raise TypeError(f"an amount is None, a BucketRead, an FxOption "
+                            f"or a callable, got {amount!r}")
+        if isinstance(amount, FxOption):
+            if not isinstance(amount.is_call, (bool, np.bool_)):
+                raise TypeError(f"an FxOption's is_call must be a bool, "
+                                f"got {amount.is_call!r}")
+            if not (isinstance(amount.strike, Real)
+                    and 0.0 <= amount.strike < np.inf):
+                raise ValueError(f"an FxOption's strike must be a finite "
+                                 f"number >= 0, got {amount.strike!r}")
 
 
 class _Batch(NamedTuple):
@@ -393,7 +402,7 @@ class _Batch(NamedTuple):
     n_rows: int
     reads: tuple        # (BucketReads, slice of rows)
     options: tuple      # (row, FxOption)
-    opaque: tuple       # (row, name, fn)
+    opaque: tuple       # (row, name, callable)
     deflate: tuple      # (slice of rows, slice of deflator table rows)
 
 
@@ -401,7 +410,7 @@ class _NodePlan(NamedTuple):
     """How a tile settles each node of a run of consecutive nodes that
     settle alike, from `first` to `end` - 1: its deflator table, whose
     first n_units rows are unit rows, then its other rows in batches, so
-    n_rows rows in all.  A node with an opaque fn is a run of its own;
+    n_rows rows in all.  A node with an opaque amount is a run of its own;
     nodes without payoffs make runs without deflators."""
 
     first: int
@@ -421,15 +430,14 @@ def _batches(nodes: list, others: list, reads: list, width: int) -> tuple:
     batches, first = [], others[0]
     for lo in range(0, len(first), max(1, width)):   # width 0: no rows
         rows = first[lo:lo + width]
-        n_reads = len(reads[0][lo:lo + width])
         batches.append(_Batch(
             len(rows),
             tuple(ModelTables.bucket_reads(
-                [each[lo:lo + n_reads] for each in reads], nodes)),
-            tuple([(j, p.description) for j, (_, _, p) in enumerate(rows)
-                   if j >= n_reads and p.fn is None]),
-            tuple([(j, name, p.fn) for j, (_, name, p) in enumerate(rows)
-                   if p.fn is not None]),
+                [each[lo:lo + width] for each in reads], nodes)),
+            tuple([(j, p.amount) for j, (_, _, p) in enumerate(rows)
+                   if isinstance(p.amount, FxOption)]),
+            tuple([(j, name, p.amount) for j, (_, name, p) in enumerate(rows)
+                   if callable(p.amount)]),
             tuple(where for _, _, where in index_runs(
                 range(len(rows)), [k for k, _, _ in rows]))))
     return tuple(batches)
@@ -440,12 +448,12 @@ def _settles_as(node: int, keys: list, n_units: int, others: list,
     """What a node's plan has in common with the plans of the nodes it
     is settled with: its keys, its unit count, each other row's key, each
     read's kind and W row relative to the node, and the FxOptions.  A
-    node with an opaque fn settles alone."""
-    if any(p.fn is not None for _, _, p in others):
+    node with an opaque amount settles alone."""
+    if any(callable(p.amount) for _, _, p in others):
         return node
     return (tuple(keys), n_units, tuple([k for k, _, _ in others]),
             tuple([(tab.lognormal, r - node) for tab, _, r in reads]),
-            tuple([p.description for _, _, p in others[len(reads):]]))
+            tuple([p.amount for _, _, p in others[len(reads):]]))
 
 
 def gaussian_increments(seed: int, path: int, step: int, n_factors: int) -> np.ndarray:
@@ -827,8 +835,8 @@ def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: list,
 def _option_values(state: PathState, option: FxOption,
                    out: np.ndarray) -> np.ndarray:
     """max(sign (fx - strike), 0.0) at the last step's nodes into out,
-    (nodes, paths), in the steps an opaque fn would take: sign times the
-    difference is that difference times sign."""
+    (nodes, paths), in the steps an opaque amount would take: sign times
+    the difference is that difference times sign."""
     np.subtract(state.fx_rate(option.pay, option.receive, grouped=True),
                 option.strike, out=out)
     out *= 1.0 if option.is_call else -1.0
@@ -854,7 +862,7 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
     (`PathState.deflator_rows`), whose first rows are the unit rows, held
     with one add; then the other rows, `width` at a time, in the tile's
     work rows and in row order: one `PathState.read` per kind of bucket
-    read, an FX option or an opaque fn a row each, one multiply per run
+    read, an FX option or an opaque amount a row each, one multiply per run
     of rows whose keys' deflator rows step evenly, and one add to hold
     them.  Every row takes the steps of its own read in their
     order, so grouping moves no bit.  Pair sums are held across nodes, in
@@ -1002,16 +1010,17 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     rest.  Each row's statistics depend on its values alone, so the
     order moves no number.  Errors come in a fixed order: an off-grid
     maturity, then `COLMM_WORKERS`, then a key the model does not
-    simulate, then a bad read.  The nodes fall in runs of consecutive
-    nodes that settle alike (`_settles_as`), and each run's settlement
-    plan is built once, here: its deflator table's columns and FX legs,
-    and its other rows in batches, each kind of read one product per W
-    row, gathered at every node of the run at once.  Blocks reduce
-    their pair sums into those rows of one set of chunk statistics,
-    merged at the end.  Each tile keeps W at 1 + the deepest lookback
-    (node - r) of any planned bucket read, at least 2 nodes, or at all
-    N + 1 when a payoff has an opaque fn, which may read any node through
-    `PathState.w`.  Every model choice, the drift's
+    simulate, then a bad read, an equity read without pillar coverage
+    (`ModelTables.check_coverage`) included.  The nodes fall in runs of
+    consecutive nodes that settle alike (`_settles_as`), and each run's
+    settlement plan is built once, here: its deflator table's columns
+    and FX legs, and its other rows in batches, each kind of read one
+    product per W row, gathered at every node of the run at once.
+    Blocks reduce their pair sums into those rows of one set of chunk
+    statistics, merged at the end.  Each tile keeps W at 1 + the deepest
+    lookback (node - r) of any planned bucket read, at least 2 nodes, or
+    at all N + 1 when a payoff has an opaque amount, which may read any
+    node through `PathState.w`.  Every model choice, the drift's
     `half_variance_sign` included, comes from the frozen `model`.
     """
     if not payoffs:
@@ -1021,7 +1030,7 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         node = model.ts.node_index(p.maturity)
         grouped.setdefault(node, {}).setdefault(
             (p.currency, p.collateral), []).append(
-                (name, p, p.fn is None and p.description is None))
+                (name, p, p.amount is None))
     n_last = max(grouped)
     n_workers = cfg.resolved_workers()
     # The model's tables are built once and shared read-only; each tile
@@ -1049,13 +1058,13 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         others = [(k, name, p) for k, key in enumerate(keys)
                   for name, p, unit in grouped[node][key] if not unit]
         reads = [row for row in others
-                 if isinstance(row[2].description, BucketRead)]
-        looked_up = sorted(zip(tables.look_up(
-            [p.description for _, _, p in reads], node), reads),
-            key=lambda pair: (pair[0][0].lognormal, pair[0][2]))
+                 if isinstance(row[2].amount, BucketRead)]
+        amounts = [p.amount for _, _, p in reads]
+        looked_up = sorted(zip(tables.look_up(amounts, node), reads),
+                           key=lambda pair: (pair[0][0].lognormal, pair[0][2]))
+        tables.check_coverage(amounts)
         others = [row for _, row in looked_up] + [
-            row for row in others
-            if not isinstance(row[2].description, BucketRead)]
+            row for row in others if not isinstance(row[2].amount, BucketRead)]
         by_node[node] = (keys, n_units, others,
                          [read for read, _ in looked_up])
         row_of.update((name, n_rows + k)
@@ -1091,8 +1100,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
                                      width),
                             n_units + len(others))] * len(run)
     # A tile keeps W as far back as its reads look, and at every node for
-    # an opaque fn, which may read any of them through `PathState.w`.
-    if any(p.fn is not None for p in payoffs.values()):
+    # an opaque amount, which may read any of them through `PathState.w`.
+    if any(callable(p.amount) for p in payoffs.values()):
         depth = model.ts.n_buckets + 1
     else:
         depth = max(2, 1 - min((r - node for node, (*_, reads)

@@ -216,9 +216,9 @@ def fx_option_black(curves: CurveSet, vols: VolatilitySpec, ts: TenorStructure,
 
 def fx_option_payoff(spec: FxOptionSpec) -> GridPayoff:
     """The option's exercise value at maturity, as a described engine payoff."""
-    return GridPayoff(None, spec.maturity, spec.pay, spec.collateral,
-                      FxOption(spec.pay, spec.receive, spec.strike,
-                               spec.is_call))
+    return GridPayoff(FxOption(spec.pay, spec.receive, spec.strike,
+                               spec.is_call),
+                      spec.maturity, spec.pay, spec.collateral)
 
 
 def equity_forward(curves: CurveSet, currency: str, maturity: float) -> float:

@@ -132,9 +132,17 @@ class TestVolatilitySpec:
                                ("USD", "GBP"): cross})
 
     def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="need at least one factor"):
+            VolatilitySpec(n_factors=0, n_buckets=3)
+        with pytest.raises(ValueError, match="need at least one bucket"):
+            VolatilitySpec(n_factors=1, n_buckets=0)
         with pytest.raises(ValueError):
             VolatilitySpec(n_factors=2, n_buckets=3,
                            collateral={"X": [0.01, 0.02, 0.03]})
+        with pytest.raises(ValueError, match=re.escape(
+                r"collateral[X]: expected shape (3,2), got (2, 2)")):
+            VolatilitySpec(n_factors=2, n_buckets=3,
+                           collateral={"X": np.zeros((2, 2))})
         with pytest.raises(ValueError):
             VolatilitySpec(n_factors=1, n_buckets=2, fx={("A", "B"): [[0.1]]})
         with pytest.raises(ValueError):
@@ -720,6 +728,9 @@ class TestEvolveStep:
         for depth in (1, 6):
             with pytest.raises(ValueError, match=r"depth must be in \[2, 5\]"):
                 PathState(full.tables, 6, depth)
+        with pytest.raises(ValueError,
+                           match="need at least one node a step, got 0"):
+            PathState(full.tables, 6, group=0)
 
     def test_step_past_last_node_rejected(self, ts4, eq_curves, full_vols):
         st = make_state(ts4, eq_curves, full_vols, n_paths=1)

@@ -650,8 +650,8 @@ def one_ccy_model(ts8):
 
 
 def unit_zcb(maturity, ccy="USD", coll="USD"):
-    return GridPayoff(fn=lambda st: np.ones(st.n_paths), maturity=maturity,
-                      currency=ccy, collateral=coll)
+    return GridPayoff(amount=lambda st: np.ones(st.n_paths),
+                      maturity=maturity, currency=ccy, collateral=coll)
 
 
 def _assert_peak_memory(model, pays, one, n_keys, n_accounts, depth,
@@ -772,7 +772,7 @@ class TestSimulate:
             simulate_many(one_ccy_model, SimulationConfig(n_paths=4), {})
 
     def test_bad_payoff_shape_rejected(self, one_ccy_model):
-        bad = GridPayoff(fn=lambda st: np.ones(3), maturity=1.0,
+        bad = GridPayoff(amount=lambda st: np.ones(3), maturity=1.0,
                          currency="USD", collateral="USD")
         with pytest.raises(ConfigurationError):
             simulate_many(one_ccy_model, SimulationConfig(n_paths=8),
@@ -785,7 +785,7 @@ class TestSimulate:
             seen.append(st.buckets("c", "USD"))
             return np.ones(st.n_paths)
 
-        payoff = GridPayoff(fn=grab, maturity=0.5, currency="USD",
+        payoff = GridPayoff(amount=grab, maturity=0.5, currency="USD",
                             collateral="USD")
         simulate_many(one_ccy_model, SimulationConfig(n_paths=8),
                       {"p": payoff})
@@ -812,7 +812,7 @@ class TestSimulate:
             seen.append(st.w.copy())
             return np.ones(st.n_paths)
 
-        payoff = GridPayoff(fn=grab, maturity=3.0, currency="USD",
+        payoff = GridPayoff(amount=grab, maturity=3.0, currency="USD",
                             collateral="USD")
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         simulate_many(model, SimulationConfig(n_paths=2 * pairs, seed=seed),
@@ -934,7 +934,7 @@ class TestSimulate:
 
     def test_key_estimate_ignores_its_neighbours(self, ts4, two_ccy_curves,
                                                  monkeypatch):
-        # One node shared by unit payoffs (fn None) of three keys, an
+        # One node shared by unit payoffs (amount None) of three keys, an
         # fx_rate payoff on one of those keys and a libor_ois payoff on
         # another: each estimate is bit for bit its payoff's own run.
         from colmm import CurveSet, SpreadFixings
@@ -1299,12 +1299,12 @@ def _quarterly_described(n):
         T = ts.nodes[k]
         pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
         pays[f"usd/eur {k}"] = GridPayoff(None, T, "USD", "EUR")
-        pays[f"libor {k}"] = GridPayoff(None, T, "EUR", "EUR",
-                                        BucketRead("b", "EUR", k - 1))
-        pays[f"equity {k}"] = GridPayoff(None, T, "USD", "USD",
-                                         BucketRead("s", "USD", k - 1))
-        pays[f"put {k}"] = GridPayoff(
-            None, T, "EUR", "USD", FxOption("USD", "EUR", spot, False))
+        pays[f"libor {k}"] = GridPayoff(BucketRead("b", "EUR", k - 1), T,
+                                        "EUR", "EUR")
+        pays[f"equity {k}"] = GridPayoff(BucketRead("s", "USD", k - 1), T,
+                                         "USD", "USD")
+        pays[f"put {k}"] = GridPayoff(FxOption("USD", "EUR", spot, False),
+                                      T, "EUR", "USD")
     return model, pays
 
 
@@ -1328,12 +1328,11 @@ class TestDescribedPayoffs:
         described, opaque = {}, {}
         for i, read in enumerate(reads):
             key = keys[i % 4]
-            described[f"read {i}"] = GridPayoff(None, 1.5, *key,
-                                                BucketRead(*read))
+            described[f"read {i}"] = GridPayoff(BucketRead(*read), 1.5, *key)
             opaque[f"read {i}"] = GridPayoff(_read_fn(*read), 1.5, *key)
             if i == 4:
                 option = FxOption("USD", "EUR", 1.01 * spot, False)
-                described["put"] = GridPayoff(None, 1.5, "EUR", "USD", option)
+                described["put"] = GridPayoff(option, 1.5, "EUR", "USD")
                 opaque["put"] = GridPayoff(
                     lambda st: np.maximum(
                         -1.0 * (st.fx_rate("USD", "EUR") - 1.01 * spot), 0.0),
@@ -1342,10 +1341,9 @@ class TestDescribedPayoffs:
             pays["unit"] = GridPayoff(None, 1.5, "EUR", "EUR")
             pays["spot"] = GridPayoff(lambda st: st.fx_rate("EUR", "USD"),
                                       1.5, "USD", "EUR")
-            pays["later"] = GridPayoff(None, 2.0, "USD", "EUR",
-                                       BucketRead("s", "USD", 3)) \
-                if pays is described else GridPayoff(
-                    _read_fn("s", "USD", 3), 2.0, "USD", "EUR")
+            pays["later"] = GridPayoff(
+                BucketRead("s", "USD", 3) if pays is described
+                else _read_fn("s", "USD", 3), 2.0, "USD", "EUR")
         return described, opaque
 
     def test_descriptions_are_their_opaque_twins(self, ts4, monkeypatch):
@@ -1395,7 +1393,7 @@ class TestDescribedPayoffs:
         # at every node and at T_0, a LIBOR-OIS and an equity read, with
         # loadings of their own per bucket, at nodes 5-14, the same FX put
         # at nodes 1, 3, 5 and 7 and an opaque
-        # fn at node 10.  So nodes 8-9, 11-14 and 15-20 settle alike and
+        # amount at node 10.  So nodes 8-9, 11-14 and 15-20 settle alike and
         # every other node alone.  Tiles of 300, 500, 700 and 5,000 pairs
         # give G = 1, 2, 3 and 24 on 1 worker's 207-pair block, and more
         # on the 7-pair block of 2-4 workers; small chunks end slabs
@@ -1416,12 +1414,12 @@ class TestDescribedPayoffs:
             pays[f"usd {k}"] = GridPayoff(None, T, "USD", "USD")
             pays[f"eur/usd {k}"] = GridPayoff(None, T, "EUR", "USD")
             if 5 <= k <= 14:
-                pays[f"libor {k}"] = GridPayoff(None, T, "USD", "USD",
-                                                BucketRead("b", "EUR", k - 1))
-                pays[f"equity {k}"] = GridPayoff(None, T, "EUR", "USD",
-                                                 BucketRead("s", "USD", k - 1))
+                pays[f"libor {k}"] = GridPayoff(
+                    BucketRead("b", "EUR", k - 1), T, "USD", "USD")
+                pays[f"equity {k}"] = GridPayoff(
+                    BucketRead("s", "USD", k - 1), T, "EUR", "USD")
             if k in (1, 3, 5, 7):
-                pays[f"put {k}"] = GridPayoff(None, T, "EUR", "USD", put)
+                pays[f"put {k}"] = GridPayoff(put, T, "EUR", "USD")
         pays["spot 10"] = GridPayoff(
             lambda st: seen.append((st.node, st.nodes)) or st.fx_rate(
                 "EUR", "USD"), ts.nodes[10], "USD", "EUR")
@@ -1454,7 +1452,7 @@ class TestDescribedPayoffs:
                         sizes.update(n for _, n in steps)
         assert runs > 40 and sizes == {1, 2, 3, 4, 5, 6}
         assert set(seen) == {(10, range(10, 11))}
-        # An opaque fn at T_0, before a node without payoffs, settles alone.
+        # An opaque amount at T_0, before a node without payoffs, settles alone.
         got = simulate_many(model, cfg, {
             "one": GridPayoff(lambda st: np.ones(st.n_paths), 0.0, "USD",
                               "USD"),
@@ -1473,21 +1471,41 @@ class TestDescribedPayoffs:
                  ("USD", 4.0, False)), pays):
             payoff = fx_option_payoff(
                 FxOptionSpec("USD", "EUR", coll, T, spot, is_call))
-            assert payoff.fn is None
-            assert payoff.description == FxOption("USD", "EUR", spot, is_call)
+            assert payoff.amount == FxOption("USD", "EUR", spot, is_call)
             assert (simulate_many(model, cfg, {"p": payoff})
                     == simulate_many(model, cfg, {"p": pays[name]}))
 
-    def test_fn_and_description_together_rejected(self):
-        with pytest.raises(ValueError, match="fn or a description"):
-            GridPayoff(lambda st: 1.0, 1.0, "USD", "USD",
-                       BucketRead("c", "USD", 0))
-        with pytest.raises(TypeError, match="a BucketRead or an FxOption"):
-            GridPayoff(None, 1.0, "USD", "USD", ("c", "USD", 0))
+    def test_an_amount_is_checked_when_built(self):
+        for amount in (("c", "USD", 0), 1.0, "USD"):
+            with pytest.raises(TypeError, match="an amount is None, a "
+                               "BucketRead, an FxOption or a callable"):
+                GridPayoff(amount, 1.0, "USD", "USD")
+        # An FxOption is checked as FxOptionSpec and the instrument parser
+        # check theirs: a string is_call used to price the call, a NaN
+        # strike to give NaN and a negative one a price.
+        for option, error, message in (
+                (FxOption("USD", "EUR", 1.1, "put"), TypeError,
+                 "is_call must be a bool, got 'put'"),
+                (FxOption("USD", "EUR", np.nan), ValueError,
+                 "strike must be a finite number >= 0, got nan"),
+                (FxOption("USD", "EUR", np.inf), ValueError, "got inf"),
+                (FxOption("USD", "EUR", -1.0), ValueError, "got -1.0"),
+                (FxOption("USD", "EUR", "1.1"), ValueError, "got '1.1'")):
+            with pytest.raises(error, match=message):
+                GridPayoff(option, 1.0, "USD", "USD")
+        for option in (FxOption("USD", "EUR", 0, np.bool_(False)),
+                       FxOption("USD", "EUR", np.float64(1.1))):
+            assert GridPayoff(option, 1.0, "USD", "USD").amount is option
 
     def test_unreadable_description_is_refused_before_any_path(
             self, ts4, monkeypatch):
+        # Equity pillars at T_1..T_3 leave bucket 3 (T_4 = 2.0) uncovered.
+        from colmm import EquityForwardCurve
         model = _described_model(ts4)
+        model = Model(ts4, dataclasses.replace(model.curves, equities={
+            "USD": EquityForwardCurve("USD", ts4.nodes[1:4],
+                                      np.array([100.0, 101.0, 102.0]))}),
+            model.vols, "USD")
         cfg = SimulationConfig(n_paths=8)
         monkeypatch.setattr(engine, "_block_normals", None)    # never reached
         for read, error, message in (
@@ -1501,8 +1519,10 @@ class TestDescribedPayoffs:
                 (("y", "USD", 0), ConfigurationError,
                  r"must be a \(currency, collateral\) pair, got 'USD'"),
                 (("c", "USD", 1.0), ValueError,
-                 "bucket must be an integer, got 1.0")):
-            payoff = GridPayoff(None, 1.0, "USD", "USD", BucketRead(*read))
+                 "bucket must be an integer, got 1.0"),
+                (("s", "USD", 3), ConfigurationError,
+                 r"equity curve USD has no pillar coverage at T=2\.0")):
+            payoff = GridPayoff(BucketRead(*read), 1.0, "USD", "USD")
             with pytest.raises(error, match=message):
                 simulate_many(model, cfg, {"p": payoff})
 
@@ -1517,11 +1537,10 @@ class TestDescribedPayoffs:
                      FxOption("USD", "EUR", spot, False), ("c", "USD", 3),
                      ("b", "EUR", 2), ("s", "USD", 3)]
         pays = {f"row {i}": GridPayoff(
-            None, 1.5, "USD", "USD",
-            each if isinstance(each, FxOption) else BucketRead(*each))
+            each if isinstance(each, FxOption) else BucketRead(*each),
+            1.5, "USD", "USD")
             for i, each in enumerate(described)}
-        pays["eur"] = GridPayoff(None, 1.5, "EUR", "USD",
-                                 BucketRead("b", "EUR", 2))
+        pays["eur"] = GridPayoff(BucketRead("b", "EUR", 2), 1.5, "EUR", "USD")
         pays["unit"] = GridPayoff(None, 1.5, "EUR", "EUR")
         return pays
 
@@ -1566,7 +1585,7 @@ class TestDescribedPayoffs:
         for model, pays in ((described, self._interleaved(ts4)),
                             (described, self._pays(ts4)[0]),
                             _quarterly_described(12)):
-            n_reads = sum(isinstance(p.description, BucketRead)
+            n_reads = sum(isinstance(p.amount, BucketRead)
                           for p in pays.values())
             for workers in (1, 2):
                 monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
@@ -1580,8 +1599,8 @@ class TestDescribedPayoffs:
         model = _described_model(ts4)
         cfg = SimulationConfig(n_paths=8)
         monkeypatch.setattr(engine, "_block_normals", None)    # never reached
-        pays = {"read": GridPayoff(None, 0.5, "USD", "USD",
-                                   BucketRead("b", "USD", 4)),
+        pays = {"read": GridPayoff(BucketRead("b", "USD", 4), 0.5, "USD",
+                                   "USD"),
                 "key": GridPayoff(None, 1.0, "GBP", "USD"),
                 "off": GridPayoff(None, 1.25, "USD", "USD")}
         monkeypatch.setenv(WORKERS_ENV_VAR, "0")

@@ -55,9 +55,9 @@ def _exact_mean(tables, payoff):
     """E of a unit or lognormal bucket read payoff, deflated."""
     n = tables.ts.node_index(payoff.maturity)
     a, g = _deflator(tables, payoff.currency, payoff.collateral, n)
-    read = payoff.description
+    read = payoff.amount
     if read is not None:
-        assert isinstance(read, BucketRead) and payoff.fn is None
+        assert isinstance(read, BucketRead)
         (tab, m, r), = tables.look_up([read], n)
         assert tab.lognormal
         if tab.x0[m] == 0.0:        # a zero fixing reads 0 on every path

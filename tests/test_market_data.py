@@ -67,6 +67,9 @@ class TestParseMarketCsv:
         (lambda t: t + "ois,USD,0.75,0.02\n", "grid"),
         (lambda t: t + "ois,USD,0.5\n", "fields"),
         (lambda t: t + "ois,USD,0.5,abc\n", "number"),
+        (lambda t: t + "ois,USD,0.5,inf\n", "ois rate: not finite: 'inf'"),
+        (lambda t: t.replace("grid,0,", "grid,"),
+         "bad grid: first tenor node must be 0, got 0.5"),
         (lambda t: t + "discount,USD,0.5,0.99\n", "both"),
         (lambda t: t + "spot,EUR,USD,0.9259\n", "spot"),
         (lambda t: t + "fxforward,USD,EUR,JPY,0.5,1.08\n", "collateral"),
@@ -163,6 +166,12 @@ class TestBuildCurveSet:
             with pytest.raises(InputError, match="fxforward quotes for EUR/USD"):
                 build_curve_set(md)
 
+    def test_discount_at_time_zero_must_be_one(self, tmp_path):
+        md = parse_market_csv(write(tmp_path, GOOD + "discount,EUR,0,0.9\n"))
+        with pytest.raises(InputError, match="discount curve EUR: value at "
+                           "time 0 must be 1, got 0.9"):
+            build_curve_set(md)
+
     def test_fx_forward_needs_spot(self, tmp_path):
         text = GOOD.replace("spot,USD,EUR,1.08\n", "")
         md = parse_market_csv(write(tmp_path, text))
@@ -241,6 +250,7 @@ class TestBuildVolatility:
         ({"n_factors": 2, "momentum": {}}, "unknown"),
         ({"n_factors": 2, "fx": {"USDEUR": 0.1}}, "pair"),
         ({"n_factors": 2, "collateral": {"USD": [0.01, 0.02, 0.03]}}, "USD"),
+        ({"n_factors": 0}, "n_factors must be in [1, 64], got 0"),
     ])
     def test_rejects_bad_documents(self, doc, needle):
         with pytest.raises(InputError) as err:
@@ -282,6 +292,12 @@ class TestParseInstruments:
            "maturity": 1.0, "label": "a"},
           {"type": "zcb", "currency": "USD", "collateral": "USD",
            "maturity": 2.0, "label": "a"}], "duplicate"),
+        ([1], "instrument 0: expected an object"),
+        ([{"type": "zcb", "currency": "USD", "collateral": "USD",
+           "maturity": 1.0, "label": 5}], "label must be a string, got 5"),
+        ([{"type": "fx_option", "pay": "USD", "receive": "EUR",
+           "collateral": "USD", "maturity": 1.0, "strike": -1.0,
+           "style": "call"}], "strike must be >= 0, got -1.0"),
     ])
     def test_rejects_bad_lists(self, tmp_path, doc, needle):
         p = tmp_path / "bad.json"

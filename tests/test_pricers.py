@@ -399,7 +399,7 @@ class TestEquityForward:
                               equity={"USD": [0.05, 0.18]})
         model = Model(ts4, curves, vols, "USD")
         from colmm import GridPayoff
-        pay = GridPayoff(fn=lambda st: st.equity_forward("USD", 2.0),
+        pay = GridPayoff(amount=lambda st: st.equity_forward("USD", 2.0),
                          maturity=2.0, currency="USD", collateral="USD")
         est = simulate_many(model, SimulationConfig(n_paths=20_000, seed=29),
                             {"p": pay})["p"]

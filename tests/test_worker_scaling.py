@@ -105,7 +105,7 @@ def test_block_cpu_is_the_thread_time_of_the_blocks(worker_scaling, capsys):
     simulate_block = engine._simulate_block
     assert worker_scaling(["--paths", "400", "--runs", "2"]) == 0
     (row,) = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert all(re.fullmatch(r"\d+\.\d{4}", v) for v in row[2:6])
+    assert all(re.fullmatch(r"\d+\.\d{6}", v) for v in row[2:6])
     one, cpu_one, many, cpu_many = map(float, row[2:6])
     assert 0.0 < cpu_one <= one and cpu_many > 0.0
     assert engine._simulate_block is simulate_block

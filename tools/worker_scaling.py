@@ -96,7 +96,9 @@ def measure(cli, engine, steps: list[list[str]], workers: list[int],
         engine._simulate_block = simulate_block
     medians = [statistics.median(times[w]) for w in workers]
     peaks = [traced_peak_mb(cli, steps, w) for w in workers]
-    return ([f"{t:.4f}" for w, wall in zip(workers, medians)
+    # Seconds to 6 decimals: rounded to 4, two 5-ms medians could have a
+    # ratio 0.02 off the speedup, which is taken from the unrounded ones.
+    return ([f"{t:.6f}" for w, wall in zip(workers, medians)
              for t in (wall, statistics.median(cpus[w]))]
             + [f"{medians[0] / medians[-1]:.2f}"]
             + [f"{mb:.1f}" for mb in peaks])
