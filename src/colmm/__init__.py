@@ -56,46 +56,3 @@ from .pricers import (
 from .tenor import TenorStructure
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BucketRead",
-    "CalibrationError",
-    "ConfigurationError",
-    "CurveSet",
-    "DiscountCurve",
-    "EquityForwardCurve",
-    "FxForwardSpec",
-    "FxOption",
-    "FxOptionSpec",
-    "GridPayoff",
-    "InputError",
-    "Model",
-    "ModelTables",
-    "PathState",
-    "PriceEstimate",
-    "SimulationConfig",
-    "SpreadCurve",
-    "SpreadFixings",
-    "TenorStructure",
-    "VolatilitySpec",
-    "bootstrap_discount_curve",
-    "bootstrap_spread_curve",
-    "build_curve_set",
-    "build_volatility",
-    "collateralized_zcb",
-    "equity_forward",
-    "evolve_step",
-    "forward_fx_total_stdev",
-    "forward_rates",
-    "fx_forward",
-    "fx_option_black",
-    "gaussian_increments",
-    "load_curve_set",
-    "load_vol_config",
-    "ois_par_rate",
-    "parse_instruments",
-    "parse_market_csv",
-    "repricing_residuals",
-    "save_curve_set",
-    "simulate_many",
-]

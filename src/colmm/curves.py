@@ -382,10 +382,6 @@ def bootstrap_discount_curve(currency: str, ois_quotes) -> DiscountCurve:
         )
 
     for T, rate in quotes:
-        if T <= pillar_t[-1]:
-            raise CalibrationError(
-                f"{currency}: quote maturity {T} not beyond last pillar"
-            )
         n, last, accrual = _fixed_leg(T)
         if n <= pillar_t[-1]:
             # Every earlier payment date sits at or before a known pillar.

@@ -26,35 +26,17 @@ drifts below are deterministic within an interval and the update over a
 whole interval reproduces the exact node distribution of the Gaussian
 components; lognormal quantities use the exact exponential scheme.
 
-State: summing those updates, bucket m at node T_k is x_m(0) + A_m(r) +
-sigma_m . W(T_r) with r = min(k, fixing node of m) and A_m(k) = sum_{j<=k}
-delta_{j-1} alpha_m(j) (Andersen & Piterbarg, Interest Rate Modeling, 2010,
-on Gaussian HJM); log B and log S follow the same formula with the -1/2
-|sigma|^2 term inside A.  So PathState carries only W (at the nodes its
-reads reach back to) and the log accounts the deflators read, one (K, paths)
-array: (ccy, ccy) for every currency with a curve and (base, c), whose y
-alone is simulated, for every other currency c.  It reads buckets from
-tables A, which ModelTables.of builds once per model: O(N d) numbers per
-curve, A_n(r) = T_r u[n] - own_n . Q[r] (`_Drifts`, `_BucketTables`).  The
-account of a pair accrues over (T_k, T_{k+1}] the rate fixed at
-T_k, x0 + A(k) + sigma . W(T_k) of bucket k of c + y, whose loading is
-VolatilitySpec.account_loadings; a currency's own account (ccy, ccy) has
-y = 0.  So evolve_step is one (K, d) @ (d, paths) product plus elementwise
-updates, and a step over several intervals one stacked product over them
-and an add per interval.
+State: summing those updates, bucket m at node T_k is x_m(0) plus a
+deterministic drift sum plus sigma_m . W(T_r), r = min(k, fixing node of
+m) (Andersen & Piterbarg, Interest Rate Modeling, 2010, on Gaussian HJM;
+`_BucketTables`).  So PathState carries only W and the log accounts, and
+reads every bucket from the O(N d) tables of ModelTables.of.
 
 Spot FX carries, inside an interval, the bucket rates fixed at its start:
 c_base + y_(base,ccy) - c_ccy, which is what the pair account (base, ccy)
-accrues minus what the account (ccy, ccy) accrues.  So spot FX is a read of
-the accounts and W, with no state of its own:
-X(base,ccy)(T_n) = X(0) exp(L(base,ccy) - L(ccy,ccy) + sigma_X . W(T_n)
-- 1/2 |sigma_X|^2 T_n), with L the log accounts.  So is the deflator of
-a cash flow in ccy margined in k, one over the base pair account of k
-converted to ccy: X(base,ccy)(T_n) / (X(0) exp(L(base,k))), one exp in
-which X(0) cancels.  A node's keys are read together, as one (keys,
-paths) table (`PathState.deflator_rows`), and so are its bucket reads
-(`PathState.read`): a few numpy calls a node, each over many rows, and
-over every node of a step that moved several.
+accrues minus what the account (ccy, ccy) accrues.  So spot FX, and with
+it every deflator, is a read of the accounts and W, with no state of its
+own (`PathState._fx_leg`, `PathState.deflator`).
 
 Foreign-measure (quanto) rule: a non-base currency's drift is the domestic
 formula with the leading bracketed sum shifted by -sigma_X(base, currency),
@@ -62,8 +44,7 @@ the spot-FX loading `fx_loadings(base, currency)` (zero for the base
 itself); for funding spreads of a foreign pair the shift applies to the
 first bracket only.
 
-`half_variance_sign`, a field of the Model, scales the +1/2 delta |sigma|^2
-convexity term of the collateral-rate drift; -1, set by `diagnose
+`half_variance_sign` = -1 (`collateral_drift_vector`), set by `diagnose
 --corrupt-drift-c`, is a negative control that the martingale table fails.
 """
 
@@ -245,8 +226,13 @@ def _collateral_drifts(vols: VolatilitySpec, ts: TenorStructure,
 
 def _funding_drifts(vols: VolatilitySpec, ts: TenorStructure, currency: str,
                     collateral: str, measure_currency: str | None) -> _Drifts:
-    # Own loadings (sigma_y, sigma) on brackets of (sigma + sigma_y,
-    # sigma_y): a zero sigma_y gives exact zeros.
+    """Drifts of the funding spreads of (currency, collateral): entry [k, n]
+    is sigma_y,n . (sum_{m=k}^{n-1} delta_m (sigma_y,m + sigma_m) - shift)
+    + sigma_n . (sum_{m=k}^{n-1} delta_m sigma_y,m)
+    + 1/2 delta_n |sigma_y,n|^2 + delta_n sigma_y,n . sigma_n, the quanto
+    shift in the first bracket only: own loadings (sigma_y, sigma) on
+    brackets of (sigma + sigma_y, sigma_y), so a zero sigma_y gives exact
+    zeros."""
     sig_y = vols.funding_loadings(currency, collateral)
     sig = vols.collateral_loadings(currency)
     shift = vols.fx_loadings(measure_currency, currency)
@@ -283,37 +269,6 @@ def collateral_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
     """
     return _collateral_drifts(vols, ts, currency, measure_currency,
                               half_variance_sign).entries()
-
-
-def funding_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
-                         currency: str, collateral: str,
-                         measure_currency: str | None = None) -> np.ndarray:
-    """Drifts of all funding-spread buckets of (currency, collateral).
-
-    Returns shape (N + 1, N); entry [k, n] (valid for n >= k) is
-    sigma_y,n . (sum_{m=k}^{n-1} delta_m (sigma_y,m + sigma_m) - shift)
-    + sigma_n . (sum_{m=k}^{n-1} delta_m sigma_y,m)
-    + 1/2 delta_n |sigma_y,n|^2 + delta_n sigma_y,n . sigma_n,
-    with the quanto shift in the first bracket only.
-    """
-    return _funding_drifts(vols, ts, currency, collateral,
-                           measure_currency).entries()
-
-
-def libor_ois_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
-                           currency: str,
-                           measure_currency: str | None = None) -> np.ndarray:
-    """Lognormal drifts of the LIBOR-OIS spreads, indexed by start bucket."""
-    return _terminal_drifts(vols.libor_ois_loadings(currency), vols, ts,
-                            currency, measure_currency).entries()
-
-
-def equity_drift_vector(vols: VolatilitySpec, ts: TenorStructure,
-                        currency: str,
-                        measure_currency: str | None = None) -> np.ndarray:
-    """Lognormal drifts of the equity forwards, indexed by maturity bucket."""
-    return _terminal_drifts(vols.equity_loadings(currency), vols, ts,
-                            currency, measure_currency).entries()
 
 
 @dataclass(frozen=True, eq=False)

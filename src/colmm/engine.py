@@ -5,60 +5,29 @@ Reproducibility contract
 Each grid interval takes one normal per factor: the Brownian increment of
 path p over interval k (from T_k to T_{k+1}) is
 sqrt(delta_k) * gaussian_increments(seed, p, k, d), a pure function of
-(seed, p, k).  Path p owns the counter-based stream keyed by (seed, p) and
-interval k consumes words [k*d, (k+1)*d) of it.  The stream is
-that of numpy's Philox4x64-10 under key (seed, p); the engine computes it
-with uint64 ufuncs over (path, counter) arrays, which release the GIL, so
-worker threads generate in parallel.  Each word w becomes the uniform
-((w >> 11) + 0.5) * 2^-53 and then a normal through `_ndtri`, a numpy port
-of cephes ndtri: bit for bit scipy.special.ndtri on the central 73 % of
-draws and within a few ulp of it in the tails, where numpy's log stands in
-for libm's.  The engine needs numpy alone.
+(seed, p, k).  Path p owns the counter-based stream keyed by (seed, p), so
+workers never share generator state, and interval k consumes words
+[k*d, (k+1)*d) of it: numpy's Philox4x64-10 (`_block_normals`) through a
+numpy port of cephes ndtri (`_ndtri`), so the engine needs numpy alone.
+Its uint64 ufuncs release the GIL, so worker threads generate in parallel.
 
-Workers never share generator state.  Sampling is always antithetic: with
-pairs = n_paths / 2 (so the path count must be even), path p < pairs has a
-mirror path p + pairs driven by the negated increments of p's stream.  The
-estimator averages pair means and its standard error is the sample stdev
-of the pair means over sqrt(pairs); the reported path count stays at the
-physical 2 * pairs.
+Sampling is always antithetic: with pairs = n_paths / 2 (so the path
+count must be even), path p < pairs has a mirror path p + pairs driven by
+the negated increments of p's stream.  The estimator averages pair means
+and its standard error is the sample stdev of the pair means over
+sqrt(pairs); the reported path count stays at the physical 2 * pairs.
+With every volatility at zero all paths coincide, and the estimate is
+their common value with a standard error of exactly 0.0, rather than a
+floating-point average of identical numbers.
 
-Pairs fall in fixed chunks of _CHUNK_PAIRS, [c C, (c + 1) C), the last one
-partial, and workers take contiguous blocks of whole chunks, each on a
-thread of its own.  A block runs its pairs in tiles of whole chunks from
-the block's start, the last one partial: at most _TILE_PAIRS pairs,
-fewer when a 4-step group of many factors would outgrow a chunk of
-Philox blocks (`_simulate_block`): _CHUNK_BLOCKS on a lone block and
-twice that on blocks that run beside others, whose numpy calls each pass
-through the GIL.  Each tile draws its own normals, a slab of whole
-4-step groups at a time in one Philox pass, and evolves its own W and
-accounts over the whole grid, keeping W only as far back as its
-payoffs read it; the normals are the same for any tile and slab.  At
-each node a tile writes one table of deflators, a row per (currency,
-collateral) key, from the log accounts and W (`PathState.deflator_rows`);
-a payoff's values are its amounts times its key's row (a unit payoff is
-the row itself).  A payoff's amount is a unit (None), a description (a
-bucket read or an FX option) or an opaque callable.  `simulate_many`
-looks each bucket read up once and puts a node's reads first among its
-other rows, stably sorted by kind and W row, so that each (kind, W row)
-is one run of rows.  It plans each run of consecutive nodes that settle
-alike once: the deflator table's columns and FX legs, and the other rows
-in batches, each kind of read one batched read with one product per W
-row, gathered at every node of the run.  A tile of n pairs then steps
-G = max(1, _TILE_PAIRS // n) nodes at a time, fewer where a slab or a
-run ends or at a node with an opaque amount, which sees the state at its
-own node, and settles them together in a fixed handful of grouped numpy
-calls with a leading node axis, each row
-taking the steps of its own read in their order, so that grouping
-moves no bit and a small tile's calls are as large as a full tile's.
-The tile holds the pair sums of its rows across nodes, a bounded number
-at a time, and reduces them into per-chunk statistics (count, mean, M2 =
-the sum of squared deviations) and each row's min and max over the whole
-buffer, which are exact in any order, so few, large numpy calls do the
-reduction and no pair sum outlives the buffer.  The chunks are merged with the k-group form of
-Chan, Golub & LeVeque's (1983) update, each sum running over the chunks
-in their order.  C depends on nothing else, and each row's statistics on
-its own values alone, so every statistic, and the estimate, is
-bit-identical for any worker count, tile size and buffer size.
+Pairs fall in fixed chunks of _CHUNK_PAIRS, and workers take contiguous
+blocks of whole chunks, each on a thread of its own (`_simulate_block`).
+A block runs its pairs in tiles (`_simulate_tile`) by the settlement
+plans that `simulate_many` makes once, and reduces each row into
+per-chunk statistics merged in chunk order (`_ChunkStatistics`).  The
+chunk size depends on nothing else, and each row's statistics on its own
+values alone, so every statistic, and the estimate, is bit-identical for
+any worker count, tile size and buffer size.
 
 Memory grows with the path count and the grid only through the
 statistics and the tables: a simulation holds, per worker, one tile's
@@ -69,17 +38,13 @@ of a step (every node when a payoff has an opaque amount), a slab of
 normals and their Philox buffers, and its settlement scratch, sized for
 G nodes of the tile's pairs, so for a full tile's pairs: nothing in it
 grows with the grid but that W.
-
-With every volatility at zero all paths coincide; the estimator returns the
-common value with a standard error of exactly 0.0 rather than trusting
-floating-point averaging of identical numbers.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 from numbers import Real
 from typing import Callable, NamedTuple
@@ -124,10 +89,9 @@ _SHIFT11 = np.uint64(11)
 # 2-worker job time by 4-9 %.
 _CHUNK_BLOCKS = 1 << 14
 
-# Pairs per estimator chunk; see _ChunkStatistics.  A fixed size, so the
-# chunks are the same for any worker count.  Workers split whole chunks,
-# so a small C balances them; a path count that is a multiple of 200
-# gives whole chunks.
+# Pairs per estimator chunk; see _ChunkStatistics.  Workers split whole
+# chunks, so a small C balances them; a path count that is a multiple of
+# 200 gives whole chunks.
 _CHUNK_PAIRS = 100
 
 # Pairs per tile, 50 whole chunks, fewer when a 4-step group of many
@@ -359,16 +323,13 @@ class GridPayoff:
     maps the PathState at the maturity node to per-path amounts read
     through the state's `fx_rate`, `buckets`, `libor_ois`,
     `equity_forward`, `w` and `log_acc`.  Any other amount is a
-    TypeError, and so is an FxOption whose `is_call` is not a bool; an
-    FxOption whose strike is not a finite number >= 0 is a ValueError.
-    The engine multiplies the amounts by
-    `PathState.deflator(currency, collateral)`, one over the numeraire in
-    `currency`: the base pair account accruing c + y of (base,
-    collateral), converted at simulated spot FX and times today's spot, so
-    the estimate is in `currency`.  A node's deflators are one table, a
-    row per (currency, collateral) key, so payoffs sharing a key share a
-    row; a unit payoff's values are the row itself, and unit payoffs of
-    one key share one estimate.
+    TypeError, and an FxOption is checked by `check_option`, as
+    `pricers.FxOptionSpec` is.  The engine multiplies the amounts by
+    `PathState.deflator(currency, collateral)`, so the estimate is in
+    `currency`.  A node's deflators are one table, a row per (currency,
+    collateral) key, so payoffs sharing a key share a row; a unit
+    payoff's values are the row itself, and unit payoffs of one key share
+    one estimate.
     """
 
     amount: BucketRead | FxOption | Callable[[PathState], np.ndarray] | None
@@ -383,13 +344,17 @@ class GridPayoff:
             raise TypeError(f"an amount is None, a BucketRead, an FxOption "
                             f"or a callable, got {amount!r}")
         if isinstance(amount, FxOption):
-            if not isinstance(amount.is_call, (bool, np.bool_)):
-                raise TypeError(f"an FxOption's is_call must be a bool, "
-                                f"got {amount.is_call!r}")
-            if not (isinstance(amount.strike, Real)
-                    and 0.0 <= amount.strike < np.inf):
-                raise ValueError(f"an FxOption's strike must be a finite "
-                                 f"number >= 0, got {amount.strike!r}")
+            check_option(amount.strike, amount.is_call)
+
+
+def check_option(strike, is_call) -> None:
+    """Refuse an FX option whose `is_call` is not a bool (TypeError) or whose
+    strike is not a finite number >= 0 (ValueError)."""
+    if not isinstance(is_call, (bool, np.bool_)):
+        raise TypeError(f"is_call must be a bool, got {is_call!r}")
+    if not (isinstance(strike, Real) and 0.0 <= strike < np.inf):
+        raise ValueError(f"strike must be a finite number >= 0, "
+                         f"got {strike!r}")
 
 
 class _Batch(NamedTuple):
@@ -408,10 +373,10 @@ class _Batch(NamedTuple):
 
 class _NodePlan(NamedTuple):
     """How a tile settles each node of a run of consecutive nodes that
-    settle alike, from `first` to `end` - 1: its deflator table, whose
-    first n_units rows are unit rows, then its other rows in batches, so
-    n_rows rows in all.  A node with an opaque amount is a run of its own;
-    nodes without payoffs make runs without deflators."""
+    settle alike (`_settles_as`), from `first` to `end` - 1: its deflator
+    table, whose first n_units rows are unit rows, then its other rows in
+    batches, so n_rows rows in all.  Nodes without payoffs make runs
+    without deflators."""
 
     first: int
     end: int
@@ -448,7 +413,8 @@ def _settles_as(node: int, keys: list, n_units: int, others: list,
     """What a node's plan has in common with the plans of the nodes it
     is settled with: its keys, its unit count, each other row's key, each
     read's kind and W row relative to the node, and the FxOptions.  A
-    node with an opaque amount settles alone."""
+    node with an opaque amount settles alone: its callable reads the
+    state at its own node."""
     if any(callable(p.amount) for _, _, p in others):
         return node
     return (tuple(keys), n_units, tuple([k for k, _, _ in others]),
@@ -718,13 +684,13 @@ class _ChunkStatistics:
     row and chunk alone.  Each chunk of a slice takes its row's min and
     max over the whole slice, one pass each, exact in any partition.
     `estimates` merges the chunks with the k-group form of Chan, Golub &
-    LeVeque's update, M2 = sum of M2_c + sum of n_c (mean_c - mean)^2, on
-    deviations from chunk 0's mean with the residuals added back, so no
-    difference of two means loses the digits of the level.  Each sum runs
-    over a row's chunks in order, so a row's result depends on its chunks
-    alone.  A single chunk gives np.mean and np.std(ddof=1) / sqrt(n) bit
-    for bit.  A row whose min equals its max is deterministic: that value
-    with SE 0.0.
+    LeVeque's (1983) update, M2 = sum of M2_c + sum of n_c
+    (mean_c - mean)^2, on deviations from chunk 0's mean with the
+    residuals added back, so no difference of two means loses the digits
+    of the level.  Each sum runs over a row's chunks in order, so a row's
+    result depends on its chunks alone.  A single chunk gives np.mean and
+    np.std(ddof=1) / sqrt(n) bit for bit.  A row whose min equals its max
+    is deterministic: that value with SE 0.0.
     """
 
     def __init__(self, n_rows: int, n_pairs: int):
@@ -817,13 +783,12 @@ def _simulate_block(tables: ModelTables, cfg: SimulationConfig, plans: list,
     """Evolve one block of pairs a tile at a time; see `_simulate_tile`.
 
     Tiles are whole chunks of pairs from the block's start, the last one
-    partial, so a block's memory is one tile's whatever its size: at most
-    _TILE_PAIRS pairs, and at most chunk // d, so that a 4-step group of
-    the tile's normals, d Philox blocks a pair, fits one chunk of `chunk`
-    blocks, but at least one chunk of pairs.  Every slab of a tile is
-    then one Philox pass of at most `chunk` blocks, but for a one-chunk
-    tile of more than chunk // _CHUNK_PAIRS factors, whose 4-step group
-    is the least a slab can be.
+    partial: at most _TILE_PAIRS pairs, and at most chunk // d, so that a
+    4-step group of the tile's normals, d Philox blocks a pair, fits one
+    chunk of `chunk` blocks, but at least one chunk of pairs.  Every slab
+    of a tile is then one Philox pass of at most `chunk` blocks, but for
+    a one-chunk tile of more than chunk // _CHUNK_PAIRS factors, whose
+    4-step group is the least a slab can be.
     """
     d = tables.rate_sig.shape[1]
     tile = max(1, min(_TILE_PAIRS, chunk // d) // _CHUNK_PAIRS) * _CHUNK_PAIRS
@@ -851,33 +816,17 @@ def _simulate_tile(tables: ModelTables, cfg: SimulationConfig, plans: list,
 
     A unit is a (path, mirror) pair, and unit u of a row is the sum of the
     pair's deflated values, twice its mean: scaling by 2 is exact, so the
-    caller halves the estimates instead of every value.  A tile's units
-    are whole chunks, so its statistics are the same for any partition.
-    A tile of n pairs steps G = max(1, _TILE_PAIRS // n) nodes at a time
-    (`evolve_step`), fewer where a slab, a run of nodes that settle alike
-    (`simulate_many`) or the held rows end, so a small tile's numpy calls
-    are as large as a full tile's.  The step's nodes are settled together
-    by their plan in a fixed handful of grouped numpy calls, whatever
-    their rows: one deflator table, a row per (currency, collateral) key
-    (`PathState.deflator_rows`), whose first rows are the unit rows, held
-    with one add; then the other rows, `width` at a time, in the tile's
-    work rows and in row order: one `PathState.read` per kind of bucket
-    read, an FX option or an opaque amount a row each, one multiply per run
-    of rows whose keys' deflator rows step evenly, and one add to hold
-    them.  Every row takes the steps of its own read in their
-    order, so grouping moves no bit.  Pair sums are held across nodes, in
-    row order, a step's rows whole, reduced G n_held rows at a time and
-    at the tile's end; a lone node may fill the held rows many times.
-    n_held and width depend on the payoffs, never on the worker count.
-    The tile's state reads the `tables` every tile shares and owns its
-    accounts and W at the last `depth` nodes.  The normals are drawn a
-    slab of steps at a time, each in one Philox pass: the most whole
-    4-step groups (d Philox blocks per path each) whose blocks for the
-    tile fit one chunk of `chunk` blocks, at least one.  The first slab
-    is the largest.  One workspace, allocated once, holds
-    the state, a slab's normals and their Philox buffers, and the table,
-    work and held rows of G nodes, so no array in a tile grows with the
-    grid but the W of a state that keeps every node.
+    caller halves the estimates instead of every value.  The tile steps
+    G = max(1, _TILE_PAIRS // n) nodes at a time (`evolve_step`), fewer
+    where a slab, a run of nodes that settle alike or the held rows end,
+    and settles the step's nodes by their `_NodePlan` in a fixed handful
+    of grouped numpy calls, whatever their rows.  Every row takes the
+    steps of its own read in their order, so grouping moves no bit.  Pair
+    sums are held in row order, a step's rows whole, and reduced G n_held
+    rows at a time and at the tile's end; a lone node may fill the held
+    rows many times.  The normals are drawn a slab at a time, the most
+    whole 4-step groups whose Philox blocks for the tile fit one chunk of
+    `chunk` blocks, at least one, into the tile's one workspace.
     """
     ts, d = tables.ts, tables.rate_sig.shape[1]
     n_units = unit_hi - unit_lo
@@ -1000,28 +949,22 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     """Estimate several payoffs from one shared set of paths.
 
     All payoffs ride the same scenarios, settling at their own maturity
-    nodes while the block evolves to the farthest one.  Payoffs are
-    grouped by (node, currency, collateral) once.  Rows are numbered in
-    node order; within a node, one row per key that has unit payoffs
-    (shared by them, since their values are the deflator itself) comes
-    first, in the order of the node's deflator table, then one row per
-    other payoff: the bucket reads, each looked up once
-    (`ModelTables.look_up`) and stably sorted by kind and W row, then the
-    rest.  Each row's statistics depend on its values alone, so the
-    order moves no number.  Errors come in a fixed order: an off-grid
-    maturity, then `COLMM_WORKERS`, then a key the model does not
-    simulate, then a bad read, an equity read without pillar coverage
-    (`ModelTables.check_coverage`) included.  The nodes fall in runs of
-    consecutive nodes that settle alike (`_settles_as`), and each run's
-    settlement plan is built once, here: its deflator table's columns
-    and FX legs, and its other rows in batches, each kind of read one
-    product per W row, gathered at every node of the run at once.
-    Blocks reduce their pair sums into those rows of one set of chunk
-    statistics, merged at the end.  Each tile keeps W at 1 + the deepest
-    lookback (node - r) of any planned bucket read, at least 2 nodes, or
-    at all N + 1 when a payoff has an opaque amount, which may read any
-    node through `PathState.w`.  Every model choice, the drift's
-    `half_variance_sign` included, comes from the frozen `model`.
+    nodes while the block evolves to the farthest one.  Rows are numbered
+    in node order; within a node, one row per key that has unit payoffs
+    comes first, in the order of the node's deflator table, then one row
+    per other payoff: the bucket reads, each looked up once
+    (`ModelTables.look_up`) and stably sorted by kind and W row, so that
+    each (kind, W row) is one run of rows, then the rest.  Errors come in
+    a fixed order: an off-grid maturity, then `COLMM_WORKERS`, then a key
+    the model does not simulate, then a bad read, an equity read without
+    pillar coverage (`ModelTables.check_coverage`) included.  Each run of
+    consecutive nodes that settle alike (`_settles_as`), nodes without
+    payoffs included, gets one `_NodePlan`, built here.  Each tile keeps W
+    at 1 + the deepest lookback (node - r) of any planned bucket read, at
+    least 2 nodes, or at all N + 1 when a payoff has an opaque amount,
+    which may read any node through `PathState.w`.  Every model choice,
+    the drift's `half_variance_sign` included, comes from the frozen
+    `model`.
     """
     if not payoffs:
         raise ValueError("no payoffs given")
@@ -1037,8 +980,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     # builds its own state in its workspace, since building every block's
     # state here raised the peak RSS.
     tables = ModelTables.of(model)
-    # Keys with unit payoffs come first: unit row k is table row k.  Nodes
-    # with the same keys share one deflator plan.
+    # Unit row k is table row k.  Nodes with the same keys share one
+    # deflator plan.
     keys_of, by_keys = {}, {}
     for node in sorted(grouped):
         units = [key for key, group in grouped[node].items()
@@ -1048,11 +991,9 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         if tuple(keys) not in by_keys:
             by_keys[tuple(keys)] = tables.deflator_plan(keys)
     # node -> (deflator keys, unit key count, [(key index, name, payoff)],
-    # the reads' lookups), and the row of each payoff.  A node's bucket
-    # reads, each looked up once, are its first other rows, stably
-    # sorted by kind and W row, so that each is one run of rows.  They
-    # are looked up after every deflator plan, so that a key the model
-    # does not simulate is reported before a bad read.
+    # the reads' lookups), and the row of each payoff.  Reads are looked
+    # up after every deflator plan, so that a key the model does not
+    # simulate is reported before a bad read.
     by_node, row_of, n_rows = {}, {}, 0
     for node, (keys, n_units) in keys_of.items():
         others = [(k, name, p) for k, key in enumerate(keys)
@@ -1073,9 +1014,8 @@ def simulate_many(model: Model, cfg: SimulationConfig,
         row_of.update((name, n_rows + n_units + j)
                       for j, (_, name, _) in enumerate(others))
         n_rows += n_units + len(others)
-    # The scratch rows each tile takes per node it settles at once, set by
-    # the payoffs alone (see _SETTLE_ROWS): the work rows, as many as a
-    # node's other rows or its longest run of FX keys, and the held rows.
+    # The work and held rows each tile takes per node it settles at once,
+    # set by the payoffs alone (see _SETTLE_ROWS).
     n_keys = max(len(keys) for keys, _ in keys_of.values())
     width = max(max([len(others), *(len(sig) for *_, sig, _ in
                                     by_keys[tuple(keys)].fx)])
@@ -1083,8 +1023,6 @@ def simulate_many(model: Model, cfg: SimulationConfig,
     if width:
         width = max(1, min(width, (_SETTLE_ROWS - 2 * n_keys - 1) // 2))
     n_held = max(1, min(n_rows, _SETTLE_ROWS - 2 * n_keys - 2 * width))
-    # Runs of consecutive nodes that settle alike, nodes without payoffs
-    # included, each with one plan.
     plans = []
     for _, run in groupby(range(n_last + 1), lambda node: _settles_as(
             node, *by_node[node]) if node in by_node else None):
@@ -1099,24 +1037,19 @@ def simulate_many(model: Model, cfg: SimulationConfig,
                                      [by_node[node][3] for node in run],
                                      width),
                             n_units + len(others))] * len(run)
-    # A tile keeps W as far back as its reads look, and at every node for
-    # an opaque amount, which may read any of them through `PathState.w`.
     if any(callable(p.amount) for p in payoffs.values()):
         depth = model.ts.n_buckets + 1
     else:
         depth = max(2, 1 - min((r - node for node, (*_, reads)
                                 in by_node.items() for _, _, r in reads),
                                default=0))
-    # Path arrays are one tile's, whatever the count; only the statistics
-    # grow with it, and they are sized before the first tile.
     stats = _ChunkStatistics(n_rows, cfg.n_paths // 2)
     blocks = _pair_blocks(cfg.n_paths // 2, n_workers)
     args = (tables, cfg, plans, n_held, width, n_last, depth)
     # A lone block runs on the calling thread: on a thread of its own it
     # raised fxopt-mc's peak RSS by 0.7-1.9 MB, and running block 0 here
     # beside the other blocks' threads raised diagnose-wide's by 8 MB.
-    # Blocks that run beside others draw normals in chunks twice as large,
-    # in larger tiles and slabs, to halve their numpy calls (see
+    # Blocks that run beside others draw chunks twice as large (see
     # _CHUNK_BLOCKS).
     if len(blocks) == 1:
         _simulate_block(*args, *blocks[0], stats, _CHUNK_BLOCKS)
@@ -1125,7 +1058,6 @@ def simulate_many(model: Model, cfg: SimulationConfig,
                                         2 * _CHUNK_BLOCKS)
                                        for block in blocks])
 
-    # The rows hold pair sums; halving their mean and SE is exact.
     means, ses = stats.estimates()
     return {name: PriceEstimate(0.5 * float(means[row_of[name]]),
                                 0.5 * float(ses[row_of[name]]), cfg.n_paths,

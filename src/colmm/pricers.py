@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import CurveSet
 from .dynamics import VolatilitySpec
-from .engine import FxOption, GridPayoff
+from .engine import FxOption, GridPayoff, check_option
 from .errors import ConfigurationError
 from .tenor import TenorStructure
 
@@ -38,8 +38,9 @@ class FxForwardSpec:
     maturity: float
 
     def __post_init__(self):
-        if self.maturity < 0.0:
-            raise ValueError(f"maturity must be >= 0, got {self.maturity}")
+        if not 0.0 <= self.maturity < np.inf:
+            raise ValueError(f"maturity must be a finite number >= 0, "
+                             f"got {self.maturity}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class FxOptionSpec:
     is_call: bool = True
 
     def __post_init__(self):
-        if self.strike < 0.0:
-            raise ValueError(f"strike must be >= 0, got {self.strike}")
-        if self.maturity <= 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        check_option(self.strike, self.is_call)
+        if not 0.0 < self.maturity < np.inf:
+            raise ValueError(f"maturity must be a finite number > 0, "
+                             f"got {self.maturity}")
 
 
 def collateralized_zcb(curves: CurveSet, pay: str, collateral: str,

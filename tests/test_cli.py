@@ -1341,7 +1341,7 @@ class TestParserReuse:
 def test_every_traced_layer_still_resolves(monkeypatch):
     # The benchmark's tracer patches colmm by name; a renamed function would
     # silently drop its layer from the traced metrics.  The hooks allowed to
-    # be absent are the functions deleted from colmm, which no CLI command
+    # be absent are the functions deleted from colmm, which no program
     # calls, until the tracer's hook list drops them.
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
@@ -1357,7 +1357,9 @@ def test_every_traced_layer_still_resolves(monkeypatch):
     deleted = {"colmm.cli.fx_option_mc", "colmm.pricers.simulate",
                *(f"colmm.dynamics.PathState.{name}" for name in
                  ("zcb", "spread_zcb", "account", "pair_account",
-                  "initial"))}
+                  "initial")),
+               *(f"colmm.dynamics.{family}_drift_vector" for family in
+                 ("funding", "libor_ois", "equity"))}
     assert set(tracer.absent) <= deleted
 
 

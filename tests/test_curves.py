@@ -560,6 +560,14 @@ class TestOisBootstrap:
         with pytest.raises(CalibrationError):
             # fixed leg worth more than par is achievable: no positive pillar
             bootstrap_discount_curve("USD", [(1.0, -3.0)])
+        with pytest.raises(CalibrationError, match="must be positive"):
+            bootstrap_discount_curve("USD", [(0.0, 0.01)])
+        with pytest.raises(CalibrationError,
+                           match="implies non-positive discount"):
+            bootstrap_discount_curve("USD", [(1.0, 0.01), (2.0, 100.0)])
+        curve = bootstrap_discount_curve("USD", [(1.0, 0.01)])
+        with pytest.raises(CalibrationError, match="non-positive annuity"):
+            ois_par_rate(curve, 0.0)
 
 
 class TestSpreadBootstrap:
@@ -602,6 +610,17 @@ class TestSpreadBootstrap:
         with pytest.raises(CalibrationError):
             bootstrap_spread_curve(100.0, [], d_i, d_j)
 
+    @pytest.mark.parametrize("spot, quotes, message", [
+        (0.0, [(1.0, 98.5)], "spot FX must be positive, got 0.0"),
+        (math.nan, [(1.0, 98.5)], "spot FX must be positive, got nan"),
+        (100.0, [(2.0, 97.1), (1.0, 98.5)], "must be increasing"),
+        (100.0, [(1.0, -1.0)], "non-positive spread factor"),
+    ], ids=["zero-spot", "nan-spot", "decreasing", "negative-quote"])
+    def test_rejects_bad_inputs(self, spot, quotes, message):
+        d_i, d_j = self._curves()
+        with pytest.raises(CalibrationError, match=message):
+            bootstrap_spread_curve(spot, quotes, d_i, d_j)
+
     def test_rejects_a_factor_without_a_finite_reciprocal(self):
         # Y about 9e-310 is positive and finite, but the reversed pair's
         # pillar 1 / Y is not.
@@ -618,6 +637,15 @@ class TestSpreadFixings:
         with pytest.raises(ValueError):
             fix.value(2)
         assert SpreadFixings.zeros("USD", 3).values.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "non-empty 1-d array"),
+        ([[0.001, 0.002]], "non-empty 1-d array"),
+        ([0.001, math.nan], "must be finite"),
+    ], ids=["empty", "2-d", "nan"])
+    def test_rejects_bad_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SpreadFixings("USD", np.array(values))
 
 
 class TestEquityForwardCurve:
@@ -717,6 +745,11 @@ class TestCurveSet:
             CurveSet(spot_fx={("USD", "USD"): 1.0})
         with pytest.raises(ValueError):
             CurveSet(spreads={("USD", "USD"): SpreadCurve.identity("USD")})
+
+    @pytest.mark.parametrize("spot", [-1.0, math.nan])
+    def test_rejects_a_spot_that_is_not_positive(self, spot):
+        with pytest.raises(ValueError, match="must be positive"):
+            CurveSet(spot_fx={("USD", "EUR"): spot})
 
     def test_fx_chain_takes_forward_steps(self):
         # A/C is quoted through B, both steps in their stored orientation.

@@ -24,14 +24,31 @@ from colmm import (
     parse_market_csv,
 )
 from colmm.dynamics import (
+    _funding_drifts,
+    _terminal_drifts,
     collateral_drift_vector,
-    equity_drift_vector,
-    funding_drift_vector,
     index_runs,
-    libor_ois_drift_vector,
 )
 
 from conftest import flat_curve, flat_spread
+
+
+# The (N + 1, N) drift tables of the other three families, entry [k, n]
+# for start bucket k, as `collateral_drift_vector` gives the first.
+def funding_drift_vector(vols, ts, currency, collateral,
+                         measure_currency=None):
+    return _funding_drifts(vols, ts, currency, collateral,
+                           measure_currency).entries()
+
+
+def libor_ois_drift_vector(vols, ts, currency, measure_currency=None):
+    return _terminal_drifts(vols.libor_ois_loadings(currency), vols, ts,
+                            currency, measure_currency).entries()
+
+
+def equity_drift_vector(vols, ts, currency, measure_currency=None):
+    return _terminal_drifts(vols.equity_loadings(currency), vols, ts,
+                            currency, measure_currency).entries()
 
 
 class TestVolatilitySpec:

@@ -297,7 +297,7 @@ class TestParseInstruments:
            "maturity": 1.0, "label": 5}], "label must be a string, got 5"),
         ([{"type": "fx_option", "pay": "USD", "receive": "EUR",
            "collateral": "USD", "maturity": 1.0, "strike": -1.0,
-           "style": "call"}], "strike must be >= 0, got -1.0"),
+           "style": "call"}], "strike must be a finite number >= 0, got -1.0"),
     ])
     def test_rejects_bad_lists(self, tmp_path, doc, needle):
         p = tmp_path / "bad.json"

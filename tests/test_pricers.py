@@ -287,6 +287,25 @@ class TestFxOptionBlack:
             FxOptionSpec("USD", "EUR", "USD", 1.0, -5.0)
         with pytest.raises(ValueError):
             FxForwardSpec("USD", "EUR", "USD", -1.0)
+        # Each of these used to build: a NaN strike priced NaN, a string
+        # is_call priced the call, and a non-finite maturity was refused
+        # only later, by a curve's range check.  The option is checked as
+        # an engine FxOption is.
+        for args, error, message in (
+                ((1.0, math.nan), ValueError,
+                 "strike must be a finite number >= 0, got nan"),
+                ((1.0, 1.0, "put"), TypeError,
+                 "is_call must be a bool, got 'put'"),
+                ((math.nan, 1.0), ValueError,
+                 "maturity must be a finite number > 0, got nan"),
+                ((math.inf, 1.0), ValueError,
+                 "maturity must be a finite number > 0, got inf")):
+            with pytest.raises(error, match=message):
+                FxOptionSpec("USD", "EUR", "USD", *args)
+        for maturity in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="maturity must be a finite "
+                               f"number >= 0, got {maturity}"):
+                FxForwardSpec("USD", "EUR", "USD", maturity)
 
 
 class TestFxOptionMc:
